@@ -10,8 +10,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use repwf_core::model::CommModel;
 use repwf_dist::{merge_paths, run_shard, CampaignSpec};
-use repwf_gen::campaign::run_campaign;
-use repwf_gen::{GenConfig, Range};
+use repwf_gen::campaign::{run_spec, DEFAULT_CAMPAIGN_CAP};
+use repwf_gen::{GenConfig, Range, Topology};
 use std::path::PathBuf;
 
 fn spec(count: usize) -> CampaignSpec {
@@ -25,7 +25,7 @@ fn spec(count: usize) -> CampaignSpec {
         model: CommModel::Strict,
         count,
         seed_base: 2009,
-        cap: 400_000,
+        cap: DEFAULT_CAMPAIGN_CAP,
     }
 }
 
@@ -41,8 +41,7 @@ fn bench_shard_merge(c: &mut Criterion) {
             &spec,
             |b, spec| {
                 b.iter(|| {
-                    let res =
-                        run_campaign(&spec.cfg, spec.model, spec.count, spec.seed_base, 2, spec.cap);
+                    let res = run_spec(spec, &Topology::chain(spec.cfg.stages), 2, |_| {});
                     assert_eq!(res.outcomes.len(), spec.count);
                 })
             },

@@ -9,7 +9,7 @@ use repwf_core::engine::{MappingOracle, PeriodEngine};
 use repwf_core::model::{CommModel, Instance, Mapping, Pipeline, Platform};
 use repwf_core::period::{compute_period_with, Method};
 use repwf_core::tpn_build::BuildOptions;
-use repwf_gen::campaign::run_campaign;
+use repwf_gen::campaign::{run_campaign_batched, DEFAULT_CAMPAIGN_CAP};
 use repwf_gen::{GenConfig, Range};
 use repwf_map::annealing::{anneal, AnnealOptions};
 use repwf_map::greedy;
@@ -62,7 +62,7 @@ fn bench_campaign_kernel(c: &mut Criterion) {
     group.throughput(Throughput::Elements(count as u64));
     for threads in [1usize, repwf_par::max_threads().min(8)] {
         group.bench_with_input(BenchmarkId::new("strict", threads), &threads, |b, &t| {
-            b.iter(|| run_campaign(&cfg, CommModel::Strict, count, 2009, t, 400_000))
+            b.iter(|| run_campaign_batched(&cfg, CommModel::Strict, count, 2009, t, DEFAULT_CAMPAIGN_CAP))
         });
     }
     group.finish();

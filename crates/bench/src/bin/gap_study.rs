@@ -12,8 +12,8 @@
 //! Usage: `gap_study [--per-size N] [--threads K]`
 
 use repwf_core::model::CommModel;
-use repwf_gen::campaign::run_campaign;
-use repwf_gen::sampler::{GenConfig, Range};
+use repwf_gen::campaign::{run_spec, CampaignSpec, DEFAULT_CAMPAIGN_CAP};
+use repwf_gen::sampler::{GenConfig, Range, Topology};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -47,7 +47,14 @@ fn main() {
             comp: Range::constant(1.0),
             comm: Range::new(5.0, 10.0),
         };
-        let res = run_campaign(&cfg, CommModel::Strict, per_size, 777, threads, 400_000);
+        let spec = CampaignSpec {
+            cfg,
+            model: CommModel::Strict,
+            count: per_size,
+            seed_base: 777,
+            cap: DEFAULT_CAMPAIGN_CAP,
+        };
+        let res = run_spec(&spec, &Topology::chain(cfg.stages), threads, |_| {});
         let no_crit = res.count_no_critical(repwf_gen::campaign::GAP_REL_TOL);
         let gaps: Vec<f64> = res
             .outcomes

@@ -25,9 +25,9 @@ use repwf_dist::{
     merge_paths, supervise, CampaignSpec, FaultPlan, ShardPlan, SuperviseOptions,
 };
 use repwf_gen::campaign::{
-    run_campaign_batched_with, shape_stats, CampaignResult, DEFAULT_CAMPAIGN_CAP, GAP_REL_TOL,
+    run_spec, shape_stats, CampaignAccum, CampaignResult, DEFAULT_CAMPAIGN_CAP, GAP_REL_TOL,
 };
-use repwf_gen::{GenConfig, Range};
+use repwf_gen::{GenConfig, Range, Topology};
 use std::io::Write as _;
 use std::time::Duration;
 
@@ -127,28 +127,20 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return run_sharded(&opts, &spec, threads, obs);
     }
 
-    // The unsharded run goes through the shape-batched solver: same bytes
-    // as the per-instance engine (property-tested), a fraction of the
-    // structural work when draws repeat shapes.
-    let res = run_campaign_batched_with(
-        &spec.cfg,
-        model,
-        count,
-        seed,
-        threads,
-        cap,
-        Some(&|p| {
-            let mut err = std::io::stderr().lock();
-            let _ = write!(
-                err,
-                "\r{}/{} experiments  (no-critical {}, simulated {})",
-                p.done, p.total, p.no_critical, p.simulated
-            );
-            if p.done == p.total {
-                let _ = writeln!(err);
-            }
-        }),
-    );
+    let mut accum = CampaignAccum::new();
+    let res = run_spec(&spec, &Topology::chain(stages), threads, |outcome| {
+        accum.push(outcome);
+        let p = accum.progress(count);
+        let mut err = std::io::stderr().lock();
+        let _ = write!(
+            err,
+            "\r{}/{} experiments  (no-critical {}, simulated {})",
+            p.done, p.total, p.no_critical, p.simulated
+        );
+        if p.done == p.total {
+            let _ = writeln!(err);
+        }
+    });
 
     let metrics = obs.finish()?;
 

@@ -2,6 +2,7 @@
 
 use crate::json::Json;
 use crate::opts::{model_name, parse_threads, Opts};
+use repwf_gen::campaign::{CampaignAccum, DEFAULT_CAMPAIGN_CAP};
 use repwf_gen::table2::{format_results, run_row_with, table2_rows, to_csv, RowResult};
 use std::io::Write as _;
 
@@ -13,7 +14,7 @@ OPTIONS:
   --full             shorthand for --scale 1
   --threads K        worker threads (default: hardware)
   --seed S           base seed (default: 20090301)
-  --cap N            TPN transition cap before simulator fallback (default: 400000)
+  --cap N            TPN transition cap before simulator fallback (default: 2000000)
   --csv PATH         also write the rows as CSV
   --json             structured output (identical at any --threads)
 ";
@@ -34,29 +35,26 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
     let threads = parse_threads(&opts)?;
     let seed = opts.get_or("--seed", 20_090_301u64)?;
-    let cap = opts.get_or("--cap", 400_000usize)?;
+    let cap = opts.get_or("--cap", DEFAULT_CAMPAIGN_CAP)?;
 
     let rows = table2_rows();
     let mut results = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         let t0 = std::time::Instant::now();
-        let res = run_row_with(
-            row,
-            scale,
-            seed + 10_000_000 * i as u64,
-            threads,
-            cap,
-            Some(&|p| {
-                let _ = write!(
-                    std::io::stderr().lock(),
-                    "\rrow {}/{}: {}/{} experiments",
-                    i + 1,
-                    rows.len(),
-                    p.done,
-                    p.total
-                );
-            }),
-        );
+        let total = row.experiments(scale);
+        let mut accum = CampaignAccum::new();
+        let res = run_row_with(row, scale, seed + 10_000_000 * i as u64, threads, cap, |outcome| {
+            accum.push(outcome);
+            let p = accum.progress(total);
+            let _ = write!(
+                std::io::stderr().lock(),
+                "\rrow {}/{}: {}/{} experiments",
+                i + 1,
+                rows.len(),
+                p.done,
+                p.total
+            );
+        });
         eprintln!(
             "\rrow {}/{}: {} experiments in {:.1}s ({} no-critical, {} simulated)",
             i + 1,

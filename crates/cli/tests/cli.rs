@@ -245,9 +245,9 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
         "tpn_build_chain",
         "tpn_build_dag",
         "dag_build_parity",
+        "campaign_oracle_1t",
         "campaign_strict_1t",
         "campaign_strict_nt",
-        "campaign_batched_nt",
         "anneal_strict",
         "neighbor_eval_cold",
         "neighbor_eval_incremental",

@@ -22,8 +22,9 @@
 //!   accepted.
 //! * [`shard`] — the streaming NDJSON shard writer: one record per
 //!   [`repwf_gen::ExperimentOutcome`] (f64s as exact bit patterns),
-//!   appended **in seed order** while the campaign runs multi-threaded
-//!   (via [`repwf_par::par_map_init_ordered`]), plus a footer with the
+//!   appended **in seed order** while the campaign runs shape-batched and
+//!   multi-threaded (via the seed-ordered sink of
+//!   [`repwf_gen::campaign::run_spec`]), plus a footer with the
 //!   record count and a checksum. **Checkpoint/resume**: on restart,
 //!   [`shard::run_shard`] re-opens a partial file, validates the prefix,
 //!   truncates a torn trailing line and continues from the first missing

@@ -27,23 +27,7 @@ fn parse_model(name: &str) -> Option<CommModel> {
     }
 }
 
-/// Everything that determines a campaign's outcomes: the generator
-/// configuration, the communication model, the TPN size cap and the seed
-/// range. Two shard files belong to the same campaign iff their specs
-/// agree **bitwise** (time ranges are compared as f64 bit patterns).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignSpec {
-    /// Generator configuration (stages, procs, time ranges).
-    pub cfg: GenConfig,
-    /// Communication model.
-    pub model: CommModel,
-    /// Total experiment count of the campaign (all shards together).
-    pub count: usize,
-    /// Base seed; experiment `k` uses `seed_base + k`.
-    pub seed_base: u64,
-    /// TPN transition cap before simulator fallback.
-    pub cap: usize,
-}
+pub use repwf_gen::campaign::CampaignSpec;
 
 /// The parsed (or to-be-written) manifest of one shard file: the campaign
 /// spec plus this shard's place in the plan.

@@ -33,8 +33,8 @@ pub struct MergedCampaign {
     /// How many shard files merged into it.
     pub num_shards: usize,
     /// Outcomes in seed order — exactly what the unsharded
-    /// [`repwf_gen::run_campaign`] returns for `spec` (on a partial
-    /// merge, the covered subsequence of it).
+    /// [`repwf_gen::run_spec`] returns for `spec` (on a partial merge,
+    /// the covered subsequence of it).
     pub result: CampaignResult,
     /// Aggregates merged shard-by-shard through
     /// [`CampaignAccum::merge`] — bit-identical to `result.accum()`
@@ -61,7 +61,7 @@ pub struct MergeReport {
 /// merge never silently drops or deduplicates data.
 ///
 /// The merged result is **bit-identical** to the unsharded campaign: the
-/// outcome list is byte-for-byte the one `run_campaign` produces (each
+/// outcome list is byte-for-byte the one `run_spec` produces (each
 /// outcome is a pure function of its seed, transported as exact bit
 /// patterns), and the aggregates recombine associatively.
 pub fn merge_paths<P: AsRef<Path>>(paths: &[P]) -> Result<MergedCampaign, DistError> {

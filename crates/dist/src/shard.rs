@@ -20,8 +20,8 @@
 //! torn or hand-edited files at merge time.
 //!
 //! Records are appended **in seed order** even though the campaign runs
-//! on the multi-threaded work-stealing executor (the ordered sink of
-//! [`repwf_gen::campaign::run_campaign_streamed`]); a killed process
+//! shape-batched on the multi-threaded work-stealing executor (the
+//! seed-ordered sink of [`repwf_gen::campaign::run_spec`]); a killed process
 //! therefore leaves `manifest + k complete records`, which is exactly a
 //! checkpoint. [`run_shard`] validates such a prefix — manifest match,
 //! seed contiguity, record shape — drops a torn trailing line, and
@@ -32,10 +32,10 @@
 use crate::json::{parse, JsonValue};
 use crate::manifest::{CampaignSpec, ShardManifest};
 use crate::DistError;
-use repwf_gen::campaign::{run_campaign_streamed, ExperimentOutcome, Resolution};
+use repwf_gen::campaign::{run_spec, ExperimentOutcome, Resolution};
+use repwf_gen::Topology;
 use std::io::{Seek as _, Write as _};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// FNV-1a 64-bit running checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -737,7 +737,7 @@ pub(crate) fn run_manifest(
     Ok(ShardRunSummary { manifest: *manifest, resumed, ran })
 }
 
-/// State the streaming sink mutates under the executor's reorder lock.
+/// State the streaming sink mutates (under the runner's reorder lock).
 struct SinkState {
     /// `None` once the writer was consumed by an injected kill.
     writer: Option<ShardWriter>,
@@ -758,70 +758,62 @@ fn stream_records(
     progress: Option<ShardProgress<'_>>,
     opts: &ShardRunOptions,
 ) -> Result<usize, DistError> {
-    let spec = &manifest.spec;
     let total = manifest.plan.shard_count();
-    let next_seed = manifest.plan.seed_start() + resumed as u64;
-    let remaining = total - resumed;
+    let spec = CampaignSpec {
+        count: total - resumed,
+        seed_base: manifest.plan.seed_start() + resumed as u64,
+        ..manifest.spec
+    };
     if let Some(cb) = progress {
         cb(resumed, total);
     }
     let fault = opts.fault.clone().unwrap_or_default();
 
-    // Stream the remaining seeds in order; the sink runs under the
-    // executor's reorder lock, so writes land in seed order at any
-    // thread count. An I/O error (or injected kill) stops further writes
-    // — the on-disk prefix stays a valid checkpoint — and is reported
-    // after the run.
-    let state = Mutex::new(SinkState { writer: Some(writer), error: None, ran: 0 });
-    run_campaign_streamed(
-        &spec.cfg,
-        spec.model,
-        remaining,
-        next_seed,
-        threads,
-        spec.cap,
-        &|outcome| {
-            if fault.slow_ms > 0 {
-                // Straggler injection sleeps *outside* the sink lock so a
-                // slow worker stalls throughput, not correctness.
-                std::thread::sleep(std::time::Duration::from_millis(fault.slow_ms));
+    // Stream the remaining seeds; the runner calls the sink in seed order
+    // at any thread count. An I/O error (or injected kill) stops further
+    // writes — the on-disk prefix stays a valid checkpoint — and is
+    // reported after the run.
+    let mut state = SinkState { writer: Some(writer), error: None, ran: 0 };
+    run_spec(&spec, &Topology::chain(spec.cfg.stages), threads, |outcome| {
+        if fault.slow_ms > 0 {
+            // Straggler injection: a slow sink stalls throughput, not
+            // correctness.
+            std::thread::sleep(std::time::Duration::from_millis(fault.slow_ms));
+        }
+        let s = &mut state;
+        if s.writer.is_none() || s.error.is_some() {
+            return;
+        }
+        if fault.kill_after == Some(s.ran) {
+            // The injected SIGKILL: the unflushed buffer vanishes and
+            // (optionally) a torn prefix of this very record's line is
+            // left behind — exactly the disk state a real kill leaves.
+            let line = outcome_line(outcome);
+            let torn_len = fault.torn.min(line.len().saturating_sub(1));
+            let torn = (torn_len > 0).then(|| &line.as_bytes()[..torn_len]);
+            let writer = s.writer.take().expect("writer present");
+            let flushed = writer.kill(torn);
+            if fault.process_exit {
+                std::process::exit(crate::fault::KILL_EXIT_CODE);
             }
-            let mut s = state.lock().expect("shard writer poisoned");
-            if s.writer.is_none() || s.error.is_some() {
-                return;
-            }
-            if fault.kill_after == Some(s.ran) {
-                // The injected SIGKILL: the unflushed buffer vanishes and
-                // (optionally) a torn prefix of this very record's line is
-                // left behind — exactly the disk state a real kill leaves.
-                let line = outcome_line(outcome);
-                let torn_len = fault.torn.min(line.len().saturating_sub(1));
-                let torn = (torn_len > 0).then(|| &line.as_bytes()[..torn_len]);
-                let writer = s.writer.take().expect("writer present");
-                let flushed = writer.kill(torn);
-                if fault.process_exit {
-                    std::process::exit(crate::fault::KILL_EXIT_CODE);
-                }
-                s.error = Some(match flushed {
-                    Ok(flushed) => DistError::Fault(format!(
-                        "injected kill after {} records ({flushed} flushed to disk)",
-                        s.ran
-                    )),
-                    Err(e) => e,
-                });
-                return;
-            }
-            if let Err(e) = s.writer.as_mut().expect("checked above").append(outcome) {
-                s.error = Some(e);
-                return;
-            }
-            s.ran += 1;
-            if let Some(cb) = progress {
-                cb(resumed + s.ran, total);
-            }
-        },
-    );
-    let state = state.into_inner().expect("shard writer poisoned");
+            s.error = Some(match flushed {
+                Ok(flushed) => DistError::Fault(format!(
+                    "injected kill after {} records ({flushed} flushed to disk)",
+                    s.ran
+                )),
+                Err(e) => e,
+            });
+            return;
+        }
+        if let Err(e) = s.writer.as_mut().expect("checked above").append(outcome) {
+            s.error = Some(e);
+            return;
+        }
+        s.ran += 1;
+        if let Some(cb) = progress {
+            cb(resumed + s.ran, total);
+        }
+    });
     if let Some(e) = state.error {
         return Err(e);
     }

@@ -78,9 +78,9 @@ use crate::lease::{self, Lease, LeaseInfo, LeaseProgress, RetryPolicy};
 use crate::manifest::{CampaignSpec, ShardManifest};
 use crate::shard::{open_checkpoint, outcome_line, ShardRunOptions};
 use crate::DistError;
-use repwf_gen::campaign::{run_campaign_streamed, ExperimentOutcome};
+use repwf_gen::campaign::{run_spec, ExperimentOutcome};
+use repwf_gen::Topology;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Knobs of one supervisor worker. `Default` is tuned for local
@@ -682,24 +682,13 @@ impl Worker<'_> {
         chunk: usize,
         slow_ms: u64,
     ) -> Vec<ExperimentOutcome> {
-        let sink = Mutex::new(Vec::with_capacity(chunk));
-        run_campaign_streamed(
-            &self.spec.cfg,
-            self.spec.model,
-            chunk,
-            seed_start,
-            self.opts.threads,
-            self.spec.cap,
-            &|outcome| {
-                if slow_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(slow_ms));
-                }
-                sink.lock().expect("chunk sink poisoned").push(outcome.clone());
-            },
-        );
-        let outcomes = sink.into_inner().expect("chunk sink poisoned");
-        debug_assert!(outcomes.windows(2).all(|w| w[0].seed < w[1].seed));
-        outcomes
+        let spec = CampaignSpec { count: chunk, seed_base: seed_start, ..self.spec };
+        run_spec(&spec, &Topology::chain(spec.cfg.stages), self.opts.threads, |_| {
+            if slow_ms > 0 {
+                std::thread::sleep(Duration::from_millis(slow_ms));
+            }
+        })
+        .outcomes
     }
 
     /// Splits the largest busy unit whose effective length allows it.

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use repwf_core::model::CommModel;
 use repwf_dist::report::campaign_doc;
 use repwf_dist::{merge_paths, run_shard, CampaignSpec, DistError};
-use repwf_gen::{run_campaign, GenConfig, Range};
+use repwf_gen::campaign::{engine_for_cap, run_one_with, CampaignResult};
+use repwf_gen::{GenConfig, Range};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,6 +42,17 @@ fn spec(model: CommModel, count: usize, seed_base: u64) -> CampaignSpec {
         count,
         seed_base,
         cap: 200_000,
+    }
+}
+
+/// The unsharded reference: the serial per-instance oracle, `run_one_with`
+/// seed by seed on one engine.
+fn oracle(spec: &CampaignSpec) -> CampaignResult {
+    let mut engine = engine_for_cap(spec.cap);
+    CampaignResult {
+        outcomes: (0..spec.count)
+            .map(|k| run_one_with(&spec.cfg, spec.model, spec.seed_base + k as u64, &mut engine))
+            .collect(),
     }
 }
 
@@ -78,8 +90,7 @@ proptest! {
     ) {
         for model in [CommModel::Overlap, CommModel::Strict] {
             let spec = spec(model, count, seed_base);
-            let unsharded = run_campaign(&spec.cfg, model, count, seed_base, threads, spec.cap);
-            let reference = campaign_doc(&spec, &unsharded).to_string_pretty();
+            let reference = campaign_doc(&spec, &oracle(&spec)).to_string_pretty();
 
             let dir = scratch_dir("merge");
             let (merged, _) = shard_and_merge(&spec, num_shards, threads, &dir);

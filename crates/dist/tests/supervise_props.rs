@@ -18,7 +18,8 @@ use repwf_dist::{
     merge_paths, merge_paths_partial, run_shard, run_shard_opts, supervise, CampaignSpec,
     DistError, FaultPlan, ShardRunOptions, SuperviseOptions, SuperviseSummary,
 };
-use repwf_gen::{run_campaign, GenConfig, Range};
+use repwf_gen::campaign::{engine_for_cap, run_one_with, CampaignResult};
+use repwf_gen::{GenConfig, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -50,9 +51,15 @@ fn spec(count: usize, seed_base: u64) -> CampaignSpec {
     }
 }
 
+/// The unsharded reference document, from the serial per-instance oracle
+/// (`run_one_with` seed by seed on one engine).
 fn reference_doc(spec: &CampaignSpec) -> String {
-    let res =
-        run_campaign(&spec.cfg, spec.model, spec.count, spec.seed_base, 2, spec.cap);
+    let mut engine = engine_for_cap(spec.cap);
+    let res = CampaignResult {
+        outcomes: (0..spec.count)
+            .map(|k| run_one_with(&spec.cfg, spec.model, spec.seed_base + k as u64, &mut engine))
+            .collect(),
+    };
     campaign_doc(spec, &res).to_string_pretty()
 }
 

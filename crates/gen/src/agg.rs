@@ -3,21 +3,19 @@
 //! Every aggregate over relative gaps in this crate has the same two
 //! hazards, fixed once here instead of re-derived per call site:
 //!
-//! * **Bit-pattern folding** — the streaming maximum is a `fetch_max` on
-//!   raw f64 bits, which is a numeric max only for non-negative finite
-//!   doubles; a negative sign bit or a NaN/∞ pattern out-ranks every real
-//!   gap ([`fold_max_gap`]).
+//! * **Bit-pattern folding** — the streaming maximum is a max on raw f64
+//!   bits, which is a numeric max only for non-negative finite doubles; a
+//!   negative sign bit or a NaN/∞ pattern out-ranks every real gap
+//!   ([`fold_max_gap_bits`]).
 //! * **Non-finite poisoning** — a degenerate draw (infinite
 //!   simulator-fallback period) yields gap ∞, which must be excluded from
 //!   maxima and order statistics (it would otherwise dominate the
 //!   maximum, and NaN would panic the quantile sort).
 //!
-//! Users: the campaign's lock-free streaming aggregates, the associative
-//! [`crate::campaign::CampaignAccum`] (and through it the shard merger of
-//! `repwf-dist`), [`crate::campaign::CampaignResult::max_gap`] and
+//! Users: the associative [`crate::campaign::CampaignAccum`] (and through
+//! it progress sinks and the shard merger of `repwf-dist`),
+//! [`crate::campaign::CampaignResult::max_gap`] and
 //! [`crate::stats::gap_quantiles`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// True iff `gap` may enter a gap aggregate: strictly positive and
 /// finite. Zero gaps carry no information (the maximum starts at 0.0) and
@@ -26,28 +24,19 @@ pub(crate) fn countable_gap(gap: f64) -> bool {
     gap.is_finite() && gap > 0.0
 }
 
-/// Folds one gap into the bitwise streaming maximum.
+/// Folds one gap into a bit-pattern maximum.
 ///
 /// For **non-negative finite** IEEE-754 doubles the bit pattern is
-/// monotone in the value, so `fetch_max` on the bits is a numeric max —
-/// but only on that domain: a negative value's sign bit out-ranks every
+/// monotone in the value, so a max on the bits is a numeric max — but
+/// only on that domain: a negative value's sign bit out-ranks every
 /// positive pattern, and NaN/∞ patterns sit above every real gap. The
-/// guard rejects those outright instead of trusting a `debug_assert`
-/// (release builds used to fold the raw bits unconditionally and could
-/// silently report a bogus maximum). [`ExperimentOutcome::gap`] already
+/// guard rejects those outright. [`ExperimentOutcome::gap`] already
 /// clamps at 0.0; this keeps the aggregate safe even for degenerate
-/// outcomes such as an infinite simulator-fallback period.
+/// outcomes such as an infinite simulator-fallback period. Associative
+/// and commutative, which is what makes the campaign accumulator
+/// mergeable.
 ///
 /// [`ExperimentOutcome::gap`]: crate::campaign::ExperimentOutcome::gap
-pub(crate) fn fold_max_gap(max_gap_bits: &AtomicU64, gap: f64) {
-    if countable_gap(gap) {
-        max_gap_bits.fetch_max(gap.to_bits(), Ordering::SeqCst);
-    }
-}
-
-/// Sequential counterpart of [`fold_max_gap`]: folds a gap into a plain
-/// bit-pattern maximum (same domain guard, no atomics). Associative and
-/// commutative, which is what makes the campaign accumulator mergeable.
 pub(crate) fn fold_max_gap_bits(max_gap_bits: u64, gap: f64) -> u64 {
     if countable_gap(gap) {
         max_gap_bits.max(gap.to_bits())

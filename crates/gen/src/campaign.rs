@@ -5,42 +5,45 @@
 //! `M_ct` and the actual period, and records whether a critical resource
 //! exists (`P̂ = M_ct`) or not (`P̂ > M_ct`, the paper's surprising regime).
 //!
-//! # Engine
+//! # One runner
 //!
-//! Experiments run on the [`repwf_par`] **work-stealing** executor (this
-//! replaced the original static crossbeam thread loop, whose fixed
-//! partition stalled whole workers on simulator-fallback experiments).
-//! Each worker thread owns one [`repwf_core::engine::PeriodEngine`]
-//! (created by [`repwf_par::par_map_init`]), so the TPN build arena and
-//! the Howard workspace are allocated `threads` times per campaign instead
-//! of once per experiment. Draws are evaluated **by reference** through
-//! [`PeriodEngine::compute_mapping`] (no owned `Instance` unless the
-//! simulator fallback needs one), and when consecutive draws on a worker
-//! happen to share their replica-count shape the engine re-times the TPN
-//! in place instead of rebuilding it — the patched state is bit-for-bit a
-//! rebuild, so this never leaks the schedule into the numbers. Three
-//! properties are guaranteed:
+//! Every campaign — `repwf campaign`, Table 2, shard files, supervised
+//! units, benches — runs through [`run_spec`]:
 //!
-//! * **Determinism at any thread count** — experiment `k` derives *all* of
-//!   its randomness from `StdRng::seed_from_u64(seed_base + k)`, results
-//!   are returned in seed order, and the per-worker engines run **cold**
-//!   (warm starts stay off: with them, the reported witness could depend
-//!   on which experiment a worker ran previously, i.e. on the stealing
-//!   schedule). A campaign's [`CampaignResult`] is therefore bit-identical
-//!   for `threads = 1` and `threads = N` (tested below and in the `repwf`
-//!   CLI).
-//! * **Lock-free streaming aggregation** — running counts (`done`,
-//!   `no_critical`, `simulated`, `max_gap`) are plain atomics folded in as
-//!   experiments complete; the hot path never takes a lock and a progress
-//!   consumer never scans the outcome vector. (A `Mutex<Progress>` used to
-//!   serialize every worker here; profiles of short-experiment campaigns
-//!   showed it right behind the period solve itself.)
-//! * **Progress callbacks** — [`run_campaign_with`] reports a
-//!   [`Progress`] snapshot after every finished experiment (from worker
-//!   threads: callbacks must be `Sync`). Counters in a snapshot are each
-//!   exact and monotone, but mid-campaign a snapshot may combine them at
-//!   slightly different instants; the final snapshot (`done == total`) is
-//!   exact in every field.
+//! * **Static shape routing.** The replica counts are the RNG *prefix* of
+//!   each seed's draw ([`crate::sampler::sample_replica_counts`]), so the
+//!   runner recovers every seed's TPN shape without sampling an instance.
+//!   Same-shape, in-cap seeds are grouped in first-occurrence order and
+//!   cut into consecutive chunks sized by a transition budget. A chunk of
+//!   two or more seeds pays **one** TPN build, one ratio-graph/CSR build
+//!   and one Tarjan condensation and solves all its instances in one
+//!   batched Howard pass ([`ShapeBatchSolver`]).
+//! * **Solo seeds** run the per-instance engine
+//!   ([`run_one_workflow_with`]): over-cap seeds (simulator fallback),
+//!   path-count overflows, every overlap-model seed (the polynomial
+//!   algorithm has no TPN to share) and one-seed chunks. Batching a
+//!   single lane shares nothing, and only the engine sends graphs of
+//!   ≥ 200 000 vertices to the per-SCC parallel solve.
+//! * **Work stealing.** Chunks and solo seeds are the tasks of the
+//!   [`repwf_par`] executor. Each worker owns one [`PeriodEngine`] and one
+//!   [`ShapeBatchSolver`]; they cache allocations and structure, never
+//!   answers. The engines run **cold**: with warm starts the reported
+//!   witness could depend on which experiment a worker ran before, i.e.
+//!   on the stealing schedule.
+//! * **Seed-ordered delivery.** [`repwf_par::par_map_init_ordered`] hands
+//!   each finished task's outcomes to a reorder buffer, and the sink sees
+//!   every seed of the range exactly once, in increasing order. As in
+//!   Bobpp's deterministic partitioning, tasks are numbered before they
+//!   run and their results merge in a fixed order.
+//!
+//! Experiment `k` derives *all* of its randomness from
+//! `StdRng::seed_from_u64(seed_base + k)`, and the batched lanes mirror the
+//! solo solver step for step, so a campaign's [`CampaignResult`] and the
+//! sequence its sink sees are bit-identical at any thread count and shard
+//! layout (property-tested in `tests/batch_props.rs` against the serial
+//! [`run_one_with`] oracle). Progress is the caller's fold over the sink:
+//! [`CampaignAccum::push`] each outcome and render
+//! [`CampaignAccum::progress`].
 
 use crate::agg;
 use crate::sampler::{sample_replica_counts, sample_workflow_parts, GenConfig, Topology};
@@ -53,9 +56,9 @@ use repwf_core::model::{CommModel, Instance, InstanceView};
 use repwf_core::paths::{mapping_num_paths, num_paths};
 use repwf_core::period::{Method, PeriodError};
 use repwf_core::tpn_build::{BuildError, BuildOptions};
+use repwf_obs::CounterId;
 use repwf_sim::{simulate, SimOptions};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How one experiment was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,8 +127,8 @@ impl CampaignResult {
     }
 
     /// Maximum relative gap over all experiments. Non-finite gaps (an
-    /// infinite period from a degenerate draw) are skipped, matching the
-    /// streaming aggregate of [`run_campaign_with`].
+    /// infinite period from a degenerate draw) are skipped, matching
+    /// [`CampaignAccum::max_gap`].
     pub fn max_gap(&self) -> f64 {
         agg::max_finite_gap(self.outcomes.iter().map(ExperimentOutcome::gap))
     }
@@ -207,9 +210,9 @@ impl CampaignAccum {
     }
 
     /// Snapshots this accumulator as a [`Progress`] against a campaign
-    /// of `total` experiments — the same shape the streaming callbacks
-    /// receive, so checkpoint-derived state (a resumed shard, a merged
-    /// partial campaign) reports through one code path.
+    /// of `total` experiments, so live runs (a sink folding outcomes in),
+    /// resumed shards and merged partial campaigns report through one
+    /// code path.
     pub fn progress(&self, total: usize) -> Progress {
         Progress {
             done: self.done,
@@ -238,7 +241,7 @@ pub const GAP_REL_TOL: f64 = 1e-7;
 /// discrete-event simulator now report [`Resolution::Exact`].
 pub const DEFAULT_CAMPAIGN_CAP: usize = 2_000_000;
 
-/// Streaming snapshot passed to progress callbacks after every experiment.
+/// Progress snapshot of a campaign ([`CampaignAccum::progress`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Progress {
     /// Experiments finished so far.
@@ -312,11 +315,27 @@ pub fn format_pct(done: usize, total: usize) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 
-/// Progress callback type: invoked from worker threads.
-pub type ProgressFn<'a> = &'a (dyn Fn(Progress) + Sync);
+/// Everything that determines a campaign's outcomes: the generator
+/// configuration, the communication model, the TPN size cap and the seed
+/// range. Two shard files belong to the same campaign iff their specs
+/// agree **bitwise** (time ranges are compared as f64 bit patterns). The
+/// precedence graph is not part of the spec: [`run_spec`] takes it
+/// separately, and shard manifests describe chain campaigns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CampaignSpec {
+    /// Generator configuration (stages, procs, time ranges).
+    pub cfg: GenConfig,
+    /// Communication model.
+    pub model: CommModel,
+    /// Total experiment count of the campaign (all shards together).
+    pub count: usize,
+    /// Base seed; experiment `k` uses `seed_base + k`.
+    pub seed_base: u64,
+    /// TPN transition cap before simulator fallback.
+    pub cap: usize,
+}
 
-/// Outcome sink for [`run_campaign_streamed`]: invoked from worker
-/// threads, **in seed order**.
+/// Outcome sink of [`run_campaign_streamed`]: called in seed order.
 pub type OutcomeSink<'a> = &'a (dyn Fn(&ExperimentOutcome) + Sync);
 
 /// Runs one experiment (public for reuse by benches/tests).
@@ -339,7 +358,9 @@ pub fn engine_for_cap(cap: usize) -> PeriodEngine {
 /// Runs one experiment on a caller-owned engine (the size cap comes from
 /// the engine's build options). The outcome is a pure function of
 /// `(cfg, model, seed, engine options)` — the engine only contributes
-/// reusable buffers, never state that leaks into the numbers.
+/// reusable buffers, never state that leaks into the numbers. Running
+/// seeds one by one through this function is the serial reference the
+/// campaign runner is tested against.
 pub fn run_one_with(
     cfg: &GenConfig,
     model: CommModel,
@@ -351,7 +372,7 @@ pub fn run_one_with(
 
 /// [`run_one_with`] on an arbitrary series-parallel [`Topology`]. On
 /// [`Topology::chain`] this *is* [`run_one_with`] (same RNG stream, same
-/// bytes).
+/// bytes). This is the runner's solo path.
 pub fn run_one_workflow_with(
     cfg: &GenConfig,
     topo: &Topology,
@@ -407,114 +428,57 @@ pub fn run_one_workflow_with(
     }
 }
 
-/// Runs `count` experiments for a configuration over `threads` work-stealing
-/// workers (seeds `seed_base..seed_base+count`).
-pub fn run_campaign(
-    cfg: &GenConfig,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-) -> CampaignResult {
-    run_campaign_with(cfg, model, count, seed_base, threads, cap, None)
-}
-
-/// [`run_campaign`] with an optional streaming progress callback.
-pub fn run_campaign_with(
-    cfg: &GenConfig,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-    progress: Option<ProgressFn<'_>>,
-) -> CampaignResult {
-    run_campaign_workflow_with(cfg, &Topology::chain(cfg.stages), model, count, seed_base, threads, cap, progress)
-}
-
-/// [`run_campaign`] on an arbitrary series-parallel [`Topology`]: every
-/// experiment draws its instance on the same precedence graph. All
-/// determinism guarantees carry over — outcomes are a pure function of
-/// `(cfg, topo, model, seed)` and bit-identical at any thread count. On
-/// [`Topology::chain`] the result is byte-identical to [`run_campaign`].
-pub fn run_campaign_workflow(
-    cfg: &GenConfig,
+/// Runs the campaign `spec` on the precedence graph `topo` over `threads`
+/// work-stealing workers, hands every outcome to `sink` **in seed order**,
+/// and returns the outcomes it streamed (see the module docs for the
+/// routing and the determinism guarantees).
+///
+/// The sink runs under the executor's reorder lock, on whichever worker
+/// completed the prefix: keep it to an append or a fold, not a solve.
+/// Because outcomes arrive strictly in seed order, a sink appending to a
+/// file leaves a valid, resumable prefix whenever the process is killed.
+pub fn run_spec(
+    spec: &CampaignSpec,
     topo: &Topology,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
     threads: usize,
-    cap: usize,
+    mut sink: impl FnMut(&ExperimentOutcome) + Send,
 ) -> CampaignResult {
-    run_campaign_workflow_with(cfg, topo, model, count, seed_base, threads, cap, None)
-}
-
-/// [`run_campaign_workflow`] with an optional streaming progress callback.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_workflow_with(
-    cfg: &GenConfig,
-    topo: &Topology,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-    progress: Option<ProgressFn<'_>>,
-) -> CampaignResult {
-    // Lock-free streaming aggregates. `max_gap` is a non-negative f64; for
-    // non-negative IEEE-754 doubles the bit pattern is monotone in the
-    // value, so a `fetch_max` on the bits is a numeric max.
-    let done = AtomicUsize::new(0);
-    let no_critical = AtomicUsize::new(0);
-    let simulated = AtomicUsize::new(0);
-    let max_gap_bits = AtomicU64::new(0f64.to_bits());
-    let outcomes = repwf_par::par_map_init(
+    let (tasks, shapes) = route(spec, topo);
+    repwf_obs::counter_add(CounterId::ShapeGroups, shapes as u64);
+    let outcomes = repwf_par::par_map_init_ordered(
         threads,
-        count,
-        || engine_for_cap(cap),
-        |engine, k| {
+        tasks.len(),
+        spec.count,
+        || (engine_for_cap(spec.cap), ShapeBatchSolver::new(spec.cap)),
+        |(engine, solver), t| {
             let _span = repwf_obs::span!(Experiment);
-            let outcome = run_one_workflow_with(cfg, topo, model, seed_base + k as u64, engine);
-            if let Some(callback) = progress {
-                // Update every statistic *before* bumping `done`: the
-                // worker that observes `done == total` then reads totals
-                // that include every experiment.
-                no_critical.fetch_add(
-                    usize::from(outcome.no_critical_resource(GAP_REL_TOL)),
-                    Ordering::SeqCst,
-                );
-                simulated.fetch_add(
-                    usize::from(outcome.resolution == Resolution::Simulated),
-                    Ordering::SeqCst,
-                );
-                agg::fold_max_gap(&max_gap_bits, outcome.gap());
-                let d = done.fetch_add(1, Ordering::SeqCst) + 1;
-                callback(Progress {
-                    done: d,
-                    total: count,
-                    no_critical: no_critical.load(Ordering::SeqCst),
-                    simulated: simulated.load(Ordering::SeqCst),
-                    max_gap: f64::from_bits(max_gap_bits.load(Ordering::SeqCst)),
-                });
-            }
-            outcome
+            let k = match &tasks[t] {
+                Task::Chunk(ks) if ks.len() > 1 => return solve_chunk(spec, topo, solver, ks),
+                Task::Chunk(ks) => ks[0],
+                Task::Solo(k) => *k,
+            };
+            repwf_obs::counter_add(CounterId::SoloExperiments, 1);
+            let seed = spec.seed_base + u64::from(k);
+            vec![(k as usize, run_one_workflow_with(&spec.cfg, topo, spec.model, seed, engine))]
         },
+        |_, outcome| sink(outcome),
     );
     CampaignResult { outcomes }
 }
 
-/// [`run_campaign`] streaming every outcome to `sink` **in seed order**
-/// as the contiguous prefix of experiments completes (via
-/// [`repwf_par::par_map_init_ordered`]).
-///
-/// This is the entry point of the `repwf-dist` shard runners: the sink
-/// appends NDJSON records to the shard file, and because outcomes arrive
-/// strictly in seed order a killed process always leaves a valid,
-/// resumable prefix — at any thread count, with the same bytes. The sink
-/// runs under the executor's reorder lock; keep it to an append, not a
-/// solve. Outcomes are exactly those of [`run_campaign`] with the same
-/// arguments, bit for bit.
+/// [`run_spec`] on the chain topology, without a sink.
+pub fn run_campaign_batched(
+    cfg: &GenConfig,
+    model: CommModel,
+    count: usize,
+    seed_base: u64,
+    threads: usize,
+    cap: usize,
+) -> CampaignResult {
+    run_campaign_streamed(cfg, model, count, seed_base, threads, cap, &|_| {})
+}
+
+/// [`run_spec`] on the chain topology, streaming to a shared sink.
 pub fn run_campaign_streamed(
     cfg: &GenConfig,
     model: CommModel,
@@ -524,40 +488,8 @@ pub fn run_campaign_streamed(
     cap: usize,
     sink: OutcomeSink<'_>,
 ) -> CampaignResult {
-    run_campaign_workflow_streamed(
-        cfg,
-        &Topology::chain(cfg.stages),
-        model,
-        count,
-        seed_base,
-        threads,
-        cap,
-        sink,
-    )
-}
-
-/// [`run_campaign_streamed`] on an arbitrary series-parallel
-/// [`Topology`] — the shard-runner entry point for workflow campaigns,
-/// with the same seed-order streaming contract.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_workflow_streamed(
-    cfg: &GenConfig,
-    topo: &Topology,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-    sink: OutcomeSink<'_>,
-) -> CampaignResult {
-    let outcomes = repwf_par::par_map_init_ordered(
-        threads,
-        count,
-        || engine_for_cap(cap),
-        |engine, k| run_one_workflow_with(cfg, topo, model, seed_base + k as u64, engine),
-        |_, outcome| sink(outcome),
-    );
-    CampaignResult { outcomes }
+    let spec = CampaignSpec { cfg: *cfg, model, count, seed_base, cap };
+    run_spec(&spec, &Topology::chain(cfg.stages), threads, sink)
 }
 
 /// Campaign shape statistics, computed **statically from the spec** by
@@ -569,7 +501,7 @@ pub fn run_campaign_workflow_streamed(
 ///
 /// Because the statistics depend only on `(cfg, count, seed_base)`, a
 /// sharded campaign's merge report and the unsharded run report the same
-/// values, whichever runner actually executed the experiments.
+/// values, whatever seed slices actually executed the experiments.
 pub fn shape_stats(cfg: &GenConfig, count: usize, seed_base: u64) -> (usize, f64) {
     if count == 0 {
         return (0, 0.0);
@@ -602,11 +534,11 @@ pub struct StructuralStats {
     pub tarjan_runs: u64,
 }
 
-/// Replays the batched campaign's static routing (the same replica-RNG
-/// prefix replay as [`run_campaign_workflow_batched_with`]) and returns
-/// the structural work of that schedule **without cross-chunk cache
-/// reuse**: each batch chunk pays one TPN/CSR/Tarjan structural phase;
-/// over-cap seeds run the simulator fallback, which builds none of it.
+/// Replays the runner's static routing and returns the structural work of
+/// that schedule **without cross-chunk cache reuse**: each chunk of a
+/// shape group — a one-seed chunk included, which the runner solves
+/// through the engine — pays one TPN/CSR/Tarjan structural phase; solo
+/// seeds over the cap run the simulator fallback, which builds none of it.
 ///
 /// Like [`shape_stats`], this depends only on
 /// `(cfg, topo, model, count, seed_base, cap)` — never on the outcomes or
@@ -621,31 +553,9 @@ pub fn structural_stats_workflow(
     seed_base: u64,
     cap: usize,
 ) -> StructuralStats {
-    if model == CommModel::Overlap || count == 0 {
-        return StructuralStats::default();
-    }
-    let cols = (topo.stages + topo.num_edges()) as u128;
-    let mut group_of: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut groups: Vec<(u128, u64)> = Vec::new();
-    for k in 0..count {
-        let mut rng = StdRng::seed_from_u64(seed_base + k as u64);
-        let replicas = sample_replica_counts(cfg, &mut rng);
-        let transitions = num_paths(&replicas).and_then(|m| m.checked_mul(cols));
-        if let Some(t) = transitions {
-            if t <= cap as u128 {
-                let g = *group_of.entry(replicas).or_insert_with(|| {
-                    groups.push((t, 0));
-                    groups.len() - 1
-                });
-                groups[g].1 += 1;
-            }
-        }
-    }
-    let mut chunks = 0u64;
-    for (transitions, members) in groups {
-        let chunk = (BATCH_TRANSITION_BUDGET / transitions.max(1)).clamp(1, MAX_BATCH as u128);
-        chunks += members.div_ceil(chunk as u64);
-    }
+    let spec = CampaignSpec { cfg: *cfg, model, count, seed_base, cap };
+    let (tasks, _) = route(&spec, topo);
+    let chunks = tasks.iter().filter(|t| matches!(t, Task::Chunk(_))).count() as u64;
     StructuralStats { patched_solves: 0, csr_builds: chunks, tarjan_runs: chunks }
 }
 
@@ -668,238 +578,97 @@ const BATCH_TRANSITION_BUDGET: u128 = 1_000_000;
 /// Instances per batched Howard pass for small shapes.
 const MAX_BATCH: usize = 16;
 
-/// One unit of batched campaign work.
-enum BatchTask {
-    /// Same-shape, in-cap seeds solved in one batched Howard pass.
-    Batch(Vec<u32>),
-    /// A seed the batched path cannot take (TPN over the size cap —
-    /// simulator fallback — or path-count overflow): runs through
-    /// [`run_one_with`], exactly like the unbatched campaign.
+/// One unit of campaign work: seed offsets into the campaign's range.
+enum Task {
+    /// Consecutive same-shape, in-cap seeds of one shape group.
+    Chunk(Vec<u32>),
+    /// A seed no shape group takes: over the size cap (simulator
+    /// fallback), a path-count overflow, or an overlap-model seed.
     Solo(u32),
 }
 
-/// [`run_campaign`] through the shape-batched solver. Outcomes are **byte
-/// identical** to [`run_campaign`] with the same arguments at any thread
-/// count (property-tested in `tests/batch_props.rs`); only the work
-/// schedule differs:
-///
-/// * experiments are **routed by shape** — the canonical shape signature
-///   (communication model + per-stage replica counts) of each seed is
-///   recovered statically by replaying the replica RNG prefix
-///   ([`crate::sampler::sample_replica_counts`]), so same-shape
-///   experiments land in shared chunks without sampling an instance;
-/// * each chunk amortizes **one** TPN build, **one** ratio-graph/CSR
-///   build and **one** Tarjan condensation across its instances, and the
-///   batched Howard kernel streams every instance's cost plane per pass
-///   over the shared structure ([`repwf_core::batch::ShapeBatchSolver`]);
-/// * over-cap and degenerate seeds fall back to the per-instance path
-///   ([`run_one_with`]), unchanged.
-///
-/// The overlap model solves through the polynomial algorithm (no TPN to
-/// batch), so it delegates to the unbatched runner wholesale.
-pub fn run_campaign_batched(
-    cfg: &GenConfig,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-) -> CampaignResult {
-    run_campaign_batched_with(cfg, model, count, seed_base, threads, cap, None)
-}
-
-/// [`run_campaign_batched`] with an optional streaming progress callback
-/// (one [`Progress`] snapshot per finished experiment, like
-/// [`run_campaign_with`] — batched chunks report each member as the chunk
-/// completes).
-pub fn run_campaign_batched_with(
-    cfg: &GenConfig,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-    progress: Option<ProgressFn<'_>>,
-) -> CampaignResult {
-    run_campaign_workflow_batched_with(
-        cfg,
-        &Topology::chain(cfg.stages),
-        model,
-        count,
-        seed_base,
-        threads,
-        cap,
-        progress,
-    )
-}
-
-/// [`run_campaign_batched`] on an arbitrary series-parallel [`Topology`].
-/// Static shape routing is unchanged: the topology is fixed across the
-/// campaign, so the TPN shape of a seed is still recovered from its
-/// replica-count RNG prefix alone (the grid simply has `n + E` columns
-/// instead of the chain's `2n − 1`).
-pub fn run_campaign_workflow_batched(
-    cfg: &GenConfig,
-    topo: &Topology,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-) -> CampaignResult {
-    run_campaign_workflow_batched_with(cfg, topo, model, count, seed_base, threads, cap, None)
-}
-
-/// [`run_campaign_workflow_batched`] with an optional streaming progress
-/// callback.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_workflow_batched_with(
-    cfg: &GenConfig,
-    topo: &Topology,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    threads: usize,
-    cap: usize,
-    progress: Option<ProgressFn<'_>>,
-) -> CampaignResult {
-    if model == CommModel::Overlap || count == 0 {
-        return run_campaign_workflow_with(cfg, topo, model, count, seed_base, threads, cap, progress);
+/// Routes the seeds of `spec` statically by replaying each seed's
+/// replica-count RNG prefix. Solo seeds come first, in seed order; then
+/// every shape group in first-occurrence order, cut into consecutive
+/// chunks. Chunks of one shape stay adjacent so a worker that steals a
+/// run of them keeps its [`ShapeBatchSolver`] structure cache hot.
+/// Returns the tasks and the number of shape groups.
+fn route(spec: &CampaignSpec, topo: &Topology) -> (Vec<Task>, usize) {
+    if spec.model == CommModel::Overlap {
+        return ((0..spec.count as u32).map(Task::Solo).collect(), 0);
     }
-
-    // --- static shape routing: replay only the replica RNG prefix ---
     let cols = (topo.stages + topo.num_edges()) as u128;
-    let mut tasks: Vec<BatchTask> = Vec::new();
+    let mut tasks = Vec::new();
     let mut group_of: HashMap<Vec<usize>, usize> = HashMap::new();
     // (transitions, members) per shape, in first-occurrence order.
     let mut groups: Vec<(u128, Vec<u32>)> = Vec::new();
-    for k in 0..count {
-        let mut rng = StdRng::seed_from_u64(seed_base + k as u64);
-        let replicas = sample_replica_counts(cfg, &mut rng);
-        let transitions = num_paths(&replicas).and_then(|m| m.checked_mul(cols));
-        match transitions {
-            Some(t) if t <= cap as u128 => {
+    for k in 0..spec.count {
+        let mut rng = StdRng::seed_from_u64(spec.seed_base + k as u64);
+        let replicas = sample_replica_counts(&spec.cfg, &mut rng);
+        match num_paths(&replicas).and_then(|m| m.checked_mul(cols)) {
+            Some(t) if t <= spec.cap as u128 => {
                 let g = *group_of.entry(replicas).or_insert_with(|| {
                     groups.push((t, Vec::new()));
                     groups.len() - 1
                 });
                 groups[g].1.push(k as u32);
             }
-            _ => tasks.push(BatchTask::Solo(k as u32)),
+            _ => tasks.push(Task::Solo(k as u32)),
         }
     }
-    repwf_obs::counter_add(repwf_obs::CounterId::ShapeGroups, groups.len() as u64);
-    repwf_obs::counter_add(repwf_obs::CounterId::SoloExperiments, tasks.len() as u64);
-    let mut batch_chunks = 0u64;
-    let mut batched_experiments = 0u64;
+    let shapes = groups.len();
     for (transitions, members) in groups {
         let chunk = (BATCH_TRANSITION_BUDGET / transitions.max(1)).clamp(1, MAX_BATCH as u128);
-        for c in members.chunks(chunk as usize) {
-            batch_chunks += 1;
-            batched_experiments += c.len() as u64;
-            tasks.push(BatchTask::Batch(c.to_vec()));
-        }
+        tasks.extend(members.chunks(chunk as usize).map(|c| Task::Chunk(c.to_vec())));
     }
-    repwf_obs::counter_add(repwf_obs::CounterId::BatchChunks, batch_chunks);
-    repwf_obs::counter_add(repwf_obs::CounterId::BatchedExperiments, batched_experiments);
+    (tasks, shapes)
+}
 
-    // Streaming aggregates, exactly as in `run_campaign_with`.
-    let done = AtomicUsize::new(0);
-    let no_critical = AtomicUsize::new(0);
-    let simulated = AtomicUsize::new(0);
-    let max_gap_bits = AtomicU64::new(0f64.to_bits());
-    let record = |outcome: &ExperimentOutcome| {
-        if let Some(callback) = progress {
-            no_critical.fetch_add(
-                usize::from(outcome.no_critical_resource(GAP_REL_TOL)),
-                Ordering::SeqCst,
-            );
-            simulated.fetch_add(
-                usize::from(outcome.resolution == Resolution::Simulated),
-                Ordering::SeqCst,
-            );
-            agg::fold_max_gap(&max_gap_bits, outcome.gap());
-            let d = done.fetch_add(1, Ordering::SeqCst) + 1;
-            callback(Progress {
-                done: d,
-                total: count,
-                no_critical: no_critical.load(Ordering::SeqCst),
-                simulated: simulated.load(Ordering::SeqCst),
-                max_gap: f64::from_bits(max_gap_bits.load(Ordering::SeqCst)),
-            });
+/// Solves a chunk of same-shape seeds in one batched Howard pass over one
+/// shared structure; returns `(seed offset, outcome)` per seed.
+fn solve_chunk(
+    spec: &CampaignSpec,
+    topo: &Topology,
+    solver: &mut ShapeBatchSolver,
+    ks: &[u32],
+) -> Vec<(usize, ExperimentOutcome)> {
+    repwf_obs::counter_add(CounterId::BatchChunks, 1);
+    repwf_obs::counter_add(CounterId::BatchedExperiments, ks.len() as u64);
+    // (seed, M_ct, path count) per staged instance.
+    let mut metas: Vec<(u64, f64, u128)> = Vec::with_capacity(ks.len());
+    for (q, &k) in ks.iter().enumerate() {
+        let seed = spec.seed_base + u64::from(k);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (pipeline, platform, mapping) = sample_workflow_parts(&spec.cfg, topo, &mut rng);
+        let view = InstanceView::new(&pipeline, &platform, &mapping)
+            .expect("generator produces valid instances");
+        if q == 0 {
+            solver
+                .begin(view, spec.model, ks.len())
+                .expect("routed shapes fit the size cap");
         }
-    };
-
-    let results = repwf_par::par_map_init(
-        threads,
-        tasks.len(),
-        || (engine_for_cap(cap), ShapeBatchSolver::new(cap)),
-        |(engine, solver), t| match &tasks[t] {
-            BatchTask::Solo(k) => {
-                let _span = repwf_obs::span!(Experiment);
-                let outcome =
-                    run_one_workflow_with(cfg, topo, model, seed_base + u64::from(*k), engine);
-                record(&outcome);
-                vec![(*k, outcome)]
-            }
-            BatchTask::Batch(ks) => {
-                let _span = repwf_obs::span!(Experiment);
-                // (seed index, M_ct, path count) per staged instance.
-                let mut metas: Vec<(u32, f64, u128)> = Vec::with_capacity(ks.len());
-                for (q, &k) in ks.iter().enumerate() {
-                    let seed = seed_base + u64::from(k);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let (pipeline, platform, mapping) = sample_workflow_parts(cfg, topo, &mut rng);
-                    let view = InstanceView::new(&pipeline, &platform, &mapping)
-                        .expect("generator produces valid instances");
-                    if q == 0 {
-                        solver
-                            .begin(view, model, ks.len())
-                            .expect("routed shapes fit the size cap");
-                    }
-                    let (mct, _) = max_cycle_time_view(view, model);
-                    let m = mapping_num_paths(&mapping)
-                        .expect("routed shapes have a path count");
-                    solver.stage(q, view);
-                    metas.push((k, mct, m));
-                }
-                let solved = solver.solve();
-                metas
-                    .into_iter()
-                    .zip(solved)
-                    .map(|((k, mct, m), res)| {
-                        let seed = seed_base + u64::from(k);
-                        let sol = res
-                            .unwrap_or_else(|e| panic!("experiment {seed} failed: {e}"))
-                            .expect("mapping TPNs always contain circuits");
-                        let outcome = ExperimentOutcome {
-                            seed,
-                            mct,
-                            period: sol.period / m as f64,
-                            resolution: Resolution::Exact,
-                            num_paths: m,
-                        };
-                        record(&outcome);
-                        (k, outcome)
-                    })
-                    .collect()
-            }
-        },
-    );
-
-    // Scatter the chunked results back to seed order.
-    let mut outcomes: Vec<Option<ExperimentOutcome>> = vec![None; count];
-    for chunk in results {
-        for (k, outcome) in chunk {
-            outcomes[k as usize] = Some(outcome);
-        }
+        let (mct, _) = max_cycle_time_view(view, spec.model);
+        let m = mapping_num_paths(&mapping).expect("routed shapes have a path count");
+        solver.stage(q, view);
+        metas.push((seed, mct, m));
     }
-    CampaignResult {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every seed is scheduled exactly once"))
-            .collect(),
-    }
+    ks.iter()
+        .zip(metas)
+        .zip(solver.solve())
+        .map(|((&k, (seed, mct, m)), res)| {
+            let sol = res
+                .unwrap_or_else(|e| panic!("experiment {seed} failed: {e}"))
+                .expect("mapping TPNs always contain circuits");
+            let outcome = ExperimentOutcome {
+                seed,
+                mct,
+                period: sol.period / m as f64,
+                resolution: Resolution::Exact,
+                num_paths: m,
+            };
+            (k as usize, outcome)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -917,9 +686,29 @@ mod tests {
         }
     }
 
+    fn mixed_cfg() -> GenConfig {
+        GenConfig {
+            stages: 3,
+            procs: 9,
+            comp: Range::new(5.0, 15.0),
+            comm: Range::new(5.0, 15.0),
+        }
+    }
+
+    /// The serial per-instance reference: [`run_one_with`] seed by seed on
+    /// one engine.
+    fn oracle(cfg: &GenConfig, model: CommModel, count: usize, seed_base: u64, cap: usize) -> CampaignResult {
+        let mut engine = engine_for_cap(cap);
+        CampaignResult {
+            outcomes: (0..count)
+                .map(|k| run_one_with(cfg, model, seed_base + k as u64, &mut engine))
+                .collect(),
+        }
+    }
+
     #[test]
     fn outcomes_respect_lower_bound() {
-        let res = run_campaign(&small_cfg(), CommModel::Overlap, 20, 100, 4, 200_000);
+        let res = run_campaign_batched(&small_cfg(), CommModel::Overlap, 20, 100, 4, 200_000);
         assert_eq!(res.outcomes.len(), 20);
         for o in &res.outcomes {
             assert!(
@@ -948,8 +737,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seeds() {
-        let a = run_campaign(&small_cfg(), CommModel::Strict, 8, 7, 4, 200_000);
-        let b = run_campaign(&small_cfg(), CommModel::Strict, 8, 7, 2, 200_000);
+        let a = run_campaign_batched(&small_cfg(), CommModel::Strict, 8, 7, 4, 200_000);
+        let b = run_campaign_batched(&small_cfg(), CommModel::Strict, 8, 7, 2, 200_000);
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
             assert_eq!(x.seed, y.seed);
             assert!((x.period - y.period).abs() < 1e-12);
@@ -961,9 +750,10 @@ mod tests {
         // Stronger than the tolerance check above: the whole result must be
         // byte-for-byte equal for every thread count (the work-stealing
         // schedule must never leak into the numbers).
-        let reference = run_campaign(&small_cfg(), CommModel::Strict, 24, 900, 1, 200_000);
+        let reference = run_campaign_batched(&small_cfg(), CommModel::Strict, 24, 900, 1, 200_000);
         for threads in [2, 3, 4, 16] {
-            let other = run_campaign(&small_cfg(), CommModel::Strict, 24, 900, threads, 200_000);
+            let other =
+                run_campaign_batched(&small_cfg(), CommModel::Strict, 24, 900, threads, 200_000);
             assert_eq!(reference, other, "threads={threads}");
         }
     }
@@ -994,21 +784,23 @@ mod tests {
 
     #[test]
     fn streaming_maximum_rejects_degenerate_gaps() {
-        let bits = AtomicU64::new(0f64.to_bits());
-        for g in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
-            agg::fold_max_gap(&bits, g);
+        // The accumulator a progress sink folds outcomes into: NaN,
+        // infinite and below-M_ct periods never enter the running maximum.
+        let mut accum = CampaignAccum::new();
+        for period in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 99.0, 100.0] {
+            accum.push(&outcome(100.0, period));
         }
-        assert_eq!(f64::from_bits(bits.load(Ordering::SeqCst)), 0.0);
-        agg::fold_max_gap(&bits, 0.25);
-        for g in [-1.0, f64::NAN, 0.1] {
-            agg::fold_max_gap(&bits, g);
+        assert_eq!(accum.max_gap(), 0.0);
+        accum.push(&outcome(100.0, 125.0));
+        for period in [f64::NAN, f64::INFINITY, 110.0] {
+            accum.push(&outcome(100.0, period));
         }
-        assert_eq!(f64::from_bits(bits.load(Ordering::SeqCst)), 0.25);
+        assert_eq!(accum.max_gap(), 0.25);
     }
 
     #[test]
     fn accum_matches_result_aggregates_and_merges_associatively() {
-        let res = run_campaign(&small_cfg(), CommModel::Strict, 30, 40, 4, 200_000);
+        let res = run_campaign_batched(&small_cfg(), CommModel::Strict, 30, 40, 4, 200_000);
         let whole = res.accum();
         assert_eq!(whole.done, res.outcomes.len());
         assert_eq!(whole.no_critical, res.count_no_critical(GAP_REL_TOL));
@@ -1048,8 +840,8 @@ mod tests {
     }
 
     #[test]
-    fn streamed_outcomes_arrive_in_seed_order_and_match_run_campaign() {
-        let reference = run_campaign(&small_cfg(), CommModel::Strict, 18, 70, 1, 200_000);
+    fn streamed_outcomes_arrive_in_seed_order_and_match_the_oracle() {
+        let reference = oracle(&small_cfg(), CommModel::Strict, 18, 70, 200_000);
         for threads in [1, 3, 8] {
             let seen: Mutex<Vec<ExperimentOutcome>> = Mutex::new(Vec::new());
             let res = run_campaign_streamed(
@@ -1069,7 +861,7 @@ mod tests {
 
     #[test]
     fn gap_is_nonnegative_and_consistent() {
-        let res = run_campaign(&small_cfg(), CommModel::Strict, 10, 55, 4, 200_000);
+        let res = run_campaign_batched(&small_cfg(), CommModel::Strict, 10, 55, 4, 200_000);
         let n = res.count_no_critical(1e-7);
         assert!(n <= res.outcomes.len());
         if n > 0 {
@@ -1079,49 +871,59 @@ mod tests {
 
     #[test]
     fn simulation_fallback_engages_on_tiny_cap() {
-        let cfg = GenConfig {
-            stages: 3,
-            procs: 9,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        };
         // Cap of 1 transition forces the simulator for any replicated draw.
-        let res = run_campaign(&cfg, CommModel::Strict, 6, 3, 2, 1);
+        let res = run_campaign_batched(&mixed_cfg(), CommModel::Strict, 6, 3, 2, 1);
         assert!(res.count_simulated() > 0);
         for o in &res.outcomes {
             assert!(o.period >= o.mct - 1e-6 * o.mct);
         }
     }
 
-    #[test]
-    fn progress_streams_to_completion() {
-        let seen: Mutex<Vec<Progress>> = Mutex::new(Vec::new());
-        let res = run_campaign_with(
-            &small_cfg(),
-            CommModel::Overlap,
-            12,
-            500,
-            3,
-            200_000,
-            Some(&|p| seen.lock().unwrap().push(p)),
-        );
-        let seen = seen.into_inner().unwrap();
+    /// Runs a 12-draw campaign with the progress fold a CLI sink makes:
+    /// one snapshot per outcome.
+    fn progress_snapshots(model: CommModel) -> (CampaignResult, Vec<Progress>) {
+        let spec = CampaignSpec { cfg: small_cfg(), model, count: 12, seed_base: 500, cap: 200_000 };
+        let mut accum = CampaignAccum::new();
+        let mut seen = Vec::new();
+        let res = run_spec(&spec, &Topology::chain(2), 3, |o| {
+            accum.push(o);
+            seen.push(accum.progress(spec.count));
+        });
+        (res, seen)
+    }
+
+    fn assert_progress_streams_to_completion(model: CommModel) {
+        let (res, seen) = progress_snapshots(model);
         assert_eq!(seen.len(), 12, "one snapshot per experiment");
-        let last = seen.iter().max_by_key(|p| p.done).unwrap();
-        assert_eq!(last.done, 12);
-        assert_eq!(last.total, 12);
+        for (k, p) in seen.iter().enumerate() {
+            assert_eq!((p.done, p.total), (k + 1, 12), "snapshots arrive in order");
+        }
+        let last = seen[11];
         assert_eq!(last.no_critical, res.count_no_critical(GAP_REL_TOL));
         assert_eq!(last.simulated, res.count_simulated());
-        assert!((last.max_gap - res.max_gap()).abs() < 1e-15);
+        assert_eq!(last.max_gap.to_bits(), res.max_gap().to_bits());
+    }
+
+    #[test]
+    fn progress_streams_to_completion() {
+        // Overlap: every seed runs solo.
+        assert_progress_streams_to_completion(CommModel::Overlap);
+    }
+
+    #[test]
+    fn batched_progress_streams_one_snapshot_per_experiment() {
+        // Strict: the 2x7 draws share six shapes, so chunks complete
+        // several seeds at once and the reorder buffer releases them.
+        assert_progress_streams_to_completion(CommModel::Strict);
     }
 
     #[test]
     fn accum_progress_matches_streaming_snapshots() {
         // A checkpoint-derived snapshot (accumulator over a prefix of the
-        // outcomes) must equal the Progress the streaming callback would
-        // have reported at the same point — one reporting path for live
-        // runs and resumed/partial ones.
-        let res = run_campaign(&small_cfg(), CommModel::Strict, 20, 310, 4, 200_000);
+        // outcomes) must equal the Progress a live sink reports at the
+        // same point — one reporting path for live runs and
+        // resumed/partial ones.
+        let res = run_campaign_batched(&small_cfg(), CommModel::Strict, 20, 310, 4, 200_000);
         let mut accum = CampaignAccum::new();
         for (k, o) in res.outcomes.iter().enumerate() {
             accum.push(o);
@@ -1137,11 +939,11 @@ mod tests {
 
     #[test]
     fn batched_campaign_is_byte_identical_across_thread_counts() {
-        // The tentpole contract: shape-batched scheduling must never leak
-        // into the numbers — same bytes as the unbatched campaign, at any
-        // thread count, for both models.
+        // Shape-batched scheduling must never leak into the numbers: same
+        // bytes as the serial per-instance oracle, at any thread count,
+        // for both models.
         for model in [CommModel::Strict, CommModel::Overlap] {
-            let reference = run_campaign(&small_cfg(), model, 24, 900, 1, 200_000);
+            let reference = oracle(&small_cfg(), model, 24, 900, 200_000);
             for threads in [1, 2, 4] {
                 let batched = run_campaign_batched(&small_cfg(), model, 24, 900, threads, 200_000);
                 assert_eq!(
@@ -1172,92 +974,58 @@ mod tests {
 
     #[test]
     fn batched_campaign_routes_simulator_era_seeds_through_the_solo_path() {
-        // A tiny cap forces some draws over the size limit: the batched
-        // runner must hand exactly those to the per-instance path
-        // (simulator fallback) and still reproduce the unbatched bytes.
-        let cfg = GenConfig {
-            stages: 3,
-            procs: 9,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        };
+        // A tiny cap forces some draws over the size limit: the runner
+        // must hand exactly those to the per-instance path (simulator
+        // fallback) and still reproduce the oracle's bytes.
         // Cap of 60 transitions: draws with lcm ≤ 12 batch, the rest solo.
-        let reference = run_campaign(&cfg, CommModel::Strict, 12, 3, 1, 60);
+        let reference = oracle(&mixed_cfg(), CommModel::Strict, 12, 3, 60);
         assert!(reference.count_simulated() > 0, "cap must force some fallbacks");
         assert!(
             reference.count_simulated() < 12,
             "cap must leave some exact experiments"
         );
         for threads in [1, 3] {
-            let batched = run_campaign_batched(&cfg, CommModel::Strict, 12, 3, threads, 60);
+            let batched = run_campaign_batched(&mixed_cfg(), CommModel::Strict, 12, 3, threads, 60);
             assert_eq!(batched, reference, "threads={threads}");
         }
     }
 
     #[test]
-    fn batched_progress_streams_one_snapshot_per_experiment() {
-        let seen: Mutex<Vec<Progress>> = Mutex::new(Vec::new());
-        let res = run_campaign_batched_with(
-            &small_cfg(),
-            CommModel::Strict,
-            12,
-            500,
-            3,
-            200_000,
-            Some(&|p| seen.lock().unwrap().push(p)),
-        );
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 12, "one snapshot per experiment");
-        let last = seen.iter().max_by_key(|p| p.done).unwrap();
-        assert_eq!(last.done, 12);
-        assert_eq!(last.total, 12);
-        assert_eq!(last.no_critical, res.count_no_critical(GAP_REL_TOL));
-        assert_eq!(last.simulated, res.count_simulated());
-        assert!((last.max_gap - res.max_gap()).abs() < 1e-15);
-    }
-
-    #[test]
     fn workflow_campaign_deterministic_and_batched_matches_unbatched() {
-        // Fork/join campaign: batched and unbatched runners must agree
-        // byte-for-byte at any thread count, and every outcome respects
-        // the M_ct lower bound.
-        let cfg = GenConfig {
-            stages: 4,
-            procs: 9,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        };
+        // Fork/join campaign: the runner must agree byte-for-byte with the
+        // serial per-instance path at any thread count, and every outcome
+        // respects the M_ct lower bound.
+        let cfg = GenConfig { stages: 4, ..mixed_cfg() };
         let topo = Topology::fork_join(2);
         assert_eq!(topo.stages, 4);
-        let reference =
-            run_campaign_workflow(&cfg, &topo, CommModel::Strict, 16, 40, 1, 200_000);
+        let mut engine = engine_for_cap(200_000);
+        let reference = CampaignResult {
+            outcomes: (40..56)
+                .map(|seed| run_one_workflow_with(&cfg, &topo, CommModel::Strict, seed, &mut engine))
+                .collect(),
+        };
         for o in &reference.outcomes {
             assert!(o.period >= o.mct - 1e-9 * o.mct, "seed {}", o.seed);
         }
-        for threads in [2, 4] {
-            let other = run_campaign_workflow(&cfg, &topo, CommModel::Strict, 16, 40, threads, 200_000);
-            assert_eq!(other, reference, "threads={threads}");
-        }
-        for threads in [1, 3] {
-            let batched = run_campaign_workflow_batched(
-                &cfg, &topo, CommModel::Strict, 16, 40, threads, 200_000,
-            );
-            assert_eq!(batched, reference, "batched threads={threads}");
+        let spec = CampaignSpec { cfg, model: CommModel::Strict, count: 16, seed_base: 40, cap: 200_000 };
+        for threads in [1, 2, 3, 4] {
+            let batched = run_spec(&spec, &topo, threads, |_| {});
+            assert_eq!(batched, reference, "threads={threads}");
         }
     }
 
     #[test]
     fn chain_topology_campaign_is_byte_identical_to_legacy() {
         // The non-negotiable invariant at the campaign level: running the
-        // chain topology through the workflow entry points reproduces the
-        // legacy chain campaign exactly.
+        // chain topology through the workflow runner reproduces the legacy
+        // chain experiments exactly.
         let cfg = small_cfg();
         let topo = Topology::chain(cfg.stages);
         assert!(topo.is_chain());
         for model in [CommModel::Strict, CommModel::Overlap] {
-            let legacy = run_campaign(&cfg, model, 12, 77, 2, 200_000);
-            let wf = run_campaign_workflow(&cfg, &topo, model, 12, 77, 2, 200_000);
-            assert_eq!(legacy, wf, "{model}");
+            let legacy = oracle(&cfg, model, 12, 77, 200_000);
+            let spec = CampaignSpec { cfg, model, count: 12, seed_base: 77, cap: 200_000 };
+            assert_eq!(run_spec(&spec, &topo, 2, |_| {}), legacy, "{model}");
         }
     }
 
@@ -1333,5 +1101,11 @@ mod tests {
         // structural work is derived.
         let all_solo = structural_stats(&cfg, CommModel::Strict, 24, 900, 1);
         assert_eq!(all_solo, StructuralStats::default());
+
+        // One-seed chunks, which the runner solves through the engine,
+        // still count as one structural phase each: a campaign of one
+        // in-cap draw is one chunk.
+        let single = structural_stats(&cfg, CommModel::Strict, 1, 900, 200_000);
+        assert_eq!((single.csr_builds, single.tarjan_runs), (1, 1));
     }
 }

@@ -14,18 +14,19 @@
 //!   ranges indicated in Table 2"). The `w/Π` model cannot produce
 //!   independently-uniform per-pair times, so a shape-preserving
 //!   speed/size decomposition is used (see [`sampler::Range`]).
-//! * [`campaign`] — the parallel experiment engine. Experiments run on the
+//! * [`campaign`] — the parallel experiment engine. One runner,
+//!   [`campaign::run_spec`], routes seeds by TPN shape, solves same-shape
+//!   chunks in batched Howard passes and the rest per instance on the
 //!   [`repwf_par`] **work-stealing** executor; each experiment is seeded
 //!   from its own index, so campaign results are **bit-identical at every
-//!   thread count**. Progress callbacks stream running aggregates
-//!   ([`campaign::Progress`]) as experiments finish, and strict-model
-//!   instances whose TPN exceeds the size cap transparently fall back to
-//!   the discrete-event simulator ([`campaign::Resolution::Simulated`]).
-//!   [`campaign::run_campaign_streamed`] additionally hands every outcome
+//!   thread count**. Strict-model instances whose TPN exceeds the size cap
+//!   fall back to the discrete-event simulator
+//!   ([`campaign::Resolution::Simulated`]). The runner hands every outcome
 //!   to a sink **in seed order** while running multi-threaded, and the
 //!   associative [`campaign::CampaignAccum`] makes the aggregates
 //!   mergeable **exactly** — the two hooks the `repwf-dist` crate builds
-//!   its sharded (multi-process / multi-host) campaigns on.
+//!   its sharded (multi-process / multi-host) campaigns on. Progress is a
+//!   fold over the sink ([`campaign::CampaignAccum::progress`]).
 //! * [`table2`] — the twelve experiment families of Table 2 with the
 //!   paper's counts (5152 experiments total), runnable at any scale, with
 //!   console/CSV reporters.
@@ -36,7 +37,7 @@
 //!
 //! ```
 //! use repwf_core::model::CommModel;
-//! use repwf_gen::{run_campaign, GenConfig, Range};
+//! use repwf_gen::{run_spec, CampaignSpec, GenConfig, Range, Topology};
 //!
 //! // 40 experiments from the paper's hardest family: 2 stages over 7
 //! // processors, unit computations, communications uniform in [5, 10].
@@ -46,8 +47,12 @@
 //!     comp: Range::constant(1.0),
 //!     comm: Range::new(5.0, 10.0),
 //! };
-//! let res = run_campaign(&cfg, CommModel::Strict, 40, 1, 4, 200_000);
+//! let spec = CampaignSpec { cfg, model: CommModel::Strict, count: 40, seed_base: 1, cap: 200_000 };
+//! let mut seeds = Vec::new();
+//! let res = run_spec(&spec, &Topology::chain(cfg.stages), 4, |o| seeds.push(o.seed));
 //! assert_eq!(res.outcomes.len(), 40);
+//! // The sink saw every seed once, in order, whatever the thread count.
+//! assert_eq!(seeds, (1..41).collect::<Vec<u64>>());
 //! // Some draws exhibit the paper's headline regime: no critical resource.
 //! let surprising = res.count_no_critical(1e-7);
 //! assert!(surprising <= 40);
@@ -66,9 +71,8 @@ pub mod stats;
 pub mod table2;
 
 pub use campaign::{
-    engine_for_cap, run_campaign, run_campaign_streamed, run_campaign_with,
-    run_campaign_workflow, run_campaign_workflow_batched, run_campaign_workflow_streamed,
-    run_one_workflow_with, CampaignAccum, CampaignResult, ExperimentOutcome, Progress,
+    engine_for_cap, run_campaign_streamed, run_one_workflow_with, run_spec, CampaignAccum,
+    CampaignResult, CampaignSpec, ExperimentOutcome, Progress,
 };
 pub use sampler::{sample_instance, sample_workflow_instance, GenConfig, Range, Topology};
 pub use table2::{table2_rows, Table2Row};

@@ -107,7 +107,7 @@ pub fn gap_quantiles(res: &CampaignResult, rel_tol: f64) -> Option<Quantiles> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::run_campaign_batched;
     use crate::sampler::{GenConfig, Range};
     use repwf_core::model::CommModel;
 
@@ -182,7 +182,7 @@ mod tests {
             comp: Range::constant(1.0),
             comm: Range::new(5.0, 10.0),
         };
-        let res = run_campaign(&cfg, CommModel::Strict, 40, 1, 4, 200_000);
+        let res = run_campaign_batched(&cfg, CommModel::Strict, 40, 1, 4, 200_000);
         let csv = outcomes_csv(&res);
         assert_eq!(csv.lines().count(), 41);
         assert!(csv.starts_with("seed,"));

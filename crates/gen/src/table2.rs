@@ -6,8 +6,8 @@
 //! experiment count evenly between the two sizes, matching the paper's
 //! grand total of 5152 experiments.
 
-use crate::campaign::{run_campaign_with, CampaignResult, ProgressFn, GAP_REL_TOL};
-use crate::sampler::{GenConfig, Range};
+use crate::campaign::{run_spec, CampaignAccum, CampaignSpec, ExperimentOutcome};
+use crate::sampler::{GenConfig, Range, Topology};
 use repwf_core::model::CommModel;
 use std::fmt::Write as _;
 
@@ -28,6 +28,18 @@ pub struct Table2Row {
     pub paper_no_critical: usize,
     /// The paper's reported maximum gap (`None` when no case was found).
     pub paper_max_gap_pct: Option<f64>,
+}
+
+impl Table2Row {
+    /// Experiments the row runs at a `scale` fraction of the paper's
+    /// count: the same number (at least one) for each of its sizes.
+    pub fn experiments(&self, scale: f64) -> usize {
+        self.per_size(scale) * self.sizes.len()
+    }
+
+    fn per_size(&self, scale: f64) -> usize {
+        ((self.paper_count as f64 * scale / self.sizes.len() as f64).round() as usize).max(1)
+    }
 }
 
 /// The twelve rows of Table 2 (six per model), in paper order.
@@ -92,51 +104,39 @@ pub struct RowResult {
 /// Runs one row at a `scale` fraction of the paper's count (≥ 1 experiment
 /// per size), distributing seeds deterministically.
 pub fn run_row(row: &Table2Row, scale: f64, seed_base: u64, threads: usize, cap: usize) -> RowResult {
-    run_row_with(row, scale, seed_base, threads, cap, None)
+    run_row_with(row, scale, seed_base, threads, cap, |_| {})
 }
 
-/// [`run_row`] with a streaming progress callback (one [`Progress`]
-/// snapshot per finished experiment, per size sub-campaign).
-///
-/// [`Progress`]: crate::campaign::Progress
+/// [`run_row`] handing every outcome to `sink`: size sub-campaign by size
+/// sub-campaign, each in seed order.
 pub fn run_row_with(
     row: &Table2Row,
     scale: f64,
     seed_base: u64,
     threads: usize,
     cap: usize,
-    progress: Option<ProgressFn<'_>>,
+    mut sink: impl FnMut(&ExperimentOutcome) + Send,
 ) -> RowResult {
-    let mut outcomes: Option<CampaignResult> = None;
-    let mut total = 0usize;
-    let per_size = ((row.paper_count as f64 * scale / row.sizes.len() as f64).round() as usize).max(1);
+    let mut accum = CampaignAccum::new();
     for (k, &(stages, procs)) in row.sizes.iter().enumerate() {
-        let cfg = GenConfig { stages, procs, comp: row.comp, comm: row.comm };
-        let res = run_campaign_with(
-            &cfg,
-            row.model,
-            per_size,
-            seed_base + 1_000_000 * k as u64,
-            threads,
+        let spec = CampaignSpec {
+            cfg: GenConfig { stages, procs, comp: row.comp, comm: row.comm },
+            model: row.model,
+            count: row.per_size(scale),
+            seed_base: seed_base + 1_000_000 * k as u64,
             cap,
-            progress,
-        );
-        total += res.outcomes.len();
-        outcomes = Some(match outcomes {
-            None => res,
-            Some(mut acc) => {
-                acc.outcomes.extend(res.outcomes);
-                acc
-            }
+        };
+        run_spec(&spec, &Topology::chain(stages), threads, |outcome| {
+            accum.push(outcome);
+            sink(outcome);
         });
     }
-    let res = outcomes.expect("at least one size per row");
     RowResult {
         row: row.clone(),
-        total,
-        no_critical: res.count_no_critical(GAP_REL_TOL),
-        max_gap_pct: res.max_gap() * 100.0,
-        simulated: res.count_simulated(),
+        total: accum.done,
+        no_critical: accum.no_critical,
+        max_gap_pct: accum.max_gap() * 100.0,
+        simulated: accum.simulated,
     }
 }
 

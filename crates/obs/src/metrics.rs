@@ -48,11 +48,13 @@ pub enum CounterId {
     MctStageHits,
     /// Distinct shape groups routed by the batched campaign scheduler.
     ShapeGroups,
-    /// Batch chunks dispatched (each chunk = one batched Howard task).
+    /// Batch chunks of two or more seeds solved (each one batched Howard
+    /// task).
     BatchChunks,
     /// Experiments solved inside batch chunks.
     BatchedExperiments,
-    /// Experiments that overflowed the batch cap and ran solo.
+    /// Experiments solved per instance: over the cap, overlap model, or
+    /// the only seed of their chunk.
     SoloExperiments,
     /// Supervisor lease claims (fresh units).
     LeaseClaims,

@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// A half-open index range `[start, end)` owned by a worker deque.
@@ -200,23 +200,30 @@ fn steal(me: usize, threads: usize, deques: &[Mutex<VecDeque<Span>>]) -> Option<
     None
 }
 
-/// [`par_map_init`] with an **in-order streaming consumer**: `consume(i,
-/// &result_i)` fires for every index in strictly increasing order (0, 1,
-/// 2, …) as soon as the contiguous prefix of results is complete, while
-/// later indices are still being computed.
+/// Runs `tasks` tasks on `threads` work-stealing workers, where task `t`
+/// yields a batch of `(output index, value)` pairs, and streams the values
+/// to an **in-order consumer**: `consume(i, &value_i)` fires for every
+/// output index in strictly increasing order (0, 1, 2, … `n − 1`) as soon
+/// as the contiguous prefix of values is complete, while later tasks are
+/// still running. Every index in `0..n` must be produced by exactly one
+/// task; the indices of one task may lie anywhere in the range.
 ///
-/// This is the primitive behind the shard writers of `repwf-dist`: a
-/// campaign shard streams outcomes to an append-only NDJSON file **in
-/// seed order** regardless of the work-stealing schedule, so a killed
-/// process always leaves a valid, resumable prefix on disk.
+/// This is the primitive behind the seed-ordered campaign runner of
+/// `repwf-gen`: a task is a chunk of same-shape seeds scattered over the
+/// campaign's range, yet a shard streams outcomes to an append-only
+/// NDJSON file **in seed order** regardless of the work-stealing
+/// schedule, so a killed process always leaves a valid, resumable prefix
+/// on disk.
 ///
-/// Completed out-of-order results wait in a reorder buffer (one slot per
-/// index) guarded by a mutex; `consume` runs under that lock, so it sees
-/// indices in order even when called from different worker threads —
-/// keep it short (an append + checksum update, not a solve). The
-/// returned `Vec` is in index order, exactly like [`par_map_init`].
+/// Each finished task hands its whole batch to a reorder buffer (one slot
+/// per output index) guarded by a mutex; `consume` runs under that lock,
+/// so it sees indices in order even when called from different worker
+/// threads — keep it short (an append or a fold, not a solve). The
+/// returned `Vec` is in output-index order. A panicking task fails the
+/// whole call, as in [`par_map_init`].
 pub fn par_map_init_ordered<T, S, I, F, C>(
     threads: usize,
+    tasks: usize,
     n: usize,
     init: I,
     f: F,
@@ -225,29 +232,31 @@ pub fn par_map_init_ordered<T, S, I, F, C>(
 where
     T: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-    C: Fn(usize, &T) + Sync,
+    F: Fn(&mut S, usize) -> Vec<(usize, T)> + Sync,
+    C: FnMut(usize, &T) + Send,
 {
-    struct Reorder<T> {
+    struct Reorder<T, C> {
         slots: Vec<Option<T>>,
         /// First index not yet handed to `consume`.
         next: usize,
+        consume: C,
     }
-    let reorder = Mutex::new(Reorder { slots: (0..n).map(|_| None).collect(), next: 0 });
-    par_map_init(threads, n, init, |state, i| {
-        let v = f(state, i);
-        let mut r = reorder.lock().expect("reorder buffer poisoned");
-        debug_assert!(r.slots[i].is_none(), "index {i} computed twice");
-        r.slots[i] = Some(v);
-        while r.next < n {
-            let Some(done) = r.slots[r.next].as_ref() else { break };
-            consume(r.next, done);
-            r.next += 1;
+    let reorder = Mutex::new(Reorder { slots: (0..n).map(|_| None).collect(), next: 0, consume });
+    par_map_init(threads, tasks, init, |state, t| {
+        let batch = f(state, t);
+        let mut guard = reorder.lock().expect("reorder buffer poisoned");
+        let Reorder { slots, next, consume } = &mut *guard;
+        for (i, v) in batch {
+            assert!(slots[i].is_none(), "output index {i} produced twice");
+            slots[i] = Some(v);
+        }
+        while let Some(Some(v)) = slots.get(*next) {
+            consume(*next, v);
+            *next += 1;
         }
     });
     let r = reorder.into_inner().expect("reorder buffer poisoned");
-    debug_assert_eq!(r.next, n, "ordered drain incomplete");
-    r.slots.into_iter().map(|o| o.expect("all indices computed")).collect()
+    r.slots.into_iter().map(|o| o.expect("every output index produced")).collect()
 }
 
 /// [`par_map_init`] followed by a **sequential fold in index order** on
@@ -283,27 +292,9 @@ where
         .fold(acc, |acc, (i, v)| fold(acc, i, v))
 }
 
-/// [`par_map`] with a completion callback: `progress(done)` fires after
-/// every finished item with the running completion count (monotone but
-/// unordered — items finish in schedule order, not index order).
-pub fn par_map_progress<T, F, P>(threads: usize, n: usize, f: F, progress: P) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    P: Fn(usize) + Sync,
-{
-    let done = AtomicUsize::new(0);
-    par_map(threads, n, |i| {
-        let v = f(i);
-        progress(done.fetch_add(1, Ordering::AcqRel) + 1);
-        v
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn per_worker_state_initialized_once_per_worker() {
@@ -360,60 +351,71 @@ mod tests {
     }
 
     #[test]
-    fn progress_reaches_total() {
-        let peak = AtomicUsize::new(0);
-        let n = 257;
-        par_map_progress(3, n, |i| i, |done| {
-            peak.fetch_max(done, Ordering::Relaxed);
-        });
-        assert_eq!(peak.load(Ordering::Relaxed), n);
-    }
-
-    #[test]
     fn ordered_consume_sees_indices_in_order() {
-        // Front-loaded imbalance forces heavy stealing, so late indices
-        // routinely finish before early ones — the consumer must still
-        // observe 0, 1, 2, … and every index exactly once.
+        // Task t owns the scattered indices t, t + TASKS, t + 2·TASKS, …
+        // (handed over in reverse), and front-loaded imbalance makes late
+        // tasks finish first — the consumer must still observe 0, 1, 2, …
+        // and every index exactly once.
+        const TASKS: usize = 7;
+        const N: usize = 97;
         for threads in [1, 2, 4, 8] {
-            let seen = Mutex::new(Vec::new());
+            let mut seen = Vec::new();
             let out = par_map_init_ordered(
                 threads,
-                97,
+                TASKS,
+                N,
                 || (),
-                |(), i| {
-                    if i < 8 {
+                |(), t| {
+                    if t < 2 {
                         let mut acc = 0u64;
                         for k in 0..100_000u64 {
-                            acc = acc.wrapping_add(k ^ i as u64);
+                            acc = acc.wrapping_add(k ^ t as u64);
                         }
                         std::hint::black_box(acc);
                     }
-                    i * 2
+                    (t..N).step_by(TASKS).rev().map(|i| (i, i * 2)).collect()
                 },
                 |i, &v| {
                     assert_eq!(v, i * 2);
-                    seen.lock().unwrap().push(i);
+                    seen.push(i);
                 },
             );
-            assert_eq!(out, (0..97).map(|i| i * 2).collect::<Vec<_>>(), "threads={threads}");
-            let seen = seen.into_inner().unwrap();
-            assert_eq!(seen, (0..97).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(out, (0..N).map(|i| i * 2).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(seen, (0..N).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 
     #[test]
     fn ordered_consume_handles_empty_and_tiny_inputs() {
-        let calls = AtomicUsize::new(0);
+        let mut calls = 0;
         let out: Vec<usize> =
-            par_map_init_ordered(4, 0, || (), |(), i| i, |_, _| {
-                calls.fetch_add(1, Ordering::SeqCst);
-            });
+            par_map_init_ordered(4, 0, 0, || (), |(), _| Vec::new(), |_, _| calls += 1);
         assert!(out.is_empty());
-        assert_eq!(calls.load(Ordering::SeqCst), 0);
-        let out = par_map_init_ordered(4, 1, || (), |(), i| i + 9, |i, &v| {
+        assert_eq!(calls, 0);
+        let out = par_map_init_ordered(4, 1, 1, || (), |(), t| vec![(t, t + 9)], |i, &v| {
             assert_eq!((i, v), (0, 9));
         });
         assert_eq!(out, vec![9]);
+    }
+
+    #[test]
+    fn ordered_task_panic_propagates() {
+        let caught = std::panic::catch_unwind(|| {
+            par_map_init_ordered(
+                4,
+                10,
+                10,
+                || (),
+                |(), t| {
+                    assert!(t != 6, "boom in task {t}");
+                    vec![(t, t)]
+                },
+                |_, _| {},
+            )
+        });
+        let payload = caught.expect_err("a task panic must reach the caller");
+        let message = payload.downcast_ref::<String>().expect("panic message");
+        assert!(message.contains("boom in task 6"), "{message}");
     }
 
     #[test]
