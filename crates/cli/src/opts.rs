@@ -116,7 +116,7 @@ fn json_f64_array(v: &repwf_dist::json::JsonValue, key: &str) -> Result<Vec<f64>
 /// row-major values overrides individual links.
 pub fn workflow_from_json(text: &str) -> Result<Instance, String> {
     use repwf_core::model::{Mapping, Pipeline, Platform};
-    let v = repwf_dist::json::parse(text)?;
+    let v = repwf_dist::json::parse(text).map_err(|e| e.to_string())?;
     let works = json_f64_array(&v, "works")?;
     let pipeline = if let Some(es) = v.get("edges") {
         let arr = es.as_arr().ok_or("\"edges\" must be an array")?;

@@ -508,6 +508,19 @@ fn map_exact_on_workflow_json_is_identical_at_any_thread_count() {
 }
 
 #[test]
+fn deeply_nested_workflow_json_fails_with_a_diagnosis() {
+    let dir = std::env::temp_dir().join(format!("repwf-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let (out, err, code) = repwf_env(&["period", "--workflow", path.to_str().unwrap()], &[]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(matches!(code, Some(c) if c != 0), "exit {code:?}, stdout {out}");
+    assert!(err.contains("nesting deeper than"), "{err}");
+    assert!(!err.contains("overflow"), "{err}");
+}
+
+#[test]
 fn dot_renders_the_workflow_dag_for_chains_and_forks() {
     // A chain (Example A) renders as a path: consecutive edges only.
     let (dot, err, ok) = repwf(&["dot", "workflow", "--example", "a"]);

@@ -13,10 +13,19 @@
 //! * the **solver scratch** — a [`tpn::analysis::PeriodScratch`] holding
 //!   the ratio-graph edge buffer and the `maxplus::Workspace` (CSR
 //!   adjacency, SCC arrays, Howard policy/value vectors);
+//! * the **Theorem 1 scratch** — an `OverlapScratch` holding one
+//!   pattern graph, refilled per residue, and a workspace dedicated to
+//!   pattern graphs. Each pattern solve presents `(u, v)` as its
+//!   structure token, which fixes the pattern's edges and token weights,
+//!   so patterns of a repeated `(u, v)` skip the CSR build and Tarjan's
+//!   condensation. The polynomial method folds the column walk of
+//!   [`crate::overlap_poly`] down to its maximum and never materializes
+//!   the column list;
 //!
-//! so a `compute` call is allocation-free once the buffers have grown to
-//! the largest instance seen (modulo labels, if enabled, and the witness
-//! description in the report).
+//! so a `compute` call, on either method, is allocation-free once the
+//! buffers have grown to the largest instance seen (modulo labels, if
+//! enabled, the solver's witness circuit and the description in the
+//! report).
 //!
 //! # Borrowed instances and the mapping oracle
 //!
@@ -50,6 +59,21 @@
 //! fall back to the full rebuild transparently, and any errored call
 //! drops both the patch precondition and the cached condensation.
 //!
+//! # Per-shape patch slots
+//!
+//! An exact search closes the last stage at every tuple length, so
+//! consecutive leaves alternate replica counts and a single arena would
+//! almost never patch. A [`MappingOracle`] therefore parks the arenas of
+//! the few most recently left shapes (net, solver scratch and shape, a
+//! fixed small LRU). A candidate whose replica counts match a parked
+//! arena swaps it in and patches; a miss parks the current arena and
+//! rebuilds in the least recently used one. The slots belong to the
+//! oracle, not to [`PeriodEngine`]: campaign engines keep a single arena
+//! and park nothing. [`MappingOracle::reset_patch_state`] and
+//! [`MappingOracle::reset_warm_start`] reach every slot, and the
+//! engine's [`PeriodEngine::csr_builds`] / [`PeriodEngine::tarjan_runs`]
+//! count every arena it solved in, evicted ones included.
+//!
 //! On top of the solver, [`MappingOracle`] keeps the `M_ct` side
 //! incremental too: a per-session [`MctCache`] caches per-stage
 //! cycle-times and re-examines only the stages a candidate actually
@@ -78,12 +102,13 @@
 
 use crate::cycle_time::{max_cycle_time_view, prefix_cycle_bound, MctCache};
 use crate::model::{CommModel, Instance, InstanceView, Mapping, ModelError, Pipeline, Platform};
-use crate::overlap_poly::{overlap_period_view, Bottleneck};
+use crate::overlap_poly::{walk_columns, ColumnId, OverlapScratch};
 use crate::paths::mapping_num_paths;
 use crate::period::{Method, PeriodError, PeriodReport};
 use crate::tpn_build::{
     build_tpn_view_into, grid_transition, retime_tpn_into, BuildError, BuildOptions,
 };
+use std::cmp::Ordering;
 use tpn::analysis::PeriodScratch;
 use tpn::net::{TimedEventGraph, TransitionId};
 
@@ -114,6 +139,52 @@ impl TpnShape {
     }
 }
 
+/// A full-TPN arena: the net, the solver scratch built from it, and the
+/// shape they hold when it is known to be patchable (`None` forces a full
+/// rebuild). A [`PeriodEngine`] works in one; a [`MappingOracle`] parks
+/// more of them, one per recently seen shape ([`ShapeSlots`]).
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    net: TimedEventGraph,
+    scratch: PeriodScratch,
+    shape: Option<TpnShape>,
+}
+
+/// Label-free arenas a [`MappingOracle`] parks beside its engine's own:
+/// the most recently left shapes.
+const SHAPE_SLOTS: usize = 8;
+
+/// A mapping session's parked arenas, least recently used first (see
+/// [`ShapeSlots::select`]).
+#[derive(Debug, Clone, Default)]
+struct ShapeSlots {
+    parked: Vec<Arena>,
+}
+
+impl ShapeSlots {
+    /// Prepares `current` for a full-TPN solve of `view` that its own
+    /// shape cannot patch. If a parked arena holds the candidate's shape,
+    /// it becomes `current` (the old one is parked as most recently used)
+    /// and `true` is returned: the caller patches. Otherwise a shaped
+    /// `current` is parked and replaced by the least recently used arena
+    /// once every slot is taken (a fresh one before), and `false` tells
+    /// the caller to rebuild.
+    fn select(&mut self, current: &mut Arena, model: CommModel, view: InstanceView<'_>) -> bool {
+        let hit = self
+            .parked
+            .iter()
+            .position(|a| a.shape.as_ref().is_some_and(|s| s.matches(model, view)));
+        let incoming = match hit {
+            Some(k) => self.parked.remove(k),
+            None if current.shape.is_none() => return false,
+            None if self.parked.len() < SHAPE_SLOTS => Arena::default(),
+            None => self.parked.remove(0),
+        };
+        self.parked.push(std::mem::replace(current, incoming));
+        hit.is_some()
+    }
+}
+
 /// Reusable period solver: owns the TPN build arena and the max-plus
 /// workspace, and optionally warm-starts Howard's iteration across calls.
 ///
@@ -138,15 +209,18 @@ impl TpnShape {
 pub struct PeriodEngine {
     opts: BuildOptions,
     warm: bool,
-    net: TimedEventGraph,
-    scratch: PeriodScratch,
-    /// Shape of the (label-free) net held in `net`/`scratch`, when it is
-    /// known to be patchable; `None` forces a full rebuild.
-    shape: Option<TpnShape>,
+    /// The full-TPN arena solves run in.
+    arena: Arena,
+    /// Pattern graph and workspace of the polynomial (Theorem 1) method.
+    overlap: OverlapScratch,
     /// Reusable buffer of re-timed transition ids for the patch path.
     changed: Vec<TransitionId>,
     /// How many full-TPN solves took the incremental patch path.
     patched_solves: u64,
+    /// CSR builds and Tarjan runs of full-TPN solves, summed over every
+    /// arena this engine solved in.
+    csr_builds: u64,
+    tarjan_runs: u64,
 }
 
 impl PeriodEngine {
@@ -179,7 +253,7 @@ impl PeriodEngine {
     /// Forgets the warm-start policy of the previous solve (the next call
     /// behaves like a cold one even when warm starts are enabled).
     pub fn reset_warm_start(&mut self) {
-        self.scratch.clear_warm_start();
+        self.arena.scratch.clear_warm_start();
     }
 
     /// Number of full-TPN solves that took the incremental patch path
@@ -190,27 +264,31 @@ impl PeriodEngine {
         self.patched_solves
     }
 
-    /// Number of CSR adjacency builds the solver workspace has performed.
-    /// A shape-preserving patched solve performs **zero** — the structure
-    /// cache serves the condensation of the last rebuild — so on a swap
-    /// walk this stays at the number of rebuild solves. Diagnostics for
-    /// tests and the tracked benchmark suite.
+    /// Number of CSR adjacency builds the full-TPN solves have performed,
+    /// over every arena the engine solved in (a [`MappingOracle`]'s parked
+    /// ones included, evicted or not). A shape-preserving patched solve
+    /// performs **zero** — the structure cache serves the condensation of
+    /// the last rebuild — so on a swap walk this stays at the number of
+    /// rebuild solves. Diagnostics for tests and the tracked benchmark
+    /// suite.
     pub fn csr_builds(&self) -> u64 {
-        self.scratch.csr_builds()
+        self.csr_builds
     }
 
-    /// Number of Tarjan condensation runs the solver workspace has
+    /// Number of Tarjan condensation runs the full-TPN solves have
     /// performed (see [`PeriodEngine::csr_builds`]).
     pub fn tarjan_runs(&self) -> u64 {
-        self.scratch.tarjan_runs()
+        self.tarjan_runs
     }
 
     /// Forgets the patch precondition: the next full-TPN solve rebuilds
-    /// the arena net, the ratio graph and the condensation from scratch
+    /// the arena net, the ratio graph and the condensation from scratch,
+    /// and the next polynomial solve condenses its first pattern graph
     /// (results are unaffected — the patched state is always bit-for-bit a
     /// rebuild). Used by the tracked benches to price the rebuild path.
     pub fn reset_patch_state(&mut self) {
-        self.shape = None;
+        self.arena.shape = None;
+        self.overlap.clear_structure_cache();
     }
 
     /// Computes the per-data-set period of a mapped workflow, reusing the
@@ -236,23 +314,23 @@ impl PeriodEngine {
         model: CommModel,
         method: Method,
     ) -> Result<PeriodReport, PeriodError> {
-        self.compute_view_mct(view, model, method, None)
+        self.compute_session(view, model, method, None)
     }
 
-    /// [`PeriodEngine::compute_view`] with an optional incremental
-    /// [`MctCache`] (the [`MappingOracle`] owns one per session). Any
-    /// errored call — build failure, solver failure, method mismatch —
+    /// [`PeriodEngine::compute_view`] with a [`MappingOracle`]'s session
+    /// state: its incremental [`MctCache`] and its parked shape arenas.
+    /// Any errored call — build failure, solver failure, method mismatch —
     /// forgets the patch precondition, so the next solve rebuilds cold.
-    fn compute_view_mct(
+    fn compute_session(
         &mut self,
         view: InstanceView<'_>,
         model: CommModel,
         method: Method,
-        mct_cache: Option<&mut MctCache>,
+        session: Option<(&mut MctCache, &mut ShapeSlots)>,
     ) -> Result<PeriodReport, PeriodError> {
-        let res = self.compute_view_impl(view, model, method, mct_cache);
+        let res = self.compute_view_impl(view, model, method, session);
         if res.is_err() {
-            self.shape = None;
+            self.arena.shape = None;
         }
         res
     }
@@ -262,8 +340,9 @@ impl PeriodEngine {
         view: InstanceView<'_>,
         model: CommModel,
         method: Method,
-        mct_cache: Option<&mut MctCache>,
+        session: Option<(&mut MctCache, &mut ShapeSlots)>,
     ) -> Result<PeriodReport, PeriodError> {
+        let (mct_cache, slots) = session.unzip();
         let (mct, who) = {
             let _span = repwf_obs::span!(Mct);
             match mct_cache {
@@ -300,17 +379,28 @@ impl PeriodEngine {
                 if model != CommModel::Overlap {
                     return Err(PeriodError::PolynomialNeedsOverlap);
                 }
-                let a = overlap_period_view(view);
-                let critical = match &a.bottleneck {
-                    Bottleneck::Computation { stage, proc } => {
+                // The last maximum in walk order, as `Iterator::max_by`
+                // picks it over `overlap_period_view`'s columns.
+                let mut best: Option<(ColumnId, f64)> = None;
+                walk_columns(view, &mut self.overlap, |id, period, _| {
+                    let replace = best.is_none_or(|(_, b)| {
+                        b.partial_cmp(&period).expect("finite periods") != Ordering::Greater
+                    });
+                    if replace {
+                        best = Some((id, period));
+                    }
+                });
+                let (id, period) = best.expect("at least one column");
+                let critical = match id {
+                    ColumnId::Computation { stage, proc } => {
                         format!("computation S{stage} on P{proc}")
                     }
-                    Bottleneck::Communication { file, residue, .. } => {
+                    ColumnId::Communication { file, residue, .. } => {
                         format!("transfer of F{file}, component {residue}")
                     }
                 };
                 Ok(PeriodReport {
-                    period: a.period,
+                    period,
                     mct,
                     model,
                     method: Method::Polynomial,
@@ -325,47 +415,45 @@ impl PeriodEngine {
                 // clearing and rebuilding both. The patched state is
                 // bit-for-bit what a rebuild would produce, so results —
                 // including warm-started solver trajectories — are
-                // identical to the cold path.
+                // identical to the cold path. A session also patches when
+                // one of its parked arenas holds the candidate's shape.
                 let patchable = !self.opts.labels
-                    && self.shape.as_ref().is_some_and(|s| s.matches(model, view));
+                    && (self.arena.shape.as_ref().is_some_and(|s| s.matches(model, view))
+                        || slots.is_some_and(|s| s.select(&mut self.arena, model, view)));
+                let Arena { net, scratch, shape } = &mut self.arena;
+                let (csr_before, tarjan_before) = (scratch.csr_builds(), scratch.tarjan_runs());
                 let solved = if patchable {
                     self.patched_solves += 1;
                     repwf_obs::counter_add(repwf_obs::CounterId::PatchedSolves, 1);
                     {
                         let _span = repwf_obs::span!(Retime);
-                        retime_tpn_into(view, &mut self.net, &mut self.changed);
+                        retime_tpn_into(view, net, &mut self.changed);
                     }
                     repwf_obs::counter_add(repwf_obs::CounterId::Retimes, 1);
-                    tpn::analysis::period_patched_with(
-                        &self.net,
-                        &mut self.scratch,
-                        self.warm,
-                        &self.changed,
-                    )
+                    tpn::analysis::period_patched_with(net, scratch, self.warm, &self.changed)
                 } else {
                     // Reuse the previous shape's buffers for the new
                     // signature (the take also drops the stale patch
                     // precondition before the arena is overwritten).
-                    let (mut replicas, mut edges) = self
-                        .shape
-                        .take()
-                        .map(|s| (s.replicas, s.edges))
-                        .unwrap_or_default();
+                    let (mut replicas, mut edges) =
+                        shape.take().map(|s| (s.replicas, s.edges)).unwrap_or_default();
                     {
                         let _span = repwf_obs::span!(TpnBuild);
-                        build_tpn_view_into(view, model, &self.opts, &mut self.net)?;
+                        build_tpn_view_into(view, model, &self.opts, net)?;
                     }
                     repwf_obs::counter_add(repwf_obs::CounterId::TpnBuilds, 1);
-                    let res = tpn::analysis::period_with(&self.net, &mut self.scratch, self.warm);
+                    let res = tpn::analysis::period_with(net, scratch, self.warm);
                     if res.is_ok() && !self.opts.labels {
                         view.mapping.replica_counts_into(&mut replicas);
                         edges.clear();
                         edges.extend_from_slice(view.pipeline.edges());
-                        self.shape = Some(TpnShape { model, replicas, edges });
+                        *shape = Some(TpnShape { model, replicas, edges });
                     }
                     res
                 };
-                // On error `compute_view_mct` forgets the patch state (and
+                self.csr_builds += scratch.csr_builds() - csr_before;
+                self.tarjan_runs += scratch.tarjan_runs() - tarjan_before;
+                // On error `compute_session` forgets the patch state (and
                 // the workspace already dropped its structure cache).
                 let sol = solved.map_err(PeriodError::from)?
                     .expect("mapping TPNs always contain circuits");
@@ -374,7 +462,7 @@ impl PeriodEngine {
                         .critical
                         .iter()
                         .take(8)
-                        .map(|&t| self.net.transition(t).label.as_str())
+                        .map(|&t| net.transition(t).label.as_str())
                         .collect();
                     format!("cycle[{}]: {}", sol.critical.len(), names.join(" -> "))
                 } else {
@@ -392,17 +480,17 @@ impl PeriodEngine {
             Method::TpnSimulation => {
                 // This path rebuilds the arena net without refreshing the
                 // solver scratch: the patch precondition no longer holds.
-                self.shape = None;
+                self.arena.shape = None;
                 let (rows, cols) = {
                     let _span = repwf_obs::span!(TpnBuild);
-                    build_tpn_view_into(view, model, &self.opts, &mut self.net)?
+                    build_tpn_view_into(view, model, &self.opts, &mut self.arena.net)?
                 };
                 repwf_obs::counter_add(repwf_obs::CounterId::TpnBuilds, 1);
                 // Enough firings to leave the transient: the transient of a
                 // TEG is bounded in practice by a few multiples of the row
                 // count.
                 let k = 12 * rows.max(8) + 256;
-                let schedule = tpn::sim::simulate(&self.net, k);
+                let schedule = tpn::sim::simulate(&self.arena.net, k);
                 // Each last-column transition fires once per local period;
                 // in a net whose round-robin structure decouples into
                 // components the components free-run at different rates,
@@ -484,6 +572,9 @@ pub struct MappingOracle<'a> {
     /// their neighbors). Sound here because the oracle pins one
     /// pipeline/platform pair for its whole lifetime.
     mct: MctCache,
+    /// Arenas of recently left TPN shapes: a candidate whose replica
+    /// counts match one of them patches instead of rebuilding.
+    slots: ShapeSlots,
 }
 
 impl<'a> MappingOracle<'a> {
@@ -509,7 +600,15 @@ impl<'a> MappingOracle<'a> {
                 b.is_finite() && b > 0.0
             })
             .collect();
-        MappingOracle { pipeline, platform, engine, speed_ok, bw_ok, mct: MctCache::new() }
+        MappingOracle {
+            pipeline,
+            platform,
+            engine,
+            speed_ok,
+            bw_ok,
+            mct: MctCache::new(),
+            slots: ShapeSlots::default(),
+        }
     }
 
     /// Enables/disables warm-started policy iteration on the owned engine
@@ -530,13 +629,41 @@ impl<'a> MappingOracle<'a> {
     }
 
     /// The owned engine (e.g. to reset warm-start state between phases).
+    /// Resets made through it reach the engine's own arena only; the
+    /// oracle's [`MappingOracle::reset_warm_start`] and
+    /// [`MappingOracle::reset_patch_state`] also reach the parked ones.
     pub fn engine_mut(&mut self) -> &mut PeriodEngine {
         &mut self.engine
     }
 
-    /// Releases the engine (its arenas stay warm for the next oracle).
+    /// Releases the engine (its own arena stays warm for the next oracle;
+    /// the parked shape arenas are dropped, their counters stay in the
+    /// engine's totals).
     pub fn into_engine(self) -> PeriodEngine {
         self.engine
+    }
+
+    /// Forgets the warm-start policy of every arena, parked ones included:
+    /// the next solve of any shape starts cold.
+    pub fn reset_warm_start(&mut self) {
+        self.engine.reset_warm_start();
+        for arena in &mut self.slots.parked {
+            arena.scratch.clear_warm_start();
+        }
+    }
+
+    /// Forgets every incremental state of the session: the patch
+    /// precondition of the engine's arena and of every parked one, and
+    /// the cached `M_ct` decompositions. The next evaluation of any shape
+    /// rebuilds; the arenas' allocations are kept. Together with
+    /// [`MappingOracle::reset_warm_start`] this makes what follows a pure
+    /// function of the candidates, whatever the oracle evaluated before.
+    pub fn reset_patch_state(&mut self) {
+        self.engine.reset_patch_state();
+        for arena in &mut self.slots.parked {
+            arena.shape = None;
+        }
+        self.mct.invalidate();
     }
 
     /// The oracle's incremental `M_ct` cache (diagnostics: its counters
@@ -650,7 +777,7 @@ impl<'a> MappingOracle<'a> {
         self.validate(mapping)?;
         let view =
             InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
-        self.engine.compute_view_mct(view, model, method, Some(&mut self.mct))
+        self.engine.compute_session(view, model, method, Some((&mut self.mct, &mut self.slots)))
     }
 }
 

@@ -34,8 +34,8 @@
 use crate::cycle_time::{cycle_times, max_cycle_time};
 use crate::model::{CommModel, Instance, InstanceView, ProcId, StageId};
 use crate::paths::gcd;
-use maxplus::graph::RatioGraph;
-use maxplus::howard::max_cycle_ratio;
+use maxplus::graph::{CycleSolution, RatioGraph};
+use maxplus::Workspace;
 use std::fmt;
 
 /// The bottleneck of an overlap-model mapping.
@@ -135,6 +135,21 @@ pub fn pattern_graph(inst: &Instance, e: usize, rho: usize) -> RatioGraph {
 
 /// [`pattern_graph`] on a borrowed view.
 pub fn pattern_graph_view(view: InstanceView<'_>, e: usize, rho: usize) -> RatioGraph {
+    let mut graph = RatioGraph::default();
+    pattern_graph_into(view, e, rho, &mut graph);
+    graph
+}
+
+/// [`pattern_graph_view`] into a caller-owned graph (reset and refilled in
+/// place, reusing its edge buffer). Returns the pattern's `(u, v)`: edge
+/// endpoints and token weights are a pure function of that pair, only the
+/// costs depend on the processors.
+fn pattern_graph_into(
+    view: InstanceView<'_>,
+    e: usize,
+    rho: usize,
+    graph: &mut RatioGraph,
+) -> (usize, usize) {
     let (src, dst) = view.pipeline.edge(e);
     let procs_s = view.mapping.procs(src);
     let procs_r = view.mapping.procs(dst);
@@ -142,7 +157,7 @@ pub fn pattern_graph_view(view: InstanceView<'_>, e: usize, rho: usize) -> Ratio
     let g = gcd(mi as u128, mn as u128) as usize;
     let (u, v) = (mi / g, mn / g);
     let nv = u * v;
-    let mut graph = RatioGraph::with_capacity(nv, 2 * nv);
+    graph.reset(nv);
     for q in 0..nv {
         let j = rho + g * q; // a representative row of this pattern cell
         let sender = procs_s[j % mi];
@@ -151,44 +166,113 @@ pub fn pattern_graph_view(view: InstanceView<'_>, e: usize, rho: usize) -> Ratio
         graph.add_edge(q as u32, ((q + u) % nv) as u32, t, u as u32);
         graph.add_edge(q as u32, ((q + v) % nv) as u32, t, v as u32);
     }
-    graph
+    (u, v)
 }
 
-/// The period contribution of the communication column of edge `e` (max
-/// over its `g` components), with the critical component and pattern
-/// circuit.
-pub fn comm_column_period(inst: &Instance, e: usize) -> ColumnPeriod {
-    comm_column_period_view(inst.view(), e)
+/// Reusable buffers of the Theorem 1 walker: one pattern graph, refilled
+/// per residue, and a solver workspace dedicated to pattern graphs.
+///
+/// Every pattern solve presents `(u, v)` as the workspace's structure
+/// token ([`maxplus::Workspace::max_cycle_ratio_cached`]): the pattern's
+/// edges and token weights depend on nothing else, so consecutive
+/// patterns of the same `(u, v)` (the `g` residues of one column, or the
+/// same column of neighbor mappings) skip the CSR build and Tarjan's
+/// condensation. The workspace solves nothing but pattern graphs, so its
+/// tokens never meet the generation tokens of a TPN solver's scratch.
+/// Results are bit-for-bit those of a fresh one-shot solve.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OverlapScratch {
+    graph: RatioGraph,
+    ws: Workspace,
 }
 
-/// [`comm_column_period`] on a borrowed view.
-pub fn comm_column_period_view(view: InstanceView<'_>, e: usize) -> ColumnPeriod {
-    let (src, dst) = view.pipeline.edge(e);
-    let mi = view.mapping.replicas(src);
-    let mn = view.mapping.replicas(dst);
-    let g = gcd(mi as u128, mn as u128) as usize;
-    let mut best = ColumnPeriod {
-        bottleneck: Bottleneck::Communication { file: e, residue: 0, pattern_rows: Vec::new() },
-        period: f64::NEG_INFINITY,
-    };
-    for rho in 0..g {
-        let graph = pattern_graph_view(view, e, rho);
-        let sol = max_cycle_ratio(&graph)
-            .expect("pattern graph is well-formed")
-            .expect("pattern graph always has circuits");
-        let period = sol.ratio / g as f64;
-        if period > best.period {
-            best = ColumnPeriod {
-                bottleneck: Bottleneck::Communication {
-                    file: e,
-                    residue: rho,
-                    pattern_rows: sol.cycle.iter().map(|&q| (rho + g * q as usize) as u64).collect(),
-                },
-                period,
-            };
+impl OverlapScratch {
+    /// Forgets the cached pattern structure: the next pattern solve builds
+    /// its CSR and condenses, whatever `(u, v)` it has.
+    pub(crate) fn clear_structure_cache(&mut self) {
+        self.ws.clear_structure_cache();
+    }
+
+    /// Edge `e`'s communication column: the first residue attaining the
+    /// maximum over the `g` components, its period contribution and its
+    /// pattern circuit (`None`, with residue 0 and a `−∞` period, only if
+    /// no residue compared above `−∞`).
+    fn comm_column(
+        &mut self,
+        view: InstanceView<'_>,
+        e: usize,
+    ) -> (ColumnId, f64, Option<CycleSolution>) {
+        let (src, dst) = view.pipeline.edge(e);
+        let mi = view.mapping.replicas(src);
+        let mn = view.mapping.replicas(dst);
+        let g = gcd(mi as u128, mn as u128) as usize;
+        let (mut residue, mut period, mut witness) = (0, f64::NEG_INFINITY, None);
+        for rho in 0..g {
+            let (u, v) = pattern_graph_into(view, e, rho, &mut self.graph);
+            let token = ((u as u64) << 32) | v as u64;
+            let sol = self
+                .ws
+                .max_cycle_ratio_cached(&self.graph, token, false)
+                .expect("pattern graph is well-formed")
+                .expect("pattern graph always has circuits");
+            let p = sol.ratio / g as f64;
+            if p > period {
+                (residue, period, witness) = (rho, p, Some(sol));
+            }
+        }
+        (ColumnId::Communication { file: e, residue, g }, period, witness)
+    }
+}
+
+/// One column of the overlap TPN as [`walk_columns`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColumnId {
+    /// Stage `stage` on processor `proc`.
+    Computation { stage: StageId, proc: ProcId },
+    /// The critical residue of the transfer on edge `file`, whose pattern
+    /// rows are `residue + g·q` for the reported circuit vertices `q`.
+    Communication { file: usize, residue: usize, g: usize },
+}
+
+/// The Theorem 1 column walk: calls `visit(column, period, circuit)` for
+/// every computation column (one per mapped processor, stage-major, empty
+/// circuit) and then every communication column (edge order, the critical
+/// residue's pattern circuit), reusing `scratch` for every pattern solve.
+/// Both [`overlap_period_view`] and the period engine's polynomial method
+/// are folds over this walk.
+pub(crate) fn walk_columns(
+    view: InstanceView<'_>,
+    scratch: &mut OverlapScratch,
+    mut visit: impl FnMut(ColumnId, f64, &[u32]),
+) {
+    // Computation columns: processor u of stage i serves every m_i-th data
+    // set; its circuit contributes comp_time / m_i.
+    for i in 0..view.num_stages() {
+        let m_i = view.mapping.replicas(i);
+        for &u in view.mapping.procs(i) {
+            let period = view.comp_time(i, u) / m_i as f64;
+            visit(ColumnId::Computation { stage: i, proc: u }, period, &[]);
         }
     }
-    best
+    // Communication columns, one per edge (chain: edge i is F_i).
+    for e in 0..view.pipeline.num_edges() {
+        let (id, period, witness) = scratch.comm_column(view, e);
+        visit(id, period, witness.as_ref().map_or(&[], |sol| &sol.cycle));
+    }
+}
+
+/// A walked column as a public [`ColumnPeriod`] (pattern circuit vertices
+/// mapped back to component rows).
+fn column_period(id: ColumnId, period: f64, cycle: &[u32]) -> ColumnPeriod {
+    let bottleneck = match id {
+        ColumnId::Computation { stage, proc } => Bottleneck::Computation { stage, proc },
+        ColumnId::Communication { file, residue, g } => Bottleneck::Communication {
+            file,
+            residue,
+            pattern_rows: cycle.iter().map(|&q| (residue + g * q as usize) as u64).collect(),
+        },
+    };
+    ColumnPeriod { bottleneck, period }
 }
 
 /// Runs the full Theorem 1 analysis: the per-data-set period of the mapping
@@ -198,27 +282,14 @@ pub fn overlap_period(inst: &Instance) -> OverlapAnalysis {
     overlap_period_view(inst.view())
 }
 
-/// [`overlap_period`] on a borrowed view — the allocation path taken by
-/// `PeriodEngine::compute_view`, which never materializes an owned
-/// [`Instance`] for its candidates.
+/// [`overlap_period`] on a borrowed view: every column with its
+/// contribution, and the critical one (the last maximum in walk order).
+/// The period engine folds the same walk without materializing columns.
 pub fn overlap_period_view(view: InstanceView<'_>) -> OverlapAnalysis {
-    let n = view.num_stages();
     let mut columns = Vec::new();
-    // Computation columns: processor u of stage i serves every m_i-th data
-    // set; its circuit contributes comp_time / m_i.
-    for i in 0..n {
-        let m_i = view.mapping.replicas(i);
-        for &u in view.mapping.procs(i) {
-            columns.push(ColumnPeriod {
-                bottleneck: Bottleneck::Computation { stage: i, proc: u },
-                period: view.comp_time(i, u) / m_i as f64,
-            });
-        }
-    }
-    // Communication columns, one per edge (chain: edge i is F_i).
-    for e in 0..view.pipeline.num_edges() {
-        columns.push(comm_column_period_view(view, e));
-    }
+    walk_columns(view, &mut OverlapScratch::default(), |id, period, cycle| {
+        columns.push(column_period(id, period, cycle));
+    });
     let best = columns
         .iter()
         .max_by(|a, b| a.period.partial_cmp(&b.period).expect("finite periods"))

@@ -192,15 +192,57 @@ impl JsonValue {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Every document
+/// this workspace writes nests a few levels; the limit keeps the
+/// recursive parser's stack bounded on input it did not produce.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first bracket past the limit.
+        offset: usize,
+    },
+    /// Malformed input (the message carries a byte offset where known).
+    Syntax(String),
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::TooDeep { offset } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {offset}")
+            }
+            JsonError::Syntax(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(message: String) -> Self {
+        JsonError::Syntax(message)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(message: &str) -> Self {
+        JsonError::Syntax(message.to_string())
+    }
+}
+
 /// Parses a JSON document (strict enough for round-tripping this crate's
 /// own output; errors carry a byte offset).
-pub fn parse(text: &str) -> Result<JsonValue, String> {
+pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
+        return Err(format!("trailing content at byte {pos}").into());
     }
     Ok(value)
 }
@@ -211,10 +253,13 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays or
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
+        None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::TooDeep { offset: *pos }),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -225,15 +270,15 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let JsonValue::Str(key) = parse_value(b, pos)? else {
-                    return Err(format!("object key must be a string at byte {pos}"));
+                let JsonValue::Str(key) = parse_value(b, pos, depth + 1)? else {
+                    return Err(format!("object key must be a string at byte {pos}").into());
                 };
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
+                    return Err(format!("expected ':' at byte {pos}").into());
                 }
                 *pos += 1;
-                fields.push((key, parse_value(b, pos)?));
+                fields.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -241,7 +286,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                         *pos += 1;
                         return Ok(JsonValue::Obj(fields));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}").into()),
                 }
             }
         }
@@ -254,7 +299,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -262,7 +307,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                         *pos += 1;
                         return Ok(JsonValue::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}").into()),
                 }
             }
         }
@@ -271,7 +316,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             let mut out = String::new();
             loop {
                 match b.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
+                    None => return Err("unterminated string".into()),
                     Some(b'"') => {
                         *pos += 1;
                         return Ok(JsonValue::Str(out));
@@ -300,7 +345,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                                 );
                                 *pos += 4;
                             }
-                            other => return Err(format!("bad escape {other:?}")),
+                            other => return Err(format!("bad escape {other:?}").into()),
                         }
                         *pos += 1;
                     }
@@ -344,7 +389,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             raw.parse::<f64>()
                 .map(JsonValue::Num)
-                .map_err(|_| format!("invalid number {raw:?} at byte {start}"))
+                .map_err(|_| format!("invalid number {raw:?} at byte {start}").into())
         }
     }
 }
@@ -392,6 +437,20 @@ mod tests {
         assert_eq!(doc.get("neg").unwrap().as_u64(), None, "negatives are not UInt");
         assert_eq!(doc.get("neg").unwrap().as_f64(), Some(-7.0));
         assert_eq!(doc.get("frac").unwrap(), &JsonValue::Num(2.0));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)), Err(JsonError::TooDeep { offset: MAX_DEPTH }));
+        // Far deeper than any thread stack could recurse, unterminated too.
+        let hostile = "[".repeat(200_000);
+        assert_eq!(parse(&hostile), Err(JsonError::TooDeep { offset: MAX_DEPTH }));
+        let objects = "{\"a\":".repeat(200_000);
+        let err = parse(&objects).unwrap_err();
+        assert!(matches!(err, JsonError::TooDeep { .. }), "{err}");
+        assert!(err.to_string().contains("nesting deeper than 128 levels"), "{err}");
     }
 
     #[test]

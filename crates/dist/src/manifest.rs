@@ -327,4 +327,17 @@ mod tests {
         let garbage = ShardManifest::parse_line("{\"kind\":\"outcome\"}", "x").unwrap_err();
         assert!(matches!(garbage, DistError::Corrupt { .. }), "{garbage}");
     }
+
+    #[test]
+    fn deeply_nested_line_is_corrupt_not_a_stack_overflow() {
+        let line = "[".repeat(200_000);
+        let err = ShardManifest::parse_line(&line, "deep.ndjson").unwrap_err();
+        match &err {
+            DistError::Corrupt { path, reason } => {
+                assert_eq!(path, "deep.ndjson");
+                assert!(reason.contains("nesting deeper than"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
 }

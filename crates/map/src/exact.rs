@@ -30,20 +30,23 @@
 //! period (never on equality — an equal-period mapping may win the
 //! canonical tie-break), or when the bound is infinite (no feasible
 //! completion exists). Surviving leaves are evaluated through one warm
-//! [`MappingOracle`] per worker, so same-shape siblings re-solve on the
-//! engine's shape-cached patch path.
+//! [`MappingOracle`] per worker. The enumeration closes the last stage at
+//! every tuple length, so consecutive leaves alternate replica counts;
+//! the oracle parks an arena per recently seen shape, and a leaf whose
+//! counts match one of them re-solves on the shape-cached patch path.
 //!
 //! # Deterministic parallelism
 //!
 //! The tree is split into **statically-numbered subtree tasks** — one per
 //! (stage-0 tuple length, stage-0 first processor) pair, the scheme Bobpp
 //! uses for reproducible constraint-program search — executed over
-//! `repwf_par`'s work-stealing executor with one engine arena per worker.
+//! `repwf_par`'s work-stealing executor with one oracle per worker.
 //! Each task starts from a fresh oracle state (warm-start, patch and
-//! `M_ct` caches reset; the arenas' *allocations* are reused, never their
-//! answers) and its own incumbent, so every task's result and counters
-//! are pure functions of its task id. Task results are then folded **in
-//! task-index order** ([`repwf_par::par_map_init_reduce`]) with the
+//! `M_ct` caches reset in every arena, parked ones included; the arenas'
+//! *allocations* are reused, never their answers) and its own incumbent,
+//! so every task's result and counters are pure functions of its task id.
+//! Task results are then folded **in task-index order**
+//! ([`repwf_par::par_map_init_reduce`]) with the
 //! associative best-period / lexicographic-mapping merge. The returned
 //! optimum — period bits, mapping, and every [`ExactStats`] counter — is
 //! therefore identical at 1, 2, or N workers.
@@ -356,16 +359,18 @@ pub fn solve(
     let folded = repwf_par::par_map_init_reduce(
         threads,
         num_tasks,
-        || PeriodEngine::with_options(build.clone()).warm_start(true),
-        |engine, task| {
-            // Fresh per-task oracle state over the worker's reused arenas:
-            // allocations are cached, answers never are.
-            engine.reset_warm_start();
-            engine.reset_patch_state();
-            let mut oracle =
-                MappingOracle::with_engine(pipeline, platform, std::mem::take(engine));
+        || {
+            let engine = PeriodEngine::with_options(build.clone()).warm_start(true);
+            MappingOracle::with_engine(pipeline, platform, engine)
+        },
+        |oracle, task| {
+            // Fresh per-task oracle state over the worker's reused arenas
+            // (its own and the parked shape slots): allocations are
+            // cached, answers never are.
+            oracle.reset_warm_start();
+            oracle.reset_patch_state();
             let mut searcher = Searcher {
-                oracle: &mut oracle,
+                oracle,
                 model: opts.model,
                 n,
                 p,
@@ -378,9 +383,7 @@ pub fn solve(
             };
             searcher.push(0, task % p);
             let err = searcher.fill_stage0(task / p + 1).err();
-            let out = TaskOut { best: searcher.best.take(), stats: searcher.stats, err };
-            *engine = oracle.into_engine();
-            out
+            TaskOut { best: searcher.best.take(), stats: searcher.stats, err }
         },
         TaskOut { best: None, stats: ExactStats::default(), err: None },
         // Index-ordered fold: best-period merge with the lexicographic

@@ -141,7 +141,9 @@ pub fn evaluate(
 /// [`evaluate`] on a caller-owned [`PeriodEngine`]: repeated candidate
 /// evaluations reuse the engine's TPN arena and Howard workspace (and its
 /// warm-start policy and patch state, when enabled). Thin wrapper over a
-/// [`MappingOracle`] borrowing the engine for the call.
+/// [`MappingOracle`] borrowing the engine for the call, so the oracle's
+/// parked shape arenas do not outlive it: a candidate of a new shape
+/// rebuilds in a fresh arena. Search loops keep one oracle instead.
 pub fn evaluate_with(
     pipeline: &Pipeline,
     platform: &Platform,

@@ -366,6 +366,13 @@ impl Workspace {
         self.warm_sig = None;
     }
 
+    /// Forgets the cached structure: the next
+    /// [`Workspace::max_cycle_ratio_cached`] call builds the CSR and
+    /// condenses, whatever token it presents.
+    pub fn clear_structure_cache(&mut self) {
+        self.struct_sig = None;
+    }
+
     /// Structural phase of a batched solve (see [`crate::batch`]): checks
     /// the structure cache exactly like [`Workspace::max_cycle_ratio_cached`]
     /// and condenses on a miss. Both signatures are invalidated until
