@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repwf_core::engine::{MappingOracle, PeriodEngine};
-use repwf_core::model::{CommModel, Instance, InstanceView, Mapping, Pipeline, Platform};
+use repwf_core::model::{CommModel, Instance, Mapping, Pipeline, Platform};
 use repwf_core::overlap_poly::{overlap_period_view, Bottleneck};
 use repwf_core::period::Method;
 
@@ -89,7 +89,7 @@ fn check_overlap(seed: u64, uniform: bool) -> usize {
     let mut engine = PeriodEngine::new();
     for k in 0..12 {
         let inst = instance(seed.wrapping_mul(31).wrapping_add(k as u64), k, uniform);
-        let view: InstanceView<'_> = inst.view();
+        let view = inst.view();
         let analysis = overlap_period_view(view);
         let report = engine.compute_view(view, CommModel::Overlap, Method::Polynomial).unwrap();
         assert_eq!(
