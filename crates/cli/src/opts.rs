@@ -136,6 +136,7 @@ pub fn workflow_from_json(text: &str) -> Result<Instance, String> {
     };
     let speeds = json_f64_array(&v, "speeds")?;
     let p = speeds.len();
+    Platform::check_num_procs(p).map_err(|e| e.to_string())?;
     let default_bw = v.get("bandwidth").and_then(|b| b.as_f64()).unwrap_or(1.0);
     let mut platform = Platform::uniform(p, 1.0, default_bw);
     for (u, s) in speeds.into_iter().enumerate() {
@@ -224,4 +225,22 @@ pub fn parse_threads(opts: &Opts) -> Result<usize, String> {
         return Err("--threads must be at least 1".to_string());
     }
     Ok(threads)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use repwf_core::model::MAX_PROCS;
+
+    #[test]
+    fn workflow_json_rejects_a_huge_processor_count_before_allocating() {
+        let doc = |p: usize| {
+            let speeds = vec!["1"; p].join(", ");
+            format!("{{\"works\": [1], \"files\": [], \"speeds\": [{speeds}], \"mapping\": [[0]]}}")
+        };
+        let err = workflow_from_json(&doc(20_000)).unwrap_err();
+        assert_eq!(err, "20000 processors exceed the supported maximum of 4096");
+        assert!(workflow_from_json(&doc(MAX_PROCS + 1)).is_err());
+        assert!(workflow_from_json(&doc(3)).is_ok());
+    }
 }

@@ -521,6 +521,30 @@ fn deeply_nested_workflow_json_fails_with_a_diagnosis() {
 }
 
 #[test]
+fn huge_processor_count_fails_with_a_diagnosis() {
+    // 20 000 processors would need a 3.2 GB bandwidth matrix: both input
+    // formats must refuse before allocating it.
+    let dir = std::env::temp_dir().join(format!("repwf-huge-p-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = dir.join("huge.txt");
+    let speeds = vec!["1"; 20_000].join(" ");
+    std::fs::write(&text, format!("workflow v1\nstages 1\nspeeds {speeds}\nmap 0 0\n")).unwrap();
+    let json = dir.join("huge.json");
+    let speeds = vec!["1"; 20_000].join(", ");
+    std::fs::write(
+        &json,
+        format!("{{\"works\": [1], \"files\": [], \"speeds\": [{speeds}], \"mapping\": [[0]]}}"),
+    )
+    .unwrap();
+    for (flag, path) in [("--file", &text), ("--workflow", &json)] {
+        let (out, err, code) = repwf_env(&["period", flag, path.to_str().unwrap()], &[]);
+        assert!(matches!(code, Some(c) if c != 0), "{flag}: exit {code:?}, stdout {out}");
+        assert!(err.contains("20000 processors exceed the supported maximum of 4096"), "{flag}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn dot_renders_the_workflow_dag_for_chains_and_forks() {
     // A chain (Example A) renders as a path: consecutive edges only.
     let (dot, err, ok) = repwf(&["dot", "workflow", "--example", "a"]);

@@ -14,6 +14,12 @@
 //! All quantities are **per data set** (the paper's normalization: a
 //! processor replicated `m_i`-fold only serves every `m_i`-th data set, so
 //! its raw busy time is divided by the global data-set rate).
+//!
+//! The round-robin partners of a replica on an edge come from
+//! [`partner_residues`] as an iterator, not a list: the exact mapping
+//! search prices every branch-and-bound node with [`prefix_cycle_bound`],
+//! which walks the partners once per replica per edge, and the walk
+//! allocates nothing.
 
 use crate::model::{CommModel, Instance, InstanceView, ProcId, StageId};
 use crate::paths::lcm;
@@ -62,12 +68,17 @@ impl CycleTime {
 ///
 /// Returns `(sender_indices, period L = lcm(m_prev, m_i))`: over `L`
 /// consecutive data sets, replica `β` receives `L/m_i` files, one from each
-/// listed sender.
-pub fn partner_residues(m_prev: usize, m_cur: usize, beta: usize) -> (Vec<usize>, u64) {
+/// sender the iterator yields, in round-robin order `(β + k·m_i) mod
+/// m_prev` for `k = 0, 1, …`. Every caller sums the partners' transfer
+/// times in that order, which fixes the bits of each cycle time.
+pub fn partner_residues(
+    m_prev: usize,
+    m_cur: usize,
+    beta: usize,
+) -> (impl Iterator<Item = usize>, u64) {
     let l = lcm(m_prev as u128, m_cur as u128).expect("small lcm") as u64;
     let count = (l / m_cur as u64) as usize;
-    let senders = (0..count).map(|k| (beta + k * m_cur) % m_prev).collect();
-    (senders, l)
+    ((0..count).map(move |k| (beta + k * m_cur) % m_prev), l)
 }
 
 /// Computes the cycle-time decomposition of the replicas of one stage into
@@ -88,7 +99,7 @@ pub fn stage_cycle_times_into(v: InstanceView<'_>, i: StageId, out: &mut Vec<Cyc
             let (src, _) = wf.edge(e);
             let prev = v.mapping.procs(src);
             let (senders, l) = partner_residues(prev.len(), m_i, beta);
-            let total: f64 = senders.iter().map(|&a| v.comm_time(e, prev[a], u)).sum();
+            let total: f64 = senders.map(|a| v.comm_time(e, prev[a], u)).sum();
             let avg = total / l as f64;
             c_in += avg;
             c_in_peak = c_in_peak.max(avg);
@@ -99,7 +110,7 @@ pub fn stage_cycle_times_into(v: InstanceView<'_>, i: StageId, out: &mut Vec<Cyc
             let (_, dst) = wf.edge(e);
             let next = v.mapping.procs(dst);
             let (receivers, l) = partner_residues(next.len(), m_i, beta);
-            let total: f64 = receivers.iter().map(|&b| v.comm_time(e, u, next[b])).sum();
+            let total: f64 = receivers.map(|b| v.comm_time(e, u, next[b])).sum();
             let avg = total / l as f64;
             c_out += avg;
             c_out_peak = c_out_peak.max(avg);
@@ -155,10 +166,8 @@ pub fn prefix_cycle_bound(
                 let (src, _) = pipeline.edge(e);
                 let prev = &prefix[src];
                 let (senders, l) = partner_residues(prev.len(), m_i, beta);
-                let total: f64 = senders
-                    .iter()
-                    .map(|&a| pipeline.file(e) / platform.bandwidth(prev[a], u))
-                    .sum();
+                let total: f64 =
+                    senders.map(|a| pipeline.file(e) / platform.bandwidth(prev[a], u)).sum();
                 let avg = total / l as f64;
                 c_in += avg;
                 c_in_peak = c_in_peak.max(avg);
@@ -174,10 +183,8 @@ pub fn prefix_cycle_bound(
                 }
                 let next = &prefix[dst];
                 let (receivers, l) = partner_residues(next.len(), m_i, beta);
-                let total: f64 = receivers
-                    .iter()
-                    .map(|&b| pipeline.file(e) / platform.bandwidth(u, next[b]))
-                    .sum();
+                let total: f64 =
+                    receivers.map(|b| pipeline.file(e) / platform.bandwidth(u, next[b])).sum();
                 let avg = total / l as f64;
                 c_out += avg;
                 c_out_peak = c_out_peak.max(avg);
@@ -374,9 +381,9 @@ mod tests {
         // 3 senders over L = 12 data sets.
         let (senders, l) = partner_residues(3, 4, 0);
         assert_eq!(l, 12);
-        assert_eq!(senders, vec![0, 1, 2]);
+        assert_eq!(senders.collect::<Vec<_>>(), vec![0, 1, 2]);
         let (senders, _) = partner_residues(3, 4, 1);
-        assert_eq!(senders, vec![1, 2, 0]);
+        assert_eq!(senders.collect::<Vec<_>>(), vec![1, 2, 0]);
     }
 
     #[test]
@@ -385,9 +392,9 @@ mod tests {
         // same parity.
         let (senders, l) = partner_residues(4, 6, 0);
         assert_eq!(l, 12);
-        assert_eq!(senders, vec![0, 2]);
+        assert_eq!(senders.collect::<Vec<_>>(), vec![0, 2]);
         let (senders, _) = partner_residues(4, 6, 1);
-        assert_eq!(senders, vec![1, 3]);
+        assert_eq!(senders.collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

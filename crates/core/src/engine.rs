@@ -14,11 +14,14 @@
 //!   the ratio-graph edge buffer and the `maxplus::Workspace` (CSR
 //!   adjacency, SCC arrays, Howard policy/value vectors);
 //! * the **Theorem 1 scratch** — an `OverlapScratch` holding one
-//!   pattern graph, refilled per residue, and a workspace dedicated to
-//!   pattern graphs. Each pattern solve presents `(u, v)` as its
-//!   structure token, which fixes the pattern's edges and token weights,
-//!   so patterns of a repeated `(u, v)` skip the CSR build and Tarjan's
-//!   condensation. The polynomial method folds the column walk of
+//!   pattern graph, refilled per residue, and a small LRU of workspaces
+//!   dedicated to pattern graphs, the **pattern slots**. Each pattern
+//!   solve presents `(u, v)` as its structure token, which fixes the
+//!   pattern's edges and token weights, and runs in the slot caching
+//!   that token, so a `(u, v)` seen recently skips the CSR build and
+//!   Tarjan's condensation even when other pairs came in between. Since
+//!   the structure depends on `(u, v)` alone, the slots are sound in any
+//!   engine. The polynomial method folds the column walk of
 //!   [`crate::overlap_poly`] down to its maximum and never materializes
 //!   the column list;
 //!
@@ -80,6 +83,21 @@
 //! changed (plus their round-robin partners), instead of rescanning every
 //! mapped processor per oracle call.
 //!
+//! # Per-edge column cache
+//!
+//! Under Theorem 1 every circuit of the overlap TPN lives in one column,
+//! so a communication column is a pure function of its edge's file size,
+//! the platform and the edge's two ordered processor tuples. A
+//! [`MappingOracle`] pins the first two, so it remembers, per edge, the
+//! last sender and receiver tuples it solved and the column's
+//! `(residue, period)`. A polynomial solve whose candidate keeps an
+//! edge's tuples reuses that column bit for bit and solves none of its
+//! patterns; the engine's last-maximum fold and the `critical` string are
+//! unchanged. Like the `M_ct` cache and the shape slots, the column cache
+//! belongs to the oracle: campaign engines never see it,
+//! [`MappingOracle::reset_patch_state`] clears it together with the
+//! pattern slots, and [`MappingOracle::into_engine`] drops it.
+//!
 //! # Warm starts
 //!
 //! With [`PeriodEngine::warm_start`] enabled, Howard's policy iteration is
@@ -102,7 +120,7 @@
 
 use crate::cycle_time::{max_cycle_time_view, prefix_cycle_bound, MctCache};
 use crate::model::{CommModel, Instance, InstanceView, Mapping, ModelError, Pipeline, Platform};
-use crate::overlap_poly::{walk_columns, ColumnId, OverlapScratch};
+use crate::overlap_poly::{walk_columns, ColumnCache, ColumnId, OverlapScratch};
 use crate::paths::mapping_num_paths;
 use crate::period::{Method, PeriodError, PeriodReport};
 use crate::tpn_build::{
@@ -183,6 +201,23 @@ impl ShapeSlots {
         self.parked.push(std::mem::replace(current, incoming));
         hit.is_some()
     }
+}
+
+/// The incremental state of a [`MappingOracle`] session, threaded into
+/// the engine's solves. The `M_ct` and column caches are sound only
+/// because the session pins one pipeline/platform pair, and campaign
+/// engines keep a single arena, so none of it lives in [`PeriodEngine`].
+#[derive(Debug, Clone, Default)]
+struct Session {
+    /// Per-stage cycle-times: a move re-examines only the stages it
+    /// touched (and their neighbors).
+    mct: MctCache,
+    /// Arenas of recently left TPN shapes: a candidate whose replica
+    /// counts match one of them patches instead of rebuilding.
+    slots: ShapeSlots,
+    /// The last Theorem 1 column solved per edge: a candidate that keeps
+    /// an edge's two tuples reuses its column.
+    columns: ColumnCache,
 }
 
 /// Reusable period solver: owns the TPN build arena and the max-plus
@@ -283,9 +318,10 @@ impl PeriodEngine {
 
     /// Forgets the patch precondition: the next full-TPN solve rebuilds
     /// the arena net, the ratio graph and the condensation from scratch,
-    /// and the next polynomial solve condenses its first pattern graph
-    /// (results are unaffected — the patched state is always bit-for-bit a
-    /// rebuild). Used by the tracked benches to price the rebuild path.
+    /// and every pattern slot forgets its structure, so each `(u, v)`
+    /// condenses again (results are unaffected — the patched state is
+    /// always bit-for-bit a rebuild). Used by the tracked benches to price
+    /// the rebuild path.
     pub fn reset_patch_state(&mut self) {
         self.arena.shape = None;
         self.overlap.clear_structure_cache();
@@ -318,15 +354,16 @@ impl PeriodEngine {
     }
 
     /// [`PeriodEngine::compute_view`] with a [`MappingOracle`]'s session
-    /// state: its incremental [`MctCache`] and its parked shape arenas.
-    /// Any errored call — build failure, solver failure, method mismatch —
-    /// forgets the patch precondition, so the next solve rebuilds cold.
+    /// state: its incremental [`MctCache`], its parked shape arenas and its
+    /// column cache. Any errored call — build failure, solver failure,
+    /// method mismatch — forgets the patch precondition, so the next solve
+    /// rebuilds cold.
     fn compute_session(
         &mut self,
         view: InstanceView<'_>,
         model: CommModel,
         method: Method,
-        session: Option<(&mut MctCache, &mut ShapeSlots)>,
+        session: Option<&mut Session>,
     ) -> Result<PeriodReport, PeriodError> {
         let res = self.compute_view_impl(view, model, method, session);
         if res.is_err() {
@@ -340,9 +377,12 @@ impl PeriodEngine {
         view: InstanceView<'_>,
         model: CommModel,
         method: Method,
-        session: Option<(&mut MctCache, &mut ShapeSlots)>,
+        session: Option<&mut Session>,
     ) -> Result<PeriodReport, PeriodError> {
-        let (mct_cache, slots) = session.unzip();
+        let (mct_cache, slots, columns) = match session {
+            Some(Session { mct, slots, columns }) => (Some(mct), Some(slots), Some(columns)),
+            None => (None, None, None),
+        };
         let (mct, who) = {
             let _span = repwf_obs::span!(Mct);
             match mct_cache {
@@ -382,7 +422,7 @@ impl PeriodEngine {
                 // The last maximum in walk order, as `Iterator::max_by`
                 // picks it over `overlap_period_view`'s columns.
                 let mut best: Option<(ColumnId, f64)> = None;
-                walk_columns(view, &mut self.overlap, |id, period, _| {
+                walk_columns(view, &mut self.overlap, columns, |id, period, _| {
                     let replace = best.is_none_or(|(_, b)| {
                         b.partial_cmp(&period).expect("finite periods") != Ordering::Greater
                     });
@@ -567,14 +607,9 @@ pub struct MappingOracle<'a> {
     speed_ok: Vec<bool>,
     /// `bw_ok[u·p + v]`: link `u → v` has a positive finite bandwidth.
     bw_ok: Vec<bool>,
-    /// Incremental `M_ct`: per-stage cycle-times cached across candidate
-    /// evaluations; a move re-examines only the stages it touched (and
-    /// their neighbors). Sound here because the oracle pins one
-    /// pipeline/platform pair for its whole lifetime.
-    mct: MctCache,
-    /// Arenas of recently left TPN shapes: a candidate whose replica
-    /// counts match one of them patches instead of rebuilding.
-    slots: ShapeSlots,
+    /// Incremental state across candidate evaluations (`M_ct` cache,
+    /// parked shape arenas, column cache).
+    session: Session,
 }
 
 impl<'a> MappingOracle<'a> {
@@ -606,8 +641,7 @@ impl<'a> MappingOracle<'a> {
             engine,
             speed_ok,
             bw_ok,
-            mct: MctCache::new(),
-            slots: ShapeSlots::default(),
+            session: Session::default(),
         }
     }
 
@@ -637,8 +671,8 @@ impl<'a> MappingOracle<'a> {
     }
 
     /// Releases the engine (its own arena stays warm for the next oracle;
-    /// the parked shape arenas are dropped, their counters stay in the
-    /// engine's totals).
+    /// the parked shape arenas and the column cache are dropped, the
+    /// arenas' counters stay in the engine's totals).
     pub fn into_engine(self) -> PeriodEngine {
         self.engine
     }
@@ -647,30 +681,32 @@ impl<'a> MappingOracle<'a> {
     /// the next solve of any shape starts cold.
     pub fn reset_warm_start(&mut self) {
         self.engine.reset_warm_start();
-        for arena in &mut self.slots.parked {
+        for arena in &mut self.session.slots.parked {
             arena.scratch.clear_warm_start();
         }
     }
 
     /// Forgets every incremental state of the session: the patch
-    /// precondition of the engine's arena and of every parked one, and
-    /// the cached `M_ct` decompositions. The next evaluation of any shape
-    /// rebuilds; the arenas' allocations are kept. Together with
+    /// precondition of the engine's arena and of every parked one, the
+    /// engine's pattern structures, the cached `M_ct` decompositions and
+    /// the cached Theorem 1 columns. The next evaluation of any shape
+    /// rebuilds; the allocations are kept. Together with
     /// [`MappingOracle::reset_warm_start`] this makes what follows a pure
     /// function of the candidates, whatever the oracle evaluated before.
     pub fn reset_patch_state(&mut self) {
         self.engine.reset_patch_state();
-        for arena in &mut self.slots.parked {
+        for arena in &mut self.session.slots.parked {
             arena.shape = None;
         }
-        self.mct.invalidate();
+        self.session.mct.invalidate();
+        self.session.columns.invalidate();
     }
 
     /// The oracle's incremental `M_ct` cache (diagnostics: its counters
     /// let tests assert that a move re-examined only the stages it
     /// touched).
     pub fn mct_cache(&self) -> &MctCache {
-        &self.mct
+        &self.session.mct
     }
 
     /// Lower bound on the period of **any feasible completion** of a
@@ -777,7 +813,7 @@ impl<'a> MappingOracle<'a> {
         self.validate(mapping)?;
         let view =
             InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
-        self.engine.compute_session(view, model, method, Some((&mut self.mct, &mut self.slots)))
+        self.engine.compute_session(view, model, method, Some(&mut self.session))
     }
 }
 
@@ -959,6 +995,51 @@ mod tests {
         // 2 stages: even a full recompute is 2 stages; the first eval pays
         // 2, the rest at most 2 each — just pin that the cache is live.
         assert!(oracle.mct_cache().stage_recomputes() >= 2);
+    }
+
+    #[test]
+    fn oracle_column_cache_reuses_unchanged_edges_until_reset() {
+        let pipeline = Pipeline::new(vec![5.0, 7.0, 6.0], vec![3.0, 2.0]).unwrap();
+        let mut platform = Platform::uniform(7, 1.0, 1.0);
+        for u in 0..7 {
+            platform.set_speed(u, 1.0 + 0.1 * u as f64);
+            for v in 0..7 {
+                platform.set_bandwidth(u, v, 0.5 + 0.07 * ((u * 7 + v) % 11) as f64);
+            }
+        }
+        // Edge 0 joins 2 and 3 replicas, edge 1 joins 3 and 1: one pattern
+        // each (g = 1). `b` changes edge 1's receiver tuple only.
+        let a = Mapping::new(vec![vec![0, 1], vec![2, 3, 4], vec![5]]).unwrap();
+        let b = Mapping::new(vec![vec![0, 1], vec![2, 3, 4], vec![6]]).unwrap();
+        let check = |oracle: &mut MappingOracle<'_>, m: &Mapping, solves: u64| {
+            let r = oracle.compute(m, CommModel::Overlap, Method::Polynomial).unwrap();
+            let inst = Instance::new(pipeline.clone(), platform.clone(), m.clone()).unwrap();
+            let cold =
+                PeriodEngine::new().compute(&inst, CommModel::Overlap, Method::Polynomial).unwrap();
+            assert_eq!(r.period.to_bits(), cold.period.to_bits());
+            assert_eq!(r.critical, cold.critical);
+            assert_eq!(oracle.engine.overlap.pattern_solves(), solves, "{m:?}");
+        };
+        let mut oracle = MappingOracle::new(&pipeline, &platform);
+        check(&mut oracle, &a, 2);
+        check(&mut oracle, &a, 2);
+        // A strict solve in between leaves the columns alone.
+        oracle.compute(&a, CommModel::Strict, Method::FullTpn).unwrap();
+        check(&mut oracle, &a, 2);
+        check(&mut oracle, &b, 3);
+        check(&mut oracle, &a, 4);
+        oracle.reset_patch_state();
+        check(&mut oracle, &a, 6);
+        // The cache belongs to the oracle: a new one re-solves every column.
+        let engine = oracle.into_engine();
+        let mut oracle = MappingOracle::with_engine(&pipeline, &platform, engine);
+        check(&mut oracle, &a, 8);
+        // A bare engine never caches columns.
+        let mut engine = oracle.into_engine();
+        let view = InstanceView::new(&pipeline, &platform, &a).unwrap();
+        engine.compute_view(view, CommModel::Overlap, Method::Polynomial).unwrap();
+        engine.compute_view(view, CommModel::Overlap, Method::Polynomial).unwrap();
+        assert_eq!(engine.overlap.pattern_solves(), 12);
     }
 
     #[test]

@@ -50,6 +50,14 @@ pub enum ModelError {
     ProcessorReused(ProcId),
     /// A mapped processor does not exist on the platform.
     UnknownProcessor(ProcId),
+    /// A platform description names more processors than
+    /// [`MAX_PROCS`]: its `p × p` bandwidth matrix is not allocated.
+    TooManyProcessors {
+        /// processors described
+        procs: usize,
+        /// the bound
+        max: usize,
+    },
     /// Processor speeds must be positive and finite.
     InvalidSpeed {
         /// the processor with the invalid speed
@@ -103,6 +111,9 @@ impl fmt::Display for ModelError {
                 write!(f, "processor {p} is assigned more than one stage slot")
             }
             ModelError::UnknownProcessor(p) => write!(f, "processor {p} not on the platform"),
+            ModelError::TooManyProcessors { procs, max } => {
+                write!(f, "{procs} processors exceed the supported maximum of {max}")
+            }
             ModelError::InvalidSpeed { proc, speed } => {
                 write!(f, "processor {proc} has invalid speed {speed}")
             }
@@ -346,6 +357,11 @@ fn is_series_parallel(n: usize, edges: &[(u32, u32)]) -> bool {
     multi.len() == 1 && multi.get(&(0, n as u32 - 1)) == Some(&1)
 }
 
+/// The most processors a platform read from outside input may have: its
+/// `p × p` bandwidth matrix then takes 128 MiB. Readers check
+/// [`Platform::check_num_procs`] before allocating.
+pub const MAX_PROCS: usize = 4096;
+
 /// A fully heterogeneous platform: processor speeds and a full bandwidth
 /// matrix (links may be logical, e.g. through a central switch).
 #[derive(Debug, Clone, PartialEq)]
@@ -373,6 +389,16 @@ impl Platform {
     /// Number of processors `p`.
     pub fn num_procs(&self) -> usize {
         self.speeds.len()
+    }
+
+    /// Rejects a processor count above [`MAX_PROCS`] — the check a reader
+    /// of untrusted input runs before [`Platform::uniform`] allocates the
+    /// `p²` bandwidth matrix.
+    pub fn check_num_procs(p: usize) -> Result<(), ModelError> {
+        if p > MAX_PROCS {
+            return Err(ModelError::TooManyProcessors { procs: p, max: MAX_PROCS });
+        }
+        Ok(())
     }
 
     /// Speed `Π_u`.
@@ -410,18 +436,18 @@ impl Mapping {
     /// and no processor appears twice (a processor executes at most one
     /// stage — rule enforced by the paper).
     pub fn new(assignment: Vec<Vec<ProcId>>) -> Result<Self, ModelError> {
-        let mut seen = std::collections::BTreeSet::new();
-        for (i, procs) in assignment.iter().enumerate() {
-            if procs.is_empty() {
-                return Err(ModelError::UnmappedStage(i));
-            }
-            for &p in procs {
-                if !seen.insert(p) {
-                    return Err(ModelError::ProcessorReused(p));
-                }
-            }
-        }
+        check_assignment(&assignment)?;
         Ok(Mapping { assignment })
+    }
+
+    /// Replaces the assignment in place, reusing this mapping's buffers:
+    /// the same checks and the same errors as [`Mapping::new`], and on an
+    /// error the mapping is left unchanged. A search that evaluates one
+    /// candidate per leaf refills a single mapping instead of building one.
+    pub fn assign(&mut self, assignment: &[Vec<ProcId>]) -> Result<(), ModelError> {
+        check_assignment(assignment)?;
+        assignment.clone_into(&mut self.assignment);
+        Ok(())
     }
 
     /// One-to-one mapping: stage `i` on processor `procs[i]`.
@@ -522,6 +548,49 @@ impl Mapping {
         self.assignment[i][si] = b;
         self.assignment[j][sj] = a;
     }
+}
+
+/// The structural checks behind [`Mapping::new`] and [`Mapping::assign`],
+/// in stage-major slot order: the first empty stage or the first repeated
+/// processor, whichever the scan meets first. Processor ids below 256, the
+/// common case, are tracked in a stack bitmap, so the check allocates
+/// nothing; a mapping naming a larger id is checked by sorting
+/// `(id, position)` pairs, which finds the same first repeat.
+fn check_assignment(assignment: &[Vec<ProcId>]) -> Result<(), ModelError> {
+    const SMALL: usize = 256;
+    if assignment.iter().flatten().all(|&p| p < SMALL) {
+        let mut seen = [0u64; SMALL / 64];
+        for (i, procs) in assignment.iter().enumerate() {
+            if procs.is_empty() {
+                return Err(ModelError::UnmappedStage(i));
+            }
+            for &p in procs {
+                let (word, bit) = (p / 64, 1u64 << (p % 64));
+                if seen[word] & bit != 0 {
+                    return Err(ModelError::ProcessorReused(p));
+                }
+                seen[word] |= bit;
+            }
+        }
+        return Ok(());
+    }
+    let mut slots: Vec<(ProcId, usize)> = assignment.iter().flatten().copied().zip(0..).collect();
+    slots.sort_unstable();
+    // Sorted by (id, position): the second element of an equal-id window
+    // is a repeat, and the earliest such position is the scan's first one.
+    let first_repeat =
+        slots.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (w[1].1, w[1].0)).min();
+    let mut end = 0;
+    for (i, procs) in assignment.iter().enumerate() {
+        if procs.is_empty() {
+            return Err(ModelError::UnmappedStage(i));
+        }
+        end += procs.len();
+        if let Some((_, p)) = first_repeat.filter(|&(pos, _)| pos < end) {
+            return Err(ModelError::ProcessorReused(p));
+        }
+    }
+    Ok(())
 }
 
 /// A validated (pipeline, platform, mapping) triple — the input of every
@@ -929,5 +998,74 @@ mod tests {
         let m = Mapping::one_to_one(vec![3, 7]).unwrap();
         assert!(m.is_one_to_one());
         assert_eq!(m.replica_counts(), vec![1, 1]);
+    }
+
+    /// The `BTreeSet` scan `Mapping::new` used before the bitmap: the
+    /// reference for which error a malformed assignment reports.
+    fn reference_check(assignment: &[Vec<ProcId>]) -> Result<(), ModelError> {
+        let mut seen = std::collections::BTreeSet::new();
+        for (i, procs) in assignment.iter().enumerate() {
+            if procs.is_empty() {
+                return Err(ModelError::UnmappedStage(i));
+            }
+            for &p in procs {
+                if !seen.insert(p) {
+                    return Err(ModelError::ProcessorReused(p));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn assign_matches_new_and_the_reference_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut reused = Mapping::new(vec![vec![0]]).unwrap();
+        let mut errors = [0usize; 2];
+        for case in 0..4000 {
+            // Small id ranges make repeats likely; every fourth case
+            // shifts some ids past the bitmap to take the sorting path.
+            let ids: usize = rng.gen_range(2..24);
+            let base = [0, 300, 0, usize::MAX - 100][case % 4];
+            let assignment: Vec<Vec<ProcId>> = (0..rng.gen_range(0..6))
+                .map(|_| {
+                    let len = if rng.gen_range(0..12) == 0 { 0 } else { rng.gen_range(1..5) };
+                    (0..len)
+                        .map(|_| rng.gen_range(0..ids) + if rng.gen() { base } else { 0 })
+                        .collect()
+                })
+                .collect();
+            let before = reused.clone();
+            let fresh = Mapping::new(assignment.clone());
+            let refilled = reused.assign(&assignment).map(|()| reused.clone());
+            assert_eq!(fresh, refilled, "case {case}: {assignment:?}");
+            assert_eq!(fresh.as_ref().err(), reference_check(&assignment).err().as_ref(), "case {case}");
+            match fresh {
+                Ok(m) => assert_eq!(m.assignment(), &assignment[..]),
+                Err(e) => {
+                    assert_eq!(reused, before, "a failed assign must leave the mapping unchanged");
+                    errors[usize::from(matches!(e, ModelError::ProcessorReused(_)))] += 1;
+                }
+            }
+        }
+        assert!(errors[0] > 50 && errors[1] > 50, "both error kinds exercised: {errors:?}");
+    }
+
+    #[test]
+    fn processor_reused_names_the_first_repeat_in_stage_major_order() {
+        for big in [0, 5000] {
+            let a = vec![vec![big + 3, big + 1], vec![big + 2, big + 3, big + 1]];
+            assert_eq!(Mapping::new(a), Err(ModelError::ProcessorReused(big + 3)));
+            let a = vec![vec![big + 1, big + 2, big + 1], vec![big + 2]];
+            assert_eq!(Mapping::new(a), Err(ModelError::ProcessorReused(big + 1)));
+            // An empty stage met before the first repeat wins, and after it
+            // loses.
+            let a = vec![vec![big + 1], vec![], vec![big + 1]];
+            assert_eq!(Mapping::new(a), Err(ModelError::UnmappedStage(1)));
+            let a = vec![vec![big + 1, big + 1], vec![]];
+            assert_eq!(Mapping::new(a), Err(ModelError::ProcessorReused(big + 1)));
+        }
     }
 }

@@ -169,28 +169,86 @@ fn pattern_graph_into(
     (u, v)
 }
 
+/// Pattern workspaces an [`OverlapScratch`] keeps: one per recently
+/// solved `(u, v)` pair. Example A's exact search (4 stages, 7
+/// processors) meets nine pairs.
+pub(crate) const PATTERN_SLOTS: usize = 16;
+
 /// Reusable buffers of the Theorem 1 walker: one pattern graph, refilled
-/// per residue, and a solver workspace dedicated to pattern graphs.
+/// per residue, and a few solver workspaces dedicated to pattern graphs.
 ///
-/// Every pattern solve presents `(u, v)` as the workspace's structure
+/// Every pattern solve presents `(u, v)` as its workspace's structure
 /// token ([`maxplus::Workspace::max_cycle_ratio_cached`]): the pattern's
-/// edges and token weights depend on nothing else, so consecutive
-/// patterns of the same `(u, v)` (the `g` residues of one column, or the
-/// same column of neighbor mappings) skip the CSR build and Tarjan's
-/// condensation. The workspace solves nothing but pattern graphs, so its
-/// tokens never meet the generation tokens of a TPN solver's scratch.
-/// Results are bit-for-bit those of a fresh one-shot solve.
+/// edges and token weights depend on nothing else. The workspaces form a
+/// small LRU keyed by that token, so a pattern whose `(u, v)` was solved
+/// recently — the `g` residues of one column, or any column of a
+/// neighbor mapping, even after other shapes came in between — skips the
+/// CSR build and Tarjan's condensation. The workspaces solve nothing but
+/// pattern graphs, so their tokens never meet the generation tokens of a
+/// TPN solver's scratch. Results are bit-for-bit those of a fresh
+/// one-shot solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OverlapScratch {
     graph: RatioGraph,
+    slots: Vec<PatternSlot>,
+    /// Pattern solves so far: the recency stamp of the LRU.
+    clock: u64,
+}
+
+/// A pattern workspace and the `(u, v)` token whose structure it caches.
+#[derive(Debug, Clone, Default)]
+struct PatternSlot {
+    /// `None`: nothing cached, the slot is free.
+    token: Option<u64>,
+    /// The [`OverlapScratch::clock`] of its last solve.
+    used: u64,
     ws: Workspace,
 }
 
 impl OverlapScratch {
-    /// Forgets the cached pattern structure: the next pattern solve builds
-    /// its CSR and condenses, whatever `(u, v)` it has.
+    /// Forgets every cached pattern structure: the next solve of any
+    /// `(u, v)` builds its CSR and condenses, as in a fresh scratch.
     pub(crate) fn clear_structure_cache(&mut self) {
-        self.ws.clear_structure_cache();
+        for slot in &mut self.slots {
+            slot.token = None;
+            slot.ws.clear_structure_cache();
+        }
+    }
+
+    /// CSR builds of every pattern workspace (each build is followed by
+    /// one Tarjan run).
+    #[cfg(test)]
+    pub(crate) fn csr_builds(&self) -> u64 {
+        self.slots.iter().map(|slot| slot.ws.csr_builds()).sum()
+    }
+
+    /// Pattern graphs solved so far.
+    #[cfg(test)]
+    pub(crate) fn pattern_solves(&self) -> u64 {
+        self.clock
+    }
+
+    /// Solves the pattern graph held in `self.graph` in the workspace that
+    /// caches `token`'s structure; on a miss, in a free workspace, or else
+    /// in the least recently used one.
+    fn solve_pattern(&mut self, token: u64) -> CycleSolution {
+        let k = match self.slots.iter().position(|slot| slot.token == Some(token)) {
+            Some(k) => k,
+            None if self.slots.len() < PATTERN_SLOTS => {
+                self.slots.push(PatternSlot::default());
+                self.slots.len() - 1
+            }
+            None => (0..self.slots.len())
+                .min_by_key(|&k| (self.slots[k].token.is_some(), self.slots[k].used))
+                .expect("PATTERN_SLOTS > 0"),
+        };
+        self.clock += 1;
+        let slot = &mut self.slots[k];
+        (slot.token, slot.used) = (Some(token), self.clock);
+        slot.ws
+            .max_cycle_ratio_cached(&self.graph, token, false)
+            .expect("pattern graph is well-formed")
+            .expect("pattern graph always has circuits")
     }
 
     /// Edge `e`'s communication column: the first residue attaining the
@@ -209,12 +267,7 @@ impl OverlapScratch {
         let (mut residue, mut period, mut witness) = (0, f64::NEG_INFINITY, None);
         for rho in 0..g {
             let (u, v) = pattern_graph_into(view, e, rho, &mut self.graph);
-            let token = ((u as u64) << 32) | v as u64;
-            let sol = self
-                .ws
-                .max_cycle_ratio_cached(&self.graph, token, false)
-                .expect("pattern graph is well-formed")
-                .expect("pattern graph always has circuits");
+            let sol = self.solve_pattern(((u as u64) << 32) | v as u64);
             let p = sol.ratio / g as f64;
             if p > period {
                 (residue, period, witness) = (rho, p, Some(sol));
@@ -234,15 +287,75 @@ pub(crate) enum ColumnId {
     Communication { file: usize, residue: usize, g: usize },
 }
 
+/// The last communication column solved on each edge, with the two
+/// processor tuples it was solved for.
+///
+/// Every circuit of the overlap TPN lives in one column, so an edge's
+/// column is a pure function of its file size, the platform and its two
+/// ordered tuples. With the first two pinned — the
+/// [`crate::engine::MappingOracle`] session contract — a candidate that
+/// keeps an edge's tuples reuses that column's `(residue, period)` bit
+/// for bit instead of re-solving its patterns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnCache {
+    edges: Vec<CachedColumn>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct CachedColumn {
+    senders: Vec<ProcId>,
+    receivers: Vec<ProcId>,
+    /// The column solved for those tuples (`None`: nothing cached).
+    column: Option<(ColumnId, f64)>,
+}
+
+impl ColumnCache {
+    /// Forgets every cached column (the tuple buffers are kept).
+    pub(crate) fn invalidate(&mut self) {
+        for edge in &mut self.edges {
+            edge.column = None;
+        }
+    }
+
+    /// Edge `e`'s column: the cached one if the edge's tuples are those it
+    /// was solved for, else solved in `scratch` and cached.
+    fn column(
+        &mut self,
+        view: InstanceView<'_>,
+        e: usize,
+        scratch: &mut OverlapScratch,
+    ) -> (ColumnId, f64) {
+        if self.edges.len() < view.pipeline.num_edges() {
+            self.edges.resize_with(view.pipeline.num_edges(), CachedColumn::default);
+        }
+        let (src, dst) = view.pipeline.edge(e);
+        let (senders, receivers) = (view.mapping.procs(src), view.mapping.procs(dst));
+        let cached = &mut self.edges[e];
+        if let Some(column) = cached.column {
+            if cached.senders == senders && cached.receivers == receivers {
+                return column;
+            }
+        }
+        let (id, period, _) = scratch.comm_column(view, e);
+        senders.clone_into(&mut cached.senders);
+        receivers.clone_into(&mut cached.receivers);
+        cached.column = Some((id, period));
+        (id, period)
+    }
+}
+
 /// The Theorem 1 column walk: calls `visit(column, period, circuit)` for
 /// every computation column (one per mapped processor, stage-major, empty
 /// circuit) and then every communication column (edge order, the critical
 /// residue's pattern circuit), reusing `scratch` for every pattern solve.
 /// Both [`overlap_period_view`] and the period engine's polynomial method
-/// are folds over this walk.
+/// are folds over this walk. With a `cache`, communication columns come
+/// from it where the edge's tuples allow and are visited with an empty
+/// circuit (the engine's fold reads ids and periods only).
 pub(crate) fn walk_columns(
     view: InstanceView<'_>,
     scratch: &mut OverlapScratch,
+    mut cache: Option<&mut ColumnCache>,
     mut visit: impl FnMut(ColumnId, f64, &[u32]),
 ) {
     // Computation columns: processor u of stage i serves every m_i-th data
@@ -256,8 +369,13 @@ pub(crate) fn walk_columns(
     }
     // Communication columns, one per edge (chain: edge i is F_i).
     for e in 0..view.pipeline.num_edges() {
-        let (id, period, witness) = scratch.comm_column(view, e);
-        visit(id, period, witness.as_ref().map_or(&[], |sol| &sol.cycle));
+        if let Some(cache) = cache.as_deref_mut() {
+            let (id, period) = cache.column(view, e, scratch);
+            visit(id, period, &[]);
+        } else {
+            let (id, period, witness) = scratch.comm_column(view, e);
+            visit(id, period, witness.as_ref().map_or(&[], |sol| &sol.cycle));
+        }
     }
 }
 
@@ -287,7 +405,7 @@ pub fn overlap_period(inst: &Instance) -> OverlapAnalysis {
 /// The period engine folds the same walk without materializing columns.
 pub fn overlap_period_view(view: InstanceView<'_>) -> OverlapAnalysis {
     let mut columns = Vec::new();
-    walk_columns(view, &mut OverlapScratch::default(), |id, period, cycle| {
+    walk_columns(view, &mut OverlapScratch::default(), None, |id, period, cycle| {
         columns.push(column_period(id, period, cycle));
     });
     let best = columns
@@ -333,6 +451,74 @@ mod tests {
             })
             .collect();
         Instance::new(pipeline, platform, Mapping::new(assignment).unwrap()).unwrap()
+    }
+
+    /// The polynomial period of `inst` through a caller-owned scratch.
+    fn walked_period(scratch: &mut OverlapScratch, inst: &Instance) -> f64 {
+        let mut best = f64::NEG_INFINITY;
+        walk_columns(inst.view(), scratch, None, |_, period, _| best = best.max(period));
+        best
+    }
+
+    #[test]
+    fn pattern_slots_build_each_pair_once_until_reset() {
+        // Eight columns, six distinct (u, v) pairs: (2, 2) and (2, 4) have
+        // g = 2 and reduce to the pairs of (1, 1) and (1, 2).
+        let replicas: [&[usize]; 8] =
+            [&[1, 1], &[1, 2], &[2, 1], &[2, 3], &[3, 2], &[1, 3], &[2, 2], &[2, 4]];
+        let insts: Vec<Instance> = replicas
+            .iter()
+            .map(|r| {
+                let mut inst = chain_instance(r, 3.0, 2.0);
+                for (u, v) in [(0, 2), (1, 3), (0, 3)] {
+                    if v < inst.platform.num_procs() {
+                        inst.platform.set_bandwidth(u, v, 0.3 + 0.1 * (u + v) as f64);
+                    }
+                }
+                inst
+            })
+            .collect();
+        let pairs = 6;
+        let mut scratch = OverlapScratch::default();
+        for _ in 0..3 {
+            for inst in &insts {
+                let period = walked_period(&mut scratch, inst);
+                assert_eq!(period.to_bits(), overlap_period(inst).period.to_bits());
+            }
+        }
+        assert_eq!(scratch.csr_builds(), pairs, "one CSR build per (u, v) pair");
+        scratch.clear_structure_cache();
+        for inst in &insts {
+            walked_period(&mut scratch, inst);
+        }
+        assert_eq!(scratch.csr_builds(), 2 * pairs, "a reset rebuilds every pair once");
+    }
+
+    #[test]
+    fn pattern_slots_evict_the_least_recently_used_pair() {
+        // One pair more than the slots, cycled: every solve misses.
+        let insts: Vec<Instance> =
+            (1..=PATTERN_SLOTS + 1).map(|k| chain_instance(&[1, k], 1.0, 1.0)).collect();
+        let mut scratch = OverlapScratch::default();
+        for _ in 0..2 {
+            for inst in &insts {
+                walked_period(&mut scratch, inst);
+            }
+        }
+        let misses = 2 * insts.len() as u64;
+        assert_eq!(scratch.csr_builds(), misses);
+        // The PATTERN_SLOTS most recent pairs are all still cached.
+        for inst in insts.iter().rev().take(PATTERN_SLOTS) {
+            walked_period(&mut scratch, inst);
+        }
+        assert_eq!(scratch.csr_builds(), misses);
+        // After a reset every pair rebuilds, even one landing in the slot
+        // that held its structure (oldest first, as the LRU hands out).
+        scratch.clear_structure_cache();
+        for inst in insts.iter().rev().take(PATTERN_SLOTS) {
+            walked_period(&mut scratch, inst);
+        }
+        assert_eq!(scratch.csr_builds(), misses + PATTERN_SLOTS as u64);
     }
 
     #[test]

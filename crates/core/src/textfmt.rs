@@ -173,6 +173,7 @@ pub fn from_text(text: &str) -> Result<Instance, TextError> {
         Pipeline::from_edges(works, edges)?
     };
     let p = speeds.len();
+    Platform::check_num_procs(p)?;
     let mut platform = Platform::uniform(p, 1.0, default_bw);
     for (u, speed) in speeds.into_iter().enumerate() {
         platform.set_speed(u, speed);
@@ -199,6 +200,7 @@ pub fn from_text(text: &str) -> Result<Instance, TextError> {
 mod tests {
     use super::*;
     use crate::fixtures::{example_a, example_b};
+    use crate::model::MAX_PROCS;
 
     #[test]
     fn round_trip_examples() {
@@ -285,6 +287,24 @@ mod tests {
         let bad =
             "workflow v1\nstages 1 1\nfiles 1\nedge 0 1 1\nspeeds 1 1\nmap 0 0\nmap 1 1\n";
         assert!(matches!(from_text(bad), Err(TextError::Missing(_))));
+    }
+
+    #[test]
+    fn huge_processor_count_is_a_typed_error_not_an_allocation() {
+        // 20 000 speeds would ask for a 3.2 GB bandwidth matrix.
+        let speeds = vec!["1"; 20_000].join(" ");
+        let text = format!("workflow v1\nstages 1\nspeeds {speeds}\nmap 0 0\n");
+        assert_eq!(
+            from_text(&text),
+            Err(TextError::Model(ModelError::TooManyProcessors { procs: 20_000, max: MAX_PROCS }))
+        );
+        let speeds = vec!["1"; MAX_PROCS + 1].join(" ");
+        let text = format!("workflow v1\nstages 1\nspeeds {speeds}\nmap 0 0\n");
+        assert!(matches!(
+            from_text(&text),
+            Err(TextError::Model(ModelError::TooManyProcessors { procs, .. })) if procs == MAX_PROCS + 1
+        ));
+        assert_eq!(crate::model::Platform::check_num_procs(MAX_PROCS), Ok(()));
     }
 
     #[test]

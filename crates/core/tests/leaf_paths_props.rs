@@ -14,6 +14,13 @@
 //!   stay bit-identical to a cold rebuild, the walk must patch when it
 //!   revisits a shape, and the engine's counters must add up over every
 //!   arena used, evicted ones included.
+//! * **Session caches together.** A [`MappingOracle`] walk mixing add,
+//!   remove, shift and swap moves on chains and SP DAGs, alternating the
+//!   two models and the `Auto`/`Polynomial`/`FullTpn` methods, with
+//!   occasional [`MappingOracle::reset_patch_state`] calls. The `M_ct`
+//!   cache, the parked shape arenas, the per-edge column cache and the
+//!   pattern slots are all live; every report must equal a fresh engine's
+//!   on an owned [`Instance`].
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -173,12 +180,98 @@ fn add_remove_walks_patch_on_revisits_and_count_every_arena() {
     }
 }
 
+/// One random move on `assignment` in place: add an unused processor,
+/// remove a replica, shift a replica to another stage, or swap two slots
+/// (possibly within one stage, which reorders its round robin).
+fn session_move(assignment: &mut [Vec<usize>], p: usize, rng: &mut StdRng) {
+    let n = assignment.len();
+    let used: Vec<usize> = assignment.iter().flatten().copied().collect();
+    let unused: Vec<usize> = (0..p).filter(|u| !used.contains(u)).collect();
+    let shrinkable: Vec<usize> = (0..n).filter(|&i| assignment[i].len() > 1).collect();
+    match rng.gen_range(0..4) {
+        0 if !unused.is_empty() => {
+            let i = rng.gen_range(0..n);
+            let slot = rng.gen_range(0..=assignment[i].len());
+            assignment[i].insert(slot, unused[rng.gen_range(0..unused.len())]);
+        }
+        1 if !shrinkable.is_empty() => {
+            let i = shrinkable[rng.gen_range(0..shrinkable.len())];
+            let k = rng.gen_range(0..assignment[i].len());
+            assignment[i].remove(k);
+        }
+        2 if !shrinkable.is_empty() => {
+            let i = shrinkable[rng.gen_range(0..shrinkable.len())];
+            let u = assignment[i].remove(rng.gen_range(0..assignment[i].len()));
+            let j = rng.gen_range(0..n);
+            let slot = rng.gen_range(0..=assignment[j].len());
+            assignment[j].insert(slot, u);
+        }
+        _ => {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let (si, sj) = (rng.gen_range(0..assignment[i].len()), rng.gen_range(0..assignment[j].len()));
+            let (a, b) = (assignment[i][si], assignment[j][sj]);
+            assignment[i][si] = b;
+            assignment[j][sj] = a;
+        }
+    }
+}
+
+/// A session walk on topology `k` (see the module docs). Uniform
+/// platforms tie columns on purpose; their oracle runs cold, since a warm
+/// start may report the other member of an eps-level tie.
+fn session_walk(seed: u64, k: usize, uniform: bool, steps: usize) {
+    let inst = instance(seed, k, uniform);
+    let (pipeline, platform) = (&inst.pipeline, &inst.platform);
+    let p = platform.num_procs();
+    let mut rng = StdRng::seed_from_u64(!seed);
+    let mut assignment = inst.mapping.assignment().to_vec();
+    let mut oracle = MappingOracle::new(pipeline, platform).warm_start(!uniform);
+    use CommModel::{Overlap, Strict};
+    for step in 0..steps {
+        session_move(&mut assignment, p, &mut rng);
+        if rng.gen_range(0..12) == 0 {
+            oracle.reset_patch_state();
+        }
+        let mapping = Mapping::new(assignment.clone()).unwrap();
+        // The middle pattern puts a strict solve between two overlap solves
+        // of the same tuples.
+        let calls: &[(CommModel, Method)] = match step % 3 {
+            0 => &[(Overlap, Method::Auto)],
+            1 => &[(Overlap, Method::Polynomial), (Strict, Method::Auto), (Overlap, Method::Polynomial)],
+            _ => &[(Strict, Method::FullTpn), (Overlap, Method::Auto)],
+        };
+        let owned = Instance::new(pipeline.clone(), platform.clone(), mapping.clone()).unwrap();
+        for &(model, method) in calls {
+            let got = oracle.compute(&mapping, model, method).unwrap();
+            let fresh = PeriodEngine::new().compute(&owned, model, method).unwrap();
+            let at = format!("seed {seed} topology {k} step {step} {model} {method}");
+            assert_eq!(got.period.to_bits(), fresh.period.to_bits(), "{at}");
+            assert_eq!(got.mct.to_bits(), fresh.mct.to_bits(), "{at}");
+            assert_eq!(got.critical, fresh.critical, "{at}");
+        }
+    }
+}
+
+#[test]
+fn session_walks_match_fresh_engines_on_every_topology() {
+    for k in 0..6 {
+        for uniform in [false, true] {
+            session_walk(k as u64 * 7 + u64::from(uniform), k, uniform, 60);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn engine_overlap_report_equals_the_materialized_walk(seed in 0u64..4096, uniform in 0u8..2) {
         check_overlap(seed, uniform == 1);
+    }
+
+    #[test]
+    fn session_walks_are_bit_identical_to_fresh_engines(seed in 0u64..4096, k in 0usize..6, uniform in 0u8..2) {
+        session_walk(seed, k, uniform == 1, 24);
     }
 
     #[test]

@@ -216,6 +216,9 @@ struct Searcher<'a, 'o> {
     assignment: Vec<Vec<usize>>,
     used: Vec<bool>,
     avail: usize,
+    /// The leaf under evaluation, refilled in place from `assignment`;
+    /// cloned only into the incumbent or an error.
+    leaf: Mapping,
     /// Task-local incumbent (no cross-task sharing: counters must be pure
     /// functions of the task id).
     best: Option<(Mapping, f64)>,
@@ -298,19 +301,19 @@ impl Searcher<'_, '_> {
     /// Every stage has its tuple: evaluate exactly, **never** through the
     /// simulator fallback.
     fn evaluate_leaf(&mut self) -> Result<(), ExactError> {
-        let mapping =
-            Mapping::new(self.assignment.clone()).expect("search builds structurally valid mappings");
-        match self.oracle.compute(&mapping, self.model, Method::Auto) {
+        self.leaf.assign(&self.assignment).expect("search builds structurally valid mappings");
+        let leaf = &self.leaf;
+        match self.oracle.compute(leaf, self.model, Method::Auto) {
             Ok(r) => {
                 self.stats.evaluated += 1;
                 let tie_break = r.period == self.cutoff
                     && self
                         .best
                         .as_ref()
-                        .is_none_or(|(b, _)| mapping.assignment() < b.assignment());
+                        .is_none_or(|(b, _)| leaf.assignment() < b.assignment());
                 if r.period < self.cutoff || tie_break {
                     self.cutoff = r.period;
-                    self.best = Some((mapping, r.period));
+                    self.best = Some((leaf.clone(), r.period));
                 }
                 Ok(())
             }
@@ -319,9 +322,9 @@ impl Searcher<'_, '_> {
                 Ok(())
             }
             Err(PeriodError::Build(error)) => {
-                Err(ExactError::CandidateTooLarge { mapping, error })
+                Err(ExactError::CandidateTooLarge { mapping: leaf.clone(), error })
             }
-            Err(e) => Err(ExactError::Analysis { mapping, message: e.to_string() }),
+            Err(e) => Err(ExactError::Analysis { mapping: leaf.clone(), message: e.to_string() }),
         }
     }
 }
@@ -377,6 +380,7 @@ pub fn solve(
                 assignment: vec![Vec::new(); n],
                 used: vec![false; p],
                 avail: p,
+                leaf: Mapping::new(Vec::new()).expect("the empty mapping is valid"),
                 best: None,
                 cutoff: opts.initial_bound.unwrap_or(f64::INFINITY),
                 stats: ExactStats::default(),
