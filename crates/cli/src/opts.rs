@@ -243,4 +243,23 @@ mod tests {
         assert!(workflow_from_json(&doc(MAX_PROCS + 1)).is_err());
         assert!(workflow_from_json(&doc(3)).is_ok());
     }
+
+    #[test]
+    fn workflow_json_rejects_overflowing_operation_times() {
+        let doc = |speeds: &str, bandwidth: &str| {
+            format!(
+                "{{\"works\": [22, 67], \"files\": [1], \"speeds\": [{speeds}], \
+                 \"bandwidth\": {bandwidth}, \"mapping\": [[0], [1]]}}"
+            )
+        };
+        assert_eq!(
+            workflow_from_json(&doc("5e-324, 1", "1")).unwrap_err(),
+            "stage 0 on processor 0: computation time work/speed overflows"
+        );
+        assert_eq!(
+            workflow_from_json(&doc("1, 1", "5e-324")).unwrap_err(),
+            "edge 0 over link 0->1: transfer time size/bandwidth overflows"
+        );
+        assert!(workflow_from_json(&doc("1, 1", "1e-300")).is_ok());
+    }
 }

@@ -545,6 +545,41 @@ fn huge_processor_count_fails_with_a_diagnosis() {
 }
 
 #[test]
+fn overflowing_operation_times_fail_with_a_diagnosis() {
+    // Valid sizes, speeds and bandwidths whose quotients overflow: the
+    // readers reject the instance (exit 2) instead of a solver panicking.
+    let dir = std::env::temp_dir().join(format!("repwf-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bandwidth = dir.join("bandwidth.txt");
+    std::fs::write(
+        &bandwidth,
+        "workflow v1\nstages 22 67\nfiles 1\nspeeds 1 1 1\nbandwidth 0 1 5e-324\nmap 0 0\nmap 1 1\n",
+    )
+    .unwrap();
+    let speed = dir.join("speed.txt");
+    std::fs::write(
+        &speed,
+        "workflow v1\nstages 22 67\nfiles 1\nspeeds 1 5e-324 1\nmap 0 0\nmap 1 1\n",
+    )
+    .unwrap();
+    let cases = [
+        (&bandwidth, "edge 0 over link 0->1: transfer time size/bandwidth overflows"),
+        (&speed, "stage 1 on processor 1: computation time work/speed overflows"),
+    ];
+    for (path, diagnosis) in cases {
+        for cmd in ["period", "map"] {
+            for model in ["overlap", "strict"] {
+                let args = [cmd, "--file", path.to_str().unwrap(), "--model", model];
+                let (out, err, code) = repwf_env(&args, &[]);
+                assert_eq!(code, Some(2), "{args:?}: stdout {out}, stderr {err}");
+                assert!(err.contains(diagnosis), "{args:?}: {err}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn dot_renders_the_workflow_dag_for_chains_and_forks() {
     // A chain (Example A) renders as a path: consecutive edges only.
     let (dot, err, ok) = repwf(&["dot", "workflow", "--example", "a"]);

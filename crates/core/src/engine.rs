@@ -603,10 +603,12 @@ pub struct MappingOracle<'a> {
     pipeline: &'a Pipeline,
     platform: &'a Platform,
     engine: PeriodEngine,
-    /// `speed_ok[u]`: processor `u` has a positive finite speed.
-    speed_ok: Vec<bool>,
-    /// `bw_ok[u·p + v]`: link `u → v` has a positive finite bandwidth.
-    bw_ok: Vec<bool>,
+    /// `speeds[u]`: how to validate processor `u` (its speed, and the
+    /// computation times `w / Π_u` it may give).
+    speeds: Vec<Resource>,
+    /// `links[u·p + v]`: how to validate link `u → v` (its bandwidth, and
+    /// the transfer times `δ / b_{u,v}` it may give).
+    links: Vec<Resource>,
     /// Incremental state across candidate evaluations (`M_ct` cache,
     /// parked shape arenas, column cache).
     session: Session,
@@ -623,26 +625,13 @@ impl<'a> MappingOracle<'a> {
     /// starts, previously grown arenas — all carried over).
     pub fn with_engine(pipeline: &'a Pipeline, platform: &'a Platform, engine: PeriodEngine) -> Self {
         let p = platform.num_procs();
-        let speed_ok = (0..p)
-            .map(|u| {
-                let s = platform.speed(u);
-                s.is_finite() && s > 0.0
-            })
+        let max_work = pipeline.works().iter().fold(0.0, |m: f64, &w| m.max(w));
+        let max_file = pipeline.file_sizes().iter().fold(0.0, |m: f64, &d| m.max(d));
+        let speeds = (0..p).map(|u| Resource::classify(platform.speed(u), max_work)).collect();
+        let links = (0..p * p)
+            .map(|k| Resource::classify(platform.bandwidth(k / p, k % p), max_file))
             .collect();
-        let bw_ok = (0..p * p)
-            .map(|k| {
-                let b = platform.bandwidth(k / p, k % p);
-                b.is_finite() && b > 0.0
-            })
-            .collect();
-        MappingOracle {
-            pipeline,
-            platform,
-            engine,
-            speed_ok,
-            bw_ok,
-            session: Session::default(),
-        }
+        MappingOracle { pipeline, platform, engine, speeds, links, session: Session::default() }
     }
 
     /// Enables/disables warm-started policy iteration on the owned engine
@@ -765,7 +754,8 @@ impl<'a> MappingOracle<'a> {
 
     /// Validates a candidate against the borrowed pair — exactly the
     /// accept/reject (and error) behavior of [`Instance::new`], but from
-    /// the precomputed per-processor/per-link tables.
+    /// the precomputed per-processor/per-link tables: an operation time is
+    /// only divided out on a resource that some size overflows.
     pub fn validate(&self, mapping: &Mapping) -> Result<(), ModelError> {
         let p = self.platform.num_procs();
         if self.pipeline.num_stages() != mapping.num_stages() {
@@ -779,8 +769,18 @@ impl<'a> MappingOracle<'a> {
                 if u >= p {
                     return Err(ModelError::UnknownProcessor(u));
                 }
-                if !self.speed_ok[u] {
-                    return Err(ModelError::InvalidSpeed { proc: u, speed: self.platform.speed(u) });
+                let speed = || self.platform.speed(u);
+                match self.speeds[u] {
+                    Resource::Safe => {}
+                    Resource::Invalid => {
+                        return Err(ModelError::InvalidSpeed { proc: u, speed: speed() })
+                    }
+                    Resource::CheckTime => {
+                        if !(self.pipeline.work(i) / speed()).is_finite() {
+                            let (stage, edge) = (i, None);
+                            return Err(ModelError::TimeOverflow { stage, edge, from: u, to: u });
+                        }
+                    }
                 }
             }
         }
@@ -788,12 +788,26 @@ impl<'a> MappingOracle<'a> {
             let (src, dst) = self.pipeline.edge(e);
             for &u in mapping.procs(src) {
                 for &v in mapping.procs(dst) {
-                    if !self.bw_ok[u * p + v] {
-                        return Err(ModelError::InvalidBandwidth {
-                            from: u,
-                            to: v,
-                            bandwidth: self.platform.bandwidth(u, v),
-                        });
+                    let bandwidth = || self.platform.bandwidth(u, v);
+                    match self.links[u * p + v] {
+                        Resource::Safe => {}
+                        Resource::Invalid => {
+                            return Err(ModelError::InvalidBandwidth {
+                                from: u,
+                                to: v,
+                                bandwidth: bandwidth(),
+                            })
+                        }
+                        Resource::CheckTime => {
+                            if !(self.pipeline.file(e) / bandwidth()).is_finite() {
+                                return Err(ModelError::TimeOverflow {
+                                    stage: src,
+                                    edge: Some(e),
+                                    from: u,
+                                    to: v,
+                                });
+                            }
+                        }
                     }
                 }
             }
@@ -814,6 +828,33 @@ impl<'a> MappingOracle<'a> {
         let view =
             InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
         self.engine.compute_session(view, model, method, Some(&mut self.session))
+    }
+}
+
+/// How [`MappingOracle::validate`] checks one processor or link, decided
+/// once per oracle from its speed (bandwidth) and the largest stage work
+/// (file size). Division by a positive value is monotone in the
+/// numerator, so when the largest size gives a finite time over the
+/// resource, every size does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resource {
+    /// Not positive and finite: a mapping that uses it is rejected.
+    Invalid,
+    /// Every operation time over it is finite.
+    Safe,
+    /// Some operation time over it overflows: divide the operation's own size.
+    CheckTime,
+}
+
+impl Resource {
+    fn classify(rate: f64, max_size: f64) -> Resource {
+        if !(rate.is_finite() && rate > 0.0) {
+            Resource::Invalid
+        } else if (max_size / rate).is_finite() {
+            Resource::Safe
+        } else {
+            Resource::CheckTime
+        }
     }
 }
 
@@ -1140,6 +1181,40 @@ mod tests {
             oracle.validate(&unknown),
             Err(ModelError::UnknownProcessor(9))
         ));
+    }
+
+    #[test]
+    fn oracle_rejects_overflowing_times_like_instance_new() {
+        // Processor 0 and link 0→1 overflow for the large sizes but not
+        // for the small ones, so the oracle must divide the operation's
+        // own size; processor 2 and link 2→1 are safe for every size.
+        let pipeline = Pipeline::new(vec![1.0, 1e10, 1.0], vec![1e10, 1.0]).unwrap();
+        let mut platform = Platform::uniform(4, 1.0, 1.0);
+        platform.set_speed(0, 1e-300);
+        platform.set_bandwidth(0, 1, 1e-300);
+        platform.set_bandwidth(1, 0, 1e-300);
+        let mut oracle = MappingOracle::new(&pipeline, &platform);
+        let cases = [
+            vec![vec![0], vec![1], vec![2]], // link 0→1 carries the 1e10 file
+            vec![vec![2], vec![0], vec![3]], // processor 0 computes the 1e10 work
+            vec![vec![2], vec![1], vec![0]], // 1/1e-300 is finite
+            vec![vec![2, 3], vec![1], vec![0]],
+            vec![vec![3], vec![1], vec![0]], // link 1→0 carries the 1.0 file
+        ];
+        let mut errors = 0;
+        for assignment in cases {
+            let mapping = Mapping::new(assignment).unwrap();
+            let via_instance = Instance::new(pipeline.clone(), platform.clone(), mapping.clone());
+            let expected = via_instance.map(|_| ());
+            errors += usize::from(expected.is_err());
+            assert_eq!(oracle.validate(&mapping), expected, "{mapping:?}");
+            match (oracle.compute(&mapping, CommModel::Strict, Method::Auto), expected) {
+                (Ok(_), Ok(())) => {}
+                (Err(PeriodError::Model(a)), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("oracle {a:?} vs instance {b:?}"),
+            }
+        }
+        assert_eq!(errors, 2);
     }
 
     #[test]

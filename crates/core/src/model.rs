@@ -74,6 +74,20 @@ pub enum ModelError {
         /// the offending value
         bandwidth: f64,
     },
+    /// An operation time overflows although its size and its resource are
+    /// each valid: `w_i / Π_u` of a mapped stage, or `δ_e / b_{u,v}` of a
+    /// file over a used link, is not finite.
+    TimeOverflow {
+        /// The stage computed, or the source stage of the transferred file.
+        stage: StageId,
+        /// `Some(e)` for the transfer of edge `e` over link `from → to`;
+        /// `None` for the computation of `stage` on processor `from`.
+        edge: Option<EdgeId>,
+        /// The computing or sending processor.
+        from: ProcId,
+        /// The receiving processor (`from` for a computation).
+        to: ProcId,
+    },
     /// Stage/mapping length mismatch.
     StageCountMismatch {
         /// stages in the pipeline
@@ -119,6 +133,13 @@ impl fmt::Display for ModelError {
             }
             ModelError::InvalidBandwidth { from, to, bandwidth } => {
                 write!(f, "link {from}->{to} has invalid bandwidth {bandwidth}")
+            }
+            ModelError::TimeOverflow { stage, edge: None, from, .. } => {
+                let what = "computation time work/speed overflows";
+                write!(f, "stage {stage} on processor {from}: {what}")
+            }
+            ModelError::TimeOverflow { edge: Some(e), from, to, .. } => {
+                write!(f, "edge {e} over link {from}->{to}: transfer time size/bandwidth overflows")
             }
             ModelError::StageCountMismatch { pipeline, mapping } => {
                 write!(f, "pipeline has {pipeline} stages but mapping covers {mapping}")
@@ -684,7 +705,9 @@ impl<'a> InstanceView<'a> {
 
     /// Cross-validates the three components: stage counts agree, mapped
     /// processors exist, speeds of used processors and bandwidths of used
-    /// links are positive and finite.
+    /// links are positive and finite, and so is every operation time they
+    /// give (a subnormal speed or bandwidth can make `w / Π` or `δ / b`
+    /// overflow).
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.pipeline.num_stages() != self.mapping.num_stages() {
             return Err(ModelError::StageCountMismatch {
@@ -701,6 +724,9 @@ impl<'a> InstanceView<'a> {
                 if !(s.is_finite() && s > 0.0) {
                     return Err(ModelError::InvalidSpeed { proc: u, speed: s });
                 }
+                if !(self.pipeline.work(i) / s).is_finite() {
+                    return Err(ModelError::TimeOverflow { stage: i, edge: None, from: u, to: u });
+                }
             }
         }
         // Every sender/receiver pair that the round-robin can produce on
@@ -712,6 +738,10 @@ impl<'a> InstanceView<'a> {
                     let b = self.platform.bandwidth(u, v);
                     if !(b.is_finite() && b > 0.0) {
                         return Err(ModelError::InvalidBandwidth { from: u, to: v, bandwidth: b });
+                    }
+                    if !(self.pipeline.file(e) / b).is_finite() {
+                        let (stage, edge) = (src, Some(e));
+                        return Err(ModelError::TimeOverflow { stage, edge, from: u, to: v });
                     }
                 }
             }
@@ -919,6 +949,30 @@ mod tests {
         platform.set_bandwidth(2, 0, 0.0); // proc 2 unused
         let mapping = Mapping::new(vec![vec![0], vec![1]]).unwrap();
         assert!(Instance::new(pipeline, platform, mapping).is_ok());
+    }
+
+    #[test]
+    fn overflowing_operation_times_are_typed_errors() {
+        // Every size, speed and bandwidth is valid on its own; the
+        // quotients overflow to infinity.
+        let pipeline = Pipeline::new(vec![22.0, 0.0], vec![1.0]).unwrap();
+        let mapping = Mapping::new(vec![vec![0], vec![1]]).unwrap();
+        let mut slow = Platform::uniform(2, 1.0, 1.0);
+        slow.set_speed(0, 5e-324);
+        assert_eq!(
+            Instance::new(pipeline.clone(), slow.clone(), mapping.clone()),
+            Err(ModelError::TimeOverflow { stage: 0, edge: None, from: 0, to: 0 })
+        );
+        // A zero work on the same subnormal speed takes no time.
+        slow.set_speed(0, 1.0);
+        slow.set_speed(1, 5e-324);
+        assert!(Instance::new(pipeline.clone(), slow, mapping.clone()).is_ok());
+        let mut thin = Platform::uniform(2, 1.0, 1.0);
+        thin.set_bandwidth(0, 1, 1e-310);
+        let err = Instance::new(pipeline, thin, mapping).unwrap_err();
+        assert_eq!(err, ModelError::TimeOverflow { stage: 0, edge: Some(0), from: 0, to: 1 });
+        let diagnosis = "edge 0 over link 0->1: transfer time size/bandwidth overflows";
+        assert_eq!(err.to_string(), diagnosis);
     }
 
     #[test]

@@ -308,6 +308,30 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_times_in_example_a_are_typed_errors() {
+        let text = to_text(&crate::fixtures::example_a());
+        let edit = |prefix: &str, line: &str| -> String {
+            text.lines()
+                .map(|l| if l.starts_with(prefix) { line } else { l })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(
+            from_text(&edit("bandwidth 2 4 ", "bandwidth 2 4 5e-324")),
+            Err(TextError::Model(ModelError::TimeOverflow {
+                stage: 1,
+                edge: Some(1),
+                from: 2,
+                to: 4
+            }))
+        );
+        assert_eq!(
+            from_text(&edit("speeds ", "speeds 5e-324 1 1 1 1 1 1")),
+            Err(TextError::Model(ModelError::TimeOverflow { stage: 0, edge: None, from: 0, to: 0 }))
+        );
+    }
+
+    #[test]
     fn model_errors_surface() {
         // processor reused across stages
         let text = "workflow v1\nstages 1 1\nfiles 1\nspeeds 1 1\nmap 0 0\nmap 1 0\n";

@@ -22,8 +22,16 @@
 //!   auto-vectorizable layout.
 //! * **Lock-step rounds.** Each policy-iteration round evaluates every
 //!   still-active instance, then runs the phase-1 λ-improvement as one
-//!   member/edge sweep with per-instance policy columns. Instances
+//!   choice-vertex/edge sweep with per-instance policy columns. Instances
 //!   converge (or fail) independently; finished lanes are masked out.
+//! * **Choice vertices, per lane.** The choice index of the shared
+//!   condensation (see [`crate::workspace`]) serves every lane: phase 1
+//!   and phase 2 visit only the members with two or more in-component
+//!   out-edges. A lane whose last evaluation found every policy cycle at
+//!   the bit-identical λ is *λ-uniform*: it is left out of that round's
+//!   phase-1 sweep and goes straight to phase 2, which skips its
+//!   `λ[w] < λ[v] − eps` filter — exactly what the solo solver does for
+//!   that instance in that round.
 //!
 //! Results are **bit-for-bit** those of the solo solvers: per instance
 //! `q`, the batched iteration performs the same floating-point operations
@@ -33,7 +41,7 @@
 
 use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
-use crate::workspace::{Csr, Workspace};
+use crate::workspace::{ChoiceIndex, Csr, Workspace};
 
 /// Per-instance edge-cost planes for a batched solve, stored as one flat
 /// structure-of-arrays arena: plane `q` is `data[q·ne .. (q+1)·ne]`,
@@ -100,12 +108,16 @@ pub struct BatchScratch {
     /// Per-active-lane best CSR position / best value (init + phase 1).
     best_p: Vec<u32>,
     best_f: Vec<f64>,
-    /// Per-instance flags and counters.
+    /// Per-instance flags and counters. `uniform[q]`: every policy cycle
+    /// of lane `q` had the same λ in the last evaluation.
     done: Vec<bool>,
     changed: Vec<bool>,
+    uniform: Vec<bool>,
     iters: Vec<usize>,
-    /// Active-lane index list of the current round.
+    /// Active-lane index list of the current round, and its lanes that
+    /// take part in the phase-1 sweep (those not λ-uniform).
     act: Vec<u32>,
+    sweep: Vec<u32>,
     /// Shared scalar walk scratch (policy evaluation, witness extraction).
     state: Vec<u8>,
     walk_pos: Vec<u32>,
@@ -137,9 +149,12 @@ impl BatchScratch {
         self.done.resize(k, false);
         self.changed.clear();
         self.changed.resize(k, false);
+        self.uniform.clear();
+        self.uniform.resize(k, false);
         self.iters.clear();
         self.iters.resize(k, 0);
         self.act.clear();
+        self.sweep.clear();
         self.state.clear();
         self.state.resize(n, 0);
         self.walk_pos.clear();
@@ -200,7 +215,7 @@ impl Workspace {
 
         self.batch_prepare(g, structure);
         let max_iters = 64 + 8 * n + ne;
-        let (csr, comp, comp_offsets, comp_vertices) = self.batch_parts();
+        let (csr, comp_offsets, comp_vertices, index) = self.batch_parts();
         scratch.prepare(k, n, ne);
 
         // Transpose the planes into interleaved CSR order: one gather per
@@ -217,13 +232,19 @@ impl Workspace {
             }
             let members =
                 &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
-            let cyclic = members.len() > 1
-                || csr.targets()[csr.range(members[0])].contains(&members[0]);
-            if !cyclic {
+            if !index.is_cyclic(members) {
                 continue;
             }
             batch_component(
-                csr, comp, c as u32, members, k, max_iters, scratch, &mut failed, &mut best,
+                csr,
+                index,
+                members,
+                index.choices(c),
+                k,
+                max_iters,
+                scratch,
+                &mut failed,
+                &mut best,
             );
         }
 
@@ -263,15 +284,16 @@ fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> 
 /// Lock-step Howard on one strongly connected component for every lane
 /// that has not yet failed. Mirrors `howard_component` per lane exactly:
 /// per-component eps scale, cold max-cost policy init (last on ties),
-/// evaluate / λ-improve / potential-improve rounds, witness extraction —
-/// the only difference is the iteration *schedule* (lanes advance
-/// together), which per lane performs the identical operation sequence.
+/// evaluate / λ-improve / potential-improve rounds over the choice
+/// vertices, the per-lane λ-uniform skips, witness extraction — the only
+/// difference is the iteration *schedule* (lanes advance together), which
+/// per lane performs the identical operation sequence.
 #[allow(clippy::too_many_arguments)]
 fn batch_component(
     csr: &Csr,
-    comp: &[u32],
-    cid: u32,
+    index: &ChoiceIndex,
     members: &[u32],
+    choices: &[u32],
     k: usize,
     max_iters: usize,
     scratch: &mut BatchScratch,
@@ -290,8 +312,10 @@ fn batch_component(
         best_f,
         done,
         changed,
+        uniform,
         iters,
         act,
+        sweep,
         state,
         walk_pos,
         path,
@@ -305,44 +329,29 @@ fn batch_component(
         return;
     }
 
-    // Per-lane improvement tolerance scaled to THIS component's costs
-    // (same fold as the solo solver: max(1.0, |cost|) · 1e-12).
+    // One sweep over every member's in-component edges: per-lane
+    // improvement tolerance scaled to THIS component's costs (same fold as
+    // the solo solver: max(1.0, |cost|) · 1e-12) and the cold policy
+    // init (max-cost in-component edge, last one on ties).
     for &q in act.iter() {
         eps[q as usize] = 1.0;
     }
-    for &vu in members {
-        for p in csr.range(vu) {
-            if comp[to[p] as usize] != cid {
-                continue;
-            }
-            let lanes = &cost[p * k..p * k + k];
-            for &q in act.iter() {
-                let qi = q as usize;
-                eps[qi] = eps[qi].max(lanes[qi].abs());
-            }
-        }
-    }
-    for &q in act.iter() {
-        eps[q as usize] *= 1e-12;
-    }
-
-    // Cold policy init: max-cost in-component edge, last one on ties.
     for &vu in members {
         let v = vu as usize;
         for (j, _) in act.iter().enumerate() {
             best_p[j] = u32::MAX;
             best_f[j] = f64::NEG_INFINITY;
         }
-        for p in csr.range(vu) {
-            if comp[to[p] as usize] != cid {
-                continue;
-            }
-            let lanes = &cost[p * k..p * k + k];
+        for &p in index.edges(vu) {
+            let pi = p as usize;
+            let lanes = &cost[pi * k..pi * k + k];
             for (j, &q) in act.iter().enumerate() {
-                let c = lanes[q as usize];
+                let qi = q as usize;
+                let c = lanes[qi];
+                eps[qi] = eps[qi].max(c.abs());
                 if c >= best_f[j] {
                     best_f[j] = c;
-                    best_p[j] = p as u32;
+                    best_p[j] = p;
                 }
             }
         }
@@ -351,9 +360,9 @@ fn batch_component(
             policy[v * k + q as usize] = best_p[j];
         }
     }
-
     for &q in act.iter() {
         let qi = q as usize;
+        eps[qi] *= 1e-12;
         done[qi] = false;
         iters[qi] = 0;
     }
@@ -385,11 +394,14 @@ fn batch_component(
         // the shared state/path scratch).
         for &q in act.iter() {
             let qi = q as usize;
-            if let Err(e) = evaluate_policy_lane(
+            match evaluate_policy_lane(
                 csr, members, k, qi, cost, policy, lambda, potential, state, walk_pos, path,
             ) {
-                failed[qi] = Some(e);
-                done[qi] = true;
+                Ok(u) => uniform[qi] = u,
+                Err(e) => {
+                    failed[qi] = Some(e);
+                    done[qi] = true;
+                }
             }
         }
         act.retain(|&q| !done[q as usize]);
@@ -397,40 +409,42 @@ fn batch_component(
             return;
         }
 
-        // Phase 1 (λ-improvement), one member/edge sweep for all lanes:
-        // the shared `targets` array is walked once, the inner loop
-        // streams the active cost/λ lanes.
+        // Phase 1 (λ-improvement), one choice-vertex/edge sweep for the
+        // lanes that are not λ-uniform (a uniform lane cannot improve, as
+        // in the solo solver): the shared `targets` array is walked once,
+        // the inner loop streams the swept cost/λ lanes.
         for &q in act.iter() {
             changed[q as usize] = false;
         }
-        for &vu in members {
-            let v = vu as usize;
-            for (j, &q) in act.iter().enumerate() {
-                let qi = q as usize;
-                let bp = policy[v * k + qi];
-                best_p[j] = bp;
-                best_f[j] = lambda[to[bp as usize] as usize * k + qi];
-            }
-            for p in csr.range(vu) {
-                let w = to[p] as usize;
-                if comp[w] != cid {
-                    continue;
-                }
-                let lam = &lambda[w * k..w * k + k];
-                for (j, &q) in act.iter().enumerate() {
+        sweep.clear();
+        sweep.extend(act.iter().filter(|&&q| !uniform[q as usize]));
+        if !sweep.is_empty() {
+            for &vu in choices {
+                let v = vu as usize;
+                for (j, &q) in sweep.iter().enumerate() {
                     let qi = q as usize;
-                    let l = lam[qi];
-                    if l > best_f[j] + eps[qi] {
-                        best_f[j] = l;
-                        best_p[j] = p as u32;
+                    let bp = policy[v * k + qi];
+                    best_p[j] = bp;
+                    best_f[j] = lambda[to[bp as usize] as usize * k + qi];
+                }
+                for &p in index.edges(vu) {
+                    let w = to[p as usize] as usize;
+                    let lam = &lambda[w * k..w * k + k];
+                    for (j, &q) in sweep.iter().enumerate() {
+                        let qi = q as usize;
+                        let l = lam[qi];
+                        if l > best_f[j] + eps[qi] {
+                            best_f[j] = l;
+                            best_p[j] = p;
+                        }
                     }
                 }
-            }
-            for (j, &q) in act.iter().enumerate() {
-                let qi = q as usize;
-                if best_p[j] != policy[v * k + qi] {
-                    policy[v * k + qi] = best_p[j];
-                    changed[qi] = true;
+                for (j, &q) in sweep.iter().enumerate() {
+                    let qi = q as usize;
+                    if best_p[j] != policy[v * k + qi] {
+                        policy[v * k + qi] = best_p[j];
+                        changed[qi] = true;
+                    }
                 }
             }
         }
@@ -446,7 +460,7 @@ fn batch_component(
                 continue;
             }
             let mut improved = false;
-            for &vu in members {
+            for &vu in choices {
                 let v = vu as usize;
                 let cur = policy[v * k + qi] as usize;
                 let cur_val = cost[cur * k + qi]
@@ -454,20 +468,18 @@ fn batch_component(
                     + potential[to[cur] as usize * k + qi];
                 let mut bp = policy[v * k + qi];
                 let mut bv = cur_val;
-                for p in csr.range(vu) {
-                    let w = to[p] as usize;
-                    if comp[w] != cid {
+                for &p in index.edges(vu) {
+                    let pi = p as usize;
+                    let w = to[pi] as usize;
+                    if !uniform[qi] && lambda[w * k + qi] < lambda[v * k + qi] - eps[qi] {
                         continue;
                     }
-                    if lambda[w * k + qi] < lambda[v * k + qi] - eps[qi] {
-                        continue;
-                    }
-                    let val = cost[p * k + qi]
-                        - lambda[v * k + qi] * f64::from(tokens[p])
+                    let val = cost[pi * k + qi]
+                        - lambda[v * k + qi] * f64::from(tokens[pi])
                         + potential[w * k + qi];
                     if val > bv + eps[qi] {
                         bv = val;
-                        bp = p as u32;
+                        bp = p;
                     }
                 }
                 if bp != policy[v * k + qi] {
@@ -495,7 +507,8 @@ fn batch_component(
 
 /// `evaluate_policy` for one lane: identical walk, cycle-ratio and
 /// back-substitution arithmetic, reading the lane's policy/λ/potential
-/// columns and interleaved costs.
+/// columns and interleaved costs; returns whether the lane's policy cycles
+/// all have the bit-identical λ.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_policy_lane(
     csr: &Csr,
@@ -509,9 +522,11 @@ fn evaluate_policy_lane(
     state: &mut [u8],
     walk_pos: &mut [u32],
     path: &mut Vec<u32>,
-) -> Result<(), RatioGraphError> {
+) -> Result<bool, RatioGraphError> {
     let to = csr.targets();
     let tok = csr.token_counts();
+    let mut first_lam: Option<u64> = None;
+    let mut uniform = true;
     // 0 = unvisited, 1 = on current walk, 2 = finished.
     for &v in members {
         state[v as usize] = 0;
@@ -543,6 +558,7 @@ fn evaluate_policy_lane(
                 return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
             }
             let lam = c / t as f64;
+            uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
             lambda[u as usize * k + q] = lam;
             potential[u as usize * k + q] = 0.0;
             for i in (1..cycle.len()).rev() {
@@ -569,7 +585,7 @@ fn evaluate_policy_lane(
             state[v] = 2;
         }
     }
-    Ok(())
+    Ok(uniform)
 }
 
 /// `extract_witness` for one lane: same later-wins max-λ start vertex,
@@ -820,19 +836,34 @@ mod tests {
             n in 2usize..12,
             extra in 0usize..20,
             k in 1usize..9,
+            blocks in 1usize..4,
+            forced in 0u64..101,
         ) {
-            // Random structure: a Hamiltonian cycle (guaranteed SCC work)
-            // plus `extra` random edges, random token counts with at least
-            // one token on the base cycle.
+            // Random structure: `blocks` rings of consecutive vertices
+            // (guaranteed SCC work; a one-vertex ring is a self-loop) plus
+            // `extra` random edges — chords, self-loops and parallel
+            // edges — with random token counts and at least one token per
+            // ring. About `forced` percent of the vertices take no extra
+            // edge, so components mix forced and choice vertices.
             let mut rng = Lcg(seed.wrapping_mul(2654435761).wrapping_add(1));
+            let block_of = |v: usize| v * blocks / n;
             let mut structure = RatioGraph::new(n);
-            for v in 0..n as u32 {
-                structure.add_edge(v, (v + 1) % n as u32, 0.0, 1);
+            for v in 0..n {
+                let next = if v + 1 < n && block_of(v + 1) == block_of(v) {
+                    v + 1
+                } else {
+                    (0..n).find(|&u| block_of(u) == block_of(v)).expect("own block")
+                };
+                structure.add_edge(v as u32, next as u32, 0.0, 1);
             }
+            let is_forced: Vec<bool> = (0..n).map(|_| rng.next() % 100 < forced).collect();
             for _ in 0..extra {
                 let from = (rng.next() as usize % n) as u32;
                 let to = (rng.next() as usize % n) as u32;
                 let tokens = (rng.next() % 3) as u32;
+                if is_forced[from as usize] {
+                    continue;
+                }
                 structure.add_edge(from, to, 0.0, tokens);
             }
             let ne = structure.num_edges();

@@ -19,8 +19,13 @@
 //! shared CSR adjacency and borrows every scratch vector from a
 //! caller-owned [`Workspace`], which makes repeated solves allocation-free
 //! and enables warm-started iteration
-//! ([`Workspace::max_cycle_ratio_warm`]). This module keeps the simple
-//! one-shot entry point.
+//! ([`Workspace::max_cycle_ratio_warm`]). Its improvement phases visit only
+//! **choice vertices** (two or more in-component out-edges): a *forced*
+//! vertex, with one such edge, can never change policy. Rounds in which
+//! every policy cycle has the same λ skip the λ-improvement sweep, which
+//! cannot improve anything then. Both skips leave the iteration sequence
+//! unchanged; the [`crate::workspace`] docs give the argument. This module
+//! keeps the simple one-shot entry point.
 
 use crate::graph::RatioGraph;
 use crate::graph::{CycleSolution, RatioGraphError};

@@ -25,7 +25,8 @@
 //!
 //! All algorithms work per strongly connected component directly on the
 //! global vertex ids, slicing the shared CSR and filtering edges by
-//! component id — no per-SCC subgraph is ever materialized (the old
+//! component id (Howard reads the filtered positions from the choice
+//! index below) — no per-SCC subgraph is ever materialized (the old
 //! implementation re-allocated a restricted [`RatioGraph`] per component).
 //!
 //! The top reuse tier is the **structure cache**:
@@ -48,6 +49,43 @@
 //! per CSR position): the Howard improvement loops — the hottest code in
 //! every campaign — stream three contiguous arrays per vertex range
 //! instead of gathering `Edge` structs through the edge-index indirection.
+//!
+//! **Howard on choice vertices.** A *forced* vertex has exactly one
+//! in-component out-edge; 51–67 % of the vertices of a strict-model TPN
+//! ratio graph are forced (by size: 66.7 % at 2 stages on 7 processors,
+//! 51.3 % at 20 on 30). Right after Tarjan, the condensation step records
+//! a **choice index**: every vertex's in-component out-edges as CSR
+//! positions, and per component the members with at least two of them
+//! (the *choice vertices*), in member order. The index is part of the
+//! condensation, so it lives exactly as long as the structure token does:
+//! structure hits — patched solves, pattern slots, batch chunks — reuse it,
+//! and [`Workspace::csr_builds`] / [`Workspace::tarjan_runs`] keep their
+//! meaning. Cold initialization, the warm keep and the eps fold still visit
+//! every member (a forced vertex's max-cost edge is its only edge); the
+//! two improvement phases visit the choice vertices only. Policy
+//! evaluation also reports whether every policy cycle it found has the
+//! bit-identical λ; in such a **λ-uniform** round the phase-1 sweep and
+//! phase 2's `λ[w] < λ[v] − eps` filter are skipped.
+//!
+//! Neither skip changes the iteration sequence, because each drops only
+//! comparisons that cannot succeed (eps ≥ 0; the argument holds for ±∞
+//! and NaN too, where the comparisons are false):
+//!
+//! * *Forced vertex `v`* with policy edge `p`, its only in-component edge.
+//!   Phase 1 tests `λ[to[p]] > λ[to[p]] + eps`; phase 2 recomputes the
+//!   current value by the same expression from the same operands and tests
+//!   `val > val + eps`. Both are false, so `policy[v]` and the round's
+//!   `changed` flag stay as they were.
+//! * *λ-uniform round.* Every member copies the λ of the policy cycle it
+//!   reaches, so all members hold the same λ. Phase 1's test compares that
+//!   value with itself plus eps and fails everywhere: the sweep would
+//!   change nothing and fall through to phase 2. Phase 2's filter compares
+//!   it with itself minus eps and never fires.
+//!
+//! Every round therefore makes the same policy changes and the same number
+//! of rounds runs (`max_iters` and the `NoConvergence` budget are
+//! unchanged): ratios, witnesses, errors and iteration counters are bit
+//! for bit those of a solver that sweeps every vertex.
 
 use crate::graph::{CycleSolution, Edge, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
@@ -197,6 +235,75 @@ impl<'a> SccView<'a> {
     }
 }
 
+/// The **choice index** of a condensation: every vertex's in-component
+/// out-edges as CSR positions, and per component the members that have a
+/// choice (≥ 2 in-component out-edges). Built by [`Workspace::condense`]
+/// right after Tarjan, so it lives exactly as long as the condensation
+/// and is reused by every structure hit (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChoiceIndex {
+    /// `edges[offsets[v]..offsets[v + 1]]` are the CSR positions of `v`'s
+    /// out-edges whose target lies in `v`'s component, in CSR order.
+    offsets: Vec<u32>,
+    edges: Vec<u32>,
+    /// `choices[choice_offsets[c]..choice_offsets[c + 1]]` are the members
+    /// of component `c` with at least two in-component out-edges, in
+    /// member order.
+    choice_offsets: Vec<u32>,
+    choices: Vec<u32>,
+}
+
+impl ChoiceIndex {
+    /// Indexes the condensation `(comp, comp_offsets, comp_vertices)` of
+    /// `csr`. Both lists are compacted branch-free: every candidate is
+    /// written, and the length advances only past the kept ones.
+    fn build(&mut self, csr: &Csr, comp: &[u32], comp_offsets: &[u32], comp_vertices: &[u32]) {
+        let to = csr.targets();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.edges.clear();
+        self.edges.resize(to.len(), 0);
+        let mut len = 0;
+        for (v, &c) in comp.iter().enumerate() {
+            for p in csr.range(v as u32) {
+                self.edges[len] = p as u32;
+                len += usize::from(comp[to[p] as usize] == c);
+            }
+            self.offsets.push(len as u32);
+        }
+        self.edges.truncate(len);
+        self.choice_offsets.clear();
+        self.choice_offsets.push(0);
+        self.choices.clear();
+        self.choices.resize(comp_vertices.len(), 0);
+        let mut len = 0;
+        for w in comp_offsets.windows(2) {
+            for &v in &comp_vertices[w[0] as usize..w[1] as usize] {
+                self.choices[len] = v;
+                len += usize::from(self.offsets[v as usize + 1] - self.offsets[v as usize] >= 2);
+            }
+            self.choice_offsets.push(len as u32);
+        }
+        self.choices.truncate(len);
+    }
+
+    /// CSR positions of `v`'s in-component out-edges.
+    pub(crate) fn edges(&self, v: u32) -> &[u32] {
+        &self.edges[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+    }
+
+    /// The choice vertices of component `c`.
+    pub(crate) fn choices(&self, c: usize) -> &[u32] {
+        &self.choices[self.choice_offsets[c] as usize..self.choice_offsets[c + 1] as usize]
+    }
+
+    /// True iff the component with these members contains a circuit: it
+    /// has two or more members, or its one member has a self-loop.
+    pub(crate) fn is_cyclic(&self, members: &[u32]) -> bool {
+        members.len() > 1 || !self.edges(members[0]).is_empty()
+    }
+}
+
 /// Owned scratch state shared by the cycle-ratio solvers.
 ///
 /// Create once, then call [`Workspace::max_cycle_ratio`] (or the warm /
@@ -209,6 +316,8 @@ pub struct Workspace {
     comp: Vec<u32>,
     comp_offsets: Vec<u32>,
     comp_vertices: Vec<u32>,
+    /// In-component edges and choice vertices of the condensation above.
+    choice: ChoiceIndex,
     // Tarjan scratch.
     index: Vec<u32>,
     lowlink: Vec<u32>,
@@ -293,6 +402,7 @@ impl Workspace {
             &mut self.comp_offsets,
             &mut self.comp_vertices,
         );
+        self.choice.build(&self.csr, &self.comp, &self.comp_offsets, &self.comp_vertices);
         self.tarjan_runs += 1;
         repwf_obs::counter_add(repwf_obs::CounterId::TarjanRuns, 1);
     }
@@ -399,9 +509,9 @@ impl Workspace {
     }
 
     /// The shared read-only structural arrays a batched solve iterates
-    /// over: `(csr, component ids, component offsets, component vertices)`.
-    pub(crate) fn batch_parts(&self) -> (&Csr, &[u32], &[u32], &[u32]) {
-        (&self.csr, &self.comp, &self.comp_offsets, &self.comp_vertices)
+    /// over: `(csr, component offsets, component vertices, choice index)`.
+    pub(crate) fn batch_parts(&self) -> (&Csr, &[u32], &[u32], &ChoiceIndex) {
+        (&self.csr, &self.comp_offsets, &self.comp_vertices, &self.choice)
     }
 
     /// Howard's policy iteration with **per-SCC parallelism**: after one
@@ -432,18 +542,14 @@ impl Workspace {
         let max_iters = 64 + 8 * n + ne;
 
         let csr = &self.csr;
-        let comp = &self.comp[..];
+        let choice = &self.choice;
         let comp_offsets = &self.comp_offsets[..];
         let comp_vertices = &self.comp_vertices[..];
         let members_of = |c: usize| -> &[u32] {
             &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize]
         };
         let cyclic: Vec<u32> = (0..comp_offsets.len() - 1)
-            .filter(|&c| {
-                let members = members_of(c);
-                members.len() > 1
-                    || csr.targets()[csr.range(members[0])].contains(&members[0])
-            })
+            .filter(|&c| choice.is_cyclic(members_of(c)))
             .map(|c| c as u32)
             .collect();
 
@@ -471,12 +577,12 @@ impl Workspace {
                 path: Vec::new(),
             },
             |s, i| {
-                let c = cyclic[i];
+                let c = cyclic[i] as usize;
                 howard_component(
                     csr,
-                    comp,
-                    c,
-                    members_of(c as usize),
+                    choice,
+                    members_of(c),
+                    choice.choices(c),
                     false,
                     &mut s.policy,
                     &mut s.lambda,
@@ -547,9 +653,9 @@ impl Workspace {
 
         let Workspace {
             csr,
-            comp,
             comp_offsets,
             comp_vertices,
+            choice,
             policy,
             lambda,
             potential,
@@ -563,14 +669,22 @@ impl Workspace {
         for c in 0..comp_offsets.len() - 1 {
             let members =
                 &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
-            let cyclic = members.len() > 1
-                || csr.targets()[csr.range(members[0])].contains(&members[0]);
-            if !cyclic {
+            if !choice.is_cyclic(members) {
                 continue;
             }
             let sol = howard_component(
-                csr, comp, c as u32, members, warm_ok, policy, lambda, potential, state,
-                walk_pos, path, max_iters,
+                csr,
+                choice,
+                members,
+                choice.choices(c),
+                warm_ok,
+                policy,
+                lambda,
+                potential,
+                state,
+                walk_pos,
+                path,
+                max_iters,
             )?;
             if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
                 best = Some(sol);
@@ -776,7 +890,7 @@ fn tarjan_flat(
     comp_offsets.push(0);
     comp_vertices.clear();
 
-    let edges = g.edges();
+    let targets = csr.targets();
     let mut next_index = 0u32;
     for root in 0..n as u32 {
         if index[root as usize] != UNSET {
@@ -791,11 +905,10 @@ fn tarjan_flat(
 
         while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
             let vi = v as usize;
-            let outs = csr.out_edges(v);
+            let outs = &targets[csr.range(v)];
             if (*pos as usize) < outs.len() {
-                let e = &edges[outs[*pos as usize] as usize];
+                let w = outs[*pos as usize];
                 *pos += 1;
-                let w = e.to;
                 let wi = w as usize;
                 if index[wi] == UNSET {
                     index[wi] = next_index;
@@ -832,16 +945,17 @@ fn tarjan_flat(
 }
 
 /// Howard's iteration on one strongly connected component, operating on
-/// global vertex ids with edges filtered by component membership. All edge
-/// data is read from the CSR's structure-of-arrays mirror
-/// (`targets`/`costs`/`token_counts`), so the improvement loops stream
-/// three contiguous arrays; `policy` holds CSR positions.
+/// global vertex ids. Edge data is read from the CSR's structure-of-arrays
+/// mirror (`targets`/`costs`/`token_counts`) at the in-component positions
+/// of the choice index, so no loop gathers component ids; `policy` holds
+/// CSR positions. The improvement phases visit only `choices` (see the
+/// module docs for why the iteration sequence is unchanged).
 #[allow(clippy::too_many_arguments)]
 fn howard_component(
     csr: &Csr,
-    comp: &[u32],
-    cid: u32,
+    index: &ChoiceIndex,
     members: &[u32],
+    choices: &[u32],
     warm_ok: bool,
     policy: &mut [u32],
     lambda: &mut [f64],
@@ -855,99 +969,89 @@ fn howard_component(
     let cost = csr.costs();
     let tokens = csr.token_counts();
 
-    // Improvement tolerance scaled to THIS component's costs: a huge-cost
+    // One sweep over every member's in-component edges folds the
+    // improvement tolerance and sets the initial policy.
+    //
+    // The tolerance is scaled to THIS component's costs: a huge-cost
     // component elsewhere in the graph must not inflate eps here and
     // suppress genuine improvements (per-SCC scale, as in the historical
     // per-subgraph implementation).
+    //
+    // Policy: one in-component out-edge per vertex. Cold start picks the
+    // max-cost edge (last one on ties, mirroring the historical `max_by`);
+    // warm start keeps the previous policy edge when it is still an
+    // in-component edge of this vertex (same-shape graphs produce identical
+    // CSR layouts, so a kept position denotes the structurally same edge
+    // as in the prior solve).
     let mut scale = 1.0f64;
     for &vu in members {
-        for p in csr.range(vu) {
-            if comp[to[p] as usize] == cid {
-                scale = scale.max(cost[p].abs());
+        let v = vu as usize;
+        let edges = index.edges(vu);
+        let keep = warm_ok && edges.contains(&policy[v]);
+        let mut best_p = u32::MAX;
+        let mut best_cost = f64::NEG_INFINITY;
+        for &p in edges {
+            let c = cost[p as usize];
+            scale = scale.max(c.abs());
+            if c >= best_cost {
+                best_cost = c;
+                best_p = p;
             }
+        }
+        debug_assert!(best_p != u32::MAX, "SCC vertex must have an in-component out-edge");
+        if !keep {
+            policy[v] = best_p;
         }
     }
     let eps = scale * 1e-12;
 
-    // Policy: one in-component out-edge per vertex. Cold start picks the
-    // max-cost edge (last one on ties, mirroring the historical `max_by`);
-    // warm start keeps the previous policy edge when it is still valid for
-    // this vertex and component (its position lies in the vertex's CSR
-    // range — same-shape graphs produce identical CSR layouts, so a kept
-    // position denotes the structurally same edge as in the prior solve).
-    for &vu in members {
-        let v = vu as usize;
-        let range = csr.range(vu);
-        let keep = warm_ok && {
-            let p = policy[v] as usize;
-            range.contains(&p) && comp[to[p] as usize] == cid
-        };
-        if keep {
-            continue;
-        }
-        let mut best_p = u32::MAX;
-        let mut best_cost = f64::NEG_INFINITY;
-        for p in range {
-            if comp[to[p] as usize] != cid {
+    for iter in 0..max_iters {
+        let uniform =
+            evaluate_policy(csr, members, policy, lambda, potential, state, walk_pos, path)?;
+
+        // Phase 1: improve by cycle-ratio value. With one λ everywhere no
+        // edge can beat the policy edge by more than eps: skipped.
+        let mut changed = false;
+        if !uniform {
+            for &vu in choices {
+                let v = vu as usize;
+                let mut best_p = policy[v];
+                let mut best_l = lambda[to[best_p as usize] as usize];
+                for &p in index.edges(vu) {
+                    let l = lambda[to[p as usize] as usize];
+                    if l > best_l + eps {
+                        best_l = l;
+                        best_p = p;
+                    }
+                }
+                if best_p != policy[v] {
+                    policy[v] = best_p;
+                    changed = true;
+                }
+            }
+            if changed {
                 continue;
             }
-            if cost[p] >= best_cost {
-                best_cost = cost[p];
-                best_p = p as u32;
-            }
-        }
-        debug_assert!(best_p != u32::MAX, "SCC vertex must have an in-component out-edge");
-        policy[v] = best_p;
-    }
-
-    for iter in 0..max_iters {
-        evaluate_policy(csr, members, policy, lambda, potential, state, walk_pos, path)?;
-
-        // Phase 1: improve by cycle-ratio value.
-        let mut changed = false;
-        for &vu in members {
-            let v = vu as usize;
-            let mut best_p = policy[v];
-            let mut best_l = lambda[to[best_p as usize] as usize];
-            for p in csr.range(vu) {
-                if comp[to[p] as usize] != cid {
-                    continue;
-                }
-                let l = lambda[to[p] as usize];
-                if l > best_l + eps {
-                    best_l = l;
-                    best_p = p as u32;
-                }
-            }
-            if best_p != policy[v] {
-                policy[v] = best_p;
-                changed = true;
-            }
-        }
-        if changed {
-            continue;
         }
 
         // Phase 2: improve by potential among edges of (near-)equal value.
-        for &vu in members {
+        for &vu in choices {
             let v = vu as usize;
             let cur = policy[v] as usize;
             let cur_val =
                 cost[cur] - lambda[v] * f64::from(tokens[cur]) + potential[to[cur] as usize];
             let mut best_p = policy[v];
             let mut best_val = cur_val;
-            for p in csr.range(vu) {
-                let w = to[p] as usize;
-                if comp[w] != cid {
+            for &p in index.edges(vu) {
+                let pi = p as usize;
+                let w = to[pi] as usize;
+                if !uniform && lambda[w] < lambda[v] - eps {
                     continue;
                 }
-                if lambda[w] < lambda[v] - eps {
-                    continue;
-                }
-                let val = cost[p] - lambda[v] * f64::from(tokens[p]) + potential[w];
+                let val = cost[pi] - lambda[v] * f64::from(tokens[pi]) + potential[w];
                 if val > best_val + eps {
                     best_val = val;
-                    best_p = p as u32;
+                    best_p = p;
                 }
             }
             if best_p != policy[v] {
@@ -973,7 +1077,8 @@ fn howard_component(
 /// Evaluates a policy on one component: for every member vertex, the ratio
 /// of the policy cycle it reaches (`lambda`) and a potential solving
 /// `x[v] = cost − λ·tokens + x[π(v)]` along policy edges, rooted at an
-/// arbitrary vertex of each policy cycle.
+/// arbitrary vertex of each policy cycle. Returns whether every policy
+/// cycle has the bit-identical λ (then every member's λ is that value).
 #[allow(clippy::too_many_arguments)]
 fn evaluate_policy(
     csr: &Csr,
@@ -984,10 +1089,12 @@ fn evaluate_policy(
     state: &mut [u8],
     walk_pos: &mut [u32],
     path: &mut Vec<u32>,
-) -> Result<(), RatioGraphError> {
+) -> Result<bool, RatioGraphError> {
     let to = csr.targets();
     let cost = csr.costs();
     let tok = csr.token_counts();
+    let mut first_lam: Option<u64> = None;
+    let mut uniform = true;
     // 0 = unvisited, 1 = on current walk, 2 = finished.
     for &v in members {
         state[v as usize] = 0;
@@ -1020,6 +1127,7 @@ fn evaluate_policy(
                 return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
             }
             let lam = c / t as f64;
+            uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
             // Root the potential at the cycle entry point `u = cycle[0]`.
             lambda[u as usize] = lam;
             potential[u as usize] = 0.0;
@@ -1046,7 +1154,7 @@ fn evaluate_policy(
             state[v] = 2;
         }
     }
-    Ok(())
+    Ok(uniform)
 }
 
 /// Extracts the critical circuit of the converged policy: follow the policy
