@@ -116,7 +116,9 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// A parsed JSON value (owned keys, unlike the writer-side [`Json`] whose
 /// object keys are static). Used by `repwf bench --check` to read committed
-/// baselines back in and by the shard-file readers of this crate.
+/// baselines back in, and by this crate for the documents it reads whole:
+/// shard manifest lines, lease bodies and supervisor pins. Flat shard
+/// records go through `repwf_obs::ndjson` instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`
@@ -127,10 +129,9 @@ pub enum JsonValue {
     Num(f64),
     /// An unsigned-integer JSON number (plain digit run), kept exact.
     ///
-    /// Shard manifests and records carry f64 **bit patterns** and path
-    /// counts as u64/u128 integers; routing every number through f64
-    /// would silently corrupt values above 2^53, so integer tokens keep
-    /// full precision.
+    /// Shard manifests carry f64 **bit patterns** as u64 integers;
+    /// routing every number through f64 would silently corrupt values
+    /// above 2^53, so integer tokens keep full precision.
     UInt(u128),
     /// String.
     Str(String),
@@ -350,11 +351,15 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, Jso
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar (multi-byte safe).
-                        let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                        let c = rest.chars().next().expect("non-empty");
-                        out.push(c);
-                        *pos += c.len_utf8();
+                        // Copy the whole escape-free run with one UTF-8
+                        // validation: it ends at an ASCII quote, backslash
+                        // or the end of input, so it never splits a char.
+                        let start = *pos;
+                        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                            *pos += 1;
+                        }
+                        let run = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+                        out.push_str(run);
                     }
                 }
             }
@@ -460,6 +465,31 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("123 456").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One validation per character over the rest of the input made a
+        // 4 MB string value take minutes; a single pass takes milliseconds
+        // even unoptimized.
+        let long = "é".repeat(1 << 20) + &"x".repeat(2 << 20);
+        let doc = format!("{{\"note\": \"{long}\", \"n\": 1}}");
+        assert!(doc.len() > 4_000_000);
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.get("note").unwrap().as_str(), Some(long.as_str()));
+        assert_eq!(parsed.get("n").unwrap().as_u64(), Some(1));
+        assert!(elapsed.as_secs_f64() < 5.0, "4 MB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn strings_mix_multibyte_runs_and_escapes() {
+        let doc = parse(r#"{"s": "ç✓ \"q\" back\\slash caf\u00e9 é 日本\n€"}"#).unwrap();
+        assert_eq!(doc.get("s").unwrap().as_str(), Some("ç✓ \"q\" back\\slash café é 日本\n€"));
+        assert_eq!(parse(r#""\\""#).unwrap().as_str(), Some("\\"));
+        assert_eq!(parse(r#""""#).unwrap().as_str(), Some(""));
+        assert!(parse("\"é").is_err(), "unterminated after a multibyte run");
     }
 
     #[test]

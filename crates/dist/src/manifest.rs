@@ -173,7 +173,7 @@ impl ShardManifest {
             return Err(corrupt(format!(
                 "manifest claims seeds {claimed_start}..{} but shard {}/{} of this campaign \
                  owns {}..{}",
-                claimed_start + claimed_count as u64,
+                claimed_start.saturating_add(claimed_count as u64),
                 manifest.plan.shard_index,
                 manifest.plan.num_shards,
                 manifest.plan.seed_start(),

@@ -22,7 +22,11 @@
 use crate::manifest::{model_name, CampaignSpec};
 use crate::DistError;
 use repwf_gen::campaign::{CampaignAccum, CampaignResult, ExperimentOutcome};
+use std::collections::BTreeMap;
 use std::path::Path;
+
+/// Most missing shard indices one diagnosis lists by name.
+const MAX_LISTED_GAPS: usize = 256;
 
 /// A merged campaign: the spec every shard agreed on, the concatenated
 /// outcomes, and the recombined associative aggregates.
@@ -128,8 +132,7 @@ fn merge_core<P: AsRef<Path>>(paths: &[P], allow_partial: bool) -> Result<MergeR
     for path in paths {
         let path = path.as_ref();
         let name = path.display().to_string();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| DistError::Io(format!("cannot read {name}: {e}")))?;
+        let text = crate::shard::read_text(path, &name)?;
         let manifest = crate::shard::manifest_of(&text, &name)?;
         files.push((name, text, manifest));
     }
@@ -151,29 +154,32 @@ fn merge_core<P: AsRef<Path>>(paths: &[P], allow_partial: bool) -> Result<MergeR
     let all_fraction = files.iter().all(|(_, _, m)| m.plan.range_slice().is_none());
     if all_fraction && !allow_partial {
         let num_shards = first_manifest.plan.num_shards;
-        let mut slot_of_index: Vec<Option<usize>> = vec![None; num_shards];
+        // Keyed by index, not sized by `num_shards`: a manifest may
+        // declare any count, and only the files given are here.
+        let mut slot_of_index: BTreeMap<usize, usize> = BTreeMap::new();
         for (slot, (path, _, manifest)) in files.iter().enumerate() {
             let index = manifest.plan.shard_index;
-            if let Some(previous) = slot_of_index[index] {
+            if let Some(&previous) = slot_of_index.get(&index) {
                 return Err(DistError::ShardSet(format!(
                     "duplicate shard {index}/{num_shards}: {} and {path}",
                     files[previous].0
                 )));
             }
-            slot_of_index[index] = Some(slot);
+            slot_of_index.insert(index, slot);
         }
-        let missing: Vec<usize> = slot_of_index
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(index, _)| index)
+        let unlisted = num_shards - slot_of_index.len();
+        let missing: Vec<usize> = (0..num_shards)
+            .filter(|index| !slot_of_index.contains_key(index))
+            .take(MAX_LISTED_GAPS)
             .collect();
         if !missing.is_empty() {
+            let unlisted = unlisted - missing.len();
             // The historical one-line diagnosis, now followed by the
             // exact seed ranges and the command that fills each gap.
             let mut msg = format!(
-                "missing shard(s) {} of {num_shards}",
-                missing.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+                "missing shard(s) {}{} of {num_shards}",
+                missing.iter().map(ToString::to_string).collect::<Vec<_>>().join(", "),
+                if unlisted > 0 { format!(" and {unlisted} more") } else { String::new() },
             );
             for index in missing {
                 let plan = crate::ShardPlan::new(spec.seed_base, spec.count, index, num_shards)?;
@@ -233,7 +239,8 @@ fn merge_core<P: AsRef<Path>>(paths: &[P], allow_partial: bool) -> Result<MergeR
 
     // Phase 3 — walk the covers in offset order and require (exact) or
     // report (partial) a perfect tiling of `0..count`.
-    let mut outcomes: Vec<ExperimentOutcome> = Vec::with_capacity(spec.count);
+    let mut outcomes: Vec<ExperimentOutcome> =
+        Vec::with_capacity(outcomes_of.iter().map(Vec::len).sum());
     let mut accum = CampaignAccum::new();
     let mut missing: Vec<(usize, usize)> = Vec::new();
     let mut expected = 0usize;

@@ -33,6 +33,18 @@ pub struct ShardPlan {
     range: Option<(usize, usize)>,
 }
 
+/// Every seed of a campaign, `seed_base..seed_base + count`, must be a
+/// u64: then no shard's seed arithmetic can overflow.
+fn check_seed_range(seed_base: u64, count: usize) -> Result<(), DistError> {
+    match u64::try_from(count).ok().and_then(|n| seed_base.checked_add(n)) {
+        Some(_) => Ok(()),
+        None => Err(DistError::Plan(format!(
+            "seeds {seed_base}..+{count} run past the largest seed {}",
+            u64::MAX
+        ))),
+    }
+}
+
 impl ShardPlan {
     /// Builds a validated fraction plan (`num_shards >= 1`,
     /// `shard_index < num_shards`).
@@ -51,6 +63,7 @@ impl ShardPlan {
                  indices 0..{num_shards})"
             )));
         }
+        check_seed_range(seed_base, count)?;
         Ok(ShardPlan { seed_base, count, shard_index, num_shards, range: None })
     }
 
@@ -67,6 +80,7 @@ impl ShardPlan {
                 "range slice {offset}+{len} exceeds the campaign's {count} experiments"
             )));
         }
+        check_seed_range(seed_base, count)?;
         Ok(ShardPlan {
             seed_base,
             count,
@@ -166,6 +180,9 @@ mod tests {
     fn invalid_plans_are_rejected() {
         assert!(matches!(ShardPlan::new(0, 10, 0, 0), Err(DistError::Plan(_))));
         assert!(matches!(ShardPlan::new(0, 10, 3, 3), Err(DistError::Plan(_))));
+        assert!(ShardPlan::new(u64::MAX - 10, 10, 1, 2).is_ok());
+        assert!(matches!(ShardPlan::new(u64::MAX - 10, 11, 1, 2), Err(DistError::Plan(_))));
+        assert!(matches!(ShardPlan::range(u64::MAX, 1, 0, 1), Err(DistError::Plan(_))));
     }
 
     #[test]

@@ -19,6 +19,30 @@
 //! included), chained in order — cheap, streaming, and enough to catch
 //! torn or hand-edited files at merge time.
 //!
+//! # Record grammar
+//!
+//! The manifest line is read once per file with the general
+//! [`crate::json`] parser (see `manifest.rs`). Every other line is a *flat
+//! record*, encoded and decoded by the codec that traces use too
+//! ([`repwf_obs::ndjson`]):
+//!
+//! ```text
+//! record := '{' field ( ',' field )* '}'
+//! field  := '"' key '"' ':' ( digits | '"' escape-free string '"' )
+//! ```
+//!
+//! Keys may come in any order and unknown keys are ignored. Whitespace,
+//! escapes, nesting, signs and fractions are not part of the grammar, so
+//! a record decodes in one pass over its bytes, with no JSON tree and no
+//! allocation. Being stricter than JSON rejects nothing a valid file
+//! holds: no writer has ever emitted those forms (the outcome layout is
+//! the one above since the format began, and the footer's optional
+//! `covered` field is flat too), and the footer checksum binds every
+//! record's exact bytes, so a record spelled any other way fails the
+//! checksum even where JSON would accept it. A last line that does not
+//! decode is the checkpoint boundary (a torn tail) and is dropped; an
+//! interior one is [`DistError::Corrupt`].
+//!
 //! Records are appended **in seed order** even though the campaign runs
 //! shape-batched on the multi-threaded work-stealing executor (the
 //! seed-ordered sink of [`repwf_gen::campaign::run_spec`]); a killed process
@@ -29,68 +53,35 @@
 //! function of its seed, the resumed file converges to the same bytes as
 //! an uninterrupted run.
 
-use crate::json::{parse, JsonValue};
 use crate::manifest::{CampaignSpec, ShardManifest};
 use crate::DistError;
 use repwf_gen::campaign::{run_spec, ExperimentOutcome, Resolution};
 use repwf_gen::Topology;
+use repwf_obs::ndjson::{self, Value};
 use std::io::{Seek as _, Write as _};
 use std::path::Path;
 
-/// FNV-1a 64-bit running checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checksum(u64);
+pub use repwf_obs::ndjson::Checksum;
 
-impl Checksum {
-    /// The empty checksum (FNV offset basis).
-    pub fn new() -> Checksum {
-        Checksum(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds bytes in.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Lower-case 16-digit hex rendering (the footer format).
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-
-    /// The raw 64-bit state (for snapshotting mid-stream).
-    pub fn state(&self) -> u64 {
-        self.0
-    }
-
-    /// Restores a checksum from a [`state`](Checksum::state) snapshot.
-    pub fn from_state(state: u64) -> Checksum {
-        Checksum(state)
-    }
-}
-
-impl Default for Checksum {
-    fn default() -> Self {
-        Checksum::new()
-    }
+/// Appends one outcome's NDJSON line (trailing newline included) to `out`.
+pub(crate) fn push_outcome(out: &mut String, o: &ExperimentOutcome) {
+    ndjson::begin(out, "outcome");
+    ndjson::put_u64(out, "seed", o.seed);
+    ndjson::put_u128(out, "num_paths", o.num_paths);
+    ndjson::put_u64(out, "mct_bits", o.mct.to_bits());
+    ndjson::put_u64(out, "period_bits", o.period.to_bits());
+    ndjson::put_str(out, "resolution", match o.resolution {
+        Resolution::Exact => "exact",
+        Resolution::Simulated => "simulated",
+    });
+    ndjson::end(out);
 }
 
 /// Serializes one outcome as its NDJSON line (trailing newline included).
 pub fn outcome_line(o: &ExperimentOutcome) -> String {
-    format!(
-        "{{\"kind\":\"outcome\",\"seed\":{},\"num_paths\":{},\"mct_bits\":{},\
-         \"period_bits\":{},\"resolution\":\"{}\"}}\n",
-        o.seed,
-        o.num_paths,
-        o.mct.to_bits(),
-        o.period.to_bits(),
-        match o.resolution {
-            Resolution::Exact => "exact",
-            Resolution::Simulated => "simulated",
-        },
-    )
+    let mut line = String::with_capacity(160);
+    push_outcome(&mut line, o);
+    line
 }
 
 /// Renders the footer line. `short` marks a file deliberately closed
@@ -99,58 +90,95 @@ pub fn outcome_line(o: &ExperimentOutcome) -> String {
 /// scanner that `records < shard_count` is an intentional partial cover,
 /// not a truncation. Classic full shards keep the historical byte layout.
 fn footer_line(records: usize, short: bool, checksum: &Checksum) -> String {
-    let covered = if short { format!("\"covered\":{records},") } else { String::new() };
-    format!(
-        "{{\"kind\":\"footer\",\"records\":{records},{covered}\"checksum\":\"{}\"}}\n",
-        checksum.hex()
-    )
+    let mut line = String::new();
+    ndjson::begin(&mut line, "footer");
+    ndjson::put_u64(&mut line, "records", records as u64);
+    if short {
+        ndjson::put_u64(&mut line, "covered", records as u64);
+    }
+    ndjson::put_str(&mut line, "checksum", &checksum.hex());
+    ndjson::end(&mut line);
+    line
 }
 
 /// A classified non-manifest shard line.
-enum Record {
+enum Record<'a> {
     Outcome(ExperimentOutcome),
-    Footer { records: usize, covered: Option<usize>, checksum: String },
+    Footer { records: usize, covered: Option<usize>, checksum: &'a str },
 }
 
-fn parse_record(line: &str) -> Result<Record, String> {
-    let doc = parse(line).map_err(|e| format!("unparseable line: {e}"))?;
-    let kind = doc
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or("line has no \"kind\" field")?;
-    let u64_field = |key: &str| -> Result<u64, String> {
-        doc.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("field {key:?} missing or not an integer"))
-    };
-    match kind {
+/// The fields of an outcome or footer line, first occurrence of each key.
+#[derive(Default)]
+struct RecordFields<'a> {
+    kind: Option<Value<'a>>,
+    seed: Option<Value<'a>>,
+    num_paths: Option<Value<'a>>,
+    mct_bits: Option<Value<'a>>,
+    period_bits: Option<Value<'a>>,
+    resolution: Option<Value<'a>>,
+    records: Option<Value<'a>>,
+    covered: Option<Value<'a>>,
+    checksum: Option<Value<'a>>,
+}
+
+fn u128_field(value: Option<Value<'_>>, key: &str) -> Result<u128, String> {
+    match value {
+        Some(Value::Uint(n)) => Ok(n),
+        _ => Err(format!("field {key:?} missing or not an integer")),
+    }
+}
+
+fn u64_field(value: Option<Value<'_>>, key: &str) -> Result<u64, String> {
+    u64::try_from(u128_field(value, key)?)
+        .map_err(|_| format!("field {key:?} missing or not an integer"))
+}
+
+fn str_field(value: Option<Value<'_>>) -> Option<&str> {
+    match value {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Decodes one outcome or footer line (without its newline) in a single
+/// pass over its fields; no JSON tree is built.
+fn parse_record(line: &str) -> Result<Record<'_>, String> {
+    let mut f = RecordFields::default();
+    for field in ndjson::fields(line) {
+        let (key, value) = field.map_err(|e| format!("unparseable line: {e}"))?;
+        let slot = match key {
+            "kind" => &mut f.kind,
+            "seed" => &mut f.seed,
+            "num_paths" => &mut f.num_paths,
+            "mct_bits" => &mut f.mct_bits,
+            "period_bits" => &mut f.period_bits,
+            "resolution" => &mut f.resolution,
+            "records" => &mut f.records,
+            "covered" => &mut f.covered,
+            "checksum" => &mut f.checksum,
+            _ => continue,
+        };
+        slot.get_or_insert(value);
+    }
+    match str_field(f.kind).ok_or("line has no \"kind\" field")? {
         "outcome" => Ok(Record::Outcome(ExperimentOutcome {
-            seed: u64_field("seed")?,
-            num_paths: doc
-                .get("num_paths")
-                .and_then(JsonValue::as_u128)
-                .ok_or("field \"num_paths\" missing or not an integer")?,
-            mct: f64::from_bits(u64_field("mct_bits")?),
-            period: f64::from_bits(u64_field("period_bits")?),
-            resolution: match doc.get("resolution").and_then(JsonValue::as_str) {
+            seed: u64_field(f.seed, "seed")?,
+            num_paths: u128_field(f.num_paths, "num_paths")?,
+            mct: f64::from_bits(u64_field(f.mct_bits, "mct_bits")?),
+            period: f64::from_bits(u64_field(f.period_bits, "period_bits")?),
+            resolution: match str_field(f.resolution) {
                 Some("exact") => Resolution::Exact,
                 Some("simulated") => Resolution::Simulated,
                 other => return Err(format!("unknown resolution {other:?}")),
             },
         })),
         "footer" => Ok(Record::Footer {
-            records: u64_field("records")? as usize,
-            covered: match doc.get("covered") {
+            records: u64_field(f.records, "records")? as usize,
+            covered: match f.covered {
                 None => None,
-                Some(v) => Some(
-                    v.as_u64().ok_or("footer field \"covered\" is not an integer")? as usize,
-                ),
+                Some(_) => Some(u64_field(f.covered, "covered")? as usize),
             },
-            checksum: doc
-                .get("checksum")
-                .and_then(JsonValue::as_str)
-                .ok_or("footer has no \"checksum\"")?
-                .to_string(),
+            checksum: str_field(f.checksum).ok_or("footer has no \"checksum\"")?,
         }),
         other => Err(format!("unknown line kind {other:?}")),
     }
@@ -310,12 +338,21 @@ pub(crate) fn read_complete(
     Ok((scan.manifest, scan.outcomes))
 }
 
+/// Reads a shard file's text: a filesystem failure is [`DistError::Io`],
+/// bytes that are not UTF-8 are [`DistError::Corrupt`].
+pub(crate) fn read_text(path: &Path, name: &str) -> Result<String, DistError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| DistError::Io(format!("cannot read {name}: {e}")))?;
+    String::from_utf8(bytes).map_err(|e| DistError::Corrupt {
+        path: name.to_string(),
+        reason: format!("not UTF-8 at byte {}", e.utf8_error().valid_up_to()),
+    })
+}
+
 /// Reads a **complete** shard file from disk (see `read_complete`).
 pub fn read_shard(path: &Path) -> Result<(ShardManifest, Vec<ExperimentOutcome>), DistError> {
     let name = path.display().to_string();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| DistError::Io(format!("cannot read {name}: {e}")))?;
-    read_complete(&text, &name)
+    read_complete(&read_text(path, &name)?, &name)
 }
 
 /// Buffered, checksummed writer of one shard (or supervisor range) file.
@@ -334,8 +371,8 @@ pub fn read_shard(path: &Path) -> Result<(ShardManifest, Vec<ExperimentOutcome>)
 pub(crate) struct ShardWriter {
     file: std::fs::File,
     name: String,
-    /// Unflushed tail bytes (records accepted but not yet written out).
-    buf: Vec<u8>,
+    /// Unflushed tail (records accepted but not yet written out).
+    buf: String,
     flush_every: usize,
     /// `offsets[k]` = file byte length after `k` records (offsets[0] is
     /// the manifest line).
@@ -372,8 +409,10 @@ impl ShardWriter {
         let mut len = manifest_len;
         offsets.push(len);
         checksums.push(checksum.state());
+        let mut line = String::new();
         for outcome in outcomes {
-            let line = outcome_line(outcome);
+            line.clear();
+            push_outcome(&mut line, outcome);
             checksum.update(line.as_bytes());
             len += line.len() as u64;
             offsets.push(len);
@@ -382,7 +421,7 @@ impl ShardWriter {
         ShardWriter {
             file,
             name,
-            buf: Vec::new(),
+            buf: String::new(),
             flush_every: flush_every.max(1),
             offsets,
             checksums,
@@ -392,12 +431,13 @@ impl ShardWriter {
         }
     }
 
-    /// Records accepted so far (flushed + buffered).
-    /// Appends one record, flushing at the cadence.
+    /// Appends one record, encoded straight into the buffer, flushing at
+    /// the cadence.
     pub(crate) fn append(&mut self, outcome: &ExperimentOutcome) -> Result<(), DistError> {
-        let line = outcome_line(outcome);
-        self.checksum.update(line.as_bytes());
-        self.buf.extend_from_slice(line.as_bytes());
+        let start = self.buf.len();
+        push_outcome(&mut self.buf, outcome);
+        let line = &self.buf.as_bytes()[start..];
+        self.checksum.update(line);
         self.offsets.push(self.offsets[self.written] + line.len() as u64);
         self.checksums.push(self.checksum.state());
         self.written += 1;
@@ -410,8 +450,8 @@ impl ShardWriter {
     /// Writes the buffered tail out to the file.
     pub(crate) fn flush(&mut self) -> Result<(), DistError> {
         if !self.buf.is_empty() {
-            let buf = std::mem::take(&mut self.buf);
-            self.file.write_all(&buf).map_err(|e| self.io(e))?;
+            self.file.write_all(self.buf.as_bytes()).map_err(|e| self.io(e))?;
+            self.buf.clear();
         }
         self.flushed = self.written;
         Ok(())

@@ -9,8 +9,8 @@
 //!   path) whose snapshots merge associatively and commutatively — the same
 //!   discipline as `CampaignAccum`.
 //! * **Trace sink**: an NDJSON file (`repwf-trace/v1`) with one record per
-//!   span/event and an FNV-checksummed footer, following the
-//!   `repwf_dist::shard` writer conventions.
+//!   span/event and an FNV-checksummed footer, written and read through
+//!   [`ndjson`], the flat-record codec `repwf_dist::shard` uses too.
 //!
 //! **Overhead policy.** Telemetry is off by default; every instrumentation
 //! site reduces to a single relaxed atomic load (`enabled()`) returning
@@ -21,6 +21,7 @@
 //! that invariant.
 
 mod metrics;
+pub mod ndjson;
 pub mod report;
 mod sink;
 mod span;
@@ -29,7 +30,7 @@ pub use metrics::{
     bucket_of, snapshot, CounterId, MetricsSnapshot, SpanId, SpanStat, NUM_BUCKETS, NUM_COUNTERS,
     NUM_SPANS,
 };
-pub use sink::Checksum;
+pub use ndjson::Checksum;
 pub use span::{thread_id, SpanGuard};
 
 use std::io;

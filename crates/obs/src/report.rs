@@ -2,118 +2,15 @@
 //!
 //! Records are flat single-line JSON objects whose values are either quoted
 //! strings (no escapes — the writer only emits fixed identifiers) or u64
-//! integers, so a tiny purpose-built scanner suffices. The reader validates
-//! the header format tag, the footer record count, and the FNV-1a/64 checksum
+//! integers, read by the shared flat-record codec ([`crate::ndjson`]) that
+//! the shard scanner of `repwf_dist` uses too. The reader validates the
+//! header format tag, the footer record count, and the FNV-1a/64 checksum
 //! before summarizing; a truncated or corrupted trace is an error, never a
 //! silently partial report.
 
-use crate::sink::Checksum;
+use crate::ndjson::{Checksum, Record};
 use std::fs;
 use std::path::Path;
-
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    Str(String),
-    Num(u64),
-}
-
-/// One parsed record line: ordered `(key, value)` pairs.
-#[derive(Clone, Debug)]
-pub struct Record {
-    pub fields: Vec<(String, Value)>,
-}
-
-impl Record {
-    pub fn str_field(&self, key: &str) -> Option<&str> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            Value::Str(s) if k == key => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    pub fn num_field(&self, key: &str) -> Option<u64> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            Value::Num(n) if k == key => Some(*n),
-            _ => None,
-        })
-    }
-}
-
-/// Parse one flat record line. Strict about shape (it guards CI validation)
-/// but independent of field order.
-pub fn parse_line(line: &str) -> Result<Record, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let err = |what: &str, pos: usize| format!("trace record byte {pos}: {what}");
-    if bytes.first() != Some(&b'{') {
-        return Err(err("expected '{'", 0));
-    }
-    pos += 1;
-    let mut fields = Vec::new();
-    loop {
-        if bytes.get(pos) == Some(&b'}') {
-            pos += 1;
-            break;
-        }
-        if bytes.get(pos) != Some(&b'"') {
-            return Err(err("expected '\"' starting a key", pos));
-        }
-        pos += 1;
-        let kstart = pos;
-        while pos < bytes.len() && bytes[pos] != b'"' {
-            pos += 1;
-        }
-        if pos >= bytes.len() {
-            return Err(err("unterminated key", kstart));
-        }
-        let key = line[kstart..pos].to_string();
-        pos += 1;
-        if bytes.get(pos) != Some(&b':') {
-            return Err(err("expected ':'", pos));
-        }
-        pos += 1;
-        let value = if bytes.get(pos) == Some(&b'"') {
-            pos += 1;
-            let vstart = pos;
-            while pos < bytes.len() && bytes[pos] != b'"' {
-                pos += 1;
-            }
-            if pos >= bytes.len() {
-                return Err(err("unterminated string value", vstart));
-            }
-            let v = Value::Str(line[vstart..pos].to_string());
-            pos += 1;
-            v
-        } else {
-            let vstart = pos;
-            while pos < bytes.len() && bytes[pos].is_ascii_digit() {
-                pos += 1;
-            }
-            if pos == vstart {
-                return Err(err("expected a u64 or quoted string value", pos));
-            }
-            let n = line[vstart..pos]
-                .parse::<u64>()
-                .map_err(|e| err(&format!("bad integer: {e}"), vstart))?;
-            Value::Num(n)
-        };
-        fields.push((key, value));
-        match bytes.get(pos) {
-            Some(&b',') => {
-                pos += 1;
-                if bytes.get(pos) == Some(&b'}') {
-                    return Err(err("trailing comma", pos));
-                }
-            }
-            Some(&b'}') => {}
-            _ => return Err(err("expected ',' or '}'", pos)),
-        }
-    }
-    if pos != bytes.len() {
-        return Err(err("trailing bytes after '}'", pos));
-    }
-    Ok(Record { fields })
-}
 
 /// Per-phase (per span name) totals with exact percentiles computed from the
 /// raw span records.
@@ -184,17 +81,17 @@ pub fn read_trace(path: &Path) -> Result<TraceReport, String> {
         if footer.is_some() {
             return Err("records after the footer".to_string());
         }
-        let rec = parse_line(line)?;
-        let kind = rec.str_field("kind").ok_or("record without \"kind\"")?.to_string();
+        let rec = Record::parse(line).map_err(|e| format!("trace record {e}"))?;
+        let kind = rec.str("kind").ok_or("record without \"kind\"")?;
         if lines == 0 {
             if kind != "trace" {
                 return Err(format!("first record kind is \"{kind}\", expected \"trace\""));
             }
-            match rec.str_field("format") {
+            match rec.str("format") {
                 Some("repwf-trace/v1") => {}
                 other => return Err(format!("unsupported trace format {other:?}")),
             }
-            command = rec.str_field("command").unwrap_or("?").to_string();
+            command = rec.str("command").unwrap_or("?").to_string();
         }
         if kind == "footer" {
             footer = Some(rec);
@@ -203,13 +100,13 @@ pub fn read_trace(path: &Path) -> Result<TraceReport, String> {
         sum.update(line.as_bytes());
         sum.update(b"\n");
         lines += 1;
-        match kind.as_str() {
+        match kind {
             "trace" => {}
             "span" => {
-                let name = rec.str_field("name").ok_or("span without name")?;
-                let dur = rec.num_field("dur_ns").ok_or("span without dur_ns")?;
-                let tid = rec.num_field("tid").ok_or("span without tid")?;
-                let depth = rec.num_field("depth").ok_or("span without depth")?;
+                let name = rec.str("name").ok_or("span without name")?;
+                let dur = rec.u64("dur_ns").ok_or("span without dur_ns")?;
+                let tid = rec.u64("tid").ok_or("span without tid")?;
+                let depth = rec.u64("depth").ok_or("span without depth")?;
                 if name == "command" {
                     main_tid = tid;
                 }
@@ -228,36 +125,36 @@ pub fn read_trace(path: &Path) -> Result<TraceReport, String> {
                 }
             }
             "event" => {
-                let name = rec.str_field("name").ok_or("event without name")?;
+                let name = rec.str("name").ok_or("event without name")?;
                 match events.iter_mut().find(|(n, _)| n == name) {
                     Some((_, c)) => *c += 1,
                     None => events.push((name.to_string(), 1)),
                 }
             }
             "counter" => {
-                let name = rec.str_field("name").ok_or("counter without name")?.to_string();
-                let value = rec.num_field("value").ok_or("counter without value")?;
+                let name = rec.str("name").ok_or("counter without name")?.to_string();
+                let value = rec.u64("value").ok_or("counter without value")?;
                 counters.push((name, value));
             }
             "spanstat" => {
                 // Aggregate form of the per-span records; the summary below is
                 // rebuilt from the raw spans, so these only need to parse.
-                rec.str_field("name").ok_or("spanstat without name")?;
+                rec.str("name").ok_or("spanstat without name")?;
             }
             other => return Err(format!("unknown record kind \"{other}\"")),
         }
     }
 
     let footer = footer.ok_or("trace has no footer (truncated or still being written)")?;
-    let want_records = footer.num_field("records").ok_or("footer without records")?;
+    let want_records = footer.u64("records").ok_or("footer without records")?;
     if want_records != lines {
         return Err(format!("footer declares {want_records} records, found {lines}"));
     }
-    let want_sum = footer.str_field("checksum").ok_or("footer without checksum")?;
+    let want_sum = footer.str("checksum").ok_or("footer without checksum")?;
     if want_sum != sum.hex() {
         return Err(format!("checksum mismatch: footer {want_sum}, computed {}", sum.hex()));
     }
-    let total_ns = footer.num_field("total_ns").ok_or("footer without total_ns")?;
+    let total_ns = footer.u64("total_ns").ok_or("footer without total_ns")?;
 
     let mut phases: Vec<PhaseStat> = durs
         .into_iter()
@@ -312,27 +209,6 @@ pub fn read_trace(path: &Path) -> Result<TraceReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_flat_records() {
-        let r = parse_line("{\"kind\":\"span\",\"name\":\"solve\",\"tid\":3,\"dur_ns\":42}")
-            .unwrap();
-        assert_eq!(r.str_field("kind"), Some("span"));
-        assert_eq!(r.str_field("name"), Some("solve"));
-        assert_eq!(r.num_field("tid"), Some(3));
-        assert_eq!(r.num_field("dur_ns"), Some(42));
-        assert_eq!(r.num_field("missing"), None);
-    }
-
-    #[test]
-    fn rejects_malformed_records() {
-        assert!(parse_line("").is_err());
-        assert!(parse_line("{").is_err());
-        assert!(parse_line("{\"k\":}").is_err());
-        assert!(parse_line("{\"k\":1,}").is_err());
-        assert!(parse_line("{\"k\":1} trailing").is_err());
-        assert!(parse_line("{\"k\":-1}").is_err());
-    }
 
     #[test]
     fn percentiles_on_small_samples() {

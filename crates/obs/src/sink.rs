@@ -14,60 +14,36 @@
 //!
 //! Every record is one line; all values are u64 (durations are integer
 //! nanoseconds — any f64 a future record needs must be stored as its u64 bit
-//! pattern, the same rule the shard format uses). The checksum is FNV-1a/64
-//! over every byte of every line before the footer, newlines included, so
-//! `repwf trace report` can detect truncation and corruption exactly like the
-//! shard scanner does. `records` counts the checksummed lines.
+//! pattern, the same rule the shard format uses). Lines are spelled by the
+//! shared flat-record codec ([`crate::ndjson`]): each record is encoded
+//! field by field into one reused line buffer under the sink lock. The
+//! checksum is FNV-1a/64 over every byte of every line before the footer,
+//! newlines included, so `repwf trace report` can detect truncation and
+//! corruption exactly like the shard scanner does. `records` counts the
+//! checksummed lines.
 
+use crate::ndjson::{self, Checksum};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
-
-/// FNV-1a 64-bit running checksum (same parameters as `repwf_dist::shard`).
-pub struct Checksum(u64);
-
-impl Checksum {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub fn new() -> Self {
-        Checksum(Self::OFFSET)
-    }
-
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
-impl Default for Checksum {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 struct TraceSink {
     w: BufWriter<File>,
     sum: Checksum,
     records: u64,
     start_ns: u64,
+    /// The line being encoded (reused; holds its trailing newline).
+    line: String,
 }
 
 impl TraceSink {
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        self.w.write_all(line.as_bytes())?;
-        self.w.write_all(b"\n")?;
-        self.sum.update(line.as_bytes());
-        self.sum.update(b"\n");
+    /// Encodes one record with `encode` and appends it as a checksummed line.
+    fn write_record(&mut self, encode: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.line.clear();
+        encode(&mut self.line);
+        self.w.write_all(self.line.as_bytes())?;
+        self.sum.update(self.line.as_bytes());
         self.records += 1;
         Ok(())
     }
@@ -82,10 +58,14 @@ pub(crate) fn install(path: &Path, command: &str) -> io::Result<()> {
         sum: Checksum::new(),
         records: 0,
         start_ns: crate::now_ns(),
+        line: String::new(),
     };
-    sink.write_line(&format!(
-        "{{\"kind\":\"trace\",\"format\":\"repwf-trace/v1\",\"command\":\"{command}\"}}"
-    ))?;
+    sink.write_record(|line| {
+        ndjson::begin(line, "trace");
+        ndjson::put_str(line, "format", "repwf-trace/v1");
+        ndjson::put_str(line, "command", command);
+        ndjson::end(line);
+    })?;
     *SINK.lock().unwrap() = Some(sink);
     Ok(())
 }
@@ -93,26 +73,35 @@ pub(crate) fn install(path: &Path, command: &str) -> io::Result<()> {
 /// Append one record line if a sink is installed. Errors are swallowed here
 /// (spans drop in hot paths that cannot return `io::Result`); `finish` flushes
 /// with error propagation, so a dying disk still fails the command visibly.
-fn append(line: &str) {
+fn append(encode: impl FnOnce(&mut String)) {
     if let Some(sink) = SINK.lock().unwrap().as_mut() {
-        let _ = sink.write_line(line);
+        let _ = sink.write_record(encode);
     }
 }
 
 pub(crate) fn record_span(name: &str, tid: u64, depth: u32, start_ns: u64, dur_ns: u64) {
-    append(&format!(
-        "{{\"kind\":\"span\",\"name\":\"{name}\",\"tid\":{tid},\"depth\":{depth},\
-         \"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}"
-    ));
+    append(|line| {
+        ndjson::begin(line, "span");
+        ndjson::put_str(line, "name", name);
+        ndjson::put_u64(line, "tid", tid);
+        ndjson::put_u64(line, "depth", u64::from(depth));
+        ndjson::put_u64(line, "start_ns", start_ns);
+        ndjson::put_u64(line, "dur_ns", dur_ns);
+        ndjson::end(line);
+    });
 }
 
 pub(crate) fn record_event(name: &str, tid: u64, at_ns: u64, fields: &[(&str, u64)]) {
-    let mut line = format!("{{\"kind\":\"event\",\"name\":\"{name}\",\"tid\":{tid},\"at_ns\":{at_ns}");
-    for (k, v) in fields {
-        line.push_str(&format!(",\"{k}\":{v}"));
-    }
-    line.push('}');
-    append(&line);
+    append(|line| {
+        ndjson::begin(line, "event");
+        ndjson::put_str(line, "name", name);
+        ndjson::put_u64(line, "tid", tid);
+        ndjson::put_u64(line, "at_ns", at_ns);
+        for &(k, v) in fields {
+            ndjson::put_u64(line, k, v);
+        }
+        ndjson::end(line);
+    });
 }
 
 /// Flush the final metrics snapshot and the checksummed footer, then close.
@@ -129,24 +118,26 @@ pub(crate) fn finish(snap: &crate::MetricsSnapshot) -> io::Result<()> {
     for id in crate::CounterId::ALL {
         let v = snap.counter(id);
         if v > 0 {
-            sink.write_line(&format!(
-                "{{\"kind\":\"counter\",\"name\":\"{}\",\"value\":{v}}}",
-                id.name()
-            ))?;
+            sink.write_record(|line| {
+                ndjson::begin(line, "counter");
+                ndjson::put_str(line, "name", id.name());
+                ndjson::put_u64(line, "value", v);
+                ndjson::end(line);
+            })?;
         }
     }
     for id in crate::SpanId::ALL {
         let s = snap.span(id);
         if s.count > 0 {
-            sink.write_line(&format!(
-                "{{\"kind\":\"spanstat\",\"name\":\"{}\",\"count\":{},\"sum_ns\":{},\
-                 \"min_ns\":{},\"max_ns\":{}}}",
-                id.name(),
-                s.count,
-                s.sum_ns,
-                s.min_ns,
-                s.max_ns
-            ))?;
+            sink.write_record(|line| {
+                ndjson::begin(line, "spanstat");
+                ndjson::put_str(line, "name", id.name());
+                ndjson::put_u64(line, "count", s.count);
+                ndjson::put_u64(line, "sum_ns", s.sum_ns);
+                ndjson::put_u64(line, "min_ns", s.min_ns);
+                ndjson::put_u64(line, "max_ns", s.max_ns);
+                ndjson::end(line);
+            })?;
         }
     }
     // Durability discipline from the shard writer: data is flushed and synced
@@ -154,32 +145,14 @@ pub(crate) fn finish(snap: &crate::MetricsSnapshot) -> io::Result<()> {
     // checksummed byte above it reached the file.
     sink.w.flush()?;
     sink.w.get_ref().sync_all()?;
-    let footer = format!(
-        "{{\"kind\":\"footer\",\"records\":{},\"total_ns\":{},\"checksum\":\"{}\"}}",
-        sink.records,
-        total_ns,
-        sink.sum.hex()
-    );
+    let mut footer = String::new();
+    ndjson::begin(&mut footer, "footer");
+    ndjson::put_u64(&mut footer, "records", sink.records);
+    ndjson::put_u64(&mut footer, "total_ns", total_ns);
+    ndjson::put_str(&mut footer, "checksum", &sink.sum.hex());
+    ndjson::end(&mut footer);
     sink.w.write_all(footer.as_bytes())?;
-    sink.w.write_all(b"\n")?;
     sink.w.flush()?;
     sink.w.get_ref().sync_all()?;
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Classic FNV-1a/64 test vectors.
-        let mut c = Checksum::new();
-        assert_eq!(c.hex(), "cbf29ce484222325");
-        c.update(b"a");
-        assert_eq!(c.hex(), "af63dc4c8601ec8c");
-        let mut c2 = Checksum::new();
-        c2.update(b"foobar");
-        assert_eq!(c2.hex(), "85944171f73967e8");
-    }
 }
