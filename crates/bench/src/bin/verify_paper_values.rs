@@ -1,5 +1,5 @@
 //! Verifies every numeric claim of the paper against this implementation
-//! and prints a paper-vs-measured table (the source for EXPERIMENTS.md).
+//! and prints a paper-vs-measured table.
 
 use repwf_core::cycle_time::max_cycle_time;
 use repwf_core::fixtures::{example_a, example_b, example_c};

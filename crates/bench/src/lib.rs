@@ -2,7 +2,8 @@
 //!
 //! The real content of this crate is its binaries (`src/bin/*.rs`), one per
 //! table or figure of the paper, and its criterion benches (`benches/`).
-//! See DESIGN.md §5 for the artifact ↔ binary index.
+//! README's "Reproducing the paper's artifacts" table maps each artifact
+//! to its command.
 
 /// Formats a floating period like the paper (one decimal).
 pub fn fmt_period(p: f64) -> String {

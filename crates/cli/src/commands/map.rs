@@ -8,7 +8,7 @@ use repwf_core::model::{CommModel, Mapping, Pipeline, Platform};
 use repwf_core::period::{Method, PeriodError};
 use repwf_core::tpn_build::BuildOptions;
 use repwf_map::annealing::{anneal, AnnealOptions};
-use repwf_map::exact::{solve, ExactOptions, ExactResult};
+use repwf_map::exact::{search_space_size, solve, ExactError, ExactOptions, ExactResult};
 use repwf_map::{optimize, SearchOptions, SearchResult};
 
 const HELP: &str = "\
@@ -28,7 +28,8 @@ OPTIONS:
   --model M          overlap | strict (default: overlap)
   --steps N          annealing steps for the heuristic (default: 1500)
   --seed S           heuristic RNG seed (default: 0)
-  --exact            certified optimum by branch-and-bound (small n, p!)
+  --exact            certified optimum by branch-and-bound (small n, p!);
+                     a space that overflows u128 is refused (exit 2)
   --certify          heuristic + exact + optimality gap
   --cap N            TPN transition cap for exact evaluations
                      (default: 4000000); an over-cap candidate is a hard
@@ -143,6 +144,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     } else {
         "heuristic"
     };
+
+    // `solve` refuses an overflowing space itself; checking first spares
+    // `--certify` a heuristic run whose bound nothing would use.
+    let (stages, procs) = (pipeline.num_stages(), platform.num_procs());
+    if run_exact && search_space_size(stages, procs).is_none() {
+        return Err(ExactError::SpaceOverflow { stages, procs }.to_string());
+    }
 
     // Heuristic: multi-start local search, refined by annealing from its
     // incumbent; keep whichever is better.

@@ -508,6 +508,18 @@ fn map_exact_on_workflow_json_is_identical_at_any_thread_count() {
 }
 
 #[test]
+fn exact_search_on_example_c_is_refused_up_front() {
+    // 4 stages on 64 processors: about 1.3e94 leaves, beyond u128.
+    for mode in ["--exact", "--certify"] {
+        let (out, err, code) = repwf_env(&["map", "--example", "c", mode], &[]);
+        assert_eq!(code, Some(2), "{mode}: stdout {out}");
+        assert!(out.is_empty(), "{mode}: {out}");
+        assert!(err.contains("4 stages on 64 processors"), "{mode}: {err}");
+        assert!(err.contains("u128"), "{mode}: {err}");
+    }
+}
+
+#[test]
 fn deeply_nested_workflow_json_fails_with_a_diagnosis() {
     let dir = std::env::temp_dir().join(format!("repwf-deep-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

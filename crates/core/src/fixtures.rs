@@ -14,8 +14,7 @@
 //! The source PDF's figure labels are partly unreadable; the 18 numeric
 //! labels of Example A and the {100, 1000} structure of Example B were
 //! recovered by constrained search against the published periods (see
-//! `repwf-bench`, bins `reconstruct_example_a` / `reconstruct_example_b`,
-//! and DESIGN.md §4).
+//! `repwf-bench`, bins `reconstruct_example_a` / `reconstruct_example_b`).
 
 use crate::model::{Instance, Mapping, Pipeline, Platform};
 

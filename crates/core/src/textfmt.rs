@@ -200,7 +200,8 @@ pub fn from_text(text: &str) -> Result<Instance, TextError> {
 mod tests {
     use super::*;
     use crate::fixtures::{example_a, example_b};
-    use crate::model::MAX_PROCS;
+    use crate::model::{CommModel, MAX_PROCS};
+    use crate::period::{compute_period, Method};
 
     #[test]
     fn round_trip_examples() {
@@ -336,5 +337,76 @@ mod tests {
         // processor reused across stages
         let text = "workflow v1\nstages 1 1\nfiles 1\nspeeds 1 1\nmap 0 0\nmap 1 0\n";
         assert!(matches!(from_text(text), Err(TextError::Model(ModelError::ProcessorReused(0)))));
+    }
+
+    /// Tokens that replace one space-separated token of a valid document
+    /// ("" deletes it).
+    const HOSTILE_TOKENS: [&str; 10] =
+        ["NaN", "5e-324", "18446744073709551615", "-1", "inf", "0", "1e308", "x", "", "map"];
+    /// Lines inserted into a valid document; `None` duplicates one of its
+    /// `map` lines.
+    const HOSTILE_LINES: [Option<&str>; 8] = [
+        Some("edge 5 1 1"),
+        None,
+        Some("map 0"),
+        Some("speeds"),
+        Some("bandwidth 0 0 0"),
+        Some("default-bandwidth 0"),
+        Some("workflow v1"),
+        Some("stages 18446744073709551615"),
+    ];
+
+    /// Damages `valid` by `mode`: 0 arbitrary bytes, 1 truncation, 2 a
+    /// single-byte flip, 3 a token splice, 4 a line splice.
+    fn damage(valid: &str, mode: usize, frac: f64, mask: u8, pick: usize, junk: &[u8]) -> String {
+        let bytes = valid.as_bytes();
+        let at = ((bytes.len() as f64 * frac) as usize).min(bytes.len() - 1);
+        match mode {
+            0 => String::from_utf8_lossy(junk).into_owned(),
+            1 => String::from_utf8_lossy(&bytes[..at]).into_owned(),
+            2 => {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= mask;
+                String::from_utf8_lossy(&flipped).into_owned()
+            }
+            3 => {
+                let mut tokens: Vec<&str> = valid.split(' ').collect();
+                let k = at % tokens.len();
+                tokens[k] = HOSTILE_TOKENS[pick % HOSTILE_TOKENS.len()];
+                tokens.join(" ")
+            }
+            _ => {
+                let mut lines: Vec<&str> = valid.lines().collect();
+                let dup = lines.iter().copied().find(|l| l.starts_with("map ")).unwrap();
+                let line = HOSTILE_LINES[pick % HOSTILE_LINES.len()].unwrap_or(dup);
+                lines.insert(at % (lines.len() + 1), line);
+                lines.join("\n")
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn hostile_text_is_a_typed_error_or_a_solvable_instance(
+            example in 0usize..2,
+            mode in 0usize..5,
+            frac in 0.0f64..1.0,
+            (mask, pick) in (1u8..=255, 0usize..64),
+            junk in proptest::collection::vec(0u8..=255, 0..96),
+        ) {
+            let valid = to_text(&if example == 0 { example_a() } else { example_b() });
+            let text = damage(&valid, mode, frac, mask, pick, &junk);
+            let run = std::panic::catch_unwind(|| {
+                // Every `Ok` instance must solve or fail with a typed error.
+                if let Ok(inst) = from_text(&text) {
+                    for model in [CommModel::Overlap, CommModel::Strict] {
+                        let _ = compute_period(&inst, model, Method::Auto);
+                    }
+                }
+            });
+            proptest::prop_assert!(run.is_ok(), "panicked on {text:?}");
+        }
     }
 }

@@ -3,9 +3,9 @@
 //! The paper draws processor speeds and link bandwidths so that computation
 //! and communication times fall uniformly within the Table 2 ranges. The
 //! `w/Π` model cannot produce independently-uniform per-pair times, so we
-//! use the shape-preserving scheme documented in DESIGN.md §4: with
-//! heterogeneity factor `s = min(2, hi/lo)`, draw speeds `Π_u ~ U(1, s)` and
-//! works `w_k ~ U(lo·s, hi)`; every resulting time `w_k/Π_u` then lies in
+//! use a shape-preserving scheme: with heterogeneity factor
+//! `s = min(2, hi/lo)`, draw speeds `Π_u ~ U(1, s)` and works
+//! `w_k ~ U(lo·s, hi)`; every resulting time `w_k/Π_u` then lies in
 //! `[lo, hi]` (same construction for bandwidths and file sizes).
 
 use rand::Rng;

@@ -141,6 +141,15 @@ pub enum ExactError {
         /// The solver's diagnosis.
         message: String,
     },
+    /// The space has more leaves than a `u128` counts
+    /// ([`search_space_size`] overflowed). Refused before any task
+    /// starts: an exhaustive search of that size cannot finish.
+    SpaceOverflow {
+        /// Pipeline stages.
+        stages: usize,
+        /// Platform processors.
+        procs: usize,
+    },
 }
 
 impl std::fmt::Display for ExactError {
@@ -155,6 +164,11 @@ impl std::fmt::Display for ExactError {
             ExactError::Analysis { mapping, message } => {
                 write!(f, "exact search aborted on candidate {:?}: {message}", mapping.assignment())
             }
+            ExactError::SpaceOverflow { stages, procs } => write!(
+                f,
+                "exact search refused: {stages} stages on {procs} processors have more \
+                 ordered mappings than a u128 counts; an exhaustive search cannot finish"
+            ),
         }
     }
 }
@@ -172,7 +186,8 @@ pub struct ExactResult {
     /// Scheduling-independent node/prune counters.
     pub stats: ExactStats,
     /// Total number of leaves in the search space
-    /// ([`search_space_size`]); `None` on `u128` overflow.
+    /// ([`search_space_size`]). Always `Some` from [`solve`], which
+    /// refuses an overflowing space with [`ExactError::SpaceOverflow`].
     pub space: Option<u128>,
 }
 
@@ -339,7 +354,8 @@ struct TaskOut {
 /// Finds the throughput-optimal mapping by deterministic parallel
 /// branch-and-bound (see the module docs for the bound hierarchy and the
 /// determinism argument). Returns `best: None` when every mapping is
-/// infeasible; errors when any candidate cannot be evaluated *exactly*.
+/// infeasible; errors when any candidate cannot be evaluated *exactly*,
+/// or up front when the space overflows `u128`.
 pub fn solve(
     pipeline: &Pipeline,
     platform: &Platform,
@@ -348,6 +364,9 @@ pub fn solve(
     let n = pipeline.num_stages();
     let p = platform.num_procs();
     let space = search_space_size(n, p);
+    if space.is_none() {
+        return Err(ExactError::SpaceOverflow { stages: n, procs: p });
+    }
     if p < n {
         return Ok(ExactResult { best: None, stats: ExactStats::default(), space });
     }
@@ -441,6 +460,20 @@ mod tests {
         assert_eq!(search_space_size(3, 3), Some(6));
         assert_eq!(search_space_size(2, 1), Some(0));
         assert_eq!(search_space_size(0, 3), Some(1));
+    }
+
+    #[test]
+    fn overflowing_space_is_refused_before_any_task() {
+        // Four stages overflow u128 from 32 processors on.
+        assert!(search_space_size(4, 31).is_some());
+        assert_eq!(search_space_size(4, 32), None);
+        // Example C's shape: 4 stages on 64 processors.
+        let pipe = Pipeline::new(vec![1.0; 4], vec![1.0; 3]).unwrap();
+        let plat = Platform::uniform(64, 1.0, 1.0);
+        let err = solve(&pipe, &plat, &ExactOptions::default()).unwrap_err();
+        assert_eq!(err, ExactError::SpaceOverflow { stages: 4, procs: 64 });
+        let msg = err.to_string();
+        assert!(msg.contains("4 stages on 64 processors"), "{msg}");
     }
 
     #[test]

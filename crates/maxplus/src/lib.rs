@@ -1,4 +1,4 @@
-//! Max-plus algebra and cycle-ratio algorithms.
+//! Maximum-cycle-ratio solvers: Howard, with Lawler/Karp oracles.
 //!
 //! This crate provides the algorithmic substrate used to analyze timed event
 //! graphs (a.k.a. timed Petri nets with the event-graph property): the
@@ -13,16 +13,11 @@
 //!
 //! # Contents
 //!
-//! * [`semiring`] — the `(max, +)` scalar [`semiring::MaxPlus`] and its
-//!   algebraic operations.
-//! * [`matrix`] — dense max-plus matrices, products, powers and the matrix
-//!   view of a digraph.
 //! * [`graph`] — the doubly-weighted digraph [`graph::RatioGraph`] shared by
 //!   all cycle algorithms.
-//! * [`scc`] — iterative Tarjan strongly-connected components.
 //! * [`workspace`] — reusable [`workspace::Workspace`] arenas (CSR
-//!   adjacency, SCC/Howard/Karp/Lawler scratch) making repeated solves
-//!   allocation-free, with warm-started policy iteration.
+//!   adjacency, iterative Tarjan SCCs, Howard/Karp/Lawler scratch) making
+//!   repeated solves allocation-free, with warm-started policy iteration.
 //! * [`batch`] — shape-batched Howard: one CSR build + condensation
 //!   amortized over k same-structure instances with SoA cost planes, and
 //!   per-SCC parallel solves on the `repwf-par` pool.
@@ -53,18 +48,12 @@
 
 pub mod batch;
 pub mod bruteforce;
-pub mod closure;
 pub mod graph;
 pub mod howard;
 pub mod karp;
 pub mod lawler;
-pub mod matrix;
-pub mod residuation;
-pub mod scc;
-pub mod semiring;
 pub mod workspace;
 
 pub use graph::{CycleSolution, RatioGraph, RatioGraphError};
 pub use howard::max_cycle_ratio;
-pub use semiring::MaxPlus;
 pub use workspace::Workspace;

@@ -206,26 +206,15 @@ impl Csr {
 /// A view of an SCC decomposition stored in a [`Workspace`].
 #[derive(Debug, Clone, Copy)]
 pub struct SccView<'a> {
-    comp: &'a [u32],
     comp_offsets: &'a [u32],
     comp_vertices: &'a [u32],
 }
 
 impl<'a> SccView<'a> {
     /// Number of components. Ids are in reverse topological order of the
-    /// condensation (Tarjan's numbering), matching [`crate::scc`].
+    /// condensation (Tarjan's numbering).
     pub fn num_components(&self) -> usize {
         self.comp_offsets.len().saturating_sub(1)
-    }
-
-    /// Component id of vertex `v`.
-    pub fn component_of(&self, v: u32) -> u32 {
-        self.comp[v as usize]
-    }
-
-    /// `component[v]` for every vertex.
-    pub fn components(&self) -> &'a [u32] {
-        self.comp
     }
 
     /// Vertices of component `c`.
@@ -369,7 +358,6 @@ impl Workspace {
     pub fn scc(&mut self, g: &RatioGraph) -> SccView<'_> {
         self.condense(g);
         SccView {
-            comp: &self.comp,
             comp_offsets: &self.comp_offsets,
             comp_vertices: &self.comp_vertices,
         }
@@ -859,8 +847,9 @@ impl Workspace {
 }
 
 /// Iterative Tarjan into flat component arrays (no recursion, no
-/// per-component `Vec`). Component ids and member order match
-/// [`crate::scc::tarjan_scc`].
+/// per-component `Vec`, safe for graphs with hundreds of thousands of
+/// vertices). Component ids are in reverse topological order of the
+/// condensation.
 #[allow(clippy::too_many_arguments)]
 fn tarjan_flat(
     g: &RatioGraph,
@@ -1364,7 +1353,6 @@ fn positive_cycle(
 mod tests {
     use super::*;
     use crate::howard::max_cycle_ratio;
-    use crate::scc::tarjan_scc;
 
     fn diamond() -> RatioGraph {
         let mut g = RatioGraph::new(4);
@@ -1387,17 +1375,62 @@ mod tests {
         assert_eq!(csr.edge_indices(), &idx[..]);
     }
 
-    #[test]
-    fn scc_view_matches_tarjan() {
-        let g = diamond();
-        let mut ws = Workspace::new();
-        let reference = tarjan_scc(&g);
-        let view = ws.scc(&g);
-        assert_eq!(view.num_components(), reference.len());
-        for (c, members) in reference.members.iter().enumerate() {
-            assert_eq!(view.members(c), &members[..]);
+    fn unit_graph(n: usize, edges: &[(u32, u32)]) -> RatioGraph {
+        let mut g = RatioGraph::new(n);
+        for &(a, b) in edges {
+            g.add_edge(a, b, 0.0, 0);
         }
-        assert_eq!(view.components(), &reference.component[..]);
+        g
+    }
+
+    #[test]
+    fn scc_single_cycle_is_one_component() {
+        let g = unit_graph(3, &[(0, 1), (1, 2), (2, 0)]);
+        let mut ws = Workspace::new();
+        let scc = ws.scc(&g);
+        assert_eq!(scc.num_components(), 1);
+        assert_eq!(scc.members(0).len(), 3);
+    }
+
+    #[test]
+    fn scc_dag_gives_singletons() {
+        let g = unit_graph(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut ws = Workspace::new();
+        let scc = ws.scc(&g);
+        assert_eq!(scc.num_components(), 4);
+        // No self-loops, so singletons cannot hold a circuit.
+        assert!((0..scc.num_components()).all(|c| scc.members(c).len() == 1));
+    }
+
+    #[test]
+    fn scc_two_cycles_bridge() {
+        // 0↔1 and 2↔3 joined by 1→2.
+        let g = unit_graph(4, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]);
+        let mut ws = Workspace::new();
+        let scc = ws.scc(&g);
+        assert_eq!(scc.num_components(), 2);
+        let sizes: Vec<usize> = (0..scc.num_components()).map(|c| scc.members(c).len()).collect();
+        assert_eq!(sizes, vec![2, 2]);
+        // components partition all vertices
+        let mut seen = [false; 4];
+        for c in 0..scc.num_components() {
+            for &v in scc.members(c) {
+                assert!(!seen[v as usize]);
+                seen[v as usize] = true;
+            }
+        }
+        assert!(seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn scc_deep_chain_no_stack_overflow() {
+        // 100k-vertex path plus a closing edge: one big SCC, iteratively.
+        let n = 100_000;
+        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i as u32, i as u32 + 1)).collect();
+        edges.push((n as u32 - 1, 0));
+        let g = unit_graph(n, &edges);
+        let mut ws = Workspace::new();
+        assert_eq!(ws.scc(&g).num_components(), 1);
     }
 
     #[test]

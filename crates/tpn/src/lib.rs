@@ -35,7 +35,6 @@
 
 pub mod analysis;
 pub mod bounds;
-pub mod io;
 pub mod marking;
 pub mod dot;
 pub mod net;

@@ -1,7 +1,6 @@
 //! Property tests: the three period computations — Theorem 1 polynomial
 //! algorithm, full-TPN critical cycle, and the independent discrete-event
-//! simulator — agree on random instances (the validation strategy of
-//! DESIGN.md §7).
+//! simulator — agree on random instances.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

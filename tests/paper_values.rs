@@ -1,5 +1,6 @@
 //! Integration tests pinning every numeric value the paper reports for its
-//! running examples (the per-figure index lives in DESIGN.md §5).
+//! running examples (README's "Reproducing the paper's artifacts" table
+//! indexes them by figure).
 
 use repwf_core::cycle_time::max_cycle_time;
 use repwf_core::fixtures::{example_a, example_b, example_c};
