@@ -7,6 +7,11 @@
 //! per-instance path (`run_one_with` seed by seed on one engine) and once
 //! through the campaign runner (`run_spec`, shape-batched chunks), and
 //! pins both to the same constants. The two paths run on two threads.
+//!
+//! 200 draws are too few lanes per shape to exercise what the batched
+//! kernel reuses across chunks of one shape, so a second digest pins the
+//! 20 000-draw default `repwf campaign` spec through the runner at 1 and
+//! 2 threads.
 
 use repwf_gen::campaign::{
     engine_for_cap, run_one_with, run_spec, CampaignSpec, ExperimentOutcome, DEFAULT_CAMPAIGN_CAP,
@@ -103,4 +108,41 @@ fn table2_outcome_bits_match_the_pinned_digests() {
     });
     assert_eq!(serial, PINNED, "serial per-instance path");
     assert_eq!(batched, PINNED, "campaign runner");
+}
+
+/// Draws of the full-size default campaign: enough lanes per shape that
+/// the batched kernel sees the same policies over and over.
+const DEFAULT_CAMPAIGN_DRAWS: usize = 20_000;
+
+/// Digest of the 20 000-draw default `repwf campaign` spec.
+const PINNED_DEFAULT_CAMPAIGN: u64 = 0x09a9_f32b_d8fb_08bf;
+
+/// The default `repwf campaign` spec (strict, 2 stages on 7 processors,
+/// comp 1, comm 5..10, seed 2009) at 20 000 draws, through the campaign
+/// runner at 1 and at 2 threads.
+#[test]
+fn default_campaign_outcome_bits_match_the_pinned_digest() {
+    let spec = CampaignSpec {
+        cfg: GenConfig {
+            stages: 2,
+            procs: 7,
+            comp: repwf_gen::Range::constant(1.0),
+            comm: repwf_gen::Range::new(5.0, 10.0),
+        },
+        model: repwf_core::model::CommModel::Strict,
+        count: DEFAULT_CAMPAIGN_DRAWS,
+        seed_base: 2009,
+        cap: DEFAULT_CAMPAIGN_CAP,
+    };
+    let topo = Topology::chain(spec.cfg.stages);
+    for threads in [1, 2] {
+        let result = run_spec(&spec, &topo, threads, |_| {});
+        assert_eq!(result.outcomes.len(), DEFAULT_CAMPAIGN_DRAWS);
+        assert_eq!(
+            digest(&result.outcomes),
+            PINNED_DEFAULT_CAMPAIGN,
+            "{threads} thread(s): {:#018x}",
+            digest(&result.outcomes)
+        );
+    }
 }
