@@ -34,6 +34,7 @@ use repwf_gen::{GenConfig, Range, Topology};
 use repwf_map::annealing::{anneal, AnnealOptions};
 use repwf_map::exact::{solve, ExactOptions};
 use repwf_map::greedy;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const HELP: &str = "\
@@ -45,7 +46,8 @@ OPTIONS:
   --threads K        parallel-campaign worker threads (default: min(8, hardware))
   --seed S           campaign/annealing base seed (default: 2009)
   --check BASELINE   compare speedup indices against a committed baseline
-                     and fail on regression
+                     and fail on regression; BASELINE must not be the
+                     --out file (exit 2 before any kernel runs)
   --tolerance F      allowed relative index regression for --check (default: 0.30)
   --json             also print the report to stdout
 ";
@@ -140,6 +142,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let threads = opts.get_or("--threads", hw.min(8))?;
     let seed = opts.get_or("--seed", 2009u64)?;
     let tolerance: f64 = opts.get_or("--tolerance", 0.30)?;
+    if let Some(baseline) = opts.get("--check") {
+        if same_file(Path::new(&out_path), Path::new(baseline)) {
+            return Err(format!(
+                "--out {out_path} and --check {baseline} are the same file: the report would \
+                 overwrite the baseline before the check reads it; write the report elsewhere \
+                 (e.g. --out BENCH_new.json)"
+            ));
+        }
+    }
 
     let mut lines: Vec<BenchLine> = Vec::new();
 
@@ -392,7 +403,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let shard_dir = std::env::temp_dir().join(format!("repwf-bench-shards-{}", std::process::id()));
     std::fs::create_dir_all(&shard_dir)
         .map_err(|e| format!("cannot create {}: {e}", shard_dir.display()))?;
-    let shard_paths: Vec<std::path::PathBuf> =
+    let shard_paths: Vec<PathBuf> =
         (0..3).map(|i| shard_dir.join(format!("s{i}.ndjson"))).collect();
     lines.push(time_kernel("campaign_shard_merge", campaign_reps, campaign_count as u64, || {
         for path in &shard_paths {
@@ -677,6 +688,23 @@ fn compare_indices(
         return Err(format!("baseline {label} contains no comparable indices"));
     }
     Ok(CheckOutcome { notices, regressions, compared })
+}
+
+/// Whether `a` and `b` name the same file, whether or not it exists yet:
+/// each resolves to its canonical parent directory plus its file name, so
+/// `BENCH_period.json`, `./BENCH_period.json` and an absolute path agree.
+fn same_file(a: &Path, b: &Path) -> bool {
+    fn resolve(p: &Path) -> Option<PathBuf> {
+        let dir = match p.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        Some(std::fs::canonicalize(dir).ok()?.join(p.file_name()?))
+    }
+    match (resolve(a), resolve(b)) {
+        (Some(x), Some(y)) => x == y,
+        _ => a == b,
+    }
 }
 
 /// [`compare_indices`] against a baseline file: surfaces every notice on

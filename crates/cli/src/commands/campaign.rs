@@ -48,8 +48,9 @@ OPTIONS:
   --hist             print an ASCII histogram of the positive gaps
   --trace FILE       write an NDJSON span/counter trace (repwf-trace/v1);
                      never changes this command's stdout bytes
-  --metrics          append a telemetry counter table (or a \"metrics\"
-                     object with --json)
+  --metrics          append a telemetry counter table; with --json the
+                     table goes to stderr and the JSON document carries no
+                     metrics, so it stays byte-identical to `repwf merge`
   --json             structured output (identical at any --threads)
 
 DISTRIBUTED (see also `repwf merge` and `repwf dist status`):

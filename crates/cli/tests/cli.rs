@@ -221,6 +221,85 @@ fn merge_diagnoses_inconsistent_shard_sets() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `bench --check F` whose `--out` (or its default) is also `F` would
+/// overwrite the baseline and then check the run against itself: it must
+/// exit 2 before any kernel runs and leave `F` untouched.
+#[test]
+fn bench_refuses_to_check_against_its_own_output() {
+    let dir = std::env::temp_dir().join(format!("repwf-bench-same-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let baseline = dir.join("BENCH_period.json");
+    std::fs::write(&baseline, "{\"schema\": \"repwf-bench/v1\"}\n").unwrap();
+    let abs = baseline.to_str().unwrap().to_string();
+    let cases: [&[&str]; 4] = [
+        &["--check", "BENCH_period.json"],
+        &["--check", "./BENCH_period.json"],
+        &["--out", "./BENCH_period.json", "--check", "BENCH_period.json"],
+        &["--out", &abs, "--check", "./BENCH_period.json"],
+    ];
+    for extra in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repwf"))
+            .args(["bench", "--quick", "--threads", "1"])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repwf");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {err}");
+        assert!(err.contains("same file"), "{extra:?}: {err}");
+        assert!(err.contains("--out BENCH_new.json"), "{extra:?}: {err}");
+        assert_eq!(
+            std::fs::read_to_string(&baseline).unwrap(),
+            "{\"schema\": \"repwf-bench/v1\"}\n",
+            "{extra:?}: the baseline was overwritten"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `campaign.json` whose pinned unit count the writer could not have
+/// produced makes `dist status` and `campaign --supervise` exit 2 at once
+/// (a count of `u64::MAX` used to be enumerated unit by unit).
+#[test]
+fn out_of_range_pinned_unit_count_exits_2_at_once() {
+    let dir = std::env::temp_dir().join(format!("repwf-units-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    let base = ["campaign", "--count", "6", "--seed", "3", "--threads", "1"];
+    let sup = ["--supervise", "--dir", dir_s, "--units", "2"];
+    let (_, err, ok) = repwf(&[&base[..], &sup[..]].concat());
+    assert!(ok, "{err}");
+    let pin = dir.join("campaign.json");
+    let text = std::fs::read_to_string(&pin).unwrap();
+    assert!(text.contains("\"units\":2"), "{text}");
+    std::fs::write(&pin, text.replace("\"units\":2", "\"units\":18446744073709551615")).unwrap();
+    for args in [&["dist", "status", "--dir", dir_s][..], &[&base[..], &sup[..]].concat()] {
+        let started = std::time::Instant::now();
+        let (_, err, code) = repwf_env(args, &[]);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("campaign.json"), "{err}");
+        assert!(err.contains("is outside 1..=6"), "{err}");
+        assert!(started.elapsed().as_secs() < 5, "{args:?} took {:?}", started.elapsed());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `campaign --json --metrics`: the document on stdout has no metrics
+/// object (it must stay byte-identical to a plain `--json` run and to
+/// `merge`), and the counter table goes to stderr.
+#[test]
+fn campaign_json_metrics_go_to_stderr_not_into_the_document() {
+    let args = ["campaign", "--count", "8", "--seed", "5", "--threads", "1", "--json"];
+    let (plain, err, ok) = repwf(&args);
+    assert!(ok, "{err}");
+    let (out, err, ok) = repwf(&[&args[..], &["--metrics"]].concat());
+    assert!(ok, "{err}");
+    assert!(!out.contains("\"metrics\""), "metrics key on stdout:\n{out}");
+    assert_eq!(out, plain, "--metrics changed the JSON document");
+    assert!(err.contains("metrics:"), "no metrics table on stderr:\n{err}");
+    assert!(err.contains("batched_lanes"), "{err}");
+}
+
 #[test]
 fn bench_emits_parseable_report_and_check_passes_against_self() {
     let dir = std::env::temp_dir().join(format!("repwf-bench-test-{}", std::process::id()));

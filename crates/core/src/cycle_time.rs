@@ -22,7 +22,6 @@
 //! allocates nothing.
 
 use crate::model::{CommModel, Instance, InstanceView, ProcId, StageId};
-use crate::paths::lcm;
 
 /// The cycle-time decomposition of one mapped processor.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,9 +75,24 @@ pub fn partner_residues(
     m_cur: usize,
     beta: usize,
 ) -> (impl Iterator<Item = usize>, u64) {
-    let l = lcm(m_prev as u128, m_cur as u128).expect("small lcm") as u64;
-    let count = (l / m_cur as u64) as usize;
-    ((0..count).map(move |k| (beta + k * m_cur) % m_prev), l)
+    let l = replica_lcm(m_prev, m_cur).expect("small lcm");
+    let count = l / m_cur;
+    ((0..count).map(move |k| (beta + k * m_cur) % m_prev), l as u64)
+}
+
+/// `lcm(a, b)` of two replica counts in `usize`, `None` on overflow: the
+/// integer [`crate::paths::lcm`] gives, without its `u128` divisions.
+/// [`partner_residues`] runs once per replica per edge on every
+/// branch-and-bound node and every `M_ct`.
+fn replica_lcm(a: usize, b: usize) -> Option<usize> {
+    if a == 0 || b == 0 {
+        return Some(0);
+    }
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    (a / x).checked_mul(b)
 }
 
 /// Computes the cycle-time decomposition of the replicas of one stage into
@@ -88,43 +102,47 @@ pub fn partner_residues(
 /// DAG neighbors (the round-robin partners on its in- and out-edges).
 pub fn stage_cycle_times_into(v: InstanceView<'_>, i: StageId, out: &mut Vec<CycleTime>) {
     out.clear();
+    out.extend((0..v.mapping.procs(i).len()).map(|beta| replica_cycle_time(v, i, beta)));
+}
+
+/// The cycle-time decomposition of replica `beta` of stage `i`.
+fn replica_cycle_time(v: InstanceView<'_>, i: StageId, beta: usize) -> CycleTime {
     let wf = v.pipeline;
     let procs = v.mapping.procs(i);
     let m_i = procs.len();
-    for (beta, &u) in procs.iter().enumerate() {
-        let c_comp = v.comp_time(i, u) / m_i as f64;
-        let mut c_in = 0.0f64;
-        let mut c_in_peak = 0.0f64;
-        for &e in wf.in_edges(i) {
-            let (src, _) = wf.edge(e);
-            let prev = v.mapping.procs(src);
-            let (senders, l) = partner_residues(prev.len(), m_i, beta);
-            let total: f64 = senders.map(|a| v.comm_time(e, prev[a], u)).sum();
-            let avg = total / l as f64;
-            c_in += avg;
-            c_in_peak = c_in_peak.max(avg);
-        }
-        let mut c_out = 0.0f64;
-        let mut c_out_peak = 0.0f64;
-        for &e in wf.out_edges(i) {
-            let (_, dst) = wf.edge(e);
-            let next = v.mapping.procs(dst);
-            let (receivers, l) = partner_residues(next.len(), m_i, beta);
-            let total: f64 = receivers.map(|b| v.comm_time(e, u, next[b])).sum();
-            let avg = total / l as f64;
-            c_out += avg;
-            c_out_peak = c_out_peak.max(avg);
-        }
-        out.push(CycleTime {
-            proc: u,
-            stage: i,
-            replica_index: beta,
-            c_in,
-            c_comp,
-            c_out,
-            c_in_peak,
-            c_out_peak,
-        });
+    let u = procs[beta];
+    let c_comp = v.comp_time(i, u) / m_i as f64;
+    let mut c_in = 0.0f64;
+    let mut c_in_peak = 0.0f64;
+    for &e in wf.in_edges(i) {
+        let (src, _) = wf.edge(e);
+        let prev = v.mapping.procs(src);
+        let (senders, l) = partner_residues(prev.len(), m_i, beta);
+        let total: f64 = senders.map(|a| v.comm_time(e, prev[a], u)).sum();
+        let avg = total / l as f64;
+        c_in += avg;
+        c_in_peak = c_in_peak.max(avg);
+    }
+    let mut c_out = 0.0f64;
+    let mut c_out_peak = 0.0f64;
+    for &e in wf.out_edges(i) {
+        let (_, dst) = wf.edge(e);
+        let next = v.mapping.procs(dst);
+        let (receivers, l) = partner_residues(next.len(), m_i, beta);
+        let total: f64 = receivers.map(|b| v.comm_time(e, u, next[b])).sum();
+        let avg = total / l as f64;
+        c_out += avg;
+        c_out_peak = c_out_peak.max(avg);
+    }
+    CycleTime {
+        proc: u,
+        stage: i,
+        replica_index: beta,
+        c_in,
+        c_comp,
+        c_out,
+        c_in_peak,
+        c_out_peak,
     }
 }
 
@@ -224,11 +242,11 @@ pub fn cycle_times(inst: &Instance) -> Vec<CycleTime> {
 }
 
 /// The maximum cycle-time `M_ct` of a borrowed view and the processor
-/// attaining it.
+/// attaining it (the last maximum in stage-major slot order). Folds the
+/// replicas one by one, allocating nothing.
 pub fn max_cycle_time_view(v: InstanceView<'_>, model: CommModel) -> (f64, CycleTime) {
-    let all = cycle_times_view(v);
-    let best = all
-        .into_iter()
+    let best = (0..v.num_stages())
+        .flat_map(|i| (0..v.mapping.procs(i).len()).map(move |beta| replica_cycle_time(v, i, beta)))
         .max_by(|a, b| a.exec(model).partial_cmp(&b.exec(model)).expect("finite cycle times"))
         .expect("instance has at least one stage and processor");
     (best.exec(model), best)
@@ -395,6 +413,23 @@ mod tests {
         assert_eq!(senders.collect::<Vec<_>>(), vec![0, 2]);
         let (senders, _) = partner_residues(4, 6, 1);
         assert_eq!(senders.collect::<Vec<_>>(), vec![1, 3]);
+    }
+
+    #[test]
+    fn replica_lcm_is_the_u128_lcm() {
+        use crate::paths::lcm;
+        for a in 0..=64usize {
+            for b in 0..=64usize {
+                let wide = lcm(a as u128, b as u128).map(|l| l as usize);
+                assert_eq!(replica_lcm(a, b), wide, "lcm({a}, {b})");
+            }
+        }
+        for (a, b) in [(4096, 4095), (4095, 4094), (1 << 20, 3 << 19), (usize::MAX, 1)] {
+            let wide = lcm(a as u128, b as u128).map(|l| l as usize);
+            assert_eq!(replica_lcm(a, b), wide, "lcm({a}, {b})");
+        }
+        // Overflow is `None` where the u128 value does not fit a usize.
+        assert_eq!(replica_lcm(usize::MAX, usize::MAX - 1), None);
     }
 
     #[test]

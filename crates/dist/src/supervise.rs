@@ -366,13 +366,27 @@ fn pin_campaign(dir: &Path, spec: &CampaignSpec, units: usize) -> Result<usize, 
             reason: format!("this worker's flags vs the pinned campaign: {diff}"),
         });
     }
-    let units_doc = crate::json::parse(lines.next().unwrap_or("").trim())
+    pinned_units(lines.next().unwrap_or(""), spec.count, name)
+}
+
+/// The unit count of `campaign.json`'s pin line, checked against the
+/// range the writer clamps to (`1..=max(count, 1)`): each unit becomes a
+/// shard plan, so an out-of-range count from a damaged or foreign file is
+/// refused as corrupt instead of enumerated.
+fn pinned_units(line: &str, count: usize, name: String) -> Result<usize, DistError> {
+    let doc = crate::json::parse(line.trim())
         .map_err(|e| DistError::Corrupt { path: name.clone(), reason: format!("pin line: {e}") })?;
-    units_doc
-        .get("units")
-        .and_then(crate::json::JsonValue::as_u64)
-        .map(|u| u as usize)
-        .ok_or(DistError::Corrupt { path: name, reason: "pin has no \"units\"".to_string() })
+    let units = doc.get("units").and_then(crate::json::JsonValue::as_u64).ok_or_else(|| {
+        DistError::Corrupt { path: name.clone(), reason: "pin has no \"units\"".to_string() }
+    })?;
+    let max = count.max(1);
+    match usize::try_from(units) {
+        Ok(u) if (1..=max).contains(&u) => Ok(u),
+        _ => Err(DistError::Corrupt {
+            path: name,
+            reason: format!("pinned \"units\" {units} is outside 1..={max}"),
+        }),
+    }
 }
 
 struct Worker<'a> {
@@ -771,12 +785,8 @@ pub fn status(dir: &Path) -> Result<CampaignStatus, DistError> {
         .map_err(|e| DistError::Io(format!("{name}: {e} (not a supervised campaign dir?)")))?;
     let mut lines = text.lines();
     let pinned = ShardManifest::parse_line(lines.next().unwrap_or(""), &name)?;
-    let units = crate::json::parse(lines.next().unwrap_or("").trim())
-        .ok()
-        .and_then(|doc| doc.get("units").and_then(crate::json::JsonValue::as_u64))
-        .ok_or(DistError::Corrupt { path: name, reason: "pin has no \"units\"".to_string() })?
-        as usize;
     let spec = pinned.spec;
+    let units = pinned_units(lines.next().unwrap_or(""), spec.count, name)?;
     let enumerated = enumerate_units(dir, spec.seed_base, spec.count, units)?;
     let mut unit_status = Vec::with_capacity(enumerated.len());
     for unit in enumerated {

@@ -392,6 +392,29 @@ fn status_reports_units_records_and_leases() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A pinned unit count outside the writer's `1..=count` range is refused
+/// as corrupt by both readers (`status` and a supervising worker's adopt
+/// path) instead of being enumerated unit by unit.
+#[test]
+fn out_of_range_pinned_unit_counts_are_corrupt() {
+    let spec = spec(6, 77);
+    let dir = scratch_dir("units");
+    supervise(&dir, &spec, &SuperviseOptions { units: 2, ..fast_opts("w", 5) }).unwrap();
+    let pin = dir.join("campaign.json");
+    let text = std::fs::read_to_string(&pin).unwrap();
+    assert!(text.contains("\"units\":2"), "{text}");
+    for bad in ["0", "7", "18446744073709551615"] {
+        std::fs::write(&pin, text.replace("\"units\":2", &format!("\"units\":{bad}"))).unwrap();
+        let err = repwf_dist::status(&dir).unwrap_err();
+        assert!(matches!(err, DistError::Corrupt { .. }), "status, units {bad}: {err}");
+        assert!(err.to_string().contains("campaign.json"), "{err}");
+        assert!(err.to_string().contains(&format!("\"units\" {bad} is outside 1..=6")), "{err}");
+        let err = supervise(&dir, &spec, &fast_opts("v", 5)).unwrap_err();
+        assert!(matches!(err, DistError::Corrupt { .. }), "supervise, units {bad}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_split_landing_behind_an_overshot_checkpoint_closes_with_a_valid_footer() {
     // Regression: giving the upper half of a re-split unit back truncates

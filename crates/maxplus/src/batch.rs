@@ -122,6 +122,10 @@ pub struct BatchScratch {
     state: Vec<u8>,
     walk_pos: Vec<u32>,
     path: Vec<u32>,
+    /// The current lane's plan key (its policy at the component's choice
+    /// vertices) and the plan its walk records.
+    key: Vec<u16>,
+    record: PlanRecord,
 }
 
 impl BatchScratch {
@@ -160,6 +164,245 @@ impl BatchScratch {
         self.walk_pos.clear();
         self.walk_pos.resize(n, 0);
         self.path.clear();
+    }
+}
+
+/// Words of plan arena (keys and plans together) one workspace fills at
+/// most per condensation: 32 Ki 16-bit words, 64 KiB.
+const PLAN_BUDGET_WORDS: usize = 1 << 15;
+
+/// Index slot marking an empty entry.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Cached policy-evaluation plans of one condensation (see the module
+/// docs), keyed by (component, policy at the component's choice vertices).
+///
+/// One flat arena of 16-bit words holds the entries back to back. An
+/// entry is its key — the component index, then the CSR position each
+/// choice vertex's policy takes, in choice order — followed by its plan:
+///
+/// * the number of policy cycles, then per cycle its length `L`, its
+///   token sum `t` and its `L` vertices in cycle order from the root;
+/// * the number of tail segments, then per segment its length and its
+///   vertices in the order the walk settles them. A segment is the tail
+///   of one walk, settled backwards: its first vertex's policy successor
+///   was settled before the segment, and every later vertex's successor
+///   is the vertex before it.
+///
+/// A plan holds vertex ids only: a replaying lane's policy matches the
+/// key at the choice vertices, and a forced vertex has one in-component
+/// edge, so the lane's own policy column gives every vertex's CSR
+/// position. Graphs with more than `u16::MAX` vertices or edges, and
+/// cycles with more than `u16::MAX` tokens, are walked and never
+/// recorded. An open-addressing index maps key hashes to entry offsets.
+/// The arena is reserved once at its word budget and stops growing there;
+/// a store that filled up without a single hit stops hashing too.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanStore {
+    words: Vec<u16>,
+    /// `(key hash, entry offset)`, [`EMPTY_SLOT`] offset when free. A
+    /// power-of-two length, at most half full.
+    slots: Vec<(u32, u32)>,
+    entries: usize,
+    budget: usize,
+    full: bool,
+    hits: u64,
+    misses: u64,
+}
+
+impl Default for PlanStore {
+    fn default() -> Self {
+        PlanStore {
+            words: Vec::new(),
+            slots: Vec::new(),
+            entries: 0,
+            budget: PLAN_BUDGET_WORDS,
+            full: false,
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+/// What a plan-store probe found for a lane's key.
+enum Probe {
+    /// A cached plan: it starts at this arena offset.
+    Hit(usize),
+    /// No plan; record one under this key hash.
+    Miss(u32),
+    /// The store is off: walk without recording.
+    Off,
+}
+
+impl PlanStore {
+    /// Forgets every plan: the condensation they describe is gone.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.slots.clear();
+        self.entries = 0;
+        self.full = false;
+        self.hits = 0;
+        self.misses = 0;
+    }
+
+    /// Plans replayed and plans walked since the last [`PlanStore::clear`].
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// Sets the arena's word budget (tests exhaust it on small graphs).
+    #[cfg(test)]
+    pub(crate) fn set_budget(&mut self, words: usize) {
+        self.budget = words;
+    }
+
+    /// Turns the store off for a graph of `n` vertices and `ne` edges
+    /// whose ids do not fit a word. Nothing was recorded for it, so the
+    /// store stays off until the next [`PlanStore::clear`].
+    fn fit(&mut self, n: usize, ne: usize) {
+        if n.max(ne) > usize::from(u16::MAX) {
+            self.full = true;
+        }
+    }
+
+    /// Looks up the plan of component `c` under lane `q`'s policy at the
+    /// component's `choices`, building the key in `key`.
+    fn probe(
+        &mut self,
+        c: usize,
+        choices: &[u32],
+        policy: &[u32],
+        k: usize,
+        q: usize,
+        key: &mut Vec<u16>,
+    ) -> Probe {
+        if self.full && self.hits == 0 {
+            return Probe::Off;
+        }
+        key.clear();
+        key.push(c as u16);
+        key.extend(choices.iter().map(|&v| policy[v as usize * k + q] as u16));
+        let hash = key_hash(key);
+        if !self.slots.is_empty() {
+            let mask = self.slots.len() - 1;
+            let mut i = hash as usize & mask;
+            loop {
+                let (h, at) = self.slots[i];
+                if at == EMPTY_SLOT {
+                    break;
+                }
+                let at = at as usize;
+                if h == hash && self.words[at..at + key.len()] == **key {
+                    self.hits += 1;
+                    return Probe::Hit(at + key.len());
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        self.misses += 1;
+        if self.full {
+            Probe::Off
+        } else {
+            Probe::Miss(hash)
+        }
+    }
+
+    /// Stores the plan `rec` under `key` (with hash `hash`), unless it
+    /// would overrun the word budget: then the store is full for the rest
+    /// of the condensation.
+    fn insert(&mut self, hash: u32, key: &[u16], rec: &PlanRecord) {
+        if !rec.fits {
+            return;
+        }
+        let size = key.len() + 2 + rec.cycles.len() + rec.tail.len();
+        if self.words.len() + size > self.budget {
+            self.full = true;
+            return;
+        }
+        if 2 * (self.entries + 1) > self.slots.len() {
+            self.grow();
+        }
+        // One reservation at the budget: the arena never reallocates, and
+        // pages it has not reached yet cost no memory.
+        self.words.reserve_exact(self.budget - self.words.len());
+        let at = self.words.len() as u32;
+        self.words.extend_from_slice(key);
+        self.words.push(rec.num_cycles);
+        self.words.extend_from_slice(&rec.cycles);
+        self.words.push(rec.num_segments);
+        self.words.extend_from_slice(&rec.tail);
+        self.place(hash, at);
+        self.entries += 1;
+    }
+
+    /// Doubles the index (64 slots at first) and re-places every entry.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY_SLOT); len]);
+        for (h, at) in old {
+            if at != EMPTY_SLOT {
+                self.place(h, at);
+            }
+        }
+    }
+
+    fn place(&mut self, h: u32, at: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = h as usize & mask;
+        while self.slots[i].1 != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (h, at);
+    }
+}
+
+/// FNV-1a over the key words, finished with a 64-bit mix whose high half
+/// is the hash.
+fn key_hash(key: &[u16]) -> u32 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &w in key {
+        h = (h ^ u64::from(w)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    ((h ^ (h >> 33)) >> 32) as u32
+}
+
+/// The plan a policy walk records, in [`PlanStore`]'s layout: `cycles`
+/// holds the cycle records and `tail` the tail segments. `fits` turns
+/// false when a token sum does not fit a word.
+#[derive(Debug, Clone, Default)]
+struct PlanRecord {
+    num_cycles: u16,
+    cycles: Vec<u16>,
+    num_segments: u16,
+    tail: Vec<u16>,
+    fits: bool,
+}
+
+impl PlanRecord {
+    fn clear(&mut self) {
+        self.num_cycles = 0;
+        self.cycles.clear();
+        self.num_segments = 0;
+        self.tail.clear();
+        self.fits = true;
+    }
+
+    /// Records a policy cycle (vertices from the root) with token sum `t`.
+    fn push_cycle(&mut self, cycle: &[u32], t: u64) {
+        self.fits &= t <= u64::from(u16::MAX);
+        self.num_cycles += 1;
+        self.cycles.extend([cycle.len() as u16, t as u16]);
+        self.cycles.extend(cycle.iter().map(|&v| v as u16));
+    }
+
+    /// Records a walk's tail `path` (in walk order), settled backwards.
+    fn push_segment(&mut self, path: &[u32]) {
+        self.num_segments += 1;
+        self.tail.push(path.len() as u16);
+        self.tail.extend(path.iter().rev().map(|&v| v as u16));
     }
 }
 
@@ -202,11 +445,12 @@ impl Workspace {
         // Per-instance validation, mirroring `RatioGraph::validate` with
         // the instance's own costs: same error variant, same edge-order
         // precedence as a solo solve on that instance's graph.
+        let structural = first_vertex_error(g);
         let mut failed: Vec<Option<RatioGraphError>> = vec![None; k];
         let mut best: Vec<Option<CycleSolution>> = Vec::with_capacity(k);
         best.resize_with(k, || None);
         for (q, slot) in failed.iter_mut().enumerate() {
-            *slot = validate_plane(g, planes.plane(q)).err();
+            *slot = validate_plane(planes.plane(q), &structural).err();
         }
 
         if failed.iter().all(Option::is_some) {
@@ -215,7 +459,8 @@ impl Workspace {
 
         self.batch_prepare(g, structure);
         let max_iters = 64 + 8 * n + ne;
-        let (csr, comp_offsets, comp_vertices, index) = self.batch_parts();
+        let (csr, comp_offsets, comp_vertices, index, plans) = self.batch_parts();
+        plans.fit(n, ne);
         scratch.prepare(k, n, ne);
 
         // Transpose the planes into interleaved CSR order: one gather per
@@ -238,8 +483,9 @@ impl Workspace {
             batch_component(
                 csr,
                 index,
+                plans,
+                c,
                 members,
-                index.choices(c),
                 k,
                 max_iters,
                 scratch,
@@ -263,22 +509,32 @@ impl Workspace {
     }
 }
 
-/// `RatioGraph::validate` with the costs of one plane substituted for the
-/// graph's own: identical error variants and edge-order precedence.
-fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> {
+/// The structural half of `RatioGraph::validate`, shared by every plane:
+/// the index of the first edge with an endpoint out of range and its
+/// error (the `from` endpoint is checked first), if any.
+fn first_vertex_error(g: &RatioGraph) -> Option<(usize, RatioGraphError)> {
     let n = g.num_vertices();
-    for (e, &cost) in g.edges().iter().zip(plane) {
-        if (e.from as usize) >= n {
-            return Err(RatioGraphError::VertexOutOfRange { vertex: e.from });
-        }
-        if (e.to as usize) >= n {
-            return Err(RatioGraphError::VertexOutOfRange { vertex: e.to });
-        }
-        if !cost.is_finite() {
-            return Err(RatioGraphError::NonFiniteCost);
-        }
+    g.edges().iter().enumerate().find_map(|(i, e)| {
+        [e.from, e.to]
+            .into_iter()
+            .find(|&v| v as usize >= n)
+            .map(|vertex| (i, RatioGraphError::VertexOutOfRange { vertex }))
+    })
+}
+
+/// `RatioGraph::validate` with the costs of one plane substituted for the
+/// graph's own: identical error variants and edge-order precedence. An
+/// edge's endpoints are checked before its cost, so a non-finite cost
+/// wins only ahead of the first structural error.
+fn validate_plane(
+    plane: &[f64],
+    structural: &Option<(usize, RatioGraphError)>,
+) -> Result<(), RatioGraphError> {
+    let checked = structural.as_ref().map_or(plane.len(), |&(i, _)| i);
+    if plane[..checked].iter().any(|c| !c.is_finite()) {
+        return Err(RatioGraphError::NonFiniteCost);
     }
-    Ok(())
+    structural.as_ref().map_or(Ok(()), |(_, e)| Err(e.clone()))
 }
 
 /// Lock-step Howard on one strongly connected component for every lane
@@ -287,13 +543,15 @@ fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> 
 /// evaluate / λ-improve / potential-improve rounds over the choice
 /// vertices, the per-lane λ-uniform skips, witness extraction — the only
 /// difference is the iteration *schedule* (lanes advance together), which
-/// per lane performs the identical operation sequence.
+/// per lane performs the identical operation sequence. A lane whose
+/// choice-vertex policy has a cached plan replays it instead of walking.
 #[allow(clippy::too_many_arguments)]
 fn batch_component(
     csr: &Csr,
     index: &ChoiceIndex,
+    plans: &mut PlanStore,
+    c: usize,
     members: &[u32],
-    choices: &[u32],
     k: usize,
     max_iters: usize,
     scratch: &mut BatchScratch,
@@ -302,6 +560,7 @@ fn batch_component(
 ) {
     let to = csr.targets();
     let tokens = csr.token_counts();
+    let choices = index.choices(c);
     let BatchScratch {
         cost,
         policy,
@@ -319,6 +578,8 @@ fn batch_component(
         state,
         walk_pos,
         path,
+        key,
+        record,
     } = scratch;
     let cost = &cost[..];
 
@@ -390,14 +651,39 @@ fn batch_component(
             return;
         }
 
-        // Evaluate every active lane's policy (scalar walk per lane over
-        // the shared state/path scratch).
+        // Evaluate every active lane's policy: replay its cached plan, or
+        // walk it (scalar, over the shared state/path scratch) and record
+        // the plan for the lanes and chunks that reach the same policy.
         for &q in act.iter() {
             let qi = q as usize;
+            let probe = plans.probe(c, choices, policy, k, qi, key);
+            if let Probe::Hit(at) = probe {
+                uniform[qi] = replay_plan_lane(
+                    csr,
+                    &plans.words[at..],
+                    k,
+                    qi,
+                    cost,
+                    policy,
+                    lambda,
+                    potential,
+                );
+                continue;
+            }
+            record.clear();
+            let rec = match probe {
+                Probe::Miss(_) => Some(&mut *record),
+                _ => None,
+            };
             match evaluate_policy_lane(
-                csr, members, k, qi, cost, policy, lambda, potential, state, walk_pos, path,
+                csr, members, k, qi, cost, policy, lambda, potential, state, walk_pos, path, rec,
             ) {
-                Ok(u) => uniform[qi] = u,
+                Ok(u) => {
+                    uniform[qi] = u;
+                    if let Probe::Miss(hash) = probe {
+                        plans.insert(hash, key, record);
+                    }
+                }
                 Err(e) => {
                     failed[qi] = Some(e);
                     done[qi] = true;
@@ -449,58 +735,70 @@ fn batch_component(
             }
         }
 
-        // Phase 2 (potential improvement) and convergence, per lane that
-        // saw no λ-improvement this round; λ-improved lanes go straight to
-        // the next round, like the solo solver's `continue`.
+        // Phase 2 (potential improvement) for the lanes that saw no
+        // λ-improvement this round — λ-improved lanes go straight to the
+        // next round, like the solo solver's `continue`. Same sweep shape
+        // as phase 1: no lane reads another lane's columns, so running the
+        // lanes inside the vertex loop keeps every lane's operation order.
         repwf_obs::counter_add(repwf_obs::CounterId::HowardItersBatched, act.len() as u64);
+        sweep.clear();
         for &q in act.iter() {
             let qi = q as usize;
             iters[qi] += 1;
+            if !changed[qi] {
+                sweep.push(q);
+            }
+        }
+        for &vu in choices {
+            let v = vu as usize;
+            let lam_v = &lambda[v * k..v * k + k];
+            for (j, &q) in sweep.iter().enumerate() {
+                let qi = q as usize;
+                let cur = policy[v * k + qi];
+                let cu = cur as usize;
+                best_p[j] = cur;
+                best_f[j] = cost[cu * k + qi] - lam_v[qi] * f64::from(tokens[cu])
+                    + potential[to[cu] as usize * k + qi];
+            }
+            for &p in index.edges(vu) {
+                let pi = p as usize;
+                let w = to[pi] as usize;
+                let t = f64::from(tokens[pi]);
+                let cst = &cost[pi * k..pi * k + k];
+                let lam_w = &lambda[w * k..w * k + k];
+                let pot_w = &potential[w * k..w * k + k];
+                for (j, &q) in sweep.iter().enumerate() {
+                    let qi = q as usize;
+                    if !uniform[qi] && lam_w[qi] < lam_v[qi] - eps[qi] {
+                        continue;
+                    }
+                    let val = cst[qi] - lam_v[qi] * t + pot_w[qi];
+                    if val > best_f[j] + eps[qi] {
+                        best_f[j] = val;
+                        best_p[j] = p;
+                    }
+                }
+            }
+            for (j, &q) in sweep.iter().enumerate() {
+                let qi = q as usize;
+                if best_p[j] != policy[v * k + qi] {
+                    policy[v * k + qi] = best_p[j];
+                    changed[qi] = true;
+                }
+            }
+        }
+
+        // Converged lanes: extract the witness.
+        for &q in sweep.iter() {
+            let qi = q as usize;
             if changed[qi] {
                 continue;
             }
-            let mut improved = false;
-            for &vu in choices {
-                let v = vu as usize;
-                let cur = policy[v * k + qi] as usize;
-                let cur_val = cost[cur * k + qi]
-                    - lambda[v * k + qi] * f64::from(tokens[cur])
-                    + potential[to[cur] as usize * k + qi];
-                let mut bp = policy[v * k + qi];
-                let mut bv = cur_val;
-                for &p in index.edges(vu) {
-                    let pi = p as usize;
-                    let w = to[pi] as usize;
-                    if !uniform[qi] && lambda[w * k + qi] < lambda[v * k + qi] - eps[qi] {
-                        continue;
-                    }
-                    let val = cost[pi * k + qi]
-                        - lambda[v * k + qi] * f64::from(tokens[pi])
-                        + potential[w * k + qi];
-                    if val > bv + eps[qi] {
-                        bv = val;
-                        bp = p;
-                    }
-                }
-                if bp != policy[v * k + qi] {
-                    policy[v * k + qi] = bp;
-                    improved = true;
-                }
+            let sol = extract_witness_lane(csr, members, k, qi, cost, policy, lambda, state, path);
+            if best[qi].as_ref().is_none_or(|b| sol.ratio > b.ratio) {
+                best[qi] = Some(sol);
             }
-            if !improved {
-                // Converged: extract this lane's witness. A previous
-                // lane's extraction left mark-3 states behind on the
-                // shared array — reset members to the post-evaluation
-                // value the solo extractor sees.
-                for &vv in members {
-                    state[vv as usize] = 2;
-                }
-                let sol = extract_witness_lane(csr, members, k, qi, cost, policy, lambda, state);
-                if best[qi].as_ref().is_none_or(|b| sol.ratio > b.ratio) {
-                    best[qi] = Some(sol);
-                }
-                done[qi] = true;
-            }
+            done[qi] = true;
         }
     }
 }
@@ -508,7 +806,8 @@ fn batch_component(
 /// `evaluate_policy` for one lane: identical walk, cycle-ratio and
 /// back-substitution arithmetic, reading the lane's policy/λ/potential
 /// columns and interleaved costs; returns whether the lane's policy cycles
-/// all have the bit-identical λ.
+/// all have the bit-identical λ. With `rec`, it also records the walk's
+/// plan (see [`PlanStore`]); a plan is only kept when the walk succeeds.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_policy_lane(
     csr: &Csr,
@@ -522,6 +821,7 @@ fn evaluate_policy_lane(
     state: &mut [u8],
     walk_pos: &mut [u32],
     path: &mut Vec<u32>,
+    mut rec: Option<&mut PlanRecord>,
 ) -> Result<bool, RatioGraphError> {
     let to = csr.targets();
     let tok = csr.token_counts();
@@ -557,6 +857,9 @@ fn evaluate_policy_lane(
             if t == 0 {
                 return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
             }
+            if let Some(rec) = rec.as_deref_mut() {
+                rec.push_cycle(cycle, t);
+            }
             let lam = c / t as f64;
             uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
             lambda[u as usize * k + q] = lam;
@@ -584,13 +887,90 @@ fn evaluate_policy_lane(
                 + potential[to[p] as usize * k + q];
             state[v] = 2;
         }
+        if let Some(rec) = rec.as_deref_mut().filter(|_| settle_from > 0) {
+            rec.push_segment(&path[..settle_from]);
+        }
     }
     Ok(uniform)
 }
 
+/// Replays a recorded plan (see [`PlanStore`]) on lane `q`: the float work
+/// of [`evaluate_policy_lane`] — the cycle sums from each root, `λ = c / t`,
+/// the cycle back-substitution, then the tail back-substitution in settle
+/// order — without the walk. Returns the λ-uniform flag.
+///
+/// Every value is computed by the walk's expression from the same
+/// operands: a cycle reads only its own vertices, and a tail vertex reads
+/// its policy successor, which a cycle or an earlier tail entry settled.
+/// Doing all cycles before all tails therefore writes the walk's bits.
+/// Along a cycle or a segment the successor is the vertex settled just
+/// before, so its λ and potential are carried in registers instead of
+/// being read back from the columns; `pot += c − λ·t` is the walk's
+/// `(c − λ·t) + pot`, since IEEE addition commutes.
+#[allow(clippy::too_many_arguments)]
+fn replay_plan_lane(
+    csr: &Csr,
+    plan: &[u16],
+    k: usize,
+    q: usize,
+    cost: &[f64],
+    policy: &[u32],
+    lambda: &mut [f64],
+    potential: &mut [f64],
+) -> bool {
+    let to = csr.targets();
+    let tok = csr.token_counts();
+    let pol = |v: u16| policy[usize::from(v) * k + q] as usize;
+    let mut first_lam: Option<u64> = None;
+    let mut uniform = true;
+    let mut at = 1;
+    for _ in 0..plan[0] {
+        let len = usize::from(plan[at]);
+        let t = u64::from(plan[at + 1]);
+        let cycle = &plan[at + 2..at + 2 + len];
+        at += 2 + len;
+        let mut c = 0.0;
+        for &v in cycle {
+            c += cost[pol(v) * k + q];
+        }
+        let lam = c / t as f64;
+        uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
+        // The root's potential is 0; walking the cycle backwards, each
+        // vertex's successor is the one settled just before.
+        let u = usize::from(cycle[0]);
+        lambda[u * k + q] = lam;
+        potential[u * k + q] = 0.0;
+        let mut pot = 0.0;
+        for &v in cycle[1..].iter().rev() {
+            let p = pol(v);
+            pot += cost[p * k + q] - lam * f64::from(tok[p]);
+            lambda[usize::from(v) * k + q] = lam;
+            potential[usize::from(v) * k + q] = pot;
+        }
+    }
+    let num_segments = plan[at];
+    at += 1;
+    for _ in 0..num_segments {
+        let len = usize::from(plan[at]);
+        let segment = &plan[at + 1..at + 1 + len];
+        at += 1 + len;
+        let w = to[pol(segment[0])] as usize;
+        let lam = lambda[w * k + q];
+        let mut pot = potential[w * k + q];
+        for &v in segment {
+            let p = pol(v);
+            pot += cost[p * k + q] - lam * f64::from(tok[p]);
+            lambda[usize::from(v) * k + q] = lam;
+            potential[usize::from(v) * k + q] = pot;
+        }
+    }
+    uniform
+}
+
 /// `extract_witness` for one lane: same later-wins max-λ start vertex,
-/// same walk/collection order. The caller resets the members' shared
-/// `state` to 2 beforehand.
+/// same walk/collection order. No member may hold the mark 3 on entry
+/// (a replayed evaluation leaves `state` as it was); the vertices this
+/// walk marks are noted in `path` and unmarked again on exit.
 #[allow(clippy::too_many_arguments)]
 fn extract_witness_lane(
     csr: &Csr,
@@ -601,6 +981,7 @@ fn extract_witness_lane(
     policy: &[u32],
     lambda: &[f64],
     state: &mut [u8],
+    path: &mut Vec<u32>,
 ) -> CycleSolution {
     let to = csr.targets();
     let tok = csr.token_counts();
@@ -611,9 +992,14 @@ fn extract_witness_lane(
         }
     }
     let mut u = start;
+    path.clear();
     while state[u as usize] != 3 {
         state[u as usize] = 3;
+        path.push(u);
         u = to[policy[u as usize * k + q] as usize];
+    }
+    for &v in path.iter() {
+        state[v as usize] = 2;
     }
     let mut cycle = Vec::new();
     let mut c = 0.0;
@@ -828,6 +1214,148 @@ mod tests {
         let _ = structure;
     }
 
+    /// Random structure: `blocks` rings of consecutive vertices
+    /// (guaranteed SCC work; a one-vertex ring is a self-loop) plus
+    /// `extra` random edges — chords, self-loops and parallel edges — with
+    /// random token counts (zero-token circuits included) and at least
+    /// one token per ring. About `forced` percent of the vertices take no
+    /// extra edge, so components mix forced and choice vertices, and a
+    /// ring without extra edges is a component with no choice vertex.
+    fn random_structure(rng: &mut Lcg, n: usize, extra: usize, blocks: usize, forced: u64) -> RatioGraph {
+        let block_of = |v: usize| v * blocks / n;
+        let mut structure = RatioGraph::new(n);
+        for v in 0..n {
+            let next = if v + 1 < n && block_of(v + 1) == block_of(v) {
+                v + 1
+            } else {
+                (0..n).find(|&u| block_of(u) == block_of(v)).expect("own block")
+            };
+            structure.add_edge(v as u32, next as u32, 0.0, 1);
+        }
+        let is_forced: Vec<bool> = (0..n).map(|_| rng.next() % 100 < forced).collect();
+        for _ in 0..extra {
+            let from = (rng.next() as usize % n) as u32;
+            let to = (rng.next() as usize % n) as u32;
+            let tokens = (rng.next() % 3) as u32;
+            if is_forced[from as usize] {
+                continue;
+            }
+            structure.add_edge(from, to, 0.0, tokens);
+        }
+        structure
+    }
+
+    /// Reference results: a solo solve per lane, except that a lane with
+    /// a non-finite cost (which no solo graph can hold) must fail
+    /// validation.
+    fn reference_results(structure: &RatioGraph, planes: &CostPlanes) -> Vec<RatioResult> {
+        (0..planes.num_instances())
+            .map(|q| {
+                let plane = planes.plane(q);
+                if plane.iter().all(|c| c.is_finite()) {
+                    Workspace::new().max_cycle_ratio(&with_costs(structure, plane))
+                } else {
+                    Err(RatioGraphError::NonFiniteCost)
+                }
+            })
+            .collect()
+    }
+
+    /// Stages `k` lanes drawn from `patterns` cost patterns: each lane is
+    /// one pattern scaled edge by edge by up to ±0.1 %, so lanes share
+    /// policies (and plans) but not values. With `nan`, about one lane in
+    /// eight gets a NaN cost.
+    fn patterned_planes(
+        rng: &mut Lcg,
+        patterns: &[Vec<f64>],
+        k: usize,
+        nan: bool,
+        planes: &mut CostPlanes,
+    ) {
+        let ne = patterns[0].len();
+        planes.reset(k, ne);
+        for q in 0..k {
+            let pattern = &patterns[rng.next() as usize % patterns.len()];
+            for (c, &base) in planes.plane_mut(q).iter_mut().zip(pattern) {
+                *c = base * (1.0 + rng.f64_in(-1e-3, 1e-3));
+            }
+            if nan && rng.next() % 8 == 0 {
+                planes.plane_mut(q)[rng.next() as usize % ne] = f64::NAN;
+            }
+        }
+    }
+
+    /// The final policy, λ and potential columns of two batch scratches
+    /// (`len` entries each) are bitwise equal: a replayed evaluation writes
+    /// exactly what the walk writes, also where no result reads it.
+    fn assert_same_columns(a: &BatchScratch, b: &BatchScratch, len: usize) {
+        assert_eq!(a.policy[..len], b.policy[..len], "policy columns");
+        for (i, (x, y)) in a.lambda[..len].iter().zip(&b.lambda[..len]).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "λ column entry {i}");
+        }
+        for (i, (x, y)) in a.potential[..len].iter().zip(&b.potential[..len]).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "potential column entry {i}");
+        }
+    }
+
+    #[test]
+    fn plans_replay_across_lanes_and_chunks() {
+        let structure = structure();
+        let ne = structure.num_edges();
+        let mut rng = Lcg(11);
+        let patterns: Vec<Vec<f64>> =
+            (0..2).map(|_| (0..ne).map(|_| rng.f64_in(1.0, 30.0)).collect()).collect();
+        let mut ws = Workspace::new();
+        let mut scratch = BatchScratch::new();
+        let mut planes = CostPlanes::new();
+        let mut walked = 0;
+        for round in 0..5 {
+            patterned_planes(&mut rng, &patterns, 6, false, &mut planes);
+            let batch = ws.max_cycle_ratio_batch(&structure, 3, &planes, &mut scratch);
+            assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
+            let (hits, misses) = ws.plan_store().stats();
+            assert!(misses >= walked, "round {round}: the store was cleared");
+            walked = misses;
+            assert!(hits > 0, "round {round}: no plan replayed ({misses} walked)");
+        }
+        // The plans outlive chunks: later rounds walk (almost) nothing new.
+        let (hits, misses) = ws.plan_store().stats();
+        assert!(hits > 3 * misses, "{hits} replayed vs {misses} walked");
+        // A token change condenses another structure and forgets them.
+        planes.reset(1, ne);
+        planes.plane_mut(0).copy_from_slice(&patterns[0]);
+        ws.max_cycle_ratio_batch(&structure, 4, &planes, &mut scratch);
+        let (hits, misses) = ws.plan_store().stats();
+        assert_eq!(hits, 0, "a rebuilt condensation starts with no plans");
+        assert!(misses > 0);
+    }
+
+    #[test]
+    fn a_full_plan_store_stops_recording_and_stays_exact() {
+        let structure = structure();
+        let ne = structure.num_edges();
+        let mut rng = Lcg(5);
+        let patterns: Vec<Vec<f64>> =
+            (0..3).map(|_| (0..ne).map(|_| rng.f64_in(-5.0, 40.0)).collect()).collect();
+        for budget in [0, 12, 40, 90] {
+            let mut ws = Workspace::new();
+            let mut scratch = BatchScratch::new();
+            let mut planes = CostPlanes::new();
+            for round in 0..4 {
+                patterned_planes(&mut rng, &patterns, 5, false, &mut planes);
+                // The budget survives the condensation of the first round.
+                ws.plan_store_mut().set_budget(budget);
+                let batch = ws.max_cycle_ratio_batch(&structure, 8, &planes, &mut scratch);
+                assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
+                let store = ws.plan_store();
+                assert!(store.words.len() <= budget, "budget {budget}, round {round}");
+                if budget == 0 {
+                    assert_eq!(store.stats(), (0, 1), "an empty store that never hit stops hashing");
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
@@ -839,33 +1367,8 @@ mod tests {
             blocks in 1usize..4,
             forced in 0u64..101,
         ) {
-            // Random structure: `blocks` rings of consecutive vertices
-            // (guaranteed SCC work; a one-vertex ring is a self-loop) plus
-            // `extra` random edges — chords, self-loops and parallel
-            // edges — with random token counts and at least one token per
-            // ring. About `forced` percent of the vertices take no extra
-            // edge, so components mix forced and choice vertices.
             let mut rng = Lcg(seed.wrapping_mul(2654435761).wrapping_add(1));
-            let block_of = |v: usize| v * blocks / n;
-            let mut structure = RatioGraph::new(n);
-            for v in 0..n {
-                let next = if v + 1 < n && block_of(v + 1) == block_of(v) {
-                    v + 1
-                } else {
-                    (0..n).find(|&u| block_of(u) == block_of(v)).expect("own block")
-                };
-                structure.add_edge(v as u32, next as u32, 0.0, 1);
-            }
-            let is_forced: Vec<bool> = (0..n).map(|_| rng.next() % 100 < forced).collect();
-            for _ in 0..extra {
-                let from = (rng.next() as usize % n) as u32;
-                let to = (rng.next() as usize % n) as u32;
-                let tokens = (rng.next() % 3) as u32;
-                if is_forced[from as usize] {
-                    continue;
-                }
-                structure.add_edge(from, to, 0.0, tokens);
-            }
+            let structure = random_structure(&mut rng, n, extra, blocks, forced);
             let ne = structure.num_edges();
             let mut planes = CostPlanes::new();
             planes.reset(k, ne);
@@ -879,5 +1382,93 @@ mod tests {
             let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes, &mut scratch);
             assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
         }
+
+        /// Cached plans replay bit for bit. Lanes drawn from a few cost
+        /// patterns repeat their policies, so one workspace solving many
+        /// batches under one token replays plans across lanes and chunks;
+        /// every batch must equal a fresh workspace's batch and the solo
+        /// solver, errors included (NaN lanes, zero-token cycles). In the
+        /// middle of the run the workspace solves another structure under
+        /// another token, and every errored batch forces a same-token
+        /// rebuild. `budget` 0–2 shrinks the plan arena so it fills up
+        /// mid-run.
+        #[test]
+        fn cached_plans_replay_bitwise_across_batches(
+            seed in 0u64..1_000_000,
+            n in 2usize..12,
+            extra in 0usize..20,
+            blocks in 1usize..4,
+            forced in 0u64..101,
+            patterns in 1usize..4,
+            budget in 0usize..4,
+        ) {
+            let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(7));
+            let structure = random_structure(&mut rng, n, extra, blocks, forced);
+            let other = structure_other(&mut rng);
+            let ne = structure.num_edges();
+            let patterns: Vec<Vec<f64>> = (0..patterns)
+                .map(|_| (0..ne).map(|_| rng.f64_in(-20.0, 100.0)).collect())
+                .collect();
+            let mut ws = Workspace::new();
+            let mut scratch = BatchScratch::new();
+            let mut planes = CostPlanes::new();
+            let mut hits = 0;
+            let mut replayable = false;
+            for round in 0..8 {
+                if round == 4 {
+                    let mut p = CostPlanes::new();
+                    p.reset(3, other.num_edges());
+                    for q in 0..3 {
+                        for c in p.plane_mut(q) {
+                            *c = rng.f64_in(0.0, 10.0);
+                        }
+                    }
+                    let batch = ws.max_cycle_ratio_batch(&other, seed ^ 1, &p, &mut scratch);
+                    assert_bitwise_eq(&batch, &reference_results(&other, &p));
+                }
+                let k = 1 + rng.next() as usize % 8;
+                patterned_planes(&mut rng, &patterns, k, true, &mut planes);
+                if budget < 3 {
+                    ws.plan_store_mut().set_budget([0, 16, 64][budget]);
+                }
+                let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes, &mut scratch);
+                let mut fresh_scratch = BatchScratch::new();
+                let fresh = Workspace::new().max_cycle_ratio_batch(
+                    &structure,
+                    seed,
+                    &planes,
+                    &mut fresh_scratch,
+                );
+                assert_bitwise_eq(&batch, &fresh);
+                if !fresh_scratch.policy.is_empty() {
+                    // (Empty: every lane failed validation before any solve.)
+                    assert_same_columns(&scratch, &fresh_scratch, n * k);
+                }
+                assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
+                hits += ws.plan_store().stats().0;
+                replayable |= batch.iter().filter(|r| matches!(r, Ok(Some(_)))).count() > 1;
+            }
+            if budget == 3 && replayable && patterns.len() == 1 {
+                prop_assert!(hits > 0, "no plan replayed");
+            }
+        }
+    }
+
+    /// A second structure for the token change: two rings joined by a
+    /// cross edge, with random chords.
+    fn structure_other(rng: &mut Lcg) -> RatioGraph {
+        let mut g = RatioGraph::new(5);
+        g.add_edge(0, 1, 0.0, 1);
+        g.add_edge(1, 0, 0.0, 1);
+        g.add_edge(2, 3, 0.0, 0);
+        g.add_edge(3, 4, 0.0, 1);
+        g.add_edge(4, 2, 0.0, 2);
+        g.add_edge(1, 2, 0.0, 1);
+        for _ in 0..3 {
+            let from = 2 + (rng.next() % 3) as u32;
+            let to = 2 + (rng.next() % 3) as u32;
+            g.add_edge(from, to, 0.0, 1 + (rng.next() % 2) as u32);
+        }
+        g
     }
 }

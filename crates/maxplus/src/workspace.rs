@@ -87,6 +87,7 @@
 //! unchanged): ratios, witnesses, errors and iteration counters are bit
 //! for bit those of a solver that sweeps every vertex.
 
+use crate::batch::PlanStore;
 use crate::graph::{CycleSolution, Edge, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
 
@@ -307,6 +308,9 @@ pub struct Workspace {
     comp_vertices: Vec<u32>,
     /// In-component edges and choice vertices of the condensation above.
     choice: ChoiceIndex,
+    /// Batched policy-evaluation plans over the CSR above (see
+    /// [`crate::batch`]); every CSR rebuild forgets them.
+    plans: PlanStore,
     // Tarjan scratch.
     index: Vec<u32>,
     lowlink: Vec<u32>,
@@ -370,6 +374,7 @@ impl Workspace {
         let _span = repwf_obs::span!(CsrBuild);
         self.struct_sig = None;
         self.csr.build(g);
+        self.plans.clear();
         self.csr_builds += 1;
         repwf_obs::counter_add(repwf_obs::CounterId::CsrBuilds, 1);
     }
@@ -497,9 +502,23 @@ impl Workspace {
     }
 
     /// The shared read-only structural arrays a batched solve iterates
-    /// over: `(csr, component offsets, component vertices, choice index)`.
-    pub(crate) fn batch_parts(&self) -> (&Csr, &[u32], &[u32], &ChoiceIndex) {
-        (&self.csr, &self.comp_offsets, &self.comp_vertices, &self.choice)
+    /// over — `(csr, component offsets, component vertices, choice index)`
+    /// — and the condensation's plan store.
+    pub(crate) fn batch_parts(
+        &mut self,
+    ) -> (&Csr, &[u32], &[u32], &ChoiceIndex, &mut PlanStore) {
+        (&self.csr, &self.comp_offsets, &self.comp_vertices, &self.choice, &mut self.plans)
+    }
+
+    /// The plan store of the current condensation.
+    #[cfg(test)]
+    pub(crate) fn plan_store(&self) -> &PlanStore {
+        &self.plans
+    }
+
+    #[cfg(test)]
+    pub(crate) fn plan_store_mut(&mut self) -> &mut PlanStore {
+        &mut self.plans
     }
 
     /// Howard's policy iteration with **per-SCC parallelism**: after one
