@@ -31,7 +31,40 @@
 //!   the bit-identical λ is *λ-uniform*: it is left out of that round's
 //!   phase-1 sweep and goes straight to phase 2, which skips its
 //!   `λ[w] < λ[v] − eps` filter — exactly what the solo solver does for
-//!   that instance in that round.
+//!   that instance in that round. Both phases sweep the choice vertices
+//!   once with the lanes inside; no lane reads another lane's columns, so
+//!   the interchange keeps every lane's operation order.
+//!
+//! * **Cached evaluation plans.** Policy evaluation splits into a *plan*
+//!   and a *replay*. The plan is the walk order: the policy cycles, each
+//!   with its root and its vertices in cycle order, then the other
+//!   vertices in the order the walk settles them. It is a pure function
+//!   of the condensation and of the lane's policy at the component's
+//!   choice vertices (a forced vertex has one in-component edge, so its
+//!   policy never varies). The replay redoes the lane's float work from
+//!   the plan as straight-line code: the cycle sums from each root,
+//!   `λ = c / t`, the cycle back-substitution, the tail back-substitution
+//!   and the λ-uniform flag. Each workspace keeps the plans of its
+//!   current condensation in one flat arena (`PlanStore`), keyed by
+//!   (component, choice-vertex policy): a lane whose key is cached replays
+//!   the plan, any other lane walks and records it. In a strict campaign
+//!   most evaluations replay, across lanes and across the chunks of one
+//!   shape.
+//!
+//! Why a replay is exact: the walk visits vertices in an order that
+//! depends on the policy only, never on costs, so a plan recorded on one
+//! lane is the walk of every lane, in every chunk, whose policy has the
+//! same key. Every λ and potential the walk writes is one fixed
+//! expression of values written before it; the replay evaluates the same
+//! expression on the same operands in the same order, so it writes the
+//! same bits, and the λ-uniform flag compares the same λs in the same
+//! order. Only successful walks are recorded: a zero-token cycle fails
+//! on the same structure whatever the costs, so it is never replayed and
+//! its lane walks into the same error. The store caches structure, never
+//! answers, and every CSR rebuild (hence every condensation, including
+//! the same-token rebuild after an errored batch) clears it, so results,
+//! iteration counts and errors are the same at any thread count and any
+//! chunking.
 //!
 //! Results are **bit-for-bit** those of the solo solvers: per instance
 //! `q`, the batched iteration performs the same floating-point operations
@@ -124,7 +157,7 @@ pub struct BatchScratch {
     path: Vec<u32>,
     /// The current lane's plan key (its policy at the component's choice
     /// vertices) and the plan its walk records.
-    key: Vec<u16>,
+    key: Vec<u32>,
     record: PlanRecord,
 }
 
@@ -167,19 +200,68 @@ impl BatchScratch {
     }
 }
 
-/// Words of plan arena (keys and plans together) one workspace fills at
-/// most per condensation: 32 Ki 16-bit words, 64 KiB.
-const PLAN_BUDGET_WORDS: usize = 1 << 15;
+/// Bytes of plan arena (keys and plans together) one workspace fills at
+/// most per condensation.
+const PLAN_BUDGET_BYTES: usize = 48 << 10;
 
 /// Index slot marking an empty entry.
 const EMPTY_SLOT: u32 = u32::MAX;
 
+/// The width of a plan word: every number a plan or key stores (vertex
+/// ids, CSR positions, the component index, lengths and token sums) is
+/// one word of the arena.
+trait PlanWord {
+    /// The largest number a word holds.
+    const MAX: usize;
+    /// Word `i` of `words`.
+    fn read(words: &[u8], i: usize) -> usize;
+    /// Appends `x` (at most [`PlanWord::MAX`]) as one word.
+    fn push(words: &mut Vec<u8>, x: usize);
+}
+
+/// One-byte words: condensations of at most 255 vertices and edges.
+struct Narrow;
+
+/// Two-byte (little-endian) words: up to `u16::MAX` vertices and edges.
+struct Wide;
+
+impl PlanWord for Narrow {
+    const MAX: usize = u8::MAX as usize;
+    fn read(words: &[u8], i: usize) -> usize {
+        usize::from(words[i])
+    }
+    fn push(words: &mut Vec<u8>, x: usize) {
+        words.push(x as u8);
+    }
+}
+
+impl PlanWord for Wide {
+    const MAX: usize = u16::MAX as usize;
+    fn read(words: &[u8], i: usize) -> usize {
+        usize::from(u16::from_le_bytes([words[2 * i], words[2 * i + 1]]))
+    }
+    fn push(words: &mut Vec<u8>, x: usize) {
+        words.extend_from_slice(&(x as u16).to_le_bytes());
+    }
+}
+
+/// The word width of the current condensation's plans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Width {
+    Narrow,
+    Wide,
+    /// Too many vertices or edges for a two-byte word: no plans.
+    Off,
+}
+
 /// Cached policy-evaluation plans of one condensation (see the module
 /// docs), keyed by (component, policy at the component's choice vertices).
 ///
-/// One flat arena of 16-bit words holds the entries back to back. An
-/// entry is its key — the component index, then the CSR position each
-/// choice vertex's policy takes, in choice order — followed by its plan:
+/// One flat byte arena holds the entries back to back, in words of one
+/// byte when the condensation's vertex and edge counts fit and of two
+/// otherwise ([`PlanWord`]). An entry is its key — the component index,
+/// then the CSR position each choice vertex's policy takes, in choice
+/// order — followed by its plan:
 ///
 /// * the number of policy cycles, then per cycle its length `L`, its
 ///   token sum `t` and its `L` vertices in cycle order from the root;
@@ -192,16 +274,17 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// A plan holds vertex ids only: a replaying lane's policy matches the
 /// key at the choice vertices, and a forced vertex has one in-component
 /// edge, so the lane's own policy column gives every vertex's CSR
-/// position. Graphs with more than `u16::MAX` vertices or edges, and
-/// cycles with more than `u16::MAX` tokens, are walked and never
-/// recorded. An open-addressing index maps key hashes to entry offsets.
-/// The arena is reserved once at its word budget and stops growing there;
-/// a store that filled up without a single hit stops hashing too.
+/// position. A cycle whose token sum does not fit a word is walked and
+/// never recorded. An open-addressing index maps key hashes to entry
+/// offsets. The arena is reserved once at its byte budget and stops
+/// growing there; a store that filled up without a single hit stops
+/// hashing too.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanStore {
-    words: Vec<u16>,
-    /// `(key hash, entry offset)`, [`EMPTY_SLOT`] offset when free. A
-    /// power-of-two length, at most half full.
+    words: Vec<u8>,
+    width: Width,
+    /// `(key hash, entry byte offset)`, [`EMPTY_SLOT`] offset when free.
+    /// A power-of-two length, at most half full.
     slots: Vec<(u32, u32)>,
     entries: usize,
     budget: usize,
@@ -214,9 +297,10 @@ impl Default for PlanStore {
     fn default() -> Self {
         PlanStore {
             words: Vec::new(),
+            width: Width::Off,
             slots: Vec::new(),
             entries: 0,
-            budget: PLAN_BUDGET_WORDS,
+            budget: PLAN_BUDGET_BYTES,
             full: false,
             hits: 0,
             misses: 0,
@@ -226,7 +310,7 @@ impl Default for PlanStore {
 
 /// What a plan-store probe found for a lane's key.
 enum Probe {
-    /// A cached plan: it starts at this arena offset.
+    /// A cached plan: it starts at this arena byte offset.
     Hit(usize),
     /// No plan; record one under this key hash.
     Miss(u32),
@@ -238,6 +322,7 @@ impl PlanStore {
     /// Forgets every plan: the condensation they describe is gone.
     pub(crate) fn clear(&mut self) {
         self.words.clear();
+        self.width = Width::Off;
         self.slots.clear();
         self.entries = 0;
         self.full = false;
@@ -251,19 +336,20 @@ impl PlanStore {
         (self.hits, self.misses)
     }
 
-    /// Sets the arena's word budget (tests exhaust it on small graphs).
+    /// Sets the arena's byte budget (tests exhaust it on small graphs).
     #[cfg(test)]
-    pub(crate) fn set_budget(&mut self, words: usize) {
-        self.budget = words;
+    pub(crate) fn set_budget(&mut self, bytes: usize) {
+        self.budget = bytes;
     }
 
-    /// Turns the store off for a graph of `n` vertices and `ne` edges
-    /// whose ids do not fit a word. Nothing was recorded for it, so the
-    /// store stays off until the next [`PlanStore::clear`].
+    /// Picks the word width for a condensation of `n` vertices and `ne`
+    /// edges.
     fn fit(&mut self, n: usize, ne: usize) {
-        if n.max(ne) > usize::from(u16::MAX) {
-            self.full = true;
-        }
+        self.width = match n.max(ne) {
+            m if m <= Narrow::MAX => Width::Narrow,
+            m if m <= Wide::MAX => Width::Wide,
+            _ => Width::Off,
+        };
     }
 
     /// Looks up the plan of component `c` under lane `q`'s policy at the
@@ -275,16 +361,20 @@ impl PlanStore {
         policy: &[u32],
         k: usize,
         q: usize,
-        key: &mut Vec<u16>,
+        key: &mut Vec<u32>,
     ) -> Probe {
-        if self.full && self.hits == 0 {
+        if self.width == Width::Off || (self.full && self.hits == 0) {
             return Probe::Off;
         }
         key.clear();
-        key.push(c as u16);
-        key.extend(choices.iter().map(|&v| policy[v as usize * k + q] as u16));
+        key.push(c as u32);
+        key.extend(choices.iter().map(|&v| policy[v as usize * k + q]));
         let hash = key_hash(key);
         if !self.slots.is_empty() {
+            let read = match self.width {
+                Width::Narrow => Narrow::read,
+                _ => Wide::read,
+            };
             let mask = self.slots.len() - 1;
             let mut i = hash as usize & mask;
             loop {
@@ -293,9 +383,11 @@ impl PlanStore {
                     break;
                 }
                 let at = at as usize;
-                if h == hash && self.words[at..at + key.len()] == **key {
+                let entry = &self.words[at..];
+                if h == hash && key.iter().enumerate().all(|(j, &w)| read(entry, j) == w as usize) {
                     self.hits += 1;
-                    return Probe::Hit(at + key.len());
+                    let word = if self.width == Width::Narrow { 1 } else { 2 };
+                    return Probe::Hit(at + word * key.len());
                 }
                 i = (i + 1) & mask;
             }
@@ -308,14 +400,23 @@ impl PlanStore {
         }
     }
 
-    /// Stores the plan `rec` under `key` (with hash `hash`), unless it
-    /// would overrun the word budget: then the store is full for the rest
-    /// of the condensation.
-    fn insert(&mut self, hash: u32, key: &[u16], rec: &PlanRecord) {
-        if !rec.fits {
+    /// Stores the plan `rec` under `key` (with hash `hash`), unless a
+    /// token sum does not fit a word, or the entry would overrun the byte
+    /// budget: then the store is full for the rest of the condensation.
+    fn insert(&mut self, hash: u32, key: &[u32], rec: &PlanRecord) {
+        match self.width {
+            Width::Narrow => self.insert_as::<Narrow>(hash, key, rec),
+            Width::Wide => self.insert_as::<Wide>(hash, key, rec),
+            Width::Off => {}
+        }
+    }
+
+    fn insert_as<W: PlanWord>(&mut self, hash: u32, key: &[u32], rec: &PlanRecord) {
+        if rec.max_tokens > W::MAX as u64 {
             return;
         }
-        let size = key.len() + 2 + rec.cycles.len() + rec.tail.len();
+        let word = if W::MAX == Narrow::MAX { 1 } else { 2 };
+        let size = word * (key.len() + 2 + rec.cycles.len() + rec.tail.len());
         if self.words.len() + size > self.budget {
             self.full = true;
             return;
@@ -327,11 +428,17 @@ impl PlanStore {
         // pages it has not reached yet cost no memory.
         self.words.reserve_exact(self.budget - self.words.len());
         let at = self.words.len() as u32;
-        self.words.extend_from_slice(key);
-        self.words.push(rec.num_cycles);
-        self.words.extend_from_slice(&rec.cycles);
-        self.words.push(rec.num_segments);
-        self.words.extend_from_slice(&rec.tail);
+        for &x in key {
+            W::push(&mut self.words, x as usize);
+        }
+        W::push(&mut self.words, rec.num_cycles);
+        for &x in &rec.cycles {
+            W::push(&mut self.words, x as usize);
+        }
+        W::push(&mut self.words, rec.num_segments);
+        for &x in &rec.tail {
+            W::push(&mut self.words, x as usize);
+        }
         self.place(hash, at);
         self.entries += 1;
     }
@@ -359,7 +466,7 @@ impl PlanStore {
 
 /// FNV-1a over the key words, finished with a 64-bit mix whose high half
 /// is the hash.
-fn key_hash(key: &[u16]) -> u32 {
+fn key_hash(key: &[u32]) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &w in key {
         h = (h ^ u64::from(w)).wrapping_mul(0x0100_0000_01b3);
@@ -370,15 +477,15 @@ fn key_hash(key: &[u16]) -> u32 {
 }
 
 /// The plan a policy walk records, in [`PlanStore`]'s layout: `cycles`
-/// holds the cycle records and `tail` the tail segments. `fits` turns
-/// false when a token sum does not fit a word.
+/// holds the cycle records and `tail` the tail segments; `max_tokens` is
+/// the largest token sum, which must fit a word.
 #[derive(Debug, Clone, Default)]
 struct PlanRecord {
-    num_cycles: u16,
-    cycles: Vec<u16>,
-    num_segments: u16,
-    tail: Vec<u16>,
-    fits: bool,
+    num_cycles: usize,
+    cycles: Vec<u32>,
+    num_segments: usize,
+    tail: Vec<u32>,
+    max_tokens: u64,
 }
 
 impl PlanRecord {
@@ -387,22 +494,22 @@ impl PlanRecord {
         self.cycles.clear();
         self.num_segments = 0;
         self.tail.clear();
-        self.fits = true;
+        self.max_tokens = 0;
     }
 
     /// Records a policy cycle (vertices from the root) with token sum `t`.
     fn push_cycle(&mut self, cycle: &[u32], t: u64) {
-        self.fits &= t <= u64::from(u16::MAX);
+        self.max_tokens = self.max_tokens.max(t);
         self.num_cycles += 1;
-        self.cycles.extend([cycle.len() as u16, t as u16]);
-        self.cycles.extend(cycle.iter().map(|&v| v as u16));
+        self.cycles.extend([cycle.len() as u32, t.min(u64::from(u32::MAX)) as u32]);
+        self.cycles.extend_from_slice(cycle);
     }
 
     /// Records a walk's tail `path` (in walk order), settled backwards.
     fn push_segment(&mut self, path: &[u32]) {
         self.num_segments += 1;
-        self.tail.push(path.len() as u16);
-        self.tail.extend(path.iter().rev().map(|&v| v as u16));
+        self.tail.push(path.len() as u32);
+        self.tail.extend(path.iter().rev());
     }
 }
 
@@ -658,16 +765,12 @@ fn batch_component(
             let qi = q as usize;
             let probe = plans.probe(c, choices, policy, k, qi, key);
             if let Probe::Hit(at) = probe {
-                uniform[qi] = replay_plan_lane(
-                    csr,
-                    &plans.words[at..],
-                    k,
-                    qi,
-                    cost,
-                    policy,
-                    lambda,
-                    potential,
-                );
+                let plan = &plans.words[at..];
+                uniform[qi] = if plans.width == Width::Narrow {
+                    replay_plan_lane::<Narrow>(csr, plan, k, qi, cost, policy, lambda, potential)
+                } else {
+                    replay_plan_lane::<Wide>(csr, plan, k, qi, cost, policy, lambda, potential)
+                };
                 continue;
             }
             record.clear();
@@ -908,9 +1011,9 @@ fn evaluate_policy_lane(
 /// being read back from the columns; `pot += c − λ·t` is the walk's
 /// `(c − λ·t) + pot`, since IEEE addition commutes.
 #[allow(clippy::too_many_arguments)]
-fn replay_plan_lane(
+fn replay_plan_lane<W: PlanWord>(
     csr: &Csr,
-    plan: &[u16],
+    plan: &[u8],
     k: usize,
     q: usize,
     cost: &[f64],
@@ -920,48 +1023,51 @@ fn replay_plan_lane(
 ) -> bool {
     let to = csr.targets();
     let tok = csr.token_counts();
-    let pol = |v: u16| policy[usize::from(v) * k + q] as usize;
+    let word = |i: usize| W::read(plan, i);
+    let pol = |v: usize| policy[v * k + q] as usize;
     let mut first_lam: Option<u64> = None;
     let mut uniform = true;
     let mut at = 1;
-    for _ in 0..plan[0] {
-        let len = usize::from(plan[at]);
-        let t = u64::from(plan[at + 1]);
-        let cycle = &plan[at + 2..at + 2 + len];
+    for _ in 0..word(0) {
+        let len = word(at);
+        let t = word(at + 1);
+        let cycle = at + 2..at + 2 + len;
         at += 2 + len;
         let mut c = 0.0;
-        for &v in cycle {
-            c += cost[pol(v) * k + q];
+        for i in cycle.clone() {
+            c += cost[pol(word(i)) * k + q];
         }
         let lam = c / t as f64;
         uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
         // The root's potential is 0; walking the cycle backwards, each
         // vertex's successor is the one settled just before.
-        let u = usize::from(cycle[0]);
+        let u = word(cycle.start);
         lambda[u * k + q] = lam;
         potential[u * k + q] = 0.0;
         let mut pot = 0.0;
-        for &v in cycle[1..].iter().rev() {
+        for i in (cycle.start + 1..cycle.end).rev() {
+            let v = word(i);
             let p = pol(v);
             pot += cost[p * k + q] - lam * f64::from(tok[p]);
-            lambda[usize::from(v) * k + q] = lam;
-            potential[usize::from(v) * k + q] = pot;
+            lambda[v * k + q] = lam;
+            potential[v * k + q] = pot;
         }
     }
-    let num_segments = plan[at];
+    let num_segments = word(at);
     at += 1;
     for _ in 0..num_segments {
-        let len = usize::from(plan[at]);
-        let segment = &plan[at + 1..at + 1 + len];
+        let len = word(at);
+        let segment = at + 1..at + 1 + len;
         at += 1 + len;
-        let w = to[pol(segment[0])] as usize;
+        let w = to[pol(word(segment.start))] as usize;
         let lam = lambda[w * k + q];
         let mut pot = potential[w * k + q];
-        for &v in segment {
+        for i in segment {
+            let v = word(i);
             let p = pol(v);
             pot += cost[p * k + q] - lam * f64::from(tok[p]);
-            lambda[usize::from(v) * k + q] = lam;
-            potential[usize::from(v) * k + q] = pot;
+            lambda[v * k + q] = lam;
+            potential[v * k + q] = pot;
         }
     }
     uniform
@@ -1001,19 +1107,16 @@ fn extract_witness_lane(
     for &v in path.iter() {
         state[v as usize] = 2;
     }
-    let mut cycle = Vec::new();
+    // `u` is the first vertex the walk met twice: the cycle is the walk
+    // from `u` on, in policy order.
+    let from = path.iter().position(|&v| v == u).expect("the walk reached a marked vertex");
+    let cycle = path[from..].to_vec();
     let mut c = 0.0;
     let mut t: u64 = 0;
-    let first = u;
-    loop {
-        cycle.push(u);
-        let p = policy[u as usize * k + q] as usize;
+    for &v in &cycle {
+        let p = policy[v as usize * k + q] as usize;
         c += cost[p * k + q];
         t += u64::from(tok[p]);
-        u = to[p];
-        if u == first {
-            break;
-        }
     }
     debug_assert!(t > 0, "converged policy cycle must carry tokens");
     CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t }
