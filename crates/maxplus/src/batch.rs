@@ -138,7 +138,8 @@ pub struct BatchScratch {
     potential: Vec<f64>,
     /// Per-instance improvement tolerance of the current component.
     eps: Vec<f64>,
-    /// Per-active-lane best CSR position / best value (init + phase 1).
+    /// Per-swept-lane best CSR position / best value (init, phases 1
+    /// and 2).
     best_p: Vec<u32>,
     best_f: Vec<f64>,
     /// Per-instance flags and counters. `uniform[q]`: every policy cycle
@@ -148,7 +149,8 @@ pub struct BatchScratch {
     uniform: Vec<bool>,
     iters: Vec<usize>,
     /// Active-lane index list of the current round, and its lanes that
-    /// take part in the phase-1 sweep (those not λ-uniform).
+    /// take part in the phase-1 sweep (those not λ-uniform), then in the
+    /// phase-2 sweep (those phase 1 did not change).
     act: Vec<u32>,
     sweep: Vec<u32>,
     /// Shared scalar walk scratch (policy evaluation, witness extraction).
@@ -211,6 +213,8 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// ids, CSR positions, the component index, lengths and token sums) is
 /// one word of the arena.
 trait PlanWord {
+    /// Bytes per word.
+    const BYTES: usize;
     /// The largest number a word holds.
     const MAX: usize;
     /// Word `i` of `words`.
@@ -226,6 +230,7 @@ struct Narrow;
 struct Wide;
 
 impl PlanWord for Narrow {
+    const BYTES: usize = 1;
     const MAX: usize = u8::MAX as usize;
     fn read(words: &[u8], i: usize) -> usize {
         usize::from(words[i])
@@ -236,6 +241,7 @@ impl PlanWord for Narrow {
 }
 
 impl PlanWord for Wide {
+    const BYTES: usize = 2;
     const MAX: usize = u16::MAX as usize;
     fn read(words: &[u8], i: usize) -> usize {
         usize::from(u16::from_le_bytes([words[2 * i], words[2 * i + 1]]))
@@ -371,9 +377,9 @@ impl PlanStore {
         key.extend(choices.iter().map(|&v| policy[v as usize * k + q]));
         let hash = key_hash(key);
         if !self.slots.is_empty() {
-            let read = match self.width {
-                Width::Narrow => Narrow::read,
-                _ => Wide::read,
+            let (read, bytes): (fn(&[u8], usize) -> usize, usize) = match self.width {
+                Width::Narrow => (Narrow::read, Narrow::BYTES),
+                _ => (Wide::read, Wide::BYTES),
             };
             let mask = self.slots.len() - 1;
             let mut i = hash as usize & mask;
@@ -386,8 +392,7 @@ impl PlanStore {
                 let entry = &self.words[at..];
                 if h == hash && key.iter().enumerate().all(|(j, &w)| read(entry, j) == w as usize) {
                     self.hits += 1;
-                    let word = if self.width == Width::Narrow { 1 } else { 2 };
-                    return Probe::Hit(at + word * key.len());
+                    return Probe::Hit(at + bytes * key.len());
                 }
                 i = (i + 1) & mask;
             }
@@ -415,8 +420,7 @@ impl PlanStore {
         if rec.max_tokens > W::MAX as u64 {
             return;
         }
-        let word = if W::MAX == Narrow::MAX { 1 } else { 2 };
-        let size = word * (key.len() + 2 + rec.cycles.len() + rec.tail.len());
+        let size = W::BYTES * (key.len() + 2 + rec.cycles.len() + rec.tail.len());
         if self.words.len() + size > self.budget {
             self.full = true;
             return;
@@ -552,12 +556,11 @@ impl Workspace {
         // Per-instance validation, mirroring `RatioGraph::validate` with
         // the instance's own costs: same error variant, same edge-order
         // precedence as a solo solve on that instance's graph.
-        let structural = first_vertex_error(g);
         let mut failed: Vec<Option<RatioGraphError>> = vec![None; k];
         let mut best: Vec<Option<CycleSolution>> = Vec::with_capacity(k);
         best.resize_with(k, || None);
         for (q, slot) in failed.iter_mut().enumerate() {
-            *slot = validate_plane(planes.plane(q), &structural).err();
+            *slot = validate_plane(g, planes.plane(q)).err();
         }
 
         if failed.iter().all(Option::is_some) {
@@ -616,32 +619,22 @@ impl Workspace {
     }
 }
 
-/// The structural half of `RatioGraph::validate`, shared by every plane:
-/// the index of the first edge with an endpoint out of range and its
-/// error (the `from` endpoint is checked first), if any.
-fn first_vertex_error(g: &RatioGraph) -> Option<(usize, RatioGraphError)> {
-    let n = g.num_vertices();
-    g.edges().iter().enumerate().find_map(|(i, e)| {
-        [e.from, e.to]
-            .into_iter()
-            .find(|&v| v as usize >= n)
-            .map(|vertex| (i, RatioGraphError::VertexOutOfRange { vertex }))
-    })
-}
-
 /// `RatioGraph::validate` with the costs of one plane substituted for the
-/// graph's own: identical error variants and edge-order precedence. An
-/// edge's endpoints are checked before its cost, so a non-finite cost
-/// wins only ahead of the first structural error.
-fn validate_plane(
-    plane: &[f64],
-    structural: &Option<(usize, RatioGraphError)>,
-) -> Result<(), RatioGraphError> {
-    let checked = structural.as_ref().map_or(plane.len(), |&(i, _)| i);
-    if plane[..checked].iter().any(|c| !c.is_finite()) {
-        return Err(RatioGraphError::NonFiniteCost);
+/// graph's own: identical error variants and edge-order precedence.
+fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> {
+    let n = g.num_vertices();
+    for (e, &cost) in g.edges().iter().zip(plane) {
+        if (e.from as usize) >= n {
+            return Err(RatioGraphError::VertexOutOfRange { vertex: e.from });
+        }
+        if (e.to as usize) >= n {
+            return Err(RatioGraphError::VertexOutOfRange { vertex: e.to });
+        }
+        if !cost.is_finite() {
+            return Err(RatioGraphError::NonFiniteCost);
+        }
     }
-    structural.as_ref().map_or(Ok(()), |(_, e)| Err(e.clone()))
+    Ok(())
 }
 
 /// Lock-step Howard on one strongly connected component for every lane
