@@ -147,16 +147,7 @@ fn replica_cycle_time(v: InstanceView<'_>, i: StageId, beta: usize) -> CycleTime
         c_out += avg;
         c_out_peak = c_out_peak.max(avg);
     }
-    CycleTime {
-        proc: u,
-        stage: i,
-        replica_index: beta,
-        c_in,
-        c_comp,
-        c_out,
-        c_in_peak,
-        c_out_peak,
-    }
+    CycleTime { proc: u, stage: i, replica_index: beta, c_in, c_comp, c_out, c_in_peak, c_out_peak }
 }
 
 /// Lower bound on the `M_ct` (hence on the period) of **any completion**

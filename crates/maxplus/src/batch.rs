@@ -377,9 +377,9 @@ impl PlanStore {
         key.extend(choices.iter().map(|&v| policy[v as usize * k + q]));
         let hash = key_hash(key);
         if !self.slots.is_empty() {
-            let (read, bytes): (fn(&[u8], usize) -> usize, usize) = match self.width {
-                Width::Narrow => (Narrow::read, Narrow::BYTES),
-                _ => (Wide::read, Wide::BYTES),
+            let (same, bytes) = match self.width {
+                Width::Narrow => (same_key::<Narrow> as SameKey, Narrow::BYTES),
+                _ => (same_key::<Wide> as SameKey, Wide::BYTES),
             };
             let mask = self.slots.len() - 1;
             let mut i = hash as usize & mask;
@@ -389,8 +389,7 @@ impl PlanStore {
                     break;
                 }
                 let at = at as usize;
-                let entry = &self.words[at..];
-                if h == hash && key.iter().enumerate().all(|(j, &w)| read(entry, j) == w as usize) {
+                if h == hash && same(&self.words[at..], key) {
                     self.hits += 1;
                     return Probe::Hit(at + bytes * key.len());
                 }
@@ -466,6 +465,13 @@ impl PlanStore {
         }
         self.slots[i] = (h, at);
     }
+}
+
+/// Compares the key an arena entry starts with against `key`.
+type SameKey = fn(&[u8], &[u32]) -> bool;
+
+fn same_key<W: PlanWord>(entry: &[u8], key: &[u32]) -> bool {
+    key.iter().enumerate().all(|(j, &w)| W::read(entry, j) == w as usize)
 }
 
 /// FNV-1a over the key words, finished with a 64-bit mix whose high half
@@ -1317,7 +1323,13 @@ mod tests {
     /// one token per ring. About `forced` percent of the vertices take no
     /// extra edge, so components mix forced and choice vertices, and a
     /// ring without extra edges is a component with no choice vertex.
-    fn random_structure(rng: &mut Lcg, n: usize, extra: usize, blocks: usize, forced: u64) -> RatioGraph {
+    fn random_structure(
+        rng: &mut Lcg,
+        n: usize,
+        extra: usize,
+        blocks: usize,
+        forced: u64,
+    ) -> RatioGraph {
         let block_of = |v: usize| v * blocks / n;
         let mut structure = RatioGraph::new(n);
         for v in 0..n {
@@ -1440,13 +1452,17 @@ mod tests {
             for round in 0..4 {
                 patterned_planes(&mut rng, &patterns, 5, false, &mut planes);
                 // The budget survives the condensation of the first round.
-                ws.plan_store_mut().set_budget(budget);
+                ws.plan_store().set_budget(budget);
                 let batch = ws.max_cycle_ratio_batch(&structure, 8, &planes, &mut scratch);
                 assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
                 let store = ws.plan_store();
                 assert!(store.words.len() <= budget, "budget {budget}, round {round}");
                 if budget == 0 {
-                    assert_eq!(store.stats(), (0, 1), "an empty store that never hit stops hashing");
+                    assert_eq!(
+                        store.stats(),
+                        (0, 1),
+                        "an empty store that never hit stops hashing"
+                    );
                 }
             }
         }
@@ -1525,7 +1541,7 @@ mod tests {
                 let k = 1 + rng.next() as usize % 8;
                 patterned_planes(&mut rng, &patterns, k, true, &mut planes);
                 if budget < 3 {
-                    ws.plan_store_mut().set_budget([0, 16, 64][budget]);
+                    ws.plan_store().set_budget([0, 16, 64][budget]);
                 }
                 let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes, &mut scratch);
                 let mut fresh_scratch = BatchScratch::new();

@@ -504,20 +504,13 @@ impl Workspace {
     /// The shared read-only structural arrays a batched solve iterates
     /// over — `(csr, component offsets, component vertices, choice index)`
     /// — and the condensation's plan store.
-    pub(crate) fn batch_parts(
-        &mut self,
-    ) -> (&Csr, &[u32], &[u32], &ChoiceIndex, &mut PlanStore) {
+    pub(crate) fn batch_parts(&mut self) -> (&Csr, &[u32], &[u32], &ChoiceIndex, &mut PlanStore) {
         (&self.csr, &self.comp_offsets, &self.comp_vertices, &self.choice, &mut self.plans)
     }
 
     /// The plan store of the current condensation.
     #[cfg(test)]
-    pub(crate) fn plan_store(&self) -> &PlanStore {
-        &self.plans
-    }
-
-    #[cfg(test)]
-    pub(crate) fn plan_store_mut(&mut self) -> &mut PlanStore {
+    pub(crate) fn plan_store(&mut self) -> &mut PlanStore {
         &mut self.plans
     }
 
