@@ -202,72 +202,23 @@ impl BatchScratch {
     }
 }
 
-/// Bytes of plan arena (keys and plans together) one workspace fills at
+/// Bytes of plan store (arena and index together) one workspace fills at
 /// most per condensation.
 const PLAN_BUDGET_BYTES: usize = 48 << 10;
+
+/// The largest number a plan word holds. A condensation with more
+/// vertices or edges records no plans.
+const WORD_MAX: usize = u16::MAX as usize;
 
 /// Index slot marking an empty entry.
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// The width of a plan word: every number a plan or key stores (vertex
-/// ids, CSR positions, the component index, lengths and token sums) is
-/// one word of the arena.
-trait PlanWord {
-    /// Bytes per word.
-    const BYTES: usize;
-    /// The largest number a word holds.
-    const MAX: usize;
-    /// Word `i` of `words`.
-    fn read(words: &[u8], i: usize) -> usize;
-    /// Appends `x` (at most [`PlanWord::MAX`]) as one word.
-    fn push(words: &mut Vec<u8>, x: usize);
-}
-
-/// One-byte words: condensations of at most 255 vertices and edges.
-struct Narrow;
-
-/// Two-byte (little-endian) words: up to `u16::MAX` vertices and edges.
-struct Wide;
-
-impl PlanWord for Narrow {
-    const BYTES: usize = 1;
-    const MAX: usize = u8::MAX as usize;
-    fn read(words: &[u8], i: usize) -> usize {
-        usize::from(words[i])
-    }
-    fn push(words: &mut Vec<u8>, x: usize) {
-        words.push(x as u8);
-    }
-}
-
-impl PlanWord for Wide {
-    const BYTES: usize = 2;
-    const MAX: usize = u16::MAX as usize;
-    fn read(words: &[u8], i: usize) -> usize {
-        usize::from(u16::from_le_bytes([words[2 * i], words[2 * i + 1]]))
-    }
-    fn push(words: &mut Vec<u8>, x: usize) {
-        words.extend_from_slice(&(x as u16).to_le_bytes());
-    }
-}
-
-/// The word width of the current condensation's plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Width {
-    Narrow,
-    Wide,
-    /// Too many vertices or edges for a two-byte word: no plans.
-    Off,
-}
-
 /// Cached policy-evaluation plans of one condensation (see the module
 /// docs), keyed by (component, policy at the component's choice vertices).
 ///
-/// One flat byte arena holds the entries back to back, in words of one
-/// byte when the condensation's vertex and edge counts fit and of two
-/// otherwise ([`PlanWord`]). An entry is its key — the component index,
-/// then the CSR position each choice vertex's policy takes, in choice
-/// order — followed by its plan:
+/// One flat arena of `u16` words holds the entries back to back. An entry
+/// is its key — the component index, then the CSR position each choice
+/// vertex's policy takes, in choice order — followed by its plan:
 ///
 /// * the number of policy cycles, then per cycle its length `L`, its
 ///   token sum `t` and its `L` vertices in cycle order from the root;
@@ -282,14 +233,15 @@ enum Width {
 /// edge, so the lane's own policy column gives every vertex's CSR
 /// position. A cycle whose token sum does not fit a word is walked and
 /// never recorded. An open-addressing index maps key hashes to entry
-/// offsets. The arena is reserved once at its byte budget and stops
-/// growing there; a store that filled up without a single hit stops
-/// hashing too.
+/// offsets. Arena and index together stay within the byte budget; a
+/// store that filled up without a single hit stops hashing too.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanStore {
-    words: Vec<u8>,
-    width: Width,
-    /// `(key hash, entry byte offset)`, [`EMPTY_SLOT`] offset when free.
+    words: Vec<u16>,
+    /// No plans for this condensation: it is too large for a word, or
+    /// not fitted yet.
+    off: bool,
+    /// `(key hash, entry word offset)`, [`EMPTY_SLOT`] offset when free.
     /// A power-of-two length, at most half full.
     slots: Vec<(u32, u32)>,
     entries: usize,
@@ -303,7 +255,7 @@ impl Default for PlanStore {
     fn default() -> Self {
         PlanStore {
             words: Vec::new(),
-            width: Width::Off,
+            off: true,
             slots: Vec::new(),
             entries: 0,
             budget: PLAN_BUDGET_BYTES,
@@ -316,7 +268,7 @@ impl Default for PlanStore {
 
 /// What a plan-store probe found for a lane's key.
 enum Probe {
-    /// A cached plan: it starts at this arena byte offset.
+    /// A cached plan: it starts at this arena word offset.
     Hit(usize),
     /// No plan; record one under this key hash.
     Miss(u32),
@@ -328,7 +280,7 @@ impl PlanStore {
     /// Forgets every plan: the condensation they describe is gone.
     pub(crate) fn clear(&mut self) {
         self.words.clear();
-        self.width = Width::Off;
+        self.off = true;
         self.slots.clear();
         self.entries = 0;
         self.full = false;
@@ -342,20 +294,22 @@ impl PlanStore {
         (self.hits, self.misses)
     }
 
-    /// Sets the arena's byte budget (tests exhaust it on small graphs).
+    /// Sets the store's byte budget (tests exhaust it on small graphs).
     #[cfg(test)]
     pub(crate) fn set_budget(&mut self, bytes: usize) {
         self.budget = bytes;
     }
 
-    /// Picks the word width for a condensation of `n` vertices and `ne`
-    /// edges.
+    /// Bytes the arena and the index hold.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        2 * self.words.len() + std::mem::size_of::<(u32, u32)>() * self.slots.len()
+    }
+
+    /// Turns the store on for a condensation of `n` vertices and `ne`
+    /// edges, unless a word cannot hold their ids.
     fn fit(&mut self, n: usize, ne: usize) {
-        self.width = match n.max(ne) {
-            m if m <= Narrow::MAX => Width::Narrow,
-            m if m <= Wide::MAX => Width::Wide,
-            _ => Width::Off,
-        };
+        self.off = n.max(ne) > WORD_MAX;
     }
 
     /// Looks up the plan of component `c` under lane `q`'s policy at the
@@ -369,7 +323,7 @@ impl PlanStore {
         q: usize,
         key: &mut Vec<u32>,
     ) -> Probe {
-        if self.width == Width::Off || (self.full && self.hits == 0) {
+        if self.off || (self.full && self.hits == 0) {
             return Probe::Off;
         }
         key.clear();
@@ -377,10 +331,6 @@ impl PlanStore {
         key.extend(choices.iter().map(|&v| policy[v as usize * k + q]));
         let hash = key_hash(key);
         if !self.slots.is_empty() {
-            let (same, bytes) = match self.width {
-                Width::Narrow => (same_key::<Narrow> as SameKey, Narrow::BYTES),
-                _ => (same_key::<Wide> as SameKey, Wide::BYTES),
-            };
             let mask = self.slots.len() - 1;
             let mut i = hash as usize & mask;
             loop {
@@ -389,9 +339,10 @@ impl PlanStore {
                     break;
                 }
                 let at = at as usize;
-                if h == hash && same(&self.words[at..], key) {
+                let entry = &self.words[at..];
+                if h == hash && key.iter().zip(entry).all(|(&x, &w)| x == u32::from(w)) {
                     self.hits += 1;
-                    return Probe::Hit(at + bytes * key.len());
+                    return Probe::Hit(at + key.len());
                 }
                 i = (i + 1) & mask;
             }
@@ -405,50 +356,40 @@ impl PlanStore {
     }
 
     /// Stores the plan `rec` under `key` (with hash `hash`), unless a
-    /// token sum does not fit a word, or the entry would overrun the byte
-    /// budget: then the store is full for the rest of the condensation.
+    /// token sum does not fit a word, or the entry, with the index grown
+    /// to take it, would overrun the byte budget: then the store is full
+    /// for the rest of the condensation.
     fn insert(&mut self, hash: u32, key: &[u32], rec: &PlanRecord) {
-        match self.width {
-            Width::Narrow => self.insert_as::<Narrow>(hash, key, rec),
-            Width::Wide => self.insert_as::<Wide>(hash, key, rec),
-            Width::Off => {}
-        }
-    }
-
-    fn insert_as<W: PlanWord>(&mut self, hash: u32, key: &[u32], rec: &PlanRecord) {
-        if rec.max_tokens > W::MAX as u64 {
+        if self.off || rec.max_tokens > WORD_MAX as u64 {
             return;
         }
-        let size = W::BYTES * (key.len() + 2 + rec.cycles.len() + rec.tail.len());
-        if self.words.len() + size > self.budget {
+        let size = key.len() + 2 + rec.cycles.len() + rec.tail.len();
+        let grow = 2 * (self.entries + 1) > self.slots.len();
+        let new_slots = if grow { (2 * self.slots.len()).max(64) } else { self.slots.len() };
+        let slot_bytes = std::mem::size_of::<(u32, u32)>() * new_slots;
+        if 2 * (self.words.len() + size) + slot_bytes > self.budget {
             self.full = true;
             return;
         }
-        if 2 * (self.entries + 1) > self.slots.len() {
-            self.grow();
+        if grow {
+            self.grow(new_slots);
         }
-        // One reservation at the budget: the arena never reallocates, and
-        // pages it has not reached yet cost no memory.
-        self.words.reserve_exact(self.budget - self.words.len());
+        // One reservation for every word the budget leaves room for: the
+        // arena never reallocates, and pages it has not reached yet cost
+        // no memory.
+        self.words.reserve_exact(self.budget / 2 - self.words.len());
         let at = self.words.len() as u32;
-        for &x in key {
-            W::push(&mut self.words, x as usize);
-        }
-        W::push(&mut self.words, rec.num_cycles);
-        for &x in &rec.cycles {
-            W::push(&mut self.words, x as usize);
-        }
-        W::push(&mut self.words, rec.num_segments);
-        for &x in &rec.tail {
-            W::push(&mut self.words, x as usize);
-        }
+        self.words.extend(key.iter().map(|&x| x as u16));
+        self.words.push(rec.num_cycles as u16);
+        self.words.extend(rec.cycles.iter().map(|&x| x as u16));
+        self.words.push(rec.num_segments as u16);
+        self.words.extend(rec.tail.iter().map(|&x| x as u16));
         self.place(hash, at);
         self.entries += 1;
     }
 
-    /// Doubles the index (64 slots at first) and re-places every entry.
-    fn grow(&mut self) {
-        let len = (2 * self.slots.len()).max(64);
+    /// Resizes the index to `len` slots and re-places every entry.
+    fn grow(&mut self, len: usize) {
         let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY_SLOT); len]);
         for (h, at) in old {
             if at != EMPTY_SLOT {
@@ -465,13 +406,6 @@ impl PlanStore {
         }
         self.slots[i] = (h, at);
     }
-}
-
-/// Compares the key an arena entry starts with against `key`.
-type SameKey = fn(&[u8], &[u32]) -> bool;
-
-fn same_key<W: PlanWord>(entry: &[u8], key: &[u32]) -> bool {
-    key.iter().enumerate().all(|(j, &w)| W::read(entry, j) == w as usize)
 }
 
 /// FNV-1a over the key words, finished with a 64-bit mix whose high half
@@ -765,11 +699,7 @@ fn batch_component(
             let probe = plans.probe(c, choices, policy, k, qi, key);
             if let Probe::Hit(at) = probe {
                 let plan = &plans.words[at..];
-                uniform[qi] = if plans.width == Width::Narrow {
-                    replay_plan_lane::<Narrow>(csr, plan, k, qi, cost, policy, lambda, potential)
-                } else {
-                    replay_plan_lane::<Wide>(csr, plan, k, qi, cost, policy, lambda, potential)
-                };
+                uniform[qi] = replay_plan_lane(csr, plan, k, qi, cost, policy, lambda, potential);
                 continue;
             }
             record.clear();
@@ -1010,9 +940,9 @@ fn evaluate_policy_lane(
 /// being read back from the columns; `pot += c − λ·t` is the walk's
 /// `(c − λ·t) + pot`, since IEEE addition commutes.
 #[allow(clippy::too_many_arguments)]
-fn replay_plan_lane<W: PlanWord>(
+fn replay_plan_lane(
     csr: &Csr,
-    plan: &[u8],
+    plan: &[u16],
     k: usize,
     q: usize,
     cost: &[f64],
@@ -1022,7 +952,7 @@ fn replay_plan_lane<W: PlanWord>(
 ) -> bool {
     let to = csr.targets();
     let tok = csr.token_counts();
-    let word = |i: usize| W::read(plan, i);
+    let word = |i: usize| usize::from(plan[i]);
     let pol = |v: usize| policy[v * k + q] as usize;
     let mut first_lam: Option<u64> = None;
     let mut uniform = true;
@@ -1438,6 +1368,36 @@ mod tests {
         assert!(misses > 0);
     }
 
+    /// Vertex ids and CSR positions past one byte: plans of a 300-vertex,
+    /// 400-edge structure replay bit for bit, columns included.
+    #[test]
+    fn plans_of_a_large_structure_replay() {
+        let mut rng = Lcg(17);
+        let structure = random_structure(&mut rng, 300, 100, 3, 60);
+        let (n, ne) = (structure.num_vertices(), structure.num_edges());
+        assert!(ne > 255, "{ne} edges");
+        let pattern: Vec<f64> = (0..ne).map(|_| rng.f64_in(-20.0, 100.0)).collect();
+        let mut ws = Workspace::new();
+        let mut scratch = BatchScratch::new();
+        let mut planes = CostPlanes::new();
+        for round in 0..4 {
+            let k = 6;
+            patterned_planes(&mut rng, std::slice::from_ref(&pattern), k, false, &mut planes);
+            let batch = ws.max_cycle_ratio_batch(&structure, 21, &planes, &mut scratch);
+            let mut fresh_scratch = BatchScratch::new();
+            let fresh =
+                Workspace::new().max_cycle_ratio_batch(&structure, 21, &planes, &mut fresh_scratch);
+            assert_bitwise_eq(&batch, &fresh);
+            assert_same_columns(&scratch, &fresh_scratch, n * k);
+            assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
+            let (hits, misses) = ws.plan_store().stats();
+            assert!(hits > 0, "round {round}: no plan replayed ({misses} walked)");
+        }
+    }
+
+    /// The bytes of the plan index once it holds its first entry.
+    const FIRST_INDEX_BYTES: usize = 64 * std::mem::size_of::<(u32, u32)>();
+
     #[test]
     fn a_full_plan_store_stops_recording_and_stays_exact() {
         let structure = structure();
@@ -1445,7 +1405,7 @@ mod tests {
         let mut rng = Lcg(5);
         let patterns: Vec<Vec<f64>> =
             (0..3).map(|_| (0..ne).map(|_| rng.f64_in(-5.0, 40.0)).collect()).collect();
-        for budget in [0, 12, 40, 90] {
+        for budget in [0, FIRST_INDEX_BYTES + 24, FIRST_INDEX_BYTES + 80, FIRST_INDEX_BYTES + 180] {
             let mut ws = Workspace::new();
             let mut scratch = BatchScratch::new();
             let mut planes = CostPlanes::new();
@@ -1456,7 +1416,10 @@ mod tests {
                 let batch = ws.max_cycle_ratio_batch(&structure, 8, &planes, &mut scratch);
                 assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
                 let store = ws.plan_store();
-                assert!(store.words.len() <= budget, "budget {budget}, round {round}");
+                assert!(store.bytes() <= budget, "budget {budget}, round {round}");
+                if (1..FIRST_INDEX_BYTES + 100).contains(&budget) {
+                    assert!(store.full && store.stats().0 > 0, "budget {budget} filled, replays");
+                }
                 if budget == 0 {
                     assert_eq!(
                         store.stats(),
@@ -1502,7 +1465,7 @@ mod tests {
         /// solver, errors included (NaN lanes, zero-token cycles). In the
         /// middle of the run the workspace solves another structure under
         /// another token, and every errored batch forces a same-token
-        /// rebuild. `budget` 0–2 shrinks the plan arena so it fills up
+        /// rebuild. `budget` 0–2 shrinks the plan store so it fills up
         /// mid-run.
         #[test]
         fn cached_plans_replay_bitwise_across_batches(
@@ -1541,7 +1504,8 @@ mod tests {
                 let k = 1 + rng.next() as usize % 8;
                 patterned_planes(&mut rng, &patterns, k, true, &mut planes);
                 if budget < 3 {
-                    ws.plan_store().set_budget([0, 16, 64][budget]);
+                    let bytes = [0, FIRST_INDEX_BYTES + 32, FIRST_INDEX_BYTES + 128][budget];
+                    ws.plan_store().set_budget(bytes);
                 }
                 let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes, &mut scratch);
                 let mut fresh_scratch = BatchScratch::new();
