@@ -360,7 +360,7 @@ impl PlanStore {
     /// to take it, would overrun the byte budget: then the store is full
     /// for the rest of the condensation.
     fn insert(&mut self, hash: u32, key: &[u32], rec: &PlanRecord) {
-        if self.off || rec.max_tokens > WORD_MAX as u64 {
+        if rec.max_tokens > WORD_MAX as u64 {
             return;
         }
         let size = key.len() + 2 + rec.cycles.len() + rec.tail.len();
