@@ -1,8 +1,9 @@
 //! Property tests of the exact optimizer (the correctness spine of the
 //! "exact" claim):
 //!
-//! * **Differential** — on random small instances (`n ≤ 4`, `p ≤ 5`, both
-//!   communication models, occasionally with a dead link), the
+//! * **Differential** — on random small instances (chains with `n ≤ 4`
+//!   and two-branch fork/joins, `p ≤ 5`, both communication models,
+//!   occasionally with a dead link), the
 //!   branch-and-bound optimum is **bit-identical** to exhaustive
 //!   enumeration's: same period bit pattern, same canonical mapping —
 //!   including instances where every mapping is infeasible. Enumeration
@@ -21,23 +22,34 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repwf_core::model::{CommModel, Pipeline, Platform};
-use repwf_gen::{GenConfig, Range};
+use repwf_gen::{GenConfig, Range, Topology};
 use repwf_map::exact::{solve, search_space_size, ExactError, ExactOptions};
 use repwf_map::enumerate;
 
-/// Draws a random small instance. `dead_link` occasionally severs one
-/// processor pair so infeasible leaves (validation failures in the
-/// enumerator, infinite-bound prunes in the solver) are exercised too.
-fn instance(seed: u64, stages: usize, extra_procs: usize, dead_link: bool) -> (Pipeline, Platform) {
-    let procs = (stages + extra_procs).min(5);
+/// Draws a random small instance: a chain of `stages` stages, or with
+/// `fork_join` the four-stage two-branch fork/join (`stages` ignored),
+/// whose split stage has two out-edges and whose merge stage two
+/// in-edges. `dead_link` occasionally severs one processor pair so
+/// infeasible leaves (validation failures in the enumerator,
+/// infinite-bound prunes in the solver) are exercised too.
+fn instance(
+    seed: u64,
+    stages: usize,
+    extra_procs: usize,
+    fork_join: bool,
+    dead_link: bool,
+) -> (Pipeline, Platform) {
+    let topo = if fork_join { Topology::fork_join(2) } else { Topology::chain(stages) };
+    let procs = (topo.stages + extra_procs).min(5);
     let cfg = GenConfig {
-        stages,
+        stages: topo.stages,
         procs,
         comp: Range::new(1.0, 10.0),
         comm: Range::new(1.0, 5.0),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let (pipeline, mut platform, _mapping) = repwf_gen::sampler::sample_parts(&cfg, &mut rng);
+    let (pipeline, mut platform, _mapping) =
+        repwf_gen::sampler::sample_workflow_parts(&cfg, &topo, &mut rng);
     if dead_link {
         let u = rng.gen_range(0..procs);
         let v = rng.gen_range(0..procs);
@@ -61,8 +73,9 @@ proptest! {
         extra in 0usize..=3,
         strict in 0u8..2,
         dead in 0u8..4,
+        fj in 0u8..3,
     ) {
-        let (pipeline, platform) = instance(seed, stages, extra, dead == 0);
+        let (pipeline, platform) = instance(seed, stages, extra, fj == 0, dead == 0);
         let model = model(strict);
         let truth = enumerate::optimum(&pipeline, &platform, model).unwrap();
         let opts = ExactOptions { model, ..ExactOptions::default() };
@@ -95,8 +108,9 @@ proptest! {
         stages in 1usize..=4,
         extra in 0usize..=3,
         strict in 0u8..2,
+        fj in 0u8..3,
     ) {
-        let (pipeline, platform) = instance(seed, stages, extra, false);
+        let (pipeline, platform) = instance(seed, stages, extra, fj == 0, false);
         let solve_at = |threads| {
             let opts = ExactOptions { model: model(strict), threads, ..ExactOptions::default() };
             solve(&pipeline, &platform, &opts).unwrap()
