@@ -50,11 +50,17 @@ fn main() {
         };
         match build_tpn(&inst, model, &BuildOptions::default()) {
             Ok(built) => {
-                print!("{}", tpn::dot::to_dot(&built.net, &tpn::dot::DotOptions {
-                    highlight: Vec::new(),
-                    title: format!("{model} TPN"),
-                    left_to_right: true,
-                }));
+                print!(
+                    "{}",
+                    tpn::dot::to_dot(
+                        &built.net,
+                        &tpn::dot::DotOptions {
+                            highlight: Vec::new(),
+                            title: format!("{model} TPN"),
+                            left_to_right: true,
+                        }
+                    )
+                );
                 return;
             }
             Err(e) => {

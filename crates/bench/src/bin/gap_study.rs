@@ -41,12 +41,8 @@ fn main() {
         "procs", "runs", "no-crit (frac)", "mean gap%", "max gap%"
     );
     for procs in [3usize, 5, 7, 9, 12, 15, 18] {
-        let cfg = GenConfig {
-            stages: 3,
-            procs,
-            comp: Range::constant(1.0),
-            comm: Range::new(5.0, 10.0),
-        };
+        let cfg =
+            GenConfig { stages: 3, procs, comp: Range::constant(1.0), comm: Range::new(5.0, 10.0) };
         let spec = CampaignSpec {
             cfg,
             model: CommModel::Strict,
@@ -62,7 +58,8 @@ fn main() {
             .filter(|o| o.no_critical_resource(repwf_gen::campaign::GAP_REL_TOL))
             .map(|o| o.gap() * 100.0)
             .collect();
-        let mean_gap = if gaps.is_empty() { 0.0 } else { gaps.iter().sum::<f64>() / gaps.len() as f64 };
+        let mean_gap =
+            if gaps.is_empty() { 0.0 } else { gaps.iter().sum::<f64>() / gaps.len() as f64 };
         println!(
             "{:>7} {:>10} {:>8} ({:>5.2}%) {:>12.2} {:>12.2}",
             procs,

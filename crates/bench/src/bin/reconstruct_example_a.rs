@@ -104,8 +104,15 @@ fn main() {
                                 idxs.iter().copied().filter(|k| !used.contains(k)).collect();
                             // remaining 11 values fill w1p1, w2×3, w3, t1×3, t_out×3
                             search_rest(
-                                &vals, &rest, w0, w1p2, [t01, t02], t2, &mut found,
-                                &mut engine_calls, &mut seen,
+                                &vals,
+                                &rest,
+                                w0,
+                                w1p2,
+                                [t01, t02],
+                                t2,
+                                &mut found,
+                                &mut engine_calls,
+                                &mut seen,
                             );
                         }
                     }
@@ -137,7 +144,7 @@ fn search_rest(
         return;
     }
     let r = rest.len(); // 11
-    // pick w1p1
+                        // pick w1p1
     for x in 0..r {
         let w1p1 = vals[rest[x]];
         // strict P1 cycle ≤ MCT: 3·t01 + 3·w1p1 + Σt1 ≤ 1295 checked later;
@@ -152,8 +159,7 @@ fn search_rest(
                 continue; // overlap: w3 must not exceed the period
             }
             // pick ordered w2 triple
-            let rem1: Vec<usize> =
-                (0..r).filter(|&k| k != x && k != y).map(|k| rest[k]).collect();
+            let rem1: Vec<usize> = (0..r).filter(|&k| k != x && k != y).map(|k| rest[k]).collect();
             for p in 0..rem1.len() {
                 for q in 0..rem1.len() {
                     for s in 0..rem1.len() {
@@ -208,19 +214,10 @@ fn search_rest(
                                         if !ok {
                                             continue;
                                         }
-                                        let inst = build(
-                                            w0,
-                                            [w1p1, w1p2],
-                                            w2,
-                                            w3,
-                                            t0,
-                                            t1,
-                                            t2,
-                                            t_out,
-                                        );
+                                        let inst =
+                                            build(w0, [w1p1, w1p2], w2, w3, t0, t1, t2, t_out);
                                         *engine_calls += 1;
-                                        let (mct, who) =
-                                            max_cycle_time(&inst, CommModel::Strict);
+                                        let (mct, who) = max_cycle_time(&inst, CommModel::Strict);
                                         if who.proc != 2 || (mct - MCT_STRICT).abs() > 1e-6 {
                                             continue;
                                         }

@@ -8,8 +8,7 @@ fn main() {
     let inst = example_a();
     println!("Example A mapping (Fig. 2):");
     for i in 0..inst.num_stages() {
-        let procs: Vec<String> =
-            inst.mapping.procs(i).iter().map(|u| format!("P{u}")).collect();
+        let procs: Vec<String> = inst.mapping.procs(i).iter().map(|u| format!("P{u}")).collect();
         println!("  S{i} -> {}", procs.join(", "));
     }
     let m = instance_num_paths(&inst).expect("small lcm");

@@ -87,7 +87,11 @@ fn main() {
             info.c.unwrap(),
             info.m.unwrap()
         ),
-        ok: info.g == 3 && info.u == 7 && info.v == 9 && info.c == Some(55) && info.m == Some(10395),
+        ok: info.g == 3
+            && info.u == 7
+            && info.v == 9
+            && info.c == Some(55)
+            && info.m == Some(10395),
     });
 
     // Cross-method agreement (engine self-check on the fixtures).
@@ -101,7 +105,8 @@ fn main() {
             let est = sim.exact_period(1e-9).unwrap_or_else(|| sim.period_estimate());
             checks.push(Check {
                 what: Box::leak(
-                    format!("{name} {model}: TPN analysis vs discrete-event simulation").into_boxed_str(),
+                    format!("{name} {model}: TPN analysis vs discrete-event simulation")
+                        .into_boxed_str(),
                 ),
                 paper: format!("{:.4}", exact.period),
                 measured: format!("{est:.4}"),

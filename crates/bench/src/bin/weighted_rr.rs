@@ -35,8 +35,7 @@ fn main() {
         // try integer weightings k:1 for the fast replica, keep the best
         let mut best = (uniform, "1:1".to_string(), WeightedAllocation::round_robin(&inst));
         for k in 1..=6usize {
-            let alloc =
-                WeightedAllocation::proportional(&[vec![k, 1], vec![1]], &inst).unwrap();
+            let alloc = WeightedAllocation::proportional(&[vec![k, 1], vec![1]], &inst).unwrap();
             let p = weighted_period(&inst, &alloc, CommModel::Overlap, &BuildOptions::default())
                 .unwrap();
             if p < best.0 {

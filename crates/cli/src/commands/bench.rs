@@ -79,12 +79,7 @@ impl BenchLine {
 /// Times `iters` runs of `f` in up to 5 chunks (after one warm-up call,
 /// which pays the arena growth we want to exclude) and keeps the best
 /// chunk's per-iteration time.
-fn time_kernel<F: FnMut()>(
-    name: &'static str,
-    iters: usize,
-    elements: u64,
-    mut f: F,
-) -> BenchLine {
+fn time_kernel<F: FnMut()>(name: &'static str, iters: usize, elements: u64, mut f: F) -> BenchLine {
     f(); // warm-up
     let chunks = iters.clamp(1, 5);
     let mut total = Duration::ZERO;
@@ -117,12 +112,8 @@ fn bench_instance() -> Instance {
     for u in 0..12 {
         platform.set_speed(u, 1.0 + 0.07 * u as f64);
     }
-    let mapping = Mapping::new(vec![
-        (0..4).collect(),
-        (4..9).collect(),
-        (9..12).collect(),
-    ])
-    .unwrap();
+    let mapping =
+        Mapping::new(vec![(0..4).collect(), (4..9).collect(), (9..12).collect()]).unwrap();
     Instance::new(pipeline, platform, mapping).unwrap()
 }
 
@@ -196,24 +187,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
             vec![(0, 1, 2.0), (0, 2, 2.0), (1, 3, 1.5), (2, 3, 1.5)],
         )
         .unwrap();
-        let mapping = Mapping::new(vec![
-            vec![0],
-            (1..5).collect(),
-            (5..10).collect(),
-            (10..12).collect(),
-        ])
-        .unwrap();
+        let mapping =
+            Mapping::new(vec![vec![0], (1..5).collect(), (5..10).collect(), (10..12).collect()])
+                .unwrap();
         Instance::new(wf, inst.platform.clone(), mapping).unwrap()
     };
     let chain_inst = {
         let wf = Pipeline::new(vec![5.0, 7.0, 3.0, 4.0], vec![2.0, 2.0, 1.5]).unwrap();
-        let mapping = Mapping::new(vec![
-            vec![0],
-            (1..5).collect(),
-            (5..10).collect(),
-            (10..12).collect(),
-        ])
-        .unwrap();
+        let mapping =
+            Mapping::new(vec![vec![0], (1..5).collect(), (5..10).collect(), (10..12).collect()])
+                .unwrap();
         Instance::new(wf, inst.platform.clone(), mapping).unwrap()
     };
     let build_iters = if quick { 200 } else { 1000 };
@@ -236,12 +219,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // amortize plus the batched Howard lanes, with no thread scaling in
     // it, so it is gated normally. `campaign_parallel_speedup` is the
     // runner at N threads vs 1 thread.
-    let cfg = GenConfig {
-        stages: 2,
-        procs: 7,
-        comp: Range::constant(1.0),
-        comm: Range::new(5.0, 10.0),
-    };
+    let cfg =
+        GenConfig { stages: 2, procs: 7, comp: Range::constant(1.0), comm: Range::new(5.0, 10.0) };
     // Large enough that a batched run lasts milliseconds: thread start-up
     // must not dominate the parallel index.
     let campaign_count = if quick { 512 } else { 2048 };
@@ -340,8 +319,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             assert_eq!(p.to_bits(), reference.to_bits());
         }
     }));
-    let mut oracle =
-        MappingOracle::new(&inst.pipeline, &inst.platform).warm_start(true);
+    let mut oracle = MappingOracle::new(&inst.pipeline, &inst.platform).warm_start(true);
     lines.push(time_kernel("neighbor_eval_incremental", 2, neighbor_steps as u64, || {
         for (m, &reference) in walk.iter().zip(&reference_walk) {
             let p = oracle
@@ -368,7 +346,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     lines.push(time_kernel("solve_patched", solve_reps, neighbor_steps as u64, || {
         for (m, &reference) in walk.iter().zip(&reference_walk) {
             let r = patched_engine
-                .compute_mapping(&inst.pipeline, &inst.platform, m, CommModel::Strict, Method::FullTpn)
+                .compute_mapping(
+                    &inst.pipeline,
+                    &inst.platform,
+                    m,
+                    CommModel::Strict,
+                    Method::FullTpn,
+                )
                 .expect("walk mappings solve");
             assert_eq!(r.period.to_bits(), reference.to_bits());
         }
@@ -383,7 +367,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
         for (m, &reference) in walk.iter().zip(&reference_walk) {
             rebuild_engine.reset_patch_state();
             let r = rebuild_engine
-                .compute_mapping(&inst.pipeline, &inst.platform, m, CommModel::Strict, Method::FullTpn)
+                .compute_mapping(
+                    &inst.pipeline,
+                    &inst.platform,
+                    m,
+                    CommModel::Strict,
+                    Method::FullTpn,
+                )
                 .expect("walk mappings solve");
             assert_eq!(r.period.to_bits(), reference.to_bits());
         }
@@ -437,12 +427,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     for u in 0..6 {
         exact_platform.set_speed(u, 1.0 + 0.15 * u as f64);
     }
-    let exact_opts =
-        ExactOptions { model: CommModel::Strict, threads, ..ExactOptions::default() };
+    let exact_opts = ExactOptions { model: CommModel::Strict, threads, ..ExactOptions::default() };
     let exact_reps = if quick { 1 } else { 3 };
     let mut exact_res = None;
     let exact_line = time_kernel("exact_bnb_strict", exact_reps, 1, || {
-        exact_res = Some(solve(&exact_pipeline, &exact_platform, &exact_opts).expect("bench exact"));
+        exact_res =
+            Some(solve(&exact_pipeline, &exact_platform, &exact_opts).expect("bench exact"));
     });
     let exact_res = exact_res.expect("exact kernel ran");
     let exact_space = exact_res.space.expect("bench exact space fits u128");
@@ -460,30 +450,38 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &anneal_vs_exact_opts,
     );
     let (_, exact_optimum) = exact_res.best.as_ref().expect("bench exact instance is feasible");
-    assert!(
-        exact_anneal.period >= *exact_optimum,
-        "annealing cannot beat the certified optimum"
-    );
+    assert!(exact_anneal.period >= *exact_optimum, "annealing cannot beat the certified optimum");
     let exact_prune_ratio = 1.0 - exact_res.stats.evaluated as f64 / exact_space as f64;
     let exact_vs_anneal_nodes = exact_anneal.evaluations as f64 / exact_res.stats.evaluated as f64;
 
     // --- dimensionless indices (what --check gates on) ---
     let per_iter = |name: &str| {
-        lines
-            .iter()
-            .find(|l| l.name == name)
-            .map(BenchLine::per_iter_us)
-            .expect("kernel ran")
+        lines.iter().find(|l| l.name == name).map(BenchLine::per_iter_us).expect("kernel ran")
     };
     let indices: Vec<(&'static str, f64)> = vec![
-        ("engine_reuse_speedup", per_iter("period_full_tpn_cold") / per_iter("period_full_tpn_engine")),
+        (
+            "engine_reuse_speedup",
+            per_iter("period_full_tpn_cold") / per_iter("period_full_tpn_engine"),
+        ),
         ("warm_start_speedup", per_iter("period_full_tpn_cold") / per_iter("period_full_tpn_warm")),
         ("dag_build_parity", per_iter("tpn_build_chain") / per_iter("tpn_build_dag")),
-        ("campaign_parallel_speedup", per_iter("campaign_strict_1t") / per_iter("campaign_strict_nt")),
-        ("campaign_batched_speedup", per_iter("campaign_oracle_1t") / per_iter("campaign_strict_1t")),
-        ("neighbor_eval_speedup", per_iter("neighbor_eval_cold") / per_iter("neighbor_eval_incremental")),
+        (
+            "campaign_parallel_speedup",
+            per_iter("campaign_strict_1t") / per_iter("campaign_strict_nt"),
+        ),
+        (
+            "campaign_batched_speedup",
+            per_iter("campaign_oracle_1t") / per_iter("campaign_strict_1t"),
+        ),
+        (
+            "neighbor_eval_speedup",
+            per_iter("neighbor_eval_cold") / per_iter("neighbor_eval_incremental"),
+        ),
         ("patched_solve_speedup", per_iter("solve_rebuild") / per_iter("solve_patched")),
-        ("shard_merge_efficiency", per_iter("campaign_strict_nt") / per_iter("campaign_shard_merge")),
+        (
+            "shard_merge_efficiency",
+            per_iter("campaign_strict_nt") / per_iter("campaign_shard_merge"),
+        ),
         ("exact_prune_ratio", exact_prune_ratio),
         ("exact_vs_anneal_nodes", exact_vs_anneal_nodes),
     ];
@@ -529,8 +527,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         ),
     ]);
     let rendered = doc.to_string_pretty();
-    std::fs::write(&out_path, &rendered)
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    std::fs::write(&out_path, &rendered).map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
     // Human summary on stderr (stdout stays clean for --json consumers).
     eprintln!("benchmarks ({}):", if quick { "quick" } else { "full" });
@@ -574,8 +571,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 /// numerator (the N-thread campaign) scales with cores while its
 /// denominator is partly serial (ordered NDJSON writes + merge scan), so
 /// the ratio itself is a function of the parallelism settings.
-const THREAD_SCALING_INDICES: &[&str] =
-    &["campaign_parallel_speedup", "shard_merge_efficiency"];
+const THREAD_SCALING_INDICES: &[&str] = &["campaign_parallel_speedup", "shard_merge_efficiency"];
 
 /// What a baseline comparison concluded, before any of it is printed:
 /// the notices to surface (skips with their reason, setting mismatches),
@@ -721,8 +717,7 @@ fn check_against_baseline(
 ) -> Result<usize, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let outcome =
-        compare_indices(&text, baseline_path, indices, tolerance, quick, threads, cores)?;
+    let outcome = compare_indices(&text, baseline_path, indices, tolerance, quick, threads, cores)?;
     for notice in &outcome.notices {
         eprintln!("{notice}");
     }
@@ -744,10 +739,8 @@ mod tests {
     /// A synthetic baseline document with the given parallelism settings
     /// and index values.
     fn baseline(threads: usize, cores: usize, indices: &[(&str, f64)]) -> String {
-        let entries: Vec<String> = indices
-            .iter()
-            .map(|(n, v)| format!("{{\"name\": \"{n}\", \"value\": {v}}}"))
-            .collect();
+        let entries: Vec<String> =
+            indices.iter().map(|(n, v)| format!("{{\"name\": \"{n}\", \"value\": {v}}}")).collect();
         format!(
             "{{\"schema\": \"repwf-bench/v1\", \"quick\": true, \"threads\": {threads}, \
              \"cores\": {cores}, \"benchmarks\": [], \"indices\": [{}]}}",
@@ -816,17 +809,15 @@ mod tests {
 
     #[test]
     fn matched_settings_gate_everything_and_name_regressions() {
-        let text = baseline(
-            2,
-            1,
-            &[("campaign_batched_speedup", 2.0), ("engine_reuse_speedup", 3.0)],
-        );
+        let text =
+            baseline(2, 1, &[("campaign_batched_speedup", 2.0), ("engine_reuse_speedup", 3.0)]);
         let current = [("campaign_batched_speedup", 1.0), ("engine_reuse_speedup", 3.1)];
         let out = compare_indices(&text, "B.json", &current, 0.3, true, 2, 1).unwrap();
         assert_eq!(out.compared, 2);
         assert_eq!(out.regressions.len(), 1);
         assert!(
-            out.regressions[0].contains("campaign_batched_speedup: current 1.000x vs baseline 2.000x"),
+            out.regressions[0]
+                .contains("campaign_batched_speedup: current 1.000x vs baseline 2.000x"),
             "{:?}",
             out.regressions
         );

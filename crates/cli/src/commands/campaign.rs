@@ -21,9 +21,7 @@ use crate::opts::{model_name, parse_model, parse_range, parse_threads, Opts};
 use repwf_dist::report::campaign_doc;
 use repwf_dist::shard::{run_range, run_shard_opts, ShardRunOptions};
 use repwf_dist::supervise::ClaimOutcome;
-use repwf_dist::{
-    merge_paths, supervise, CampaignSpec, FaultPlan, ShardPlan, SuperviseOptions,
-};
+use repwf_dist::{merge_paths, supervise, CampaignSpec, FaultPlan, ShardPlan, SuperviseOptions};
 use repwf_gen::campaign::{
     run_spec, shape_stats, CampaignAccum, CampaignResult, DEFAULT_CAMPAIGN_CAP, GAP_REL_TOL,
 };
@@ -82,9 +80,26 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &[
-            "--stages", "--procs", "--comp", "--comm", "--count", "--seed", "--threads",
-            "--cap", "--model", "--csv", "--shard", "--out", "--range", "--flush-every",
-            "--dir", "--workers", "--units", "--lease-timeout", "--retries", "--owner",
+            "--stages",
+            "--procs",
+            "--comp",
+            "--comm",
+            "--count",
+            "--seed",
+            "--threads",
+            "--cap",
+            "--model",
+            "--csv",
+            "--shard",
+            "--out",
+            "--range",
+            "--flush-every",
+            "--dir",
+            "--workers",
+            "--units",
+            "--lease-timeout",
+            "--retries",
+            "--owner",
             "--trace",
         ],
         &["--json", "--hist", "--help", "--supervise", "--metrics"],
@@ -186,15 +201,12 @@ fn run_sharded(
     threads: usize,
     obs: crate::obsctl::Obs,
 ) -> Result<(), String> {
-    let out = opts
-        .get("--out")
-        .ok_or("--shard/--range needs --out PATH (the NDJSON shard file)")?;
+    let out =
+        opts.get("--out").ok_or("--shard/--range needs --out PATH (the NDJSON shard file)")?;
     if opts.get("--csv").is_some() {
-        return Err(
-            "--csv is not available in shard mode — merge first \
+        return Err("--csv is not available in shard mode — merge first \
              (`repwf merge <shards...> --csv ...`)"
-                .to_string(),
-        );
+            .to_string());
     }
     if opts.has("--hist") {
         return Err("--hist is not available in shard mode — merge first".to_string());
@@ -284,10 +296,8 @@ fn parse_range_slice(raw: &str) -> Result<(usize, usize), String> {
     let (off, len) = raw
         .split_once('+')
         .ok_or_else(|| format!("invalid range designator {raw:?} (expected OFF+LEN)"))?;
-    let off: usize =
-        off.parse().map_err(|_| format!("invalid range offset {off:?} in {raw:?}"))?;
-    let len: usize =
-        len.parse().map_err(|_| format!("invalid range length {len:?} in {raw:?}"))?;
+    let off: usize = off.parse().map_err(|_| format!("invalid range offset {off:?} in {raw:?}"))?;
+    let len: usize = len.parse().map_err(|_| format!("invalid range length {len:?} in {raw:?}"))?;
     Ok((off, len))
 }
 
@@ -300,9 +310,8 @@ fn run_supervised(
     threads: usize,
     obs: crate::obsctl::Obs,
 ) -> Result<(), String> {
-    let dir = opts
-        .get("--dir")
-        .ok_or("--supervise needs --dir PATH (the shared campaign directory)")?;
+    let dir =
+        opts.get("--dir").ok_or("--supervise needs --dir PATH (the shared campaign directory)")?;
     if opts.get("--csv").is_some() || opts.has("--hist") {
         return Err("--csv/--hist are not available with --supervise — the merged \
                     output is printed when the campaign completes"
@@ -379,7 +388,10 @@ fn run_supervised(
             );
         }
         for (offset, level) in &summary.splits {
-            eprintln!("[{}] split straggler unit r{offset}-{level} at seed boundary", summary.owner);
+            eprintln!(
+                "[{}] split straggler unit r{offset}-{level} at seed boundary",
+                summary.owner
+            );
         }
         if summary.complete {
             complete = Some(summary);

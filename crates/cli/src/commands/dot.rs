@@ -89,13 +89,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
             (built.net, Vec::new(), "Fig. 5b: Example A, strict one-port TPN".to_string())
         }
         "overlap-critical" | "strict-critical" => {
-            let model = if which.starts_with("overlap") {
-                CommModel::Overlap
-            } else {
-                CommModel::Strict
-            };
-            let built =
-                build_tpn(&example_a(), model, &build_opts).map_err(|e| e.to_string())?;
+            let model =
+                if which.starts_with("overlap") { CommModel::Overlap } else { CommModel::Strict };
+            let built = build_tpn(&example_a(), model, &build_opts).map_err(|e| e.to_string())?;
             let sol = tpn::analysis::period(&built.net)
                 .map_err(|e| e.to_string())?
                 .ok_or("net has no circuit")?;
@@ -109,13 +105,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
             (built.net, sol.critical, format!("Example A critical circuit ({which})"))
         }
         "subtpn-a-f1" => {
-            let sub =
-                comm_sub_tpn(&example_a(), 1, &build_opts).map_err(|e| e.to_string())?;
+            let sub = comm_sub_tpn(&example_a(), 1, &build_opts).map_err(|e| e.to_string())?;
             (sub.net, Vec::new(), "Fig. 9: sub-TPN of F1 (Example A)".to_string())
         }
         "subtpn-b-f0" => {
-            let sub =
-                comm_sub_tpn(&example_b(), 0, &build_opts).map_err(|e| e.to_string())?;
+            let sub = comm_sub_tpn(&example_b(), 0, &build_opts).map_err(|e| e.to_string())?;
             (sub.net, Vec::new(), "Fig. 10: sub-TPN of F0 (Example B)".to_string())
         }
         other => return Err(format!("unknown figure {other:?} (see repwf dot --help)")),

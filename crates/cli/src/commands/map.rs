@@ -100,10 +100,8 @@ fn exact_json(res: &ExactResult) -> Json {
     if let Some(space) = res.space {
         fields.push(("space", Json::UInt(space)));
         if space > 0 {
-            fields.push((
-                "prune_ratio",
-                Json::Num(1.0 - res.stats.evaluated as f64 / space as f64),
-            ));
+            fields
+                .push(("prune_ratio", Json::Num(1.0 - res.stats.evaluated as f64 / space as f64)));
         }
     }
     Json::Obj(fields)
@@ -117,8 +115,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &[
-            "--example", "--file", "--workflow", "--model", "--steps", "--seed", "--cap",
-            "--threads", "--trace",
+            "--example",
+            "--file",
+            "--workflow",
+            "--model",
+            "--steps",
+            "--seed",
+            "--cap",
+            "--threads",
+            "--trace",
         ],
         &["--exact", "--certify", "--json", "--metrics", "--help"],
     )?;
@@ -209,10 +214,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let metrics = obs.finish()?;
 
     if opts.has("--json") {
-        let mut fields = vec![
-            ("model", Json::str(model_name(model))),
-            ("mode", Json::str(mode)),
-        ];
+        let mut fields = vec![("model", Json::str(model_name(model))), ("mode", Json::str(mode))];
         if let Some(h) = &heuristic {
             fields.push(("heuristic", heuristic_json(h)));
         }

@@ -82,8 +82,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         } else {
             print!(
                 "{}",
-                campaign_doc_partial(&merged.spec, &merged.result, &missing)
-                    .to_string_pretty()
+                campaign_doc_partial(&merged.spec, &merged.result, &missing).to_string_pretty()
             );
         }
     } else {

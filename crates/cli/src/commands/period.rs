@@ -38,8 +38,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let method = parse_method(&opts)?;
     let cap = opts.get_or("--cap", 400_000usize)?;
     let build = BuildOptions { labels: false, max_transitions: cap };
-    let report =
-        compute_period_with(&inst, model, method, &build).map_err(|e| e.to_string())?;
+    let report = compute_period_with(&inst, model, method, &build).map_err(|e| e.to_string())?;
     let metrics = obs.finish()?;
 
     if opts.has("--json") {

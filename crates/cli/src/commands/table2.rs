@@ -68,8 +68,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = opts.get("--csv") {
-        std::fs::write(path, to_csv(&results))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, to_csv(&results)).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("CSV written to {path}");
     }
 
@@ -99,10 +98,7 @@ fn row_json(r: &RowResult) -> Json {
         .sizes
         .iter()
         .map(|&(s, p)| {
-            Json::Obj(vec![
-                ("stages", Json::UInt(s as u128)),
-                ("procs", Json::UInt(p as u128)),
-            ])
+            Json::Obj(vec![("stages", Json::UInt(s as u128)), ("procs", Json::UInt(p as u128))])
         })
         .collect();
     Json::Obj(vec![

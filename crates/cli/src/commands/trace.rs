@@ -49,8 +49,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(min) = opts.get("--min-coverage") {
-        let min: f64 =
-            min.parse().map_err(|_| format!("invalid --min-coverage {min:?}"))?;
+        let min: f64 = min.parse().map_err(|_| format!("invalid --min-coverage {min:?}"))?;
         if !(0.0..=1.0).contains(&min) {
             return Err("--min-coverage must be a fraction in 0..=1".to_string());
         }

@@ -17,15 +17,13 @@ pub struct Opts {
 impl Opts {
     /// Parses `args`, accepting only the declared option names.
     pub fn parse(args: &[String], valued: &[&str], switches: &[&str]) -> Result<Opts, String> {
-        let mut out =
-            Opts { positional: Vec::new(), pairs: Vec::new(), switches: Vec::new() };
+        let mut out = Opts { positional: Vec::new(), pairs: Vec::new(), switches: Vec::new() };
         let mut k = 0;
         while k < args.len() {
             let token = args[k].as_str();
             if valued.contains(&token) {
-                let value = args
-                    .get(k + 1)
-                    .ok_or_else(|| format!("option {token} needs a value"))?;
+                let value =
+                    args.get(k + 1).ok_or_else(|| format!("option {token} needs a value"))?;
                 out.pairs.push((token.to_string(), value.clone()));
                 k += 2;
             } else if switches.contains(&token) {
@@ -60,9 +58,7 @@ impl Opts {
     pub fn get_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
-            Some(raw) => {
-                raw.parse().map_err(|_| format!("invalid value for {name}: {raw:?}"))
-            }
+            Some(raw) => raw.parse().map_err(|_| format!("invalid value for {name}: {raw:?}")),
         }
     }
 }
@@ -71,13 +67,11 @@ impl Opts {
 /// (default: Example A).
 pub fn load_instance(opts: &Opts) -> Result<Instance, String> {
     if let Some(path) = opts.get("--workflow") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         return workflow_from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"));
     }
     if let Some(path) = opts.get("--file") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         return repwf_core::textfmt::from_text(&text)
             .map_err(|e| format!("cannot parse {path}: {e}"));
     }
@@ -122,7 +116,8 @@ pub fn workflow_from_json(text: &str) -> Result<Instance, String> {
         let arr = es.as_arr().ok_or("\"edges\" must be an array")?;
         let mut edges = Vec::with_capacity(arr.len());
         for e in arr {
-            let t = e.as_arr().filter(|t| t.len() == 3).ok_or("each edge must be [src, dst, size]")?;
+            let t =
+                e.as_arr().filter(|t| t.len() == 3).ok_or("each edge must be [src, dst, size]")?;
             let src = t[0].as_u64().ok_or("edge src must be an integer")? as usize;
             let dst = t[1].as_u64().ok_or("edge dst must be an integer")? as usize;
             let size = t[2].as_f64().ok_or("edge size must be a number")?;
@@ -151,10 +146,8 @@ pub fn workflow_from_json(text: &str) -> Result<Instance, String> {
             platform.set_bandwidth(k / p, k % p, b);
         }
     }
-    let mapping_arr = v
-        .get("mapping")
-        .and_then(|m| m.as_arr())
-        .ok_or("missing array \"mapping\"")?;
+    let mapping_arr =
+        v.get("mapping").and_then(|m| m.as_arr()).ok_or("missing array \"mapping\"")?;
     let mut assignment = Vec::with_capacity(mapping_arr.len());
     for procs in mapping_arr {
         let procs = procs.as_arr().ok_or("\"mapping\" must be an array of arrays")?;

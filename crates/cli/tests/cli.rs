@@ -51,8 +51,7 @@ fn period_matches_paper_example_a() {
 
 #[test]
 fn simulate_agrees_with_analysis_on_example_a() {
-    let (doc, _, ok) =
-        repwf(&["simulate", "--example", "a", "--model", "overlap", "--json"]);
+    let (doc, _, ok) = repwf(&["simulate", "--example", "a", "--model", "overlap", "--json"]);
     assert!(ok);
     assert!((json_num(&doc, "period") - 189.0).abs() < 1e-3, "{doc}");
 }
@@ -60,8 +59,8 @@ fn simulate_agrees_with_analysis_on_example_a() {
 #[test]
 fn campaign_json_is_identical_at_any_thread_count() {
     let base = [
-        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "16",
-        "--seed", "77", "--model", "strict", "--json",
+        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "16", "--seed",
+        "77", "--model", "strict", "--json",
     ];
     let (one, _, ok1) = repwf(&[&base[..], &["--threads", "1"]].concat());
     assert!(ok1);
@@ -110,12 +109,11 @@ fn sharded_campaign_merges_byte_identical_to_unsharded() {
     let dir = std::env::temp_dir().join(format!("repwf-shard-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let base = [
-        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "17",
-        "--seed", "41", "--model", "strict",
+        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "17", "--seed",
+        "41", "--model", "strict",
     ];
     for threads in ["1", "2"] {
-        let (reference, _, ok) =
-            repwf(&[&base[..], &["--threads", threads, "--json"]].concat());
+        let (reference, _, ok) = repwf(&[&base[..], &["--threads", threads, "--json"]].concat());
         assert!(ok);
         for num_shards in [1usize, 3] {
             let shard_paths: Vec<String> = (0..num_shards)
@@ -155,8 +153,8 @@ fn killed_shard_resumes_to_the_same_bytes() {
     let shard = dir.join("s0.ndjson");
     let shard_s = shard.to_str().unwrap();
     let args = [
-        "campaign", "--stages", "2", "--procs", "6", "--count", "12", "--seed", "5",
-        "--model", "strict", "--shard", "0/2", "--out", shard_s,
+        "campaign", "--stages", "2", "--procs", "6", "--count", "12", "--seed", "5", "--model",
+        "strict", "--shard", "0/2", "--out", shard_s,
     ];
     let (_, err, ok) = repwf(&args);
     assert!(ok, "{err}");
@@ -213,8 +211,8 @@ fn merge_diagnoses_inconsistent_shard_sets() {
 
     // Resuming under different parameters must refuse, not overwrite.
     let (_, err, ok) = repwf(&[
-        "campaign", "--stages", "2", "--procs", "6", "--count", "10", "--seed", "9",
-        "--shard", "0/2", "--out", &s0,
+        "campaign", "--stages", "2", "--procs", "6", "--count", "10", "--seed", "9", "--shard",
+        "0/2", "--out", &s0,
     ]);
     assert!(!ok, "foreign resume must exit non-zero");
     assert!(err.contains("manifest mismatch"), "{err}");
@@ -348,8 +346,14 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
     // machine did not change under us; tolerance absorbs the noise).
     let out2 = dir.join("BENCH_again.json");
     let (_, err, ok) = repwf(&[
-        "bench", "--quick", "--out", out2.to_str().unwrap(), "--check", out_s,
-        "--tolerance", "0.9",
+        "bench",
+        "--quick",
+        "--out",
+        out2.to_str().unwrap(),
+        "--check",
+        out_s,
+        "--tolerance",
+        "0.9",
     ]);
     assert!(ok, "{err}");
     assert!(err.contains("check against"), "{err}");
@@ -369,7 +373,11 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
     }
     std::fs::write(&inflated, lines.join("\n")).unwrap();
     let (_, err, ok) = repwf(&[
-        "bench", "--quick", "--out", out2.to_str().unwrap(), "--check",
+        "bench",
+        "--quick",
+        "--out",
+        out2.to_str().unwrap(),
+        "--check",
         inflated.to_str().unwrap(),
     ]);
     assert!(!ok, "doctored baseline must fail the check");
@@ -394,8 +402,16 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
     let scaled = dir.join("BENCH_scaled.json");
     std::fs::write(&scaled, lines.join("\n")).unwrap();
     let (_, err, ok) = repwf(&[
-        "bench", "--quick", "--threads", "1", "--out", out2.to_str().unwrap(), "--check",
-        scaled.to_str().unwrap(), "--tolerance", "0.9",
+        "bench",
+        "--quick",
+        "--threads",
+        "1",
+        "--out",
+        out2.to_str().unwrap(),
+        "--check",
+        scaled.to_str().unwrap(),
+        "--tolerance",
+        "0.9",
     ]);
     assert!(ok, "thread-scaling index must be skipped across thread counts: {err}");
     // The skip notice must name EVERY skipped index and say why — which
@@ -411,10 +427,7 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
     }
     // The batched-campaign index is NOT thread-scaling: it must be gated
     // (not skipped) even across --threads settings.
-    assert!(
-        !err.contains("skipping thread-scaling index campaign_batched_speedup"),
-        "{err}"
-    );
+    assert!(!err.contains("skipping thread-scaling index campaign_batched_speedup"), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -424,8 +437,8 @@ fn supervised_campaign_with_injected_kill_matches_the_plain_run() {
     let dir = std::env::temp_dir().join(format!("repwf-supervise-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let base = [
-        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "17",
-        "--seed", "23", "--model", "strict",
+        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "17", "--seed",
+        "23", "--model", "strict",
     ];
     let (reference, _, ok) = repwf(&[&base[..], &["--json"]].concat());
     assert!(ok);
@@ -436,8 +449,16 @@ fn supervised_campaign_with_injected_kill_matches_the_plain_run() {
     let camp = dir.join("camp");
     let camp_s = camp.to_str().unwrap();
     let sup = [
-        "--supervise", "--dir", camp_s, "--workers", "2", "--units", "3",
-        "--flush-every", "2", "--json",
+        "--supervise",
+        "--dir",
+        camp_s,
+        "--workers",
+        "2",
+        "--units",
+        "3",
+        "--flush-every",
+        "2",
+        "--json",
     ];
     let (merged, err, code) =
         repwf_env(&[&base[..], &sup[..]].concat(), &[("REPWF_FAULT", "kill-after=2,torn=7")]);
@@ -462,8 +483,22 @@ fn supervised_campaign_with_injected_kill_matches_the_plain_run() {
 
     // A worker launched with divergent flags is refused by the pin.
     let (_, err, ok) = repwf(&[
-        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "18",
-        "--seed", "23", "--model", "strict", "--supervise", "--dir", camp_s,
+        "campaign",
+        "--stages",
+        "2",
+        "--procs",
+        "6",
+        "--comm",
+        "5..10",
+        "--count",
+        "18",
+        "--seed",
+        "23",
+        "--model",
+        "strict",
+        "--supervise",
+        "--dir",
+        camp_s,
     ]);
     assert!(!ok);
     assert!(err.contains("manifest mismatch") && err.contains("count: 17 vs 18"), "{err}");
@@ -477,8 +512,23 @@ fn injected_process_exit_kill_leaves_a_resumable_shard() {
     let shard = dir.join("s0.ndjson");
     let shard_s = shard.to_str().unwrap();
     let args = [
-        "campaign", "--stages", "2", "--procs", "6", "--count", "11", "--seed", "7",
-        "--model", "strict", "--shard", "0/1", "--out", shard_s, "--flush-every", "3",
+        "campaign",
+        "--stages",
+        "2",
+        "--procs",
+        "6",
+        "--count",
+        "11",
+        "--seed",
+        "7",
+        "--model",
+        "strict",
+        "--shard",
+        "0/1",
+        "--out",
+        shard_s,
+        "--flush-every",
+        "3",
     ];
     // The worker process dies with the dedicated kill exit code, mid-file.
     let (_, _, code) = repwf_env(&args, &[("REPWF_FAULT", "kill-after=5,torn=11,exit")]);
@@ -493,10 +543,8 @@ fn injected_process_exit_kill_leaves_a_resumable_shard() {
     assert!(ok, "{err}");
     let resumed = std::fs::read(&shard).unwrap();
     let fresh = dir.join("fresh.ndjson");
-    let fresh_args: Vec<&str> = args
-        .iter()
-        .map(|a| if *a == shard_s { fresh.to_str().unwrap() } else { *a })
-        .collect();
+    let fresh_args: Vec<&str> =
+        args.iter().map(|a| if *a == shard_s { fresh.to_str().unwrap() } else { *a }).collect();
     let (_, err, ok) = repwf(&fresh_args);
     assert!(ok, "{err}");
     assert_eq!(resumed, std::fs::read(&fresh).unwrap());
@@ -508,8 +556,8 @@ fn range_shards_fill_gaps_and_allow_partial_reports_them() {
     let dir = std::env::temp_dir().join(format!("repwf-range-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let base = [
-        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "12",
-        "--seed", "9", "--model", "strict",
+        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "12", "--seed",
+        "9", "--model", "strict",
     ];
     let (reference, _, ok) = repwf(&[&base[..], &["--json"]].concat());
     assert!(ok);
@@ -555,8 +603,7 @@ fn forkjoin_fixture() -> String {
 #[test]
 fn period_on_workflow_json_matches_the_pinned_document() {
     let fixture = forkjoin_fixture();
-    let (doc, err, ok) =
-        repwf(&["period", "--workflow", &fixture, "--model", "overlap", "--json"]);
+    let (doc, err, ok) = repwf(&["period", "--workflow", &fixture, "--model", "overlap", "--json"]);
     assert!(ok, "{err}");
     let expected = std::fs::read_to_string(format!(
         "{}/../../ci/forkjoin-period-expected.json",
@@ -566,8 +613,7 @@ fn period_on_workflow_json_matches_the_pinned_document() {
     assert_eq!(doc, expected, "period --workflow drifted from ci/forkjoin-period-expected.json");
 
     // The strict model solves the same DAG through the full TPN.
-    let (doc, err, ok) =
-        repwf(&["period", "--workflow", &fixture, "--model", "strict", "--json"]);
+    let (doc, err, ok) = repwf(&["period", "--workflow", &fixture, "--model", "strict", "--json"]);
     assert!(ok, "{err}");
     assert!((json_num(&doc, "period") - 6.5).abs() < 1e-9, "{doc}");
     assert!(doc.contains("\"method\": \"full-tpn\""), "{doc}");
@@ -630,7 +676,10 @@ fn huge_processor_count_fails_with_a_diagnosis() {
     for (flag, path) in [("--file", &text), ("--workflow", &json)] {
         let (out, err, code) = repwf_env(&["period", flag, path.to_str().unwrap()], &[]);
         assert!(matches!(code, Some(c) if c != 0), "{flag}: exit {code:?}, stdout {out}");
-        assert!(err.contains("20000 processors exceed the supported maximum of 4096"), "{flag}: {err}");
+        assert!(
+            err.contains("20000 processors exceed the supported maximum of 4096"),
+            "{flag}: {err}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -706,17 +755,16 @@ fn traced_campaign_json_is_byte_identical_to_untraced() {
     let dir = std::env::temp_dir().join(format!("repwf-trace-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let base = [
-        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "24",
-        "--seed", "91", "--model", "strict", "--json",
+        "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "24", "--seed",
+        "91", "--model", "strict", "--json",
     ];
     let (reference, _, ok) = repwf(&[&base[..], &["--threads", "1"]].concat());
     assert!(ok);
     for threads in ["1", "2", "4"] {
         let trace = dir.join(format!("t{threads}.ndjson"));
         let trace_s = trace.to_str().unwrap();
-        let (traced, err, ok) = repwf(
-            &[&base[..], &["--threads", threads, "--trace", trace_s]].concat(),
-        );
+        let (traced, err, ok) =
+            repwf(&[&base[..], &["--threads", threads, "--trace", trace_s]].concat());
         assert!(ok, "{err}");
         assert_eq!(
             reference, traced,
@@ -741,9 +789,8 @@ fn trace_report_rejects_a_truncated_trace() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("t.ndjson");
     let trace_s = trace.to_str().unwrap();
-    let (_, err, ok) = repwf(&[
-        "period", "--example", "a", "--model", "strict", "--json", "--trace", trace_s,
-    ]);
+    let (_, err, ok) =
+        repwf(&["period", "--example", "a", "--model", "strict", "--json", "--trace", trace_s]);
     assert!(ok, "{err}");
 
     // Drop the footer: the report must refuse the file.
@@ -762,8 +809,18 @@ fn campaign_metrics_flag_reports_structural_counters() {
     // `--metrics` (unlike `--trace`) is allowed to add output: the human
     // summary gains a counter table fed by the sharded registry.
     let (doc, err, ok) = repwf(&[
-        "campaign", "--stages", "2", "--procs", "6", "--count", "12", "--seed", "7",
-        "--model", "strict", "--metrics",
+        "campaign",
+        "--stages",
+        "2",
+        "--procs",
+        "6",
+        "--count",
+        "12",
+        "--seed",
+        "7",
+        "--model",
+        "strict",
+        "--metrics",
     ]);
     assert!(ok, "{err}");
     assert!(doc.contains("metrics:"), "{doc}");
@@ -776,8 +833,8 @@ fn campaign_json_reports_structural_solve_totals() {
     // Satellite: the campaign document carries spec-derived structural
     // totals, so a merged sharded run reports the same bytes.
     let (doc, err, ok) = repwf(&[
-        "campaign", "--stages", "2", "--procs", "6", "--count", "12", "--seed", "7",
-        "--model", "strict", "--json",
+        "campaign", "--stages", "2", "--procs", "6", "--count", "12", "--seed", "7", "--model",
+        "strict", "--json",
     ]);
     assert!(ok, "{err}");
     for key in ["patched_solves", "csr_builds", "tarjan_runs"] {

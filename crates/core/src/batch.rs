@@ -197,9 +197,8 @@ mod tests {
                 let solved = solver.solve();
                 for (q, (res, inst)) in solved.iter().zip(&group).enumerate() {
                     let sol = res.as_ref().unwrap().as_ref().unwrap();
-                    let reference = PeriodEngine::new()
-                        .compute(inst, model, Method::FullTpn)
-                        .unwrap();
+                    let reference =
+                        PeriodEngine::new().compute(inst, model, Method::FullTpn).unwrap();
                     assert_eq!(
                         (sol.period / m).to_bits(),
                         reference.period.to_bits(),
@@ -219,8 +218,7 @@ mod tests {
             solver.stage(0, other.view());
             let m = solver.rows() as f64;
             let sol = solver.solve().remove(0).unwrap().unwrap();
-            let reference =
-                PeriodEngine::new().compute(&other, model, Method::FullTpn).unwrap();
+            let reference = PeriodEngine::new().compute(&other, model, Method::FullTpn).unwrap();
             assert_eq!((sol.period / m).to_bits(), reference.period.to_bits(), "{model}");
             assert_eq!(
                 (solver.tpn_builds(), solver.csr_builds(), solver.tarjan_runs()),

@@ -534,7 +534,10 @@ mod tests {
         let mut cache = MctCache::new();
         let view = |a: &[Vec<usize>]| Mapping::new(a.to_vec()).unwrap();
         let m0 = view(&assignment);
-        cache.max_cycle_time(InstanceView::new(&pipeline, &platform, &m0).unwrap(), CommModel::Strict);
+        cache.max_cycle_time(
+            InstanceView::new(&pipeline, &platform, &m0).unwrap(),
+            CommModel::Strict,
+        );
         assert_eq!(cache.stage_recomputes(), n as u64, "first call recomputes everything");
         for k in 0..10u64 {
             assignment[0].swap(0, 1);
@@ -555,7 +558,10 @@ mod tests {
         }
         // A stage-count change forces a full recompute.
         cache.invalidate();
-        cache.max_cycle_time(InstanceView::new(&pipeline, &platform, &view(&assignment)).unwrap(), CommModel::Overlap);
+        cache.max_cycle_time(
+            InstanceView::new(&pipeline, &platform, &view(&assignment)).unwrap(),
+            CommModel::Overlap,
+        );
         assert_eq!(cache.stage_recomputes(), n as u64 + 30 + n as u64);
     }
 
@@ -598,8 +604,7 @@ mod tests {
         let mut platform = inst.platform.clone();
         platform.set_bandwidth(0, 3, 0.0);
         let prefix = vec![vec![0usize], vec![3]];
-        let bound =
-            prefix_cycle_bound(&inst.pipeline, &platform, &prefix, CommModel::Overlap);
+        let bound = prefix_cycle_bound(&inst.pipeline, &platform, &prefix, CommModel::Overlap);
         assert!(bound.is_infinite(), "zero-bandwidth prefix link must blow the bound up");
     }
 

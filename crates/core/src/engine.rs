@@ -495,7 +495,8 @@ impl PeriodEngine {
                 self.tarjan_runs += scratch.tarjan_runs() - tarjan_before;
                 // On error `compute_session` forgets the patch state (and
                 // the workspace already dropped its structure cache).
-                let sol = solved.map_err(PeriodError::from)?
+                let sol = solved
+                    .map_err(PeriodError::from)?
                     .expect("mapping TPNs always contain circuits");
                 let critical = if self.opts.labels {
                     let names: Vec<&str> = sol
@@ -623,7 +624,11 @@ impl<'a> MappingOracle<'a> {
 
     /// An oracle wrapping a caller-configured engine (build options, warm
     /// starts, previously grown arenas — all carried over).
-    pub fn with_engine(pipeline: &'a Pipeline, platform: &'a Platform, engine: PeriodEngine) -> Self {
+    pub fn with_engine(
+        pipeline: &'a Pipeline,
+        platform: &'a Platform,
+        engine: PeriodEngine,
+    ) -> Self {
         let p = platform.num_procs();
         let max_work = pipeline.works().iter().fold(0.0, |m: f64, &w| m.max(w));
         let max_file = pipeline.file_sizes().iter().fold(0.0, |m: f64, &d| m.max(d));
@@ -825,8 +830,7 @@ impl<'a> MappingOracle<'a> {
         method: Method,
     ) -> Result<PeriodReport, PeriodError> {
         self.validate(mapping)?;
-        let view =
-            InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
+        let view = InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
         self.engine.compute_session(view, model, method, Some(&mut self.session))
     }
 }
@@ -996,7 +1000,8 @@ mod tests {
         let r = engine.compute(&swapped(2), CommModel::Strict, Method::FullTpn).unwrap();
         assert_eq!(engine.patched_solves(), before, "errored solve must force a rebuild");
         assert_eq!(engine.csr_builds(), 2);
-        let cold = PeriodEngine::new().compute(&swapped(2), CommModel::Strict, Method::FullTpn).unwrap();
+        let cold =
+            PeriodEngine::new().compute(&swapped(2), CommModel::Strict, Method::FullTpn).unwrap();
         assert_eq!(r.period.to_bits(), cold.period.to_bits());
         // And the engine patches again from the fresh state.
         engine.compute(&swapped(3), CommModel::Strict, Method::FullTpn).unwrap();
@@ -1011,7 +1016,8 @@ mod tests {
         let r = engine.compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
         assert_eq!(engine.patched_solves(), 0);
         assert_eq!(engine.csr_builds(), 2);
-        let cold = PeriodEngine::new().compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
+        let cold =
+            PeriodEngine::new().compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
         assert_eq!(r.period.to_bits(), cold.period.to_bits());
     }
 
@@ -1143,9 +1149,7 @@ mod tests {
         let mut oracle = MappingOracle::new(&pipeline, &platform).warm_start(true);
         for k in 0..6 {
             let i = swapped(k);
-            let r = oracle
-                .compute(&i.mapping, CommModel::Strict, Method::FullTpn)
-                .unwrap();
+            let r = oracle.compute(&i.mapping, CommModel::Strict, Method::FullTpn).unwrap();
             let cold = PeriodEngine::new()
                 .compute(
                     &Instance::new(pipeline.clone(), platform.clone(), i.mapping.clone()).unwrap(),
@@ -1169,18 +1173,14 @@ mod tests {
         let ok = Mapping::new(vec![vec![0], vec![2]]).unwrap();
         for (mapping, _name) in [(&bad_link, "bad link"), (&unknown, "unknown"), (&ok, "ok")] {
             let via_oracle = oracle.compute(mapping, CommModel::Overlap, Method::Auto);
-            let via_instance =
-                Instance::new(pipeline.clone(), platform.clone(), mapping.clone());
+            let via_instance = Instance::new(pipeline.clone(), platform.clone(), mapping.clone());
             match (via_oracle, via_instance) {
                 (Ok(_), Ok(_)) => {}
                 (Err(PeriodError::Model(a)), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("oracle {a:?} vs instance {b:?}"),
             }
         }
-        assert!(matches!(
-            oracle.validate(&unknown),
-            Err(ModelError::UnknownProcessor(9))
-        ));
+        assert!(matches!(oracle.validate(&unknown), Err(ModelError::UnknownProcessor(9))));
     }
 
     #[test]

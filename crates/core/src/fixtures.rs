@@ -25,8 +25,8 @@ use crate::model::{Instance, Mapping, Pipeline, Platform};
 pub fn example_a() -> Instance {
     // Stage works (speeds are 1, so works are the computation times).
     let w = [22.0, 0.0, 0.0, 67.0]; // S1/S2 works set via per-proc speeds below
-    // Per-processor computation times for the replicated stages
-    // (recovered assignment; reproduces every published value exactly).
+                                    // Per-processor computation times for the replicated stages
+                                    // (recovered assignment; reproduces every published value exactly).
     let comp_p1 = 165.0;
     let comp_p2 = 147.0;
     let comp_p3 = 157.0;
@@ -199,8 +199,9 @@ mod tests {
         let (mct, who) = crate::cycle_time::max_cycle_time(&a, CommModel::Strict);
         assert!((mct - 1295.0 / 6.0).abs() < 1e-9, "mct {mct}");
         assert_eq!(who.proc, 2);
-        let r = crate::period::compute_period(&a, CommModel::Strict, crate::period::Method::FullTpn)
-            .unwrap();
+        let r =
+            crate::period::compute_period(&a, CommModel::Strict, crate::period::Method::FullTpn)
+                .unwrap();
         assert!((r.period - 1384.0 / 6.0).abs() < 1e-9, "period {}", r.period);
         assert!(!r.has_critical_resource(1e-9));
     }

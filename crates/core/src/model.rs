@@ -204,9 +204,7 @@ impl Workflow {
                 return Err(ModelError::InvalidSize(v));
             }
         }
-        let edges = (0..work.len().saturating_sub(1))
-            .map(|k| (k as u32, k as u32 + 1))
-            .collect();
+        let edges = (0..work.len().saturating_sub(1)).map(|k| (k as u32, k as u32 + 1)).collect();
         Ok(Workflow::assemble(work, files, edges))
     }
 
@@ -344,7 +342,8 @@ fn is_series_parallel(n: usize, edges: &[(u32, u32)]) -> bool {
     if n == 1 {
         return edges.is_empty();
     }
-    let mut multi: std::collections::BTreeMap<(u32, u32), usize> = std::collections::BTreeMap::new();
+    let mut multi: std::collections::BTreeMap<(u32, u32), usize> =
+        std::collections::BTreeMap::new();
     for &e in edges {
         *multi.entry(e).or_insert(0) += 1;
     }
@@ -630,7 +629,11 @@ impl Instance {
     /// Bundles and cross-validates the three components: stage counts agree,
     /// mapped processors exist, speeds of used processors and bandwidths of
     /// used links are positive and finite.
-    pub fn new(pipeline: Pipeline, platform: Platform, mapping: Mapping) -> Result<Self, ModelError> {
+    pub fn new(
+        pipeline: Pipeline,
+        platform: Platform,
+        mapping: Mapping,
+    ) -> Result<Self, ModelError> {
         InstanceView { pipeline: &pipeline, platform: &platform, mapping: &mapping }.validate()?;
         Ok(Instance { pipeline, platform, mapping })
     }
@@ -844,8 +847,7 @@ mod tests {
 
     #[test]
     fn parallel_edges_are_series_parallel() {
-        let wf =
-            Workflow::from_edges(vec![1.0, 1.0], vec![(0, 1, 3.0), (0, 1, 5.0)]).unwrap();
+        let wf = Workflow::from_edges(vec![1.0, 1.0], vec![(0, 1, 3.0), (0, 1, 5.0)]).unwrap();
         assert_eq!(wf.num_edges(), 2);
         assert_eq!(wf.edges(), &[(0, 1), (0, 1)]);
     }
@@ -897,8 +899,7 @@ mod tests {
         // Break the 0→2 branch link: used by edge (0, 2), not by any
         // chain-adjacent pair.
         platform.set_bandwidth(0, 2, 0.0);
-        let mapping =
-            Mapping::new(vec![vec![0], vec![1], vec![2], vec![3]]).unwrap();
+        let mapping = Mapping::new(vec![vec![0], vec![1], vec![2], vec![3]]).unwrap();
         assert!(matches!(
             Instance::new(wf, platform, mapping),
             Err(ModelError::InvalidBandwidth { from: 0, to: 2, .. })
@@ -907,10 +908,7 @@ mod tests {
 
     #[test]
     fn mapping_rejects_reuse() {
-        assert_eq!(
-            Mapping::new(vec![vec![0], vec![0, 1]]),
-            Err(ModelError::ProcessorReused(0))
-        );
+        assert_eq!(Mapping::new(vec![vec![0], vec![0, 1]]), Err(ModelError::ProcessorReused(0)));
         assert_eq!(Mapping::new(vec![vec![0], vec![]]), Err(ModelError::UnmappedStage(1)));
     }
 
@@ -1095,7 +1093,11 @@ mod tests {
             let fresh = Mapping::new(assignment.clone());
             let refilled = reused.assign(&assignment).map(|()| reused.clone());
             assert_eq!(fresh, refilled, "case {case}: {assignment:?}");
-            assert_eq!(fresh.as_ref().err(), reference_check(&assignment).err().as_ref(), "case {case}");
+            assert_eq!(
+                fresh.as_ref().err(),
+                reference_check(&assignment).err().as_ref(),
+                "case {case}"
+            );
             match fresh {
                 Ok(m) => assert_eq!(m.assignment(), &assignment[..]),
                 Err(e) => {

@@ -64,7 +64,9 @@ pub enum Bottleneck {
 impl fmt::Display for Bottleneck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Bottleneck::Computation { stage, proc } => write!(f, "computation of S{stage} on P{proc}"),
+            Bottleneck::Computation { stage, proc } => {
+                write!(f, "computation of S{stage} on P{proc}")
+            }
             Bottleneck::Communication { file, residue, .. } => {
                 write!(f, "transfer of F{file} (component {residue})")
             }
@@ -425,10 +427,7 @@ pub fn gap_to_mct(inst: &Instance, analysis: &OverlapAnalysis) -> f64 {
 
 /// Convenience: `M_ct` from per-resource cycle times (overlap model).
 pub fn overlap_mct(inst: &Instance) -> f64 {
-    cycle_times(inst)
-        .iter()
-        .map(|c| c.exec(CommModel::Overlap))
-        .fold(f64::NEG_INFINITY, f64::max)
+    cycle_times(inst).iter().map(|c| c.exec(CommModel::Overlap)).fold(f64::NEG_INFINITY, f64::max)
 }
 
 #[cfg(test)]

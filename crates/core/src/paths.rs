@@ -36,10 +36,7 @@ pub fn num_paths(replicas: &[usize]) -> Option<u128> {
 /// materializing the replica-count vector — the hot-path variant used by
 /// the period engine on every oracle call.
 pub fn mapping_num_paths(mapping: &Mapping) -> Option<u128> {
-    mapping
-        .assignment()
-        .iter()
-        .try_fold(1u128, |acc, procs| lcm(acc, procs.len() as u128))
+    mapping.assignment().iter().try_fold(1u128, |acc, procs| lcm(acc, procs.len() as u128))
 }
 
 /// Number of distinct paths of an instance (Proposition 1).

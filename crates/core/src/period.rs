@@ -122,7 +122,11 @@ impl From<AnalysisError> for PeriodError {
 }
 
 /// Computes the per-data-set period of a mapped workflow.
-pub fn compute_period(inst: &Instance, model: CommModel, method: Method) -> Result<PeriodReport, PeriodError> {
+pub fn compute_period(
+    inst: &Instance,
+    model: CommModel,
+    method: Method,
+) -> Result<PeriodReport, PeriodError> {
     compute_period_with(inst, model, method, &BuildOptions { labels: false, ..Default::default() })
 }
 
@@ -169,8 +173,8 @@ mod tests {
             let r = compute_period(&i, model, Method::Auto).unwrap();
             assert!(r.has_critical_resource(1e-9));
             let expected = match model {
-                CommModel::Overlap => 9.0,       // max(4, 9)
-                CommModel::Strict => 4.0 + 9.0,  // sender: comp + send
+                CommModel::Overlap => 9.0,      // max(4, 9)
+                CommModel::Strict => 4.0 + 9.0, // sender: comp + send
             };
             assert!((r.period - expected).abs() < 1e-12, "{model}: {}", r.period);
         }

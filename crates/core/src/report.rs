@@ -59,13 +59,18 @@ pub fn render(inst: &Instance) -> Result<String, PeriodError> {
     for model in [CommModel::Overlap, CommModel::Strict] {
         let r = compute_period(inst, model, Method::Auto)?;
         let _ = writeln!(out, "\n== {model} ==");
-        let _ = writeln!(out, "  period      {:>12.4}   (throughput {:.6})", r.period, r.throughput());
+        let _ =
+            writeln!(out, "  period      {:>12.4}   (throughput {:.6})", r.period, r.throughput());
         let _ = writeln!(out, "  M_ct        {:>12.4}", r.mct);
         let _ = writeln!(
             out,
             "  critical    {} ({})",
             r.critical,
-            if r.has_critical_resource(1e-9) { "critical resource" } else { "NO critical resource" }
+            if r.has_critical_resource(1e-9) {
+                "critical resource"
+            } else {
+                "NO critical resource"
+            }
         );
     }
 
@@ -78,7 +83,8 @@ pub fn render(inst: &Instance) -> Result<String, PeriodError> {
                 format!("F{file} component {residue}")
             }
         };
-        let marker = if (col.period - analysis.period).abs() < 1e-12 { "  <= critical" } else { "" };
+        let marker =
+            if (col.period - analysis.period).abs() < 1e-12 { "  <= critical" } else { "" };
         let _ = writeln!(out, "  {:<24} {:>12.4}{}", tag, col.period, marker);
     }
 

@@ -151,8 +151,9 @@ pub fn from_text(text: &str) -> Result<Instance, TextError> {
             "map" => {
                 let stage: usize =
                     it.next().and_then(|s| s.parse().ok()).ok_or(TextError::BadLine(lineno))?;
-                let procs: Result<Vec<usize>, _> =
-                    it.map(|s| s.parse::<usize>().map_err(|_| TextError::BadLine(lineno))).collect();
+                let procs: Result<Vec<usize>, _> = it
+                    .map(|s| s.parse::<usize>().map_err(|_| TextError::BadLine(lineno)))
+                    .collect();
                 maps.push((stage, procs?));
             }
             _ => return Err(TextError::BadLine(lineno)),
@@ -245,10 +246,7 @@ mod tests {
     #[test]
     fn errors_reported() {
         assert_eq!(from_text("nope\n"), Err(TextError::BadHeader));
-        assert_eq!(
-            from_text("workflow v1\nstages x\n"),
-            Err(TextError::BadLine(2))
-        );
+        assert_eq!(from_text("workflow v1\nstages x\n"), Err(TextError::BadLine(2)));
         assert_eq!(
             from_text("workflow v1\nspeeds 1\nmap 0 0\n"),
             Err(TextError::Missing("stages"))
@@ -285,8 +283,7 @@ mod tests {
         assert!(text.contains("\nfiles "));
         assert!(!text.contains("\nedge "));
         // Mixing `files` and `edge` is rejected.
-        let bad =
-            "workflow v1\nstages 1 1\nfiles 1\nedge 0 1 1\nspeeds 1 1\nmap 0 0\nmap 1 1\n";
+        let bad = "workflow v1\nstages 1 1\nfiles 1\nedge 0 1 1\nspeeds 1 1\nmap 0 0\nmap 1 1\n";
         assert!(matches!(from_text(bad), Err(TextError::Missing(_))));
     }
 
@@ -328,7 +325,12 @@ mod tests {
         );
         assert_eq!(
             from_text(&edit("speeds ", "speeds 5e-324 1 1 1 1 1 1")),
-            Err(TextError::Model(ModelError::TimeOverflow { stage: 0, edge: None, from: 0, to: 0 }))
+            Err(TextError::Model(ModelError::TimeOverflow {
+                stage: 0,
+                edge: None,
+                from: 0,
+                to: 0
+            }))
         );
     }
 

@@ -153,7 +153,11 @@ fn column_map(view: InstanceView<'_>) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// Builds the full TPN of a mapping under the given communication model.
-pub fn build_tpn(inst: &Instance, model: CommModel, opts: &BuildOptions) -> Result<BuiltTpn, BuildError> {
+pub fn build_tpn(
+    inst: &Instance,
+    model: CommModel,
+    opts: &BuildOptions,
+) -> Result<BuiltTpn, BuildError> {
     let mut net = TimedEventGraph::new();
     let (rows, cols) = build_tpn_into(inst, model, opts, &mut net)?;
     Ok(BuiltTpn { net, rows, cols })
@@ -225,14 +229,15 @@ pub fn build_tpn_view_into(
     // Adds the round-robin circuit over `group` (ascending rows) in column
     // `c`: chain places with 0 tokens, wrap-around with 1 token. A
     // single-row group becomes a tokenized self-loop.
-    let circuit = |net: &mut TimedEventGraph, group: &[usize], c_from: usize, c_to: usize, tag: &str| {
-        for w in 0..group.len() {
-            let (a, b) = (group[w], group[(w + 1) % group.len()]);
-            let tokens = u32::from(w + 1 == group.len());
-            let label = if opts.labels { format!("{tag} r{a}>r{b}") } else { String::new() };
-            net.add_place(at(a, c_from), at(b, c_to), tokens, label);
-        }
-    };
+    let circuit =
+        |net: &mut TimedEventGraph, group: &[usize], c_from: usize, c_to: usize, tag: &str| {
+            for w in 0..group.len() {
+                let (a, b) = (group[w], group[(w + 1) % group.len()]);
+                let tokens = u32::from(w + 1 == group.len());
+                let label = if opts.labels { format!("{tag} r{a}>r{b}") } else { String::new() };
+                net.add_place(at(a, c_from), at(b, c_to), tokens, label);
+            }
+        };
 
     match model {
         CommModel::Overlap => {
@@ -376,7 +381,11 @@ pub fn transition_times_into(view: InstanceView<'_>, rows: usize, out: &mut Vec<
 /// transfer transitions with the sender and receiver round-robin
 /// circuits. This is the object of the paper's Figures 9 and 10 and of
 /// the Theorem 1 decomposition (on a chain, edge `i` is file `F_i`).
-pub fn comm_sub_tpn(inst: &Instance, e: usize, opts: &BuildOptions) -> Result<BuiltTpn, BuildError> {
+pub fn comm_sub_tpn(
+    inst: &Instance,
+    e: usize,
+    opts: &BuildOptions,
+) -> Result<BuiltTpn, BuildError> {
     assert!(e < inst.pipeline.num_edges(), "edge {e} out of range");
     let (src, dst) = inst.pipeline.edge(e);
     let m = instance_num_paths(inst).ok_or(BuildError::PathCountOverflow)?;
@@ -473,7 +482,10 @@ mod tests {
         let (m, n, e) = (6, 4, 4);
         assert_eq!(built.net.num_places(), m * 2 * e + n * m + e * 2 * m);
         // One token per circuit: Σ m_i + Σ_e (m_src + m_dst).
-        assert_eq!(built.net.total_tokens(), (1 + 2 + 3 + 1) + (1 + 2) + (1 + 3) + (2 + 1) + (3 + 1));
+        assert_eq!(
+            built.net.total_tokens(),
+            (1 + 2 + 3 + 1) + (1 + 2) + (1 + 3) + (2 + 1) + (3 + 1)
+        );
     }
 
     #[test]

@@ -110,7 +110,9 @@ impl WeightedAllocation {
     /// `[0, 1, …, m_i−1]` per stage).
     pub fn round_robin(inst: &Instance) -> Self {
         WeightedAllocation {
-            patterns: (0..inst.num_stages()).map(|i| (0..inst.mapping.replicas(i)).collect()).collect(),
+            patterns: (0..inst.num_stages())
+                .map(|i| (0..inst.mapping.replicas(i)).collect())
+                .collect(),
         }
     }
 
@@ -136,11 +138,14 @@ impl WeightedAllocation {
             }
             patterns.push(pat);
         }
-        WeightedAllocation::new(patterns, &Instance {
-            pipeline: inst.pipeline.clone(),
-            platform: inst.platform.clone(),
-            mapping: inst.mapping.clone(),
-        })
+        WeightedAllocation::new(
+            patterns,
+            &Instance {
+                pipeline: inst.pipeline.clone(),
+                platform: inst.platform.clone(),
+                mapping: inst.mapping.clone(),
+            },
+        )
     }
 
     /// Pattern of stage `i`.
@@ -193,7 +198,8 @@ pub fn build_weighted_tpn(
             } else {
                 let u = proc_at(i, j);
                 let v = proc_at(i + 1, j);
-                let label = if opts.labels { format!("F{i}:P{u}>P{v} r{j}") } else { String::new() };
+                let label =
+                    if opts.labels { format!("F{i}:P{u}>P{v} r{j}") } else { String::new() };
                 net.add_transition(inst.comm_time(i, u, v), label);
             }
         }
@@ -359,12 +365,8 @@ mod tests {
         let alloc = WeightedAllocation::round_robin(&inst);
         for model in [CommModel::Overlap, CommModel::Strict] {
             let plain = compute_period(&inst, model, Method::FullTpn).unwrap().period;
-            let weighted =
-                weighted_period(&inst, &alloc, model, &BuildOptions::default()).unwrap();
-            assert!(
-                (plain - weighted).abs() < 1e-9 * plain,
-                "{model}: {plain} vs {weighted}"
-            );
+            let weighted = weighted_period(&inst, &alloc, model, &BuildOptions::default()).unwrap();
+            assert!((plain - weighted).abs() < 1e-9 * plain, "{model}: {plain} vs {weighted}");
         }
     }
 
@@ -399,8 +401,7 @@ mod tests {
         let inst = skewed();
         let alloc = WeightedAllocation::new(vec![vec![0, 0, 1], vec![0]], &inst).unwrap();
         for model in [CommModel::Overlap, CommModel::Strict] {
-            let analytic =
-                weighted_period(&inst, &alloc, model, &BuildOptions::default()).unwrap();
+            let analytic = weighted_period(&inst, &alloc, model, &BuildOptions::default()).unwrap();
             let sim = simulate_weighted(&inst, &alloc, model, 6000);
             assert!(
                 (analytic - sim).abs() < 2e-3 * analytic,
@@ -419,7 +420,8 @@ mod tests {
         let p_best =
             weighted_period(&inst, &best, CommModel::Overlap, &BuildOptions::default()).unwrap();
         let p_skew =
-            weighted_period(&inst, &too_much, CommModel::Overlap, &BuildOptions::default()).unwrap();
+            weighted_period(&inst, &too_much, CommModel::Overlap, &BuildOptions::default())
+                .unwrap();
         assert!(p_best < p_skew, "{p_best} vs {p_skew}");
     }
 
@@ -428,8 +430,8 @@ mod tests {
         let inst = skewed();
         let alloc = WeightedAllocation::new(vec![vec![0, 1, 0], vec![0, 0]], &inst).unwrap();
         assert_eq!(alloc.num_rows(), Some(6));
-        let built =
-            build_weighted_tpn(&inst, &alloc, CommModel::Overlap, &BuildOptions::default()).unwrap();
+        let built = build_weighted_tpn(&inst, &alloc, CommModel::Overlap, &BuildOptions::default())
+            .unwrap();
         assert_eq!(built.rows, 6);
         assert!(built.net.lint().is_empty());
     }

@@ -208,7 +208,8 @@ fn session_move(assignment: &mut [Vec<usize>], p: usize, rng: &mut StdRng) {
         }
         _ => {
             let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            let (si, sj) = (rng.gen_range(0..assignment[i].len()), rng.gen_range(0..assignment[j].len()));
+            let (si, sj) =
+                (rng.gen_range(0..assignment[i].len()), rng.gen_range(0..assignment[j].len()));
             let (a, b) = (assignment[i][si], assignment[j][sj]);
             assignment[i][si] = b;
             assignment[j][sj] = a;
@@ -237,7 +238,11 @@ fn session_walk(seed: u64, k: usize, uniform: bool, steps: usize) {
         // of the same tuples.
         let calls: &[(CommModel, Method)] = match step % 3 {
             0 => &[(Overlap, Method::Auto)],
-            1 => &[(Overlap, Method::Polynomial), (Strict, Method::Auto), (Overlap, Method::Polynomial)],
+            1 => &[
+                (Overlap, Method::Polynomial),
+                (Strict, Method::Auto),
+                (Overlap, Method::Polynomial),
+            ],
             _ => &[(Strict, Method::FullTpn), (Overlap, Method::Auto)],
         };
         let owned = Instance::new(pipeline.clone(), platform.clone(), mapping.clone()).unwrap();

@@ -153,9 +153,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_through_to_directive() {
-        for raw in
-            ["kill-after=7", "kill-after=0,torn=12,exit", "slow=5", "corrupt-footer", ""]
-        {
+        for raw in ["kill-after=7", "kill-after=0,torn=12,exit", "slow=5", "corrupt-footer", ""] {
             let plan = FaultPlan::parse(raw).unwrap();
             assert_eq!(FaultPlan::parse(&plan.to_directive()).unwrap(), plan, "{raw:?}");
         }

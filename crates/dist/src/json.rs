@@ -332,9 +332,8 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, Jso
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
                             Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")?;
+                                let hex =
+                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                                 let code = u32::from_str_radix(
                                     std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                                     16,
@@ -358,7 +357,8 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, Jso
                         while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
                             *pos += 1;
                         }
-                        let run = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+                        let run =
+                            std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
                         out.push_str(run);
                     }
                 }

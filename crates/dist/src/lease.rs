@@ -72,9 +72,9 @@ impl RetryPolicy {
     pub fn backoff(&self, range_start: usize, attempt: u32) -> Duration {
         let shift = attempt.saturating_sub(1).min(20);
         let exp = self.base.saturating_mul(1 << shift).min(self.cap);
-        let jitter_ns = splitmix64(
-            self.jitter_seed ^ (range_start as u64) ^ (u64::from(attempt) << 48),
-        ) % self.base.as_nanos().max(1) as u64;
+        let jitter_ns =
+            splitmix64(self.jitter_seed ^ (range_start as u64) ^ (u64::from(attempt) << 48))
+                % self.base.as_nanos().max(1) as u64;
         exp + Duration::from_nanos(jitter_ns)
     }
 }
@@ -219,8 +219,7 @@ impl Lease {
     ) -> Result<Option<Lease>, DistError> {
         use std::io::Write as _;
         let token = fresh_token(token_salt, attempt);
-        let mut file = match std::fs::OpenOptions::new().write(true).create_new(true).open(path)
-        {
+        let mut file = match std::fs::OpenOptions::new().write(true).create_new(true).open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(None),
             Err(e) => return Err(io_err(path, e)),

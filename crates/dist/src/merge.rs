@@ -282,8 +282,7 @@ fn merge_core<P: AsRef<Path>>(paths: &[P], allow_partial: bool) -> Result<MergeR
     }
     if !missing.is_empty() && !allow_partial {
         let total: usize = missing.iter().map(|(s, e)| e - s).sum();
-        let mut msg =
-            format!("coverage incomplete: {total} of {} experiments missing", spec.count);
+        let mut msg = format!("coverage incomplete: {total} of {} experiments missing", spec.count);
         for &(start, end) in &missing {
             msg.push('\n');
             msg.push_str(&gap_line(&spec, start, end));

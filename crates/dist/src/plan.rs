@@ -101,10 +101,8 @@ impl ShardPlan {
         let (i, n) = raw
             .split_once('/')
             .ok_or_else(|| format!("invalid shard designator {raw:?} (expected I/N)"))?;
-        let i: usize =
-            i.parse().map_err(|_| format!("invalid shard index {i:?} in {raw:?}"))?;
-        let n: usize =
-            n.parse().map_err(|_| format!("invalid shard count {n:?} in {raw:?}"))?;
+        let i: usize = i.parse().map_err(|_| format!("invalid shard index {i:?} in {raw:?}"))?;
+        let n: usize = n.parse().map_err(|_| format!("invalid shard count {n:?} in {raw:?}"))?;
         if n == 0 || i >= n {
             return Err(format!("shard designator {raw:?} must satisfy I < N, N >= 1"));
         }
@@ -170,9 +168,8 @@ mod tests {
 
     #[test]
     fn shard_sizes_differ_by_at_most_one() {
-        let sizes: Vec<usize> = (0..5)
-            .map(|i| ShardPlan::new(0, 17, i, 5).unwrap().shard_count())
-            .collect();
+        let sizes: Vec<usize> =
+            (0..5).map(|i| ShardPlan::new(0, 17, i, 5).unwrap().shard_count()).collect();
         assert_eq!(sizes, vec![4, 4, 3, 3, 3]);
     }
 

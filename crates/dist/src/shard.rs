@@ -70,10 +70,14 @@ pub(crate) fn push_outcome(out: &mut String, o: &ExperimentOutcome) {
     ndjson::put_u128(out, "num_paths", o.num_paths);
     ndjson::put_u64(out, "mct_bits", o.mct.to_bits());
     ndjson::put_u64(out, "period_bits", o.period.to_bits());
-    ndjson::put_str(out, "resolution", match o.resolution {
-        Resolution::Exact => "exact",
-        Resolution::Simulated => "simulated",
-    });
+    ndjson::put_str(
+        out,
+        "resolution",
+        match o.resolution {
+            Resolution::Exact => "exact",
+            Resolution::Simulated => "simulated",
+        },
+    );
     ndjson::end(out);
 }
 
@@ -303,14 +307,9 @@ pub(crate) fn scan(text: &str, path: &str) -> Result<Scan, DistError> {
 /// full record-by-record parse of any of them, so a mismatched or
 /// duplicate shard is diagnosed fast regardless of shard sizes.
 pub(crate) fn manifest_of(text: &str, path: &str) -> Result<ShardManifest, DistError> {
-    let corrupt = |reason: &str| DistError::Corrupt {
-        path: path.to_string(),
-        reason: reason.to_string(),
-    };
-    let first = text
-        .split_inclusive('\n')
-        .next()
-        .ok_or_else(|| corrupt("file is empty"))?;
+    let corrupt =
+        |reason: &str| DistError::Corrupt { path: path.to_string(), reason: reason.to_string() };
+    let first = text.split_inclusive('\n').next().ok_or_else(|| corrupt("file is empty"))?;
     if !first.ends_with('\n') {
         return Err(corrupt("manifest line is truncated"));
     }
@@ -477,9 +476,7 @@ impl ShardWriter {
             // set_len does not move the cursor: without the seek the next
             // write would land past EOF and zero-fill the cut, leaving a
             // footer stranded behind an unparseable NUL run.
-            self.file
-                .seek(std::io::SeekFrom::Start(keep_len))
-                .map_err(|e| self.io(e))?;
+            self.file.seek(std::io::SeekFrom::Start(keep_len)).map_err(|e| self.io(e))?;
             self.file.sync_data().map_err(|e| self.io(e))?;
             self.flushed = keep;
         }
@@ -548,7 +545,11 @@ pub const DEFAULT_FLUSH_EVERY: usize = 64;
 
 impl ShardRunOptions {
     pub(crate) fn cadence(&self) -> usize {
-        if self.flush_every == 0 { DEFAULT_FLUSH_EVERY } else { self.flush_every }
+        if self.flush_every == 0 {
+            DEFAULT_FLUSH_EVERY
+        } else {
+            self.flush_every
+        }
     }
 }
 
@@ -589,8 +590,7 @@ pub(crate) fn open_checkpoint(
     let scanned = match std::fs::read_to_string(path) {
         Ok(text) if text.is_empty() => None,
         Ok(text)
-            if !text.contains('\n')
-                && format!("{}\n", manifest.to_line()).starts_with(&text) =>
+            if !text.contains('\n') && format!("{}\n", manifest.to_line()).starts_with(&text) =>
         {
             None
         }

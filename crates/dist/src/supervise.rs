@@ -249,13 +249,12 @@ fn read_done(dir: &Path, offset: usize, declared: usize) -> Result<Option<usize>
         path: path.display().to_string(),
         reason: format!("unreadable done marker: {e}"),
     })?;
-    let covered = doc
-        .get("covered")
-        .and_then(crate::json::JsonValue::as_u64)
-        .ok_or_else(|| DistError::Corrupt {
+    let covered = doc.get("covered").and_then(crate::json::JsonValue::as_u64).ok_or_else(|| {
+        DistError::Corrupt {
             path: path.display().to_string(),
             reason: "done marker has no \"covered\" count".to_string(),
-        })?;
+        }
+    })?;
     Ok(Some(covered as usize))
 }
 
@@ -314,9 +313,7 @@ pub fn enumerate_units(
     while let Some((offset, declared)) = queue.pop() {
         let done = read_done(dir, offset, declared)?;
         let mut eff = declared;
-        while eff >= 2
-            && split_path(dir, offset, eff).exists()
-            && done.is_none_or(|c| c <= eff / 2)
+        while eff >= 2 && split_path(dir, offset, eff).exists() && done.is_none_or(|c| c <= eff / 2)
         {
             queue.push((offset + eff / 2, eff - eff / 2));
             eff /= 2;
@@ -449,8 +446,7 @@ impl Worker<'_> {
             if pending.is_empty() {
                 self.summary.complete = true;
                 self.summary.degraded.clear();
-                self.summary.files =
-                    units.iter().map(|u| file_path(self.dir, u)).collect();
+                self.summary.files = units.iter().map(|u| file_path(self.dir, u)).collect();
                 return Ok(());
             }
 
@@ -660,11 +656,10 @@ impl Worker<'_> {
         }
 
         let corrupt = fault.is_some_and(|f| f.corrupt_footer);
-        writer.finish(written < unit.declared, if corrupt {
-            crate::shard::FOOTER_CORRUPTION_XOR
-        } else {
-            0
-        })?;
+        writer.finish(
+            written < unit.declared,
+            if corrupt { crate::shard::FOOTER_CORRUPTION_XOR } else { 0 },
+        )?;
         if corrupt {
             // Simulate dying between the (damaged) footer and the done
             // marker: the next claimant quarantines the file and reruns.
@@ -690,12 +685,7 @@ impl Worker<'_> {
 
     /// Computes `chunk` outcomes from `seed_start`, in seed order, on
     /// this worker's threads.
-    fn compute_chunk(
-        &self,
-        seed_start: u64,
-        chunk: usize,
-        slow_ms: u64,
-    ) -> Vec<ExperimentOutcome> {
+    fn compute_chunk(&self, seed_start: u64, chunk: usize, slow_ms: u64) -> Vec<ExperimentOutcome> {
         let spec = CampaignSpec { count: chunk, seed_base: seed_start, ..self.spec };
         run_spec(&spec, &Topology::chain(spec.cfg.stages), self.opts.threads, |_| {
             if slow_ms > 0 {
@@ -713,8 +703,7 @@ impl Worker<'_> {
         } else {
             self.opts.split_min
         };
-        let Some(victim) = busy.iter().filter(|u| u.eff >= split_min).max_by_key(|u| u.eff)
-        else {
+        let Some(victim) = busy.iter().filter(|u| u.eff >= split_min).max_by_key(|u| u.eff) else {
             return Ok(false);
         };
         let path = split_path(self.dir, victim.offset, victim.eff);

@@ -74,8 +74,7 @@ fn shard_and_merge(
     threads: usize,
     dir: &std::path::Path,
 ) -> (String, Vec<PathBuf>) {
-    let paths: Vec<PathBuf> =
-        (0..num_shards).map(|i| dir.join(format!("s{i}.ndjson"))).collect();
+    let paths: Vec<PathBuf> = (0..num_shards).map(|i| dir.join(format!("s{i}.ndjson"))).collect();
     for (i, path) in paths.iter().enumerate() {
         let summary = run_shard(spec, i, num_shards, threads, path, None).expect("shard runs");
         assert_eq!(summary.resumed, 0);
@@ -259,10 +258,9 @@ fn interior_corruption_is_refused_not_resumed() {
     doctored[2] = &doctored_record;
     let doctored: String = doctored.iter().map(|l| format!("{l}\n")).collect();
     std::fs::write(&path, &doctored).unwrap();
-    for err in [
-        run_shard(&spec, 0, 1, 1, &path, None).unwrap_err(),
-        merge_paths(&[&path]).unwrap_err(),
-    ] {
+    for err in
+        [run_shard(&spec, 0, 1, 1, &path, None).unwrap_err(), merge_paths(&[&path]).unwrap_err()]
+    {
         assert!(matches!(err, DistError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("seed 33, expected 32"), "{err}");
     }
@@ -427,7 +425,8 @@ fn damage(valid: &[u8], mode: usize, frac: f64, mask: u8, junk: &[u8]) -> Damage
         }
         _ => {
             let start = valid[..pos].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-            let end = valid[pos..].iter().position(|&b| b == b'\n').map_or(valid.len(), |i| pos + i);
+            let end =
+                valid[pos..].iter().position(|&b| b == b'\n').map_or(valid.len(), |i| pos + i);
             let mut bytes = valid[..start].to_vec();
             bytes.extend_from_slice(junk);
             bytes.extend_from_slice(&valid[end..]);
@@ -441,10 +440,7 @@ fn damage(valid: &[u8], mode: usize, frac: f64, mask: u8, junk: &[u8]) -> Damage
 fn junk_strategy() -> impl Strategy<Value = Vec<u8>> {
     const ALPHABET: &[u8] = b"{}\":,0123456789\n\\ kindoutcmefrsa_bhpl\x00\xc3\xa9\xff";
     proptest::collection::vec((0usize..ALPHABET.len() + 8, 0u8..=255), 0..240).prop_map(|picks| {
-        picks
-            .into_iter()
-            .map(|(i, raw)| ALPHABET.get(i).copied().unwrap_or(raw))
-            .collect()
+        picks.into_iter().map(|(i, raw)| ALPHABET.get(i).copied().unwrap_or(raw)).collect()
     })
 }
 

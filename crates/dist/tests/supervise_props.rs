@@ -179,22 +179,19 @@ fn mid_run_kill_keeps_all_but_the_unflushed_tail_on_disk() {
     run_shard(&spec, 0, 1, 2, &reference, None).unwrap();
     let reference_bytes = std::fs::read(&reference).unwrap();
 
-    for (kill_after, flush_every, torn) in [(0usize, 5usize, 0usize), (7, 5, 9), (13, 4, 1), (29, 8, 0)] {
+    for (kill_after, flush_every, torn) in
+        [(0usize, 5usize, 0usize), (7, 5, 9), (13, 4, 1), (29, 8, 0)]
+    {
         let path = dir.join(format!("kill-{kill_after}-{flush_every}.ndjson"));
         let opts = ShardRunOptions {
             flush_every,
-            fault: Some(FaultPlan {
-                kill_after: Some(kill_after),
-                torn,
-                ..FaultPlan::default()
-            }),
+            fault: Some(FaultPlan { kill_after: Some(kill_after), torn, ..FaultPlan::default() }),
         };
         let err = run_shard_opts(&spec, 0, 1, 2, &path, None, &opts).unwrap_err();
         assert!(matches!(err, DistError::Fault(_)), "{err}");
 
         let text = std::fs::read_to_string(&path).unwrap();
-        let durable_records =
-            text.split_inclusive('\n').filter(|l| l.ends_with('\n')).count() - 1;
+        let durable_records = text.split_inclusive('\n').filter(|l| l.ends_with('\n')).count() - 1;
         assert!(
             durable_records >= kill_after.saturating_sub(flush_every - 1)
                 && durable_records <= kill_after,
@@ -244,10 +241,7 @@ fn coverage_gaps_name_seed_ranges_and_resume_commands() {
     let fill = dir.join("r5-3.ndjson");
     run_range(&spec, 5, 3, 1, &fill, None, &ShardRunOptions::default()).unwrap();
     let merged = merge_paths(&[&lo, &fill, &hi]).unwrap();
-    assert_eq!(
-        campaign_doc(&merged.spec, &merged.result).to_string_pretty(),
-        reference_doc(&spec)
-    );
+    assert_eq!(campaign_doc(&merged.spec, &merged.result).to_string_pretty(), reference_doc(&spec));
 
     // Overlapping tiles: refused exactly, trimmed (to identical bytes,
     // records being pure functions of their seeds) under --allow-partial.
@@ -340,12 +334,7 @@ fn stragglers_are_resplit_and_the_merge_cannot_tell() {
         flush_every: 2,
         ..fast_opts("slow", 11)
     };
-    let fast = SuperviseOptions {
-        units: 1,
-        split_min: 4,
-        flush_every: 2,
-        ..fast_opts("fast", 11)
-    };
+    let fast = SuperviseOptions { units: 1, split_min: 4, flush_every: 2, ..fast_opts("fast", 11) };
     let (a, b) = std::thread::scope(|scope| {
         let a = scope.spawn(|| supervise(&dir, &spec, &slow));
         let b = scope.spawn(|| {

@@ -120,10 +120,7 @@ pub struct CampaignResult {
 impl CampaignResult {
     /// Number of experiments without a critical resource.
     pub fn count_no_critical(&self, rel_tol: f64) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.no_critical_resource(rel_tol))
-            .count()
+        self.outcomes.iter().filter(|o| o.no_critical_resource(rel_tol)).count()
     }
 
     /// Maximum relative gap over all experiments. Non-finite gaps (an
@@ -135,10 +132,7 @@ impl CampaignResult {
 
     /// Number of experiments resolved by simulation fallback.
     pub fn count_simulated(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.resolution == Resolution::Simulated)
-            .count()
+        self.outcomes.iter().filter(|o| o.resolution == Resolution::Simulated).count()
     }
 
     /// The associative aggregates of this result (at [`GAP_REL_TOL`]).
@@ -349,10 +343,7 @@ pub fn run_one(cfg: &GenConfig, model: CommModel, seed: u64, cap: usize) -> Expe
 /// A cold-start engine with the campaign build options (no labels, TPN
 /// size cap `cap`).
 pub fn engine_for_cap(cap: usize) -> PeriodEngine {
-    PeriodEngine::with_options(BuildOptions {
-        labels: false,
-        max_transitions: cap,
-    })
+    PeriodEngine::with_options(BuildOptions { labels: false, max_transitions: cap })
 }
 
 /// Runs one experiment on a caller-owned engine (the size cap comes from
@@ -406,20 +397,11 @@ pub fn run_one_workflow_with(
                 .expect("generator produces valid instances");
             let (mct, _) = repwf_core::cycle_time::max_cycle_time(&inst, model);
             let data_sets = 20_000u64;
-            let sim = simulate(
-                &inst,
-                model,
-                &SimOptions {
-                    data_sets,
-                    record_ops: false,
-                },
-            );
+            let sim = simulate(&inst, model, &SimOptions { data_sets, record_ops: false });
             ExperimentOutcome {
                 seed,
                 mct,
-                period: sim
-                    .exact_period(1e-9)
-                    .unwrap_or_else(|| sim.period_estimate()),
+                period: sim.exact_period(1e-9).unwrap_or_else(|| sim.period_estimate()),
                 resolution: Resolution::Simulated,
                 num_paths: m,
             }
@@ -643,9 +625,7 @@ fn solve_chunk(
         let view = InstanceView::new(&pipeline, &platform, &mapping)
             .expect("generator produces valid instances");
         if q == 0 {
-            solver
-                .begin(view, spec.model, ks.len())
-                .expect("routed shapes fit the size cap");
+            solver.begin(view, spec.model, ks.len()).expect("routed shapes fit the size cap");
         }
         let (mct, _) = max_cycle_time_view(view, spec.model);
         let m = mapping_num_paths(&mapping).expect("routed shapes have a path count");
@@ -678,26 +658,22 @@ mod tests {
     use std::sync::Mutex;
 
     fn small_cfg() -> GenConfig {
-        GenConfig {
-            stages: 2,
-            procs: 7,
-            comp: Range::constant(1.0),
-            comm: Range::new(5.0, 10.0),
-        }
+        GenConfig { stages: 2, procs: 7, comp: Range::constant(1.0), comm: Range::new(5.0, 10.0) }
     }
 
     fn mixed_cfg() -> GenConfig {
-        GenConfig {
-            stages: 3,
-            procs: 9,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        }
+        GenConfig { stages: 3, procs: 9, comp: Range::new(5.0, 15.0), comm: Range::new(5.0, 15.0) }
     }
 
     /// The serial per-instance reference: [`run_one_with`] seed by seed on
     /// one engine.
-    fn oracle(cfg: &GenConfig, model: CommModel, count: usize, seed_base: u64, cap: usize) -> CampaignResult {
+    fn oracle(
+        cfg: &GenConfig,
+        model: CommModel,
+        count: usize,
+        seed_base: u64,
+        cap: usize,
+    ) -> CampaignResult {
         let mut engine = engine_for_cap(cap);
         CampaignResult {
             outcomes: (0..count)
@@ -711,13 +687,7 @@ mod tests {
         let res = run_campaign_batched(&small_cfg(), CommModel::Overlap, 20, 100, 4, 200_000);
         assert_eq!(res.outcomes.len(), 20);
         for o in &res.outcomes {
-            assert!(
-                o.period >= o.mct - 1e-9 * o.mct,
-                "seed {}: {} < {}",
-                o.seed,
-                o.period,
-                o.mct
-            );
+            assert!(o.period >= o.mct - 1e-9 * o.mct, "seed {}: {} < {}", o.seed, o.period, o.mct);
         }
     }
 
@@ -776,9 +746,8 @@ mod tests {
 
         // Degenerate draws must not poison the aggregates either.
         assert_eq!(outcome(100.0, f64::NAN).gap(), 0.0);
-        let degenerate = CampaignResult {
-            outcomes: vec![outcome(100.0, f64::INFINITY), outcome(100.0, 99.0)],
-        };
+        let degenerate =
+            CampaignResult { outcomes: vec![outcome(100.0, f64::INFINITY), outcome(100.0, 99.0)] };
         assert_eq!(degenerate.max_gap(), 0.0, "non-finite gaps are skipped");
     }
 
@@ -882,7 +851,8 @@ mod tests {
     /// Runs a 12-draw campaign with the progress fold a CLI sink makes:
     /// one snapshot per outcome.
     fn progress_snapshots(model: CommModel) -> (CampaignResult, Vec<Progress>) {
-        let spec = CampaignSpec { cfg: small_cfg(), model, count: 12, seed_base: 500, cap: 200_000 };
+        let spec =
+            CampaignSpec { cfg: small_cfg(), model, count: 12, seed_base: 500, cap: 200_000 };
         let mut accum = CampaignAccum::new();
         let mut seen = Vec::new();
         let res = run_spec(&spec, &Topology::chain(2), 3, |o| {
@@ -955,12 +925,7 @@ mod tests {
                     assert_eq!(b.seed, r.seed, "{model} threads={threads}");
                     assert_eq!(b.resolution, r.resolution, "{model} seed {}", r.seed);
                     assert_eq!(b.num_paths, r.num_paths, "{model} seed {}", r.seed);
-                    assert_eq!(
-                        b.mct.to_bits(),
-                        r.mct.to_bits(),
-                        "{model} seed {} mct",
-                        r.seed
-                    );
+                    assert_eq!(b.mct.to_bits(), r.mct.to_bits(), "{model} seed {} mct", r.seed);
                     assert_eq!(
                         b.period.to_bits(),
                         r.period.to_bits(),
@@ -980,10 +945,7 @@ mod tests {
         // Cap of 60 transitions: draws with lcm ≤ 12 batch, the rest solo.
         let reference = oracle(&mixed_cfg(), CommModel::Strict, 12, 3, 60);
         assert!(reference.count_simulated() > 0, "cap must force some fallbacks");
-        assert!(
-            reference.count_simulated() < 12,
-            "cap must leave some exact experiments"
-        );
+        assert!(reference.count_simulated() < 12, "cap must leave some exact experiments");
         for threads in [1, 3] {
             let batched = run_campaign_batched(&mixed_cfg(), CommModel::Strict, 12, 3, threads, 60);
             assert_eq!(batched, reference, "threads={threads}");
@@ -1001,13 +963,16 @@ mod tests {
         let mut engine = engine_for_cap(200_000);
         let reference = CampaignResult {
             outcomes: (40..56)
-                .map(|seed| run_one_workflow_with(&cfg, &topo, CommModel::Strict, seed, &mut engine))
+                .map(|seed| {
+                    run_one_workflow_with(&cfg, &topo, CommModel::Strict, seed, &mut engine)
+                })
                 .collect(),
         };
         for o in &reference.outcomes {
             assert!(o.period >= o.mct - 1e-9 * o.mct, "seed {}", o.seed);
         }
-        let spec = CampaignSpec { cfg, model: CommModel::Strict, count: 16, seed_base: 40, cap: 200_000 };
+        let spec =
+            CampaignSpec { cfg, model: CommModel::Strict, count: 16, seed_base: 40, cap: 200_000 };
         for threads in [1, 2, 3, 4] {
             let batched = run_spec(&spec, &topo, threads, |_| {});
             assert_eq!(batched, reference, "threads={threads}");

@@ -134,11 +134,7 @@ pub fn sample_parts<R: Rng>(cfg: &GenConfig, rng: &mut R) -> (Pipeline, Platform
 }
 
 /// [`sample_instance`] on an arbitrary series-parallel topology.
-pub fn sample_workflow_instance<R: Rng>(
-    cfg: &GenConfig,
-    topo: &Topology,
-    rng: &mut R,
-) -> Instance {
+pub fn sample_workflow_instance<R: Rng>(cfg: &GenConfig, topo: &Topology, rng: &mut R) -> Instance {
     let (pipeline, platform, mapping) = sample_workflow_parts(cfg, topo, rng);
     Instance::new(pipeline, platform, mapping).expect("generator produces valid instances")
 }
@@ -169,11 +165,8 @@ pub fn sample_workflow_parts<R: Rng>(
     }
 
     let works: Vec<f64> = (0..cfg.stages).map(|_| cfg.comp.sample_size(rng)).collect();
-    let edges: Vec<(usize, usize, f64)> = topo
-        .edges
-        .iter()
-        .map(|&(src, dst)| (src, dst, cfg.comm.sample_size(rng)))
-        .collect();
+    let edges: Vec<(usize, usize, f64)> =
+        topo.edges.iter().map(|&(src, dst)| (src, dst, cfg.comm.sample_size(rng))).collect();
     let pipeline = Pipeline::from_edges(works, edges).expect("generator topologies are valid");
 
     let mut platform = Platform::uniform(cfg.procs, 1.0, 1.0);
@@ -217,12 +210,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn cfg() -> GenConfig {
-        GenConfig {
-            stages: 4,
-            procs: 11,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        }
+        GenConfig { stages: 4, procs: 11, comp: Range::new(5.0, 15.0), comm: Range::new(5.0, 15.0) }
     }
 
     #[test]

@@ -156,17 +156,12 @@ mod tests {
             num_paths: 2,
         };
         // Only non-finite positive gaps: nothing survives the filter.
-        let degenerate = CampaignResult {
-            outcomes: vec![outcome(10.0, f64::INFINITY), outcome(10.0, 10.0)],
-        };
+        let degenerate =
+            CampaignResult { outcomes: vec![outcome(10.0, f64::INFINITY), outcome(10.0, 10.0)] };
         assert_eq!(gap_quantiles(&degenerate, 1e-7), None);
         // Mixed: the order statistics come from the finite gaps alone.
         let mixed = CampaignResult {
-            outcomes: vec![
-                outcome(10.0, f64::INFINITY),
-                outcome(10.0, 11.0),
-                outcome(10.0, 12.0),
-            ],
+            outcomes: vec![outcome(10.0, f64::INFINITY), outcome(10.0, 11.0), outcome(10.0, 12.0)],
         };
         let q = gap_quantiles(&mixed, 1e-7).expect("finite gaps survive");
         assert!((q.min - 0.1).abs() < 1e-12);

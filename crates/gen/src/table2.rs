@@ -103,7 +103,13 @@ pub struct RowResult {
 
 /// Runs one row at a `scale` fraction of the paper's count (≥ 1 experiment
 /// per size), distributing seeds deterministically.
-pub fn run_row(row: &Table2Row, scale: f64, seed_base: u64, threads: usize, cap: usize) -> RowResult {
+pub fn run_row(
+    row: &Table2Row,
+    scale: f64,
+    seed_base: u64,
+    threads: usize,
+    cap: usize,
+) -> RowResult {
     run_row_with(row, scale, seed_base, threads, cap, |_| {})
 }
 
@@ -149,13 +155,8 @@ pub fn format_results(results: &[RowResult]) -> String {
         "model", "sizes", "comp", "comm", "no-crit/total", "max gap%", "paper"
     );
     for r in results {
-        let sizes = r
-            .row
-            .sizes
-            .iter()
-            .map(|&(s, p)| format!("({s},{p})"))
-            .collect::<Vec<_>>()
-            .join("+");
+        let sizes =
+            r.row.sizes.iter().map(|&(s, p)| format!("({s},{p})")).collect::<Vec<_>>().join("+");
         let model = match r.row.model {
             CommModel::Overlap => "overlap",
             CommModel::Strict => "strict",
@@ -182,13 +183,8 @@ pub fn to_csv(results: &[RowResult]) -> String {
         "model,sizes,comp_lo,comp_hi,comm_lo,comm_hi,total,no_critical,max_gap_pct,simulated,paper_no_critical,paper_total\n",
     );
     for r in results {
-        let sizes = r
-            .row
-            .sizes
-            .iter()
-            .map(|&(s, p)| format!("{s}x{p}"))
-            .collect::<Vec<_>>()
-            .join("+");
+        let sizes =
+            r.row.sizes.iter().map(|&(s, p)| format!("{s}x{p}")).collect::<Vec<_>>().join("+");
         let model = match r.row.model {
             CommModel::Overlap => "overlap",
             CommModel::Strict => "strict",
@@ -227,11 +223,8 @@ mod tests {
             .iter()
             .filter(|r| r.model == CommModel::Overlap)
             .all(|r| r.paper_no_critical == 0));
-        let strict_cases: usize = rows
-            .iter()
-            .filter(|r| r.model == CommModel::Strict)
-            .map(|r| r.paper_no_critical)
-            .sum();
+        let strict_cases: usize =
+            rows.iter().filter(|r| r.model == CommModel::Strict).map(|r| r.paper_no_critical).sum();
         assert_eq!(strict_cases, 14 + 5 + 10);
     }
 

@@ -23,12 +23,7 @@ use repwf_gen::{GenConfig, Range, Topology};
 /// distinct replica-count vectors, so campaigns route into several batch
 /// groups (plus singletons).
 fn mixed_cfg() -> GenConfig {
-    GenConfig {
-        stages: 3,
-        procs: 9,
-        comp: Range::new(5.0, 15.0),
-        comm: Range::new(5.0, 15.0),
-    }
+    GenConfig { stages: 3, procs: 9, comp: Range::new(5.0, 15.0), comm: Range::new(5.0, 15.0) }
 }
 
 /// The serial per-instance reference.

@@ -5,13 +5,13 @@
 //! solver it resolves exactly, and the exact period is bit-for-bit the
 //! one a cap-lifted unbatched solve reports.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use repwf_core::model::CommModel;
 use repwf_core::paths::num_paths;
 use repwf_gen::campaign::{run_one, Resolution, DEFAULT_CAMPAIGN_CAP};
 use repwf_gen::sampler::sample_replica_counts;
 use repwf_gen::{GenConfig, Range};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The historical default TPN size cap of campaign runs.
 const OLD_CAP: usize = 400_000;
@@ -20,12 +20,7 @@ const OLD_CAP: usize = 400_000;
 /// `(r, 733 − r)` is always coprime and `m = lcm = r(733 − r)` — balanced
 /// draws put the strict TPN (3m transitions) just over the old cap.
 fn cfg() -> GenConfig {
-    GenConfig {
-        stages: 2,
-        procs: 733,
-        comp: Range::new(5.0, 15.0),
-        comm: Range::new(5.0, 15.0),
-    }
+    GenConfig { stages: 2, procs: 733, comp: Range::new(5.0, 15.0), comm: Range::new(5.0, 15.0) }
 }
 
 /// Strict-model transitions of seed's draw, computed statically from the

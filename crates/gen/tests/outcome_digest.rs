@@ -94,7 +94,9 @@ fn table2_outcome_bits_match_the_pinned_digests() {
                 .iter()
                 .map(|spec| {
                     let outcomes: Vec<ExperimentOutcome> = (0..spec.count as u64)
-                        .map(|k| run_one_with(&spec.cfg, spec.model, spec.seed_base + k, &mut engine))
+                        .map(|k| {
+                            run_one_with(&spec.cfg, spec.model, spec.seed_base + k, &mut engine)
+                        })
                         .collect();
                     digest(&outcomes)
                 })
@@ -102,7 +104,9 @@ fn table2_outcome_bits_match_the_pinned_digests() {
         });
         let batched = specs
             .iter()
-            .map(|spec| digest(&run_spec(spec, &Topology::chain(spec.cfg.stages), 1, |_| {}).outcomes))
+            .map(|spec| {
+                digest(&run_spec(spec, &Topology::chain(spec.cfg.stages), 1, |_| {}).outcomes)
+            })
             .collect::<Vec<u64>>();
         (serial.join().expect("serial path"), batched)
     });

@@ -8,7 +8,9 @@
 //! the classical tradeoff of the literature the paper builds on
 //! (Subhlok & Vondran, SPAA'96).
 
-use crate::{apply_move, oracle_eval, random_mapping, undo_move, Move, SearchOptions, SearchResult};
+use crate::{
+    apply_move, oracle_eval, random_mapping, undo_move, Move, SearchOptions, SearchResult,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repwf_core::engine::MappingOracle;
@@ -46,7 +48,12 @@ impl Default for AnnealOptions {
     }
 }
 
-fn latency_ok(pipeline: &Pipeline, platform: &Platform, mapping: &Mapping, cap: Option<f64>) -> bool {
+fn latency_ok(
+    pipeline: &Pipeline,
+    platform: &Platform,
+    mapping: &Mapping,
+    cap: Option<f64>,
+) -> bool {
     let Some(cap) = cap else { return true };
     let Ok(view) = InstanceView::new(pipeline, platform, mapping) else {
         return false;
@@ -285,8 +292,7 @@ mod tests {
         let cap = base_lat * 1.2;
         let res = optimize_bicriteria(&pipe, &plat, cap, &SearchOptions::default())
             .expect("feasible ceiling");
-        let final_inst =
-            Instance::new(pipe.clone(), plat.clone(), res.mapping.clone()).unwrap();
+        let final_inst = Instance::new(pipe.clone(), plat.clone(), res.mapping.clone()).unwrap();
         assert!(latency_report(&final_inst, 512).max <= cap + 1e-9);
     }
 

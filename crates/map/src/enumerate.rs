@@ -103,9 +103,7 @@ impl Walker<'_> {
                 self.result.infeasible += 1;
                 Ok(())
             }
-            Err(PeriodError::Build(error)) => {
-                Err(ExactError::CandidateTooLarge { mapping, error })
-            }
+            Err(PeriodError::Build(error)) => Err(ExactError::CandidateTooLarge { mapping, error }),
             Err(e) => Err(ExactError::Analysis { mapping, message: e.to_string() }),
         }
     }

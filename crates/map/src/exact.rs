@@ -248,8 +248,7 @@ impl Searcher<'_, '_> {
     /// descend (evaluate when `i` is the last stage).
     fn close_stage(&mut self, i: usize) -> Result<(), ExactError> {
         self.stats.nodes += 1;
-        let bound =
-            self.oracle.prefix_period_bound(&self.assignment[..=i], &self.used, self.model);
+        let bound = self.oracle.prefix_period_bound(&self.assignment[..=i], &self.used, self.model);
         // Strictly-greater only: an equal-period completion may still win
         // the canonical (lexicographic) tie-break. Infinite bound = no
         // feasible completion at all.
@@ -322,10 +321,7 @@ impl Searcher<'_, '_> {
             Ok(r) => {
                 self.stats.evaluated += 1;
                 let tie_break = r.period == self.cutoff
-                    && self
-                        .best
-                        .as_ref()
-                        .is_none_or(|(b, _)| leaf.assignment() < b.assignment());
+                    && self.best.as_ref().is_none_or(|(b, _)| leaf.assignment() < b.assignment());
                 if r.period < self.cutoff || tie_break {
                     self.cutoff = r.period;
                     self.best = Some((leaf.clone(), r.period));
@@ -432,10 +428,7 @@ mod tests {
     use super::*;
 
     fn quickstart() -> (Pipeline, Platform) {
-        (
-            Pipeline::new(vec![2.0, 9.0], vec![0.001]).unwrap(),
-            Platform::uniform(4, 1.0, 1000.0),
-        )
+        (Pipeline::new(vec![2.0, 9.0], vec![0.001]).unwrap(), Platform::uniform(4, 1.0, 1000.0))
     }
 
     #[test]

@@ -447,10 +447,7 @@ pub fn local_search(
 /// Multi-start optimization: greedy seed plus `restarts` random seeds, each
 /// refined by [`local_search`]; returns the best result.
 pub fn optimize(pipeline: &Pipeline, platform: &Platform, opts: &SearchOptions) -> SearchResult {
-    assert!(
-        platform.num_procs() >= pipeline.num_stages(),
-        "need at least one processor per stage"
-    );
+    assert!(platform.num_procs() >= pipeline.num_stages(), "need at least one processor per stage");
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut best = local_search(pipeline, platform, greedy(pipeline, platform), opts);
     for _ in 0..opts.restarts {
@@ -553,8 +550,7 @@ mod tests {
         for u in 0..2 * n {
             platform.set_speed(u, 1.0 + 0.05 * u as f64);
         }
-        let mut mapping =
-            Mapping::new((0..n).map(|i| vec![2 * i, 2 * i + 1]).collect()).unwrap();
+        let mut mapping = Mapping::new((0..n).map(|i| vec![2 * i, 2 * i + 1]).collect()).unwrap();
         let mut oracle = MappingOracle::new(&pipeline, &platform).warm_start(true);
         oracle.compute(&mapping, CommModel::Strict, Method::FullTpn).unwrap();
         let after_first = oracle.mct_cache().stage_recomputes();

@@ -23,8 +23,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repwf_core::model::{CommModel, Pipeline, Platform};
 use repwf_gen::{GenConfig, Range, Topology};
-use repwf_map::exact::{solve, search_space_size, ExactError, ExactOptions};
 use repwf_map::enumerate;
+use repwf_map::exact::{search_space_size, solve, ExactError, ExactOptions};
 
 /// Draws a random small instance: a chain of `stages` stages, or with
 /// `fork_join` the four-stage two-branch fork/join (`stages` ignored),
@@ -59,7 +59,11 @@ fn instance(
 }
 
 fn model(strict: u8) -> CommModel {
-    if strict == 0 { CommModel::Overlap } else { CommModel::Strict }
+    if strict == 0 {
+        CommModel::Overlap
+    } else {
+        CommModel::Strict
+    }
 }
 
 proptest! {
@@ -165,11 +169,8 @@ fn all_infeasible_instance_yields_none_from_both_solvers() {
 fn over_cap_strict_candidate_is_a_typed_refusal() {
     let pipeline = Pipeline::new(vec![2.0, 9.0], vec![0.5]).unwrap();
     let platform = Platform::uniform(4, 1.0, 10.0);
-    let opts = ExactOptions {
-        model: CommModel::Strict,
-        max_transitions: 2,
-        ..ExactOptions::default()
-    };
+    let opts =
+        ExactOptions { model: CommModel::Strict, max_transitions: 2, ..ExactOptions::default() };
     let err = solve(&pipeline, &platform, &opts).unwrap_err();
     match &err {
         ExactError::CandidateTooLarge { mapping, .. } => {

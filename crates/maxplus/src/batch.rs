@@ -525,8 +525,7 @@ impl Workspace {
             if failed.iter().all(Option::is_some) {
                 break;
             }
-            let members =
-                &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
+            let members = &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
             if !index.is_cyclic(members) {
                 continue;
             }
@@ -671,9 +670,7 @@ fn batch_component(
     loop {
         // Re-derive the active set: lanes still iterating this component.
         act.clear();
-        act.extend(
-            (0..k as u32).filter(|&q| failed[q as usize].is_none() && !done[q as usize]),
-        );
+        act.extend((0..k as u32).filter(|&q| failed[q as usize].is_none() && !done[q as usize]));
         if act.is_empty() {
             return;
         }
@@ -900,8 +897,8 @@ fn evaluate_policy_lane(
                 let v = cycle[i] as usize;
                 let p = policy[v * k + q] as usize;
                 lambda[v * k + q] = lam;
-                potential[v * k + q] = cost[p * k + q] - lam * f64::from(tok[p])
-                    + potential[to[p] as usize * k + q];
+                potential[v * k + q] =
+                    cost[p * k + q] - lam * f64::from(tok[p]) + potential[to[p] as usize * k + q];
                 state[v] = 2;
             }
             state[u as usize] = 2;
@@ -914,8 +911,7 @@ fn evaluate_policy_lane(
             let v = path[i] as usize;
             let p = policy[v * k + q] as usize;
             lambda[v * k + q] = lambda[to[p] as usize * k + q];
-            potential[v * k + q] = cost[p * k + q]
-                - lambda[v * k + q] * f64::from(tok[p])
+            potential[v * k + q] = cost[p * k + q] - lambda[v * k + q] * f64::from(tok[p])
                 + potential[to[p] as usize * k + q];
             state[v] = 2;
         }
@@ -1230,9 +1226,7 @@ mod tests {
         let mut ws = Workspace::new();
         let mut scratch = BatchScratch::new();
         let planes = CostPlanes::new();
-        assert!(ws
-            .max_cycle_ratio_batch(&RatioGraph::new(3), 1, &planes, &mut scratch)
-            .is_empty());
+        assert!(ws.max_cycle_ratio_batch(&RatioGraph::new(3), 1, &planes, &mut scratch).is_empty());
         // Acyclic graph: every lane resolves Ok(None).
         let mut dag = RatioGraph::new(3);
         dag.add_edge(0, 1, 0.0, 1);

@@ -15,10 +15,7 @@ pub const MAX_VERTICES: usize = 16;
 /// [`crate::howard::max_cycle_ratio`]). Panics if the graph has more than
 /// [`MAX_VERTICES`] vertices.
 pub fn max_cycle_ratio_bruteforce(g: &RatioGraph) -> RatioResult {
-    assert!(
-        g.num_vertices() <= MAX_VERTICES,
-        "brute force limited to {MAX_VERTICES} vertices"
-    );
+    assert!(g.num_vertices() <= MAX_VERTICES, "brute force limited to {MAX_VERTICES} vertices");
     g.validate()?;
     let n = g.num_vertices();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -108,8 +105,8 @@ mod tests {
     /// Random small graphs where every vertex has a tokened self-loop (so no
     /// deadlock is possible); the four oracles must agree.
     fn arb_graph() -> impl Strategy<Value = RatioGraph> {
-        (2usize..7, proptest::collection::vec((0u32..7, 0u32..7, 0.0f64..50.0, 0u32..3), 1..20)).prop_map(
-            |(n, raw)| {
+        (2usize..7, proptest::collection::vec((0u32..7, 0u32..7, 0.0f64..50.0, 0u32..3), 1..20))
+            .prop_map(|(n, raw)| {
                 let mut g = RatioGraph::new(n);
                 for v in 0..n as u32 {
                     g.add_edge(v, v, f64::from(v) + 1.0, 1);
@@ -121,8 +118,7 @@ mod tests {
                     g.add_edge(a, b, c, t);
                 }
                 g
-            },
-        )
+            })
     }
 
     proptest! {

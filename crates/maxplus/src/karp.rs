@@ -24,9 +24,9 @@
 //! `large_scc_runs_in_linear_memory` test below pins this bound on an
 //! instance whose dense table would be ~128 MB.
 
-use crate::graph::{CycleSolution, RatioGraph};
 #[cfg(test)]
 use crate::graph::RatioGraphError;
+use crate::graph::{CycleSolution, RatioGraph};
 use crate::howard::RatioResult;
 use crate::workspace::Workspace;
 
@@ -251,10 +251,7 @@ mod tests {
         let mut g = RatioGraph::new(2);
         g.add_edge(0, 1, 1.0, 0);
         g.add_edge(1, 0, 2.0, 0);
-        assert!(matches!(
-            max_cycle_ratio_karp(&g),
-            Err(RatioGraphError::ZeroTokenCycle { .. })
-        ));
+        assert!(matches!(max_cycle_ratio_karp(&g), Err(RatioGraphError::ZeroTokenCycle { .. })));
     }
 
     #[test]

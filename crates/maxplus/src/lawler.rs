@@ -14,10 +14,10 @@
 //! [`Workspace`] so repeated cross-checks do not allocate.
 
 use crate::graph::RatioGraph;
-use crate::howard::RatioResult;
-use crate::workspace::Workspace;
 #[cfg(test)]
 use crate::graph::RatioGraphError;
+use crate::howard::RatioResult;
+use crate::workspace::Workspace;
 
 /// Computes the maximum cycle ratio by parametric search.
 ///
@@ -75,10 +75,7 @@ mod tests {
         g.add_edge(0, 1, 1.0, 0);
         g.add_edge(1, 2, 1.0, 0);
         g.add_edge(2, 0, 1.0, 0);
-        assert!(matches!(
-            max_cycle_ratio_lawler(&g),
-            Err(RatioGraphError::ZeroTokenCycle { .. })
-        ));
+        assert!(matches!(max_cycle_ratio_lawler(&g), Err(RatioGraphError::ZeroTokenCycle { .. })));
     }
 
     #[test]

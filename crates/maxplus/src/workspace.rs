@@ -197,7 +197,11 @@ impl Csr {
     /// re-weighting step of a shape-cached solve.
     pub fn refresh_costs(&mut self, g: &RatioGraph) {
         let edges = g.edges();
-        debug_assert_eq!(edges.len(), self.cost.len(), "cost refresh requires an unchanged edge set");
+        debug_assert_eq!(
+            edges.len(),
+            self.cost.len(),
+            "cost refresh requires an unchanged edge set"
+        );
         for (pos, &ei) in self.eidx.iter().enumerate() {
             self.cost[pos] = edges[ei as usize].cost;
         }
@@ -361,10 +365,7 @@ impl Workspace {
     /// returns a borrowed view (no per-call allocation after warm-up).
     pub fn scc(&mut self, g: &RatioGraph) -> SccView<'_> {
         self.condense(g);
-        SccView {
-            comp_offsets: &self.comp_offsets,
-            comp_vertices: &self.comp_vertices,
-        }
+        SccView { comp_offsets: &self.comp_offsets, comp_vertices: &self.comp_vertices }
     }
 
     /// (Re)builds the CSR adjacency of `g`, bumping the build counter and
@@ -619,8 +620,7 @@ impl Workspace {
             },
             1,
         );
-        let structure_ok =
-            structure.is_some() && self.struct_sig == structure.map(|t| (t, n, ne));
+        let structure_ok = structure.is_some() && self.struct_sig == structure.map(|t| (t, n, ne));
         // Invalidate until this solve completes (an early error must not
         // leave a half-updated policy — or a condensation of unknown
         // provenance — marked reusable).
@@ -667,8 +667,7 @@ impl Workspace {
 
         let mut best: Option<CycleSolution> = None;
         for c in 0..comp_offsets.len() - 1 {
-            let members =
-                &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
+            let members = &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
             if !choice.is_cyclic(members) {
                 continue;
             }
@@ -728,8 +727,7 @@ impl Workspace {
 
         let mut best: Option<f64> = None;
         for c in 0..comp_offsets.len() - 1 {
-            let members =
-                &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
+            let members = &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
             let cyclic = members.len() > 1
                 || csr.out_edges(members[0]).iter().any(|&ei| edges[ei as usize].to == members[0]);
             if !cyclic {
@@ -743,9 +741,8 @@ impl Workspace {
                     }
                 }
             }
-            let m = karp_component(
-                edges, members, comp_edges, row_prev, row_cur, row_last, inner_min,
-            );
+            let m =
+                karp_component(edges, members, comp_edges, row_prev, row_cur, row_last, inner_min);
             best = Some(best.map_or(m, |b: f64| b.max(m)));
         }
         best
@@ -1531,7 +1528,7 @@ mod tests {
         // would stop at 10.0.
         let mut g = RatioGraph::new(4);
         g.add_edge(0, 0, -1e12, 1); // component A: enormous cost scale
-        // Component B: two cycles through vertex 1 with close ratios.
+                                    // Component B: two cycles through vertex 1 with close ratios.
         g.add_edge(1, 1, 10.0, 1); // ratio 10.0
         g.add_edge(1, 2, 10.4, 1);
         g.add_edge(2, 1, 10.4, 1); // ratio 10.4

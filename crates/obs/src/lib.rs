@@ -143,12 +143,8 @@ mod tests {
         assert!(rep.phases.iter().any(|p| p.name == "solve" && p.count == 1));
         assert!(rep.events.iter().any(|(n, c)| n == "lease_claim" && *c == 1));
         // Counters are cumulative across the test process; ≥ what we added.
-        let csr = rep
-            .counters
-            .iter()
-            .find(|(n, _)| n == "csr_builds")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
+        let csr =
+            rep.counters.iter().find(|(n, _)| n == "csr_builds").map(|(_, v)| *v).unwrap_or(0);
         assert!(csr >= 2, "csr_builds counter missing from flush: {csr}");
 
         // Corrupting any checksummed byte must fail validation.
@@ -161,8 +157,7 @@ mod tests {
 
         // A truncated trace (no footer) must fail validation too.
         let text = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
-        let truncated: String =
-            text.lines().take(2).map(|l| format!("{l}\n")).collect();
+        let truncated: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
         let trunc = dir.join("trunc.ndjson");
         std::fs::write(&trunc, truncated).unwrap();
         let err = report::read_trace(&trunc).unwrap_err();

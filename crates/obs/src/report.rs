@@ -175,10 +175,8 @@ pub fn read_trace(path: &Path) -> Result<TraceReport, String> {
     phases.sort_by_key(|p| std::cmp::Reverse(p.sum_ns));
     threads.sort_by_key(|t| t.tid);
 
-    let main_busy: u64 =
-        threads.iter().filter(|t| t.tid == main_tid).map(|t| t.busy_ns).sum();
-    let coverage =
-        if total_ns == 0 { 0.0 } else { main_busy as f64 / total_ns as f64 };
+    let main_busy: u64 = threads.iter().filter(|t| t.tid == main_tid).map(|t| t.busy_ns).sum();
+    let coverage = if total_ns == 0 { 0.0 } else { main_busy as f64 / total_ns as f64 };
     let workers: Vec<u64> =
         threads.iter().filter(|t| t.tid != main_tid).map(|t| t.busy_ns).collect();
     let imbalance = if workers.is_empty() {

@@ -392,9 +392,16 @@ mod tests {
             par_map_init_ordered(4, 0, 0, || (), |(), _| Vec::new(), |_, _| calls += 1);
         assert!(out.is_empty());
         assert_eq!(calls, 0);
-        let out = par_map_init_ordered(4, 1, 1, || (), |(), t| vec![(t, t + 9)], |i, &v| {
-            assert_eq!((i, v), (0, 9));
-        });
+        let out = par_map_init_ordered(
+            4,
+            1,
+            1,
+            || (),
+            |(), t| vec![(t, t + 9)],
+            |i, &v| {
+                assert_eq!((i, v), (0, 9));
+            },
+        );
         assert_eq!(out, vec![9]);
     }
 

@@ -62,12 +62,10 @@ pub fn simulate_clocked(
     let mut cpu = vec![0.0f64; p];
     // Per-edge send/receive port clocks (overlap model), one per replica —
     // the same one-port discipline as the free-running simulator.
-    let mut outp: Vec<Vec<f64>> = (0..num_edges)
-        .map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).0)])
-        .collect();
-    let mut inp: Vec<Vec<f64>> = (0..num_edges)
-        .map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).1)])
-        .collect();
+    let mut outp: Vec<Vec<f64>> =
+        (0..num_edges).map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).0)]).collect();
+    let mut inp: Vec<Vec<f64>> =
+        (0..num_edges).map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).1)]).collect();
     let mut edge_end = vec![0.0f64; num_edges];
     let mut completion: Vec<f64> = Vec::with_capacity(data_sets as usize);
     let mut sojourn = Vec::with_capacity(data_sets as usize);

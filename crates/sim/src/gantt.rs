@@ -121,7 +121,12 @@ impl Gantt {
                     *cell = glyph;
                 }
             }
-            let _ = writeln!(out, "{:name_w$} |{}|", row_name(row), String::from_utf8(line).expect("ascii"));
+            let _ = writeln!(
+                out,
+                "{:name_w$} |{}|",
+                row_name(row),
+                String::from_utf8(line).expect("ascii")
+            );
         }
         out
     }

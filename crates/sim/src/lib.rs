@@ -38,7 +38,7 @@
 
 pub mod clocked;
 pub mod gantt;
-pub mod stochastic;
 pub mod runner;
+pub mod stochastic;
 
 pub use runner::{simulate, Op, OpKind, Resource, SimOptions, SimResult};

@@ -162,12 +162,10 @@ pub fn simulate(inst: &Instance, model: CommModel, opts: &SimOptions) -> SimResu
     // Per-resource "free from" clocks: whole processors, plus (overlap
     // only) one send and one receive port per edge per replica.
     let mut cpu = vec![0.0f64; p];
-    let mut outp: Vec<Vec<f64>> = (0..num_edges)
-        .map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).0)])
-        .collect();
-    let mut inp: Vec<Vec<f64>> = (0..num_edges)
-        .map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).1)])
-        .collect();
+    let mut outp: Vec<Vec<f64>> =
+        (0..num_edges).map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).0)]).collect();
+    let mut inp: Vec<Vec<f64>> =
+        (0..num_edges).map(|e| vec![0.0f64; inst.mapping.replicas(wf.edge(e).1)]).collect();
 
     // Per-edge transfer-end times of the data set in flight. Every edge's
     // source precedes its destination, so a slot is always written before
@@ -277,11 +275,7 @@ mod tests {
         let analytic = compute_period(&i, CommModel::Overlap, Method::Polynomial).unwrap();
         let r = simulate(&i, CommModel::Overlap, &SimOptions { data_sets: 600, record_ops: false });
         let est = r.exact_period(1e-9).unwrap_or_else(|| r.period_estimate());
-        assert!(
-            (est - analytic.period).abs() < 1e-6,
-            "sim {est} vs analytic {}",
-            analytic.period
-        );
+        assert!((est - analytic.period).abs() < 1e-6, "sim {est} vs analytic {}", analytic.period);
     }
 
     #[test]
@@ -290,11 +284,7 @@ mod tests {
         let analytic = compute_period(&i, CommModel::Strict, Method::FullTpn).unwrap();
         let r = simulate(&i, CommModel::Strict, &SimOptions { data_sets: 600, record_ops: false });
         let est = r.exact_period(1e-9).unwrap_or_else(|| r.period_estimate());
-        assert!(
-            (est - analytic.period).abs() < 1e-6,
-            "sim {est} vs analytic {}",
-            analytic.period
-        );
+        assert!((est - analytic.period).abs() < 1e-6, "sim {est} vs analytic {}", analytic.period);
     }
 
     #[test]
@@ -317,7 +307,7 @@ mod tests {
         let i = inst(&[1, 2], 4.0, 3.0);
         let r = simulate(&i, CommModel::Overlap, &SimOptions { data_sets: 50, record_ops: true });
         assert_eq!(r.ops.len(), 50 * 3); // compute, transfer, compute per data set
-        // CPU of proc 0 must never overlap itself.
+                                         // CPU of proc 0 must never overlap itself.
         let mut cpu0: Vec<(f64, f64)> = r
             .ops
             .iter()
@@ -333,7 +323,8 @@ mod tests {
     #[test]
     fn strict_never_faster_than_overlap() {
         let i = inst(&[2, 2, 2], 6.0, 5.0);
-        let ov = simulate(&i, CommModel::Overlap, &SimOptions { data_sets: 400, record_ops: false });
+        let ov =
+            simulate(&i, CommModel::Overlap, &SimOptions { data_sets: 400, record_ops: false });
         let st = simulate(&i, CommModel::Strict, &SimOptions { data_sets: 400, record_ops: false });
         assert!(st.period_estimate() >= ov.period_estimate() - 1e-9);
     }

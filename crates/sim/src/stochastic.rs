@@ -230,15 +230,11 @@ pub fn estimate_period_par(
 ) -> StochasticEstimate {
     let m_last = inst.mapping.replicas(inst.num_stages() - 1);
     let opts = SimOptions { data_sets, record_ops: false };
-    let samples: Vec<f64> = repwf_par::par_map_init(
-        threads,
-        replications,
-        ReplicationScratch::new,
-        |scratch, k| {
+    let samples: Vec<f64> =
+        repwf_par::par_map_init(threads, replications, ReplicationScratch::new, |scratch, k| {
             noisy_completions(inst, model, noise, &opts, seed + k as u64, scratch);
             crate::runner::sustainable_period(&scratch.completion, m_last)
-        },
-    );
+        });
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let var = if samples.len() > 1 {
         samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
@@ -267,11 +263,7 @@ mod tests {
         for model in [CommModel::Overlap, CommModel::Strict] {
             let exact = compute_period(&i, model, Method::FullTpn).unwrap().period;
             let est = estimate_period(&i, model, Noise::None, 4000, 2, 1);
-            assert!(
-                (est.mean - exact).abs() < 2e-3 * exact,
-                "{model}: {} vs {exact}",
-                est.mean
-            );
+            assert!((est.mean - exact).abs() < 2e-3 * exact, "{model}: {} vs {exact}", est.mean);
             assert!(est.std_dev < 1e-9, "deterministic runs must agree exactly");
         }
     }
@@ -289,10 +281,7 @@ mod tests {
         let i = Instance::new(pipeline, platform, mapping).unwrap();
         let base = compute_period(&i, CommModel::Overlap, Method::Polynomial).unwrap().period;
         assert!((base - 6.0).abs() < 1e-9);
-        for noise in [
-            Noise::Uniform { amplitude: 0.5 },
-            Noise::Degraded { p: 0.1, slow: 5.0 },
-        ] {
+        for noise in [Noise::Uniform { amplitude: 0.5 }, Noise::Degraded { p: 0.1, slow: 5.0 }] {
             let est = estimate_period(&i, CommModel::Overlap, noise, 6000, 8, 7);
             assert!(
                 est.mean > base + est.ci95(),
@@ -306,18 +295,17 @@ mod tests {
     #[test]
     fn more_noise_more_slowdown() {
         let i = inst();
-        let small = estimate_period(&i, CommModel::Strict, Noise::Uniform { amplitude: 0.1 }, 5000, 6, 3);
-        let large = estimate_period(&i, CommModel::Strict, Noise::Uniform { amplitude: 0.8 }, 5000, 6, 3);
+        let small =
+            estimate_period(&i, CommModel::Strict, Noise::Uniform { amplitude: 0.1 }, 5000, 6, 3);
+        let large =
+            estimate_period(&i, CommModel::Strict, Noise::Uniform { amplitude: 0.8 }, 5000, 6, 3);
         assert!(large.mean > small.mean, "{} vs {}", large.mean, small.mean);
     }
 
     #[test]
     fn noise_samples_have_mean_one() {
         let mut rng = StdRng::seed_from_u64(5);
-        for noise in [
-            Noise::Uniform { amplitude: 0.7 },
-            Noise::Degraded { p: 0.2, slow: 3.0 },
-        ] {
+        for noise in [Noise::Uniform { amplitude: 0.7 }, Noise::Degraded { p: 0.2, slow: 3.0 }] {
             let n = 200_000;
             let mean: f64 = (0..n).map(|_| noise.sample(&mut rng)).sum::<f64>() / n as f64;
             assert!((mean - 1.0).abs() < 5e-3, "{noise:?}: mean {mean}");
@@ -327,8 +315,10 @@ mod tests {
     #[test]
     fn ci_shrinks_with_replications() {
         let i = inst();
-        let few = estimate_period(&i, CommModel::Overlap, Noise::Uniform { amplitude: 0.4 }, 1500, 4, 9);
-        let many = estimate_period(&i, CommModel::Overlap, Noise::Uniform { amplitude: 0.4 }, 1500, 16, 9);
+        let few =
+            estimate_period(&i, CommModel::Overlap, Noise::Uniform { amplitude: 0.4 }, 1500, 4, 9);
+        let many =
+            estimate_period(&i, CommModel::Overlap, Noise::Uniform { amplitude: 0.4 }, 1500, 16, 9);
         assert!(many.ci95() < few.ci95() + 1e-12);
     }
 }

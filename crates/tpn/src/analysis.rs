@@ -226,9 +226,7 @@ pub const PAR_SOLVE_MIN_VERTICES: usize = 200_000;
 
 fn solve(scratch: &mut PeriodScratch, warm: bool) -> Result<Option<PeriodSolution>, AnalysisError> {
     if !warm && scratch.graph.num_vertices() >= PAR_SOLVE_MIN_VERTICES {
-        return convert(
-            scratch.ws.max_cycle_ratio_par(&scratch.graph, repwf_par::max_threads()),
-        );
+        return convert(scratch.ws.max_cycle_ratio_par(&scratch.graph, repwf_par::max_threads()));
     }
     // Always present the structure generation as the workspace's token:
     // the rebuild solve records it, and every patched solve until the next
@@ -318,7 +316,9 @@ impl PeriodBatch {
     }
 }
 
-fn convert(res: Result<Option<maxplus::CycleSolution>, RatioGraphError>) -> Result<Option<PeriodSolution>, AnalysisError> {
+fn convert(
+    res: Result<Option<maxplus::CycleSolution>, RatioGraphError>,
+) -> Result<Option<PeriodSolution>, AnalysisError> {
     match res {
         Ok(None) => Ok(None),
         Ok(Some(sol)) => Ok(Some(PeriodSolution {
@@ -327,9 +327,9 @@ fn convert(res: Result<Option<maxplus::CycleSolution>, RatioGraphError>) -> Resu
             cost: sol.cost,
             tokens: sol.tokens,
         })),
-        Err(RatioGraphError::ZeroTokenCycle { cycle }) => Err(AnalysisError::Deadlock {
-            circuit: cycle.into_iter().map(TransitionId).collect(),
-        }),
+        Err(RatioGraphError::ZeroTokenCycle { cycle }) => {
+            Err(AnalysisError::Deadlock { circuit: cycle.into_iter().map(TransitionId).collect() })
+        }
         Err(e) => Err(AnalysisError::Numeric(e.to_string())),
     }
 }

@@ -27,7 +27,8 @@ pub fn place_bounds(net: &TimedEventGraph) -> Vec<Option<u64>> {
     }
     // group places by (post, pre) need: run Dijkstra from each distinct
     // source `post`; reuse distances for all places sharing it.
-    let mut dist_cache: std::collections::BTreeMap<u32, Vec<u64>> = std::collections::BTreeMap::new();
+    let mut dist_cache: std::collections::BTreeMap<u32, Vec<u64>> =
+        std::collections::BTreeMap::new();
     let mut out = Vec::with_capacity(net.num_places());
     for p in net.places() {
         let src = p.post.0;

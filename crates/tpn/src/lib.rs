@@ -35,8 +35,8 @@
 
 pub mod analysis;
 pub mod bounds;
-pub mod marking;
 pub mod dot;
+pub mod marking;
 pub mod net;
 pub mod sim;
 

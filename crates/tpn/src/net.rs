@@ -211,11 +211,7 @@ impl fmt::Display for TimedEventGraph {
             writeln!(f, "  T{i}: {} (time {})", t.label, t.firing_time)?;
         }
         for p in &self.places {
-            writeln!(
-                f,
-                "  P: T{} -> T{} tokens={} ({})",
-                p.pre.0, p.post.0, p.tokens, p.label
-            )?;
+            writeln!(f, "  P: T{} -> T{} tokens={} ({})", p.pre.0, p.post.0, p.tokens, p.label)?;
         }
         Ok(())
     }

@@ -219,7 +219,7 @@ mod tests {
         let mut net = TimedEventGraph::new();
         let early = net.add_transition(1.0, "early"); // id 0
         let late = net.add_transition(5.0, "late"); // id 1
-        // late feeds early with 0 tokens; each has a recycling self-loop.
+                                                    // late feeds early with 0 tokens; each has a recycling self-loop.
         net.add_place(late, early, 0, "back");
         net.add_place(early, early, 1, "sa");
         net.add_place(late, late, 1, "sb");

@@ -22,11 +22,9 @@ use repwf_map::{evaluate, greedy, local_search, optimize, SearchOptions};
 fn main() {
     let mut rng = StdRng::seed_from_u64(2009);
     // 5 stages, strongly skewed works; 14 processors with a 4x speed spread.
-    let pipeline = Pipeline::new(
-        vec![120.0, 900.0, 60.0, 400.0, 150.0],
-        vec![30.0, 25.0, 25.0, 10.0],
-    )
-    .expect("valid pipeline");
+    let pipeline =
+        Pipeline::new(vec![120.0, 900.0, 60.0, 400.0, 150.0], vec![30.0, 25.0, 25.0, 10.0])
+            .expect("valid pipeline");
     let mut platform = Platform::uniform(14, 1.0, 50.0);
     for u in 0..14 {
         platform.set_speed(u, 1.0 + 3.0 * rng.gen::<f64>());
@@ -39,7 +37,10 @@ fn main() {
 
     let g = greedy(&pipeline, &platform);
     let p_greedy = evaluate(&pipeline, &platform, &g, model).expect("oracle");
-    println!("greedy constructor          : period {p_greedy:>9.3}  replicas {:?}", g.replica_counts());
+    println!(
+        "greedy constructor          : period {p_greedy:>9.3}  replicas {:?}",
+        g.replica_counts()
+    );
 
     let opts = SearchOptions { model, restarts: 6, max_passes: 60, seed: 7 };
     let refined = local_search(&pipeline, &platform, g.clone(), &opts);

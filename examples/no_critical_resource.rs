@@ -50,7 +50,11 @@ fn main() {
     let chart = build(&inst, model, &sim, 2.0 * p_big, 5.0 * p_big);
     println!("idle fractions over three mid-stream periods:");
     for &row in &chart.rows {
-        println!("  {:>12}: {:>5.1}% idle", format!("{row:?}"), 100.0 * chart.idle_fraction(row, 2.0 * p_big));
+        println!(
+            "  {:>12}: {:>5.1}% idle",
+            format!("{row:?}"),
+            100.0 * chart.idle_fraction(row, 2.0 * p_big)
+        );
     }
 
     // And the cycle-time table that *predicts* the busiest resource.

@@ -85,9 +85,8 @@ fn main() {
 
     println!("video transcoding farm: fork/join, 6 stages, decode x2, encode x3\n");
     for model in [CommModel::Overlap, CommModel::Strict] {
-        let r = engine
-            .compute_mapping(&wf, &farm, &mapping(3), model, Method::Auto)
-            .expect("analysis");
+        let r =
+            engine.compute_mapping(&wf, &farm, &mapping(3), model, Method::Auto).expect("analysis");
         println!(
             "{model:<22} period {:>8.3}  throughput {:>7.4}  M_ct {:>8.3}  critical: {}",
             r.period,

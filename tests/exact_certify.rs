@@ -74,22 +74,26 @@ fn quickstart_anneal_finds_the_optimum_gap_is_exactly_zero() {
 #[test]
 fn table2_family_instances_certify_with_pinned_gaps() {
     let families = [
-        (GenConfig {
-            stages: 3,
-            procs: 5,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        }, 11u64),
-        (GenConfig {
-            stages: 2,
-            procs: 5,
-            comp: Range::constant(1.0),
-            comm: Range::new(5.0, 10.0),
-        }, 42u64),
+        (
+            GenConfig {
+                stages: 3,
+                procs: 5,
+                comp: Range::new(5.0, 15.0),
+                comm: Range::new(5.0, 15.0),
+            },
+            11u64,
+        ),
+        (
+            GenConfig {
+                stages: 2,
+                procs: 5,
+                comp: Range::constant(1.0),
+                comm: Range::new(5.0, 10.0),
+            },
+            42u64,
+        ),
     ];
-    for (model, (cfg, seed)) in
-        [CommModel::Overlap, CommModel::Strict].into_iter().zip(families)
-    {
+    for (model, (cfg, seed)) in [CommModel::Overlap, CommModel::Strict].into_iter().zip(families) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (pipeline, platform, _mapping) = sample_parts(&cfg, &mut rng);
         let (gap, optimum) = certify(&pipeline, &platform, model);

@@ -155,9 +155,18 @@ fn mapping_tpn_structural_bounds() {
                         // Overlap: only the round-robin circuits throttle;
                         // dataflow (row) places buffer without bound.
                         if place.label.starts_with("row") {
-                            assert_eq!(*b, None, "dataflow place {} must be unbounded", place.label);
+                            assert_eq!(
+                                *b, None,
+                                "dataflow place {} must be unbounded",
+                                place.label
+                            );
                         } else {
-                            assert_eq!(*b, Some(1), "circuit place {} must be 1-bounded", place.label);
+                            assert_eq!(
+                                *b,
+                                Some(1),
+                                "circuit place {} must be 1-bounded",
+                                place.label
+                            );
                         }
                     }
                     CommModel::Strict => {
@@ -198,10 +207,7 @@ fn weighted_uniform_pattern_equals_plain_round_robin() {
                 &BuildOptions { labels: false, max_transitions: 400_000 },
             )
             .unwrap();
-            assert!(
-                (plain - weighted).abs() <= 1e-9 * plain,
-                "{model}: {plain} vs {weighted}"
-            );
+            assert!((plain - weighted).abs() <= 1e-9 * plain, "{model}: {plain} vs {weighted}");
         }
     }
 }

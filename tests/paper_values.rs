@@ -33,11 +33,7 @@ fn example_a_overlap_period_189_with_critical_resource() {
     let a = example_a();
     for method in [Method::Polynomial, Method::FullTpn, Method::TpnSimulation] {
         let r = compute_period(&a, CommModel::Overlap, method).unwrap();
-        assert!(
-            (r.period - 189.0).abs() < 1e-6,
-            "{method}: got {}",
-            r.period
-        );
+        assert!((r.period - 189.0).abs() < 1e-6, "{method}: got {}", r.period);
     }
     let r = compute_period(&a, CommModel::Overlap, Method::Auto).unwrap();
     assert!(r.has_critical_resource(1e-9), "P0's out-port is critical");

@@ -20,8 +20,7 @@ fn diamond() -> Instance {
     )
     .expect("valid diamond");
     let platform = Platform::uniform(4, 1.0, 10.0);
-    let mapping =
-        Mapping::new(vec![vec![0], vec![1], vec![2], vec![3]]).expect("valid mapping");
+    let mapping = Mapping::new(vec![vec![0], vec![1], vec![2], vec![3]]).expect("valid mapping");
     Instance::new(pipeline, platform, mapping).expect("valid instance")
 }
 
@@ -74,7 +73,8 @@ fn diamond_period_matches_handbuilt_tpn() {
     let report = compute_period(&inst, CommModel::Overlap, Method::FullTpn).expect("analysis");
     assert_eq!(report.period, sol.period, "tpn_build vs hand-built TPN");
     assert_eq!(report.num_paths, 1);
-    let sim = simulate(&inst, CommModel::Overlap, &SimOptions { data_sets: 400, record_ops: false });
+    let sim =
+        simulate(&inst, CommModel::Overlap, &SimOptions { data_sets: 400, record_ops: false });
     let est = sim.exact_period(1e-9).expect("deterministic steady state");
     assert!((est - 50.0).abs() < 1e-9, "simulated {est}");
 }
@@ -101,12 +101,8 @@ fn diamond_strict_analysis_agrees_with_simulation() {
 fn forkjoin_campaign_engages_the_patch_path() {
     // 5 processors over 4 stages: only four possible replica-count
     // vectors, so consecutive draws repeat TPN shapes often.
-    let cfg = GenConfig {
-        stages: 4,
-        procs: 5,
-        comp: Range::new(5.0, 15.0),
-        comm: Range::new(5.0, 15.0),
-    };
+    let cfg =
+        GenConfig { stages: 4, procs: 5, comp: Range::new(5.0, 15.0), comm: Range::new(5.0, 15.0) };
     let topo = Topology::fork_join(2);
     assert_eq!(topo.stages, cfg.stages);
     let mut engine: PeriodEngine = engine_for_cap(400_000);
