@@ -226,18 +226,23 @@ pub fn build_tpn_view_into(
         }
     }
 
-    // Adds the round-robin circuit over `group` (ascending rows) in column
-    // `c`: chain places with 0 tokens, wrap-around with 1 token. A
-    // single-row group becomes a tokenized self-loop.
-    let circuit =
-        |net: &mut TimedEventGraph, group: &[usize], c_from: usize, c_to: usize, tag: &str| {
-            for w in 0..group.len() {
-                let (a, b) = (group[w], group[(w + 1) % group.len()]);
-                let tokens = u32::from(w + 1 == group.len());
-                let label = if opts.labels { format!("{tag} r{a}>r{b}") } else { String::new() };
-                net.add_place(at(a, c_from), at(b, c_to), tokens, label);
-            }
-        };
+    // Adds the round-robin circuit over the rows `first, first + stride,
+    // …` below `rows`, from column `c_from` to column `c_to`: chain places
+    // with 0 tokens, wrap-around with 1 token. A single-row circuit
+    // becomes a tokenized self-loop. `tag` is formatted only into labels.
+    let circuit = |net: &mut TimedEventGraph,
+                   (first, stride): (usize, usize),
+                   (c_from, c_to): (usize, usize),
+                   tag: fmt::Arguments<'_>| {
+        let mut a = first;
+        while a < rows {
+            let next = a + stride;
+            let (b, tokens) = if next < rows { (next, 0) } else { (first, 1) };
+            let label = if opts.labels { format!("{tag} r{a}>r{b}") } else { String::new() };
+            net.add_place(at(a, c_from), at(b, c_to), tokens, label);
+            a = next;
+        }
+    };
 
     match model {
         CommModel::Overlap => {
@@ -245,8 +250,7 @@ pub fn build_tpn_view_into(
                 let m_i = view.mapping.replicas(i);
                 // constraint 2: computation round-robin per processor
                 for beta in 0..m_i {
-                    let group: Vec<usize> = (beta..rows).step_by(m_i).collect();
-                    circuit(net, &group, ci, ci, &format!("cpu S{i}#{beta}"));
+                    circuit(net, (beta, m_i), (ci, ci), format_args!("cpu S{i}#{beta}"));
                 }
                 for &e in wf.out_edges(i) {
                     let (_, dst) = wf.edge(e);
@@ -254,13 +258,11 @@ pub fn build_tpn_view_into(
                     let ce = col_of_edge[e];
                     // constraint 3: out-port round-robin per sender
                     for alpha in 0..m_i {
-                        let group: Vec<usize> = (alpha..rows).step_by(m_i).collect();
-                        circuit(net, &group, ce, ce, &format!("out F{e}#{alpha}"));
+                        circuit(net, (alpha, m_i), (ce, ce), format_args!("out F{e}#{alpha}"));
                     }
                     // constraint 4: in-port round-robin per receiver
                     for beta in 0..m_dst {
-                        let group: Vec<usize> = (beta..rows).step_by(m_dst).collect();
-                        circuit(net, &group, ce, ce, &format!("in F{e}#{beta}"));
+                        circuit(net, (beta, m_dst), (ce, ce), format_args!("in F{e}#{beta}"));
                     }
                 }
             }
@@ -291,8 +293,8 @@ pub fn build_tpn_view_into(
                 let last_col = outs.last().map_or(ci, |&e| col_of_edge[e]);
                 let first_col = ins.first().map_or(ci, |&e| col_of_edge[e]);
                 for beta in 0..m_i {
-                    let group: Vec<usize> = (beta..rows).step_by(m_i).collect();
-                    circuit(net, &group, last_col, first_col, &format!("proc S{i}#{beta}"));
+                    let ends = (last_col, first_col);
+                    circuit(net, (beta, m_i), ends, format_args!("proc S{i}#{beta}"));
                 }
             }
         }
@@ -627,6 +629,49 @@ mod tests {
                 assert_eq!(times[i].to_bits(), t.firing_time.to_bits(), "{model} t{i}");
             }
         }
+    }
+
+    /// Labels are the only difference labels make: a label-free build has
+    /// the labelled build's transitions, times, places and tokens, in the
+    /// same order, on chains and DAGs under both models.
+    #[test]
+    fn label_free_builds_equal_labelled_builds_but_for_labels() {
+        let mut cases = vec![abc_instance(&[3, 2]), abc_instance(&[1, 4, 2]), abc_instance(&[2])];
+        cases.push(diamond_instance(&[2, 3, 1, 2]));
+        for inst in &mut cases {
+            for u in 0..inst.platform.num_procs() {
+                inst.platform.set_speed(u, 1.0 + 0.125 * u as f64);
+            }
+        }
+        let labelled = BuildOptions::default();
+        let bare = BuildOptions { labels: false, ..BuildOptions::default() };
+        for inst in &cases {
+            for model in [CommModel::Overlap, CommModel::Strict] {
+                let a = build_tpn(inst, model, &labelled).unwrap().net;
+                let b = build_tpn(inst, model, &bare).unwrap().net;
+                assert_eq!(a.num_transitions(), b.num_transitions(), "{model}");
+                for (x, y) in a.transitions().iter().zip(b.transitions()) {
+                    assert_eq!(x.firing_time.to_bits(), y.firing_time.to_bits(), "{model}");
+                    assert!(!x.label.is_empty() && y.label.is_empty(), "{model}");
+                }
+                assert_eq!(a.num_places(), b.num_places(), "{model}");
+                for (x, y) in a.places().iter().zip(b.places()) {
+                    assert_eq!((x.pre, x.post, x.tokens), (y.pre, y.post, y.tokens), "{model}");
+                    assert!(!x.label.is_empty() && y.label.is_empty(), "{model}");
+                }
+            }
+        }
+        // The round-robin circuit of S0's first replica over rows 0 and 3
+        // of the six-row strict net: the chain place, then the tokenized
+        // wrap-around.
+        let net = build_tpn(&cases[0], CommModel::Strict, &labelled).unwrap().net;
+        let circuit: Vec<(&str, u32)> = net
+            .places()
+            .iter()
+            .filter(|pl| pl.label.starts_with("proc S0#0 "))
+            .map(|pl| (pl.label.as_str(), pl.tokens))
+            .collect();
+        assert_eq!(circuit, [("proc S0#0 r0>r3", 0), ("proc S0#0 r3>r0", 1)]);
     }
 
     #[test]
