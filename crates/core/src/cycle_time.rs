@@ -157,59 +157,80 @@ fn replica_cycle_time(v: InstanceView<'_>, i: StageId, beta: usize) -> CycleTime
 /// An invalid prefix resource (zero/negative speed or bandwidth) yields an
 /// infinite bound: every completion inherits the invalid resource and is
 /// rejected by validation, so callers may prune such prefixes outright.
+///
+/// The bound is the `f64::max` fold, in stage order from `0.0`, of the
+/// per-stage terms of [`prefix_stage_bound`]. A search that closes the
+/// stages one by one keeps those terms: closing stage `i` changes only
+/// the terms of `i` and of the stages with an edge into `i`.
 pub fn prefix_cycle_bound(
     pipeline: &crate::model::Pipeline,
     platform: &crate::model::Platform,
     prefix: &[Vec<ProcId>],
     model: CommModel,
 ) -> f64 {
+    (0..prefix.len())
+        .map(|i| prefix_stage_bound(pipeline, platform, prefix, i, model))
+        .fold(0.0, f64::max)
+}
+
+/// Stage `i`'s term of [`prefix_cycle_bound`]: the largest `C_exec` of
+/// its replicas over the components the prefix determines (`0.0` folded
+/// in first). It reads the tuples of `i`, of the sources of its in-edges
+/// and of the destinations of its out-edges inside the prefix, and
+/// nothing else.
+pub fn prefix_stage_bound(
+    pipeline: &crate::model::Pipeline,
+    platform: &crate::model::Platform,
+    prefix: &[Vec<ProcId>],
+    i: StageId,
+    model: CommModel,
+) -> f64 {
     let k = prefix.len();
+    let procs = &prefix[i];
+    let m_i = procs.len();
     let mut worst = 0.0f64;
-    for (i, procs) in prefix.iter().enumerate() {
-        let m_i = procs.len();
-        for (beta, &u) in procs.iter().enumerate() {
-            let c_comp = pipeline.work(i) / platform.speed(u) / m_i as f64;
-            let mut c_in = 0.0f64;
-            let mut c_in_peak = 0.0f64;
-            for &e in pipeline.in_edges(i) {
-                let (src, _) = pipeline.edge(e);
-                let prev = &prefix[src];
-                let (senders, l) = partner_residues(prev.len(), m_i, beta);
-                let total: f64 =
-                    senders.map(|a| pipeline.file(e) / platform.bandwidth(prev[a], u)).sum();
-                let avg = total / l as f64;
-                c_in += avg;
-                c_in_peak = c_in_peak.max(avg);
-            }
-            // Out-edges crossing the prefix boundary have unknown
-            // partners: bound their contribution by 0.
-            let mut c_out = 0.0f64;
-            let mut c_out_peak = 0.0f64;
-            for &e in pipeline.out_edges(i) {
-                let (_, dst) = pipeline.edge(e);
-                if dst >= k {
-                    continue;
-                }
-                let next = &prefix[dst];
-                let (receivers, l) = partner_residues(next.len(), m_i, beta);
-                let total: f64 =
-                    receivers.map(|b| pipeline.file(e) / platform.bandwidth(u, next[b])).sum();
-                let avg = total / l as f64;
-                c_out += avg;
-                c_out_peak = c_out_peak.max(avg);
-            }
-            let ct = CycleTime {
-                proc: u,
-                stage: i,
-                replica_index: beta,
-                c_in,
-                c_comp,
-                c_out,
-                c_in_peak,
-                c_out_peak,
-            };
-            worst = worst.max(ct.exec(model));
+    for (beta, &u) in procs.iter().enumerate() {
+        let c_comp = pipeline.work(i) / platform.speed(u) / m_i as f64;
+        let mut c_in = 0.0f64;
+        let mut c_in_peak = 0.0f64;
+        for &e in pipeline.in_edges(i) {
+            let (src, _) = pipeline.edge(e);
+            let prev = &prefix[src];
+            let (senders, l) = partner_residues(prev.len(), m_i, beta);
+            let total: f64 =
+                senders.map(|a| pipeline.file(e) / platform.bandwidth(prev[a], u)).sum();
+            let avg = total / l as f64;
+            c_in += avg;
+            c_in_peak = c_in_peak.max(avg);
         }
+        // Out-edges crossing the prefix boundary have unknown partners:
+        // bound their contribution by 0.
+        let mut c_out = 0.0f64;
+        let mut c_out_peak = 0.0f64;
+        for &e in pipeline.out_edges(i) {
+            let (_, dst) = pipeline.edge(e);
+            if dst >= k {
+                continue;
+            }
+            let next = &prefix[dst];
+            let (receivers, l) = partner_residues(next.len(), m_i, beta);
+            let total: f64 =
+                receivers.map(|b| pipeline.file(e) / platform.bandwidth(u, next[b])).sum();
+            let avg = total / l as f64;
+            c_out += avg;
+            c_out_peak = c_out_peak.max(avg);
+        }
+        let ct = CycleTime {
+            proc: u,
+            stage: i,
+            replica_index: beta,
+            c_in,
+            c_comp,
+            c_out,
+            c_in_peak,
+            c_out_peak,
+        };
+        worst = worst.max(ct.exec(model));
     }
     worst
 }

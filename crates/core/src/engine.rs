@@ -118,8 +118,10 @@
 //! the bit-identical-at-any-thread-count guarantee. Sequential searches
 //! (`repwf_map::local_search`, `repwf_map::annealing`) enable warm starts.
 
-use crate::cycle_time::{max_cycle_time_view, prefix_cycle_bound, MctCache};
-use crate::model::{CommModel, Instance, InstanceView, Mapping, ModelError, Pipeline, Platform};
+use crate::cycle_time::{max_cycle_time_view, prefix_cycle_bound, CycleTime, MctCache};
+use crate::model::{
+    CommModel, Instance, InstanceView, Mapping, ModelError, Pipeline, Platform, ProcId, StageId,
+};
 use crate::overlap_poly::{walk_columns, ColumnCache, ColumnId, OverlapScratch};
 use crate::paths::mapping_num_paths;
 use crate::period::{Method, PeriodError, PeriodReport};
@@ -218,6 +220,44 @@ struct Session {
     /// The last Theorem 1 column solved per edge: a candidate that keeps
     /// an edge's two tuples reuses its column.
     columns: ColumnCache,
+}
+
+/// A solve's period and how it was obtained: everything the report
+/// layer ([`PeriodEngine::compute_view`], [`MappingOracle::compute`])
+/// adds `M_ct` and the `critical` description to, and all that
+/// [`MappingOracle::period`] reads the period from.
+struct Solved {
+    period: f64,
+    /// The method actually used (`Auto` only on the one-to-one shortcut).
+    method: Method,
+    num_paths: u128,
+    witness: Witness,
+}
+
+/// What the period of a [`Solved`] is attained by.
+enum Witness {
+    /// One-to-one mapping under `Auto`: the critical resource.
+    Resource { proc: ProcId, stage: StageId },
+    /// The Theorem 1 column attaining the period (the last maximum).
+    Column(ColumnId),
+    /// The critical circuit of the net still held in the engine's arena.
+    Circuit(Vec<TransitionId>),
+    /// A period estimated from a simulated schedule.
+    Simulated,
+}
+
+/// `M_ct` and the processor attaining it, through the session's
+/// incremental cache when there is one.
+fn session_mct(
+    view: InstanceView<'_>,
+    model: CommModel,
+    cache: Option<&mut MctCache>,
+) -> (f64, CycleTime) {
+    let _span = repwf_obs::span!(Mct);
+    match cache {
+        Some(cache) => cache.max_cycle_time(view, model),
+        None => max_cycle_time_view(view, model),
+    }
 }
 
 /// Reusable period solver: owns the TPN build arena and the max-plus
@@ -355,40 +395,77 @@ impl PeriodEngine {
 
     /// [`PeriodEngine::compute_view`] with a [`MappingOracle`]'s session
     /// state: its incremental [`MctCache`], its parked shape arenas and its
-    /// column cache. Any errored call — build failure, solver failure,
-    /// method mismatch — forgets the patch precondition, so the next solve
-    /// rebuilds cold.
+    /// column cache. The report layer over [`PeriodEngine::solve_session`]:
+    /// it evaluates `M_ct` first, then solves, then describes the witness.
     fn compute_session(
         &mut self,
         view: InstanceView<'_>,
         model: CommModel,
         method: Method,
-        session: Option<&mut Session>,
+        mut session: Option<&mut Session>,
     ) -> Result<PeriodReport, PeriodError> {
-        let res = self.compute_view_impl(view, model, method, session);
+        let (mct, who) = session_mct(view, model, session.as_deref_mut().map(|s| &mut s.mct));
+        let solved = self.solve_session(view, model, method, session, Some((mct, &who)))?;
+        let critical = match solved.witness {
+            Witness::Resource { proc, stage } => format!("P{proc} (S{stage})"),
+            Witness::Column(ColumnId::Computation { stage, proc }) => {
+                format!("computation S{stage} on P{proc}")
+            }
+            Witness::Column(ColumnId::Communication { file, residue, .. }) => {
+                format!("transfer of F{file}, component {residue}")
+            }
+            Witness::Circuit(circuit) if self.opts.labels => {
+                let net = &self.arena.net;
+                let names: Vec<&str> =
+                    circuit.iter().take(8).map(|&t| net.transition(t).label.as_str()).collect();
+                format!("cycle[{}]: {}", circuit.len(), names.join(" -> "))
+            }
+            Witness::Circuit(circuit) => format!("cycle of {} transitions", circuit.len()),
+            Witness::Simulated => "estimated from simulated schedule".to_string(),
+        };
+        Ok(PeriodReport {
+            period: solved.period,
+            mct,
+            model,
+            method: solved.method,
+            num_paths: solved.num_paths,
+            critical,
+        })
+    }
+
+    /// The one solve behind [`PeriodEngine::compute_view`],
+    /// [`MappingOracle::compute`] and [`MappingOracle::period`]: the
+    /// period and what explains it, without `M_ct` unless the period *is*
+    /// `M_ct` (`Auto` on a one-to-one mapping), where `known_mct` is used
+    /// when the caller already has it. Any errored call — build failure,
+    /// solver failure, method mismatch — forgets the patch precondition,
+    /// so the next solve rebuilds cold.
+    fn solve_session(
+        &mut self,
+        view: InstanceView<'_>,
+        model: CommModel,
+        method: Method,
+        session: Option<&mut Session>,
+        known_mct: Option<(f64, &CycleTime)>,
+    ) -> Result<Solved, PeriodError> {
+        let res = self.solve_impl(view, model, method, session, known_mct);
         if res.is_err() {
             self.arena.shape = None;
         }
         res
     }
 
-    fn compute_view_impl(
+    fn solve_impl(
         &mut self,
         view: InstanceView<'_>,
         model: CommModel,
         method: Method,
         session: Option<&mut Session>,
-    ) -> Result<PeriodReport, PeriodError> {
+        known_mct: Option<(f64, &CycleTime)>,
+    ) -> Result<Solved, PeriodError> {
         let (mct_cache, slots, columns) = match session {
             Some(Session { mct, slots, columns }) => (Some(mct), Some(slots), Some(columns)),
             None => (None, None, None),
-        };
-        let (mct, who) = {
-            let _span = repwf_obs::span!(Mct);
-            match mct_cache {
-                Some(cache) => cache.max_cycle_time(view, model),
-                None => max_cycle_time_view(view, model),
-            }
         };
         let m = mapping_num_paths(view.mapping).ok_or(BuildError::PathCountOverflow)?;
 
@@ -397,13 +474,18 @@ impl PeriodEngine {
                 if view.mapping.is_one_to_one() {
                     // No replication: the period is dictated by the critical
                     // resource (§2 of the paper; also [3]).
-                    return Ok(PeriodReport {
-                        period: mct,
-                        mct,
-                        model,
+                    let (period, proc, stage) = match known_mct {
+                        Some((mct, who)) => (mct, who.proc, who.stage),
+                        None => {
+                            let (mct, who) = session_mct(view, model, mct_cache);
+                            (mct, who.proc, who.stage)
+                        }
+                    };
+                    return Ok(Solved {
+                        period,
                         method: Method::Auto,
                         num_paths: 1,
-                        critical: format!("P{} (S{})", who.proc, who.stage),
+                        witness: Witness::Resource { proc, stage },
                     });
                 }
                 match model {
@@ -431,21 +513,11 @@ impl PeriodEngine {
                     }
                 });
                 let (id, period) = best.expect("at least one column");
-                let critical = match id {
-                    ColumnId::Computation { stage, proc } => {
-                        format!("computation S{stage} on P{proc}")
-                    }
-                    ColumnId::Communication { file, residue, .. } => {
-                        format!("transfer of F{file}, component {residue}")
-                    }
-                };
-                Ok(PeriodReport {
+                Ok(Solved {
                     period,
-                    mct,
-                    model,
                     method: Method::Polynomial,
                     num_paths: m,
-                    critical,
+                    witness: Witness::Column(id),
                 })
             }
             Method::FullTpn => {
@@ -493,29 +565,16 @@ impl PeriodEngine {
                 };
                 self.csr_builds += scratch.csr_builds() - csr_before;
                 self.tarjan_runs += scratch.tarjan_runs() - tarjan_before;
-                // On error `compute_session` forgets the patch state (and
+                // On error `solve_session` forgets the patch state (and
                 // the workspace already dropped its structure cache).
                 let sol = solved
                     .map_err(PeriodError::from)?
                     .expect("mapping TPNs always contain circuits");
-                let critical = if self.opts.labels {
-                    let names: Vec<&str> = sol
-                        .critical
-                        .iter()
-                        .take(8)
-                        .map(|&t| net.transition(t).label.as_str())
-                        .collect();
-                    format!("cycle[{}]: {}", sol.critical.len(), names.join(" -> "))
-                } else {
-                    format!("cycle of {} transitions", sol.critical.len())
-                };
-                Ok(PeriodReport {
+                Ok(Solved {
                     period: sol.period / m as f64,
-                    mct,
-                    model,
                     method: Method::FullTpn,
                     num_paths: m,
-                    critical,
+                    witness: Witness::Circuit(sol.critical),
                 })
             }
             Method::TpnSimulation => {
@@ -544,13 +603,11 @@ impl PeriodEngine {
                         schedule.period_estimate(t.0 as usize, window)
                     })
                     .fold(0.0f64, f64::max);
-                Ok(PeriodReport {
+                Ok(Solved {
                     period: lambda / m as f64,
-                    mct,
-                    model,
                     method: Method::TpnSimulation,
                     num_paths: m,
-                    critical: "estimated from simulated schedule".to_string(),
+                    witness: Witness::Simulated,
                 })
             }
             Method::Auto => unreachable!("Auto resolved above"),
@@ -727,15 +784,31 @@ impl<'a> MappingOracle<'a> {
     /// Returns `f64::INFINITY` when no completion can be feasible (too few
     /// processors left, or an invalid resource baked into the prefix) —
     /// safe to prune unconditionally.
+    ///
+    /// The exact search prices its nodes incrementally instead (per-stage
+    /// [`crate::cycle_time::prefix_stage_bound`] terms, then
+    /// [`MappingOracle::complete_prefix_bound`]), bit for bit this value;
+    /// this function stays the reference.
     pub fn prefix_period_bound(
         &self,
         prefix: &[Vec<usize>],
         used: &[bool],
         model: CommModel,
     ) -> f64 {
+        let partial = prefix_cycle_bound(self.pipeline, self.platform, prefix, model);
+        self.complete_prefix_bound(partial, prefix.len(), used)
+    }
+
+    /// Term 2 of [`MappingOracle::prefix_period_bound`] folded into term
+    /// 1: `partial` is the prefix's partial `M_ct`
+    /// ([`prefix_cycle_bound`]) over its `closed` stages, and the
+    /// single-stage floors of the open stages `closed..n` given the free
+    /// processors of `used` are `f64::max`ed into it (`f64::INFINITY`
+    /// when too few processors are left).
+    pub fn complete_prefix_bound(&self, partial: f64, closed: usize, used: &[bool]) -> f64 {
         let n = self.pipeline.num_stages();
-        let k = prefix.len();
-        let mut bound = prefix_cycle_bound(self.pipeline, self.platform, prefix, model);
+        let k = closed;
+        let mut bound = partial;
         if k < n {
             let mut avail = 0usize;
             let mut s_max = 0.0f64;
@@ -832,6 +905,29 @@ impl<'a> MappingOracle<'a> {
         self.validate(mapping)?;
         let view = InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
         self.engine.compute_session(view, model, method, Some(&mut self.session))
+    }
+
+    /// Validates `mapping` and computes its period only: bit for bit
+    /// [`MappingOracle::compute`]'s `period`, with the same errors, from
+    /// the same solve, without the report around it. `M_ct` is evaluated
+    /// only where it *is* the period (`Method::Auto` on a one-to-one
+    /// mapping), and no `critical` description is formatted. The session
+    /// state stays sound across skipped `M_ct` evaluations: the `M_ct`
+    /// cache compares each stage's processor list with the one it last
+    /// computed, not with the previous call's.
+    ///
+    /// This is the objective of the mapping searches
+    /// (`repwf_map::exact`, the heuristics), which read nothing else.
+    pub fn period(
+        &mut self,
+        mapping: &Mapping,
+        model: CommModel,
+        method: Method,
+    ) -> Result<f64, PeriodError> {
+        self.validate(mapping)?;
+        let view = InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
+        let solved = self.engine.solve_session(view, model, method, Some(&mut self.session), None);
+        solved.map(|s| s.period)
     }
 }
 

@@ -21,6 +21,15 @@
 //!   cache, the parked shape arenas, the per-edge column cache and the
 //!   pattern slots are all live; every report must equal a fresh engine's
 //!   on an owned [`Instance`].
+//! * **Period-only evaluation.** [`MappingOracle::period`] runs the solve
+//!   of [`MappingOracle::compute`] without the report around it. Two
+//!   oracles fed the same candidates — one-to-one mappings, mappings on a
+//!   dead link or processor, mappings naming a missing processor, strict
+//!   nets above the transition cap, every method under both models — must
+//!   agree bit for bit, errors included. The period-only oracle evaluates
+//!   `M_ct` only for one-to-one candidates under `Auto`, so its `M_ct`
+//!   cache skips most calls; its one-to-one periods must still equal a
+//!   cold oracle's `M_ct`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,6 +38,7 @@ use repwf_core::engine::{MappingOracle, PeriodEngine};
 use repwf_core::model::{CommModel, Instance, Mapping, Pipeline, Platform};
 use repwf_core::overlap_poly::{overlap_period_view, Bottleneck};
 use repwf_core::period::Method;
+use repwf_core::tpn_build::BuildOptions;
 
 /// Precedence graphs: chains and series-parallel DAGs (stage ids in
 /// topological order, one source, one sink).
@@ -266,8 +276,90 @@ fn session_walks_match_fresh_engines_on_every_topology() {
     }
 }
 
+/// A period-only walk on topology `k` (see the module docs): `by_period`
+/// only ever calls [`MappingOracle::period`], `by_report` makes the same
+/// solves through [`MappingOracle::compute`], so their warm starts,
+/// parked arenas and column caches stay in step. Returns how many
+/// feasible one-to-one periods were checked against a cold oracle.
+fn period_only_walk(seed: u64, k: usize, steps: usize) -> usize {
+    let inst = instance(seed, k, false);
+    let pipeline = &inst.pipeline;
+    let mut platform = inst.platform.clone();
+    let p = platform.num_procs();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+    platform.set_bandwidth(rng.gen_range(0..p), rng.gen_range(0..p), 0.0);
+    if seed % 2 == 1 {
+        platform.set_speed(rng.gen_range(0..p), 0.0);
+    }
+    let platform = &platform;
+    // Small enough that some replicated strict (and full-TPN overlap)
+    // candidates exceed it.
+    let build = BuildOptions { labels: false, max_transitions: 40 };
+    let oracle = || {
+        let engine = PeriodEngine::with_options(build.clone()).warm_start(true);
+        MappingOracle::with_engine(pipeline, platform, engine)
+    };
+    let (mut by_period, mut by_report) = (oracle(), oracle());
+    let mut assignment = inst.mapping.assignment().to_vec();
+    let mut one_to_one = 0;
+    for step in 0..steps {
+        session_move(&mut assignment, p, &mut rng);
+        let candidate = match rng.gen_range(0..6) {
+            0 => assignment.iter().map(|t| vec![t[0]]).collect(),
+            1 => {
+                let mut missing = assignment.clone();
+                let i = rng.gen_range(0..missing.len());
+                missing[i].push(p);
+                missing
+            }
+            _ => assignment.clone(),
+        };
+        let mapping = Mapping::new(candidate).unwrap();
+        for model in [CommModel::Overlap, CommModel::Strict] {
+            for method in [Method::Auto, Method::Polynomial, Method::FullTpn] {
+                let at = format!("seed {seed} topology {k} step {step} {model} {method}");
+                let got = by_period.period(&mapping, model, method);
+                let want = by_report.compute(&mapping, model, method).map(|r| r.period);
+                match (got, want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{at}"),
+                    (a, b) => assert_eq!(a, b, "{at}"),
+                }
+            }
+            if mapping.is_one_to_one() {
+                let got = by_period.period(&mapping, model, Method::Auto);
+                let cold =
+                    MappingOracle::new(pipeline, platform).compute(&mapping, model, Method::Auto);
+                if let (Ok(got), Ok(cold)) = (&got, &cold) {
+                    assert_eq!(
+                        got.to_bits(),
+                        cold.mct.to_bits(),
+                        "seed {seed} step {step} {model}"
+                    );
+                    one_to_one += 1;
+                } else {
+                    assert_eq!(got.err(), cold.err(), "seed {seed} step {step} {model}");
+                }
+                // Keep the two oracles' solve sequences in step.
+                let _ = by_report.period(&mapping, model, Method::Auto);
+            }
+        }
+    }
+    one_to_one
+}
+
+#[test]
+fn period_only_walks_match_reports_on_every_topology() {
+    let one_to_one: usize = (0..6).map(|k| period_only_walk(k as u64 * 11 + 3, k, 60)).sum();
+    assert!(one_to_one >= 12, "only {one_to_one} feasible one-to-one candidates");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn period_only_walks_are_bit_identical_to_reports(seed in 0u64..4096, k in 0usize..6) {
+        period_only_walk(seed, k, 24);
+    }
 
     #[test]
     fn engine_overlap_report_equals_the_materialized_walk(seed in 0u64..4096, uniform in 0u8..2) {

@@ -60,6 +60,7 @@
 //! search with [`ExactError::CandidateTooLarge`] instead.
 
 use crate::enumerate::better_incumbent;
+use repwf_core::cycle_time::prefix_stage_bound;
 use repwf_core::engine::{MappingOracle, PeriodEngine};
 use repwf_core::model::{CommModel, Mapping, Pipeline, Platform};
 use repwf_core::period::{Method, PeriodError};
@@ -234,6 +235,10 @@ struct Searcher<'a, 'o> {
     /// The leaf under evaluation, refilled in place from `assignment`;
     /// cloned only into the incumbent or an error.
     leaf: Mapping,
+    /// `terms[i]`: the [`prefix_stage_bound`] terms of stages `0..=i` at
+    /// the node that closed stage `i` with its current tuple; a deeper
+    /// node starts from its parent's row.
+    terms: Vec<Vec<f64>>,
     /// Task-local incumbent (no cross-task sharing: counters must be pure
     /// functions of the task id).
     best: Option<(Mapping, f64)>,
@@ -248,7 +253,15 @@ impl Searcher<'_, '_> {
     /// descend (evaluate when `i` is the last stage).
     fn close_stage(&mut self, i: usize) -> Result<(), ExactError> {
         self.stats.nodes += 1;
-        let bound = self.oracle.prefix_period_bound(&self.assignment[..=i], &self.used, self.model);
+        let bound = self.prefix_bound(i);
+        debug_assert_eq!(
+            bound.to_bits(),
+            self.oracle
+                .prefix_period_bound(&self.assignment[..=i], &self.used, self.model)
+                .to_bits(),
+            "incremental prefix bound diverged from the reference at {:?}",
+            &self.assignment[..=i]
+        );
         // Strictly-greater only: an equal-period completion may still win
         // the canonical (lexicographic) tie-break. Infinite bound = no
         // feasible completion at all.
@@ -261,6 +274,31 @@ impl Searcher<'_, '_> {
         } else {
             self.extend_stage(i + 1)
         }
+    }
+
+    /// [`MappingOracle::prefix_period_bound`] of the prefix `0..=i`, from
+    /// the parent node's terms: closing stage `i` adds its own term and
+    /// changes the terms of the stages with an edge into `i` (their
+    /// `C_out` towards `i` is now known); every other closed stage's term
+    /// reads only tuples the parent already had. Each term is the same
+    /// expression on the same operands as in the reference, folded in the
+    /// same order, so the bound has the reference's bits.
+    fn prefix_bound(&mut self, i: usize) -> f64 {
+        let (pipeline, platform) = (self.oracle.pipeline(), self.oracle.platform());
+        let prefix = &self.assignment[..=i];
+        let (parents, rest) = self.terms.split_at_mut(i);
+        let terms = &mut rest[0];
+        terms.clear();
+        if let Some(parent) = parents.last() {
+            terms.extend_from_slice(parent);
+        }
+        terms.push(prefix_stage_bound(pipeline, platform, prefix, i, self.model));
+        for &e in pipeline.in_edges(i) {
+            let src = pipeline.edge(e).0;
+            terms[src] = prefix_stage_bound(pipeline, platform, prefix, src, self.model);
+        }
+        let partial = terms.iter().fold(0.0, |acc: f64, &t| acc.max(t));
+        self.oracle.complete_prefix_bound(partial, i + 1, &self.used)
     }
 
     /// Enumerates the ordered tuples of stage `i` in canonical order
@@ -317,14 +355,14 @@ impl Searcher<'_, '_> {
     fn evaluate_leaf(&mut self) -> Result<(), ExactError> {
         self.leaf.assign(&self.assignment).expect("search builds structurally valid mappings");
         let leaf = &self.leaf;
-        match self.oracle.compute(leaf, self.model, Method::Auto) {
-            Ok(r) => {
+        match self.oracle.period(leaf, self.model, Method::Auto) {
+            Ok(period) => {
                 self.stats.evaluated += 1;
-                let tie_break = r.period == self.cutoff
+                let tie_break = period == self.cutoff
                     && self.best.as_ref().is_none_or(|(b, _)| leaf.assignment() < b.assignment());
-                if r.period < self.cutoff || tie_break {
-                    self.cutoff = r.period;
-                    self.best = Some((leaf.clone(), r.period));
+                if period < self.cutoff || tie_break {
+                    self.cutoff = period;
+                    self.best = Some((leaf.clone(), period));
                 }
                 Ok(())
             }
@@ -396,6 +434,7 @@ pub fn solve(
                 used: vec![false; p],
                 avail: p,
                 leaf: Mapping::new(Vec::new()).expect("the empty mapping is valid"),
+                terms: vec![Vec::with_capacity(n); n],
                 best: None,
                 cutoff: opts.initial_bound.unwrap_or(f64::INFINITY),
                 stats: ExactStats::default(),

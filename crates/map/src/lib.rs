@@ -103,8 +103,8 @@ pub(crate) fn oracle_eval(
     mapping: &Mapping,
     model: CommModel,
 ) -> Option<f64> {
-    match oracle.compute(mapping, model, Method::Auto) {
-        Ok(r) => Some(r.period),
+    match oracle.period(mapping, model, Method::Auto) {
+        Ok(period) => Some(period),
         Err(PeriodError::Build(_)) => {
             // TPN too large: fall back to the simulator estimate.
             let inst = Instance::new(

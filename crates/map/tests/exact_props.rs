@@ -14,6 +14,12 @@
 //!   byte-identical: period bits, mapping, and every `ExactStats`
 //!   counter (the counters are scheduling-independent by construction:
 //!   per-task values summed over statically-numbered tasks).
+//! * **Incremental bound** — the search prices each node from its
+//!   parent's per-stage terms and, in builds with debug assertions (the
+//!   test profile), checks every priced bound against
+//!   `MappingOracle::prefix_period_bound` bit for bit; random chains and
+//!   fork/joins with dead links and dead processors drive that check
+//!   through infinite bounds too.
 //! * **Exactness discipline** — a strict-model candidate above the TPN
 //!   transition cap aborts with the typed `CandidateTooLarge` error
 //!   instead of silently certifying a simulator estimate.
@@ -132,6 +138,40 @@ proptest! {
             }
             prop_assert_eq!(base.stats, run.stats);
             prop_assert_eq!(base.space, run.space);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every node the search prices passes the searcher's debug-build
+    /// cross-check against the reference bound, and the optimum still
+    /// matches enumeration's.
+    #[test]
+    fn incremental_bound_matches_the_reference_at_every_priced_node(
+        seed in 0u64..4096,
+        stages in 1usize..=4,
+        extra in 0usize..=3,
+        strict in 0u8..2,
+        fj in 0u8..2,
+        dead_proc in 0u8..3,
+    ) {
+        let (pipeline, mut platform) = instance(seed, stages, extra, fj == 0, true);
+        if dead_proc == 0 {
+            platform.set_speed(seed as usize % platform.num_procs(), 0.0);
+        }
+        let model = model(strict);
+        let res = solve(&pipeline, &platform, &ExactOptions { model, ..ExactOptions::default() })
+            .unwrap();
+        let truth = enumerate::optimum(&pipeline, &platform, model).unwrap();
+        match (&truth.best, &res.best) {
+            (None, None) => {}
+            (Some((tm, tp)), Some((em, ep))) => {
+                prop_assert_eq!(tp.to_bits(), ep.to_bits());
+                prop_assert_eq!(tm, em);
+            }
+            (t, e) => prop_assert!(false, "feasibility mismatch: enum {:?} vs exact {:?}", t, e),
         }
     }
 }
