@@ -254,18 +254,22 @@ impl Searcher<'_, '_> {
     fn close_stage(&mut self, i: usize) -> Result<(), ExactError> {
         self.stats.nodes += 1;
         let bound = self.prefix_bound(i);
-        debug_assert_eq!(
-            bound.to_bits(),
-            self.oracle
-                .prefix_period_bound(&self.assignment[..=i], &self.used, self.model)
-                .to_bits(),
+        debug_assert!(
+            {
+                let prefix = &self.assignment[..=i];
+                let reference = self.oracle.prefix_period_bound(prefix, &self.used, self.model);
+                match bound {
+                    Some(bound) => bound.to_bits() == reference.to_bits(),
+                    None => reference > self.cutoff || reference.is_infinite(),
+                }
+            },
             "incremental prefix bound diverged from the reference at {:?}",
             &self.assignment[..=i]
         );
         // Strictly-greater only: an equal-period completion may still win
         // the canonical (lexicographic) tie-break. Infinite bound = no
         // feasible completion at all.
-        if bound > self.cutoff || bound.is_infinite() {
+        if bound.is_none_or(|bound| bound > self.cutoff || bound.is_infinite()) {
             self.stats.pruned += 1;
             return Ok(());
         }
@@ -277,14 +281,19 @@ impl Searcher<'_, '_> {
     }
 
     /// [`MappingOracle::prefix_period_bound`] of the prefix `0..=i`, from
-    /// the parent node's terms: closing stage `i` adds its own term and
+    /// the parent node's terms, or `None` as soon as one recomputed term
+    /// alone prunes the node. Closing stage `i` adds its own term and
     /// changes the terms of the stages with an edge into `i` (their
     /// `C_out` towards `i` is now known); every other closed stage's term
     /// reads only tuples the parent already had. Each term is the same
     /// expression on the same operands as in the reference, folded in the
-    /// same order, so the bound has the reference's bits.
-    fn prefix_bound(&mut self, i: usize) -> f64 {
+    /// same order, so the bound has the reference's bits; and the bound is
+    /// at least each term, so a term that prunes (`> cutoff`, or `+∞`)
+    /// means the bound prunes too. A pruned node's row is never read.
+    fn prefix_bound(&mut self, i: usize) -> Option<f64> {
         let (pipeline, platform) = (self.oracle.pipeline(), self.oracle.platform());
+        let cutoff = self.cutoff;
+        let prunes = |term: f64| term > cutoff || term == f64::INFINITY;
         let prefix = &self.assignment[..=i];
         let (parents, rest) = self.terms.split_at_mut(i);
         let terms = &mut rest[0];
@@ -292,13 +301,20 @@ impl Searcher<'_, '_> {
         if let Some(parent) = parents.last() {
             terms.extend_from_slice(parent);
         }
-        terms.push(prefix_stage_bound(pipeline, platform, prefix, i, self.model));
+        let own = prefix_stage_bound(pipeline, platform, prefix, i, self.model);
+        if prunes(own) {
+            return None;
+        }
+        terms.push(own);
         for &e in pipeline.in_edges(i) {
             let src = pipeline.edge(e).0;
             terms[src] = prefix_stage_bound(pipeline, platform, prefix, src, self.model);
+            if prunes(terms[src]) {
+                return None;
+            }
         }
         let partial = terms.iter().fold(0.0, |acc: f64, &t| acc.max(t));
-        self.oracle.complete_prefix_bound(partial, i + 1, &self.used)
+        Some(self.oracle.complete_prefix_bound(partial, i + 1, &self.used))
     }
 
     /// Enumerates the ordered tuples of stage `i` in canonical order

@@ -17,8 +17,9 @@
 //! * **Incremental bound** — the search prices each node from its
 //!   parent's per-stage terms and, in builds with debug assertions (the
 //!   test profile), checks every priced bound against
-//!   `MappingOracle::prefix_period_bound` bit for bit; random chains and
-//!   fork/joins with dead links and dead processors drive that check
+//!   `MappingOracle::prefix_period_bound` bit for bit (and, at a node cut
+//!   by one term alone, that the reference cuts it too); random chains
+//!   and fork/joins with dead links and dead processors drive that check
 //!   through infinite bounds too.
 //! * **Exactness discipline** — a strict-model candidate above the TPN
 //!   transition cap aborts with the typed `CandidateTooLarge` error
