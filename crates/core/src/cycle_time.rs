@@ -17,9 +17,9 @@
 //!
 //! The round-robin partners of a replica on an edge come from
 //! [`partner_residues`] as an iterator, not a list: the exact mapping
-//! search prices every branch-and-bound node with [`prefix_cycle_bound`],
-//! which walks the partners once per replica per edge, and the walk
-//! allocates nothing.
+//! search prices every branch-and-bound node with the per-stage terms of
+//! [`prefix_cycle_bound`] ([`prefix_stage_bound`]), which walk the
+//! partners once per replica per edge, and the walk allocates nothing.
 
 use crate::model::{CommModel, Instance, InstanceView, ProcId, StageId};
 

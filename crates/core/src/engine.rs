@@ -39,6 +39,14 @@
 //! it borrows the pair once, precomputes the platform validity tables,
 //! and evaluates candidate mappings by reference.
 //!
+//! There is one solve path. [`MappingOracle::period`] returns its period
+//! alone; [`PeriodEngine::compute_view`] and [`MappingOracle::compute`]
+//! are a report layer over the same solve that adds `M_ct` (evaluated
+//! first, as always) and the `critical` description of the witness. A
+//! search that reads only the period skips both: `M_ct` is evaluated
+//! only where it *is* the period (`Method::Auto` on a one-to-one
+//! mapping).
+//!
 //! # Incremental (patched) solves
 //!
 //! A neighbor mapping with **unchanged per-stage replica counts** (e.g. a
@@ -800,14 +808,12 @@ impl<'a> MappingOracle<'a> {
     }
 
     /// Term 2 of [`MappingOracle::prefix_period_bound`] folded into term
-    /// 1: `partial` is the prefix's partial `M_ct`
-    /// ([`prefix_cycle_bound`]) over its `closed` stages, and the
-    /// single-stage floors of the open stages `closed..n` given the free
-    /// processors of `used` are `f64::max`ed into it (`f64::INFINITY`
-    /// when too few processors are left).
-    pub fn complete_prefix_bound(&self, partial: f64, closed: usize, used: &[bool]) -> f64 {
+    /// 1: `partial` is the partial `M_ct` ([`prefix_cycle_bound`]) of a
+    /// prefix of `k` stages, and the single-stage floors of the open
+    /// stages `k..n` given the free processors of `used` are `f64::max`ed
+    /// into it (`f64::INFINITY` when too few processors are left).
+    pub fn complete_prefix_bound(&self, partial: f64, k: usize, used: &[bool]) -> f64 {
         let n = self.pipeline.num_stages();
-        let k = closed;
         let mut bound = partial;
         if k < n {
             let mut avail = 0usize;

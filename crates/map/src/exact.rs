@@ -12,9 +12,9 @@
 //! # Bound hierarchy
 //!
 //! A search node is a *prefix*: stages `0..k` carry their final ordered
-//! tuples, later stages are open. Each node is priced by
+//! tuples, later stages are open. Each node is priced by the value of
 //! [`MappingOracle::prefix_period_bound`], the maximum of two lower
-//! bounds on the period of any completion, checked cheapest-first:
+//! bounds on the period of any completion:
 //!
 //! 1. **partial `M_ct`** — every cycle-time component the prefix already
 //!    determines (`C_comp` of assigned replicas, `C_in`/`C_out` between
@@ -29,11 +29,27 @@
 //! A subtree is cut when its bound strictly exceeds the **incumbent**
 //! period (never on equality — an equal-period mapping may win the
 //! canonical tie-break), or when the bound is infinite (no feasible
-//! completion exists). Surviving leaves are evaluated through one warm
-//! [`MappingOracle`] per worker. The enumeration closes the last stage at
-//! every tuple length, so consecutive leaves alternate replica counts;
-//! the oracle parks an arena per recently seen shape, and a leaf whose
-//! counts match one of them re-solves on the shape-cached patch path.
+//! completion exists).
+//!
+//! A node pays only for the stages its tuple touches. Term 1 is a maximum
+//! of per-stage terms ([`repwf_core::cycle_time::prefix_stage_bound`]),
+//! and closing stage `i` changes only the term of `i` and those of the
+//! stages with an edge *into* `i` (whose `C_out` towards `i` is now
+//! known) — on a chain, `i − 1`; on a fork/join, every branch feeding the
+//! merge. Each search level keeps its row of terms; a node copies its
+//! parent's row, recomputes those terms and folds the row in stage order,
+//! so its bound has [`MappingOracle::prefix_period_bound`]'s bits (which
+//! debug builds check at every node). A node is cut as soon as one
+//! recomputed term alone exceeds the incumbent, since the bound is at
+//! least each of its terms.
+//!
+//! Surviving leaves are evaluated **period-only**
+//! ([`MappingOracle::period`]: no `M_ct` except where it is the period, no
+//! `critical` description) through one warm [`MappingOracle`] per worker.
+//! The enumeration closes the last stage at every tuple length, so
+//! consecutive leaves alternate replica counts; the oracle parks an arena
+//! per recently seen shape, and a leaf whose counts match one of them
+//! re-solves on the shape-cached patch path.
 //!
 //! # Deterministic parallelism
 //!
