@@ -570,4 +570,35 @@ mod tests {
             free.stats
         );
     }
+
+    /// A strict draw whose heuristic mapping solves one ulp *below* its
+    /// own `M_ct` (3.231512961522844 vs 3.2315129615228444): with that
+    /// period as an unwidened initial bound, the leaf's prefix bound
+    /// exceeds the cutoff and every leaf that reaches it is pruned.
+    #[test]
+    fn initial_bound_one_ulp_below_m_ct_still_finds_a_mapping() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use repwf_gen::sampler::sample_parts;
+        use repwf_gen::{GenConfig, Range};
+
+        let cfg = GenConfig {
+            stages: 4,
+            procs: 8,
+            comp: Range::new(1.0, 10.0),
+            comm: Range::new(1.0, 5.0),
+        };
+        let (pipe, plat, _) = sample_parts(&cfg, &mut StdRng::seed_from_u64(1));
+        let heuristic = Mapping::new(vec![vec![7, 6], vec![2, 4], vec![1, 3, 5], vec![0]]).unwrap();
+        let mut oracle = MappingOracle::new(&pipe, &plat);
+        let period = oracle.period(&heuristic, CommModel::Strict, Method::Auto).unwrap();
+        let opts = ExactOptions {
+            model: CommModel::Strict,
+            initial_bound: Some(period),
+            ..ExactOptions::default()
+        };
+        let res = solve(&pipe, &plat, &opts).unwrap();
+        let (_, best) = res.best.expect("the heuristic's own mapping attains the bound");
+        assert!(best <= period, "{best} > {period}");
+    }
 }
