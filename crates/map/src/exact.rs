@@ -91,14 +91,27 @@ pub struct ExactOptions {
     pub threads: usize,
     /// Known-achievable upper bound on the optimum (e.g. the *exactly
     /// re-evaluated* period of a heuristic mapping): subtrees bounded
-    /// strictly above it are pruned from the start. Must be attainable by
-    /// some feasible mapping, otherwise [`ExactResult::best`] may come
-    /// back `None` even though feasible mappings exist.
+    /// strictly above `b · (1 + INITIAL_BOUND_SLACK)` are pruned from the
+    /// start. The slack absorbs the few ulps by which a mapping's solved
+    /// period can fall below its own `M_ct` (its leaf's prefix bound), so
+    /// a mapping that attains `b` is never pruned by it, and the result
+    /// has period at most `b`. Must be attainable by some feasible
+    /// mapping, otherwise [`ExactResult::best`] may come back `None` even
+    /// though feasible mappings exist.
     pub initial_bound: Option<f64>,
     /// TPN transition cap for strict-model leaf evaluations; a leaf above
     /// it aborts with [`ExactError::CandidateTooLarge`].
     pub max_transitions: usize,
 }
+
+/// Relative widening of [`ExactOptions::initial_bound`] before it becomes
+/// the first cutoff. The prefix bound at a leaf is that leaf's `M_ct`,
+/// computed in a different rounding order from its period, and the two can
+/// differ by an ulp with the period *below* `M_ct`; an unwidened initial
+/// bound then prunes the very mapping it came from. Incumbents found by
+/// the search are never widened, so a run without an initial bound is
+/// unchanged.
+const INITIAL_BOUND_SLACK: f64 = 1e-9;
 
 impl Default for ExactOptions {
     fn default() -> Self {
@@ -259,7 +272,7 @@ struct Searcher<'a, 'o> {
     /// functions of the task id).
     best: Option<(Mapping, f64)>,
     /// Prune threshold: the incumbent's period, or the caller's
-    /// `initial_bound`, or `+∞`.
+    /// `initial_bound` widened by [`INITIAL_BOUND_SLACK`], or `+∞`.
     cutoff: f64,
     stats: ExactStats,
 }
@@ -468,7 +481,9 @@ pub fn solve(
                 leaf: Mapping::new(Vec::new()).expect("the empty mapping is valid"),
                 terms: vec![Vec::with_capacity(n); n],
                 best: None,
-                cutoff: opts.initial_bound.unwrap_or(f64::INFINITY),
+                cutoff: opts
+                    .initial_bound
+                    .map_or(f64::INFINITY, |b| b * (1.0 + INITIAL_BOUND_SLACK)),
                 stats: ExactStats::default(),
             };
             searcher.push(0, task % p);
