@@ -453,17 +453,6 @@ pub(crate) fn print_summary(spec: &CampaignSpec, res: &CampaignResult, hist: boo
         "distinct shapes     : {distinct_shapes} (batch hit rate {:.1}%)",
         batch_hit_rate * 100.0
     );
-    let structural = repwf_gen::campaign::structural_stats(
-        &spec.cfg,
-        spec.model,
-        count,
-        spec.seed_base,
-        spec.cap,
-    );
-    println!(
-        "structural solves   : {} CSR builds, {} Tarjan runs, {} patched",
-        structural.csr_builds, structural.tarjan_runs, structural.patched_solves
-    );
     println!(
         "no critical resource: {no_critical} ({:.2}%)",
         100.0 * no_critical as f64 / count.max(1) as f64

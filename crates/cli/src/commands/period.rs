@@ -13,7 +13,7 @@ OPTIONS:
   --file PATH        instance in the repwf text format
   --workflow PATH    series-parallel workflow instance in JSON
   --model M          overlap | strict (default: overlap)
-  --method X         auto | polynomial | full-tpn | tpn-simulation (default: auto)
+  --method X         auto | polynomial | full-tpn (default: auto)
   --cap N            TPN transition cap for full-tpn (default: 400000)
   --trace FILE       write an NDJSON span/counter trace (repwf-trace/v1);
                      never changes this command's stdout bytes

@@ -186,10 +186,7 @@ pub fn parse_method(opts: &Opts) -> Result<Method, String> {
         "auto" => Ok(Method::Auto),
         "polynomial" => Ok(Method::Polynomial),
         "full-tpn" => Ok(Method::FullTpn),
-        "tpn-simulation" => Ok(Method::TpnSimulation),
-        other => Err(format!(
-            "unknown method {other:?} (expected auto, polynomial, full-tpn or tpn-simulation)"
-        )),
+        other => Err(format!("unknown method {other:?} (expected auto, polynomial or full-tpn)")),
     }
 }
 

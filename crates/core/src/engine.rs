@@ -133,9 +133,7 @@ use crate::model::{
 use crate::overlap_poly::{walk_columns, ColumnCache, ColumnId, OverlapScratch};
 use crate::paths::mapping_num_paths;
 use crate::period::{Method, PeriodError, PeriodReport};
-use crate::tpn_build::{
-    build_tpn_view_into, grid_transition, retime_tpn_into, BuildError, BuildOptions,
-};
+use crate::tpn_build::{build_tpn_view_into, retime_tpn_into, BuildError, BuildOptions};
 use std::cmp::Ordering;
 use tpn::analysis::PeriodScratch;
 use tpn::net::{TimedEventGraph, TransitionId};
@@ -250,8 +248,6 @@ enum Witness {
     Column(ColumnId),
     /// The critical circuit of the net still held in the engine's arena.
     Circuit(Vec<TransitionId>),
-    /// A period estimated from a simulated schedule.
-    Simulated,
 }
 
 /// `M_ct` and the processor attaining it, through the session's
@@ -429,7 +425,6 @@ impl PeriodEngine {
                 format!("cycle[{}]: {}", circuit.len(), names.join(" -> "))
             }
             Witness::Circuit(circuit) => format!("cycle of {} transitions", circuit.len()),
-            Witness::Simulated => "estimated from simulated schedule".to_string(),
         };
         Ok(PeriodReport {
             period: solved.period,
@@ -583,39 +578,6 @@ impl PeriodEngine {
                     method: Method::FullTpn,
                     num_paths: m,
                     witness: Witness::Circuit(sol.critical),
-                })
-            }
-            Method::TpnSimulation => {
-                // This path rebuilds the arena net without refreshing the
-                // solver scratch: the patch precondition no longer holds.
-                self.arena.shape = None;
-                let (rows, cols) = {
-                    let _span = repwf_obs::span!(TpnBuild);
-                    build_tpn_view_into(view, model, &self.opts, &mut self.arena.net)?
-                };
-                repwf_obs::counter_add(repwf_obs::CounterId::TpnBuilds, 1);
-                // Enough firings to leave the transient: the transient of a
-                // TEG is bounded in practice by a few multiples of the row
-                // count.
-                let k = 12 * rows.max(8) + 256;
-                let schedule = tpn::sim::simulate(&self.arena.net, k);
-                // Each last-column transition fires once per local period;
-                // in a net whose round-robin structure decouples into
-                // components the components free-run at different rates,
-                // and the sustainable period is the slowest — take the max
-                // over rows.
-                let window = k / 2;
-                let lambda = (0..rows)
-                    .map(|r| {
-                        let t = grid_transition(cols, r, cols - 1);
-                        schedule.period_estimate(t.0 as usize, window)
-                    })
-                    .fold(0.0f64, f64::max);
-                Ok(Solved {
-                    period: lambda / m as f64,
-                    method: Method::TpnSimulation,
-                    num_paths: m,
-                    witness: Witness::Simulated,
                 })
             }
             Method::Auto => unreachable!("Auto resolved above"),
@@ -1229,22 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_method_invalidates_patch_state() {
-        let mut engine = PeriodEngine::new();
-        let a = swapped(0);
-        engine.compute(&a, CommModel::Strict, Method::FullTpn).unwrap();
-        // Rebuilds the arena net without refreshing the solver scratch…
-        engine.compute(&a, CommModel::Strict, Method::TpnSimulation).unwrap();
-        // …so the next full solve must NOT patch, and must stay correct.
-        let before = engine.patched_solves();
-        let b = swapped(1);
-        let r = engine.compute(&b, CommModel::Strict, Method::FullTpn).unwrap();
-        assert_eq!(engine.patched_solves(), before);
-        let cold = PeriodEngine::new().compute(&b, CommModel::Strict, Method::FullTpn).unwrap();
-        assert_eq!(r.period.to_bits(), cold.period.to_bits());
-    }
-
-    #[test]
     fn oracle_matches_instance_engine_bitwise() {
         let pipeline = Pipeline::new(vec![5.0, 7.0], vec![3.0]).unwrap();
         let platform = Platform::uniform(5, 1.0, 2.0);
@@ -1317,15 +1263,5 @@ mod tests {
             }
         }
         assert_eq!(errors, 2);
-    }
-
-    #[test]
-    fn simulation_method_matches_free_function() {
-        let opts = BuildOptions { labels: false, ..BuildOptions::default() };
-        let i = inst(&[2, 3], 5.0, 4.0);
-        let mut engine = PeriodEngine::with_options(opts.clone());
-        let a = compute_period_with(&i, CommModel::Strict, Method::TpnSimulation, &opts).unwrap();
-        let b = engine.compute(&i, CommModel::Strict, Method::TpnSimulation).unwrap();
-        assert_eq!(a.period.to_bits(), b.period.to_bits());
     }
 }

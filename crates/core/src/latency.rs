@@ -19,7 +19,7 @@
 //! distribution over the `m` paths; steady-state *sojourn* times under load
 //! come from `repwf-sim`'s clocked-arrival mode.
 
-use crate::model::{CommModel, Instance, InstanceView};
+use crate::model::{Instance, InstanceView};
 use crate::paths::{mapping_num_paths, path_of_view};
 
 /// Latency statistics over the distinct paths of a mapping.
@@ -71,12 +71,7 @@ pub fn path_latency_view(view: InstanceView<'_>, j: u128) -> f64 {
 /// Latency statistics over up to `budget` of the `m` distinct paths
 /// (all of them when `m ≤ budget`; a uniform stride sample otherwise).
 pub fn latency_report(inst: &Instance, budget: u64) -> LatencyReport {
-    latency_report_view(inst.view(), budget)
-}
-
-/// [`latency_report`] on a borrowed view — the path the latency-capped
-/// annealing filter takes, so a latency check never clones the instance.
-pub fn latency_report_view(view: InstanceView<'_>, budget: u64) -> LatencyReport {
+    let view = inst.view();
     let m = mapping_num_paths(view.mapping).unwrap_or(u128::MAX);
     let count = m.min(budget as u128).max(1);
     let stride = (m / count).max(1);
@@ -95,15 +90,6 @@ pub fn latency_report_view(view: InstanceView<'_>, budget: u64) -> LatencyReport
         sum += l;
     }
     LatencyReport { paths: count as u64, min, max, mean: sum / count as f64, argmax }
-}
-
-/// Lower bound on the steady-state sojourn time: under load a data set can
-/// never traverse faster than unloaded, and under either one-port model the
-/// sojourn is also at least the period (operations of consecutive data sets
-/// on the same resources serialize).
-pub fn sojourn_lower_bound(inst: &Instance, model: CommModel, period: f64) -> f64 {
-    let _ = model;
-    latency_report(inst, 1024).min.max(period)
 }
 
 #[cfg(test)]
@@ -158,15 +144,6 @@ mod tests {
         let r = latency_report(&i, 16);
         assert_eq!(r.paths, 1);
         assert!((r.min - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sojourn_bound_dominates_period_and_latency() {
-        let i = inst();
-        let b = sojourn_lower_bound(&i, CommModel::Overlap, 50.0);
-        assert!((b - 50.0).abs() < 1e-12, "period dominates here");
-        let b2 = sojourn_lower_bound(&i, CommModel::Overlap, 1.0);
-        assert!((b2 - 12.0).abs() < 1e-12, "min latency dominates here");
     }
 
     #[test]

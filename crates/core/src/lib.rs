@@ -49,7 +49,6 @@
 
 pub mod batch;
 pub mod cycle_time;
-pub mod diagnose;
 pub mod engine;
 pub mod fixtures;
 pub mod latency;
@@ -57,10 +56,8 @@ pub mod model;
 pub mod overlap_poly;
 pub mod paths;
 pub mod period;
-pub mod report;
 pub mod textfmt;
 pub mod tpn_build;
-pub mod weighted;
 
 pub use engine::PeriodEngine;
 pub use model::{CommModel, Instance, Mapping, ModelError, Pipeline, Platform, ProcId, StageId};

@@ -752,16 +752,6 @@ impl<'a> InstanceView<'a> {
         Ok(())
     }
 
-    /// Deep-copies the view into an owned [`Instance`] (for the rare paths
-    /// that need ownership, e.g. handing an instance to the simulator).
-    pub fn to_instance(&self) -> Instance {
-        Instance {
-            pipeline: self.pipeline.clone(),
-            platform: self.platform.clone(),
-            mapping: self.mapping.clone(),
-        }
-    }
-
     /// Number of stages `n`.
     pub fn num_stages(&self) -> usize {
         self.pipeline.num_stages()
@@ -1010,7 +1000,6 @@ mod tests {
         assert_eq!(view.comp_time(0, 0), inst.comp_time(0, 0));
         assert_eq!(view.comm_time(0, 0, 1), inst.comm_time(0, 0, 1));
         assert_eq!(view.proc_for(1, 2), inst.proc_for(1, 2));
-        assert_eq!(view.to_instance(), inst);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! The equivalence with the full-TPN analysis is property-tested in
 //! `crates/core/tests` and the workspace integration tests.
 
-use crate::cycle_time::{cycle_times, max_cycle_time};
-use crate::model::{CommModel, Instance, InstanceView, ProcId, StageId};
+use crate::model::{Instance, InstanceView, ProcId, StageId};
 use crate::paths::gcd;
 use maxplus::graph::{CycleSolution, RatioGraph};
 use maxplus::Workspace;
@@ -418,22 +417,11 @@ pub fn overlap_period_view(view: InstanceView<'_>) -> OverlapAnalysis {
     OverlapAnalysis { period: best.period, bottleneck: best.bottleneck, columns }
 }
 
-/// Sanity relation used in tests and reports: the overlap period is at least
-/// the maximum cycle-time.
-pub fn gap_to_mct(inst: &Instance, analysis: &OverlapAnalysis) -> f64 {
-    let (mct, _) = max_cycle_time(inst, CommModel::Overlap);
-    analysis.period - mct
-}
-
-/// Convenience: `M_ct` from per-resource cycle times (overlap model).
-pub fn overlap_mct(inst: &Instance) -> f64 {
-    cycle_times(inst).iter().map(|c| c.exec(CommModel::Overlap)).fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Mapping, Pipeline, Platform};
+    use crate::cycle_time::max_cycle_time;
+    use crate::model::{CommModel, Mapping, Pipeline, Platform};
 
     fn chain_instance(replicas: &[usize], work: f64, file: f64) -> Instance {
         let n = replicas.len();
@@ -587,7 +575,8 @@ mod tests {
     fn mct_is_lower_bound() {
         let inst = chain_instance(&[3, 4], 2.0, 7.0);
         let a = overlap_period(&inst);
-        assert!(gap_to_mct(&inst, &a) >= -1e-9);
+        let (mct, _) = max_cycle_time(&inst, CommModel::Overlap);
+        assert!(a.period - mct >= -1e-9);
     }
 
     #[test]

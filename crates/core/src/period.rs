@@ -22,9 +22,6 @@ pub enum Method {
     FullTpn,
     /// Theorem 1 polynomial algorithm. **Overlap model only.**
     Polynomial,
-    /// Earliest-firing simulation of the full TPN, estimating the period
-    /// from the asymptotic schedule. Exact analysis cross-check.
-    TpnSimulation,
 }
 
 impl fmt::Display for Method {
@@ -33,7 +30,6 @@ impl fmt::Display for Method {
             Method::Auto => write!(f, "auto"),
             Method::FullTpn => write!(f, "full-tpn"),
             Method::Polynomial => write!(f, "polynomial"),
-            Method::TpnSimulation => write!(f, "tpn-simulation"),
         }
     }
 }
@@ -185,18 +181,14 @@ mod tests {
         let i = inst(&[2, 3], 5.0, 4.0);
         let poly = compute_period(&i, CommModel::Overlap, Method::Polynomial).unwrap();
         let full = compute_period(&i, CommModel::Overlap, Method::FullTpn).unwrap();
-        let sim = compute_period(&i, CommModel::Overlap, Method::TpnSimulation).unwrap();
         assert!((poly.period - full.period).abs() < 1e-9, "{} vs {}", poly.period, full.period);
-        assert!((poly.period - sim.period).abs() < 1e-6, "{} vs {}", poly.period, sim.period);
     }
 
     #[test]
     fn strict_full_tpn_runs() {
         let i = inst(&[2, 3], 5.0, 4.0);
         let full = compute_period(&i, CommModel::Strict, Method::FullTpn).unwrap();
-        let sim = compute_period(&i, CommModel::Strict, Method::TpnSimulation).unwrap();
         assert!(full.period >= full.mct - 1e-9);
-        assert!((full.period - sim.period).abs() < 1e-6, "{} vs {}", full.period, sim.period);
     }
 
     #[test]

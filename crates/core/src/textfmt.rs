@@ -1,5 +1,5 @@
 //! A plain-text instance format, so workflows can be described in files and
-//! analyzed by the `analyze` CLI without writing Rust.
+//! analyzed by the `repwf` CLI (`--file`) without writing Rust.
 //!
 //! ```text
 //! # comment

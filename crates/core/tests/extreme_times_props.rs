@@ -61,7 +61,7 @@ proptest! {
         let checked = Instance::new(pipeline.clone(), platform.clone(), mapping.clone());
         prop_assert_eq!(oracle.validate(&mapping), checked.as_ref().map(|_| ()).map_err(Clone::clone));
         for model in [CommModel::Overlap, CommModel::Strict] {
-            for method in [Method::Auto, Method::FullTpn, Method::Polynomial, Method::TpnSimulation] {
+            for method in [Method::Auto, Method::FullTpn, Method::Polynomial] {
                 let via_oracle = oracle.compute(&mapping, model, method);
                 if let Ok(inst) = &checked {
                     let direct = compute_period(inst, model, method);

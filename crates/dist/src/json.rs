@@ -168,14 +168,6 @@ impl JsonValue {
         }
     }
 
-    /// Exact unsigned integer, if this is an integer token.
-    pub fn as_u128(&self) -> Option<u128> {
-        match self {
-            JsonValue::UInt(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// String value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -438,7 +430,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(doc.get("bits").unwrap().as_u64(), Some(bits));
-        assert_eq!(doc.get("big").unwrap().as_u128(), Some(u128::MAX));
+        assert_eq!(doc.get("big").unwrap(), &JsonValue::UInt(u128::MAX));
         assert_eq!(doc.get("neg").unwrap().as_u64(), None, "negatives are not UInt");
         assert_eq!(doc.get("neg").unwrap().as_f64(), Some(-7.0));
         assert_eq!(doc.get("frac").unwrap(), &JsonValue::Num(2.0));

@@ -23,16 +23,6 @@ pub fn campaign_doc(spec: &CampaignSpec, res: &CampaignResult) -> Json {
     // run regardless of which runner executed the experiments.
     let (distinct_shapes, batch_hit_rate) =
         repwf_gen::campaign::shape_stats(&spec.cfg, spec.count, spec.seed_base);
-    // Structural-solve totals, equally spec-derived (a replay of the
-    // batched scheduler's routing): merged and unsharded documents agree
-    // byte for byte no matter who ran the experiments.
-    let structural = repwf_gen::campaign::structural_stats(
-        &spec.cfg,
-        spec.model,
-        spec.count,
-        spec.seed_base,
-        spec.cap,
-    );
     let outcomes: Vec<Json> = res
         .outcomes
         .iter()
@@ -69,9 +59,6 @@ pub fn campaign_doc(spec: &CampaignSpec, res: &CampaignResult) -> Json {
         ("cap", Json::UInt(spec.cap as u128)),
         ("distinct_shapes", Json::UInt(distinct_shapes as u128)),
         ("batch_hit_rate", Json::Num(batch_hit_rate)),
-        ("patched_solves", Json::UInt(u128::from(structural.patched_solves))),
-        ("csr_builds", Json::UInt(u128::from(structural.csr_builds))),
-        ("tarjan_runs", Json::UInt(u128::from(structural.tarjan_runs))),
         ("no_critical", Json::UInt(accum.no_critical as u128)),
         ("max_gap_pct", Json::Num(accum.max_gap() * 100.0)),
         ("simulated", Json::UInt(accum.simulated as u128)),

@@ -986,7 +986,6 @@ mod tests {
         // chain experiments exactly.
         let cfg = small_cfg();
         let topo = Topology::chain(cfg.stages);
-        assert!(topo.is_chain());
         for model in [CommModel::Strict, CommModel::Overlap] {
             let legacy = oracle(&cfg, model, 12, 77, 200_000);
             let spec = CampaignSpec { cfg, model, count: 12, seed_base: 77, cap: 200_000 };

@@ -109,11 +109,6 @@ impl Topology {
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
-
-    /// True iff this is the chain topology on its stage count.
-    pub fn is_chain(&self) -> bool {
-        *self == Topology::chain(self.stages)
-    }
 }
 
 /// Draws a random instance: random replica counts (every stage ≥ 1

@@ -1,21 +1,15 @@
-//! Simulated annealing over mapping space, plus latency-constrained search.
+//! Simulated annealing over mapping space.
 //!
 //! Hill climbing (the `local_search` of the crate root) stalls in local
 //! minima created by the round-robin effect (adding one replica can hurt
 //! until a second one is added). Annealing escapes them by occasionally
-//! accepting worse mappings with temperature-controlled probability. The
-//! bicriteria variant optimizes throughput subject to a latency ceiling —
-//! the classical tradeoff of the literature the paper builds on
-//! (Subhlok & Vondran, SPAA'96).
+//! accepting worse mappings with temperature-controlled probability.
 
-use crate::{
-    apply_move, oracle_eval, random_mapping, undo_move, Move, SearchOptions, SearchResult,
-};
+use crate::{apply_move, oracle_eval, undo_move, Move, SearchResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use repwf_core::engine::MappingOracle;
-use repwf_core::latency::latency_report_view;
-use repwf_core::model::{CommModel, InstanceView, Mapping, Pipeline, Platform};
+use repwf_core::model::{CommModel, Mapping, Pipeline, Platform};
 
 /// Annealing parameters.
 #[derive(Debug, Clone)]
@@ -30,9 +24,6 @@ pub struct AnnealOptions {
     pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Optional latency ceiling: candidates whose *maximum path latency*
-    /// exceeds it are rejected outright.
-    pub max_latency: Option<f64>,
 }
 
 impl Default for AnnealOptions {
@@ -43,22 +34,8 @@ impl Default for AnnealOptions {
             t0_fraction: 0.3,
             cooling: 0.995,
             seed: 0,
-            max_latency: None,
         }
     }
-}
-
-fn latency_ok(
-    pipeline: &Pipeline,
-    platform: &Platform,
-    mapping: &Mapping,
-    cap: Option<f64>,
-) -> bool {
-    let Some(cap) = cap else { return true };
-    let Ok(view) = InstanceView::new(pipeline, platform, mapping) else {
-        return false;
-    };
-    latency_report_view(view, 512).max <= cap
 }
 
 /// Proposes a random neighbour [`Move`] (add / remove / move / swap). The
@@ -134,9 +111,6 @@ pub fn anneal(
     // for warm-started policy iteration.
     let mut oracle = MappingOracle::new(pipeline, platform).warm_start(true);
     let eval = |m: &Mapping, oracle: &mut MappingOracle<'_>, evals: &mut usize| -> Option<f64> {
-        if !latency_ok(pipeline, platform, m, opts.max_latency) {
-            return None;
-        }
         *evals += 1;
         oracle_eval(oracle, m, opts.model)
     };
@@ -170,61 +144,10 @@ pub fn anneal(
     SearchResult { mapping: best, period: best_p, evaluations: evals }
 }
 
-/// Annealing with random initialization (convenience).
-pub fn anneal_from_random(
-    pipeline: &Pipeline,
-    platform: &Platform,
-    opts: &AnnealOptions,
-) -> SearchResult {
-    let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(0x5EED));
-    let start = random_mapping(pipeline, platform, 0.3, &mut rng);
-    anneal(pipeline, platform, start, opts)
-}
-
-/// Throughput-optimal mapping subject to a latency ceiling: combines the
-/// greedy seed, hill climbing and annealing, keeping only candidates whose
-/// maximum path latency is within `max_latency`.
-pub fn optimize_bicriteria(
-    pipeline: &Pipeline,
-    platform: &Platform,
-    max_latency: f64,
-    base: &SearchOptions,
-) -> Option<SearchResult> {
-    // Seed: the one-to-one mapping over the fastest processors minimizes
-    // replication (replication never helps latency).
-    let mut by_speed: Vec<usize> = (0..platform.num_procs()).collect();
-    by_speed.sort_by(|&a, &b| platform.speed(b).partial_cmp(&platform.speed(a)).expect("finite"));
-    let seed = Mapping::one_to_one(by_speed[..pipeline.num_stages()].to_vec()).ok()?;
-    if !latency_ok(pipeline, platform, &seed, Some(max_latency)) {
-        return None; // even the fastest chain misses the latency target
-    }
-    let opts = AnnealOptions {
-        model: base.model,
-        steps: 150 * base.max_passes.max(1),
-        seed: base.seed,
-        max_latency: Some(max_latency),
-        ..Default::default()
-    };
-    let mut best = anneal(pipeline, platform, seed.clone(), &opts);
-    for k in 0..base.restarts {
-        let opts = AnnealOptions { seed: base.seed + 1 + k as u64, ..opts.clone() };
-        let res = anneal(pipeline, platform, seed.clone(), &opts);
-        if res.period < best.period {
-            let evaluations = best.evaluations + res.evaluations;
-            best = SearchResult { evaluations, ..res };
-        } else {
-            best.evaluations += res.evaluations;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{greedy, local_search};
-    use repwf_core::latency::latency_report;
-    use repwf_core::model::Instance;
+    use crate::{greedy, local_search, SearchOptions};
 
     fn setup() -> (Pipeline, Platform) {
         let pipeline = Pipeline::new(vec![8.0, 24.0, 8.0], vec![0.01, 0.01]).unwrap();
@@ -280,39 +203,5 @@ mod tests {
                 assert_eq!(m, reference, "undo must restore the exact mapping for {mv:?}");
             }
         }
-    }
-
-    #[test]
-    fn latency_ceiling_respected() {
-        let (pipe, plat) = setup();
-        // Generous ceiling: latency of the fastest chain plus slack.
-        let seed = Mapping::one_to_one(vec![8, 7, 6]).unwrap();
-        let inst = Instance::new(pipe.clone(), plat.clone(), seed).unwrap();
-        let base_lat = latency_report(&inst, 16).max;
-        let cap = base_lat * 1.2;
-        let res = optimize_bicriteria(&pipe, &plat, cap, &SearchOptions::default())
-            .expect("feasible ceiling");
-        let final_inst = Instance::new(pipe.clone(), plat.clone(), res.mapping.clone()).unwrap();
-        assert!(latency_report(&final_inst, 512).max <= cap + 1e-9);
-    }
-
-    #[test]
-    fn infeasible_ceiling_rejected() {
-        let (pipe, plat) = setup();
-        assert!(optimize_bicriteria(&pipe, &plat, 1e-3, &SearchOptions::default()).is_none());
-    }
-
-    #[test]
-    fn tight_ceiling_trades_throughput() {
-        let (pipe, plat) = setup();
-        let unconstrained = crate::optimize(&pipe, &plat, &SearchOptions::default());
-        let seed = Mapping::one_to_one(vec![8, 7, 6]).unwrap();
-        let inst = Instance::new(pipe.clone(), plat.clone(), seed).unwrap();
-        let tight = latency_report(&inst, 16).max * 1.05;
-        let constrained =
-            optimize_bicriteria(&pipe, &plat, tight, &SearchOptions::default()).unwrap();
-        // A (near-)minimal latency ceiling can only give equal or worse
-        // throughput than the unconstrained optimum.
-        assert!(constrained.period >= unconstrained.period - 1e-9);
     }
 }

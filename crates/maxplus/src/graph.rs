@@ -188,49 +188,6 @@ impl RatioGraph {
         }
         (sub, map)
     }
-
-    /// Exact ratio of a circuit given as a vertex sequence, following for
-    /// each hop the maximum-cost edge between consecutive vertices (useful
-    /// to re-derive an exact ratio from an approximate witness).
-    ///
-    /// Returns `None` if some hop has no edge, or the circuit carries zero
-    /// tokens.
-    pub fn cycle_ratio(&self, cycle: &[u32]) -> Option<CycleSolution> {
-        if cycle.is_empty() {
-            return None;
-        }
-        let mut cost = 0.0;
-        let mut tokens = 0u64;
-        for i in 0..cycle.len() {
-            let from = cycle[i];
-            let to = cycle[(i + 1) % cycle.len()];
-            // Pick the best (max cost per token... we simply take the max
-            // ratio-neutral choice: the edge maximizing cost - 0·tokens is
-            // ambiguous; take the max-cost edge among min-token edges).
-            let mut best: Option<&Edge> = None;
-            for e in &self.edges {
-                if e.from == from && e.to == to {
-                    best = Some(match best {
-                        None => e,
-                        Some(b) => {
-                            if (e.tokens, -e.cost) < (b.tokens, -b.cost) {
-                                e
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-            }
-            let e = best?;
-            cost += e.cost;
-            tokens += u64::from(e.tokens);
-        }
-        if tokens == 0 {
-            return None;
-        }
-        Some(CycleSolution { ratio: cost / tokens as f64, cycle: cycle.to_vec(), cost, tokens })
-    }
 }
 
 #[cfg(test)]
@@ -260,24 +217,6 @@ mod tests {
         assert_eq!(sub.num_vertices(), 3);
         assert_eq!(sub.num_edges(), 3);
         assert_eq!(map[3], None);
-    }
-
-    #[test]
-    fn cycle_ratio_exact() {
-        let mut g = RatioGraph::new(2);
-        g.add_edge(0, 1, 3.0, 1);
-        g.add_edge(1, 0, 5.0, 1);
-        let sol = g.cycle_ratio(&[0, 1]).unwrap();
-        assert_eq!(sol.ratio, 4.0);
-        assert_eq!(sol.tokens, 2);
-    }
-
-    #[test]
-    fn cycle_ratio_rejects_zero_tokens() {
-        let mut g = RatioGraph::new(2);
-        g.add_edge(0, 1, 3.0, 0);
-        g.add_edge(1, 0, 5.0, 0);
-        assert!(g.cycle_ratio(&[0, 1]).is_none());
     }
 
     #[test]

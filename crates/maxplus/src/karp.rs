@@ -17,26 +17,63 @@
 //! `λ* = max_v min_k (D_n(v) − D_k(v)) / (n − k)` consults **every** row —
 //! which is why textbook implementations (and this crate, before the
 //! zero-allocation engine rework) keep the full `(n+1) × n` table: **O(V²)**
-//! doubles, 128 MB for a 4 000-vertex SCC and unusable beyond that. The
-//! implementation in [`crate::workspace`] instead runs the DP twice over
-//! two rolling rows — pass A computes `D_n`, pass B replays rows `0..n−1`
-//! folding the running minimum — trading 2× time for **O(V)** memory. The
+//! doubles, 128 MB for a 4 000-vertex SCC and unusable beyond that. This
+//! implementation instead runs the DP twice over two rolling rows — pass
+//! A computes `D_n`, pass B replays rows `0..n−1` folding the running
+//! minimum — trading 2× time for **O(V)** memory. The
 //! `large_scc_runs_in_linear_memory` test below pins this bound on an
 //! instance whose dense table would be ~128 MB.
 
-#[cfg(test)]
-use crate::graph::RatioGraphError;
-use crate::graph::{CycleSolution, RatioGraph};
+use crate::graph::{CycleSolution, Edge, RatioGraph};
 use crate::howard::RatioResult;
 use crate::workspace::Workspace;
 
 /// Maximum cycle mean (`Σcost / #edges`) of `g`, ignoring token counts.
 ///
 /// Returns `None` for acyclic graphs. `O(V·E)` time, **`O(V)` memory**
-/// (rolling rows; see the module docs). One-shot convenience over
-/// [`Workspace::max_cycle_mean`].
+/// (rolling rows; see the module docs).
 pub fn max_cycle_mean(g: &RatioGraph) -> Option<f64> {
-    Workspace::new().max_cycle_mean(g)
+    g.validate().ok()?;
+    let n = g.num_vertices();
+    let mut ws = Workspace::new();
+    let scc = ws.scc(g);
+    let mut comp = vec![0u32; n];
+    for c in 0..scc.num_components() {
+        for &v in scc.members(c) {
+            comp[v as usize] = c as u32;
+        }
+    }
+    // In-component edges per component; a component without one is an
+    // acyclic singleton.
+    let mut comp_edges: Vec<Vec<u32>> = vec![Vec::new(); scc.num_components()];
+    let edges = g.edges();
+    for (i, e) in edges.iter().enumerate() {
+        let c = comp[e.from as usize];
+        if c == comp[e.to as usize] {
+            comp_edges[c as usize].push(i as u32);
+        }
+    }
+    let mut row_prev = vec![f64::NEG_INFINITY; n];
+    let mut row_cur = vec![f64::NEG_INFINITY; n];
+    let mut row_last = vec![f64::NEG_INFINITY; n];
+    let mut inner_min = vec![f64::INFINITY; n];
+    let mut best: Option<f64> = None;
+    for (c, comp_edges) in comp_edges.iter().enumerate() {
+        if comp_edges.is_empty() {
+            continue;
+        }
+        let m = karp_component(
+            edges,
+            scc.members(c),
+            comp_edges,
+            &mut row_prev,
+            &mut row_cur,
+            &mut row_last,
+            &mut inner_min,
+        );
+        best = Some(best.map_or(m, |b: f64| b.max(m)));
+    }
+    best
 }
 
 /// Maximum cycle **ratio** via Karp, using the token-expansion reduction.
@@ -163,6 +200,84 @@ pub fn max_cycle_ratio_karp(g: &RatioGraph) -> RatioResult {
     }
 }
 
+/// Karp on one component with **two rolling rows** instead of the full
+/// `(n+1) × n` table: pass A computes `D_n`, pass B replays the DP keeping
+/// the running `min_k (D_n(v) − D_k(v)) / (n − k)`. Time doubles, memory
+/// drops from O(V²) to O(V).
+fn karp_component(
+    edges: &[Edge],
+    members: &[u32],
+    comp_edges: &[u32],
+    row_prev: &mut Vec<f64>,
+    row_cur: &mut Vec<f64>,
+    row_last: &mut [f64],
+    inner_min: &mut [f64],
+) -> f64 {
+    let nc = members.len();
+    let src = members[0] as usize;
+
+    // Pass A: D_nc from the fixed source (vertex 0 of the component).
+    for &v in members {
+        row_prev[v as usize] = f64::NEG_INFINITY;
+    }
+    row_prev[src] = 0.0;
+    for _ in 1..=nc {
+        for &v in members {
+            row_cur[v as usize] = f64::NEG_INFINITY;
+        }
+        relax(edges, comp_edges, row_prev, row_cur);
+        std::mem::swap(row_prev, row_cur);
+    }
+    for &v in members {
+        row_last[v as usize] = row_prev[v as usize];
+    }
+
+    // Pass B: replay rows 0..nc−1, folding the inner minimum as each row
+    // materializes.
+    for &v in members {
+        inner_min[v as usize] = f64::INFINITY;
+        row_prev[v as usize] = f64::NEG_INFINITY;
+    }
+    row_prev[src] = 0.0;
+    for k in 0..nc {
+        for &v in members {
+            let vi = v as usize;
+            if row_last[vi] > f64::NEG_INFINITY && row_prev[vi] > f64::NEG_INFINITY {
+                let cand = (row_last[vi] - row_prev[vi]) / (nc - k) as f64;
+                if cand < inner_min[vi] {
+                    inner_min[vi] = cand;
+                }
+            }
+        }
+        for &v in members {
+            row_cur[v as usize] = f64::NEG_INFINITY;
+        }
+        relax(edges, comp_edges, row_prev, row_cur);
+        std::mem::swap(row_prev, row_cur);
+    }
+
+    let mut best = f64::NEG_INFINITY;
+    for &v in members {
+        if row_last[v as usize] > f64::NEG_INFINITY {
+            best = best.max(inner_min[v as usize]);
+        }
+    }
+    best
+}
+
+fn relax(edges: &[Edge], comp_edges: &[u32], prev: &[f64], cur: &mut [f64]) {
+    for &ei in comp_edges {
+        let e = &edges[ei as usize];
+        let p = prev[e.from as usize];
+        if p > f64::NEG_INFINITY {
+            let cand = p + e.cost;
+            if cand > cur[e.to as usize] {
+                cur[e.to as usize] = cand;
+            }
+        }
+    }
+}
+
 /// Kahn topological sort; `None` if the graph has a cycle.
 fn topo_order(n: usize, adj: &[Vec<(u32, f64)>]) -> Option<Vec<u32>> {
     let mut indeg = vec![0u32; n];
@@ -192,6 +307,7 @@ fn topo_order(n: usize, adj: &[Vec<(u32, f64)>]) -> Option<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::RatioGraphError;
     use crate::howard::max_cycle_ratio;
 
     #[test]
@@ -269,12 +385,8 @@ mod tests {
         let ring_mean = (0..n).map(|v| v as f64).sum::<f64>() / n as f64;
         let loop_mean = (0.0 + 500.0) / 2.0;
         let expect = ring_mean.max(loop_mean);
-        let mut ws = Workspace::new();
-        let m = ws.max_cycle_mean(&g).unwrap();
+        let m = max_cycle_mean(&g).unwrap();
         assert!((m - expect).abs() < 1e-9 * expect, "{m} vs {expect}");
-        // Reuse on the same workspace (no fresh allocations) agrees bitwise.
-        let again = ws.max_cycle_mean(&g).unwrap();
-        assert_eq!(m.to_bits(), again.to_bits());
     }
 
     #[test]

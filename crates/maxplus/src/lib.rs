@@ -16,17 +16,22 @@
 //! * [`graph`] — the doubly-weighted digraph [`graph::RatioGraph`] shared by
 //!   all cycle algorithms.
 //! * [`workspace`] — reusable [`workspace::Workspace`] arenas (CSR
-//!   adjacency, iterative Tarjan SCCs, Howard/Karp/Lawler scratch) making
-//!   repeated solves allocation-free, with warm-started policy iteration.
+//!   adjacency, iterative Tarjan SCCs, Howard scratch) making repeated
+//!   solves allocation-free, with warm-started policy iteration.
 //! * [`batch`] — shape-batched Howard: one CSR build + condensation
 //!   amortized over k same-structure instances with SoA cost planes, and
 //!   per-SCC parallel solves on the `repwf-par` pool.
 //! * [`howard`] — Howard's policy iteration for the maximum cycle ratio
 //!   (primary algorithm; exact, returns a witness cycle).
-//! * [`lawler`] — Lawler's parametric binary search (cross-check).
-//! * [`karp`] — Karp's maximum cycle *mean* algorithm (token-uniform graphs).
+//! * [`lawler`] — Lawler's parametric binary search (cross-check oracle).
+//! * [`karp`] — Karp's maximum cycle *mean* algorithm (token-uniform graphs;
+//!   cross-check oracle through a token expansion).
 //! * [`bruteforce`] — exhaustive simple-cycle enumeration for validation on
 //!   tiny graphs.
+//!
+//! The three oracles share no code with Howard and keep their own scratch;
+//! they exist for the tests that cross-check Howard against them (through
+//! `tpn::analysis::period_lawler` on whole nets).
 //!
 //! # Example
 //!

@@ -1,15 +1,14 @@
 //! Reusable scratch arenas for the cycle-ratio algorithms.
 //!
 //! The paper's campaigns, gap studies and mapping searches evaluate the
-//! maximum cycle ratio of thousands of slightly-different graphs. The free
-//! functions in [`crate::howard`], [`crate::karp`] and [`crate::lawler`]
-//! allocate every vector they need on every call; for a hot loop that cost
-//! dominates the arithmetic. A [`Workspace`] owns all of that scratch —
-//! the [`Csr`] adjacency, the Tarjan stacks, the Howard policy/value
-//! arrays, Karp's rolling rows and Lawler's Bellman–Ford state — so a
-//! solve is **allocation-free after the first call** (buffers are resized
-//! once and then reused; only error paths and the returned witness
-//! allocate).
+//! maximum cycle ratio of thousands of slightly-different graphs. A
+//! one-shot solve allocates every vector it needs on every call; for a
+//! hot loop that cost dominates the arithmetic. A [`Workspace`] owns all
+//! of that scratch — the [`Csr`] adjacency, the Tarjan stacks and the
+//! Howard policy/value arrays — so a solve is **allocation-free after the
+//! first call** (buffers are resized once and then reused; only error
+//! paths and the returned witness allocate). The Karp and Lawler oracles
+//! ([`crate::karp`], [`crate::lawler`]) keep their own scratch.
 //!
 //! On top of buffer reuse, the workspace supports **warm-started** policy
 //! iteration: [`Workspace::max_cycle_ratio_warm`] seeds Howard's iteration
@@ -23,7 +22,7 @@
 //! random costs, property-tested bit-for-bit on such inputs), a warm start
 //! may settle on the other member of the tie and report its bit pattern.
 //!
-//! All algorithms work per strongly connected component directly on the
+//! Every solve works per strongly connected component directly on the
 //! global vertex ids, slicing the shared CSR and filtering edges by
 //! component id (Howard reads the filtered positions from the choice
 //! index below) — no per-SCC subgraph is ever materialized (the old
@@ -39,7 +38,7 @@
 //! what makes a shape-preserving patched oracle call structurally free:
 //! the whole per-solve cost is one cost sweep plus the policy iterations.
 //! The cache is invalidated on any token or dimension miss, on a solve
-//! error, and whenever another solver rebuilds the CSR; the
+//! error, and whenever another call rebuilds the CSR; the
 //! [`Workspace::csr_builds`] / [`Workspace::tarjan_runs`] counters let
 //! callers (and the test suite) assert that patched solves really skip the
 //! structural work.
@@ -88,7 +87,7 @@
 //! for bit those of a solver that sweeps every vertex.
 
 use crate::batch::PlanStore;
-use crate::graph::{CycleSolution, Edge, RatioGraph, RatioGraphError};
+use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
 
 /// Compressed sparse row adjacency of a [`RatioGraph`]: out-edges of vertex
@@ -298,10 +297,10 @@ impl ChoiceIndex {
     }
 }
 
-/// Owned scratch state shared by the cycle-ratio solvers.
+/// Owned scratch state of Howard's solver.
 ///
 /// Create once, then call [`Workspace::max_cycle_ratio`] (or the warm /
-/// Karp / Lawler variants) as many times as needed; buffers grow to the
+/// cached / parallel variants) as many times as needed; buffers grow to the
 /// largest graph seen and are reused afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
@@ -342,17 +341,6 @@ pub struct Workspace {
     csr_builds: u64,
     /// How many times Tarjan's condensation ran.
     tarjan_runs: u64,
-    // Karp rolling rows (O(V) — see `crate::karp`).
-    row_prev: Vec<f64>,
-    row_cur: Vec<f64>,
-    row_last: Vec<f64>,
-    inner_min: Vec<f64>,
-    comp_edges: Vec<u32>,
-    // Lawler Bellman–Ford state and zero-token-subgraph DFS.
-    dist: Vec<f64>,
-    pred: Vec<u32>,
-    color: Vec<u8>,
-    parent: Vec<u32>,
 }
 
 impl Workspace {
@@ -448,7 +436,7 @@ impl Workspace {
     /// insertion order; only edge costs may differ. The caller owns that
     /// guarantee (`tpn::analysis::PeriodScratch` bumps a generation
     /// counter on every ratio-graph rebuild). The cache is dropped on any
-    /// miss, on a solve error, and whenever another solver of this
+    /// miss, on a solve error, and whenever another call on this
     /// workspace rebuilds the CSR, so a violated contract can only result
     /// from re-using a token for a structurally different graph.
     ///
@@ -694,164 +682,6 @@ impl Workspace {
             self.struct_sig = Some((token, n, ne));
         }
         Ok(best)
-    }
-
-    /// Karp's maximum cycle mean with O(V) rolling rows; semantics match
-    /// [`crate::karp::max_cycle_mean`].
-    pub fn max_cycle_mean(&mut self, g: &RatioGraph) -> Option<f64> {
-        g.validate().ok()?;
-        let n = g.num_vertices();
-        self.scc(g);
-        self.row_prev.clear();
-        self.row_prev.resize(n, f64::NEG_INFINITY);
-        self.row_cur.clear();
-        self.row_cur.resize(n, f64::NEG_INFINITY);
-        self.row_last.clear();
-        self.row_last.resize(n, f64::NEG_INFINITY);
-        self.inner_min.clear();
-        self.inner_min.resize(n, f64::INFINITY);
-
-        let edges = g.edges();
-        let Workspace {
-            csr,
-            comp,
-            comp_offsets,
-            comp_vertices,
-            row_prev,
-            row_cur,
-            row_last,
-            inner_min,
-            comp_edges,
-            ..
-        } = self;
-
-        let mut best: Option<f64> = None;
-        for c in 0..comp_offsets.len() - 1 {
-            let members = &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
-            let cyclic = members.len() > 1
-                || csr.out_edges(members[0]).iter().any(|&ei| edges[ei as usize].to == members[0]);
-            if !cyclic {
-                continue;
-            }
-            comp_edges.clear();
-            for &v in members {
-                for &ei in csr.out_edges(v) {
-                    if comp[edges[ei as usize].to as usize] == c as u32 {
-                        comp_edges.push(ei);
-                    }
-                }
-            }
-            let m =
-                karp_component(edges, members, comp_edges, row_prev, row_cur, row_last, inner_min);
-            best = Some(best.map_or(m, |b: f64| b.max(m)));
-        }
-        best
-    }
-
-    /// Lawler's parametric search reusing the workspace's Bellman–Ford
-    /// buffers; semantics match [`crate::lawler::max_cycle_ratio_lawler`].
-    pub fn max_cycle_ratio_lawler(&mut self, g: &RatioGraph) -> RatioResult {
-        g.validate()?;
-        if g.num_edges() == 0 {
-            return Ok(None);
-        }
-        if let Some(cycle) = self.zero_token_cycle(g) {
-            return Err(RatioGraphError::ZeroTokenCycle { cycle });
-        }
-
-        let n = g.num_vertices();
-        self.dist.clear();
-        self.dist.resize(n, 0.0);
-        self.pred.clear();
-        self.pred.resize(n, u32::MAX);
-
-        let cost_sum: f64 = g.edges().iter().map(|e| e.cost.abs()).sum::<f64>().max(1.0);
-        let mut lo = -cost_sum; // below any cycle ratio
-        let mut hi = cost_sum; // above any cycle ratio (tokens ≥ 1 per cycle)
-        let mut best: Option<CycleSolution> = None;
-
-        // First probe at `lo` decides whether any circuit exists at all.
-        if !positive_cycle(g, lo, &mut self.dist, &mut self.pred, &mut self.path) {
-            return Ok(None);
-        }
-        let sol = exact_solution(g, &self.path)?;
-        lo = sol.ratio;
-        best = pick_best(best, sol);
-
-        let eps = cost_sum * 1e-13;
-        while hi - lo > eps {
-            let mid = 0.5 * (lo + hi);
-            if positive_cycle(g, mid, &mut self.dist, &mut self.pred, &mut self.path) {
-                let sol = exact_solution(g, &self.path)?;
-                // The witness has ratio > mid; snap the lower bound to it.
-                lo = sol.ratio.max(mid);
-                best = pick_best(best, sol);
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(best)
-    }
-
-    /// Finds a circuit made of zero-token edges only (iterative coloring
-    /// DFS on the zero-token subgraph), or `None`. Scratch-reusing version
-    /// of the check in [`crate::lawler`].
-    fn zero_token_cycle(&mut self, g: &RatioGraph) -> Option<Vec<u32>> {
-        let n = g.num_vertices();
-        self.rebuild_csr(g);
-        self.color.clear();
-        self.color.resize(n, 0);
-        self.parent.clear();
-        self.parent.resize(n, u32::MAX);
-        self.frames.clear();
-        let edges = g.edges();
-        for root in 0..n as u32 {
-            if self.color[root as usize] != 0 {
-                continue;
-            }
-            self.frames.clear();
-            self.frames.push((root, 0));
-            self.color[root as usize] = 1;
-            while let Some(&mut (v, ref mut pos)) = self.frames.last_mut() {
-                let outs = self.csr.out_edges(v);
-                // Advance over non-zero-token edges.
-                let mut next = None;
-                while (*pos as usize) < outs.len() {
-                    let e = &edges[outs[*pos as usize] as usize];
-                    *pos += 1;
-                    if e.tokens == 0 {
-                        next = Some(e.to);
-                        break;
-                    }
-                }
-                match next {
-                    Some(w) => match self.color[w as usize] {
-                        0 => {
-                            self.color[w as usize] = 1;
-                            self.parent[w as usize] = v;
-                            self.frames.push((w, 0));
-                        }
-                        1 => {
-                            // Grey: found a cycle w → … → v → w.
-                            let mut cycle = vec![w];
-                            let mut u = v;
-                            while u != w {
-                                cycle.push(u);
-                                u = self.parent[u as usize];
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
-                        }
-                        _ => {}
-                    },
-                    None => {
-                        self.color[v as usize] = 2;
-                        self.frames.pop();
-                    }
-                }
-            }
-        }
-        None
     }
 }
 
@@ -1198,166 +1028,6 @@ fn extract_witness(
     Ok(CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t })
 }
 
-/// Karp on one component with **two rolling rows** instead of the full
-/// `(n+1) × n` table: pass A computes `D_n`, pass B replays the DP keeping
-/// the running `min_k (D_n(v) − D_k(v)) / (n − k)`. Time doubles, memory
-/// drops from O(V²) to O(V).
-fn karp_component(
-    edges: &[Edge],
-    members: &[u32],
-    comp_edges: &[u32],
-    row_prev: &mut Vec<f64>,
-    row_cur: &mut Vec<f64>,
-    row_last: &mut [f64],
-    inner_min: &mut [f64],
-) -> f64 {
-    let nc = members.len();
-    let src = members[0] as usize;
-
-    // Pass A: D_nc from the fixed source (vertex 0 of the component).
-    for &v in members {
-        row_prev[v as usize] = f64::NEG_INFINITY;
-    }
-    row_prev[src] = 0.0;
-    for _ in 1..=nc {
-        for &v in members {
-            row_cur[v as usize] = f64::NEG_INFINITY;
-        }
-        relax(edges, comp_edges, row_prev, row_cur);
-        std::mem::swap(row_prev, row_cur);
-    }
-    for &v in members {
-        row_last[v as usize] = row_prev[v as usize];
-    }
-
-    // Pass B: replay rows 0..nc−1, folding the inner minimum as each row
-    // materializes.
-    for &v in members {
-        inner_min[v as usize] = f64::INFINITY;
-        row_prev[v as usize] = f64::NEG_INFINITY;
-    }
-    row_prev[src] = 0.0;
-    for k in 0..nc {
-        for &v in members {
-            let vi = v as usize;
-            if row_last[vi] > f64::NEG_INFINITY && row_prev[vi] > f64::NEG_INFINITY {
-                let cand = (row_last[vi] - row_prev[vi]) / (nc - k) as f64;
-                if cand < inner_min[vi] {
-                    inner_min[vi] = cand;
-                }
-            }
-        }
-        for &v in members {
-            row_cur[v as usize] = f64::NEG_INFINITY;
-        }
-        relax(edges, comp_edges, row_prev, row_cur);
-        std::mem::swap(row_prev, row_cur);
-    }
-
-    let mut best = f64::NEG_INFINITY;
-    for &v in members {
-        if row_last[v as usize] > f64::NEG_INFINITY {
-            best = best.max(inner_min[v as usize]);
-        }
-    }
-    best
-}
-
-fn relax(edges: &[Edge], comp_edges: &[u32], prev: &[f64], cur: &mut [f64]) {
-    for &ei in comp_edges {
-        let e = &edges[ei as usize];
-        let p = prev[e.from as usize];
-        if p > f64::NEG_INFINITY {
-            let cand = p + e.cost;
-            if cand > cur[e.to as usize] {
-                cur[e.to as usize] = cand;
-            }
-        }
-    }
-}
-
-fn pick_best(best: Option<CycleSolution>, sol: CycleSolution) -> Option<CycleSolution> {
-    match best {
-        Some(b) if b.ratio >= sol.ratio => Some(b),
-        _ => Some(sol),
-    }
-}
-
-/// Exact ratio of a circuit found by the Lawler oracle, given as the
-/// edge-index sequence.
-fn exact_solution(g: &RatioGraph, cycle_edges: &[u32]) -> Result<CycleSolution, RatioGraphError> {
-    let mut cost = 0.0;
-    let mut tokens = 0u64;
-    let mut cycle = Vec::with_capacity(cycle_edges.len());
-    for &ei in cycle_edges {
-        let e = &g.edges()[ei as usize];
-        cost += e.cost;
-        tokens += u64::from(e.tokens);
-        cycle.push(e.from);
-    }
-    if tokens == 0 {
-        return Err(RatioGraphError::ZeroTokenCycle { cycle });
-    }
-    Ok(CycleSolution { ratio: cost / tokens as f64, cycle, cost, tokens })
-}
-
-/// Bellman–Ford longest-path positive-circuit oracle for weights
-/// `cost − λ·tokens`, reusing the caller's `dist` / `pred` buffers. On
-/// success the positive circuit's edge indices are left in `cycle_out` and
-/// `true` is returned.
-fn positive_cycle(
-    g: &RatioGraph,
-    lambda: f64,
-    dist: &mut [f64],
-    pred: &mut [u32],
-    cycle_out: &mut Vec<u32>,
-) -> bool {
-    let n = g.num_vertices();
-    let edges = g.edges();
-    dist.fill(0.0); // multi-source: all vertices at 0
-    pred.fill(u32::MAX);
-
-    let mut updated_vertex: Option<u32> = None;
-    for round in 0..=n {
-        let mut any = false;
-        for (i, e) in edges.iter().enumerate() {
-            let w = e.cost - lambda * f64::from(e.tokens);
-            let cand = dist[e.from as usize] + w;
-            if cand > dist[e.to as usize] + 1e-15 {
-                dist[e.to as usize] = cand;
-                pred[e.to as usize] = i as u32;
-                any = true;
-                if round == n {
-                    updated_vertex = Some(e.to);
-                    break;
-                }
-            }
-        }
-        if !any {
-            return false;
-        }
-    }
-
-    // A relaxation in round n ⇒ positive circuit reachable via predecessors.
-    let Some(mut v) = updated_vertex else { return false };
-    // Walk back n steps to guarantee we are inside the circuit.
-    for _ in 0..n {
-        v = edges[pred[v as usize] as usize].from;
-    }
-    let start = v;
-    cycle_out.clear();
-    loop {
-        let ei = pred[v as usize];
-        cycle_out.push(ei);
-        v = edges[ei as usize].from;
-        if v == start {
-            break;
-        }
-    }
-    cycle_out.reverse();
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1602,31 +1272,13 @@ mod tests {
         let g = diamond();
         ws.max_cycle_ratio_cached(&g, 4, false).unwrap();
         let builds = ws.csr_builds();
-        // Lawler rebuilds the CSR for its zero-token-cycle check: the
-        // cached condensation may no longer describe it.
-        ws.max_cycle_ratio_lawler(&g).unwrap();
+        // A plain condensation rebuilds the CSR: the cached structure
+        // may no longer describe it.
+        ws.scc(&g);
         assert!(ws.csr_builds() > builds);
         let builds = ws.csr_builds();
         ws.max_cycle_ratio_cached(&g, 4, false).unwrap();
         assert_eq!(ws.csr_builds(), builds + 1, "cache must not survive a foreign rebuild");
-    }
-
-    #[test]
-    fn lawler_ws_matches_free_function() {
-        let mut ws = Workspace::new();
-        let g = diamond();
-        let a = crate::lawler::max_cycle_ratio_lawler(&g).unwrap().unwrap();
-        let b = ws.max_cycle_ratio_lawler(&g).unwrap().unwrap();
-        assert_eq!(a.ratio.to_bits(), b.ratio.to_bits());
-    }
-
-    #[test]
-    fn karp_ws_matches_free_function() {
-        let mut ws = Workspace::new();
-        let g = diamond();
-        let a = crate::karp::max_cycle_mean(&g).unwrap();
-        let b = ws.max_cycle_mean(&g).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     /// Multiple SCCs of varying size plus acyclic glue, so the parallel

@@ -39,12 +39,6 @@ impl ClockedResult {
         let tail = &self.sojourn[d - d / 3..];
         tail.iter().sum::<f64>() / tail.len() as f64
     }
-
-    /// Maximum sojourn over the last third.
-    pub fn tail_sojourn_max(&self) -> f64 {
-        let d = self.sojourn.len();
-        self.sojourn[d - d / 3..].iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Simulates `data_sets` arrivals with inter-arrival time `t` (data set `d`
@@ -186,7 +180,7 @@ mod tests {
                 long.max_backlog
             );
             assert!(
-                long.tail_sojourn_max() <= short.tail_sojourn_max() * 1.5 + 1.0,
+                long.tail_sojourn() <= short.tail_sojourn() * 1.5 + 1.0,
                 "{model}: sojourn diverges"
             );
         }

@@ -39,6 +39,5 @@
 pub mod clocked;
 pub mod gantt;
 pub mod runner;
-pub mod stochastic;
 
 pub use runner::{simulate, Op, OpKind, Resource, SimOptions, SimResult};

@@ -126,9 +126,8 @@ impl SimResult {
 
 /// [`SimResult::period_estimate`] over a raw completion-time slice: the
 /// worst asymptotic completion slope over the `m_last` last-stage replica
-/// classes. Shared with the stochastic engine, whose per-worker scratch
-/// path estimates the period without materializing a [`SimResult`].
-pub fn sustainable_period(completion: &[f64], m_last: usize) -> f64 {
+/// classes.
+fn sustainable_period(completion: &[f64], m_last: usize) -> f64 {
     let d = completion.len();
     let l = m_last.max(1);
     assert!(d >= 4 * l, "need at least 4 data sets per last-stage replica");

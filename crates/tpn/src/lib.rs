@@ -9,9 +9,6 @@
 //! * [`analysis`] — steady-state period via maximum cycle ratio (Howard's
 //!   iteration from the `maxplus` crate), with the critical circuit mapped
 //!   back to transitions.
-//! * [`sim`] — exact earliest-firing-schedule simulation via the standard
-//!   TEG recurrence, with period estimation from the asymptotic regime; an
-//!   independent check of the analytical period.
 //! * [`dot`] — Graphviz export (used to regenerate the paper's Figures 3–5
 //!   and 8–10).
 //!
@@ -38,7 +35,6 @@ pub mod bounds;
 pub mod dot;
 pub mod marking;
 pub mod net;
-pub mod sim;
 
 pub use analysis::{period, PeriodSolution};
 pub use net::{PlaceId, TimedEventGraph, TransitionId};

@@ -181,71 +181,3 @@ fn mapping_tpn_structural_bounds() {
         }
     }
 }
-
-#[test]
-fn weighted_uniform_pattern_equals_plain_round_robin() {
-    // The weighted-allocation extension collapses to the paper's model for
-    // uniform patterns, on random instances and both models.
-    use repwf_core::tpn_build::BuildOptions;
-    use repwf_core::weighted::{weighted_period, WeightedAllocation};
-    let mut rng = StdRng::seed_from_u64(2718);
-    for _ in 0..10 {
-        let cfg = GenConfig {
-            stages: 3,
-            procs: 7,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        };
-        let inst = sample_instance(&cfg, &mut rng);
-        let alloc = WeightedAllocation::round_robin(&inst);
-        for model in [CommModel::Overlap, CommModel::Strict] {
-            let plain = compute_period(&inst, model, Method::FullTpn).unwrap().period;
-            let weighted = weighted_period(
-                &inst,
-                &alloc,
-                model,
-                &BuildOptions { labels: false, max_transitions: 400_000 },
-            )
-            .unwrap();
-            assert!((plain - weighted).abs() <= 1e-9 * plain, "{model}: {plain} vs {weighted}");
-        }
-    }
-}
-
-#[test]
-fn weighted_never_worse_than_uniform_when_optimized() {
-    // Searching small integer weightings always includes 1:1, so the best
-    // weighted period is never worse than uniform round-robin.
-    use repwf_core::tpn_build::BuildOptions;
-    use repwf_core::weighted::{weighted_period, WeightedAllocation};
-    let mut rng = StdRng::seed_from_u64(31415);
-    for _ in 0..6 {
-        let cfg = GenConfig {
-            stages: 2,
-            procs: 5,
-            comp: Range::new(5.0, 15.0),
-            comm: Range::new(5.0, 15.0),
-        };
-        let inst = sample_instance(&cfg, &mut rng);
-        let uniform = compute_period(&inst, CommModel::Overlap, Method::FullTpn).unwrap().period;
-        let mut best = f64::INFINITY;
-        for k in 1..=3usize {
-            let weights: Vec<Vec<usize>> = (0..inst.num_stages())
-                .map(|i| {
-                    let m = inst.mapping.replicas(i);
-                    (0..m).map(|r| if r == 0 { k } else { 1 }).collect()
-                })
-                .collect();
-            let alloc = WeightedAllocation::proportional(&weights, &inst).unwrap();
-            if let Ok(p) = weighted_period(
-                &inst,
-                &alloc,
-                CommModel::Overlap,
-                &BuildOptions { labels: false, max_transitions: 400_000 },
-            ) {
-                best = best.min(p);
-            }
-        }
-        assert!(best <= uniform + 1e-9 * uniform, "best {best} vs uniform {uniform}");
-    }
-}

@@ -56,20 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn tpn_simulation_method_matches_analysis((cfg, seed) in config_strategy()) {
-        let inst = sample_instance(&cfg, &mut StdRng::seed_from_u64(seed));
-        for model in [CommModel::Overlap, CommModel::Strict] {
-            let exact = compute_period(&inst, model, Method::FullTpn).unwrap();
-            let sim = compute_period(&inst, model, Method::TpnSimulation).unwrap();
-            prop_assert!(
-                (sim.period - exact.period).abs() <= 2e-3 * exact.period,
-                "{model}: tpn-sim {} vs analytic {}",
-                sim.period, exact.period
-            );
-        }
-    }
-
-    #[test]
     fn howard_equals_lawler_on_mapping_tpns((cfg, seed) in config_strategy()) {
         let inst = sample_instance(&cfg, &mut StdRng::seed_from_u64(seed));
         for model in [CommModel::Overlap, CommModel::Strict] {

