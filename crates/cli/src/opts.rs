@@ -221,6 +221,7 @@ pub fn parse_threads(opts: &Opts) -> Result<usize, String> {
 mod tests {
     use super::*;
     use repwf_core::model::MAX_PROCS;
+    use repwf_core::period::compute_period;
 
     #[test]
     fn workflow_json_rejects_a_huge_processor_count_before_allocating() {
@@ -251,5 +252,86 @@ mod tests {
             "edge 0 over link 0->1: transfer time size/bandwidth overflows"
         );
         assert!(workflow_from_json(&doc("1, 1", "1e-300")).is_ok());
+    }
+
+    /// The committed fork/join fixture every damaged document starts from.
+    const FORKJOIN: &str = include_str!("../../../ci/forkjoin.json");
+    /// Replacements for one numeric literal of the fixture ("" deletes it).
+    const HOSTILE_NUMBERS: [&str; 10] =
+        ["NaN", "5e-324", "18446744073709551615", "4097", "-1", "1e308", "0", "x", "", "[]"];
+    /// Lines inserted between two lines of the fixture (the fixture has
+    /// 6 processors, so `bandwidths` needs 36 entries).
+    const HOSTILE_LINES: [&str; 9] = [
+        "  \"bandwidths\": [1, 2, 3],",
+        "  \"bandwidths\": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],",
+        "  \"bandwidths\": [],",
+        "  \"mapping\": [[18446744073709551615]],",
+        "  \"edges\": [[3, 0, 1.0]],",
+        "  \"files\": [1e308],",
+        "  \"speeds\": [],",
+        "  \"bandwidth\": 0,",
+        "  \"works\": [NaN],",
+    ];
+
+    /// Damages the fixture by `mode`: 0 arbitrary bytes, 1 truncation, 2 a
+    /// single-byte flip, 3 a numeric-literal splice, 4 a line splice.
+    fn damage(mode: usize, frac: f64, mask: u8, pick: usize, junk: &[u8]) -> String {
+        let bytes = FORKJOIN.as_bytes();
+        let at = ((bytes.len() as f64 * frac) as usize).min(bytes.len() - 1);
+        match mode {
+            0 => String::from_utf8_lossy(junk).into_owned(),
+            1 => String::from_utf8_lossy(&bytes[..at]).into_owned(),
+            2 => {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= mask;
+                String::from_utf8_lossy(&flipped).into_owned()
+            }
+            3 => {
+                let is_num = |b: u8| b.is_ascii_digit() || b == b'.';
+                let starts: Vec<usize> = (0..bytes.len())
+                    .filter(|&i| is_num(bytes[i]) && (i == 0 || !is_num(bytes[i - 1])))
+                    .collect();
+                let start = starts[at % starts.len()];
+                let end = (start..bytes.len()).find(|&i| !is_num(bytes[i])).unwrap_or(bytes.len());
+                let token = HOSTILE_NUMBERS[pick % HOSTILE_NUMBERS.len()];
+                format!("{}{token}{}", &FORKJOIN[..start], &FORKJOIN[end..])
+            }
+            _ => {
+                let mut lines: Vec<&str> = FORKJOIN.lines().collect();
+                lines.insert(1 + at % lines.len(), HOSTILE_LINES[pick % HOSTILE_LINES.len()]);
+                lines.join("\n")
+            }
+        }
+    }
+
+    #[test]
+    fn forkjoin_fixture_loads() {
+        assert!(workflow_from_json(FORKJOIN).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn hostile_workflow_json_is_a_typed_error_or_a_solvable_instance(
+            mode in 0usize..5,
+            frac in 0.0f64..1.0,
+            (mask, pick) in (1u8..=255, 0usize..64),
+            junk in proptest::collection::vec(0u8..=255, 0..96),
+        ) {
+            let text = damage(mode, frac, mask, pick, &junk);
+            let run = std::panic::catch_unwind(|| {
+                let Ok(inst) = workflow_from_json(&text) else { return Ok(()) };
+                for model in [CommModel::Overlap, CommModel::Strict] {
+                    compute_period(&inst, model, Method::Auto)
+                        .map_err(|e| format!("{model}: {e}"))?;
+                }
+                Ok::<(), String>(())
+            });
+            match run {
+                Ok(solved) => proptest::prop_assert!(solved.is_ok(), "{solved:?} on {text:?}"),
+                Err(_) => proptest::prop_assert!(false, "panicked on {text:?}"),
+            }
+        }
     }
 }
