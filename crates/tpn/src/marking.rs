@@ -96,6 +96,67 @@ impl<'a> TokenGame<'a> {
         self.fired[t.0 as usize] += 1;
         true
     }
+
+    /// Token count along an explicit circuit given as a list of place ids
+    /// (must be a circuit for the invariant to hold).
+    pub fn circuit_tokens(&self, places: &[PlaceId]) -> u64 {
+        places.iter().map(|&p| self.marking.tokens(p)).sum()
+    }
+}
+
+/// Finds some circuits of the net (as place-id lists) by walking the
+/// place graph — used to exercise the conservation invariant in tests.
+pub fn sample_circuits(net: &TimedEventGraph, max: usize) -> Vec<Vec<PlaceId>> {
+    // DFS over transitions; a back-edge closes a circuit of places.
+    let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); net.num_transitions()];
+    for (i, p) in net.places().iter().enumerate() {
+        adj[p.pre.0 as usize].push((p.post.0, i as u32));
+    }
+    let n = net.num_transitions();
+    let mut circuits = Vec::new();
+    let mut color = vec![0u8; n];
+    let mut parent_place: Vec<u32> = vec![u32::MAX; n];
+    let mut parent_node: Vec<u32> = vec![u32::MAX; n];
+    for root in 0..n as u32 {
+        if color[root as usize] != 0 || circuits.len() >= max {
+            continue;
+        }
+        let mut stack = vec![(root, 0usize)];
+        color[root as usize] = 1;
+        while let Some(&mut (v, ref mut pos)) = stack.last_mut() {
+            if circuits.len() >= max {
+                break;
+            }
+            if *pos < adj[v as usize].len() {
+                let (w, pid) = adj[v as usize][*pos];
+                *pos += 1;
+                match color[w as usize] {
+                    0 => {
+                        color[w as usize] = 1;
+                        parent_place[w as usize] = pid;
+                        parent_node[w as usize] = v;
+                        stack.push((w, 0));
+                    }
+                    1 => {
+                        // circuit w → … → v → w
+                        let mut places = vec![PlaceId(pid)];
+                        let mut u = v;
+                        while u != w {
+                            places.push(PlaceId(parent_place[u as usize]));
+                            u = parent_node[u as usize];
+                        }
+                        places.reverse();
+                        circuits.push(places);
+                    }
+                    _ => {}
+                }
+            } else {
+                color[v as usize] = 2;
+                stack.pop();
+            }
+        }
+    }
+    circuits
 }
 
 #[cfg(test)]
@@ -140,10 +201,45 @@ mod tests {
     }
 
     #[test]
+    fn circuit_invariant_under_random_firing() {
+        // A net with two joined circuits: each circuit's token count is a
+        // P-invariant even though the total distribution moves around.
+        let mut net = TimedEventGraph::new();
+        let a = net.add_transition(1.0, "a");
+        let b = net.add_transition(1.0, "b");
+        net.add_place(a, b, 1, "ab");
+        net.add_place(b, a, 1, "ba");
+        net.add_place(a, a, 1, "self");
+        let circuits = sample_circuits(&net, 8);
+        assert!(!circuits.is_empty());
+        let mut game = TokenGame::new(&net);
+        let baseline: Vec<u64> = circuits.iter().map(|c| game.circuit_tokens(c)).collect();
+        let mut rngish = 7usize;
+        for _ in 0..200 {
+            let enabled = game.enabled_transitions();
+            assert!(!enabled.is_empty());
+            rngish = rngish.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let t = enabled[rngish % enabled.len()];
+            game.fire(t);
+            for (c, &base) in circuits.iter().zip(&baseline) {
+                assert_eq!(game.circuit_tokens(c), base, "circuit marking must be invariant");
+            }
+        }
+    }
+
+    #[test]
     fn deadlocked_net_has_no_enabled() {
         let net = ring([0, 0, 0]);
         let game = TokenGame::new(&net);
         assert!(game.enabled_transitions().is_empty());
+    }
+
+    #[test]
+    fn sample_circuits_finds_ring() {
+        let net = ring([1, 1, 1]);
+        let circuits = sample_circuits(&net, 4);
+        assert_eq!(circuits.len(), 1);
+        assert_eq!(circuits[0].len(), 3);
     }
 
     #[test]
