@@ -45,12 +45,12 @@ pub fn max_cycle_mean(g: &RatioGraph) -> Option<f64> {
     }
     // In-component edges per component; a component without one is an
     // acyclic singleton.
-    let mut comp_edges: Vec<Vec<u32>> = vec![Vec::new(); scc.num_components()];
+    let mut by_comp: Vec<Vec<u32>> = vec![Vec::new(); scc.num_components()];
     let edges = g.edges();
     for (i, e) in edges.iter().enumerate() {
         let c = comp[e.from as usize];
         if c == comp[e.to as usize] {
-            comp_edges[c as usize].push(i as u32);
+            by_comp[c as usize].push(i as u32);
         }
     }
     let mut row_prev = vec![f64::NEG_INFINITY; n];
@@ -58,7 +58,7 @@ pub fn max_cycle_mean(g: &RatioGraph) -> Option<f64> {
     let mut row_last = vec![f64::NEG_INFINITY; n];
     let mut inner_min = vec![f64::INFINITY; n];
     let mut best: Option<f64> = None;
-    for (c, comp_edges) in comp_edges.iter().enumerate() {
+    for (c, comp_edges) in by_comp.iter().enumerate() {
         if comp_edges.is_empty() {
             continue;
         }
