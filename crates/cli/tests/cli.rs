@@ -841,6 +841,28 @@ fn campaign_metrics_flag_reports_structural_counters() {
 }
 
 #[test]
+fn campaign_metrics_count_every_batched_tpn_build() {
+    // The default strict campaign draws 6 shapes; each is built once as a
+    // TPN, condensed once, and every build shows up in the counters and as
+    // a `tpn_build` span.
+    let (doc, err, ok) = repwf(&["campaign", "--count", "200", "--threads", "1", "--metrics"]);
+    assert!(ok, "{err}");
+    // The number after the leading words `key` of a metrics line.
+    let count = |key: &[&str]| -> u64 {
+        doc.lines()
+            .find_map(|l| {
+                let words: Vec<&str> = l.split_whitespace().collect();
+                words.strip_prefix(key)?.first()?.parse().ok()
+            })
+            .unwrap_or_else(|| panic!("no `{}` line in:\n{doc}", key.join(" ")))
+    };
+    assert_eq!(count(&["tpn_builds"]), 6, "{doc}");
+    assert_eq!(count(&["csr_builds"]), 6, "{doc}");
+    assert_eq!(count(&["shape_groups"]), 6, "{doc}");
+    assert_eq!(count(&["span", "tpn_build"]), 6, "{doc}");
+}
+
+#[test]
 fn campaign_json_prints_no_predicted_solve_counters() {
     // CSR builds, Tarjan runs and patched solves are measured only under
     // `--metrics`/`--trace`; the document carries no replayed prediction
