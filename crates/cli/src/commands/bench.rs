@@ -34,6 +34,7 @@ use repwf_gen::{GenConfig, Range, Topology};
 use repwf_map::annealing::{anneal, AnnealOptions};
 use repwf_map::exact::{solve, ExactOptions};
 use repwf_map::greedy;
+use repwf_obs::CounterId;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -357,11 +358,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             assert_eq!(r.period.to_bits(), reference.to_bits());
         }
     }));
-    assert_eq!(
-        (patched_engine.csr_builds(), patched_engine.tarjan_runs()),
-        (1, 1),
-        "patched solves must skip CSR builds and Tarjan runs"
-    );
     let mut rebuild_engine = PeriodEngine::new().warm_start(true);
     lines.push(time_kernel("solve_rebuild", solve_reps, neighbor_steps as u64, || {
         for (m, &reference) in walk.iter().zip(&reference_walk) {
@@ -453,6 +449,29 @@ pub fn run(args: &[String]) -> Result<(), String> {
     assert!(exact_anneal.period >= *exact_optimum, "annealing cannot beat the certified optimum");
     let exact_prune_ratio = 1.0 - exact_res.stats.evaluated as f64 / exact_space as f64;
     let exact_vs_anneal_nodes = exact_anneal.evaluations as f64 / exact_res.stats.evaluated as f64;
+
+    // After the last timed kernel, so no timing ever runs with telemetry
+    // on: kernel 5's patched walk, replayed on a fresh warm engine, must
+    // condense once and then skip CSR builds and Tarjan runs.
+    let (_, counts) = repwf_obs::counted(|| {
+        let mut engine = PeriodEngine::new().warm_start(true);
+        for m in &walk {
+            engine
+                .compute_mapping(
+                    &inst.pipeline,
+                    &inst.platform,
+                    m,
+                    CommModel::Strict,
+                    Method::FullTpn,
+                )
+                .expect("walk mappings solve");
+        }
+    });
+    assert_eq!(
+        (counts[CounterId::CsrBuilds], counts[CounterId::TarjanRuns]),
+        (1, 1),
+        "patched solves must skip CSR builds and Tarjan runs"
+    );
 
     // --- dimensionless indices (what --check gates on) ---
     let per_iter = |name: &str| {

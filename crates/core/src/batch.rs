@@ -16,14 +16,13 @@
 
 use crate::model::{CommModel, InstanceView};
 use crate::tpn_build::{build_tpn_view_into, transition_times_into, BuildError, BuildOptions};
-use std::collections::HashMap;
 use tpn::analysis::{AnalysisError, PeriodBatch, PeriodSolution};
 use tpn::net::TimedEventGraph;
 
 /// Canonical TPN shape of a mapped workflow: communication model,
 /// per-stage replica counts, and the workflow's edge set — the three
 /// inputs the place structure is a pure function of.
-type ShapeKey = (CommModel, Vec<usize>, Vec<(u32, u32)>);
+type Shape = (CommModel, Vec<usize>, Vec<(u32, u32)>);
 
 /// Batched period solver for groups of same-shape instances.
 ///
@@ -39,18 +38,14 @@ pub struct ShapeBatchSolver {
     net: TimedEventGraph,
     batch: PeriodBatch,
     times: Vec<f64>,
+    /// Replica counts of the instance being probed.
     counts: Vec<usize>,
-    edges: Vec<(u32, u32)>,
-    /// Canonical shape (model + replica counts + workflow edge set) →
-    /// sequential key. Keys are handed to the solver workspace as
-    /// structure tokens; sequential assignment (not hashes) keeps them
-    /// collision-free and deterministic in one worker.
-    keys: HashMap<ShapeKey, u64>,
-    next_key: u64,
-    /// The shape key the arena net currently holds, if any.
-    built: Option<u64>,
+    /// The shape the arena net currently holds, if any.
+    built: Option<Shape>,
+    /// Structure token handed to the batch: bumped on every TPN build, so
+    /// one token never names two structures.
+    generation: u64,
     rows: usize,
-    tpn_builds: u64,
 }
 
 impl ShapeBatchSolver {
@@ -63,53 +58,39 @@ impl ShapeBatchSolver {
             batch: PeriodBatch::new(),
             times: Vec::new(),
             counts: Vec::new(),
-            edges: Vec::new(),
-            keys: HashMap::new(),
-            next_key: 0,
             built: None,
+            generation: 0,
             rows: 0,
-            tpn_builds: 0,
         }
     }
 
     /// Opens a batch of `k` instances shaped like `view` under `model`:
-    /// resolves the canonical shape key (model, per-stage replica counts,
-    /// workflow edge set), builds the shared TPN structure unless the
-    /// arena already holds this shape, and sizes the cost planes. Fails
-    /// like an engine build would (size cap, path-count overflow).
+    /// builds the shared TPN structure unless the arena already holds
+    /// this shape (model, per-stage replica counts, workflow edge set),
+    /// and sizes the cost planes. Fails like an engine build would (size
+    /// cap, path-count overflow).
     pub fn begin(
         &mut self,
         view: InstanceView<'_>,
         model: CommModel,
         k: usize,
     ) -> Result<(), BuildError> {
-        let mut counts = std::mem::take(&mut self.counts);
-        view.mapping.replica_counts_into(&mut counts);
-        let mut edges = std::mem::take(&mut self.edges);
-        edges.clear();
-        edges.extend_from_slice(view.pipeline.edges());
-        let probe = (model, counts, edges);
-        let key = match self.keys.get(&probe) {
-            Some(&key) => {
-                self.counts = probe.1;
-                self.edges = probe.2;
-                key
-            }
-            None => {
-                let key = self.next_key;
-                self.next_key += 1;
-                self.keys.insert(probe, key);
-                key
-            }
-        };
-        if self.built != Some(key) {
+        view.mapping.replica_counts_into(&mut self.counts);
+        let edges = view.pipeline.edges();
+        let same = matches!(&self.built, Some((m, c, e))
+            if *m == model && *c == self.counts && e[..] == *edges);
+        if !same {
             self.built = None;
-            let (rows, _cols) = build_tpn_view_into(view, model, &self.opts, &mut self.net)?;
+            let (rows, _cols) = {
+                let _span = repwf_obs::span!(TpnBuild);
+                build_tpn_view_into(view, model, &self.opts, &mut self.net)?
+            };
+            repwf_obs::counter_add(repwf_obs::CounterId::TpnBuilds, 1);
             self.rows = rows;
-            self.tpn_builds += 1;
-            self.built = Some(key);
+            self.generation += 1;
+            self.built = Some((model, self.counts.clone(), edges.to_vec()));
         }
-        self.batch.set_structure(&self.net, k, key);
+        self.batch.set_structure(&self.net, k, self.generation);
         Ok(())
     }
 
@@ -133,23 +114,6 @@ impl ShapeBatchSolver {
     pub fn rows(&self) -> usize {
         self.rows
     }
-
-    /// TPN structure builds performed — one per distinct consecutive
-    /// shape, however many instances flowed through.
-    pub fn tpn_builds(&self) -> u64 {
-        self.tpn_builds
-    }
-
-    /// CSR adjacency builds performed by the underlying solver workspace.
-    pub fn csr_builds(&self) -> u64 {
-        self.batch.csr_builds()
-    }
-
-    /// Tarjan condensation runs performed by the underlying solver
-    /// workspace.
-    pub fn tarjan_runs(&self) -> u64 {
-        self.batch.tarjan_runs()
-    }
 }
 
 #[cfg(test)]
@@ -158,6 +122,28 @@ mod tests {
     use crate::engine::PeriodEngine;
     use crate::model::{Instance, Mapping, Pipeline, Platform};
     use crate::period::Method;
+    use repwf_obs::counted;
+    use repwf_obs::CounterId::{CsrBuilds, TarjanRuns, TpnBuilds};
+
+    /// Opens, stages and solves one batch of `group`, returning the
+    /// per-data-set periods and the (TPN builds, CSR builds, Tarjan runs)
+    /// it took.
+    fn solve_group(
+        solver: &mut ShapeBatchSolver,
+        group: &[Instance],
+        model: CommModel,
+    ) -> (Vec<f64>, [u64; 3]) {
+        let (periods, c) = counted(|| {
+            solver.begin(group[0].view(), model, group.len()).unwrap();
+            for (q, inst) in group.iter().enumerate() {
+                solver.stage(q, inst.view());
+            }
+            let m = solver.rows() as f64;
+            let solved = solver.solve();
+            solved.into_iter().map(|res| res.unwrap().unwrap().period / m).collect()
+        });
+        (periods, [c[TpnBuilds], c[CsrBuilds], c[TarjanRuns]])
+    }
 
     /// Same-shape family: replica counts fixed, processor slots rotated,
     /// heterogeneous speeds so every rotation has distinct times.
@@ -187,44 +173,42 @@ mod tests {
     fn batched_groups_match_cold_engine_bitwise_with_one_structural_phase() {
         for model in [CommModel::Strict, CommModel::Overlap] {
             let mut solver = ShapeBatchSolver::new(4_000_000);
+            // Structural work of the solver so far (TPN, CSR, Tarjan).
+            let mut work = [0; 3];
+            let mut tally = |c: [u64; 3]| {
+                work.iter_mut().zip(c).for_each(|(w, c)| *w += c);
+                work
+            };
             for round in 0..2 {
                 let group: Vec<Instance> = (round * 3..round * 3 + 3).map(rotated).collect();
-                solver.begin(group[0].view(), model, group.len()).unwrap();
-                for (q, inst) in group.iter().enumerate() {
-                    solver.stage(q, inst.view());
-                }
-                let m = solver.rows() as f64;
-                let solved = solver.solve();
-                for (q, (res, inst)) in solved.iter().zip(&group).enumerate() {
-                    let sol = res.as_ref().unwrap().as_ref().unwrap();
+                let (periods, c) = solve_group(&mut solver, &group, model);
+                for (q, (period, inst)) in periods.iter().zip(&group).enumerate() {
                     let reference =
                         PeriodEngine::new().compute(inst, model, Method::FullTpn).unwrap();
                     assert_eq!(
-                        (sol.period / m).to_bits(),
+                        period.to_bits(),
                         reference.period.to_bits(),
                         "{model} round {round} q {q}"
                     );
                 }
                 // Two same-shape groups: one TPN build, one condensation.
-                assert_eq!(
-                    (solver.tpn_builds(), solver.csr_builds(), solver.tarjan_runs()),
-                    (1, 1, 1),
-                    "{model} round {round}"
-                );
+                assert_eq!(tally(c), [1, 1, 1], "{model} round {round}");
             }
             // A different shape rebuilds exactly once more.
             let other = other_shape();
-            solver.begin(other.view(), model, 1).unwrap();
-            solver.stage(0, other.view());
-            let m = solver.rows() as f64;
-            let sol = solver.solve().remove(0).unwrap().unwrap();
+            let (periods, c) = solve_group(&mut solver, std::slice::from_ref(&other), model);
             let reference = PeriodEngine::new().compute(&other, model, Method::FullTpn).unwrap();
-            assert_eq!((sol.period / m).to_bits(), reference.period.to_bits(), "{model}");
-            assert_eq!(
-                (solver.tpn_builds(), solver.csr_builds(), solver.tarjan_runs()),
-                (2, 2, 2),
-                "{model}"
-            );
+            assert_eq!(periods[0].to_bits(), reference.period.to_bits(), "{model}");
+            assert_eq!(tally(c), [2, 2, 2], "{model}");
+            // Back to the first shape: the arena holds the other one now,
+            // so the whole structural phase runs again.
+            let group: Vec<Instance> = (0..2).map(rotated).collect();
+            let (periods, c) = solve_group(&mut solver, &group, model);
+            for (period, inst) in periods.iter().zip(&group) {
+                let reference = PeriodEngine::new().compute(inst, model, Method::FullTpn).unwrap();
+                assert_eq!(period.to_bits(), reference.period.to_bits(), "{model}");
+            }
+            assert_eq!(tally(c), [3, 3, 3], "{model}");
         }
     }
 

@@ -317,12 +317,14 @@ impl MctCache {
 
     /// Number of per-stage recomputations performed over the cache's
     /// lifetime. A full rescan costs `num_stages` of these; a cached
-    /// evaluation after a swap costs at most six.
+    /// evaluation after a swap costs at most six. Kept beside the
+    /// `mct_stage_recomputes` counter because `perfbench` reads it.
     pub fn stage_recomputes(&self) -> u64 {
         self.stage_recomputes
     }
 
-    /// Number of evaluations served.
+    /// Number of evaluations served. Kept beside the `mct_evals` counter
+    /// because `perfbench` reads it.
     pub fn evals(&self) -> u64 {
         self.evals
     }

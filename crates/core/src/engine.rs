@@ -60,9 +60,9 @@
 //! engine's shape signature is threaded down to the `maxplus::Workspace`
 //! as a structure token, so a patched solve also skips the CSR
 //! construction and Tarjan's condensation entirely (zero CSR builds, zero
-//! Tarjan runs — asserted through [`PeriodEngine::csr_builds`] /
-//! [`PeriodEngine::tarjan_runs`]) and jumps straight to warm Howard after
-//! one cost sweep. The patched state is bit-for-bit what a rebuild would
+//! Tarjan runs — the tests assert it on the `repwf-obs` counters through
+//! `repwf_obs::counted`) and jumps straight to warm Howard after one cost
+//! sweep. The patched state is bit-for-bit what a rebuild would
 //! produce, so results (and warm-started solver trajectories) are
 //! identical to the cold path; this is pinned by the property tests in
 //! `crates/core/tests/incremental_props.rs`. Changes that alter any
@@ -81,9 +81,7 @@
 //! rebuilds in the least recently used one. The slots belong to the
 //! oracle, not to [`PeriodEngine`]: campaign engines keep a single arena
 //! and park nothing. [`MappingOracle::reset_patch_state`] and
-//! [`MappingOracle::reset_warm_start`] reach every slot, and the
-//! engine's [`PeriodEngine::csr_builds`] / [`PeriodEngine::tarjan_runs`]
-//! count every arena it solved in, evicted ones included.
+//! [`MappingOracle::reset_warm_start`] reach every slot.
 //!
 //! On top of the solver, [`MappingOracle`] keeps the `M_ct` side
 //! incremental too: a per-session [`MctCache`] caches per-stage
@@ -296,10 +294,6 @@ pub struct PeriodEngine {
     changed: Vec<TransitionId>,
     /// How many full-TPN solves took the incremental patch path.
     patched_solves: u64,
-    /// CSR builds and Tarjan runs of full-TPN solves, summed over every
-    /// arena this engine solved in.
-    csr_builds: u64,
-    tarjan_runs: u64,
 }
 
 impl PeriodEngine {
@@ -337,27 +331,10 @@ impl PeriodEngine {
 
     /// Number of full-TPN solves that took the incremental patch path
     /// (shape-preserving mapping change: firing times re-timed in place,
-    /// cycle-ratio graph re-weighted, no rebuild). Diagnostics for tests
-    /// and the tracked benchmark suite.
+    /// cycle-ratio graph re-weighted, no rebuild). Kept beside the
+    /// `patched_solves` counter because `perfbench` reads it.
     pub fn patched_solves(&self) -> u64 {
         self.patched_solves
-    }
-
-    /// Number of CSR adjacency builds the full-TPN solves have performed,
-    /// over every arena the engine solved in (a [`MappingOracle`]'s parked
-    /// ones included, evicted or not). A shape-preserving patched solve
-    /// performs **zero** — the structure cache serves the condensation of
-    /// the last rebuild — so on a swap walk this stays at the number of
-    /// rebuild solves. Diagnostics for tests and the tracked benchmark
-    /// suite.
-    pub fn csr_builds(&self) -> u64 {
-        self.csr_builds
-    }
-
-    /// Number of Tarjan condensation runs the full-TPN solves have
-    /// performed (see [`PeriodEngine::csr_builds`]).
-    pub fn tarjan_runs(&self) -> u64 {
-        self.tarjan_runs
     }
 
     /// Forgets the patch precondition: the next full-TPN solve rebuilds
@@ -536,7 +513,6 @@ impl PeriodEngine {
                     && (self.arena.shape.as_ref().is_some_and(|s| s.matches(model, view))
                         || slots.is_some_and(|s| s.select(&mut self.arena, model, view)));
                 let Arena { net, scratch, shape } = &mut self.arena;
-                let (csr_before, tarjan_before) = (scratch.csr_builds(), scratch.tarjan_runs());
                 let solved = if patchable {
                     self.patched_solves += 1;
                     repwf_obs::counter_add(repwf_obs::CounterId::PatchedSolves, 1);
@@ -566,8 +542,6 @@ impl PeriodEngine {
                     }
                     res
                 };
-                self.csr_builds += scratch.csr_builds() - csr_before;
-                self.tarjan_runs += scratch.tarjan_runs() - tarjan_before;
                 // On error `solve_session` forgets the patch state (and
                 // the workspace already dropped its structure cache).
                 let sol = solved
@@ -931,6 +905,8 @@ mod tests {
     use super::*;
     use crate::model::{Mapping, Pipeline, Platform};
     use crate::period::compute_period_with;
+    use repwf_obs::counted;
+    use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
 
     fn inst(replicas: &[usize], work: f64, file: f64) -> Instance {
         let n = replicas.len();
@@ -1031,15 +1007,17 @@ mod tests {
         // Tarjan runs — the structure cache serves the condensation.
         for model in [CommModel::Overlap, CommModel::Strict] {
             let mut engine = PeriodEngine::new().warm_start(true);
-            engine.compute(&swapped(0), model, Method::FullTpn).unwrap();
-            assert_eq!((engine.csr_builds(), engine.tarjan_runs()), (1, 1), "{model}");
-            for k in 1..8 {
-                engine.compute(&swapped(k), model, Method::FullTpn).unwrap();
-            }
+            let (_, c) = counted(|| engine.compute(&swapped(0), model, Method::FullTpn).unwrap());
+            assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1), "{model}");
+            let (_, c) = counted(|| {
+                for k in 1..8 {
+                    engine.compute(&swapped(k), model, Method::FullTpn).unwrap();
+                }
+            });
             assert_eq!(engine.patched_solves(), 7, "{model}");
             assert_eq!(
-                (engine.csr_builds(), engine.tarjan_runs()),
-                (1, 1),
+                (c[CsrBuilds], c[TarjanRuns]),
+                (0, 0),
                 "{model}: patched solves must not rebuild CSR or rerun Tarjan"
             );
         }
@@ -1052,18 +1030,21 @@ mod tests {
         // AND the cached condensation, so the next call rebuilds cold.
         let mut engine = PeriodEngine::new().warm_start(true);
         let a = swapped(0);
-        engine.compute(&a, CommModel::Strict, Method::FullTpn).unwrap();
-        engine.compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
+        let (_, c) = counted(|| {
+            engine.compute(&a, CommModel::Strict, Method::FullTpn).unwrap();
+            engine.compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
+        });
         assert_eq!(engine.patched_solves(), 1);
-        assert_eq!(engine.csr_builds(), 1);
+        assert_eq!(c[CsrBuilds], 1);
         assert!(matches!(
             engine.compute(&a, CommModel::Strict, Method::Polynomial),
             Err(PeriodError::PolynomialNeedsOverlap)
         ));
         let before = engine.patched_solves();
-        let r = engine.compute(&swapped(2), CommModel::Strict, Method::FullTpn).unwrap();
+        let (r, c) =
+            counted(|| engine.compute(&swapped(2), CommModel::Strict, Method::FullTpn).unwrap());
         assert_eq!(engine.patched_solves(), before, "errored solve must force a rebuild");
-        assert_eq!(engine.csr_builds(), 2);
+        assert_eq!(c[CsrBuilds], 1);
         let cold =
             PeriodEngine::new().compute(&swapped(2), CommModel::Strict, Method::FullTpn).unwrap();
         assert_eq!(r.period.to_bits(), cold.period.to_bits());
@@ -1075,11 +1056,13 @@ mod tests {
     #[test]
     fn reset_patch_state_forces_full_rebuild() {
         let mut engine = PeriodEngine::new().warm_start(true);
-        engine.compute(&swapped(0), CommModel::Strict, Method::FullTpn).unwrap();
-        engine.reset_patch_state();
-        let r = engine.compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
+        let (r, c) = counted(|| {
+            engine.compute(&swapped(0), CommModel::Strict, Method::FullTpn).unwrap();
+            engine.reset_patch_state();
+            engine.compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap()
+        });
         assert_eq!(engine.patched_solves(), 0);
-        assert_eq!(engine.csr_builds(), 2);
+        assert_eq!(c[CsrBuilds], 2);
         let cold =
             PeriodEngine::new().compute(&swapped(1), CommModel::Strict, Method::FullTpn).unwrap();
         assert_eq!(r.period.to_bits(), cold.period.to_bits());

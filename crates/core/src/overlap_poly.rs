@@ -216,13 +216,6 @@ impl OverlapScratch {
         }
     }
 
-    /// CSR builds of every pattern workspace (each build is followed by
-    /// one Tarjan run).
-    #[cfg(test)]
-    pub(crate) fn csr_builds(&self) -> u64 {
-        self.slots.iter().map(|slot| slot.ws.csr_builds()).sum()
-    }
-
     /// Pattern graphs solved so far.
     #[cfg(test)]
     pub(crate) fn pattern_solves(&self) -> u64 {
@@ -441,9 +434,14 @@ mod tests {
     }
 
     /// The polynomial period of `inst` through a caller-owned scratch.
-    fn walked_period(scratch: &mut OverlapScratch, inst: &Instance) -> f64 {
+    /// The period of `inst` through `scratch`, adding the CSR builds the
+    /// walk took to `builds`.
+    fn walked_period(scratch: &mut OverlapScratch, inst: &Instance, builds: &mut u64) -> f64 {
         let mut best = f64::NEG_INFINITY;
-        walk_columns(inst.view(), scratch, None, |_, period, _| best = best.max(period));
+        let (_, c) = repwf_obs::counted(|| {
+            walk_columns(inst.view(), scratch, None, |_, period, _| best = best.max(period))
+        });
+        *builds += c[repwf_obs::CounterId::CsrBuilds];
         best
     }
 
@@ -467,18 +465,19 @@ mod tests {
             .collect();
         let pairs = 6;
         let mut scratch = OverlapScratch::default();
+        let mut builds = 0;
         for _ in 0..3 {
             for inst in &insts {
-                let period = walked_period(&mut scratch, inst);
+                let period = walked_period(&mut scratch, inst, &mut builds);
                 assert_eq!(period.to_bits(), overlap_period(inst).period.to_bits());
             }
         }
-        assert_eq!(scratch.csr_builds(), pairs, "one CSR build per (u, v) pair");
+        assert_eq!(builds, pairs, "one CSR build per (u, v) pair");
         scratch.clear_structure_cache();
         for inst in &insts {
-            walked_period(&mut scratch, inst);
+            walked_period(&mut scratch, inst, &mut builds);
         }
-        assert_eq!(scratch.csr_builds(), 2 * pairs, "a reset rebuilds every pair once");
+        assert_eq!(builds, 2 * pairs, "a reset rebuilds every pair once");
     }
 
     #[test]
@@ -487,25 +486,26 @@ mod tests {
         let insts: Vec<Instance> =
             (1..=PATTERN_SLOTS + 1).map(|k| chain_instance(&[1, k], 1.0, 1.0)).collect();
         let mut scratch = OverlapScratch::default();
+        let mut builds = 0;
         for _ in 0..2 {
             for inst in &insts {
-                walked_period(&mut scratch, inst);
+                walked_period(&mut scratch, inst, &mut builds);
             }
         }
         let misses = 2 * insts.len() as u64;
-        assert_eq!(scratch.csr_builds(), misses);
+        assert_eq!(builds, misses);
         // The PATTERN_SLOTS most recent pairs are all still cached.
         for inst in insts.iter().rev().take(PATTERN_SLOTS) {
-            walked_period(&mut scratch, inst);
+            walked_period(&mut scratch, inst, &mut builds);
         }
-        assert_eq!(scratch.csr_builds(), misses);
+        assert_eq!(builds, misses);
         // After a reset every pair rebuilds, even one landing in the slot
         // that held its structure (oldest first, as the LRU hands out).
         scratch.clear_structure_cache();
         for inst in insts.iter().rev().take(PATTERN_SLOTS) {
-            walked_period(&mut scratch, inst);
+            walked_period(&mut scratch, inst, &mut builds);
         }
-        assert_eq!(scratch.csr_builds(), misses + PATTERN_SLOTS as u64);
+        assert_eq!(builds, misses + PATTERN_SLOTS as u64);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! rebuild fallback), interleaved arbitrarily. The comparison covers the
 //! period, the incremental `M_ct` (the oracle's `MctCache` vs. the cold
 //! engine's full rescan) and the critical-resource description, and the
-//! workspace counters pin that every patched solve was structurally free:
-//! zero CSR builds, zero Tarjan runs.
+//! `repwf-obs` counters pin that every patched solve was structurally
+//! free: zero CSR builds, zero Tarjan runs.
 //!
 //! "Bit for bit" is exact: the patched TPN and re-weighted cycle-ratio
 //! graph are required to be indistinguishable from freshly built ones, and
@@ -21,6 +21,8 @@ use rand::{Rng, SeedableRng};
 use repwf_core::engine::{MappingOracle, PeriodEngine};
 use repwf_core::model::{CommModel, Instance, Mapping, Pipeline, Platform};
 use repwf_core::period::Method;
+use repwf_obs::counted;
+use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
 
 /// A deterministic heterogeneous platform: every speed and bandwidth is a
 /// distinct "generic" value, so no two circuits tie.
@@ -101,12 +103,18 @@ fn check_walk(model: CommModel, seed: u64, moves: usize) -> u64 {
     }
 
     let mut oracle = MappingOracle::new(&pipeline, &platform).warm_start(true);
+    // CSR builds and Tarjan runs of the incremental solves.
+    let (mut csr_builds, mut tarjan_runs) = (0, 0);
     for step in 0..moves {
         random_move(&mut assignment, p, &mut rng);
         let mapping = Mapping::new(assignment.clone()).expect("moves preserve validity");
-        let incremental = oracle
-            .compute(&mapping, model, Method::FullTpn)
-            .expect("walk instances stay under the size cap");
+        let (incremental, c) = counted(|| {
+            oracle
+                .compute(&mapping, model, Method::FullTpn)
+                .expect("walk instances stay under the size cap")
+        });
+        csr_builds += c[CsrBuilds];
+        tarjan_runs += c[TarjanRuns];
         let inst =
             Instance::new(pipeline.clone(), platform.clone(), mapping).expect("valid triple");
         let cold = PeriodEngine::new()
@@ -130,12 +138,12 @@ fn check_walk(model: CommModel, seed: u64, moves: usize) -> u64 {
     // Every solve is a full-TPN solve; rebuild solves condense exactly
     // once, patched solves must not touch the structure at all.
     assert_eq!(
-        engine.csr_builds(),
+        csr_builds,
         moves as u64 - patched,
         "{model} seed {seed}: a patched solve built a CSR"
     );
     assert_eq!(
-        engine.tarjan_runs(),
+        tarjan_runs,
         moves as u64 - patched,
         "{model} seed {seed}: a patched solve ran Tarjan"
     );

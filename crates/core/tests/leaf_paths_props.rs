@@ -12,8 +12,8 @@
 //!   add/remove-replica moves changes the TPN shape at every step, so it
 //!   can patch only by swapping a parked arena back in. Every step must
 //!   stay bit-identical to a cold rebuild, the walk must patch when it
-//!   revisits a shape, and the engine's counters must add up over every
-//!   arena used, evicted ones included.
+//!   revisits a shape, and the CSR builds and Tarjan runs must add up
+//!   over every arena used, evicted ones included.
 //! * **Session caches together.** A [`MappingOracle`] walk mixing add,
 //!   remove, shift and swap moves on chains and SP DAGs, alternating the
 //!   two models and the `Auto`/`Polynomial`/`FullTpn` methods, with
@@ -39,6 +39,8 @@ use repwf_core::model::{CommModel, Instance, Mapping, Pipeline, Platform};
 use repwf_core::overlap_poly::{overlap_period_view, Bottleneck};
 use repwf_core::period::Method;
 use repwf_core::tpn_build::BuildOptions;
+use repwf_obs::counted;
+use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
 
 /// Precedence graphs: chains and series-parallel DAGs (stage ids in
 /// topological order, one source, one sink).
@@ -149,6 +151,7 @@ fn shape_walk(model: CommModel, seed: u64, moves: usize) -> (u64, u64, u64) {
     }
     let mut assignment: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let mut oracle = MappingOracle::new(&pipeline, &platform).warm_start(true);
+    let (mut csr_builds, mut tarjan_runs) = (0, 0);
     for step in 0..moves {
         let used: Vec<usize> = assignment.iter().flatten().copied().collect();
         let unused: Vec<usize> = (0..p).filter(|u| !used.contains(u)).collect();
@@ -163,15 +166,15 @@ fn shape_walk(model: CommModel, seed: u64, moves: usize) -> (u64, u64, u64) {
             assignment[i].remove(k);
         }
         let mapping = Mapping::new(assignment.clone()).unwrap();
-        let got = oracle.compute(&mapping, model, Method::FullTpn).unwrap();
+        let (got, c) = counted(|| oracle.compute(&mapping, model, Method::FullTpn).unwrap());
+        (csr_builds, tarjan_runs) = (csr_builds + c[CsrBuilds], tarjan_runs + c[TarjanRuns]);
         let inst = Instance::new(pipeline.clone(), platform.clone(), mapping).unwrap();
         let cold = PeriodEngine::new().compute(&inst, model, Method::FullTpn).unwrap();
         assert_eq!(got.period.to_bits(), cold.period.to_bits(), "{model} seed {seed} step {step}");
         assert_eq!(got.mct.to_bits(), cold.mct.to_bits(), "{model} seed {seed} step {step}");
         assert_eq!(got.critical, cold.critical, "{model} seed {seed} step {step}");
     }
-    let engine = oracle.into_engine();
-    (engine.patched_solves(), engine.csr_builds(), engine.tarjan_runs())
+    (oracle.into_engine().patched_solves(), csr_builds, tarjan_runs)
 }
 
 #[test]

@@ -498,22 +498,13 @@ pub fn shape_stats(cfg: &GenConfig, count: usize, seed_base: u64) -> (usize, f64
 }
 
 /// Structural-solve totals of the canonical batched campaign schedule
-/// (see [`structural_stats`]).
+/// (see [`structural_stats`]). Kept because `perfbench` checks its replay
+/// of the schedule against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StructuralStats {
-    /// Oracle solves that took the engine's shape-preserving patch path.
-    /// The shape-batched scheduler replaces per-instance patching with
-    /// shared-structure batch passes, so this is zero for every campaign
-    /// it routes (and the overlap model never builds a TPN at all) — the
-    /// field pins that the batched schedule pays **no** per-instance
-    /// incremental solves, mirroring `PeriodEngine::patched_solves`.
-    pub patched_solves: u64,
-    /// CSR adjacency builds: one structural phase per batch chunk.
+    /// CSR adjacency builds (each followed by one Tarjan run): one
+    /// structural phase per batch chunk.
     pub csr_builds: u64,
-    /// Tarjan condensations: one per batch chunk (always equal to
-    /// `csr_builds` on this schedule; reported separately to mirror the
-    /// engine counters).
-    pub tarjan_runs: u64,
 }
 
 /// Replays the runner's static routing and returns the structural work of
@@ -538,7 +529,7 @@ pub fn structural_stats_workflow(
     let spec = CampaignSpec { cfg: *cfg, model, count, seed_base, cap };
     let (tasks, _) = route(&spec, topo);
     let chunks = tasks.iter().filter(|t| matches!(t, Task::Chunk(_))).count() as u64;
-    StructuralStats { patched_solves: 0, csr_builds: chunks, tarjan_runs: chunks }
+    StructuralStats { csr_builds: chunks }
 }
 
 /// [`structural_stats_workflow`] on the linear chain topology — the shape
@@ -655,6 +646,8 @@ fn solve_chunk(
 mod tests {
     use super::*;
     use crate::sampler::Range;
+    use repwf_obs::counted;
+    use repwf_obs::CounterId::{CsrBuilds, PatchedSolves, TarjanRuns};
     use std::sync::Mutex;
 
     fn small_cfg() -> GenConfig {
@@ -1053,11 +1046,15 @@ mod tests {
         let stats = structural_stats(&cfg, CommModel::Strict, 24, 900, 200_000);
         let (distinct, _) = shape_stats(&cfg, 24, 900);
         // One structural phase per chunk: at least one chunk per in-cap
-        // shape, at most one per experiment; Tarjan rides every CSR build.
-        assert_eq!(stats.tarjan_runs, stats.csr_builds);
+        // shape, at most one per experiment.
         assert!(stats.csr_builds >= distinct as u64);
         assert!(stats.csr_builds <= 24);
-        assert_eq!(stats.patched_solves, 0, "batched schedule never patches");
+        // The run itself: Tarjan rides every CSR build, and reuse across
+        // chunks never builds more than the replay derives.
+        let (_, c) = counted(|| run_campaign_batched(&cfg, CommModel::Strict, 24, 900, 1, 200_000));
+        assert_eq!(c[TarjanRuns], c[CsrBuilds]);
+        assert!(c[CsrBuilds] >= distinct as u64 && c[CsrBuilds] <= stats.csr_builds, "{c:?}");
+        assert_eq!(c[PatchedSolves], 0, "batched schedule never patches");
         // Purely spec-derived: identical on every call.
         assert_eq!(structural_stats(&cfg, CommModel::Strict, 24, 900, 200_000), stats);
 
@@ -1070,6 +1067,8 @@ mod tests {
         // still count as one structural phase each: a campaign of one
         // in-cap draw is one chunk.
         let single = structural_stats(&cfg, CommModel::Strict, 1, 900, 200_000);
-        assert_eq!((single.csr_builds, single.tarjan_runs), (1, 1));
+        assert_eq!(single.csr_builds, 1);
+        let (_, c) = counted(|| run_campaign_batched(&cfg, CommModel::Strict, 1, 900, 1, 200_000));
+        assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1));
     }
 }

@@ -1051,6 +1051,8 @@ fn extract_witness_lane(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use repwf_obs::counted;
+    use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
 
     /// A small deterministic pseudo-random stream (the vendored `rand` is
     /// not a dependency of this crate).
@@ -1147,6 +1149,8 @@ mod tests {
         let mut ws = Workspace::new();
         let mut scratch = BatchScratch::new();
         let mut planes = CostPlanes::new();
+        // CSR builds and Tarjan runs over the rounds so far.
+        let mut built = [0, 0];
         for round in 0..4 {
             planes.reset(3, ne);
             for q in 0..3 {
@@ -1154,18 +1158,21 @@ mod tests {
                     *c = rng.f64_in(0.0, 10.0);
                 }
             }
-            let batch = ws.max_cycle_ratio_batch(&structure, 99, &planes, &mut scratch);
+            let (batch, c) =
+                counted(|| ws.max_cycle_ratio_batch(&structure, 99, &planes, &mut scratch));
             assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
+            built[0] += c[CsrBuilds];
+            built[1] += c[TarjanRuns];
             assert_eq!(
-                (ws.csr_builds(), ws.tarjan_runs()),
-                (1, 1),
+                built,
+                [1, 1],
                 "round {round}: repeat batches with one token must not rebuild"
             );
         }
         // Token miss: rebuilds once.
         planes.reset(1, ne);
-        ws.max_cycle_ratio_batch(&structure, 100, &planes, &mut scratch);
-        assert_eq!((ws.csr_builds(), ws.tarjan_runs()), (2, 2));
+        let (_, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 100, &planes, &mut scratch));
+        assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1));
     }
 
     #[test]
@@ -1195,10 +1202,9 @@ mod tests {
             assert_bitwise_eq(&batch[q..q + 1], &[solo]);
         }
         // A failed lane leaves the cache cold: same token rebuilds.
-        let builds = ws.csr_builds();
         planes.plane_mut(1)[5] = 2.0;
-        let batch = ws.max_cycle_ratio_batch(&structure, 5, &planes, &mut scratch);
-        assert_eq!(ws.csr_builds(), builds + 1, "errored batch must clear the cache");
+        let (batch, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 5, &planes, &mut scratch));
+        assert_eq!(c[CsrBuilds], 1, "errored batch must clear the cache");
         assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
     }
 

@@ -38,9 +38,9 @@
 //! what makes a shape-preserving patched oracle call structurally free:
 //! the whole per-solve cost is one cost sweep plus the policy iterations.
 //! The cache is invalidated on any token or dimension miss, on a solve
-//! error, and whenever another call rebuilds the CSR; the
-//! [`Workspace::csr_builds`] / [`Workspace::tarjan_runs`] counters let
-//! callers (and the test suite) assert that patched solves really skip the
+//! error, and whenever another call rebuilds the CSR; the `csr_builds` /
+//! `tarjan_runs` counters of `repwf-obs` let the test suite assert
+//! (through `repwf_obs::counted`) that patched solves really skip the
 //! structural work.
 //!
 //! The CSR keeps the edge data in **structure-of-arrays** form
@@ -58,8 +58,7 @@
 //! (the *choice vertices*), in member order. The index is part of the
 //! condensation, so it lives exactly as long as the structure token does:
 //! structure hits — patched solves, pattern slots, batch chunks — reuse it,
-//! and [`Workspace::csr_builds`] / [`Workspace::tarjan_runs`] keep their
-//! meaning. Cold initialization, the warm keep and the eps fold still visit
+//! and the `csr_builds` / `tarjan_runs` counters keep their meaning. Cold initialization, the warm keep and the eps fold still visit
 //! every member (a forced vertex's max-cost edge is its only edge); the
 //! two improvement phases visit the choice vertices only. Policy
 //! evaluation also reports whether every policy cycle it found has the
@@ -337,10 +336,6 @@ pub struct Workspace {
     /// solve error, a token/dimension miss, or any other solver rebuilding
     /// the CSR). See [`Workspace::max_cycle_ratio_cached`].
     struct_sig: Option<(u64, usize, usize)>,
-    /// How many times the CSR adjacency was (re)built.
-    csr_builds: u64,
-    /// How many times Tarjan's condensation ran.
-    tarjan_runs: u64,
 }
 
 impl Workspace {
@@ -356,7 +351,7 @@ impl Workspace {
         SccView { comp_offsets: &self.comp_offsets, comp_vertices: &self.comp_vertices }
     }
 
-    /// (Re)builds the CSR adjacency of `g`, bumping the build counter and
+    /// (Re)builds the CSR adjacency of `g`, counting the build and
     /// forgetting the structure cache (the cached condensation may no
     /// longer describe the CSR contents).
     fn rebuild_csr(&mut self, g: &RatioGraph) {
@@ -364,7 +359,6 @@ impl Workspace {
         self.struct_sig = None;
         self.csr.build(g);
         self.plans.clear();
-        self.csr_builds += 1;
         repwf_obs::counter_add(repwf_obs::CounterId::CsrBuilds, 1);
     }
 
@@ -385,21 +379,7 @@ impl Workspace {
             &mut self.comp_vertices,
         );
         self.choice.build(&self.csr, &self.comp, &self.comp_offsets, &self.comp_vertices);
-        self.tarjan_runs += 1;
         repwf_obs::counter_add(repwf_obs::CounterId::TarjanRuns, 1);
-    }
-
-    /// Number of CSR adjacency (re)builds performed by this workspace.
-    /// With [`Workspace::max_cycle_ratio_cached`], a structure hit performs
-    /// none — the counter (with [`Workspace::tarjan_runs`]) is how tests
-    /// and benches assert that patched solves skip the structural work.
-    pub fn csr_builds(&self) -> u64 {
-        self.csr_builds
-    }
-
-    /// Number of Tarjan condensation runs performed by this workspace.
-    pub fn tarjan_runs(&self) -> u64 {
-        self.tarjan_runs
     }
 
     /// Howard's policy iteration with cold-started (deterministic) policy
@@ -427,8 +407,7 @@ impl Workspace {
     /// solve and the vertex/edge counts match, the CSR adjacency and the
     /// Tarjan condensation are reused as-is — only the structure-of-arrays
     /// cost mirror is refreshed from `g` ([`Csr::refresh_costs`]) before
-    /// policy iteration starts. Zero CSR builds, zero Tarjan runs on a hit
-    /// (assert via [`Workspace::csr_builds`] / [`Workspace::tarjan_runs`]).
+    /// policy iteration starts. Zero CSR builds, zero Tarjan runs on a hit.
     ///
     /// **Token contract:** two calls presenting the same token and the
     /// same dimensions must present *structurally identical* graphs — the
@@ -1032,6 +1011,8 @@ fn extract_witness(
 mod tests {
     use super::*;
     use crate::howard::max_cycle_ratio;
+    use repwf_obs::counted;
+    use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
 
     fn diamond() -> RatioGraph {
         let mut g = RatioGraph::new(4);
@@ -1212,9 +1193,9 @@ mod tests {
     fn cached_solve_skips_csr_and_tarjan_and_matches_bitwise() {
         let mut ws = Workspace::new();
         let mut g = diamond();
-        let first = ws.max_cycle_ratio_cached(&g, 7, true).unwrap().unwrap();
+        let (first, c) = counted(|| ws.max_cycle_ratio_cached(&g, 7, true).unwrap().unwrap());
         assert_eq!(first.ratio.to_bits(), max_cycle_ratio(&g).unwrap().unwrap().ratio.to_bits());
-        assert_eq!((ws.csr_builds(), ws.tarjan_runs()), (1, 1));
+        assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1));
         // Re-weight every edge in place (structure untouched): the cached
         // solve must skip CSR + Tarjan and still match a cold solve bit
         // for bit.
@@ -1222,29 +1203,29 @@ mod tests {
             for (i, c) in [4.0, 6.0, 5.0, 2.5, 3.0, 1.0].iter().enumerate() {
                 g.set_edge_cost(i, c * (1.3 + 0.1 * f64::from(k)));
             }
-            let cached = ws.max_cycle_ratio_cached(&g, 7, true).unwrap().unwrap();
+            let (cached, c) = counted(|| ws.max_cycle_ratio_cached(&g, 7, true).unwrap().unwrap());
+            assert_eq!((c[CsrBuilds], c[TarjanRuns]), (0, 0), "hits must not rebuild");
             let cold = max_cycle_ratio(&g).unwrap().unwrap();
             assert_eq!(cached.ratio.to_bits(), cold.ratio.to_bits(), "k={k}");
             assert_eq!(cached.cycle, cold.cycle);
         }
-        assert_eq!((ws.csr_builds(), ws.tarjan_runs()), (1, 1), "hits must not rebuild");
     }
 
     #[test]
     fn cached_solve_token_or_dimension_miss_rebuilds() {
         let mut ws = Workspace::new();
         let g = diamond();
-        ws.max_cycle_ratio_cached(&g, 1, false).unwrap();
-        assert_eq!(ws.csr_builds(), 1);
-        // Token miss: same graph, different token.
-        ws.max_cycle_ratio_cached(&g, 2, false).unwrap();
-        assert_eq!(ws.csr_builds(), 2);
-        // Dimension miss: same token, different graph size.
         let mut small = RatioGraph::new(2);
         small.add_edge(0, 1, 3.0, 1);
         small.add_edge(1, 0, 5.0, 1);
-        let sol = ws.max_cycle_ratio_cached(&small, 2, false).unwrap().unwrap();
-        assert_eq!(ws.csr_builds(), 3);
+        let (sol, c) = counted(|| {
+            ws.max_cycle_ratio_cached(&g, 1, false).unwrap();
+            // Token miss: same graph, different token.
+            ws.max_cycle_ratio_cached(&g, 2, false).unwrap();
+            // Dimension miss: same token, different graph size.
+            ws.max_cycle_ratio_cached(&small, 2, false).unwrap().unwrap()
+        });
+        assert_eq!(c[CsrBuilds], 3);
         assert!((sol.ratio - 4.0).abs() < 1e-12);
     }
 
@@ -1255,11 +1236,11 @@ mod tests {
         bad.add_edge(0, 1, 1.0, 0);
         bad.add_edge(1, 0, 1.0, 0);
         assert!(ws.max_cycle_ratio_cached(&bad, 9, false).is_err());
-        let builds = ws.csr_builds();
         // Same token and dimensions again: the failed solve must not have
         // recorded a reusable structure, so this call rebuilds.
-        assert!(ws.max_cycle_ratio_cached(&bad, 9, false).is_err());
-        assert_eq!(ws.csr_builds(), builds + 1, "errored solve must clear the cache");
+        let (res, c) = counted(|| ws.max_cycle_ratio_cached(&bad, 9, false));
+        assert!(res.is_err());
+        assert_eq!(c[CsrBuilds], 1, "errored solve must clear the cache");
         // And the workspace stays fully usable.
         let g = diamond();
         let sol = ws.max_cycle_ratio_cached(&g, 10, true).unwrap().unwrap();
@@ -1271,14 +1252,14 @@ mod tests {
         let mut ws = Workspace::new();
         let g = diamond();
         ws.max_cycle_ratio_cached(&g, 4, false).unwrap();
-        let builds = ws.csr_builds();
         // A plain condensation rebuilds the CSR: the cached structure
         // may no longer describe it.
-        ws.scc(&g);
-        assert!(ws.csr_builds() > builds);
-        let builds = ws.csr_builds();
-        ws.max_cycle_ratio_cached(&g, 4, false).unwrap();
-        assert_eq!(ws.csr_builds(), builds + 1, "cache must not survive a foreign rebuild");
+        let (_, c) = counted(|| {
+            ws.scc(&g);
+        });
+        assert!(c[CsrBuilds] > 0);
+        let (_, c) = counted(|| ws.max_cycle_ratio_cached(&g, 4, false).unwrap());
+        assert_eq!(c[CsrBuilds], 1, "cache must not survive a foreign rebuild");
     }
 
     /// Multiple SCCs of varying size plus acyclic glue, so the parallel

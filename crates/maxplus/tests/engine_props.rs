@@ -21,6 +21,8 @@ use maxplus::lawler::max_cycle_ratio_lawler;
 use maxplus::workspace::Workspace;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
+use repwf_obs::counted;
+use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
 
 /// Most vertices a generated graph has.
 const MAX_N: usize = 16;
@@ -117,9 +119,11 @@ proptest! {
         // hit (choice index reused), cold and warm.
         for warm in [false, true] {
             let mut ws = Workspace::new();
-            ws.max_cycle_ratio_cached(&warmup, 7, warm).expect("live");
-            let hit = ws.max_cycle_ratio_cached(&g, 7, warm).expect("live").expect("cyclic");
-            prop_assert_eq!((ws.csr_builds(), ws.tarjan_runs()), (1, 1));
+            let (hit, c) = counted(|| {
+                ws.max_cycle_ratio_cached(&warmup, 7, warm).expect("live");
+                ws.max_cycle_ratio_cached(&g, 7, warm).expect("live").expect("cyclic")
+            });
+            prop_assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1));
             assert_bitwise(&hit, &cold, &format!("cached hit, warm={warm}"))?;
         }
         // Per-SCC parallel solves.

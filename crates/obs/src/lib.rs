@@ -27,8 +27,8 @@ mod sink;
 mod span;
 
 pub use metrics::{
-    bucket_of, snapshot, CounterId, MetricsSnapshot, SpanId, SpanStat, NUM_BUCKETS, NUM_COUNTERS,
-    NUM_SPANS,
+    bucket_of, snapshot, CounterId, Counts, MetricsSnapshot, SpanId, SpanStat, NUM_BUCKETS,
+    NUM_COUNTERS, NUM_SPANS,
 };
 pub use ndjson::Checksum;
 pub use span::{thread_id, SpanGuard};
@@ -74,6 +74,19 @@ pub fn counter_add(id: CounterId, n: u64) {
     if enabled() {
         metrics::add(id, n);
     }
+}
+
+/// Runs `f` with telemetry on and returns its result with the counts it
+/// added **on the calling thread**. Shards are per thread, so concurrent
+/// callers (parallel tests) never see each other's counts, and work `f`
+/// hands to other threads is not counted. This is how tests read the
+/// solver counters; enabling is idempotent and only observes.
+pub fn counted<R>(f: impl FnOnce() -> R) -> (R, Counts) {
+    enable();
+    let before = metrics::thread_counters();
+    let r = f();
+    let after = metrics::thread_counters();
+    (r, Counts(std::array::from_fn(|i| after[i] - before[i])))
 }
 
 /// Open a timed span; the returned guard records on drop. Inert (and
@@ -163,6 +176,38 @@ mod tests {
         let err = report::read_trace(&trunc).unwrap_err();
         assert!(err.contains("footer"), "unexpected error: {err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn counted_sees_only_its_own_thread() {
+        let (_, none) = counted(|| ());
+        assert_eq!(none, Counts([0; NUM_COUNTERS]));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (1..=2u64)
+                .map(|n| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        counted(|| {
+                            // Both threads count at the same time.
+                            barrier.wait();
+                            for _ in 0..1000 {
+                                counter_add(CounterId::CsrBuilds, n);
+                            }
+                            counter_add(CounterId::TpnBuilds, n);
+                            barrier.wait();
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            for (n, worker) in (1..=2u64).zip(workers) {
+                let mut want = [0; NUM_COUNTERS];
+                want[CounterId::CsrBuilds.index()] = 1000 * n;
+                want[CounterId::TpnBuilds.index()] = n;
+                assert_eq!(worker.join().unwrap(), Counts(want));
+            }
+        });
     }
 
     #[test]

@@ -314,6 +314,27 @@ pub(crate) fn record_span(id: SpanId, dur_ns: u64) {
     }
 }
 
+/// The calling thread's counters, as its shard holds them now (zeros while
+/// the thread tears down its TLS).
+pub(crate) fn thread_counters() -> [u64; NUM_COUNTERS] {
+    SHARD
+        .try_with(|h| std::array::from_fn(|i| h.0.counters[i].load(Relaxed)))
+        .unwrap_or([0; NUM_COUNTERS])
+}
+
+/// Counter increments of one [`crate::counted`] call, indexed by
+/// [`CounterId`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counts(pub [u64; NUM_COUNTERS]);
+
+impl std::ops::Index<CounterId> for Counts {
+    type Output = u64;
+
+    fn index(&self, id: CounterId) -> &u64 {
+        &self.0[id.index()]
+    }
+}
+
 /// Union of the retired accumulator and every live shard.
 pub fn snapshot() -> MetricsSnapshot {
     let mut snap = RETIRED.lock().unwrap().clone();

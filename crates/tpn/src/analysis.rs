@@ -110,19 +110,6 @@ impl PeriodScratch {
         self.ws.clear_warm_start();
     }
 
-    /// Number of CSR adjacency builds the underlying solver workspace has
-    /// performed. A patched solve on an unchanged structure performs none
-    /// — tests and the tracked benches assert it through this counter.
-    pub fn csr_builds(&self) -> u64 {
-        self.ws.csr_builds()
-    }
-
-    /// Number of Tarjan condensation runs the underlying solver workspace
-    /// has performed (see [`PeriodScratch::csr_builds`]).
-    pub fn tarjan_runs(&self) -> u64 {
-        self.ws.tarjan_runs()
-    }
-
     fn build_pre_index(&mut self, net: &TimedEventGraph) {
         let n = net.num_transitions();
         self.pre_offsets.clear();
@@ -302,18 +289,6 @@ impl PeriodBatch {
             .map(convert)
             .collect()
     }
-
-    /// CSR adjacency builds performed by the underlying workspace — one
-    /// per distinct structure, however many batches flow through.
-    pub fn csr_builds(&self) -> u64 {
-        self.ws.csr_builds()
-    }
-
-    /// Tarjan condensation runs performed by the underlying workspace
-    /// (see [`PeriodBatch::csr_builds`]).
-    pub fn tarjan_runs(&self) -> u64 {
-        self.ws.tarjan_runs()
-    }
 }
 
 fn convert(
@@ -349,6 +324,17 @@ pub fn period_lawler(net: &TimedEventGraph) -> Result<Option<PeriodSolution>, An
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repwf_obs::counted;
+    use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
+
+    /// Runs `f`, adding its CSR builds and Tarjan runs on this thread to
+    /// `acc`.
+    fn tally<R>(acc: &mut (u64, u64), f: impl FnOnce() -> R) -> R {
+        let (r, c) = counted(f);
+        acc.0 += c[CsrBuilds];
+        acc.1 += c[TarjanRuns];
+        r
+    }
 
     #[test]
     fn ping_pong_period() {
@@ -465,24 +451,31 @@ mod tests {
         let mut net = TimedEventGraph::new();
         let mut patched = PeriodScratch::new();
         let mut rebuilt = PeriodScratch::new();
+        // (CSR builds, Tarjan runs) of each scratch's solves.
+        let (mut patched_work, mut rebuilt_work) = ((0, 0), (0, 0));
         build(&mut net, 2.0, 4.0);
         for warm in [false, true] {
-            let a = period_with(&net, &mut patched, warm).unwrap().unwrap();
-            let b = period_with(&net, &mut rebuilt, warm).unwrap().unwrap();
+            let a = tally(&mut patched_work, || period_with(&net, &mut patched, warm));
+            let b = tally(&mut rebuilt_work, || period_with(&net, &mut rebuilt, warm));
+            let (a, b) = (a.unwrap().unwrap(), b.unwrap().unwrap());
             assert_eq!(a.period.to_bits(), b.period.to_bits());
             for k in 1..=4u32 {
                 let (ta, tb) = (2.0 + f64::from(k), 4.0 + 0.5 * f64::from(k));
                 net.patch(TransitionId(0), ta);
                 net.patch(TransitionId(1), tb);
-                let p = period_patched_with(
-                    &net,
-                    &mut patched,
-                    warm,
-                    &[TransitionId(0), TransitionId(1)],
-                )
+                let p = tally(&mut patched_work, || {
+                    period_patched_with(
+                        &net,
+                        &mut patched,
+                        warm,
+                        &[TransitionId(0), TransitionId(1)],
+                    )
+                })
                 .unwrap()
                 .unwrap();
-                let r = period_with(&net, &mut rebuilt, warm).unwrap().unwrap();
+                let r = tally(&mut rebuilt_work, || period_with(&net, &mut rebuilt, warm))
+                    .unwrap()
+                    .unwrap();
                 assert_eq!(p.period.to_bits(), r.period.to_bits(), "warm={warm} k={k}");
                 assert_eq!(p.critical, r.critical);
                 assert_eq!(p.tokens, r.tokens);
@@ -491,8 +484,8 @@ mod tests {
         // The patched scratch solved 10 times but only its 2 rebuild
         // solves touched the structure; the rebuilding scratch condensed
         // on every one of its 10 solves.
-        assert_eq!((patched.csr_builds(), patched.tarjan_runs()), (2, 2));
-        assert_eq!((rebuilt.csr_builds(), rebuilt.tarjan_runs()), (10, 10));
+        assert_eq!(patched_work, (2, 2));
+        assert_eq!(rebuilt_work, (10, 10));
     }
 
     #[test]
@@ -510,12 +503,9 @@ mod tests {
             period_with(&net, &mut scratch, true),
             Err(AnalysisError::Deadlock { .. })
         ));
-        let builds = scratch.csr_builds();
-        assert!(matches!(
-            period_patched_with(&net, &mut scratch, true, &[a]),
-            Err(AnalysisError::Deadlock { .. })
-        ));
-        assert_eq!(scratch.csr_builds(), builds + 1, "error must invalidate the cache");
+        let (res, c) = counted(|| period_patched_with(&net, &mut scratch, true, &[a]));
+        assert!(matches!(res, Err(AnalysisError::Deadlock { .. })));
+        assert_eq!(c[CsrBuilds], 1, "error must invalidate the cache");
         // The scratch recovers fully once the net is live.
         net.clear();
         let a = net.add_transition(3.0, "a");
@@ -538,17 +528,14 @@ mod tests {
             net.add_place(a, b, 1, "ab");
             net.add_place(b, a, 1, "ba");
             let mut scratch = PeriodScratch::new();
-            period_with(&net, &mut scratch, warm).unwrap();
-            assert_eq!((scratch.csr_builds(), scratch.tarjan_runs()), (1, 1));
+            let mut work = (0, 0);
+            tally(&mut work, || period_with(&net, &mut scratch, warm)).unwrap();
+            assert_eq!(work, (1, 1));
             for k in 1..=8u32 {
                 net.patch(a, 2.0 + f64::from(k));
-                period_patched_with(&net, &mut scratch, warm, &[a]).unwrap();
+                tally(&mut work, || period_patched_with(&net, &mut scratch, warm, &[a])).unwrap();
             }
-            assert_eq!(
-                (scratch.csr_builds(), scratch.tarjan_runs()),
-                (1, 1),
-                "warm={warm}: patched solves must be structurally free"
-            );
+            assert_eq!(work, (1, 1), "warm={warm}: patched solves must be structurally free");
         }
     }
 
@@ -587,9 +574,10 @@ mod tests {
         let mut net = TimedEventGraph::new();
         let mut batch = PeriodBatch::new();
         let mut reference = PeriodScratch::new();
+        let mut work = (0, 0);
         for round in 0..2 {
             build(&mut net, 1.0, 1.0);
-            batch.set_structure(&net, 3, 42);
+            tally(&mut work, || batch.set_structure(&net, 3, 42));
             let mut solo = Vec::new();
             for q in 0..3 {
                 let (ta, tb) = (1.0 + f64::from(round) + q as f64, 4.0 + 0.5 * q as f64);
@@ -597,7 +585,7 @@ mod tests {
                 batch.stage(q, &firing_times(&net));
                 solo.push(period_with(&net, &mut reference, false).unwrap().unwrap());
             }
-            let solved = batch.solve();
+            let solved = tally(&mut work, || batch.solve());
             for (q, (b, s)) in solved.iter().zip(&solo).enumerate() {
                 let b = b.as_ref().unwrap().as_ref().unwrap();
                 assert_eq!(b.period.to_bits(), s.period.to_bits(), "round {round} q {q}");
@@ -605,11 +593,7 @@ mod tests {
                 assert_eq!(b.cost.to_bits(), s.cost.to_bits(), "round {round} q {q}");
                 assert_eq!(b.tokens, s.tokens, "round {round} q {q}");
             }
-            assert_eq!(
-                (batch.csr_builds(), batch.tarjan_runs()),
-                (1, 1),
-                "round {round}: one structural phase per shape"
-            );
+            assert_eq!(work, (1, 1), "round {round}: one structural phase per shape");
         }
     }
 

@@ -9,6 +9,10 @@
 //! * [`analysis`] — steady-state period via maximum cycle ratio (Howard's
 //!   iteration from the `maxplus` crate), with the critical circuit mapped
 //!   back to transitions.
+//! * [`bounds`] — structural place bounds (the most tokens a place can
+//!   ever hold).
+//! * [`marking`] — the untimed token game: enabling, firing and circuit
+//!   token counts.
 //! * [`dot`] — Graphviz export (used to regenerate the paper's Figures 3–5
 //!   and 8–10).
 //!

@@ -110,9 +110,5 @@ fn forkjoin_campaign_engages_the_patch_path() {
         let out = run_one_workflow_with(&cfg, &topo, CommModel::Strict, seed, &mut engine);
         assert!(out.period.is_finite() && out.period >= out.mct - 1e-9, "seed {seed}");
     }
-    assert!(
-        engine.patched_solves() > 0,
-        "32 same-topology draws never took the patch path ({} csr builds)",
-        engine.csr_builds()
-    );
+    assert!(engine.patched_solves() > 0, "32 same-topology draws never took the patch path");
 }
