@@ -190,19 +190,20 @@ pub fn parse_method(opts: &Opts) -> Result<Method, String> {
     }
 }
 
-/// Parses a time range: `lo..hi` or a single constant `v`.
+/// Parses a time range: `lo..hi` or a single constant `v`. Bounds must be
+/// finite: `nan` and `inf` are usage errors, not times.
 pub fn parse_range(raw: &str) -> Result<Range, String> {
     if let Some((lo, hi)) = raw.split_once("..") {
         let lo: f64 = lo.parse().map_err(|_| format!("invalid range bound {lo:?}"))?;
         let hi: f64 = hi.parse().map_err(|_| format!("invalid range bound {hi:?}"))?;
-        if !(lo > 0.0 && hi >= lo) {
-            return Err(format!("range {raw:?} must satisfy 0 < lo <= hi"));
+        if !(lo > 0.0 && hi >= lo && hi.is_finite()) {
+            return Err(format!("range {raw:?} must satisfy 0 < lo <= hi, both finite"));
         }
         Ok(Range::new(lo, hi))
     } else {
         let v: f64 = raw.parse().map_err(|_| format!("invalid range {raw:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("range constant {raw:?} must be positive"));
+        if !(v > 0.0 && v.is_finite()) {
+            return Err(format!("range constant {raw:?} must be positive and finite"));
         }
         Ok(Range::constant(v))
     }

@@ -57,6 +57,19 @@ fn simulate_agrees_with_analysis_on_example_a() {
 }
 
 #[test]
+fn non_finite_campaign_ranges_exit_2_with_a_diagnosis() {
+    for (flag, raw) in
+        [("--comp", "nan"), ("--comm", "inf"), ("--comm", "1..inf"), ("--comp", "nan..2")]
+    {
+        let (_, err, code) =
+            repwf_env(&["campaign", "--count", "3", "--threads", "1", flag, raw], &[]);
+        assert_eq!(code, Some(2), "{flag} {raw}: {err}");
+        assert!(err.starts_with("repwf campaign: range"), "{flag} {raw}: {err}");
+        assert!(err.contains(&format!("{raw:?}")) && err.contains("finite"), "{flag} {raw}: {err}");
+    }
+}
+
+#[test]
 fn campaign_json_is_identical_at_any_thread_count() {
     let base = [
         "campaign", "--stages", "2", "--procs", "6", "--comm", "5..10", "--count", "16", "--seed",

@@ -1,40 +1,24 @@
-//! Shape-batched Howard: k same-structure instances per policy-iteration
-//! pass.
+//! Shape-batched Howard: k same-structure instances over one condensation.
 //!
 //! Campaign experiments draw thousands of instances that collapse into a
 //! handful of graph *shapes* — identical `from`/`to`/`tokens` per edge
 //! index, different costs. Solving them one by one repeats the CSR build,
-//! the Tarjan condensation and (worse) the pointer-chasing part of every
-//! Howard pass per instance. This module amortizes all of that across a
-//! batch:
+//! the Tarjan condensation and (worse) the pointer-chasing walk of every
+//! policy evaluation per instance. This module amortizes all of that
+//! across a batch:
 //!
 //! * **One structural phase per shape.** [`Workspace::max_cycle_ratio_batch`]
 //!   shares the workspace's structure cache with the solo cached solve: a
 //!   matching `(token, n, ne)` signature skips the CSR build and the
 //!   condensation entirely, and a full batch re-arms the cache for the
 //!   next one.
-//! * **SoA cost planes.** Callers stage per-instance edge costs in a
-//!   [`CostPlanes`] arena (`plane(q)[e]`, edge-insertion order). The solve
-//!   transposes them once into an **interleaved CSR-order** array
-//!   (`cost[pos·k + q]`), so the hot improvement loops walk the shared
-//!   `targets`/`token_counts` arrays exactly once per pass while the
-//!   per-instance inner loop over `q` streams k contiguous lanes — the
-//!   auto-vectorizable layout.
-//! * **Lock-step rounds.** Each policy-iteration round evaluates every
-//!   still-active instance, then runs the phase-1 λ-improvement as one
-//!   choice-vertex/edge sweep with per-instance policy columns. Instances
-//!   converge (or fail) independently; finished lanes are masked out.
-//! * **Choice vertices, per lane.** The choice index of the shared
-//!   condensation (see [`crate::workspace`]) serves every lane: phase 1
-//!   and phase 2 visit only the members with two or more in-component
-//!   out-edges. A lane whose last evaluation found every policy cycle at
-//!   the bit-identical λ is *λ-uniform*: it is left out of that round's
-//!   phase-1 sweep and goes straight to phase 2, which skips its
-//!   `λ[w] < λ[v] − eps` filter — exactly what the solo solver does for
-//!   that instance in that round. Both phases sweep the choice vertices
-//!   once with the lanes inside; no lane reads another lane's columns, so
-//!   the interchange keeps every lane's operation order.
-//!
+//! * **Cost planes, one lane after another.** Callers stage per-instance
+//!   edge costs in a [`CostPlanes`] arena (`plane(q)[e]`, edge-insertion
+//!   order). Each lane's plane is copied into one CSR-order cost vector
+//!   the workspace owns, and the lane runs the crate's one Howard kernel
+//!   (see [`crate::workspace`]) over the shared condensation and its
+//!   choice index — the same kernel, in the same operation order, as a
+//!   cold solo solve of that instance.
 //! * **Cached evaluation plans.** Policy evaluation splits into a *plan*
 //!   and a *replay*. The plan is the walk order: the policy cycles, each
 //!   with its root and its vertices in cycle order, then the other
@@ -46,10 +30,12 @@
 //!   `λ = c / t`, the cycle back-substitution, the tail back-substitution
 //!   and the λ-uniform flag. Each workspace keeps the plans of its
 //!   current condensation in one flat arena (`PlanStore`), keyed by
-//!   (component, choice-vertex policy): a lane whose key is cached replays
-//!   the plan, any other lane walks and records it. In a strict campaign
-//!   most evaluations replay, across lanes and across the chunks of one
-//!   shape.
+//!   (component, choice-vertex policy): before each evaluation the kernel
+//!   probes the store, replays a cached plan, and otherwise walks and
+//!   records the plan. Later lanes of a batch, and later chunks of the
+//!   same shape, replay the plans of earlier ones; in a strict campaign
+//!   most evaluations replay. Solo and per-SCC parallel solves run the
+//!   same kernel with no store.
 //!
 //! Why a replay is exact: the walk visits vertices in an order that
 //! depends on the policy only, never on costs, so a plan recorded on one
@@ -67,14 +53,14 @@
 //! chunking.
 //!
 //! Results are **bit-for-bit** those of the solo solvers: per instance
-//! `q`, the batched iteration performs the same floating-point operations
-//! in the same order as [`Workspace::max_cycle_ratio`] on a graph whose
-//! edge costs equal plane `q` (property-tested below). Warm starts stay
-//! off, matching the campaign engines' cold-solve discipline.
+//! `q`, the batched solve performs the same floating-point operations in
+//! the same order as [`Workspace::max_cycle_ratio`] on a graph whose edge
+//! costs equal plane `q` (property-tested below). Warm starts stay off,
+//! matching the campaign engines' cold-solve discipline.
 
-use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
+use crate::graph::{RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
-use crate::workspace::{ChoiceIndex, Csr, Workspace};
+use crate::workspace::{evaluate_policy, Columns, Csr, Workspace};
 
 /// Per-instance edge-cost planes for a batched solve, stored as one flat
 /// structure-of-arrays arena: plane `q` is `data[q·ne .. (q+1)·ne]`,
@@ -121,84 +107,6 @@ impl CostPlanes {
     /// costs here before solving.
     pub fn plane_mut(&mut self, q: usize) -> &mut [f64] {
         &mut self.data[q * self.ne..(q + 1) * self.ne]
-    }
-}
-
-/// Reusable scratch for [`Workspace::max_cycle_ratio_batch`]: the
-/// interleaved cost mirror, the per-vertex-per-instance policy/value
-/// columns and the per-instance round bookkeeping. Create once per worker
-/// and reuse — buffers grow to the largest `(n, ne, k)` seen.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Interleaved CSR-order costs: `cost[pos·k + q]`.
-    cost: Vec<f64>,
-    /// Policy columns: `policy[v·k + q]` is a CSR position.
-    policy: Vec<u32>,
-    lambda: Vec<f64>,
-    potential: Vec<f64>,
-    /// Per-instance improvement tolerance of the current component.
-    eps: Vec<f64>,
-    /// Per-swept-lane best CSR position / best value (init, phases 1
-    /// and 2).
-    best_p: Vec<u32>,
-    best_f: Vec<f64>,
-    /// Per-instance flags and counters. `uniform[q]`: every policy cycle
-    /// of lane `q` had the same λ in the last evaluation.
-    done: Vec<bool>,
-    changed: Vec<bool>,
-    uniform: Vec<bool>,
-    iters: Vec<usize>,
-    /// Active-lane index list of the current round, and its lanes that
-    /// take part in the phase-1 sweep (those not λ-uniform), then in the
-    /// phase-2 sweep (those phase 1 did not change).
-    act: Vec<u32>,
-    sweep: Vec<u32>,
-    /// Shared scalar walk scratch (policy evaluation, witness extraction).
-    state: Vec<u8>,
-    walk_pos: Vec<u32>,
-    path: Vec<u32>,
-    /// The current lane's plan key (its policy at the component's choice
-    /// vertices) and the plan its walk records.
-    key: Vec<u32>,
-    record: PlanRecord,
-}
-
-impl BatchScratch {
-    /// An empty scratch (no allocation until the first solve).
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    fn prepare(&mut self, k: usize, n: usize, ne: usize) {
-        self.cost.clear();
-        self.cost.resize(ne * k, 0.0);
-        self.policy.clear();
-        self.policy.resize(n * k, u32::MAX);
-        self.lambda.clear();
-        self.lambda.resize(n * k, f64::NEG_INFINITY);
-        self.potential.clear();
-        self.potential.resize(n * k, 0.0);
-        self.eps.clear();
-        self.eps.resize(k, 0.0);
-        self.best_p.clear();
-        self.best_p.resize(k, u32::MAX);
-        self.best_f.clear();
-        self.best_f.resize(k, 0.0);
-        self.done.clear();
-        self.done.resize(k, false);
-        self.changed.clear();
-        self.changed.resize(k, false);
-        self.uniform.clear();
-        self.uniform.resize(k, false);
-        self.iters.clear();
-        self.iters.resize(k, 0);
-        self.act.clear();
-        self.sweep.clear();
-        self.state.clear();
-        self.state.resize(n, 0);
-        self.walk_pos.clear();
-        self.walk_pos.resize(n, 0);
-        self.path.clear();
     }
 }
 
@@ -249,6 +157,9 @@ pub(crate) struct PlanStore {
     full: bool,
     hits: u64,
     misses: u64,
+    /// Scratch: the key of the last probe and the plan its walk records.
+    key: Vec<u32>,
+    record: PlanRecord,
 }
 
 impl Default for PlanStore {
@@ -262,11 +173,13 @@ impl Default for PlanStore {
             full: false,
             hits: 0,
             misses: 0,
+            key: Vec::new(),
+            record: PlanRecord::default(),
         }
     }
 }
 
-/// What a plan-store probe found for a lane's key.
+/// What a plan-store probe found for a policy's key.
 enum Probe {
     /// A cached plan: it starts at this arena word offset.
     Hit(usize),
@@ -308,27 +221,45 @@ impl PlanStore {
 
     /// Turns the store on for a condensation of `n` vertices and `ne`
     /// edges, unless a word cannot hold their ids.
-    fn fit(&mut self, n: usize, ne: usize) {
+    pub(crate) fn fit(&mut self, n: usize, ne: usize) {
         self.off = n.max(ne) > WORD_MAX;
     }
 
-    /// Looks up the plan of component `c` under lane `q`'s policy at the
-    /// component's `choices`, building the key in `key`.
-    fn probe(
+    /// Evaluates the policy in `cols` on component `c` (with these
+    /// `members` and `choices`): replays the cached plan of that policy,
+    /// or walks it and records its plan. Same result, same columns and
+    /// same error as the walk alone (see the module docs).
+    pub(crate) fn evaluate(
         &mut self,
+        csr: &Csr,
+        cost: &[f64],
         c: usize,
+        members: &[u32],
         choices: &[u32],
-        policy: &[u32],
-        k: usize,
-        q: usize,
-        key: &mut Vec<u32>,
-    ) -> Probe {
+        cols: &mut Columns,
+    ) -> Result<bool, RatioGraphError> {
+        match self.probe(c, choices, &cols.policy) {
+            Probe::Hit(at) => Ok(replay_plan(csr, cost, &self.words[at..], cols)),
+            Probe::Miss(hash) => {
+                self.record.clear();
+                let uniform = evaluate_policy(csr, cost, members, cols, Some(&mut self.record))?;
+                self.insert(hash);
+                Ok(uniform)
+            }
+            Probe::Off => evaluate_policy(csr, cost, members, cols, None),
+        }
+    }
+
+    /// Looks up the plan of component `c` under `policy` at the
+    /// component's `choices`, building the key in `self.key`.
+    fn probe(&mut self, c: usize, choices: &[u32], policy: &[u32]) -> Probe {
         if self.off || (self.full && self.hits == 0) {
             return Probe::Off;
         }
+        let key = &mut self.key;
         key.clear();
         key.push(c as u32);
-        key.extend(choices.iter().map(|&v| policy[v as usize * k + q]));
+        key.extend(choices.iter().map(|&v| policy[v as usize]));
         let hash = key_hash(key);
         if !self.slots.is_empty() {
             let mask = self.slots.len() - 1;
@@ -355,15 +286,16 @@ impl PlanStore {
         }
     }
 
-    /// Stores the plan `rec` under `key` (with hash `hash`), unless a
-    /// token sum does not fit a word, or the entry, with the index grown
-    /// to take it, would overrun the byte budget: then the store is full
-    /// for the rest of the condensation.
-    fn insert(&mut self, hash: u32, key: &[u32], rec: &PlanRecord) {
+    /// Stores the recorded plan under the probed key (with hash `hash`),
+    /// unless a token sum does not fit a word, or the entry, with the
+    /// index grown to take it, would overrun the byte budget: then the
+    /// store is full for the rest of the condensation.
+    fn insert(&mut self, hash: u32) {
+        let rec = &self.record;
         if rec.max_tokens > WORD_MAX as u64 {
             return;
         }
-        let size = key.len() + 2 + rec.cycles.len() + rec.tail.len();
+        let size = self.key.len() + 2 + rec.cycles.len() + rec.tail.len();
         let grow = 2 * (self.entries + 1) > self.slots.len();
         let new_slots = if grow { (2 * self.slots.len()).max(64) } else { self.slots.len() };
         let slot_bytes = std::mem::size_of::<(u32, u32)>() * new_slots;
@@ -379,7 +311,8 @@ impl PlanStore {
         // no memory.
         self.words.reserve_exact(self.budget / 2 - self.words.len());
         let at = self.words.len() as u32;
-        self.words.extend(key.iter().map(|&x| x as u16));
+        let rec = &self.record;
+        self.words.extend(self.key.iter().map(|&x| x as u16));
         self.words.push(rec.num_cycles as u16);
         self.words.extend(rec.cycles.iter().map(|&x| x as u16));
         self.words.push(rec.num_segments as u16);
@@ -424,7 +357,7 @@ fn key_hash(key: &[u32]) -> u32 {
 /// holds the cycle records and `tail` the tail segments; `max_tokens` is
 /// the largest token sum, which must fit a word.
 #[derive(Debug, Clone, Default)]
-struct PlanRecord {
+pub(crate) struct PlanRecord {
     num_cycles: usize,
     cycles: Vec<u32>,
     num_segments: usize,
@@ -442,7 +375,7 @@ impl PlanRecord {
     }
 
     /// Records a policy cycle (vertices from the root) with token sum `t`.
-    fn push_cycle(&mut self, cycle: &[u32], t: u64) {
+    pub(crate) fn push_cycle(&mut self, cycle: &[u32], t: u64) {
         self.max_tokens = self.max_tokens.max(t);
         self.num_cycles += 1;
         self.cycles.extend([cycle.len() as u32, t.min(u64::from(u32::MAX)) as u32]);
@@ -450,7 +383,7 @@ impl PlanRecord {
     }
 
     /// Records a walk's tail `path` (in walk order), settled backwards.
-    fn push_segment(&mut self, path: &[u32]) {
+    pub(crate) fn push_segment(&mut self, path: &[u32]) {
         self.num_segments += 1;
         self.tail.push(path.len() as u32);
         self.tail.extend(path.iter().rev());
@@ -459,7 +392,7 @@ impl PlanRecord {
 
 impl Workspace {
     /// Solves the maximum cycle ratio of `k` instances sharing one graph
-    /// structure in a single batched pass.
+    /// structure over a single condensation.
     ///
     /// `g` supplies the structure (`from`/`to`/`tokens` per edge, in
     /// insertion order; its own costs are ignored), `planes` the
@@ -472,15 +405,13 @@ impl Workspace {
     /// **bit-for-bit** equal to `Workspace::max_cycle_ratio` on the graph
     /// with that plane's costs (including error values and the
     /// first-failing-component semantics). A failed instance never stalls
-    /// the others: its lane is masked out and the rest of the batch
-    /// completes; the structure cache is only re-armed when every
-    /// instance succeeded.
+    /// the others: the remaining lanes still run; the structure cache is
+    /// only re-armed when every instance succeeded.
     pub fn max_cycle_ratio_batch(
         &mut self,
         g: &RatioGraph,
         structure: u64,
         planes: &CostPlanes,
-        scratch: &mut BatchScratch,
     ) -> Vec<RatioResult> {
         let k = planes.num_instances();
         let n = g.num_vertices();
@@ -496,65 +427,23 @@ impl Workspace {
         // Per-instance validation, mirroring `RatioGraph::validate` with
         // the instance's own costs: same error variant, same edge-order
         // precedence as a solo solve on that instance's graph.
-        let mut failed: Vec<Option<RatioGraphError>> = vec![None; k];
-        let mut best: Vec<Option<CycleSolution>> = Vec::with_capacity(k);
-        best.resize_with(k, || None);
-        for (q, slot) in failed.iter_mut().enumerate() {
-            *slot = validate_plane(g, planes.plane(q)).err();
-        }
-
-        if failed.iter().all(Option::is_some) {
-            return failed.into_iter().map(|e| Err(e.expect("all lanes failed"))).collect();
+        let valid: Vec<Result<(), RatioGraphError>> =
+            (0..k).map(|q| validate_plane(g, planes.plane(q))).collect();
+        if valid.iter().all(Result::is_err) {
+            return valid.into_iter().map(|r| r.map(|()| None)).collect();
         }
 
         self.batch_prepare(g, structure);
-        let max_iters = 64 + 8 * n + ne;
-        let (csr, comp_offsets, comp_vertices, index, plans) = self.batch_parts();
-        plans.fit(n, ne);
-        scratch.prepare(k, n, ne);
-
-        // Transpose the planes into interleaved CSR order: one gather per
-        // CSR position, k contiguous writes.
-        for (pos, &ei) in csr.edge_indices().iter().enumerate() {
-            for q in 0..k {
-                scratch.cost[pos * k + q] = planes.data[q * ne + ei as usize];
-            }
-        }
-
-        for c in 0..comp_offsets.len() - 1 {
-            if failed.iter().all(Option::is_some) {
-                break;
-            }
-            let members = &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
-            if !index.is_cyclic(members) {
-                continue;
-            }
-            batch_component(
-                csr,
-                index,
-                plans,
-                c,
-                members,
-                k,
-                max_iters,
-                scratch,
-                &mut failed,
-                &mut best,
-            );
-        }
-
-        let all_ok = failed.iter().all(Option::is_none);
-        if all_ok {
+        self.plan_store().fit(n, ne);
+        let results: Vec<RatioResult> = valid
+            .into_iter()
+            .enumerate()
+            .map(|(q, v)| v.and_then(|()| self.solve_lane(planes.plane(q))))
+            .collect();
+        if results.iter().all(Result::is_ok) {
             self.batch_commit(structure, n, ne);
         }
-        failed
-            .into_iter()
-            .zip(best)
-            .map(|(err, sol)| match err {
-                Some(e) => Err(e),
-                None => Ok(sol),
-            })
-            .collect()
+        results
     }
 }
 
@@ -576,356 +465,11 @@ fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> 
     Ok(())
 }
 
-/// Lock-step Howard on one strongly connected component for every lane
-/// that has not yet failed. Mirrors `howard_component` per lane exactly:
-/// per-component eps scale, cold max-cost policy init (last on ties),
-/// evaluate / λ-improve / potential-improve rounds over the choice
-/// vertices, the per-lane λ-uniform skips, witness extraction — the only
-/// difference is the iteration *schedule* (lanes advance together), which
-/// per lane performs the identical operation sequence. A lane whose
-/// choice-vertex policy has a cached plan replays it instead of walking.
-#[allow(clippy::too_many_arguments)]
-fn batch_component(
-    csr: &Csr,
-    index: &ChoiceIndex,
-    plans: &mut PlanStore,
-    c: usize,
-    members: &[u32],
-    k: usize,
-    max_iters: usize,
-    scratch: &mut BatchScratch,
-    failed: &mut [Option<RatioGraphError>],
-    best: &mut [Option<CycleSolution>],
-) {
-    let to = csr.targets();
-    let tokens = csr.token_counts();
-    let choices = index.choices(c);
-    let BatchScratch {
-        cost,
-        policy,
-        lambda,
-        potential,
-        eps,
-        best_p,
-        best_f,
-        done,
-        changed,
-        uniform,
-        iters,
-        act,
-        sweep,
-        state,
-        walk_pos,
-        path,
-        key,
-        record,
-    } = scratch;
-    let cost = &cost[..];
-
-    // Lanes participating in this component: everything not yet failed.
-    act.clear();
-    act.extend((0..k as u32).filter(|&q| failed[q as usize].is_none()));
-    if act.is_empty() {
-        return;
-    }
-
-    // One sweep over every member's in-component edges: per-lane
-    // improvement tolerance scaled to THIS component's costs (same fold as
-    // the solo solver: max(1.0, |cost|) · 1e-12) and the cold policy
-    // init (max-cost in-component edge, last one on ties).
-    for &q in act.iter() {
-        eps[q as usize] = 1.0;
-    }
-    for &vu in members {
-        let v = vu as usize;
-        for (j, _) in act.iter().enumerate() {
-            best_p[j] = u32::MAX;
-            best_f[j] = f64::NEG_INFINITY;
-        }
-        for &p in index.edges(vu) {
-            let pi = p as usize;
-            let lanes = &cost[pi * k..pi * k + k];
-            for (j, &q) in act.iter().enumerate() {
-                let qi = q as usize;
-                let c = lanes[qi];
-                eps[qi] = eps[qi].max(c.abs());
-                if c >= best_f[j] {
-                    best_f[j] = c;
-                    best_p[j] = p;
-                }
-            }
-        }
-        for (j, &q) in act.iter().enumerate() {
-            debug_assert!(best_p[j] != u32::MAX, "SCC vertex must have an in-component out-edge");
-            policy[v * k + q as usize] = best_p[j];
-        }
-    }
-    for &q in act.iter() {
-        let qi = q as usize;
-        eps[qi] *= 1e-12;
-        done[qi] = false;
-        iters[qi] = 0;
-    }
-
-    loop {
-        // Re-derive the active set: lanes still iterating this component.
-        act.clear();
-        act.extend((0..k as u32).filter(|&q| failed[q as usize].is_none() && !done[q as usize]));
-        if act.is_empty() {
-            return;
-        }
-
-        // Iteration budget, identical to the solo `for _ in 0..max_iters`.
-        for &q in act.iter() {
-            let qi = q as usize;
-            if iters[qi] >= max_iters {
-                failed[qi] = Some(RatioGraphError::NoConvergence);
-                done[qi] = true;
-            }
-        }
-        act.retain(|&q| !done[q as usize]);
-        if act.is_empty() {
-            return;
-        }
-
-        // Evaluate every active lane's policy: replay its cached plan, or
-        // walk it (scalar, over the shared state/path scratch) and record
-        // the plan for the lanes and chunks that reach the same policy.
-        for &q in act.iter() {
-            let qi = q as usize;
-            let probe = plans.probe(c, choices, policy, k, qi, key);
-            if let Probe::Hit(at) = probe {
-                let plan = &plans.words[at..];
-                uniform[qi] = replay_plan_lane(csr, plan, k, qi, cost, policy, lambda, potential);
-                continue;
-            }
-            record.clear();
-            let rec = match probe {
-                Probe::Miss(_) => Some(&mut *record),
-                _ => None,
-            };
-            match evaluate_policy_lane(
-                csr, members, k, qi, cost, policy, lambda, potential, state, walk_pos, path, rec,
-            ) {
-                Ok(u) => {
-                    uniform[qi] = u;
-                    if let Probe::Miss(hash) = probe {
-                        plans.insert(hash, key, record);
-                    }
-                }
-                Err(e) => {
-                    failed[qi] = Some(e);
-                    done[qi] = true;
-                }
-            }
-        }
-        act.retain(|&q| !done[q as usize]);
-        if act.is_empty() {
-            return;
-        }
-
-        // Phase 1 (λ-improvement), one choice-vertex/edge sweep for the
-        // lanes that are not λ-uniform (a uniform lane cannot improve, as
-        // in the solo solver): the shared `targets` array is walked once,
-        // the inner loop streams the swept cost/λ lanes.
-        for &q in act.iter() {
-            changed[q as usize] = false;
-        }
-        sweep.clear();
-        sweep.extend(act.iter().filter(|&&q| !uniform[q as usize]));
-        if !sweep.is_empty() {
-            for &vu in choices {
-                let v = vu as usize;
-                for (j, &q) in sweep.iter().enumerate() {
-                    let qi = q as usize;
-                    let bp = policy[v * k + qi];
-                    best_p[j] = bp;
-                    best_f[j] = lambda[to[bp as usize] as usize * k + qi];
-                }
-                for &p in index.edges(vu) {
-                    let w = to[p as usize] as usize;
-                    let lam = &lambda[w * k..w * k + k];
-                    for (j, &q) in sweep.iter().enumerate() {
-                        let qi = q as usize;
-                        let l = lam[qi];
-                        if l > best_f[j] + eps[qi] {
-                            best_f[j] = l;
-                            best_p[j] = p;
-                        }
-                    }
-                }
-                for (j, &q) in sweep.iter().enumerate() {
-                    let qi = q as usize;
-                    if best_p[j] != policy[v * k + qi] {
-                        policy[v * k + qi] = best_p[j];
-                        changed[qi] = true;
-                    }
-                }
-            }
-        }
-
-        // Phase 2 (potential improvement) for the lanes that saw no
-        // λ-improvement this round — λ-improved lanes go straight to the
-        // next round, like the solo solver's `continue`. Same sweep shape
-        // as phase 1: no lane reads another lane's columns, so running the
-        // lanes inside the vertex loop keeps every lane's operation order.
-        repwf_obs::counter_add(repwf_obs::CounterId::HowardItersBatched, act.len() as u64);
-        sweep.clear();
-        for &q in act.iter() {
-            let qi = q as usize;
-            iters[qi] += 1;
-            if !changed[qi] {
-                sweep.push(q);
-            }
-        }
-        for &vu in choices {
-            let v = vu as usize;
-            let lam_v = &lambda[v * k..v * k + k];
-            for (j, &q) in sweep.iter().enumerate() {
-                let qi = q as usize;
-                let cur = policy[v * k + qi];
-                let cu = cur as usize;
-                best_p[j] = cur;
-                best_f[j] = cost[cu * k + qi] - lam_v[qi] * f64::from(tokens[cu])
-                    + potential[to[cu] as usize * k + qi];
-            }
-            for &p in index.edges(vu) {
-                let pi = p as usize;
-                let w = to[pi] as usize;
-                let t = f64::from(tokens[pi]);
-                let cst = &cost[pi * k..pi * k + k];
-                let lam_w = &lambda[w * k..w * k + k];
-                let pot_w = &potential[w * k..w * k + k];
-                for (j, &q) in sweep.iter().enumerate() {
-                    let qi = q as usize;
-                    if !uniform[qi] && lam_w[qi] < lam_v[qi] - eps[qi] {
-                        continue;
-                    }
-                    let val = cst[qi] - lam_v[qi] * t + pot_w[qi];
-                    if val > best_f[j] + eps[qi] {
-                        best_f[j] = val;
-                        best_p[j] = p;
-                    }
-                }
-            }
-            for (j, &q) in sweep.iter().enumerate() {
-                let qi = q as usize;
-                if best_p[j] != policy[v * k + qi] {
-                    policy[v * k + qi] = best_p[j];
-                    changed[qi] = true;
-                }
-            }
-        }
-
-        // Converged lanes: extract the witness.
-        for &q in sweep.iter() {
-            let qi = q as usize;
-            if changed[qi] {
-                continue;
-            }
-            let sol = extract_witness_lane(csr, members, k, qi, cost, policy, lambda, state, path);
-            if best[qi].as_ref().is_none_or(|b| sol.ratio > b.ratio) {
-                best[qi] = Some(sol);
-            }
-            done[qi] = true;
-        }
-    }
-}
-
-/// `evaluate_policy` for one lane: identical walk, cycle-ratio and
-/// back-substitution arithmetic, reading the lane's policy/λ/potential
-/// columns and interleaved costs; returns whether the lane's policy cycles
-/// all have the bit-identical λ. With `rec`, it also records the walk's
-/// plan (see [`PlanStore`]); a plan is only kept when the walk succeeds.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_policy_lane(
-    csr: &Csr,
-    members: &[u32],
-    k: usize,
-    q: usize,
-    cost: &[f64],
-    policy: &[u32],
-    lambda: &mut [f64],
-    potential: &mut [f64],
-    state: &mut [u8],
-    walk_pos: &mut [u32],
-    path: &mut Vec<u32>,
-    mut rec: Option<&mut PlanRecord>,
-) -> Result<bool, RatioGraphError> {
-    let to = csr.targets();
-    let tok = csr.token_counts();
-    let mut first_lam: Option<u64> = None;
-    let mut uniform = true;
-    // 0 = unvisited, 1 = on current walk, 2 = finished.
-    for &v in members {
-        state[v as usize] = 0;
-    }
-    for &start in members {
-        if state[start as usize] != 0 {
-            continue;
-        }
-        path.clear();
-        let mut u = start;
-        while state[u as usize] == 0 {
-            state[u as usize] = 1;
-            walk_pos[u as usize] = path.len() as u32;
-            path.push(u);
-            u = to[policy[u as usize * k + q] as usize];
-        }
-
-        let settle_from = if state[u as usize] == 1 {
-            let pos = walk_pos[u as usize] as usize;
-            let cycle = &path[pos..];
-            let mut c = 0.0;
-            let mut t: u64 = 0;
-            for &v in cycle {
-                let p = policy[v as usize * k + q] as usize;
-                c += cost[p * k + q];
-                t += u64::from(tok[p]);
-            }
-            if t == 0 {
-                return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
-            }
-            if let Some(rec) = rec.as_deref_mut() {
-                rec.push_cycle(cycle, t);
-            }
-            let lam = c / t as f64;
-            uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
-            lambda[u as usize * k + q] = lam;
-            potential[u as usize * k + q] = 0.0;
-            for i in (1..cycle.len()).rev() {
-                let v = cycle[i] as usize;
-                let p = policy[v * k + q] as usize;
-                lambda[v * k + q] = lam;
-                potential[v * k + q] =
-                    cost[p * k + q] - lam * f64::from(tok[p]) + potential[to[p] as usize * k + q];
-                state[v] = 2;
-            }
-            state[u as usize] = 2;
-            pos
-        } else {
-            path.len()
-        };
-
-        for i in (0..settle_from).rev() {
-            let v = path[i] as usize;
-            let p = policy[v * k + q] as usize;
-            lambda[v * k + q] = lambda[to[p] as usize * k + q];
-            potential[v * k + q] = cost[p * k + q] - lambda[v * k + q] * f64::from(tok[p])
-                + potential[to[p] as usize * k + q];
-            state[v] = 2;
-        }
-        if let Some(rec) = rec.as_deref_mut().filter(|_| settle_from > 0) {
-            rec.push_segment(&path[..settle_from]);
-        }
-    }
-    Ok(uniform)
-}
-
-/// Replays a recorded plan (see [`PlanStore`]) on lane `q`: the float work
-/// of [`evaluate_policy_lane`] — the cycle sums from each root, `λ = c / t`,
-/// the cycle back-substitution, then the tail back-substitution in settle
-/// order — without the walk. Returns the λ-uniform flag.
+/// Replays a recorded plan (see [`PlanStore`]) on the policy in `cols`:
+/// the float work of [`evaluate_policy`] — the cycle sums from each root,
+/// `λ = c / t`, the cycle back-substitution, then the tail
+/// back-substitution in settle order — without the walk. Returns the
+/// λ-uniform flag.
 ///
 /// Every value is computed by the walk's expression from the same
 /// operands: a cycle reads only its own vertices, and a tail vertex reads
@@ -935,21 +479,13 @@ fn evaluate_policy_lane(
 /// before, so its λ and potential are carried in registers instead of
 /// being read back from the columns; `pot += c − λ·t` is the walk's
 /// `(c − λ·t) + pot`, since IEEE addition commutes.
-#[allow(clippy::too_many_arguments)]
-fn replay_plan_lane(
-    csr: &Csr,
-    plan: &[u16],
-    k: usize,
-    q: usize,
-    cost: &[f64],
-    policy: &[u32],
-    lambda: &mut [f64],
-    potential: &mut [f64],
-) -> bool {
+fn replay_plan(csr: &Csr, cost: &[f64], plan: &[u16], cols: &mut Columns) -> bool {
     let to = csr.targets();
     let tok = csr.token_counts();
+    let (policy, lambda, potential) =
+        (&cols.policy[..], &mut cols.lambda[..], &mut cols.potential[..]);
     let word = |i: usize| usize::from(plan[i]);
-    let pol = |v: usize| policy[v * k + q] as usize;
+    let pol = |v: usize| policy[v] as usize;
     let mut first_lam: Option<u64> = None;
     let mut uniform = true;
     let mut at = 1;
@@ -960,22 +496,22 @@ fn replay_plan_lane(
         at += 2 + len;
         let mut c = 0.0;
         for i in cycle.clone() {
-            c += cost[pol(word(i)) * k + q];
+            c += cost[pol(word(i))];
         }
         let lam = c / t as f64;
         uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
         // The root's potential is 0; walking the cycle backwards, each
         // vertex's successor is the one settled just before.
         let u = word(cycle.start);
-        lambda[u * k + q] = lam;
-        potential[u * k + q] = 0.0;
+        lambda[u] = lam;
+        potential[u] = 0.0;
         let mut pot = 0.0;
         for i in (cycle.start + 1..cycle.end).rev() {
             let v = word(i);
             let p = pol(v);
-            pot += cost[p * k + q] - lam * f64::from(tok[p]);
-            lambda[v * k + q] = lam;
-            potential[v * k + q] = pot;
+            pot += cost[p] - lam * f64::from(tok[p]);
+            lambda[v] = lam;
+            potential[v] = pot;
         }
     }
     let num_segments = word(at);
@@ -985,66 +521,17 @@ fn replay_plan_lane(
         let segment = at + 1..at + 1 + len;
         at += 1 + len;
         let w = to[pol(word(segment.start))] as usize;
-        let lam = lambda[w * k + q];
-        let mut pot = potential[w * k + q];
+        let lam = lambda[w];
+        let mut pot = potential[w];
         for i in segment {
             let v = word(i);
             let p = pol(v);
-            pot += cost[p * k + q] - lam * f64::from(tok[p]);
-            lambda[v * k + q] = lam;
-            potential[v * k + q] = pot;
+            pot += cost[p] - lam * f64::from(tok[p]);
+            lambda[v] = lam;
+            potential[v] = pot;
         }
     }
     uniform
-}
-
-/// `extract_witness` for one lane: same later-wins max-λ start vertex,
-/// same walk/collection order. No member may hold the mark 3 on entry
-/// (a replayed evaluation leaves `state` as it was); the vertices this
-/// walk marks are noted in `path` and unmarked again on exit.
-#[allow(clippy::too_many_arguments)]
-fn extract_witness_lane(
-    csr: &Csr,
-    members: &[u32],
-    k: usize,
-    q: usize,
-    cost: &[f64],
-    policy: &[u32],
-    lambda: &[f64],
-    state: &mut [u8],
-    path: &mut Vec<u32>,
-) -> CycleSolution {
-    let to = csr.targets();
-    let tok = csr.token_counts();
-    let mut start = members[0];
-    for &v in &members[1..] {
-        if lambda[v as usize * k + q] >= lambda[start as usize * k + q] {
-            start = v;
-        }
-    }
-    let mut u = start;
-    path.clear();
-    while state[u as usize] != 3 {
-        state[u as usize] = 3;
-        path.push(u);
-        u = to[policy[u as usize * k + q] as usize];
-    }
-    for &v in path.iter() {
-        state[v as usize] = 2;
-    }
-    // `u` is the first vertex the walk met twice: the cycle is the walk
-    // from `u` on, in policy order.
-    let from = path.iter().position(|&v| v == u).expect("the walk reached a marked vertex");
-    let cycle = path[from..].to_vec();
-    let mut c = 0.0;
-    let mut t: u64 = 0;
-    for &v in &cycle {
-        let p = policy[v as usize * k + q] as usize;
-        c += cost[p * k + q];
-        t += u64::from(tok[p]);
-    }
-    debug_assert!(t > 0, "converged policy cycle must carry tokens");
-    CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t }
 }
 
 #[cfg(test)]
@@ -1052,7 +539,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use repwf_obs::counted;
-    use repwf_obs::CounterId::{CsrBuilds, TarjanRuns};
+    use repwf_obs::CounterId::{
+        CsrBuilds, HowardItersBatched, HowardItersCold, HowardItersWarm, TarjanRuns,
+    };
 
     /// A small deterministic pseudo-random stream (the vendored `rand` is
     /// not a dependency of this crate).
@@ -1136,8 +625,7 @@ mod tests {
             }
         }
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
-        let batch = ws.max_cycle_ratio_batch(&structure, 1, &planes, &mut scratch);
+        let batch = ws.max_cycle_ratio_batch(&structure, 1, &planes);
         assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
     }
 
@@ -1147,7 +635,6 @@ mod tests {
         let ne = structure.num_edges();
         let mut rng = Lcg(7);
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
         let mut planes = CostPlanes::new();
         // CSR builds and Tarjan runs over the rounds so far.
         let mut built = [0, 0];
@@ -1158,8 +645,7 @@ mod tests {
                     *c = rng.f64_in(0.0, 10.0);
                 }
             }
-            let (batch, c) =
-                counted(|| ws.max_cycle_ratio_batch(&structure, 99, &planes, &mut scratch));
+            let (batch, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 99, &planes));
             assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
             built[0] += c[CsrBuilds];
             built[1] += c[TarjanRuns];
@@ -1171,7 +657,7 @@ mod tests {
         }
         // Token miss: rebuilds once.
         planes.reset(1, ne);
-        let (_, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 100, &planes, &mut scratch));
+        let (_, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 100, &planes));
         assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1));
     }
 
@@ -1194,8 +680,7 @@ mod tests {
         // healthy lanes against their solo solves.
         planes.plane_mut(1)[5] = f64::NAN;
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
-        let batch = ws.max_cycle_ratio_batch(&structure, 5, &planes, &mut scratch);
+        let batch = ws.max_cycle_ratio_batch(&structure, 5, &planes);
         assert_eq!(batch[1], Err(RatioGraphError::NonFiniteCost));
         for q in [0, 2, 3] {
             let solo = Workspace::new().max_cycle_ratio(&with_costs(&structure, planes.plane(q)));
@@ -1203,9 +688,35 @@ mod tests {
         }
         // A failed lane leaves the cache cold: same token rebuilds.
         planes.plane_mut(1)[5] = 2.0;
-        let (batch, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 5, &planes, &mut scratch));
+        let (batch, c) = counted(|| ws.max_cycle_ratio_batch(&structure, 5, &planes));
         assert_eq!(c[CsrBuilds], 1, "errored batch must clear the cache");
         assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
+    }
+
+    #[test]
+    fn batched_rounds_are_counted_as_the_solo_cold_rounds() {
+        let structure = structure();
+        let ne = structure.num_edges();
+        let mut rng = Lcg(29);
+        let mut planes = CostPlanes::new();
+        let k = 6;
+        planes.reset(k, ne);
+        for q in 0..k {
+            for c in planes.plane_mut(q) {
+                *c = rng.f64_in(-5.0, 50.0);
+            }
+        }
+        let mut cold = 0;
+        for q in 0..k {
+            let g = with_costs(&structure, planes.plane(q));
+            let (_, c) = counted(|| Workspace::new().max_cycle_ratio(&g));
+            cold += c[HowardItersCold];
+        }
+        assert!(cold > k as u64, "every lane iterates at least once per cyclic component");
+        let (batch, c) = counted(|| Workspace::new().max_cycle_ratio_batch(&structure, 1, &planes));
+        assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
+        assert_eq!(c[HowardItersBatched], cold);
+        assert_eq!((c[HowardItersCold], c[HowardItersWarm]), (0, 0));
     }
 
     #[test]
@@ -1220,8 +731,7 @@ mod tests {
         planes.plane_mut(0).copy_from_slice(&[1.0, 2.0]);
         planes.plane_mut(1).copy_from_slice(&[4.0, 3.0]);
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
-        let batch = ws.max_cycle_ratio_batch(&structure, 1, &planes, &mut scratch);
+        let batch = ws.max_cycle_ratio_batch(&structure, 1, &planes);
         assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
         assert!(matches!(batch[0], Err(RatioGraphError::ZeroTokenCycle { .. })));
     }
@@ -1230,9 +740,8 @@ mod tests {
     fn empty_batch_and_acyclic_graph() {
         let structure = structure();
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
         let planes = CostPlanes::new();
-        assert!(ws.max_cycle_ratio_batch(&RatioGraph::new(3), 1, &planes, &mut scratch).is_empty());
+        assert!(ws.max_cycle_ratio_batch(&RatioGraph::new(3), 1, &planes).is_empty());
         // Acyclic graph: every lane resolves Ok(None).
         let mut dag = RatioGraph::new(3);
         dag.add_edge(0, 1, 0.0, 1);
@@ -1241,7 +750,7 @@ mod tests {
         p2.reset(2, 2);
         p2.plane_mut(0).copy_from_slice(&[1.0, 2.0]);
         p2.plane_mut(1).copy_from_slice(&[3.0, 4.0]);
-        let batch = ws.max_cycle_ratio_batch(&dag, 2, &p2, &mut scratch);
+        let batch = ws.max_cycle_ratio_batch(&dag, 2, &p2);
         assert_eq!(batch, vec![Ok(None), Ok(None)]);
         let _ = structure;
     }
@@ -1323,16 +832,37 @@ mod tests {
         }
     }
 
-    /// The final policy, λ and potential columns of two batch scratches
-    /// (`len` entries each) are bitwise equal: a replayed evaluation writes
-    /// exactly what the walk writes, also where no result reads it.
-    fn assert_same_columns(a: &BatchScratch, b: &BatchScratch, len: usize) {
-        assert_eq!(a.policy[..len], b.policy[..len], "policy columns");
-        for (i, (x, y)) in a.lambda[..len].iter().zip(&b.lambda[..len]).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "λ column entry {i}");
-        }
-        for (i, (x, y)) in a.potential[..len].iter().zip(&b.potential[..len]).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "potential column entry {i}");
+    /// Solves each finite lane of `planes` as a batch of one on `ws`
+    /// (replaying whatever plans `ws` holds) and checks the result and the
+    /// final policy, λ and potential columns bitwise against a fresh solo
+    /// walk of that lane: a replayed evaluation writes exactly what the
+    /// walk writes, also where no result reads it.
+    fn assert_lane_columns(
+        ws: &mut Workspace,
+        structure: &RatioGraph,
+        token: u64,
+        planes: &CostPlanes,
+    ) {
+        let mut one = CostPlanes::new();
+        for q in 0..planes.num_instances() {
+            let plane = planes.plane(q);
+            if !plane.iter().all(|c| c.is_finite()) {
+                continue;
+            }
+            one.reset(1, plane.len());
+            one.plane_mut(0).copy_from_slice(plane);
+            let lane = ws.max_cycle_ratio_batch(structure, token, &one);
+            let mut fresh = Workspace::new();
+            let solo = fresh.max_cycle_ratio(&with_costs(structure, plane));
+            assert_bitwise_eq(&lane, &[solo]);
+            let ((pa, la, xa), (pb, lb, xb)) = (ws.columns(), fresh.columns());
+            assert_eq!(pa, pb, "lane {q} policy column");
+            for (i, (x, y)) in la.iter().zip(lb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "lane {q} λ column entry {i}");
+            }
+            for (i, (x, y)) in xa.iter().zip(xb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "lane {q} potential column entry {i}");
+            }
         }
     }
 
@@ -1344,12 +874,11 @@ mod tests {
         let patterns: Vec<Vec<f64>> =
             (0..2).map(|_| (0..ne).map(|_| rng.f64_in(1.0, 30.0)).collect()).collect();
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
         let mut planes = CostPlanes::new();
         let mut walked = 0;
         for round in 0..5 {
             patterned_planes(&mut rng, &patterns, 6, false, &mut planes);
-            let batch = ws.max_cycle_ratio_batch(&structure, 3, &planes, &mut scratch);
+            let batch = ws.max_cycle_ratio_batch(&structure, 3, &planes);
             assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
             let (hits, misses) = ws.plan_store().stats();
             assert!(misses >= walked, "round {round}: the store was cleared");
@@ -1362,7 +891,7 @@ mod tests {
         // A token change condenses another structure and forgets them.
         planes.reset(1, ne);
         planes.plane_mut(0).copy_from_slice(&patterns[0]);
-        ws.max_cycle_ratio_batch(&structure, 4, &planes, &mut scratch);
+        ws.max_cycle_ratio_batch(&structure, 4, &planes);
         let (hits, misses) = ws.plan_store().stats();
         assert_eq!(hits, 0, "a rebuilt condensation starts with no plans");
         assert!(misses > 0);
@@ -1374,29 +903,23 @@ mod tests {
     fn plans_of_a_large_structure_replay() {
         let mut rng = Lcg(17);
         let structure = random_structure(&mut rng, 300, 100, 3, 60);
-        let (n, ne) = (structure.num_vertices(), structure.num_edges());
+        let ne = structure.num_edges();
         assert!(ne > 255, "{ne} edges");
         let pattern: Vec<f64> = (0..ne).map(|_| rng.f64_in(-20.0, 100.0)).collect();
         let mut ws = Workspace::new();
-        let mut scratch = BatchScratch::new();
         let mut planes = CostPlanes::new();
         for round in 0..4 {
             let k = 6;
             patterned_planes(&mut rng, std::slice::from_ref(&pattern), k, false, &mut planes);
-            let batch = ws.max_cycle_ratio_batch(&structure, 21, &planes, &mut scratch);
-            let mut fresh_scratch = BatchScratch::new();
-            let fresh =
-                Workspace::new().max_cycle_ratio_batch(&structure, 21, &planes, &mut fresh_scratch);
+            let batch = ws.max_cycle_ratio_batch(&structure, 21, &planes);
+            let fresh = Workspace::new().max_cycle_ratio_batch(&structure, 21, &planes);
             assert_bitwise_eq(&batch, &fresh);
-            assert_same_columns(&scratch, &fresh_scratch, n * k);
             assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
             let (hits, misses) = ws.plan_store().stats();
             assert!(hits > 0, "round {round}: no plan replayed ({misses} walked)");
+            assert_lane_columns(&mut ws, &structure, 21, &planes);
         }
     }
-
-    /// The bytes of the plan index once it holds its first entry.
-    const FIRST_INDEX_BYTES: usize = 64 * std::mem::size_of::<(u32, u32)>();
 
     #[test]
     fn a_full_plan_store_stops_recording_and_stays_exact() {
@@ -1405,19 +928,48 @@ mod tests {
         let mut rng = Lcg(5);
         let patterns: Vec<Vec<f64>> =
             (0..3).map(|_| (0..ne).map(|_| rng.f64_in(-5.0, 40.0)).collect()).collect();
-        for budget in [0, FIRST_INDEX_BYTES + 24, FIRST_INDEX_BYTES + 80, FIRST_INDEX_BYTES + 180] {
+        // Four rounds of five lanes. Lanes come in pairs of one pattern
+        // (scaled edge by edge by up to ±0.1 %), so the second lane of a
+        // pair replays what the first walked, and each round meets every
+        // pattern.
+        let rounds: Vec<CostPlanes> = (0..4)
+            .map(|r| {
+                let mut planes = CostPlanes::new();
+                planes.reset(5, ne);
+                for q in 0..5 {
+                    let pattern = &patterns[(r + q / 2) % 3];
+                    for (c, &base) in planes.plane_mut(q).iter_mut().zip(pattern) {
+                        *c = base * (1.0 + rng.f64_in(-1e-3, 1e-3));
+                    }
+                }
+                planes
+            })
+            .collect();
+        // The store bytes the first lane's plans take, and those every plan
+        // of the run takes. Lanes run in sequence, so a budget below
+        // `first` fills before anything can replay.
+        let mut one = CostPlanes::new();
+        one.reset(1, ne);
+        one.plane_mut(0).copy_from_slice(rounds[0].plane(0));
+        let mut ws = Workspace::new();
+        ws.max_cycle_ratio_batch(&structure, 8, &one);
+        let first = ws.plan_store().bytes();
+        let mut ws = Workspace::new();
+        for planes in &rounds {
+            ws.max_cycle_ratio_batch(&structure, 8, planes);
+        }
+        let total = ws.plan_store().bytes();
+        assert!(first < total, "the run walks more plans than its first lane ({first} B)");
+        for budget in [0, first, (first + total) / 2, total] {
             let mut ws = Workspace::new();
-            let mut scratch = BatchScratch::new();
-            let mut planes = CostPlanes::new();
-            for round in 0..4 {
-                patterned_planes(&mut rng, &patterns, 5, false, &mut planes);
+            for (round, planes) in rounds.iter().enumerate() {
                 // The budget survives the condensation of the first round.
                 ws.plan_store().set_budget(budget);
-                let batch = ws.max_cycle_ratio_batch(&structure, 8, &planes, &mut scratch);
-                assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
+                let batch = ws.max_cycle_ratio_batch(&structure, 8, planes);
+                assert_bitwise_eq(&batch, &reference_results(&structure, planes));
                 let store = ws.plan_store();
                 assert!(store.bytes() <= budget, "budget {budget}, round {round}");
-                if (1..FIRST_INDEX_BYTES + 100).contains(&budget) {
+                if (first..total).contains(&budget) {
                     assert!(store.full && store.stats().0 > 0, "budget {budget} filled, replays");
                 }
                 if budget == 0 {
@@ -1428,8 +980,14 @@ mod tests {
                     );
                 }
             }
+            if budget == total {
+                assert!(!ws.plan_store().full, "a budget of every plan never fills");
+            }
         }
     }
+
+    /// The bytes of the plan index once it holds its first entry.
+    const FIRST_INDEX_BYTES: usize = 64 * std::mem::size_of::<(u32, u32)>();
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -1453,8 +1011,7 @@ mod tests {
                 }
             }
             let mut ws = Workspace::new();
-            let mut scratch = BatchScratch::new();
-            let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes, &mut scratch);
+                let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes);
             assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
         }
 
@@ -1485,8 +1042,7 @@ mod tests {
                 .map(|_| (0..ne).map(|_| rng.f64_in(-20.0, 100.0)).collect())
                 .collect();
             let mut ws = Workspace::new();
-            let mut scratch = BatchScratch::new();
-            let mut planes = CostPlanes::new();
+                let mut planes = CostPlanes::new();
             let mut hits = 0;
             let mut replayable = false;
             for round in 0..8 {
@@ -1498,7 +1054,7 @@ mod tests {
                             *c = rng.f64_in(0.0, 10.0);
                         }
                     }
-                    let batch = ws.max_cycle_ratio_batch(&other, seed ^ 1, &p, &mut scratch);
+                    let batch = ws.max_cycle_ratio_batch(&other, seed ^ 1, &p);
                     assert_bitwise_eq(&batch, &reference_results(&other, &p));
                 }
                 let k = 1 + rng.next() as usize % 8;
@@ -1507,21 +1063,12 @@ mod tests {
                     let bytes = [0, FIRST_INDEX_BYTES + 32, FIRST_INDEX_BYTES + 128][budget];
                     ws.plan_store().set_budget(bytes);
                 }
-                let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes, &mut scratch);
-                let mut fresh_scratch = BatchScratch::new();
-                let fresh = Workspace::new().max_cycle_ratio_batch(
-                    &structure,
-                    seed,
-                    &planes,
-                    &mut fresh_scratch,
-                );
+                let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes);
+                let fresh = Workspace::new().max_cycle_ratio_batch(&structure, seed, &planes);
                 assert_bitwise_eq(&batch, &fresh);
-                if !fresh_scratch.policy.is_empty() {
-                    // (Empty: every lane failed validation before any solve.)
-                    assert_same_columns(&scratch, &fresh_scratch, n * k);
-                }
                 assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
                 hits += ws.plan_store().stats().0;
+                assert_lane_columns(&mut ws, &structure, seed, &planes);
                 replayable |= batch.iter().filter(|r| matches!(r, Ok(Some(_)))).count() > 1;
             }
             if budget == 3 && replayable && patterns.len() == 1 {

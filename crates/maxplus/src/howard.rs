@@ -15,11 +15,13 @@
 //! is always recomputed *exactly* from the witness circuit, so tolerances
 //! only affect how long the search runs, not the reported value.
 //!
-//! The solver itself lives in [`crate::workspace`]: it runs per SCC on a
-//! shared CSR adjacency and borrows every scratch vector from a
-//! caller-owned [`Workspace`], which makes repeated solves allocation-free
-//! and enables warm-started iteration
-//! ([`Workspace::max_cycle_ratio_warm`]). Its improvement phases visit only
+//! The solver itself lives in [`crate::workspace`]: one kernel that runs
+//! per SCC on a shared CSR adjacency and borrows every scratch vector from
+//! a caller-owned [`Workspace`], which makes repeated solves
+//! allocation-free and enables warm-started iteration
+//! ([`Workspace::max_cycle_ratio_cached`]); shape batches
+//! ([`crate::batch`]) run the same kernel lane after lane, replaying cached
+//! policy-evaluation plans. Its improvement phases visit only
 //! **choice vertices** (two or more in-component out-edges): a *forced*
 //! vertex, with one such edge, can never change policy. Rounds in which
 //! every policy cycle has the same λ skip the λ-improvement sweep, which

@@ -11,16 +11,24 @@
 //! ([`crate::karp`], [`crate::lawler`]) keep their own scratch.
 //!
 //! On top of buffer reuse, the workspace supports **warm-started** policy
-//! iteration: [`Workspace::max_cycle_ratio_warm`] seeds Howard's iteration
-//! with the converged policy of the previous solve whenever the graph
-//! shape matches, which typically converges in one or two policy
-//! evaluations on the neighbor-mapping graphs produced by local search and
-//! annealing. Warm starts change the *search path*, not the result: the
-//! returned ratio is always recomputed exactly from the witness circuit.
-//! The only caveat: when two distinct circuits tie for critical within the
-//! solver's eps tolerance (~1e-12 relative — measure zero for generic
-//! random costs, property-tested bit-for-bit on such inputs), a warm start
-//! may settle on the other member of the tie and report its bit pattern.
+//! iteration: [`Workspace::max_cycle_ratio_cached`] with `warm` seeds
+//! Howard's iteration with the converged policy of the previous solve
+//! whenever the graph shape matches, which typically converges in one or
+//! two policy evaluations on the neighbor-mapping graphs produced by local
+//! search and annealing. Warm starts change the *search path*, not the
+//! result: the returned ratio is always recomputed exactly from the witness
+//! circuit. The only caveat: when two distinct circuits tie for critical
+//! within the solver's eps tolerance (~1e-12 relative — measure zero for
+//! generic random costs, property-tested bit-for-bit on such inputs), a
+//! warm start may settle on the other member of the tie and report its bit
+//! pattern.
+//!
+//! **One kernel.** Every Howard solve of this crate — cold, warm, cached,
+//! per-SCC parallel and each lane of a shape batch ([`crate::batch`]) —
+//! runs the same per-component kernel, which reads edge costs from a
+//! CSR-order `&[f64]`: the CSR's cost mirror for a solo solve, the lane's
+//! copied cost plane for a batch. Only batched solves give it a plan
+//! store, whose replays write the bits a walk writes.
 //!
 //! Every solve works per strongly connected component directly on the
 //! global vertex ids, slicing the shared CSR and filtering edges by
@@ -58,10 +66,11 @@
 //! (the *choice vertices*), in member order. The index is part of the
 //! condensation, so it lives exactly as long as the structure token does:
 //! structure hits — patched solves, pattern slots, batch chunks — reuse it,
-//! and the `csr_builds` / `tarjan_runs` counters keep their meaning. Cold initialization, the warm keep and the eps fold still visit
-//! every member (a forced vertex's max-cost edge is its only edge); the
-//! two improvement phases visit the choice vertices only. Policy
-//! evaluation also reports whether every policy cycle it found has the
+//! and the `csr_builds` / `tarjan_runs` counters keep their meaning. Cold
+//! initialization, the warm keep and the eps fold still visit every
+//! member (a forced vertex's max-cost edge is its only edge); the two
+//! improvement phases visit the choice vertices only. Policy evaluation
+//! also reports whether every policy cycle it found has the
 //! bit-identical λ; in such a **λ-uniform** round the phase-1 sweep and
 //! phase 2's `λ[w] < λ[v] − eps` filter are skipped.
 //!
@@ -85,7 +94,7 @@
 //! unchanged): ratios, witnesses, errors and iteration counters are bit
 //! for bit those of a solver that sweeps every vertex.
 
-use crate::batch::PlanStore;
+use crate::batch::{PlanRecord, PlanStore};
 use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
 
@@ -296,11 +305,44 @@ impl ChoiceIndex {
     }
 }
 
+/// Howard's per-vertex columns over global vertex ids, and the walk
+/// scratch of policy evaluation and witness extraction. `policy[v]` is a
+/// CSR *position* (an index into the SoA arrays of the CSR), always inside
+/// `csr.range(v)`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Columns {
+    pub(crate) policy: Vec<u32>,
+    pub(crate) lambda: Vec<f64>,
+    pub(crate) potential: Vec<f64>,
+    state: Vec<u8>,
+    walk_pos: Vec<u32>,
+    path: Vec<u32>,
+}
+
+impl Columns {
+    /// Sizes every column to `n` vertices and resets it; `keep_policy`
+    /// keeps the policy of the previous solve for a warm start.
+    fn reset(&mut self, n: usize, keep_policy: bool) {
+        if !keep_policy {
+            self.policy.clear();
+            self.policy.resize(n, u32::MAX);
+        }
+        self.lambda.clear();
+        self.lambda.resize(n, f64::NEG_INFINITY);
+        self.potential.clear();
+        self.potential.resize(n, 0.0);
+        self.state.clear();
+        self.state.resize(n, 0);
+        self.walk_pos.clear();
+        self.walk_pos.resize(n, 0);
+    }
+}
+
 /// Owned scratch state of Howard's solver.
 ///
-/// Create once, then call [`Workspace::max_cycle_ratio`] (or the warm /
-/// cached / parallel variants) as many times as needed; buffers grow to the
-/// largest graph seen and are reused afterwards.
+/// Create once, then call [`Workspace::max_cycle_ratio`] (or the cached /
+/// batched / parallel variants) as many times as needed; buffers grow to
+/// the largest graph seen and are reused afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     csr: Csr,
@@ -319,14 +361,9 @@ pub struct Workspace {
     on_stack: Vec<bool>,
     vstack: Vec<u32>,
     frames: Vec<(u32, u32)>,
-    // Howard policy iteration. `policy[v]` is a CSR *position* (an index
-    // into the SoA arrays of `csr`), always inside `csr.range(v)`.
-    policy: Vec<u32>,
-    lambda: Vec<f64>,
-    potential: Vec<f64>,
-    state: Vec<u8>,
-    walk_pos: Vec<u32>,
-    path: Vec<u32>,
+    cols: Columns,
+    /// The current batch lane's edge costs in CSR order.
+    lane_cost: Vec<f64>,
     /// `(num_vertices, num_edges)` of the graph the converged `policy`
     /// belongs to; `None` until a solve completes.
     warm_sig: Option<(usize, usize)>,
@@ -336,6 +373,12 @@ pub struct Workspace {
     /// solve error, a token/dimension miss, or any other solver rebuilding
     /// the CSR). See [`Workspace::max_cycle_ratio_cached`].
     struct_sig: Option<(u64, usize, usize)>,
+}
+
+/// Generous policy-iteration bound: each iteration strictly improves
+/// (λ, x) and policies are finite. Guards against floating-point livelock.
+fn max_iters(n: usize, ne: usize) -> usize {
+    64 + 8 * n + ne
 }
 
 impl Workspace {
@@ -389,25 +432,18 @@ impl Workspace {
         self.howard(g, false, None)
     }
 
-    /// Howard's policy iteration seeded with the converged policy of the
-    /// previous solve when the graph shape (vertex and edge counts) matches
-    /// and the stored policy is still structurally valid; falls back to the
-    /// cold initialization per vertex otherwise.
-    ///
-    /// The result is the same as [`Workspace::max_cycle_ratio`] — the ratio
-    /// is recomputed exactly from the witness circuit; see the module docs
-    /// for the eps-level-tie caveat — and on families of related graphs
-    /// (neighbor mappings in a search) convergence is typically immediate.
-    pub fn max_cycle_ratio_warm(&mut self, g: &RatioGraph) -> RatioResult {
-        self.howard(g, true, None)
-    }
-
     /// Howard's policy iteration with a **shape-cached** structural phase:
     /// when `structure` equals the token of the previous successful cached
     /// solve and the vertex/edge counts match, the CSR adjacency and the
     /// Tarjan condensation are reused as-is — only the structure-of-arrays
     /// cost mirror is refreshed from `g` ([`Csr::refresh_costs`]) before
     /// policy iteration starts. Zero CSR builds, zero Tarjan runs on a hit.
+    ///
+    /// With `warm`, the iteration is seeded with the converged policy of
+    /// the previous solve when the graph shape (vertex and edge counts)
+    /// matches; each vertex whose stored policy edge is no longer one of
+    /// its in-component edges falls back to the cold initialization. A
+    /// fresh token gives a warm solve on a rebuilt structure.
     ///
     /// **Token contract:** two calls presenting the same token and the
     /// same dimensions must present *structurally identical* graphs — the
@@ -419,9 +455,10 @@ impl Workspace {
     /// workspace rebuilds the CSR, so a violated contract can only result
     /// from re-using a token for a structurally different graph.
     ///
-    /// Results are bit-for-bit those of [`Workspace::max_cycle_ratio`] /
-    /// [`Workspace::max_cycle_ratio_warm`] on the same graph: the cached
-    /// arrays are exactly what a rebuild would produce.
+    /// Results are bit-for-bit those of [`Workspace::max_cycle_ratio`] on
+    /// the same graph (for warm solves, see the module docs for the
+    /// eps-level-tie caveat): the cached arrays are exactly what a rebuild
+    /// would produce.
     pub fn max_cycle_ratio_cached(
         &mut self,
         g: &RatioGraph,
@@ -448,10 +485,9 @@ impl Workspace {
     /// the structure cache exactly like [`Workspace::max_cycle_ratio_cached`]
     /// and condenses on a miss. Both signatures are invalidated until
     /// [`Workspace::batch_commit`] re-arms the structure cache — the warm
-    /// policy is never reusable after a batch (converged policies live in
-    /// the batch scratch columns, not in `self.policy`). Unlike the solo
-    /// path, a structure *hit* does not refresh the CSR cost mirror: batched
-    /// Howard reads costs from its own interleaved planes, never from
+    /// policy is never reusable after a batch (lanes start cold). Unlike
+    /// the solo path, a structure *hit* does not refresh the CSR cost
+    /// mirror: each lane reads its own costs from `lane_cost`, never from
     /// [`Csr::costs`].
     pub(crate) fn batch_prepare(&mut self, g: &RatioGraph, structure: u64) {
         let n = g.num_vertices();
@@ -462,6 +498,16 @@ impl Workspace {
         if !structure_ok {
             self.condense(g);
         }
+        self.cols.reset(n, false);
+    }
+
+    /// Solves one batch lane over the condensation of
+    /// [`Workspace::batch_prepare`]: copies the lane's edge-order `plane`
+    /// into CSR order and runs the kernel with the plan store on.
+    pub(crate) fn solve_lane(&mut self, plane: &[f64]) -> RatioResult {
+        self.lane_cost.clear();
+        self.lane_cost.extend(self.csr.edge_indices().iter().map(|&ei| plane[ei as usize]));
+        self.solve_components(true, false)
     }
 
     /// Re-arms the structure cache after a fully successful batched solve.
@@ -469,26 +515,24 @@ impl Workspace {
         self.struct_sig = Some((structure, n, ne));
     }
 
-    /// The shared read-only structural arrays a batched solve iterates
-    /// over — `(csr, component offsets, component vertices, choice index)`
-    /// — and the condensation's plan store.
-    pub(crate) fn batch_parts(&mut self) -> (&Csr, &[u32], &[u32], &ChoiceIndex, &mut PlanStore) {
-        (&self.csr, &self.comp_offsets, &self.comp_vertices, &self.choice, &mut self.plans)
-    }
-
     /// The plan store of the current condensation.
-    #[cfg(test)]
     pub(crate) fn plan_store(&mut self) -> &mut PlanStore {
         &mut self.plans
+    }
+
+    /// The policy, λ and potential columns the last solve left behind.
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> (&[u32], &[f64], &[f64]) {
+        (&self.cols.policy, &self.cols.lambda, &self.cols.potential)
     }
 
     /// Howard's policy iteration with **per-SCC parallelism**: after one
     /// (sequential) CSR build + Tarjan condensation, the cyclic components
     /// are solved as independent tasks on the [`repwf_par`] work-stealing
     /// pool — each worker runs the ordinary cold `howard_component` on
-    /// its own full-size scratch arrays over the shared read-only CSR —
-    /// and the per-component witnesses are folded **in condensation
-    /// order** on the calling thread.
+    /// its own full-size columns over the shared read-only CSR, with no
+    /// plan store — and the per-component witnesses are folded **in
+    /// condensation order** on the calling thread.
     ///
     /// Results are bit-for-bit those of [`Workspace::max_cycle_ratio`] at
     /// any `threads` (including the first-error-in-component-order
@@ -507,7 +551,7 @@ impl Workspace {
         let ne = g.num_edges();
         self.warm_sig = None;
         self.condense(g); // also clears struct_sig (rebuild_csr)
-        let max_iters = 64 + 8 * n + ne;
+        let max_iters = max_iters(n, ne);
 
         let csr = &self.csr;
         let choice = &self.choice;
@@ -521,43 +565,28 @@ impl Workspace {
             .map(|c| c as u32)
             .collect();
 
-        // Per-worker scratch: full-size global-vertex-id arrays, exactly
-        // what `howard_component` expects. Initial values are irrelevant —
-        // every member entry is written (cold policy init, policy
-        // evaluation) before it is read.
-        struct ParScratch {
-            policy: Vec<u32>,
-            lambda: Vec<f64>,
-            potential: Vec<f64>,
-            state: Vec<u8>,
-            walk_pos: Vec<u32>,
-            path: Vec<u32>,
-        }
+        // Per-worker columns: full-size global-vertex-id arrays, exactly
+        // what `howard_component` expects.
         let results = repwf_par::par_map_init(
             threads,
             cyclic.len(),
-            || ParScratch {
-                policy: vec![u32::MAX; n],
-                lambda: vec![f64::NEG_INFINITY; n],
-                potential: vec![0.0; n],
-                state: vec![0; n],
-                walk_pos: vec![0; n],
-                path: Vec::new(),
+            || {
+                let mut cols = Columns::default();
+                cols.reset(n, false);
+                cols
             },
-            |s, i| {
+            |cols, i| {
                 let c = cyclic[i] as usize;
                 howard_component(
                     csr,
                     choice,
+                    csr.costs(),
+                    c,
                     members_of(c),
-                    choice.choices(c),
+                    None,
                     false,
-                    &mut s.policy,
-                    &mut s.lambda,
-                    &mut s.potential,
-                    &mut s.state,
-                    &mut s.walk_pos,
-                    &mut s.path,
+                    repwf_obs::CounterId::HowardItersCold,
+                    cols,
                     max_iters,
                 )
             },
@@ -578,7 +607,7 @@ impl Workspace {
         g.validate()?;
         let n = g.num_vertices();
         let ne = g.num_edges();
-        let warm_ok = warm && self.warm_sig == Some((n, ne)) && self.policy.len() == n;
+        let warm_ok = warm && self.warm_sig == Some((n, ne)) && self.cols.policy.len() == n;
         repwf_obs::counter_add(
             if warm_ok {
                 repwf_obs::CounterId::HowardSolvesWarm
@@ -600,38 +629,30 @@ impl Workspace {
         } else {
             self.condense(g);
         }
-
-        if !warm_ok {
-            self.policy.clear();
-            self.policy.resize(n, u32::MAX);
+        self.cols.reset(n, warm_ok);
+        let best = self.solve_components(false, warm_ok)?;
+        self.warm_sig = Some((n, ne));
+        if let Some(token) = structure {
+            self.struct_sig = Some((token, n, ne));
         }
-        self.lambda.clear();
-        self.lambda.resize(n, f64::NEG_INFINITY);
-        self.potential.clear();
-        self.potential.resize(n, 0.0);
-        self.state.clear();
-        self.state.resize(n, 0);
-        self.walk_pos.clear();
-        self.walk_pos.resize(n, 0);
+        Ok(best)
+    }
 
-        // Generous bound: each iteration strictly improves (λ, x); policies
-        // are finite. Guards against floating-point livelock.
-        let max_iters = 64 + 8 * n + ne;
-
-        let Workspace {
-            csr,
-            comp_offsets,
-            comp_vertices,
-            choice,
-            policy,
-            lambda,
-            potential,
-            state,
-            walk_pos,
-            path,
-            ..
-        } = self;
-
+    /// Runs `howard_component` on every cyclic component of the current
+    /// condensation and folds the witnesses in condensation order; the
+    /// first failing component's error wins. A batch lane reads
+    /// `lane_cost`, probes the plan store and counts its rounds as
+    /// batched; a solo solve reads the CSR's cost mirror, with no store.
+    fn solve_components(&mut self, batched: bool, warm_ok: bool) -> RatioResult {
+        use repwf_obs::CounterId::{HowardItersBatched, HowardItersCold, HowardItersWarm};
+        let Workspace { csr, comp_offsets, comp_vertices, choice, plans, cols, lane_cost, .. } =
+            self;
+        let max_iters = max_iters(csr.offsets().len() - 1, csr.targets().len());
+        let (cost, mut plans, iters) = match (batched, warm_ok) {
+            (true, _) => (&lane_cost[..], Some(plans), HowardItersBatched),
+            (false, true) => (csr.costs(), None, HowardItersWarm),
+            (false, false) => (csr.costs(), None, HowardItersCold),
+        };
         let mut best: Option<CycleSolution> = None;
         for c in 0..comp_offsets.len() - 1 {
             let members = &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
@@ -641,24 +662,18 @@ impl Workspace {
             let sol = howard_component(
                 csr,
                 choice,
+                cost,
+                c,
                 members,
-                choice.choices(c),
+                plans.as_deref_mut(),
                 warm_ok,
-                policy,
-                lambda,
-                potential,
-                state,
-                walk_pos,
-                path,
+                iters,
+                cols,
                 max_iters,
             )?;
             if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
                 best = Some(sol);
             }
-        }
-        self.warm_sig = Some((n, ne));
-        if let Some(token) = structure {
-            self.struct_sig = Some((token, n, ne));
         }
         Ok(best)
     }
@@ -751,30 +766,34 @@ fn tarjan_flat(
     }
 }
 
-/// Howard's iteration on one strongly connected component, operating on
-/// global vertex ids. Edge data is read from the CSR's structure-of-arrays
-/// mirror (`targets`/`costs`/`token_counts`) at the in-component positions
-/// of the choice index, so no loop gathers component ids; `policy` holds
-/// CSR positions. The improvement phases visit only `choices` (see the
+/// Howard's iteration on component `c`, operating on global vertex ids:
+/// the one policy-iteration kernel of this crate. Edge data is read in CSR
+/// order — `cost` for the costs, the CSR's `targets` / `token_counts` for
+/// the rest — at the in-component positions of the choice index, so no
+/// loop gathers component ids; `cols.policy` holds CSR positions. The
+/// improvement phases visit only the component's choice vertices (see the
 /// module docs for why the iteration sequence is unchanged).
+///
+/// With `plans`, each policy evaluation first probes the store: a cached
+/// plan is replayed, any other policy is walked and its plan recorded
+/// (see [`crate::batch`]). On convergence the rounds run are added to the
+/// `iters` counter.
 #[allow(clippy::too_many_arguments)]
 fn howard_component(
     csr: &Csr,
     index: &ChoiceIndex,
+    cost: &[f64],
+    c: usize,
     members: &[u32],
-    choices: &[u32],
+    mut plans: Option<&mut PlanStore>,
     warm_ok: bool,
-    policy: &mut [u32],
-    lambda: &mut [f64],
-    potential: &mut [f64],
-    state: &mut [u8],
-    walk_pos: &mut [u32],
-    path: &mut Vec<u32>,
+    iters: repwf_obs::CounterId,
+    cols: &mut Columns,
     max_iters: usize,
 ) -> Result<CycleSolution, RatioGraphError> {
     let to = csr.targets();
-    let cost = csr.costs();
     let tokens = csr.token_counts();
+    let choices = index.choices(c);
 
     // One sweep over every member's in-component edges folds the
     // improvement tolerance and sets the initial policy.
@@ -794,7 +813,7 @@ fn howard_component(
     for &vu in members {
         let v = vu as usize;
         let edges = index.edges(vu);
-        let keep = warm_ok && edges.contains(&policy[v]);
+        let keep = warm_ok && edges.contains(&cols.policy[v]);
         let mut best_p = u32::MAX;
         let mut best_cost = f64::NEG_INFINITY;
         for &p in edges {
@@ -807,14 +826,20 @@ fn howard_component(
         }
         debug_assert!(best_p != u32::MAX, "SCC vertex must have an in-component out-edge");
         if !keep {
-            policy[v] = best_p;
+            cols.policy[v] = best_p;
         }
     }
     let eps = scale * 1e-12;
 
     for iter in 0..max_iters {
-        let uniform =
-            evaluate_policy(csr, members, policy, lambda, potential, state, walk_pos, path)?;
+        let uniform = match plans.as_deref_mut() {
+            Some(store) => store.evaluate(csr, cost, c, members, choices, cols)?,
+            None => evaluate_policy(csr, cost, members, cols, None)?,
+        };
+        // Slices, not the `Vec` fields: a store through one field could
+        // otherwise move another's pointer, and every access reloads it.
+        let (policy, lambda, potential) =
+            (&mut cols.policy[..], &cols.lambda[..], &cols.potential[..]);
 
         // Phase 1: improve by cycle-ratio value. With one λ everywhere no
         // edge can beat the policy edge by more than eps: skipped.
@@ -867,15 +892,8 @@ fn howard_component(
             }
         }
         if !changed {
-            repwf_obs::counter_add(
-                if warm_ok {
-                    repwf_obs::CounterId::HowardItersWarm
-                } else {
-                    repwf_obs::CounterId::HowardItersCold
-                },
-                iter as u64 + 1,
-            );
-            return extract_witness(csr, members, policy, lambda, state);
+            repwf_obs::counter_add(iters, iter as u64 + 1);
+            return Ok(extract_witness(csr, cost, members, cols));
         }
     }
     Err(RatioGraphError::NoConvergence)
@@ -883,23 +901,25 @@ fn howard_component(
 
 /// Evaluates a policy on one component: for every member vertex, the ratio
 /// of the policy cycle it reaches (`lambda`) and a potential solving
-/// `x[v] = cost − λ·tokens + x[π(v)]` along policy edges, rooted at an
-/// arbitrary vertex of each policy cycle. Returns whether every policy
-/// cycle has the bit-identical λ (then every member's λ is that value).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_policy(
+/// `x[v] = cost − λ·tokens + x[π(v)]` along policy edges, rooted at the
+/// vertex where the walk entered each policy cycle. Returns whether every
+/// policy cycle has the bit-identical λ (then every member's λ is that
+/// value). With `rec`, it also records the walk's plan (see
+/// [`crate::batch`]); the caller keeps a plan only when the walk succeeds.
+pub(crate) fn evaluate_policy(
     csr: &Csr,
+    cost: &[f64],
     members: &[u32],
-    policy: &[u32],
-    lambda: &mut [f64],
-    potential: &mut [f64],
-    state: &mut [u8],
-    walk_pos: &mut [u32],
-    path: &mut Vec<u32>,
+    cols: &mut Columns,
+    mut rec: Option<&mut PlanRecord>,
 ) -> Result<bool, RatioGraphError> {
     let to = csr.targets();
-    let cost = csr.costs();
     let tok = csr.token_counts();
+    let Columns { policy, lambda, potential, state, walk_pos, path } = cols;
+    // Slices, not the `Vec` fields (see `howard_component`); only `path`
+    // grows.
+    let (policy, lambda, potential) = (&policy[..], &mut lambda[..], &mut potential[..]);
+    let (state, walk_pos) = (&mut state[..], &mut walk_pos[..]);
     let mut first_lam: Option<u64> = None;
     let mut uniform = true;
     // 0 = unvisited, 1 = on current walk, 2 = finished.
@@ -933,6 +953,9 @@ fn evaluate_policy(
             if t == 0 {
                 return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
             }
+            if let Some(rec) = rec.as_deref_mut() {
+                rec.push_cycle(cycle, t);
+            }
             let lam = c / t as f64;
             uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
             // Root the potential at the cycle entry point `u = cycle[0]`.
@@ -960,23 +983,23 @@ fn evaluate_policy(
             potential[v] = cost[p] - lambda[v] * f64::from(tok[p]) + potential[to[p] as usize];
             state[v] = 2;
         }
+        if let Some(rec) = rec.as_deref_mut().filter(|_| settle_from > 0) {
+            rec.push_segment(&path[..settle_from]);
+        }
     }
     Ok(uniform)
 }
 
 /// Extracts the critical circuit of the converged policy: follow the policy
-/// from the member with maximal λ until a vertex repeats. Reuses `state`
-/// (all members are at 2 after evaluation) with mark value 3.
-fn extract_witness(
-    csr: &Csr,
-    members: &[u32],
-    policy: &[u32],
-    lambda: &[f64],
-    state: &mut [u8],
-) -> Result<CycleSolution, RatioGraphError> {
+/// from the member with maximal λ (the later one on ties) until a vertex
+/// repeats. No member may hold the mark 3 on entry (a replayed evaluation
+/// leaves `state` as it was); the vertices this walk marks are noted in
+/// `path` and unmarked again on exit.
+fn extract_witness(csr: &Csr, cost: &[f64], members: &[u32], cols: &mut Columns) -> CycleSolution {
     let to = csr.targets();
-    let cost = csr.costs();
     let tok = csr.token_counts();
+    let Columns { policy, lambda, state, path, .. } = cols;
+    let (policy, lambda, state) = (&policy[..], &lambda[..], &mut state[..]);
     let mut start = members[0];
     for &v in &members[1..] {
         if lambda[v as usize] >= lambda[start as usize] {
@@ -984,27 +1007,28 @@ fn extract_witness(
         }
     }
     let mut u = start;
+    path.clear();
     while state[u as usize] != 3 {
         state[u as usize] = 3;
+        path.push(u);
         u = to[policy[u as usize] as usize];
     }
-    // `u` is on the cycle; walk it once more to collect it.
-    let mut cycle = Vec::new();
+    for &v in path.iter() {
+        state[v as usize] = 2;
+    }
+    // `u` is the first vertex the walk met twice: the cycle is the walk
+    // from `u` on, in policy order.
+    let from = path.iter().position(|&v| v == u).expect("the walk reached a marked vertex");
+    let cycle = path[from..].to_vec();
     let mut c = 0.0;
     let mut t: u64 = 0;
-    let first = u;
-    loop {
-        cycle.push(u);
-        let p = policy[u as usize] as usize;
+    for &v in &cycle {
+        let p = policy[v as usize] as usize;
         c += cost[p];
         t += u64::from(tok[p]);
-        u = to[p];
-        if u == first {
-            break;
-        }
     }
     debug_assert!(t > 0, "converged policy cycle must carry tokens");
-    Ok(CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t })
+    CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t }
 }
 
 #[cfg(test)]
@@ -1124,7 +1148,7 @@ mod tests {
         let mut ws = Workspace::new();
         let g = diamond();
         let cold = ws.max_cycle_ratio(&g).unwrap().unwrap();
-        let warm = ws.max_cycle_ratio_warm(&g).unwrap().unwrap();
+        let warm = ws.max_cycle_ratio_cached(&g, 1, true).unwrap().unwrap();
         assert_eq!(cold.ratio.to_bits(), warm.ratio.to_bits());
         assert_eq!(cold.cycle, warm.cycle);
     }
@@ -1139,7 +1163,7 @@ mod tests {
         for e in g.edges() {
             g2.add_edge(e.from, e.to, e.cost * 1.75 + 0.1, e.tokens);
         }
-        let warm = ws.max_cycle_ratio_warm(&g2).unwrap().unwrap();
+        let warm = ws.max_cycle_ratio_cached(&g2, 1, true).unwrap().unwrap();
         let cold = max_cycle_ratio(&g2).unwrap().unwrap();
         assert_eq!(warm.ratio.to_bits(), cold.ratio.to_bits());
     }
@@ -1152,7 +1176,7 @@ mod tests {
         let mut small = RatioGraph::new(2);
         small.add_edge(0, 1, 3.0, 1);
         small.add_edge(1, 0, 5.0, 1);
-        let warm = ws.max_cycle_ratio_warm(&small).unwrap().unwrap();
+        let warm = ws.max_cycle_ratio_cached(&small, 1, true).unwrap().unwrap();
         assert!((warm.ratio - 4.0).abs() < 1e-12);
     }
 
@@ -1165,7 +1189,7 @@ mod tests {
         assert!(ws.max_cycle_ratio(&bad).is_err());
         // The failed solve must not leave a warm signature behind.
         let g = diamond();
-        let warm = ws.max_cycle_ratio_warm(&g).unwrap().unwrap();
+        let warm = ws.max_cycle_ratio_cached(&g, 1, true).unwrap().unwrap();
         let cold = max_cycle_ratio(&g).unwrap().unwrap();
         assert_eq!(warm.ratio.to_bits(), cold.ratio.to_bits());
     }

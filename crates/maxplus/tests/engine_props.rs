@@ -13,7 +13,7 @@
 //! with self-loops and parallel edges, so the solvers' choice index and
 //! their λ-uniform skips are exercised on every shape they meet.
 
-use maxplus::batch::{BatchScratch, CostPlanes};
+use maxplus::batch::CostPlanes;
 use maxplus::graph::{CycleSolution, RatioGraph};
 use maxplus::howard::max_cycle_ratio;
 use maxplus::karp::max_cycle_ratio_karp;
@@ -140,8 +140,7 @@ proptest! {
                 *c = e.cost;
             }
         }
-        let mut scratch = BatchScratch::new();
-        let batch = Workspace::new().max_cycle_ratio_batch(&g, 1, &planes, &mut scratch);
+        let batch = Workspace::new().max_cycle_ratio_batch(&g, 1, &planes);
         let warm_ref = max_cycle_ratio(&warmup).expect("live").expect("cyclic");
         for (q, reference) in [&warm_ref, &cold].into_iter().enumerate() {
             let lane = batch[q].as_ref().expect("live").as_ref().expect("cyclic");
@@ -156,12 +155,13 @@ proptest! {
         let mut ws = Workspace::new();
         ws.max_cycle_ratio(&g).expect("live");
         let neighbor = perturb(&g, 1.75);
-        let warm = ws.max_cycle_ratio_warm(&neighbor).expect("live").expect("cyclic");
+        // A fresh structure token: rebuild, then warm-start.
+        let warm = ws.max_cycle_ratio_cached(&neighbor, 1, true).expect("live").expect("cyclic");
         let cold = max_cycle_ratio(&neighbor).expect("live").expect("cyclic");
         prop_assert!(warm.ratio.to_bits() == cold.ratio.to_bits(),
             "warm {} vs cold {}", warm.ratio, cold.ratio);
         // And warm-chaining back to the original also matches.
-        let warm_back = ws.max_cycle_ratio_warm(&g).expect("live").expect("cyclic");
+        let warm_back = ws.max_cycle_ratio_cached(&g, 2, true).expect("live").expect("cyclic");
         let cold_back = max_cycle_ratio(&g).expect("live").expect("cyclic");
         prop_assert_eq!(warm_back.ratio.to_bits(), cold_back.ratio.to_bits());
     }

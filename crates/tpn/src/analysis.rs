@@ -223,8 +223,8 @@ fn solve(scratch: &mut PeriodScratch, warm: bool) -> Result<Option<PeriodSolutio
 }
 
 /// Shape-batched period analysis: stages the firing-time planes of `k`
-/// nets sharing one place structure and solves them in a single batched
-/// Howard pass ([`maxplus::Workspace::max_cycle_ratio_batch`]).
+/// nets sharing one place structure and solves them over one shared
+/// condensation ([`maxplus::Workspace::max_cycle_ratio_batch`]).
 ///
 /// The caller names each structure with a `key`; consecutive batches under
 /// the same key (and dimensions) reuse the staged ratio-graph structure
@@ -236,7 +236,6 @@ pub struct PeriodBatch {
     graph: RatioGraph,
     ws: maxplus::Workspace,
     planes: maxplus::batch::CostPlanes,
-    scratch: maxplus::batch::BatchScratch,
     /// Per place (edge insertion order): the *pre* transition whose firing
     /// time is that edge's cost.
     pre: Vec<u32>,
@@ -284,7 +283,7 @@ impl PeriodBatch {
     /// the net with that instance's firing times.
     pub fn solve(&mut self) -> Vec<Result<Option<PeriodSolution>, AnalysisError>> {
         self.ws
-            .max_cycle_ratio_batch(&self.graph, self.key, &self.planes, &mut self.scratch)
+            .max_cycle_ratio_batch(&self.graph, self.key, &self.planes)
             .into_iter()
             .map(convert)
             .collect()
