@@ -7,7 +7,8 @@
 //! policy evaluation per instance. This module amortizes all of that
 //! across a batch:
 //!
-//! * **One structural phase per shape.** [`Workspace::max_cycle_ratio_batch`]
+//! * **One structural phase per shape.**
+//!   [`Workspace::max_cycle_ratio_batch`](crate::Workspace::max_cycle_ratio_batch)
 //!   shares the workspace's structure cache with the solo cached solve: a
 //!   matching `(token, n, ne)` signature skips the CSR build and the
 //!   condensation entirely, and a full batch re-arms the cache for the
@@ -54,13 +55,13 @@
 //!
 //! Results are **bit-for-bit** those of the solo solvers: per instance
 //! `q`, the batched solve performs the same floating-point operations in
-//! the same order as [`Workspace::max_cycle_ratio`] on a graph whose edge
-//! costs equal plane `q` (property-tested below). Warm starts stay off,
-//! matching the campaign engines' cold-solve discipline.
+//! the same order as
+//! [`Workspace::max_cycle_ratio`](crate::Workspace::max_cycle_ratio) on a
+//! graph whose edge costs equal plane `q` (property-tested below). Warm
+//! starts stay off, matching the campaign engines' cold-solve discipline.
 
 use crate::graph::{RatioGraph, RatioGraphError};
-use crate::howard::RatioResult;
-use crate::workspace::{evaluate_policy, Columns, Csr, Workspace};
+use crate::workspace::{evaluate_policy, Columns, Csr};
 
 /// Per-instance edge-cost planes for a batched solve, stored as one flat
 /// structure-of-arrays arena: plane `q` is `data[q·ne .. (q+1)·ne]`,
@@ -142,12 +143,13 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// position. A cycle whose token sum does not fit a word is walked and
 /// never recorded. An open-addressing index maps key hashes to entry
 /// offsets. Arena and index together stay within the byte budget; a
-/// store that filled up without a single hit stops hashing too.
+/// store that filled up in a batch without a single hit stops hashing
+/// too (see [`PlanStore::begin_batch`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PlanStore {
     words: Vec<u16>,
-    /// No plans for this condensation: it is too large for a word, or
-    /// not fitted yet.
+    /// No plans for this condensation: it is too large for a word, it
+    /// filled up without a hit, or no batch has begun on it yet.
     off: bool,
     /// `(key hash, entry word offset)`, [`EMPTY_SLOT`] offset when free.
     /// A power-of-two length, at most half full.
@@ -219,10 +221,14 @@ impl PlanStore {
         2 * self.words.len() + std::mem::size_of::<(u32, u32)>() * self.slots.len()
     }
 
-    /// Turns the store on for a condensation of `n` vertices and `ne`
-    /// edges, unless a word cannot hold their ids.
-    pub(crate) fn fit(&mut self, n: usize, ne: usize) {
-        self.off = n.max(ne) > WORD_MAX;
+    /// Readies the store for a batch over a condensation of `n` vertices
+    /// and `ne` edges. It stays off when a word cannot hold their ids, or
+    /// when it filled up in an earlier batch without a single replay:
+    /// hashing would then only cost time. The rule looks at whole
+    /// batches, because lanes run one after another: a first lane can
+    /// fill the store before a later lane of the same batch could replay.
+    pub(crate) fn begin_batch(&mut self, n: usize, ne: usize) {
+        self.off = n.max(ne) > WORD_MAX || (self.full && self.hits == 0);
     }
 
     /// Evaluates the policy in `cols` on component `c` (with these
@@ -253,7 +259,8 @@ impl PlanStore {
     /// Looks up the plan of component `c` under `policy` at the
     /// component's `choices`, building the key in `self.key`.
     fn probe(&mut self, c: usize, choices: &[u32], policy: &[u32]) -> Probe {
-        if self.off || (self.full && self.hits == 0) {
+        // A full store without entries can never replay.
+        if self.off || (self.full && self.entries == 0) {
             return Probe::Off;
         }
         let key = &mut self.key;
@@ -390,66 +397,9 @@ impl PlanRecord {
     }
 }
 
-impl Workspace {
-    /// Solves the maximum cycle ratio of `k` instances sharing one graph
-    /// structure over a single condensation.
-    ///
-    /// `g` supplies the structure (`from`/`to`/`tokens` per edge, in
-    /// insertion order; its own costs are ignored), `planes` the
-    /// per-instance edge costs, and `structure` the same shape token
-    /// contract as [`Workspace::max_cycle_ratio_cached`] — a repeated
-    /// token with matching dimensions skips the CSR build and the Tarjan
-    /// condensation entirely.
-    ///
-    /// Returns one [`RatioResult`] per instance, in plane order, each
-    /// **bit-for-bit** equal to `Workspace::max_cycle_ratio` on the graph
-    /// with that plane's costs (including error values and the
-    /// first-failing-component semantics). A failed instance never stalls
-    /// the others: the remaining lanes still run; the structure cache is
-    /// only re-armed when every instance succeeded.
-    pub fn max_cycle_ratio_batch(
-        &mut self,
-        g: &RatioGraph,
-        structure: u64,
-        planes: &CostPlanes,
-    ) -> Vec<RatioResult> {
-        let k = planes.num_instances();
-        let n = g.num_vertices();
-        let ne = g.num_edges();
-        assert_eq!(planes.num_edges(), ne, "cost planes must cover every edge of the graph");
-        if k == 0 {
-            return Vec::new();
-        }
-        let _span = repwf_obs::span!(BatchSolve);
-        repwf_obs::counter_add(repwf_obs::CounterId::BatchedPasses, 1);
-        repwf_obs::counter_add(repwf_obs::CounterId::BatchedLanes, k as u64);
-
-        // Per-instance validation, mirroring `RatioGraph::validate` with
-        // the instance's own costs: same error variant, same edge-order
-        // precedence as a solo solve on that instance's graph.
-        let valid: Vec<Result<(), RatioGraphError>> =
-            (0..k).map(|q| validate_plane(g, planes.plane(q))).collect();
-        if valid.iter().all(Result::is_err) {
-            return valid.into_iter().map(|r| r.map(|()| None)).collect();
-        }
-
-        self.batch_prepare(g, structure);
-        self.plan_store().fit(n, ne);
-        let results: Vec<RatioResult> = valid
-            .into_iter()
-            .enumerate()
-            .map(|(q, v)| v.and_then(|()| self.solve_lane(planes.plane(q))))
-            .collect();
-        if results.iter().all(Result::is_ok) {
-            self.batch_commit(structure, n, ne);
-        }
-        results
-    }
-}
-
 /// `RatioGraph::validate` with the costs of one plane substituted for the
 /// graph's own: identical error variants and edge-order precedence.
-fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> {
+pub(crate) fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioGraphError> {
     let n = g.num_vertices();
     for (e, &cost) in g.edges().iter().zip(plane) {
         if (e.from as usize) >= n {
@@ -537,6 +487,8 @@ fn replay_plan(csr: &Csr, cost: &[f64], plan: &[u16], cols: &mut Columns) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::howard::RatioResult;
+    use crate::Workspace;
     use proptest::prelude::*;
     use repwf_obs::counted;
     use repwf_obs::CounterId::{
@@ -832,36 +784,48 @@ mod tests {
         }
     }
 
-    /// Solves each finite lane of `planes` as a batch of one on `ws`
-    /// (replaying whatever plans `ws` holds) and checks the result and the
-    /// final policy, λ and potential columns bitwise against a fresh solo
-    /// walk of that lane: a replayed evaluation writes exactly what the
-    /// walk writes, also where no result reads it.
+    /// Two sets of policy, λ and potential columns are bitwise equal.
+    fn assert_same_columns(
+        (pa, la, xa): (&[u32], &[f64], &[f64]),
+        (pb, lb, xb): (&[u32], &[f64], &[f64]),
+        what: &str,
+    ) {
+        assert_eq!(pa, pb, "{what}: policy column");
+        assert_eq!((la.len(), xa.len()), (lb.len(), xb.len()), "{what}: column lengths");
+        for (i, (x, y)) in la.iter().zip(lb).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: λ column entry {i}");
+        }
+        for (i, (x, y)) in xa.iter().zip(xb).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: potential column entry {i}");
+        }
+    }
+
+    /// The final policy, λ and potential columns of every lane of the last
+    /// batch on `ws` equal those of the same batch on the fresh workspace
+    /// `fresh`, bit for bit, and those of every successful lane equal a
+    /// solo walk's: a replayed evaluation writes exactly what the walk
+    /// writes, also where no result reads it. (An errored lane stops
+    /// mid-solve and keeps the previous lane's entries elsewhere, so only
+    /// the fresh batch is a reference for it.)
     fn assert_lane_columns(
-        ws: &mut Workspace,
+        ws: &Workspace,
+        fresh: &Workspace,
         structure: &RatioGraph,
-        token: u64,
         planes: &CostPlanes,
     ) {
-        let mut one = CostPlanes::new();
         for q in 0..planes.num_instances() {
-            let plane = planes.plane(q);
-            if !plane.iter().all(|c| c.is_finite()) {
+            let (Some(cols), Some(fresh_cols)) = (ws.lane_columns(q), fresh.lane_columns(q)) else {
+                // Every lane failed validation, so no lane ran.
+                assert!(ws.lane_columns(q).is_none() && fresh.lane_columns(q).is_none());
                 continue;
-            }
-            one.reset(1, plane.len());
-            one.plane_mut(0).copy_from_slice(plane);
-            let lane = ws.max_cycle_ratio_batch(structure, token, &one);
-            let mut fresh = Workspace::new();
-            let solo = fresh.max_cycle_ratio(&with_costs(structure, plane));
-            assert_bitwise_eq(&lane, &[solo]);
-            let ((pa, la, xa), (pb, lb, xb)) = (ws.columns(), fresh.columns());
-            assert_eq!(pa, pb, "lane {q} policy column");
-            for (i, (x, y)) in la.iter().zip(lb).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "lane {q} λ column entry {i}");
-            }
-            for (i, (x, y)) in xa.iter().zip(xb).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "lane {q} potential column entry {i}");
+            };
+            assert_same_columns(cols, fresh_cols, &format!("lane {q} vs a fresh batch"));
+            let plane = planes.plane(q);
+            if plane.iter().all(|c| c.is_finite()) {
+                let mut solo = Workspace::new();
+                if solo.max_cycle_ratio(&with_costs(structure, plane)).is_ok() {
+                    assert_same_columns(cols, solo.columns(), &format!("lane {q} vs a solo walk"));
+                }
             }
         }
     }
@@ -912,14 +876,18 @@ mod tests {
             let k = 6;
             patterned_planes(&mut rng, std::slice::from_ref(&pattern), k, false, &mut planes);
             let batch = ws.max_cycle_ratio_batch(&structure, 21, &planes);
-            let fresh = Workspace::new().max_cycle_ratio_batch(&structure, 21, &planes);
+            let mut fresh_ws = Workspace::new();
+            let fresh = fresh_ws.max_cycle_ratio_batch(&structure, 21, &planes);
             assert_bitwise_eq(&batch, &fresh);
+            assert_lane_columns(&ws, &fresh_ws, &structure, &planes);
             assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
             let (hits, misses) = ws.plan_store().stats();
             assert!(hits > 0, "round {round}: no plan replayed ({misses} walked)");
-            assert_lane_columns(&mut ws, &structure, 21, &planes);
         }
     }
+
+    /// The bytes of the plan index once it holds its first entry.
+    const FIRST_INDEX_BYTES: usize = 64 * std::mem::size_of::<(u32, u32)>();
 
     #[test]
     fn a_full_plan_store_stops_recording_and_stays_exact() {
@@ -928,48 +896,18 @@ mod tests {
         let mut rng = Lcg(5);
         let patterns: Vec<Vec<f64>> =
             (0..3).map(|_| (0..ne).map(|_| rng.f64_in(-5.0, 40.0)).collect()).collect();
-        // Four rounds of five lanes. Lanes come in pairs of one pattern
-        // (scaled edge by edge by up to ±0.1 %), so the second lane of a
-        // pair replays what the first walked, and each round meets every
-        // pattern.
-        let rounds: Vec<CostPlanes> = (0..4)
-            .map(|r| {
-                let mut planes = CostPlanes::new();
-                planes.reset(5, ne);
-                for q in 0..5 {
-                    let pattern = &patterns[(r + q / 2) % 3];
-                    for (c, &base) in planes.plane_mut(q).iter_mut().zip(pattern) {
-                        *c = base * (1.0 + rng.f64_in(-1e-3, 1e-3));
-                    }
-                }
-                planes
-            })
-            .collect();
-        // The store bytes the first lane's plans take, and those every plan
-        // of the run takes. Lanes run in sequence, so a budget below
-        // `first` fills before anything can replay.
-        let mut one = CostPlanes::new();
-        one.reset(1, ne);
-        one.plane_mut(0).copy_from_slice(rounds[0].plane(0));
-        let mut ws = Workspace::new();
-        ws.max_cycle_ratio_batch(&structure, 8, &one);
-        let first = ws.plan_store().bytes();
-        let mut ws = Workspace::new();
-        for planes in &rounds {
-            ws.max_cycle_ratio_batch(&structure, 8, planes);
-        }
-        let total = ws.plan_store().bytes();
-        assert!(first < total, "the run walks more plans than its first lane ({first} B)");
-        for budget in [0, first, (first + total) / 2, total] {
+        for budget in [0, FIRST_INDEX_BYTES + 24, FIRST_INDEX_BYTES + 80, FIRST_INDEX_BYTES + 180] {
             let mut ws = Workspace::new();
-            for (round, planes) in rounds.iter().enumerate() {
+            let mut planes = CostPlanes::new();
+            for round in 0..4 {
+                patterned_planes(&mut rng, &patterns, 5, false, &mut planes);
                 // The budget survives the condensation of the first round.
                 ws.plan_store().set_budget(budget);
-                let batch = ws.max_cycle_ratio_batch(&structure, 8, planes);
-                assert_bitwise_eq(&batch, &reference_results(&structure, planes));
+                let batch = ws.max_cycle_ratio_batch(&structure, 8, &planes);
+                assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
                 let store = ws.plan_store();
                 assert!(store.bytes() <= budget, "budget {budget}, round {round}");
-                if (first..total).contains(&budget) {
+                if (1..FIRST_INDEX_BYTES + 100).contains(&budget) {
                     assert!(store.full && store.stats().0 > 0, "budget {budget} filled, replays");
                 }
                 if budget == 0 {
@@ -980,14 +918,8 @@ mod tests {
                     );
                 }
             }
-            if budget == total {
-                assert!(!ws.plan_store().full, "a budget of every plan never fills");
-            }
         }
     }
-
-    /// The bytes of the plan index once it holds its first entry.
-    const FIRST_INDEX_BYTES: usize = 64 * std::mem::size_of::<(u32, u32)>();
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -1011,7 +943,7 @@ mod tests {
                 }
             }
             let mut ws = Workspace::new();
-                let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes);
+            let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes);
             assert_bitwise_eq(&batch, &solo_results(&structure, &planes));
         }
 
@@ -1042,7 +974,7 @@ mod tests {
                 .map(|_| (0..ne).map(|_| rng.f64_in(-20.0, 100.0)).collect())
                 .collect();
             let mut ws = Workspace::new();
-                let mut planes = CostPlanes::new();
+            let mut planes = CostPlanes::new();
             let mut hits = 0;
             let mut replayable = false;
             for round in 0..8 {
@@ -1064,11 +996,12 @@ mod tests {
                     ws.plan_store().set_budget(bytes);
                 }
                 let batch = ws.max_cycle_ratio_batch(&structure, seed, &planes);
-                let fresh = Workspace::new().max_cycle_ratio_batch(&structure, seed, &planes);
+                let mut fresh_ws = Workspace::new();
+                let fresh = fresh_ws.max_cycle_ratio_batch(&structure, seed, &planes);
                 assert_bitwise_eq(&batch, &fresh);
+                assert_lane_columns(&ws, &fresh_ws, &structure, &planes);
                 assert_bitwise_eq(&batch, &reference_results(&structure, &planes));
                 hits += ws.plan_store().stats().0;
-                assert_lane_columns(&mut ws, &structure, seed, &planes);
                 replayable |= batch.iter().filter(|r| matches!(r, Ok(Some(_)))).count() > 1;
             }
             if budget == 3 && replayable && patterns.len() == 1 {

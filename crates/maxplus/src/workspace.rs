@@ -94,7 +94,7 @@
 //! unchanged): ratios, witnesses, errors and iteration counters are bit
 //! for bit those of a solver that sweeps every vertex.
 
-use crate::batch::{PlanRecord, PlanStore};
+use crate::batch::{validate_plane, CostPlanes, PlanRecord, PlanStore};
 use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
 
@@ -364,6 +364,9 @@ pub struct Workspace {
     cols: Columns,
     /// The current batch lane's edge costs in CSR order.
     lane_cost: Vec<f64>,
+    /// A copy of `cols` after each lane of the last batch.
+    #[cfg(test)]
+    lane_columns: Vec<Columns>,
     /// `(num_vertices, num_edges)` of the graph the converged `policy`
     /// belongs to; `None` until a solve completes.
     warm_sig: Option<(usize, usize)>,
@@ -481,43 +484,91 @@ impl Workspace {
         self.struct_sig = None;
     }
 
-    /// Structural phase of a batched solve (see [`crate::batch`]): checks
-    /// the structure cache exactly like [`Workspace::max_cycle_ratio_cached`]
-    /// and condenses on a miss. Both signatures are invalidated until
-    /// [`Workspace::batch_commit`] re-arms the structure cache — the warm
-    /// policy is never reusable after a batch (lanes start cold). Unlike
-    /// the solo path, a structure *hit* does not refresh the CSR cost
-    /// mirror: each lane reads its own costs from `lane_cost`, never from
-    /// [`Csr::costs`].
-    pub(crate) fn batch_prepare(&mut self, g: &RatioGraph, structure: u64) {
+    /// Solves the maximum cycle ratio of `k` instances sharing one graph
+    /// structure over a single condensation (see [`crate::batch`]).
+    ///
+    /// `g` supplies the structure (`from`/`to`/`tokens` per edge, in
+    /// insertion order; its own costs are ignored), `planes` the
+    /// per-instance edge costs, and `structure` the same shape token
+    /// contract as [`Workspace::max_cycle_ratio_cached`] — a repeated
+    /// token with matching dimensions skips the CSR build and the Tarjan
+    /// condensation entirely.
+    ///
+    /// Returns one [`RatioResult`] per instance, in plane order, each
+    /// **bit-for-bit** equal to `Workspace::max_cycle_ratio` on the graph
+    /// with that plane's costs (including error values and the
+    /// first-failing-component semantics). A failed instance never stalls
+    /// the others: the remaining lanes still run; the structure cache is
+    /// only re-armed when every instance succeeded, and the warm policy is
+    /// never reusable after a batch (lanes start cold).
+    pub fn max_cycle_ratio_batch(
+        &mut self,
+        g: &RatioGraph,
+        structure: u64,
+        planes: &CostPlanes,
+    ) -> Vec<RatioResult> {
+        let k = planes.num_instances();
         let n = g.num_vertices();
         let ne = g.num_edges();
+        assert_eq!(planes.num_edges(), ne, "cost planes must cover every edge of the graph");
+        #[cfg(test)]
+        self.lane_columns.clear();
+        if k == 0 {
+            return Vec::new();
+        }
+        let _span = repwf_obs::span!(BatchSolve);
+        repwf_obs::counter_add(repwf_obs::CounterId::BatchedPasses, 1);
+        repwf_obs::counter_add(repwf_obs::CounterId::BatchedLanes, k as u64);
+
+        // Per-instance validation, mirroring `RatioGraph::validate` with
+        // the instance's own costs: same error variant, same edge-order
+        // precedence as a solo solve on that instance's graph.
+        let valid: Vec<Result<(), RatioGraphError>> =
+            (0..k).map(|q| validate_plane(g, planes.plane(q))).collect();
+        if valid.iter().all(Result::is_err) {
+            return valid.into_iter().map(|r| r.map(|()| None)).collect();
+        }
+
+        // The structure cache works as in `howard`, except that a hit
+        // does not refresh the CSR cost mirror: each lane reads its own
+        // costs from `lane_cost`.
         let structure_ok = self.struct_sig == Some((structure, n, ne));
         self.warm_sig = None;
         self.struct_sig = None;
         if !structure_ok {
             self.condense(g);
         }
+        self.plans.begin_batch(n, ne);
         self.cols.reset(n, false);
-    }
-
-    /// Solves one batch lane over the condensation of
-    /// [`Workspace::batch_prepare`]: copies the lane's edge-order `plane`
-    /// into CSR order and runs the kernel with the plan store on.
-    pub(crate) fn solve_lane(&mut self, plane: &[f64]) -> RatioResult {
-        self.lane_cost.clear();
-        self.lane_cost.extend(self.csr.edge_indices().iter().map(|&ei| plane[ei as usize]));
-        self.solve_components(true, false)
-    }
-
-    /// Re-arms the structure cache after a fully successful batched solve.
-    pub(crate) fn batch_commit(&mut self, structure: u64, n: usize, ne: usize) {
-        self.struct_sig = Some((structure, n, ne));
+        let mut results = Vec::with_capacity(k);
+        for (q, v) in valid.into_iter().enumerate() {
+            results.push(v.and_then(|()| {
+                let plane = planes.plane(q);
+                self.lane_cost.clear();
+                self.lane_cost.extend(self.csr.edge_indices().iter().map(|&ei| plane[ei as usize]));
+                self.solve_components(true, false)
+            }));
+            #[cfg(test)]
+            self.lane_columns.push(self.cols.clone());
+        }
+        if results.iter().all(Result::is_ok) {
+            self.struct_sig = Some((structure, n, ne));
+        }
+        results
     }
 
     /// The plan store of the current condensation.
+    #[cfg(test)]
     pub(crate) fn plan_store(&mut self) -> &mut PlanStore {
         &mut self.plans
+    }
+
+    /// The policy, λ and potential columns lane `q` of the last batch
+    /// left behind; `None` when the batch ran no lane.
+    #[cfg(test)]
+    pub(crate) fn lane_columns(&self, q: usize) -> Option<(&[u32], &[f64], &[f64])> {
+        let cols = self.lane_columns.get(q)?;
+        Some((&cols.policy, &cols.lambda, &cols.potential))
     }
 
     /// The policy, λ and potential columns the last solve left behind.
