@@ -19,17 +19,18 @@
 //!   the workspace owns, and the lane runs the crate's one Howard kernel
 //!   (see [`crate::workspace`]) over the shared condensation and its
 //!   choice index — the same kernel, in the same operation order, as a
-//!   cold solo solve of that instance.
-//! * **Cached evaluation plans.** Policy evaluation splits into a *plan*
-//!   and a *replay*. The plan is the walk order: the policy cycles, each
-//!   with its root and its vertices in cycle order, then the other
-//!   vertices in the order the walk settles them. It is a pure function
-//!   of the condensation and of the lane's policy at the component's
-//!   choice vertices (a forced vertex has one in-component edge, so its
-//!   policy never varies). The replay redoes the lane's float work from
-//!   the plan as straight-line code: the cycle sums from each root,
-//!   `λ = c / t`, the cycle back-substitution, the tail back-substitution
-//!   and the λ-uniform flag. Each workspace keeps the plans of its
+//!   cold solo solve of that instance. The lane's chain cost sums are
+//!   taken from that vector once per lane.
+//! * **Cached evaluation plans.** Policy evaluation, which walks the
+//!   contracted choice graph, splits into a *plan* and a *replay*. The
+//!   plan is the walk order: the policy cycles, each with its expanded
+//!   root, its token sum and its choice vertices in cycle order, then the
+//!   other choice vertices in the order the walk settles them. It is a
+//!   pure function of the condensation and of the lane's policy at the
+//!   component's choice vertices (forced vertices keep no policy). The
+//!   replay redoes the lane's float work from the plan as straight-line
+//!   code: each cycle's λ and potentials by the walk's own cycle step,
+//!   the tail back-substitution and the λ-uniform flag. Each workspace keeps the plans of its
 //!   current condensation in one flat arena (`PlanStore`), keyed by
 //!   (component, choice-vertex policy): before each evaluation the kernel
 //!   probes the store, replays a cached plan, and otherwise walks and
@@ -38,10 +39,10 @@
 //!   most evaluations replay. Solo and per-SCC parallel solves run the
 //!   same kernel with no store.
 //!
-//! Why a replay is exact: the walk visits vertices in an order that
-//! depends on the policy only, never on costs, so a plan recorded on one
-//! lane is the walk of every lane, in every chunk, whose policy has the
-//! same key. Every λ and potential the walk writes is one fixed
+//! Why a replay is exact: the walk visits vertices in an order, and roots
+//! cycles at vertices, that depend on the policy only, never on costs, so
+//! a plan recorded on one lane is the walk of every lane, in every chunk,
+//! whose policy has the same key. Every λ and potential the walk writes is one fixed
 //! expression of values written before it; the replay evaluates the same
 //! expression on the same operands in the same order, so it writes the
 //! same bits, and the λ-uniform flag compares the same λs in the same
@@ -61,7 +62,7 @@
 //! starts stay off, matching the campaign engines' cold-solve discipline.
 
 use crate::graph::{RatioGraph, RatioGraphError};
-use crate::workspace::{evaluate_policy, Columns, Csr};
+use crate::workspace::{evaluate_policy, ChoiceGraph, Columns};
 
 /// Per-instance edge-cost planes for a batched solve, stored as one flat
 /// structure-of-arrays arena: plane `q` is `data[q·ne .. (q+1)·ne]`,
@@ -130,7 +131,8 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// vertex's policy takes, in choice order — followed by its plan:
 ///
 /// * the number of policy cycles, then per cycle its length `L`, its
-///   token sum `t` and its `L` vertices in cycle order from the root;
+///   token sum `t`, its expanded root and its `L` choice vertices in
+///   cycle order;
 /// * the number of tail segments, then per segment its length and its
 ///   vertices in the order the walk settles them. A segment is the tail
 ///   of one walk, settled backwards: its first vertex's policy successor
@@ -138,11 +140,10 @@ const EMPTY_SLOT: u32 = u32::MAX;
 ///   is the vertex before it.
 ///
 /// A plan holds vertex ids only: a replaying lane's policy matches the
-/// key at the choice vertices, and a forced vertex has one in-component
-/// edge, so the lane's own policy column gives every vertex's CSR
-/// position. A cycle whose token sum does not fit a word is walked and
-/// never recorded. An open-addressing index maps key hashes to entry
-/// offsets. Arena and index together stay within the byte budget; a
+/// key at the choice vertices, so the lane's own policy column gives
+/// every choice vertex's CSR position, and forced vertices keep none. A
+/// cycle whose token sum does not fit a word is walked and never
+/// recorded. An open-addressing index maps key hashes to entry offsets. Arena and index together stay within the byte budget; a
 /// store that filled up in a batch without a single hit stops hashing
 /// too (see [`PlanStore::begin_batch`]).
 #[derive(Debug, Clone)]
@@ -231,28 +232,26 @@ impl PlanStore {
         self.off = n.max(ne) > WORD_MAX || (self.full && self.hits == 0);
     }
 
-    /// Evaluates the policy in `cols` on component `c` (with these
-    /// `members` and `choices`): replays the cached plan of that policy,
-    /// or walks it and records its plan. Same result, same columns and
-    /// same error as the walk alone (see the module docs).
+    /// Evaluates the policy in `cols` on component `c` of `graph` (with
+    /// these `choices`): replays the cached plan of that policy, or walks
+    /// it and records its plan. Same result, same columns and the same
+    /// `None` as the walk alone (see the module docs).
     pub(crate) fn evaluate(
         &mut self,
-        csr: &Csr,
-        cost: &[f64],
+        graph: &ChoiceGraph,
         c: usize,
-        members: &[u32],
         choices: &[u32],
         cols: &mut Columns,
-    ) -> Result<bool, RatioGraphError> {
+    ) -> Option<bool> {
         match self.probe(c, choices, &cols.policy) {
-            Probe::Hit(at) => Ok(replay_plan(csr, cost, &self.words[at..], cols)),
+            Probe::Hit(at) => Some(replay_plan(graph, &self.words[at..], cols)),
             Probe::Miss(hash) => {
                 self.record.clear();
-                let uniform = evaluate_policy(csr, cost, members, cols, Some(&mut self.record))?;
+                let uniform = evaluate_policy(graph, choices, cols, Some(&mut self.record))?;
                 self.insert(hash);
-                Ok(uniform)
+                Some(uniform)
             }
-            Probe::Off => evaluate_policy(csr, cost, members, cols, None),
+            Probe::Off => evaluate_policy(graph, choices, cols, None),
         }
     }
 
@@ -299,7 +298,7 @@ impl PlanStore {
     /// store is full for the rest of the condensation.
     fn insert(&mut self, hash: u32) {
         let rec = &self.record;
-        if rec.max_tokens > WORD_MAX as u64 {
+        if rec.max_tokens > WORD_MAX as f64 {
             return;
         }
         let size = self.key.len() + 2 + rec.cycles.len() + rec.tail.len();
@@ -369,7 +368,7 @@ pub(crate) struct PlanRecord {
     cycles: Vec<u32>,
     num_segments: usize,
     tail: Vec<u32>,
-    max_tokens: u64,
+    max_tokens: f64,
 }
 
 impl PlanRecord {
@@ -378,14 +377,15 @@ impl PlanRecord {
         self.cycles.clear();
         self.num_segments = 0;
         self.tail.clear();
-        self.max_tokens = 0;
+        self.max_tokens = 0.0;
     }
 
-    /// Records a policy cycle (vertices from the root) with token sum `t`.
-    pub(crate) fn push_cycle(&mut self, cycle: &[u32], t: u64) {
+    /// Records a policy cycle (choice vertices in policy order) with
+    /// token sum `t` and expanded root `root`.
+    pub(crate) fn push_cycle(&mut self, cycle: &[u32], t: f64, root: u32) {
         self.max_tokens = self.max_tokens.max(t);
         self.num_cycles += 1;
-        self.cycles.extend([cycle.len() as u32, t.min(u64::from(u32::MAX)) as u32]);
+        self.cycles.extend([cycle.len() as u32, t.min(f64::from(u32::MAX)) as u32, root]);
         self.cycles.extend_from_slice(cycle);
     }
 
@@ -416,22 +416,21 @@ pub(crate) fn validate_plane(g: &RatioGraph, plane: &[f64]) -> Result<(), RatioG
 }
 
 /// Replays a recorded plan (see [`PlanStore`]) on the policy in `cols`:
-/// the float work of [`evaluate_policy`] — the cycle sums from each root,
-/// `λ = c / t`, the cycle back-substitution, then the tail
-/// back-substitution in settle order — without the walk. Returns the
-/// λ-uniform flag.
+/// the float work of [`evaluate_policy`] — each cycle settled from its
+/// recorded root, then the tail back-substitution in settle order —
+/// without the walk. Returns the λ-uniform flag.
 ///
 /// Every value is computed by the walk's expression from the same
-/// operands: a cycle reads only its own vertices, and a tail vertex reads
-/// its policy successor, which a cycle or an earlier tail entry settled.
-/// Doing all cycles before all tails therefore writes the walk's bits.
-/// Along a cycle or a segment the successor is the vertex settled just
-/// before, so its λ and potential are carried in registers instead of
-/// being read back from the columns; `pot += c − λ·t` is the walk's
-/// `(c − λ·t) + pot`, since IEEE addition commutes.
-fn replay_plan(csr: &Csr, cost: &[f64], plan: &[u16], cols: &mut Columns) -> bool {
-    let to = csr.targets();
-    let tok = csr.token_counts();
+/// operands: a cycle reads only its own vertices (and the chains between
+/// them), and a tail vertex reads its policy successor, which a cycle or
+/// an earlier tail entry settled. Doing all cycles before all tails
+/// therefore writes the walk's bits. Along a segment the successor is the
+/// vertex settled just before, so its λ and potential are carried in
+/// registers instead of being read back from the columns; `pot += C − λ·T`
+/// is the walk's `(C − λ·T) + pot`, since IEEE addition commutes.
+fn replay_plan(graph: &ChoiceGraph, plan: &[u16], cols: &mut Columns) -> bool {
+    let (to, tok) = (graph.index.ends(), graph.index.chain_tokens());
+    let cost = graph.chain_cost;
     let (policy, lambda, potential) =
         (&cols.policy[..], &mut cols.lambda[..], &mut cols.potential[..]);
     let word = |i: usize| usize::from(plan[i]);
@@ -441,28 +440,12 @@ fn replay_plan(csr: &Csr, cost: &[f64], plan: &[u16], cols: &mut Columns) -> boo
     let mut at = 1;
     for _ in 0..word(0) {
         let len = word(at);
-        let t = word(at + 1);
-        let cycle = at + 2..at + 2 + len;
-        at += 2 + len;
-        let mut c = 0.0;
-        for i in cycle.clone() {
-            c += cost[pol(word(i))];
-        }
-        let lam = c / t as f64;
+        let t = f64::from(plan[at + 1]);
+        let root = u32::from(plan[at + 2]);
+        let cycle = &plan[at + 3..at + 3 + len];
+        at += 3 + len;
+        let lam = graph.settle_cycle(policy, cycle, root, t, lambda, potential);
         uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
-        // The root's potential is 0; walking the cycle backwards, each
-        // vertex's successor is the one settled just before.
-        let u = word(cycle.start);
-        lambda[u] = lam;
-        potential[u] = 0.0;
-        let mut pot = 0.0;
-        for i in (cycle.start + 1..cycle.end).rev() {
-            let v = word(i);
-            let p = pol(v);
-            pot += cost[p] - lam * f64::from(tok[p]);
-            lambda[v] = lam;
-            potential[v] = pot;
-        }
     }
     let num_segments = word(at);
     at += 1;
@@ -476,7 +459,7 @@ fn replay_plan(csr: &Csr, cost: &[f64], plan: &[u16], cols: &mut Columns) -> boo
         for i in segment {
             let v = word(i);
             let p = pol(v);
-            pot += cost[p] - lam * f64::from(tok[p]);
+            pot += cost[p] - lam * tok[p];
             lambda[v] = lam;
             potential[v] = pot;
         }

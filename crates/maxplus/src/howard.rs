@@ -21,13 +21,19 @@
 //! allocation-free and enables warm-started iteration
 //! ([`Workspace::max_cycle_ratio_cached`]); shape batches
 //! ([`crate::batch`]) run the same kernel lane after lane, replaying cached
-//! policy-evaluation plans. Its improvement phases visit only
-//! **choice vertices** (two or more in-component out-edges): a *forced*
-//! vertex, with one such edge, can never change policy. Rounds in which
-//! every policy cycle has the same λ skip the λ-improvement sweep, which
-//! cannot improve anything then. Both skips leave the iteration sequence
-//! unchanged; the [`crate::workspace`] docs give the argument. This module
-//! keeps the simple one-shot entry point.
+//! policy-evaluation plans. The kernel iterates on the **contracted
+//! choice graph**: a *forced* vertex (one in-component out-edge) can never
+//! change policy, so each chain of forced vertices between two *choice
+//! vertices* (two or more such edges) becomes one edge carrying the
+//! chain's cost and token sums, and policy evaluation and both
+//! improvement phases visit choice vertices only. Cycle roots, every λ
+//! and the witness (extracted on the expanded graph) are those of a
+//! solver that walks every vertex; only potentials change their float
+//! association, which can move a decision only on a near-tie inside the
+//! eps band. Rounds in which every policy cycle has the same λ skip the
+//! λ-improvement sweep, which cannot improve anything then. The
+//! [`crate::workspace`] docs give the argument. This module keeps the
+//! simple one-shot entry point.
 
 use crate::graph::RatioGraph;
 use crate::graph::{CycleSolution, RatioGraphError};

@@ -57,42 +57,79 @@
 //! every campaign — stream three contiguous arrays per vertex range
 //! instead of gathering `Edge` structs through the edge-index indirection.
 //!
-//! **Howard on choice vertices.** A *forced* vertex has exactly one
-//! in-component out-edge; 51–67 % of the vertices of a strict-model TPN
-//! ratio graph are forced (by size: 66.7 % at 2 stages on 7 processors,
-//! 51.3 % at 20 on 30). Right after Tarjan, the condensation step records
-//! a **choice index**: every vertex's in-component out-edges as CSR
-//! positions, and per component the members with at least two of them
-//! (the *choice vertices*), in member order. The index is part of the
-//! condensation, so it lives exactly as long as the structure token does:
-//! structure hits — patched solves, pattern slots, batch chunks — reuse it,
-//! and the `csr_builds` / `tarjan_runs` counters keep their meaning. Cold
-//! initialization, the warm keep and the eps fold still visit every
-//! member (a forced vertex's max-cost edge is its only edge); the two
-//! improvement phases visit the choice vertices only. Policy evaluation
-//! also reports whether every policy cycle it found has the
-//! bit-identical λ; in such a **λ-uniform** round the phase-1 sweep and
-//! phase 2's `λ[w] < λ[v] − eps` filter are skipped.
+//! **Howard on the contracted choice graph.** A *forced* vertex has
+//! exactly one in-component out-edge; 51–67 % of the vertices of a
+//! strict-model TPN ratio graph are forced (by size: 66.7 % at 2 stages on
+//! 7 processors, 51.3 % at 20 on 30). A forced vertex never changes
+//! policy, so the kernel iterates on the *choice vertices* only (those
+//! with two or more in-component out-edges; a lone circuit, which has
+//! none, keeps its first member as one). A **chain** is the path an
+//! in-component edge of a choice vertex starts: through forced vertices
+//! only, up to the next choice vertex, its *end*. Contracting every chain
+//! to one edge leaves the **choice graph**, whose edges carry the chain's
+//! cost and token sums.
 //!
-//! Neither skip changes the iteration sequence, because each drops only
-//! comparisons that cannot succeed (eps ≥ 0; the argument holds for ±∞
-//! and NaN too, where the comparisons are false):
+//! Right after Tarjan, the condensation step records the **choice
+//! index**: every vertex's in-component out-edges as CSR positions, the
+//! choice vertices per component, each forced vertex's edge, and the end
+//! and token sum of the chain each edge starts. It is part of the
+//! condensation, so it lives exactly as long as the structure token does:
+//! structure hits — patched solves, pattern slots, batch chunks — reuse
+//! it, and the `csr_builds` / `tarjan_runs` counters keep their meaning.
+//! Costs belong to a solve, so each solve sums the chain costs once, from
+//! the CSR's cost mirror or from the batch lane's plane (a component with
+//! no forced vertex skips that pass: its chains are single edges). Policy
+//! evaluation, both improvement phases and the plan store see only choice
+//! vertices. Policies stay CSR positions, so warm starts and plan keys
+//! keep their meaning.
+//!
+//! **What stays as on the expanded graph.** Evaluation roots every policy
+//! cycle where a walk of *every* member in member order would: at the
+//! vertex where the first member of the cycle's basin enters the cycle
+//! (which may be a forced vertex). The index lists the choice vertices in
+//! that walk order, each with its *feeder*, the first member that reaches
+//! it through forced vertices only, and finds the entry where two forced
+//! paths merge. A cycle's λ is its expanded circuit's cost sum from that
+//! root, in circuit order, over its token sum: the bits of a solver that
+//! walks every member. Forced members take the λ of their chain's end.
+//! So every λ, every λ-uniform flag, every phase-1 comparison, the
+//! witness's start (the member with maximal λ, the later one on ties), the
+//! expanded circuit it sums and the errors (`max_iters` stays on the
+//! expanded sizes; a zero-token cycle is reported as the member walk finds
+//! it) are those of the expanded solver under the same policy.
+//!
+//! **What changes: only potentials change their float association.** A
+//! choice vertex's potential is `C − λ·T + x[end]` over its whole chain
+//! instead of one such step per forced vertex, with the same root, so it
+//! equals the expanded solver's potential in exact arithmetic and differs
+//! from it by rounding only. A phase-2 comparison `val > best + eps`
+//! therefore decides as the expanded solver's unless the two sides differ
+//! by less than that rounding from the eps threshold, which happens only
+//! on near-ties inside the eps band; phase 1 and the filter `λ[w] < λ[v] −
+//! eps` read λs and decide exactly alike. The same policies thus give the
+//! same witness, bit for bit. The pins hold this: every `ci/` reference,
+//! `table2 --full`, the campaign documents and counters, and the witness
+//! digests of `tests/witness_digest.rs` are unchanged; over 46 000 strict
+//! ratio graphs of ten families, only 20 draws of a family whose times are
+//! all equal (4 stages on 16 processors, comp and comm 1) ran a different
+//! number of rounds, with the same ratio bits and witnesses.
+//!
+//! Policy evaluation also reports whether every policy cycle it found has
+//! the bit-identical λ; in such a **λ-uniform** round the phase-1 sweep
+//! and phase 2's `λ[w] < λ[v] − eps` filter are skipped. Neither that nor
+//! leaving out forced vertices changes a decision, because each drops
+//! only comparisons that cannot succeed (eps ≥ 0; the argument holds for
+//! ±∞ and NaN too, where the comparisons are false):
 //!
 //! * *Forced vertex `v`* with policy edge `p`, its only in-component edge.
-//!   Phase 1 tests `λ[to[p]] > λ[to[p]] + eps`; phase 2 recomputes the
-//!   current value by the same expression from the same operands and tests
-//!   `val > val + eps`. Both are false, so `policy[v]` and the round's
+//!   Phase 1 would test `λ[to[p]] > λ[to[p]] + eps` and phase 2
+//!   `val > val + eps`: both false, so `policy[v]` and the round's
 //!   `changed` flag stay as they were.
 //! * *λ-uniform round.* Every member copies the λ of the policy cycle it
 //!   reaches, so all members hold the same λ. Phase 1's test compares that
 //!   value with itself plus eps and fails everywhere: the sweep would
 //!   change nothing and fall through to phase 2. Phase 2's filter compares
 //!   it with itself minus eps and never fires.
-//!
-//! Every round therefore makes the same policy changes and the same number
-//! of rounds runs (`max_iters` and the `NoConvergence` budget are
-//! unchanged): ratios, witnesses, errors and iteration counters are bit
-//! for bit those of a solver that sweeps every vertex.
 
 use crate::batch::{validate_plane, CostPlanes, PlanRecord, PlanStore};
 use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
@@ -237,8 +274,9 @@ impl<'a> SccView<'a> {
 }
 
 /// The **choice index** of a condensation: every vertex's in-component
-/// out-edges as CSR positions, and per component the members that have a
-/// choice (≥ 2 in-component out-edges). Built by [`Workspace::condense`]
+/// out-edges as CSR positions, per component the members that have a
+/// choice (≥ 2 in-component out-edges), and the **chains** that contract
+/// the other, *forced* members away. Built by [`Workspace::condense`]
 /// right after Tarjan, so it lives exactly as long as the condensation
 /// and is reused by every structure hit (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -248,10 +286,31 @@ pub(crate) struct ChoiceIndex {
     offsets: Vec<u32>,
     edges: Vec<u32>,
     /// `choices[choice_offsets[c]..choice_offsets[c + 1]]` are the members
-    /// of component `c` with at least two in-component out-edges, in
-    /// member order.
+    /// of component `c` with at least two in-component out-edges; a cyclic
+    /// component without one (a lone circuit) has its first member here
+    /// instead. `is_choice` marks them all. They are listed in *walk
+    /// order*: by the first member, in member order, that reaches each
+    /// through forced vertices only (its *feeder*, possibly itself).
     choice_offsets: Vec<u32>,
     choices: Vec<u32>,
+    is_choice: Vec<bool>,
+    feeder: Vec<u32>,
+    /// `forced[forced_offsets[c]..forced_offsets[c + 1]]` are the other
+    /// members of cyclic component `c`, each after the forced vertex its
+    /// edge leads to (if any).
+    forced_offsets: Vec<u32>,
+    forced: Vec<u32>,
+    /// Indexed by the CSR position `p` of an in-component edge of a
+    /// choice vertex or of a forced vertex: the choice vertex the chain
+    /// starting with `p` ends at, and the chain's token sum (exact: a sum
+    /// of integers below 2^53).
+    end: Vec<u32>,
+    tokens: Vec<f64>,
+    /// Per forced vertex, the CSR position of its one in-component edge,
+    /// and the number of forced vertices from it to its chain's end,
+    /// itself included (`depth` is 0 for a choice vertex).
+    succ_edge: Vec<u32>,
+    depth: Vec<u32>,
 }
 
 impl ChoiceIndex {
@@ -277,15 +336,124 @@ impl ChoiceIndex {
         self.choice_offsets.push(0);
         self.choices.clear();
         self.choices.resize(comp_vertices.len(), 0);
+        self.is_choice.clear();
+        self.is_choice.resize(comp.len(), false);
         let mut len = 0;
         for w in comp_offsets.windows(2) {
-            for &v in &comp_vertices[w[0] as usize..w[1] as usize] {
+            let members = &comp_vertices[w[0] as usize..w[1] as usize];
+            let first = len;
+            for &v in members {
                 self.choices[len] = v;
-                len += usize::from(self.offsets[v as usize + 1] - self.offsets[v as usize] >= 2);
+                len += usize::from(self.edges(v).len() >= 2);
+            }
+            if len == first && self.is_cyclic(members) {
+                // A lone circuit: its first member stands in as the choice.
+                self.choices[len] = members[0];
+                len += 1;
+            }
+            for &v in &self.choices[first..len] {
+                self.is_choice[v as usize] = true;
             }
             self.choice_offsets.push(len as u32);
         }
         self.choices.truncate(len);
+        self.build_chains(csr);
+        self.order_walks(comp_offsets, comp_vertices);
+    }
+
+    /// Lists every component's choice vertices in walk order and records
+    /// their feeders (see the field docs): the order in which a walk of
+    /// every member, in member order, meets each choice vertex's group.
+    fn order_walks(&mut self, comp_offsets: &[u32], comp_vertices: &[u32]) {
+        self.feeder.clear();
+        self.feeder.resize(self.is_choice.len(), u32::MAX);
+        for (c, w) in comp_offsets.windows(2).enumerate() {
+            let mut k = self.choice_offsets[c] as usize;
+            for &m in &comp_vertices[w[0] as usize..w[1] as usize] {
+                let h = if self.is_choice[m as usize] {
+                    m
+                } else if self.succ_edge[m as usize] != u32::MAX {
+                    self.end[self.forced_edge(m)]
+                } else {
+                    continue; // the one member of an acyclic component
+                };
+                if self.feeder[h as usize] == u32::MAX {
+                    self.feeder[h as usize] = m;
+                    self.choices[k] = h;
+                    k += 1;
+                }
+            }
+            debug_assert_eq!(k, self.choice_offsets[c + 1] as usize);
+        }
+    }
+
+    /// Orders every component's forced vertices and fills the chain end
+    /// and token sum of every in-component edge of a choice or forced
+    /// vertex, each from its target's. Walks start at the choice vertices'
+    /// edges and stop at a choice vertex or an ordered forced vertex, so
+    /// each forced vertex is walked once. Every forced vertex is reached:
+    /// a choice vertex of its component reaches it, and the path from the
+    /// last choice vertex on the way runs through forced vertices only.
+    /// A walk ends: a circuit of forced vertices has no edge leaving it,
+    /// so it is a lone circuit, whose first member is a choice vertex.
+    fn build_chains(&mut self, csr: &Csr) {
+        let (to, tok) = (csr.targets(), csr.token_counts());
+        self.end.clear();
+        self.end.resize(to.len(), u32::MAX);
+        self.tokens.clear();
+        self.tokens.resize(to.len(), 0.0);
+        self.forced_offsets.clear();
+        self.forced_offsets.push(0);
+        self.forced.clear();
+        self.succ_edge.clear();
+        self.succ_edge.resize(self.is_choice.len(), u32::MAX);
+        self.depth.clear();
+        self.depth.resize(self.is_choice.len(), 0);
+        let Self {
+            offsets,
+            edges,
+            choice_offsets,
+            choices,
+            is_choice,
+            forced_offsets,
+            forced,
+            end,
+            tokens,
+            succ_edge,
+            depth,
+            ..
+        } = self;
+        let edge_of = |f: u32| edges[offsets[f as usize] as usize] as usize;
+        // Chain end and token sum of the edge at `q`, from its target's.
+        let link = |q: usize, end: &mut [u32], tokens: &mut [f64]| {
+            let w = to[q];
+            (end[q], tokens[q]) = if is_choice[w as usize] {
+                (w, f64::from(tok[q]))
+            } else {
+                (end[edge_of(w)], f64::from(tok[q]) + tokens[edge_of(w)])
+            };
+        };
+        for w in choice_offsets.windows(2) {
+            for &v in &choices[w[0] as usize..w[1] as usize] {
+                for &p in &edges[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
+                    let first = forced.len();
+                    let mut f = to[p as usize];
+                    while !is_choice[f as usize] && end[edge_of(f)] == u32::MAX {
+                        forced.push(f);
+                        f = to[edge_of(f)];
+                    }
+                    forced[first..].reverse();
+                    for &f in &forced[first..] {
+                        let q = edge_of(f);
+                        link(q, end, tokens);
+                        succ_edge[f as usize] = q as u32;
+                        depth[f as usize] = 1 + depth[to[q] as usize];
+                    }
+                    link(p as usize, end, tokens);
+                }
+            }
+            forced_offsets.push(forced.len() as u32);
+        }
     }
 
     /// CSR positions of `v`'s in-component out-edges.
@@ -298,6 +466,71 @@ impl ChoiceIndex {
         &self.choices[self.choice_offsets[c] as usize..self.choice_offsets[c + 1] as usize]
     }
 
+    /// Chain ends by CSR position (see the field docs).
+    pub(crate) fn ends(&self) -> &[u32] {
+        &self.end
+    }
+
+    /// Chain token sums by CSR position.
+    pub(crate) fn chain_tokens(&self) -> &[f64] {
+        &self.tokens
+    }
+
+    /// The forced members of component `c`, each after its successor.
+    fn forced(&self, c: usize) -> &[u32] {
+        &self.forced[self.forced_offsets[c] as usize..self.forced_offsets[c + 1] as usize]
+    }
+
+    /// The CSR position of forced vertex `f`'s one in-component edge.
+    fn forced_edge(&self, f: u32) -> usize {
+        self.succ_edge[f as usize] as usize
+    }
+
+    /// The cost sum of the chain starting with the edge at `q`: its own
+    /// cost, plus the chain sum of its target's edge when the target is
+    /// forced (`sums` must hold that one already).
+    fn chain_sum(&self, to: &[u32], q: usize, cost: &[f64], sums: &[f64]) -> f64 {
+        let w = to[q];
+        if self.is_choice[w as usize] {
+            cost[q]
+        } else {
+            cost[q] + sums[self.forced_edge(w)]
+        }
+    }
+
+    /// The vertex a forced vertex's edge leads to.
+    fn forced_next(&self, to: &[u32], f: u32) -> u32 {
+        to[self.forced_edge(f)]
+    }
+
+    /// The first vertex two forced paths to the same choice vertex share,
+    /// starting at `a` and at `b` (either may be that choice vertex).
+    fn merge(&self, to: &[u32], mut a: u32, mut b: u32) -> u32 {
+        let depth = |v: u32| self.depth[v as usize];
+        while depth(a) > depth(b) {
+            a = self.forced_next(to, a);
+        }
+        while depth(b) > depth(a) {
+            b = self.forced_next(to, b);
+        }
+        while a != b {
+            a = self.forced_next(to, a);
+            b = self.forced_next(to, b);
+        }
+        a
+    }
+
+    /// The CSR position `v` leaves by under `policy`: its policy edge
+    /// when it is a choice vertex, its one in-component edge when it is
+    /// forced (a forced vertex keeps no policy).
+    fn next(&self, policy: &[u32], v: u32) -> usize {
+        if self.is_choice[v as usize] {
+            policy[v as usize] as usize
+        } else {
+            self.forced_edge(v)
+        }
+    }
+
     /// True iff the component with these members contains a circuit: it
     /// has two or more members, or its one member has a self-loop.
     pub(crate) fn is_cyclic(&self, members: &[u32]) -> bool {
@@ -306,8 +539,9 @@ impl ChoiceIndex {
 }
 
 /// Howard's per-vertex columns over global vertex ids, and the walk
-/// scratch of policy evaluation and witness extraction. `policy[v]` is a
-/// CSR *position* (an index into the SoA arrays of the CSR), always inside
+/// scratch of policy evaluation and witness extraction (`path` holds a
+/// walk of at most `n` vertices). `policy[v]` of a choice vertex is a CSR
+/// *position* (an index into the SoA arrays of the CSR), always inside
 /// `csr.range(v)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Columns {
@@ -335,6 +569,8 @@ impl Columns {
         self.state.resize(n, 0);
         self.walk_pos.clear();
         self.walk_pos.resize(n, 0);
+        self.path.clear();
+        self.path.resize(n, 0);
     }
 }
 
@@ -364,6 +600,8 @@ pub struct Workspace {
     cols: Columns,
     /// The current batch lane's edge costs in CSR order.
     lane_cost: Vec<f64>,
+    /// The current solve's chain cost sums, by CSR position.
+    chain_cost: Vec<f64>,
     /// A copy of `cols` after each lane of the last batch.
     #[cfg(test)]
     lane_columns: Vec<Columns>,
@@ -616,17 +854,18 @@ impl Workspace {
             .map(|c| c as u32)
             .collect();
 
-        // Per-worker columns: full-size global-vertex-id arrays, exactly
-        // what `howard_component` expects.
+        // Per-worker columns and chain sums: full-size arrays over global
+        // vertex ids and CSR positions, exactly what `howard_component`
+        // expects.
         let results = repwf_par::par_map_init(
             threads,
             cyclic.len(),
             || {
                 let mut cols = Columns::default();
                 cols.reset(n, false);
-                cols
+                (cols, vec![0.0; ne])
             },
-            |cols, i| {
+            |(cols, chain_cost), i| {
                 let c = cyclic[i] as usize;
                 howard_component(
                     csr,
@@ -638,6 +877,7 @@ impl Workspace {
                     false,
                     repwf_obs::CounterId::HowardItersCold,
                     cols,
+                    chain_cost,
                     max_iters,
                 )
             },
@@ -696,9 +936,19 @@ impl Workspace {
     /// batched; a solo solve reads the CSR's cost mirror, with no store.
     fn solve_components(&mut self, batched: bool, warm_ok: bool) -> RatioResult {
         use repwf_obs::CounterId::{HowardItersBatched, HowardItersCold, HowardItersWarm};
-        let Workspace { csr, comp_offsets, comp_vertices, choice, plans, cols, lane_cost, .. } =
-            self;
+        let Workspace {
+            csr,
+            comp_offsets,
+            comp_vertices,
+            choice,
+            plans,
+            cols,
+            lane_cost,
+            chain_cost,
+            ..
+        } = self;
         let max_iters = max_iters(csr.offsets().len() - 1, csr.targets().len());
+        chain_cost.resize(csr.targets().len(), 0.0);
         let (cost, mut plans, iters) = match (batched, warm_ok) {
             (true, _) => (&lane_cost[..], Some(plans), HowardItersBatched),
             (false, true) => (csr.costs(), None, HowardItersWarm),
@@ -720,6 +970,7 @@ impl Workspace {
                 warm_ok,
                 iters,
                 cols,
+                chain_cost,
                 max_iters,
             )?;
             if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
@@ -818,12 +1069,14 @@ fn tarjan_flat(
 }
 
 /// Howard's iteration on component `c`, operating on global vertex ids:
-/// the one policy-iteration kernel of this crate. Edge data is read in CSR
-/// order — `cost` for the costs, the CSR's `targets` / `token_counts` for
-/// the rest — at the in-component positions of the choice index, so no
-/// loop gathers component ids; `cols.policy` holds CSR positions. The
-/// improvement phases visit only the component's choice vertices (see the
-/// module docs for why the iteration sequence is unchanged).
+/// the one policy-iteration kernel of this crate, run on the component's
+/// contracted choice graph (see the module docs). `cost` holds the edge
+/// costs in CSR order and `cols.policy` CSR positions. Each solve first
+/// sums the chain costs into `chain_cost` by CSR position (skipped when
+/// the component has no forced vertex: every chain is then its first
+/// edge); policy evaluation and both improvement phases then visit the
+/// choice vertices only, reading chain sums and ends, and the witness is
+/// extracted on the expanded graph.
 ///
 /// With `plans`, each policy evaluation first probes the store: a cached
 /// plan is replayed, any other policy is walked and its plan recorded
@@ -840,28 +1093,36 @@ fn howard_component(
     warm_ok: bool,
     iters: repwf_obs::CounterId,
     cols: &mut Columns,
+    chain_cost: &mut [f64],
     max_iters: usize,
 ) -> Result<CycleSolution, RatioGraphError> {
     let to = csr.targets();
-    let tokens = csr.token_counts();
     let choices = index.choices(c);
+    let forced = choices.len() < members.len();
 
-    // One sweep over every member's in-component edges folds the
-    // improvement tolerance and sets the initial policy.
+    // One sweep over the choice vertices' in-component edges (and, with
+    // forced vertices, the chains behind them) folds the improvement
+    // tolerance, sets the initial policy and sums each chain's costs.
     //
     // The tolerance is scaled to THIS component's costs: a huge-cost
     // component elsewhere in the graph must not inflate eps here and
     // suppress genuine improvements (per-SCC scale, as in the historical
-    // per-subgraph implementation).
+    // per-subgraph implementation). Every in-component edge is a choice
+    // vertex's or lies on one of its chains, so the fold sees them all.
     //
-    // Policy: one in-component out-edge per vertex. Cold start picks the
-    // max-cost edge (last one on ties, mirroring the historical `max_by`);
-    // warm start keeps the previous policy edge when it is still an
-    // in-component edge of this vertex (same-shape graphs produce identical
-    // CSR layouts, so a kept position denotes the structurally same edge
-    // as in the prior solve).
+    // Policy: one in-component out-edge per choice vertex. Cold start
+    // picks the max-cost edge (last one on ties, mirroring the historical
+    // `max_by`); warm start keeps the previous policy edge when it is
+    // still an in-component edge of this vertex (same-shape graphs produce
+    // identical CSR layouts, so a kept position denotes the structurally
+    // same edge as in the prior solve).
     let mut scale = 1.0f64;
-    for &vu in members {
+    for &f in index.forced(c) {
+        let q = index.forced_edge(f);
+        scale = scale.max(cost[q].abs());
+        chain_cost[q] = index.chain_sum(to, q, cost, chain_cost);
+    }
+    for &vu in choices {
         let v = vu as usize;
         let edges = index.edges(vu);
         let keep = warm_ok && edges.contains(&cols.policy[v]);
@@ -874,18 +1135,26 @@ fn howard_component(
                 best_cost = c;
                 best_p = p;
             }
+            if forced {
+                chain_cost[p as usize] = index.chain_sum(to, p as usize, cost, chain_cost);
+            }
         }
-        debug_assert!(best_p != u32::MAX, "SCC vertex must have an in-component out-edge");
         if !keep {
             cols.policy[v] = best_p;
         }
     }
     let eps = scale * 1e-12;
+    let (end, tokens) = (index.ends(), index.chain_tokens());
+    let ccost: &[f64] = if forced { chain_cost } else { cost };
+    let graph = ChoiceGraph { csr, index, cost, chain_cost: ccost };
 
     for iter in 0..max_iters {
         let uniform = match plans.as_deref_mut() {
-            Some(store) => store.evaluate(csr, cost, c, members, choices, cols)?,
-            None => evaluate_policy(csr, cost, members, cols, None)?,
+            Some(store) => store.evaluate(&graph, c, choices, cols),
+            None => evaluate_policy(&graph, choices, cols, None),
+        };
+        let Some(uniform) = uniform else {
+            return Err(zero_token_cycle(csr, index, members, cols));
         };
         // Slices, not the `Vec` fields: a store through one field could
         // otherwise move another's pointer, and every access reloads it.
@@ -899,9 +1168,9 @@ fn howard_component(
             for &vu in choices {
                 let v = vu as usize;
                 let mut best_p = policy[v];
-                let mut best_l = lambda[to[best_p as usize] as usize];
+                let mut best_l = lambda[end[best_p as usize] as usize];
                 for &p in index.edges(vu) {
-                    let l = lambda[to[p as usize] as usize];
+                    let l = lambda[end[p as usize] as usize];
                     if l > best_l + eps {
                         best_l = l;
                         best_p = p;
@@ -921,17 +1190,16 @@ fn howard_component(
         for &vu in choices {
             let v = vu as usize;
             let cur = policy[v] as usize;
-            let cur_val =
-                cost[cur] - lambda[v] * f64::from(tokens[cur]) + potential[to[cur] as usize];
+            let cur_val = ccost[cur] - lambda[v] * tokens[cur] + potential[end[cur] as usize];
             let mut best_p = policy[v];
             let mut best_val = cur_val;
             for &p in index.edges(vu) {
                 let pi = p as usize;
-                let w = to[pi] as usize;
+                let w = end[pi] as usize;
                 if !uniform && lambda[w] < lambda[v] - eps {
                     continue;
                 }
-                let val = cost[pi] - lambda[v] * f64::from(tokens[pi]) + potential[w];
+                let val = ccost[pi] - lambda[v] * tokens[pi] + potential[w];
                 if val > best_val + eps {
                     best_val = val;
                     best_p = p;
@@ -944,82 +1212,158 @@ fn howard_component(
         }
         if !changed {
             repwf_obs::counter_add(iters, iter as u64 + 1);
-            return Ok(extract_witness(csr, cost, members, cols));
+            return Ok(extract_witness(csr, index, cost, c, members, cols));
         }
     }
     Err(RatioGraphError::NoConvergence)
 }
 
-/// Evaluates a policy on one component: for every member vertex, the ratio
-/// of the policy cycle it reaches (`lambda`) and a potential solving
-/// `x[v] = cost − λ·tokens + x[π(v)]` along policy edges, rooted at the
-/// vertex where the walk entered each policy cycle. Returns whether every
-/// policy cycle has the bit-identical λ (then every member's λ is that
-/// value). With `rec`, it also records the walk's plan (see
-/// [`crate::batch`]); the caller keeps a plan only when the walk succeeds.
+/// One component's contracted choice graph under the costs of one solve:
+/// the raw edge costs, and the chain cost sums that policy evaluation and
+/// the improvement phases read.
+#[derive(Clone, Copy)]
+pub(crate) struct ChoiceGraph<'a> {
+    pub(crate) csr: &'a Csr,
+    pub(crate) index: &'a ChoiceIndex,
+    /// Edge costs in CSR order.
+    pub(crate) cost: &'a [f64],
+    /// Chain cost sums by CSR position.
+    pub(crate) chain_cost: &'a [f64],
+}
+
+impl ChoiceGraph<'_> {
+    /// The root a walk of every member in member order gives the policy
+    /// cycle `path[pos..]` that a walk from `path[0]` found: the vertex at
+    /// which the path from `path[0]`'s feeder, the first member of the
+    /// cycle's basin, enters the cycle on the expanded graph. That path
+    /// enters through the last chain before the cycle, or through the
+    /// feeder's own forced path when `path[0]` is on the cycle, and it
+    /// meets the cycle where it merges with the chain into `path[pos]`.
+    pub(crate) fn root(&self, policy: &[u32], path: &[u32], pos: usize) -> u32 {
+        let (to, index) = (self.csr.targets(), self.index);
+        let into_cycle = to[policy[path[path.len() - 1] as usize] as usize];
+        let feeder = index.feeder[path[0] as usize];
+        let from = match pos {
+            0 if feeder == path[0] => return path[0],
+            0 => feeder,
+            _ => to[policy[path[pos - 1] as usize] as usize],
+        };
+        index.merge(to, from, into_cycle)
+    }
+
+    /// Settles the policy cycle `cycle` (choice vertices in policy order,
+    /// token sum `t`) rooted at `root`, which is `cycle[0]` or a forced
+    /// vertex on the chain into it, and returns its λ. λ is the cost sum
+    /// of the expanded circuit from `root`, in circuit order, over `t`: the
+    /// bits a walk of the expanded graph computes. The root's potential is
+    /// 0; the choice vertex before it takes the cost and token sums of the
+    /// edges from it to the root, and the others follow back along the
+    /// cycle by `x[v] = C − λ·T + x[end]`.
+    pub(crate) fn settle_cycle<V: Copy + Into<u32>>(
+        &self,
+        policy: &[u32],
+        cycle: &[V],
+        root: u32,
+        t: f64,
+        lambda: &mut [f64],
+        potential: &mut [f64],
+    ) -> f64 {
+        let (to, tok, index) = (self.csr.targets(), self.csr.token_counts(), self.index);
+        let (mut c, mut part_c, mut part_t) = (0.0, 0.0, 0.0);
+        let mut v = root;
+        loop {
+            if index.is_choice[v as usize] {
+                (part_c, part_t) = (0.0, 0.0);
+            }
+            let p = index.next(policy, v);
+            c += self.cost[p];
+            part_c += self.cost[p];
+            part_t += f64::from(tok[p]);
+            v = to[p];
+            if v == root {
+                break;
+            }
+        }
+        let lam = c / t;
+        let (end, tokens) = (index.ends(), index.chain_tokens());
+        let k = cycle.len();
+        let vertex = |i: usize| cycle[i].into() as usize;
+        let first = if root as usize == vertex(0) { 0 } else { k - 1 };
+        let u = vertex(first);
+        lambda[u] = lam;
+        potential[u] = if first == 0 { 0.0 } else { part_c - lam * part_t };
+        for j in 1..k {
+            let v = vertex((first + k - j) % k);
+            let p = policy[v] as usize;
+            lambda[v] = lam;
+            potential[v] = self.chain_cost[p] - lam * tokens[p] + potential[end[p] as usize];
+        }
+        lam
+    }
+}
+
+/// Evaluates a policy on one component's contracted choice graph: for
+/// every choice vertex, the ratio of the policy cycle it reaches
+/// (`lambda`) and a potential solving `x[v] = C − λ·T + x[end]` along
+/// policy chains (`C`, `T` and `end` the chain cost sum, token sum and
+/// end of the policy edge). Walks start at the choice vertices in walk
+/// order, so each policy cycle is found from the first member of its
+/// basin and rooted where a walk of every member roots it (see
+/// [`ChoiceGraph::settle_cycle`]). Returns whether every policy cycle has
+/// the bit-identical λ (then every choice vertex's λ is that value), or
+/// `None` when a policy cycle carries no token. With `rec`, it also
+/// records the walk's plan (see [`crate::batch`]); the caller keeps a
+/// plan only when the walk succeeds.
 pub(crate) fn evaluate_policy(
-    csr: &Csr,
-    cost: &[f64],
-    members: &[u32],
+    graph: &ChoiceGraph,
+    choices: &[u32],
     cols: &mut Columns,
     mut rec: Option<&mut PlanRecord>,
-) -> Result<bool, RatioGraphError> {
-    let to = csr.targets();
-    let tok = csr.token_counts();
+) -> Option<bool> {
+    let (to, tok) = (graph.index.ends(), graph.index.chain_tokens());
+    let cost = graph.chain_cost;
     let Columns { policy, lambda, potential, state, walk_pos, path } = cols;
-    // Slices, not the `Vec` fields (see `howard_component`); only `path`
-    // grows.
+    // Slices, not the `Vec` fields (see `howard_component`).
     let (policy, lambda, potential) = (&policy[..], &mut lambda[..], &mut potential[..]);
-    let (state, walk_pos) = (&mut state[..], &mut walk_pos[..]);
+    let (state, walk_pos, walk) = (&mut state[..], &mut walk_pos[..], &mut path[..]);
     let mut first_lam: Option<u64> = None;
     let mut uniform = true;
     // 0 = unvisited, 1 = on current walk, 2 = finished.
-    for &v in members {
+    for &v in choices {
         state[v as usize] = 0;
     }
-    for &start in members {
+    for &start in choices {
         if state[start as usize] != 0 {
             continue;
         }
-        path.clear();
+        let mut len = 0;
         let mut u = start;
         while state[u as usize] == 0 {
             state[u as usize] = 1;
-            walk_pos[u as usize] = path.len() as u32;
-            path.push(u);
+            walk_pos[u as usize] = len as u32;
+            walk[len] = u;
+            len += 1;
             u = to[policy[u as usize] as usize];
         }
+        let path = &walk[..len];
 
         let settle_from = if state[u as usize] == 1 {
             // New policy cycle: path[pos..] are its vertices in order.
             let pos = walk_pos[u as usize] as usize;
             let cycle = &path[pos..];
-            let mut c = 0.0;
-            let mut t: u64 = 0;
-            for &v in cycle {
-                let p = policy[v as usize] as usize;
-                c += cost[p];
-                t += u64::from(tok[p]);
+            let t: f64 = cycle.iter().map(|&v| tok[policy[v as usize] as usize]).sum();
+            if t == 0.0 {
+                return None;
             }
-            if t == 0 {
-                return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
-            }
+            let root = graph.root(policy, path, pos);
             if let Some(rec) = rec.as_deref_mut() {
-                rec.push_cycle(cycle, t);
+                rec.push_cycle(cycle, t, root);
             }
-            let lam = c / t as f64;
+            let lam = graph.settle_cycle(policy, cycle, root, t, lambda, potential);
             uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
-            // Root the potential at the cycle entry point `u = cycle[0]`.
-            lambda[u as usize] = lam;
-            potential[u as usize] = 0.0;
-            for i in (1..cycle.len()).rev() {
-                let v = cycle[i] as usize;
-                let p = policy[v] as usize;
-                lambda[v] = lam;
-                potential[v] = cost[p] - lam * f64::from(tok[p]) + potential[to[p] as usize];
-                state[v] = 2;
+            for &v in cycle {
+                state[v as usize] = 2;
             }
-            state[u as usize] = 2;
             pos
         } else {
             // Reached an already-settled vertex; the whole path hangs off it.
@@ -1031,26 +1375,79 @@ pub(crate) fn evaluate_policy(
             let v = path[i] as usize;
             let p = policy[v] as usize;
             lambda[v] = lambda[to[p] as usize];
-            potential[v] = cost[p] - lambda[v] * f64::from(tok[p]) + potential[to[p] as usize];
+            potential[v] = cost[p] - lambda[v] * tok[p] + potential[to[p] as usize];
             state[v] = 2;
         }
         if let Some(rec) = rec.as_deref_mut().filter(|_| settle_from > 0) {
             rec.push_segment(&path[..settle_from]);
         }
     }
-    Ok(uniform)
+    Some(uniform)
 }
 
-/// Extracts the critical circuit of the converged policy: follow the policy
-/// from the member with maximal λ (the later one on ties) until a vertex
-/// repeats. No member may hold the mark 3 on entry (a replayed evaluation
-/// leaves `state` as it was); the vertices this walk marks are noted in
-/// `path` and unmarked again on exit.
-fn extract_witness(csr: &Csr, cost: &[f64], members: &[u32], cols: &mut Columns) -> CycleSolution {
+/// The zero-token circuit the policy in `cols` holds, reported as a walk
+/// of every member would: members are walked in order along the expanded
+/// graph, and the first policy circuit found without a token is returned
+/// from the vertex where the walk entered it.
+fn zero_token_cycle(
+    csr: &Csr,
+    index: &ChoiceIndex,
+    members: &[u32],
+    cols: &mut Columns,
+) -> RatioGraphError {
+    let (to, tok) = (csr.targets(), csr.token_counts());
+    let Columns { policy, state, walk_pos, path: walk, .. } = cols;
+    for &v in members {
+        state[v as usize] = 0;
+    }
+    for &start in members {
+        if state[start as usize] != 0 {
+            continue;
+        }
+        let mut len = 0;
+        let mut u = start;
+        while state[u as usize] == 0 {
+            state[u as usize] = 1;
+            walk_pos[u as usize] = len as u32;
+            walk[len] = u;
+            len += 1;
+            u = to[index.next(policy, u)];
+        }
+        let path = &walk[..len];
+        if state[u as usize] == 1 {
+            let cycle = &path[walk_pos[u as usize] as usize..];
+            if cycle.iter().all(|&v| tok[index.next(policy, v)] == 0) {
+                return RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() };
+            }
+        }
+        for &v in path.iter() {
+            state[v as usize] = 2;
+        }
+    }
+    unreachable!("the evaluation found a policy circuit without tokens")
+}
+
+/// Extracts the critical circuit of the converged policy on the expanded
+/// graph: follow the policy from the member with maximal λ (the later one
+/// on ties) until a vertex repeats, and sum the circuit from that vertex.
+/// A forced member takes the λ of its chain's end, written here. No member may hold the mark 3 on entry (a replayed
+/// evaluation leaves `state` as it was); the vertices this walk marks are
+/// noted in `path` and unmarked again on exit.
+fn extract_witness(
+    csr: &Csr,
+    index: &ChoiceIndex,
+    cost: &[f64],
+    c: usize,
+    members: &[u32],
+    cols: &mut Columns,
+) -> CycleSolution {
     let to = csr.targets();
     let tok = csr.token_counts();
-    let Columns { policy, lambda, state, path, .. } = cols;
-    let (policy, lambda, state) = (&policy[..], &lambda[..], &mut state[..]);
+    let Columns { policy, lambda, state, path: walk, .. } = cols;
+    let (policy, lambda, state) = (&policy[..], &mut lambda[..], &mut state[..]);
+    for &f in index.forced(c) {
+        lambda[f as usize] = lambda[index.end[index.forced_edge(f)] as usize];
+    }
     let mut start = members[0];
     for &v in &members[1..] {
         if lambda[v as usize] >= lambda[start as usize] {
@@ -1058,13 +1455,15 @@ fn extract_witness(csr: &Csr, cost: &[f64], members: &[u32], cols: &mut Columns)
         }
     }
     let mut u = start;
-    path.clear();
+    let mut len = 0;
     while state[u as usize] != 3 {
         state[u as usize] = 3;
-        path.push(u);
-        u = to[policy[u as usize] as usize];
+        walk[len] = u;
+        len += 1;
+        u = to[index.next(policy, u)];
     }
-    for &v in path.iter() {
+    let path = &walk[..len];
+    for &v in path {
         state[v as usize] = 2;
     }
     // `u` is the first vertex the walk met twice: the cycle is the walk
@@ -1074,7 +1473,7 @@ fn extract_witness(csr: &Csr, cost: &[f64], members: &[u32], cols: &mut Columns)
     let mut c = 0.0;
     let mut t: u64 = 0;
     for &v in &cycle {
-        let p = policy[v as usize] as usize;
+        let p = index.next(policy, v);
         c += cost[p];
         t += u64::from(tok[p]);
     }
