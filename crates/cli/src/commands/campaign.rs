@@ -18,6 +18,7 @@
 
 use crate::json::Json;
 use crate::opts::{model_name, parse_model, parse_range, parse_threads, Opts};
+use crate::progress::Throttle;
 use repwf_dist::report::campaign_doc;
 use repwf_dist::shard::{run_range, run_shard_opts, ShardRunOptions};
 use repwf_dist::supervise::ClaimOutcome;
@@ -144,8 +145,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 
     let mut accum = CampaignAccum::new();
+    let throttle = Throttle::new();
     let res = run_spec(&spec, &Topology::chain(stages), threads, |outcome| {
         accum.push(outcome);
+        if !throttle.due(accum.done, count) {
+            return;
+        }
         let p = accum.progress(count);
         let mut err = std::io::stderr().lock();
         let _ = write!(
@@ -216,8 +221,13 @@ fn run_sharded(
     }
     let run_opts = shard_run_options(opts)?;
     let path = std::path::Path::new(out);
+    let throttle = Throttle::new();
     let progress = |label: String| {
+        let throttle = &throttle;
         move |done: usize, total: usize| {
+            if !throttle.due(done, total) {
+                return;
+            }
             let mut err = std::io::stderr().lock();
             let _ = write!(err, "\r{done}/{total} experiments ({label})");
             if done == total {

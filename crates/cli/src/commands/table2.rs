@@ -2,6 +2,7 @@
 
 use crate::json::Json;
 use crate::opts::{model_name, parse_threads, Opts};
+use crate::progress::Throttle;
 use repwf_gen::campaign::{CampaignAccum, DEFAULT_CAMPAIGN_CAP};
 use repwf_gen::table2::{format_results, run_row_with, table2_rows, to_csv, RowResult};
 use std::io::Write as _;
@@ -16,14 +17,21 @@ OPTIONS:
   --seed S           base seed (default: 20090301)
   --cap N            TPN transition cap before simulator fallback (default: 2000000)
   --csv PATH         also write the rows as CSV
+  --trace FILE       write an NDJSON span/counter trace (repwf-trace/v1);
+                     never changes this command's stdout bytes
+  --metrics          append a telemetry counter table; with --json the
+                     table goes to stderr and the document is unchanged
   --json             structured output (identical at any --threads)
+
+Progress lines go to stderr only when it is a terminal; the per-row
+summary lines always do.
 ";
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &["--scale", "--threads", "--seed", "--cap", "--csv"],
-        &["--full", "--json", "--help"],
+        &["--scale", "--threads", "--seed", "--cap", "--csv", "--trace"],
+        &["--full", "--json", "--help", "--metrics"],
     )?;
     if opts.has("--help") {
         print!("{HELP}");
@@ -37,23 +45,26 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let seed = opts.get_or("--seed", 20_090_301u64)?;
     let cap = opts.get_or("--cap", DEFAULT_CAMPAIGN_CAP)?;
 
+    let obs = crate::obsctl::init(&opts, "table2")?;
     let rows = table2_rows();
     let mut results = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         let t0 = std::time::Instant::now();
         let total = row.experiments(scale);
         let mut accum = CampaignAccum::new();
+        let throttle = Throttle::new();
         let res = run_row_with(row, scale, seed + 10_000_000 * i as u64, threads, cap, |outcome| {
             accum.push(outcome);
-            let p = accum.progress(total);
-            let _ = write!(
-                std::io::stderr().lock(),
-                "\rrow {}/{}: {}/{} experiments",
-                i + 1,
-                rows.len(),
-                p.done,
-                p.total
-            );
+            if throttle.due(accum.done, total) {
+                let _ = write!(
+                    std::io::stderr().lock(),
+                    "\rrow {}/{}: {}/{} experiments",
+                    i + 1,
+                    rows.len(),
+                    accum.done,
+                    total
+                );
+            }
         });
         eprintln!(
             "\rrow {}/{}: {} experiments in {:.1}s ({} no-critical, {} simulated)",
@@ -66,6 +77,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
         results.push(res);
     }
+    let metrics = obs.finish()?;
 
     if let Some(path) = opts.get("--csv") {
         std::fs::write(path, to_csv(&results)).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -82,12 +94,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ("rows", Json::Arr(rows_json)),
         ]);
         print!("{}", doc.to_string_pretty());
+        if let Some(snap) = &metrics {
+            eprint!("{}", crate::obsctl::metrics_table(snap));
+        }
     } else {
         println!("\nTable 2 (scale {scale}):\n");
         print!("{}", format_results(&results));
         let total: usize = results.iter().map(|r| r.total).sum();
         let sim: usize = results.iter().map(|r| r.simulated).sum();
         println!("\ntotal experiments: {total} ({sim} resolved by simulation fallback)");
+        if let Some(snap) = &metrics {
+            crate::obsctl::print_metrics(snap);
+        }
     }
     Ok(())
 }

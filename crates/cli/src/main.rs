@@ -17,6 +17,7 @@
 //! repwf trace     report FILE.ndjson [--min-coverage F] [--json]
 //! repwf bench     [--quick] [--out F] [--threads K] [--check BASELINE] [--json]
 //! repwf table2    [--scale F | --full] [--threads K] [--seed S] [--csv F] [--json]
+//!                 [--trace F] [--metrics]
 //! repwf gantt     <a-strict|a-overlap|b-overlap> [--periods K] [--svg F]
 //! repwf dot       <overlap|strict|overlap-critical|strict-critical|subtpn-a-f1|subtpn-b-f0> [-o F]
 //! ```
@@ -29,6 +30,7 @@
 mod commands;
 mod obsctl;
 mod opts;
+mod progress;
 
 use repwf_dist::json;
 
@@ -52,7 +54,7 @@ COMMANDS:
              --allow-partial tolerates gaps and reports them)
   dist       inspect distributed campaign state (dist status --dir D)
   trace      summarize an NDJSON telemetry trace (trace report FILE;
-             traces come from --trace on period/map/campaign)
+             traces come from --trace on period/map/campaign/table2)
   table2     reproduce the paper's Table 2 experiment families
   bench      run the tracked benchmark suite (emits BENCH_period.json)
   gantt      render the paper's Gantt figures (ASCII / SVG)

@@ -1,5 +1,5 @@
 //! Shared `--trace FILE` / `--metrics` plumbing for the instrumented
-//! commands (`period`, `map`, `campaign`).
+//! commands (`period`, `map`, `campaign`, `table2`).
 //!
 //! The contract the CLI tests pin: `--trace` writes its NDJSON file on
 //! the side and must not change a single stdout byte at any thread

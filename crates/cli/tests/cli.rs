@@ -809,6 +809,35 @@ fn traced_campaign_json_is_byte_identical_to_untraced() {
 }
 
 #[test]
+fn traced_table2_json_is_byte_identical_to_untraced() {
+    let dir = std::env::temp_dir().join(format!("repwf-table2-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = ["table2", "--scale", "0.05", "--threads", "2", "--json"];
+    let (reference, _, ok) = repwf(&base);
+    assert!(ok);
+    let trace = dir.join("t.ndjson");
+    let trace_s = trace.to_str().unwrap();
+    let (traced, err, ok) = repwf(&[&base[..], &["--trace", trace_s, "--metrics"]].concat());
+    assert!(ok, "{err}");
+    assert_eq!(reference, traced, "--trace/--metrics changed the table2 document");
+    assert!(err.contains("metrics:") && err.contains("howard_iters_"), "{err}");
+    let (report, err, ok) = repwf(&["trace", "report", trace_s, "--min-coverage", "0.5", "--json"]);
+    assert!(ok, "{err}");
+    assert!(report.contains("\"command\": \"table2\""), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn campaign_progress_stays_off_a_captured_stderr() {
+    // Progress lines go to a terminal only: a 20 000-draw campaign whose
+    // stderr is a pipe writes no per-outcome lines there.
+    let (out, err, ok) = repwf(&["campaign", "--count", "20000", "--threads", "2", "--json"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("\"count\": 20000"), "{}", &out[..out.len().min(400)]);
+    assert!(err.len() < 4096, "{} bytes on stderr", err.len());
+}
+
+#[test]
 fn trace_report_rejects_a_truncated_trace() {
     let dir = std::env::temp_dir().join(format!("repwf-trace-bad-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
