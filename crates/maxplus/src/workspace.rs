@@ -306,10 +306,8 @@ pub(crate) struct ChoiceIndex {
     /// of integers below 2^53).
     end: Vec<u32>,
     tokens: Vec<f64>,
-    /// Per forced vertex, the CSR position of its one in-component edge,
-    /// and the number of forced vertices from it to its chain's end,
-    /// itself included (`depth` is 0 for a choice vertex).
-    succ_edge: Vec<u32>,
+    /// Per forced vertex, the number of forced vertices from it to its
+    /// chain's end, itself included; 0 for a choice vertex.
     depth: Vec<u32>,
 }
 
@@ -370,12 +368,10 @@ impl ChoiceIndex {
         for (c, w) in comp_offsets.windows(2).enumerate() {
             let mut k = self.choice_offsets[c] as usize;
             for &m in &comp_vertices[w[0] as usize..w[1] as usize] {
-                let h = if self.is_choice[m as usize] {
-                    m
-                } else if self.succ_edge[m as usize] != u32::MAX {
-                    self.end[self.forced_edge(m)]
-                } else {
-                    continue; // the one member of an acyclic component
+                let h = match self.edges(m) {
+                    _ if self.is_choice[m as usize] => m,
+                    &[q] => self.end[q as usize],
+                    _ => continue, // the one member of an acyclic component
                 };
                 if self.feeder[h as usize] == u32::MAX {
                     self.feeder[h as usize] = m;
@@ -390,14 +386,16 @@ impl ChoiceIndex {
     /// Orders every component's forced vertices and fills the chain end
     /// and token sum of every in-component edge of a choice or forced
     /// vertex, each from its target's. Walks start at the choice vertices'
-    /// edges and stop at a choice vertex or an ordered forced vertex, so
-    /// each forced vertex is walked once. Every forced vertex is reached:
-    /// a choice vertex of its component reaches it, and the path from the
-    /// last choice vertex on the way runs through forced vertices only.
-    /// A walk ends: a circuit of forced vertices has no edge leaving it,
-    /// so it is a lone circuit, whose first member is a choice vertex.
+    /// edges and stop at a choice vertex or an ordered forced vertex (one
+    /// with a depth), so each forced vertex is walked once. Every forced
+    /// vertex is reached: a choice vertex of its component reaches it, and
+    /// the path from the last choice vertex on the way runs through forced
+    /// vertices only. A walk ends: a circuit of forced vertices has no edge
+    /// leaving it, so it is a lone circuit, whose first member is a choice
+    /// vertex.
     fn build_chains(&mut self, csr: &Csr) {
         let (to, tok) = (csr.targets(), csr.token_counts());
+        let n = self.is_choice.len();
         self.end.clear();
         self.end.resize(to.len(), u32::MAX);
         self.tokens.clear();
@@ -405,10 +403,8 @@ impl ChoiceIndex {
         self.forced_offsets.clear();
         self.forced_offsets.push(0);
         self.forced.clear();
-        self.succ_edge.clear();
-        self.succ_edge.resize(self.is_choice.len(), u32::MAX);
         self.depth.clear();
-        self.depth.resize(self.is_choice.len(), 0);
+        self.depth.resize(n, 0);
         let Self {
             offsets,
             edges,
@@ -419,37 +415,34 @@ impl ChoiceIndex {
             forced,
             end,
             tokens,
-            succ_edge,
             depth,
             ..
         } = self;
-        let edge_of = |f: u32| edges[offsets[f as usize] as usize] as usize;
-        // Chain end and token sum of the edge at `q`, from its target's.
-        let link = |q: usize, end: &mut [u32], tokens: &mut [f64]| {
-            let w = to[q];
-            (end[q], tokens[q]) = if is_choice[w as usize] {
-                (w, f64::from(tok[q]))
-            } else {
-                (end[edge_of(w)], f64::from(tok[q]) + tokens[edge_of(w)])
-            };
+        let edge_of = |f: usize| edges[offsets[f] as usize] as usize;
+        // Chain end, token sum and depth of the edge at `q`, from its
+        // target's.
+        let link = |q: usize, end: &mut [u32], tokens: &mut [f64], depth: &[u32]| {
+            let w = to[q] as usize;
+            let (e, t) =
+                if is_choice[w] { (w as u32, 0.0) } else { (end[edge_of(w)], tokens[edge_of(w)]) };
+            end[q] = e;
+            tokens[q] = f64::from(tok[q]) + t;
+            depth[w] + 1
         };
         for w in choice_offsets.windows(2) {
             for &v in &choices[w[0] as usize..w[1] as usize] {
                 for &p in &edges[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
                     let first = forced.len();
-                    let mut f = to[p as usize];
-                    while !is_choice[f as usize] && end[edge_of(f)] == u32::MAX {
-                        forced.push(f);
-                        f = to[edge_of(f)];
+                    let mut f = to[p as usize] as usize;
+                    while !is_choice[f] && depth[f] == 0 {
+                        forced.push(f as u32);
+                        f = to[edge_of(f)] as usize;
                     }
                     forced[first..].reverse();
                     for &f in &forced[first..] {
-                        let q = edge_of(f);
-                        link(q, end, tokens);
-                        succ_edge[f as usize] = q as u32;
-                        depth[f as usize] = 1 + depth[to[q] as usize];
+                        depth[f as usize] = link(edge_of(f as usize), end, tokens, depth);
                     }
-                    link(p as usize, end, tokens);
+                    link(p as usize, end, tokens, depth);
                 }
             }
             forced_offsets.push(forced.len() as u32);
@@ -483,7 +476,7 @@ impl ChoiceIndex {
 
     /// The CSR position of forced vertex `f`'s one in-component edge.
     fn forced_edge(&self, f: u32) -> usize {
-        self.succ_edge[f as usize] as usize
+        self.edges[self.offsets[f as usize] as usize] as usize
     }
 
     /// The cost sum of the chain starting with the edge at `q`: its own
