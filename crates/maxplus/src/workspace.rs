@@ -359,14 +359,23 @@ impl ChoiceIndex {
         self.order_walks(comp_offsets, comp_vertices);
     }
 
-    /// Lists every component's choice vertices in walk order and records
-    /// their feeders (see the field docs): the order in which a walk of
-    /// every member, in member order, meets each choice vertex's group.
+    /// Lists the choice vertices of every component with forced vertices
+    /// in walk order and records their feeders (see the field docs): the
+    /// order in which a walk of every member, in member order, meets each
+    /// choice vertex's group. Without forced vertices that is member order,
+    /// and each choice vertex is its own feeder, which nothing reads.
     fn order_walks(&mut self, comp_offsets: &[u32], comp_vertices: &[u32]) {
-        self.feeder.clear();
         self.feeder.resize(self.is_choice.len(), u32::MAX);
         for (c, w) in comp_offsets.windows(2).enumerate() {
-            let mut k = self.choice_offsets[c] as usize;
+            let (first, last) =
+                (self.choice_offsets[c] as usize, self.choice_offsets[c + 1] as usize);
+            if last - first == (w[1] - w[0]) as usize {
+                continue;
+            }
+            for &h in &self.choices[first..last] {
+                self.feeder[h as usize] = u32::MAX;
+            }
+            let mut k = first;
             for &m in &comp_vertices[w[0] as usize..w[1] as usize] {
                 let h = match self.edges(m) {
                     _ if self.is_choice[m as usize] => m,
@@ -379,7 +388,7 @@ impl ChoiceIndex {
                     k += 1;
                 }
             }
-            debug_assert_eq!(k, self.choice_offsets[c + 1] as usize);
+            debug_assert_eq!(k, last);
         }
     }
 
@@ -396,9 +405,8 @@ impl ChoiceIndex {
     fn build_chains(&mut self, csr: &Csr) {
         let (to, tok) = (csr.targets(), csr.token_counts());
         let n = self.is_choice.len();
-        self.end.clear();
+        // Every entry read later is written below.
         self.end.resize(to.len(), u32::MAX);
-        self.tokens.clear();
         self.tokens.resize(to.len(), 0.0);
         self.forced_offsets.clear();
         self.forced_offsets.push(0);
@@ -1139,7 +1147,7 @@ fn howard_component(
     let eps = scale * 1e-12;
     let (end, tokens) = (index.ends(), index.chain_tokens());
     let ccost: &[f64] = if forced { chain_cost } else { cost };
-    let graph = ChoiceGraph { csr, index, cost, chain_cost: ccost };
+    let graph = ChoiceGraph { csr, index, cost, chain_cost: ccost, forced };
 
     for iter in 0..max_iters {
         let uniform = match plans.as_deref_mut() {
@@ -1222,6 +1230,9 @@ pub(crate) struct ChoiceGraph<'a> {
     pub(crate) cost: &'a [f64],
     /// Chain cost sums by CSR position.
     pub(crate) chain_cost: &'a [f64],
+    /// Whether the component has forced vertices; without any, every
+    /// chain is one edge and the choice graph is the expanded one.
+    pub(crate) forced: bool,
 }
 
 impl ChoiceGraph<'_> {
@@ -1233,6 +1244,9 @@ impl ChoiceGraph<'_> {
     /// feeder's own forced path when `path[0]` is on the cycle, and it
     /// meets the cycle where it merges with the chain into `path[pos]`.
     pub(crate) fn root(&self, policy: &[u32], path: &[u32], pos: usize) -> u32 {
+        if !self.forced {
+            return path[pos];
+        }
         let (to, index) = (self.csr.targets(), self.index);
         let into_cycle = to[policy[path[path.len() - 1] as usize] as usize];
         let feeder = index.feeder[path[0] as usize];
@@ -1263,18 +1277,25 @@ impl ChoiceGraph<'_> {
     ) -> f64 {
         let (to, tok, index) = (self.csr.targets(), self.csr.token_counts(), self.index);
         let (mut c, mut part_c, mut part_t) = (0.0, 0.0, 0.0);
-        let mut v = root;
-        loop {
-            if index.is_choice[v as usize] {
-                (part_c, part_t) = (0.0, 0.0);
+        if self.forced {
+            let mut v = root;
+            loop {
+                if index.is_choice[v as usize] {
+                    (part_c, part_t) = (0.0, 0.0);
+                }
+                let p = index.next(policy, v);
+                c += self.cost[p];
+                part_c += self.cost[p];
+                part_t += f64::from(tok[p]);
+                v = to[p];
+                if v == root {
+                    break;
+                }
             }
-            let p = index.next(policy, v);
-            c += self.cost[p];
-            part_c += self.cost[p];
-            part_t += f64::from(tok[p]);
-            v = to[p];
-            if v == root {
-                break;
+        } else {
+            // The expanded circuit is the cycle itself, from `root`.
+            for &v in cycle {
+                c += self.cost[policy[v.into() as usize] as usize];
             }
         }
         let lam = c / t;
@@ -1285,8 +1306,10 @@ impl ChoiceGraph<'_> {
         let u = vertex(first);
         lambda[u] = lam;
         potential[u] = if first == 0 { 0.0 } else { part_c - lam * part_t };
-        for j in 1..k {
-            let v = vertex((first + k - j) % k);
+        // The other vertices, back along the cycle from the one before `u`.
+        let rest = if first == 0 { 1..k } else { 0..k - 1 };
+        for i in rest.rev() {
+            let v = vertex(i);
             let p = policy[v] as usize;
             lambda[v] = lam;
             potential[v] = self.chain_cost[p] - lam * tokens[p] + potential[end[p] as usize];
