@@ -355,59 +355,26 @@ impl ChoiceIndex {
             self.choice_offsets.push(len as u32);
         }
         self.choices.truncate(len);
-        self.build_chains(csr);
-        self.order_walks(comp_offsets, comp_vertices);
+        self.build_chains(csr, comp_offsets, comp_vertices);
     }
 
-    /// Lists the choice vertices of every component with forced vertices
-    /// in walk order and records their feeders (see the field docs): the
-    /// order in which a walk of every member, in member order, meets each
-    /// choice vertex's group. Without forced vertices that is member order,
-    /// and each choice vertex is its own feeder, which nothing reads.
-    fn order_walks(&mut self, comp_offsets: &[u32], comp_vertices: &[u32]) {
-        self.feeder.resize(self.is_choice.len(), u32::MAX);
-        for (c, w) in comp_offsets.windows(2).enumerate() {
-            let (first, last) =
-                (self.choice_offsets[c] as usize, self.choice_offsets[c + 1] as usize);
-            if last - first == (w[1] - w[0]) as usize {
-                continue;
-            }
-            for &h in &self.choices[first..last] {
-                self.feeder[h as usize] = u32::MAX;
-            }
-            let mut k = first;
-            for &m in &comp_vertices[w[0] as usize..w[1] as usize] {
-                let h = match self.edges(m) {
-                    _ if self.is_choice[m as usize] => m,
-                    &[q] => self.end[q as usize],
-                    _ => continue, // the one member of an acyclic component
-                };
-                if self.feeder[h as usize] == u32::MAX {
-                    self.feeder[h as usize] = m;
-                    self.choices[k] = h;
-                    k += 1;
-                }
-            }
-            debug_assert_eq!(k, last);
-        }
-    }
-
-    /// Orders every component's forced vertices and fills the chain end
-    /// and token sum of every in-component edge of a choice or forced
-    /// vertex, each from its target's. Walks start at the choice vertices'
-    /// edges and stop at a choice vertex or an ordered forced vertex (one
-    /// with a depth), so each forced vertex is walked once. Every forced
-    /// vertex is reached: a choice vertex of its component reaches it, and
-    /// the path from the last choice vertex on the way runs through forced
-    /// vertices only. A walk ends: a circuit of forced vertices has no edge
-    /// leaving it, so it is a lone circuit, whose first member is a choice
-    /// vertex.
-    fn build_chains(&mut self, csr: &Csr) {
+    /// Walks every component's members in member order and, on the way,
+    /// orders its forced vertices, fills the chain end and token sum of
+    /// every in-component edge of a choice or forced vertex (each from its
+    /// target's), and lists its choice vertices in walk order with their
+    /// feeders (see the field docs). A forced member, and the target of
+    /// each edge of a choice member, starts a walk through forced vertices
+    /// that stops at a choice vertex or an ordered forced vertex (one with
+    /// a depth), so each forced vertex is walked once. A walk ends: a
+    /// circuit of forced vertices has no edge leaving it, so it is a lone
+    /// circuit, whose first member is a choice vertex.
+    fn build_chains(&mut self, csr: &Csr, comp_offsets: &[u32], comp_vertices: &[u32]) {
         let (to, tok) = (csr.targets(), csr.token_counts());
         let n = self.is_choice.len();
         // Every entry read later is written below.
         self.end.resize(to.len(), u32::MAX);
         self.tokens.resize(to.len(), 0.0);
+        self.feeder.resize(n, u32::MAX);
         self.forced_offsets.clear();
         self.forced_offsets.push(0);
         self.forced.clear();
@@ -419,40 +386,72 @@ impl ChoiceIndex {
             choice_offsets,
             choices,
             is_choice,
+            feeder,
             forced_offsets,
             forced,
             end,
             tokens,
             depth,
-            ..
         } = self;
+        for &h in choices.iter() {
+            feeder[h as usize] = u32::MAX;
+        }
         let edge_of = |f: usize| edges[offsets[f] as usize] as usize;
         // Chain end, token sum and depth of the edge at `q`, from its
         // target's.
         let link = |q: usize, end: &mut [u32], tokens: &mut [f64], depth: &[u32]| {
             let w = to[q] as usize;
-            let (e, t) =
-                if is_choice[w] { (w as u32, 0.0) } else { (end[edge_of(w)], tokens[edge_of(w)]) };
+            let (e, t) = if is_choice[w] {
+                (w as u32, 0.0)
+            } else {
+                let next = edge_of(w);
+                (end[next], tokens[next])
+            };
             end[q] = e;
             tokens[q] = f64::from(tok[q]) + t;
             depth[w] + 1
         };
-        for w in choice_offsets.windows(2) {
-            for &v in &choices[w[0] as usize..w[1] as usize] {
-                for &p in &edges[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
-                    let first = forced.len();
-                    let mut f = to[p as usize] as usize;
-                    while !is_choice[f] && depth[f] == 0 {
-                        forced.push(f as u32);
-                        f = to[edge_of(f)] as usize;
+        // Orders the forced vertices from `f` on, successor first.
+        let walk = |mut f: usize,
+                    forced: &mut Vec<u32>,
+                    end: &mut [u32],
+                    tokens: &mut [f64],
+                    depth: &mut [u32]| {
+            let first = forced.len();
+            while !is_choice[f] && depth[f] == 0 {
+                forced.push(f as u32);
+                f = to[edge_of(f)] as usize;
+            }
+            forced[first..].reverse();
+            for &f in &forced[first..] {
+                depth[f as usize] = link(edge_of(f as usize), end, tokens, depth);
+            }
+        };
+        for (c, w) in comp_offsets.windows(2).enumerate() {
+            let mut k = choice_offsets[c] as usize;
+            for &m in &comp_vertices[w[0] as usize..w[1] as usize] {
+                let m = m as usize;
+                let (a, b) = (offsets[m] as usize, offsets[m + 1] as usize);
+                let head = if is_choice[m] {
+                    for &p in &edges[a..b] {
+                        walk(to[p as usize] as usize, forced, end, tokens, depth);
+                        link(p as usize, end, tokens, depth);
                     }
-                    forced[first..].reverse();
-                    for &f in &forced[first..] {
-                        depth[f as usize] = link(edge_of(f as usize), end, tokens, depth);
-                    }
-                    link(p as usize, end, tokens, depth);
+                    m
+                } else if b - a == 1 {
+                    walk(m, forced, end, tokens, depth);
+                    end[edges[a] as usize] as usize
+                } else {
+                    continue; // the one member of an acyclic component
+                };
+                // The member that first reaches `head` becomes its feeder.
+                if feeder[head] == u32::MAX {
+                    feeder[head] = m as u32;
+                    choices[k] = head as u32;
+                    k += 1;
                 }
             }
+            debug_assert_eq!(k, choice_offsets[c + 1] as usize);
             forced_offsets.push(forced.len() as u32);
         }
     }
