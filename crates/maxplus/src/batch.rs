@@ -30,11 +30,11 @@
 //!   component's choice vertices (forced vertices keep no policy). The
 //!   replay redoes the lane's float work from the plan as straight-line
 //!   code: each cycle's λ and potentials by the walk's own cycle step,
-//!   the tail back-substitution and the λ-uniform flag. Each workspace keeps the plans of its
-//!   current condensation in one flat arena (`PlanStore`), keyed by
-//!   (component, choice-vertex policy): before each evaluation the kernel
-//!   probes the store, replays a cached plan, and otherwise walks and
-//!   records the plan. Later lanes of a batch, and later chunks of the
+//!   the tail back-substitution and the λ-uniform flag. Each workspace
+//!   keeps the plans of its current condensation in one flat arena
+//!   (`PlanStore`), keyed by (component, choice-vertex policy): before
+//!   each evaluation the kernel probes the store, replays a cached plan,
+//!   and otherwise walks and records the plan. Later lanes of a batch, and later chunks of the
 //!   same shape, replay the plans of earlier ones; in a strict campaign
 //!   most evaluations replay. Solo and per-SCC parallel solves run the
 //!   same kernel with no store.
@@ -42,17 +42,17 @@
 //! Why a replay is exact: the walk visits vertices in an order, and roots
 //! cycles at vertices, that depend on the policy only, never on costs, so
 //! a plan recorded on one lane is the walk of every lane, in every chunk,
-//! whose policy has the same key. Every λ and potential the walk writes is one fixed
-//! expression of values written before it; the replay evaluates the same
-//! expression on the same operands in the same order, so it writes the
-//! same bits, and the λ-uniform flag compares the same λs in the same
-//! order. Only successful walks are recorded: a zero-token cycle fails
-//! on the same structure whatever the costs, so it is never replayed and
-//! its lane walks into the same error. The store caches structure, never
-//! answers, and every CSR rebuild (hence every condensation, including
-//! the same-token rebuild after an errored batch) clears it, so results,
-//! iteration counts and errors are the same at any thread count and any
-//! chunking.
+//! whose policy has the same key. Every λ and potential the walk writes
+//! is one fixed expression of values written before it; the replay
+//! evaluates the same expression on the same operands in the same order,
+//! so it writes the same bits, and the λ-uniform flag compares the same
+//! λs in the same order. Only successful walks are recorded: a zero-token
+//! cycle fails on the same structure whatever the costs, so it is never
+//! replayed and its lane walks into the same error. The store caches
+//! structure, never answers, and every CSR rebuild (hence every
+//! condensation, including the same-token rebuild after an errored batch)
+//! clears it, so results, iteration counts and errors are the same at any
+//! thread count and any chunking.
 //!
 //! Results are **bit-for-bit** those of the solo solvers: per instance
 //! `q`, the batched solve performs the same floating-point operations in
@@ -143,9 +143,10 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// key at the choice vertices, so the lane's own policy column gives
 /// every choice vertex's CSR position, and forced vertices keep none. A
 /// cycle whose token sum does not fit a word is walked and never
-/// recorded. An open-addressing index maps key hashes to entry offsets. Arena and index together stay within the byte budget; a
-/// store that filled up in a batch without a single hit stops hashing
-/// too (see [`PlanStore::begin_batch`]).
+/// recorded. An open-addressing index maps key hashes to entry offsets.
+/// Arena and index together stay within the byte budget; a store that
+/// filled up in a batch without a single hit stops hashing too (see
+/// [`PlanStore::begin_batch`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PlanStore {
     words: Vec<u16>,

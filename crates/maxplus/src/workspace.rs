@@ -1445,9 +1445,10 @@ fn zero_token_cycle(
 /// Extracts the critical circuit of the converged policy on the expanded
 /// graph: follow the policy from the member with maximal λ (the later one
 /// on ties) until a vertex repeats, and sum the circuit from that vertex.
-/// A forced member takes the λ of its chain's end, written here. No member may hold the mark 3 on entry (a replayed
-/// evaluation leaves `state` as it was); the vertices this walk marks are
-/// noted in `path` and unmarked again on exit.
+/// A forced member takes the λ of its chain's end, written here. No
+/// member may hold the mark 3 on entry (a replayed evaluation leaves
+/// `state` as it was); the vertices this walk marks are noted in `path`
+/// and unmarked again on exit.
 fn extract_witness(
     csr: &Csr,
     index: &ChoiceIndex,
