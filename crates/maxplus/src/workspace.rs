@@ -69,17 +69,16 @@
 //! to one edge leaves the **choice graph**, whose edges carry the chain's
 //! cost and token sums.
 //!
-//! Right after Tarjan, the condensation step records the **choice
-//! index**: every vertex's in-component out-edges as CSR positions, the
-//! choice vertices per component, each forced vertex's edge, and the end
-//! and token sum of the chain each edge starts. It is part of the
-//! condensation, so it lives exactly as long as the structure token does:
-//! structure hits — patched solves, pattern slots, batch chunks — reuse
-//! it, and the `csr_builds` / `tarjan_runs` counters keep their meaning.
-//! Costs belong to a solve, so each solve sums the chain costs once, from
-//! the CSR's cost mirror or from the batch lane's plane (a component with
-//! no forced vertex skips that pass: its chains are single edges). Policy
-//! evaluation, both improvement phases and the plan store see only choice
+//! Right after Tarjan, the condensation step of a Howard solve records
+//! the **choice index**: every vertex's in-component out-edges as CSR
+//! positions, the choice vertices per component, each forced vertex's
+//! edge, and the end and token sum of the chain each edge starts (a plain
+//! [`Workspace::scc`] builds none). It is part of the condensation, so it
+//! lives exactly as long as the structure token does: structure hits —
+//! patched solves, pattern slots, batch chunks — reuse it, and the
+//! `csr_builds` / `tarjan_runs` counters keep their meaning. Costs belong
+//! to a solve, so each solve sums the chain costs once, from the CSR's
+//! cost mirror or from the batch lane's plane. Policy evaluation, both improvement phases and the plan store see only choice
 //! vertices. Policies stay CSR positions, so warm starts and plan keys
 //! keep their meaning.
 //!
@@ -273,185 +272,185 @@ impl<'a> SccView<'a> {
     }
 }
 
+/// No vertex, or no edge: the `forced_edge` of a choice vertex, the
+/// `feeder` of a vertex nothing has reached yet, the `end` of a chain not
+/// yet followed.
+const NONE: u32 = u32::MAX;
+
 /// The **choice index** of a condensation: every vertex's in-component
 /// out-edges as CSR positions, per component the members that have a
 /// choice (≥ 2 in-component out-edges), and the **chains** that contract
 /// the other, *forced* members away. Built by [`Workspace::condense`]
-/// right after Tarjan, so it lives exactly as long as the condensation
-/// and is reused by every structure hit (see the module docs).
+/// right after Tarjan on the Howard paths only, so it lives exactly as
+/// long as the condensation and is reused by every structure hit (see
+/// the module docs).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChoiceIndex {
     /// `edges[offsets[v]..offsets[v + 1]]` are the CSR positions of `v`'s
     /// out-edges whose target lies in `v`'s component, in CSR order.
     offsets: Vec<u32>,
     edges: Vec<u32>,
+    /// Per vertex, the CSR position of its one in-component edge when it
+    /// is forced, and `NONE` otherwise (for a choice vertex in
+    /// particular).
+    forced_edge: Vec<u32>,
     /// `choices[choice_offsets[c]..choice_offsets[c + 1]]` are the members
     /// of component `c` with at least two in-component out-edges; a cyclic
     /// component without one (a lone circuit) has its first member here
-    /// instead. `is_choice` marks them all. They are listed in *walk
-    /// order*: by the first member, in member order, that reaches each
-    /// through forced vertices only (its *feeder*, possibly itself).
+    /// instead. They are listed in *walk order*: by the first member, in
+    /// member order, that reaches each through forced vertices only (its
+    /// `feeder`, possibly itself).
     choice_offsets: Vec<u32>,
     choices: Vec<u32>,
-    is_choice: Vec<bool>,
     feeder: Vec<u32>,
     /// `forced[forced_offsets[c]..forced_offsets[c + 1]]` are the other
     /// members of cyclic component `c`, each after the forced vertex its
     /// edge leads to (if any).
     forced_offsets: Vec<u32>,
     forced: Vec<u32>,
-    /// Indexed by the CSR position `p` of an in-component edge of a
-    /// choice vertex or of a forced vertex: the choice vertex the chain
-    /// starting with `p` ends at, and the chain's token sum (exact: a sum
-    /// of integers below 2^53).
+    /// Indexed by the CSR position `p` of an in-component edge: the
+    /// choice vertex the chain starting with `p` ends at, and the chain's
+    /// token sum (exact: a sum of integers below 2^53). One more entry,
+    /// at `ne`, is the sentinel of [`ChoiceIndex::link`].
     end: Vec<u32>,
     tokens: Vec<f64>,
-    /// Per forced vertex, the number of forced vertices from it to its
-    /// chain's end, itself included; 0 for a choice vertex.
-    depth: Vec<u32>,
 }
 
 impl ChoiceIndex {
     /// Indexes the condensation `(comp, comp_offsets, comp_vertices)` of
-    /// `csr`. Both lists are compacted branch-free: every candidate is
-    /// written, and the length advances only past the kept ones.
+    /// `csr`: one pass in vertex order lists the in-component edges
+    /// (compacted branch-free: every candidate is written, and the length
+    /// advances only past the kept ones) and marks the forced vertices,
+    /// then [`ChoiceIndex::build_chains`] follows the chains.
     fn build(&mut self, csr: &Csr, comp: &[u32], comp_offsets: &[u32], comp_vertices: &[u32]) {
         let to = csr.targets();
+        let ne = to.len();
         self.offsets.clear();
         self.offsets.push(0);
         self.edges.clear();
-        self.edges.resize(to.len(), 0);
+        self.edges.resize(ne, 0);
+        self.forced_edge.clear();
+        self.forced_edge.resize(comp.len(), NONE);
+        // `end` marks the chains not followed yet (see `build_chains`);
+        // every other entry read later is written first.
+        self.end.resize(ne + 1, NONE);
+        self.tokens.resize(ne + 1, 0.0);
+        self.tokens[ne] = -0.0;
         let mut len = 0;
         for (v, &c) in comp.iter().enumerate() {
+            let first = len;
             for p in csr.range(v as u32) {
                 self.edges[len] = p as u32;
                 len += usize::from(comp[to[p] as usize] == c);
             }
             self.offsets.push(len as u32);
+            if len - first == 1 {
+                let q = self.edges[first];
+                self.forced_edge[v] = q;
+                self.end[q as usize] = NONE;
+            }
         }
         self.edges.truncate(len);
-        self.choice_offsets.clear();
-        self.choice_offsets.push(0);
-        self.choices.clear();
-        self.choices.resize(comp_vertices.len(), 0);
-        self.is_choice.clear();
-        self.is_choice.resize(comp.len(), false);
-        let mut len = 0;
-        for w in comp_offsets.windows(2) {
-            let members = &comp_vertices[w[0] as usize..w[1] as usize];
-            let first = len;
-            for &v in members {
-                self.choices[len] = v;
-                len += usize::from(self.edges(v).len() >= 2);
-            }
-            if len == first && self.is_cyclic(members) {
-                // A lone circuit: its first member stands in as the choice.
-                self.choices[len] = members[0];
-                len += 1;
-            }
-            for &v in &self.choices[first..len] {
-                self.is_choice[v as usize] = true;
-            }
-            self.choice_offsets.push(len as u32);
-        }
-        self.choices.truncate(len);
         self.build_chains(csr, comp_offsets, comp_vertices);
     }
 
-    /// Walks every component's members in member order and, on the way,
-    /// orders its forced vertices, fills the chain end and token sum of
-    /// every in-component edge of a choice or forced vertex (each from its
-    /// target's), and lists its choice vertices in walk order with their
-    /// feeders (see the field docs). A forced member, and the target of
-    /// each edge of a choice member, starts a walk through forced vertices
-    /// that stops at a choice vertex or an ordered forced vertex (one with
-    /// a depth), so each forced vertex is walked once. A walk ends: a
-    /// circuit of forced vertices has no edge leaving it, so it is a lone
-    /// circuit, whose first member is a choice vertex.
+    /// Follows the chains of every cyclic component, then walks its
+    /// members in member order to fill the chain end and token sum of
+    /// every in-component edge and list its choice vertices in walk order
+    /// with their feeders (see the field docs).
+    ///
+    /// A forced member whose chain is not known yet starts a walk through
+    /// forced vertices that stops at a choice vertex or at a forced vertex
+    /// whose chain is known; the walk's vertices then take their chains
+    /// from there, back to front, so each forced vertex is walked once. A
+    /// walk ends: a circuit of forced vertices has no edge leaving it, so
+    /// it is a lone circuit, whose first member is made a choice vertex
+    /// first. The member pass then reads the chain behind each edge's
+    /// target at [`ChoiceIndex::link`]; it refills a forced member's edge
+    /// with the values the walk gave it.
     fn build_chains(&mut self, csr: &Csr, comp_offsets: &[u32], comp_vertices: &[u32]) {
         let (to, tok) = (csr.targets(), csr.token_counts());
-        let n = self.is_choice.len();
-        // Every entry read later is written below.
-        self.end.resize(to.len(), u32::MAX);
-        self.tokens.resize(to.len(), 0.0);
-        self.feeder.resize(n, u32::MAX);
-        self.forced_offsets.clear();
-        self.forced_offsets.push(0);
-        self.forced.clear();
-        self.depth.clear();
-        self.depth.resize(n, 0);
+        let ne = to.len();
         let Self {
             offsets,
             edges,
+            forced_edge,
             choice_offsets,
             choices,
-            is_choice,
             feeder,
             forced_offsets,
             forced,
             end,
             tokens,
-            depth,
         } = self;
+        // Only the previous choice vertices hold a feeder.
         for &h in choices.iter() {
-            feeder[h as usize] = u32::MAX;
+            feeder[h as usize] = NONE;
         }
-        let edge_of = |f: usize| edges[offsets[f] as usize] as usize;
-        // Chain end, token sum and depth of the edge at `q`, from its
-        // target's.
-        let link = |q: usize, end: &mut [u32], tokens: &mut [f64], depth: &[u32]| {
-            let w = to[q] as usize;
-            let (e, t) = if is_choice[w] {
-                (w as u32, 0.0)
-            } else {
-                let next = edge_of(w);
-                (end[next], tokens[next])
-            };
-            end[q] = e;
-            tokens[q] = f64::from(tok[q]) + t;
-            depth[w] + 1
+        feeder.resize(forced_edge.len(), NONE);
+        choices.clear();
+        choice_offsets.clear();
+        choice_offsets.push(0);
+        forced.clear();
+        forced_offsets.clear();
+        forced_offsets.push(0);
+        let cyclic = |members: &[u32]| {
+            let m = members[0] as usize;
+            members.len() > 1 || offsets[m + 1] > offsets[m]
         };
-        // Orders the forced vertices from `f` on, successor first.
-        let walk = |mut f: usize,
-                    forced: &mut Vec<u32>,
-                    end: &mut [u32],
-                    tokens: &mut [f64],
-                    depth: &mut [u32]| {
-            let first = forced.len();
-            while !is_choice[f] && depth[f] == 0 {
-                forced.push(f as u32);
-                f = to[edge_of(f)] as usize;
+        for w in comp_offsets.windows(2) {
+            let members = &comp_vertices[w[0] as usize..w[1] as usize];
+            if cyclic(members) && members.iter().all(|&m| forced_edge[m as usize] != NONE) {
+                // A lone circuit: its first member stands in as the choice.
+                forced_edge[members[0] as usize] = NONE;
             }
-            forced[first..].reverse();
-            for &f in &forced[first..] {
-                depth[f as usize] = link(edge_of(f as usize), end, tokens, depth);
-            }
-        };
-        for (c, w) in comp_offsets.windows(2).enumerate() {
-            let mut k = choice_offsets[c] as usize;
-            for &m in &comp_vertices[w[0] as usize..w[1] as usize] {
-                let m = m as usize;
-                let (a, b) = (offsets[m] as usize, offsets[m + 1] as usize);
-                let head = if is_choice[m] {
-                    for &p in &edges[a..b] {
-                        walk(to[p as usize] as usize, forced, end, tokens, depth);
-                        link(p as usize, end, tokens, depth);
-                    }
-                    m
-                } else if b - a == 1 {
-                    walk(m, forced, end, tokens, depth);
-                    end[edges[a] as usize] as usize
-                } else {
-                    continue; // the one member of an acyclic component
+        }
+        let forced_edge = &forced_edge[..];
+        for w in comp_offsets.windows(2) {
+            let members = &comp_vertices[w[0] as usize..w[1] as usize];
+            // The one member of an acyclic component has no edge to walk.
+            let members = if cyclic(members) { members } else { &[] };
+            for &m in members {
+                let q = forced_edge[m as usize];
+                if q == NONE || end[q as usize] != NONE {
+                    continue;
+                }
+                let first = forced.len();
+                let mut v = m as usize;
+                while forced_edge[v] != NONE && end[forced_edge[v] as usize] == NONE {
+                    forced.push(v as u32);
+                    v = to[forced_edge[v] as usize] as usize;
+                }
+                let (e, mut t) = match forced_edge[v] {
+                    NONE => (v as u32, -0.0),
+                    r => (end[r as usize], tokens[r as usize]),
                 };
+                for &f in forced[first..].iter().rev() {
+                    let r = forced_edge[f as usize] as usize;
+                    t += f64::from(tok[r]);
+                    end[r] = e;
+                    tokens[r] = t;
+                }
+                forced[first..].reverse();
+            }
+            for &m in members {
+                let m = m as usize;
+                for &p in &edges[offsets[m] as usize..offsets[m + 1] as usize] {
+                    let (p, w) = (p as usize, to[p as usize]);
+                    let r = forced_edge[w as usize];
+                    let s = (r as usize).min(ne);
+                    end[p] = if r == NONE { w } else { end[s] };
+                    tokens[p] = f64::from(tok[p]) + tokens[s];
+                }
+                let q = forced_edge[m];
+                let head = if q == NONE { m } else { end[q as usize] as usize };
                 // The member that first reaches `head` becomes its feeder.
-                if feeder[head] == u32::MAX {
+                if feeder[head] == NONE {
                     feeder[head] = m as u32;
-                    choices[k] = head as u32;
-                    k += 1;
+                    choices.push(head as u32);
                 }
             }
-            debug_assert_eq!(k, choice_offsets[c + 1] as usize);
+            choice_offsets.push(choices.len() as u32);
             forced_offsets.push(forced.len() as u32);
         }
     }
@@ -481,41 +480,38 @@ impl ChoiceIndex {
         &self.forced[self.forced_offsets[c] as usize..self.forced_offsets[c + 1] as usize]
     }
 
-    /// The CSR position of forced vertex `f`'s one in-component edge.
-    fn forced_edge(&self, f: u32) -> usize {
-        self.edges[self.offsets[f as usize] as usize] as usize
-    }
-
-    /// The cost sum of the chain starting with the edge at `q`: its own
-    /// cost, plus the chain sum of its target's edge when the target is
-    /// forced (`sums` must hold that one already).
-    fn chain_sum(&self, to: &[u32], q: usize, cost: &[f64], sums: &[f64]) -> f64 {
-        let w = to[q];
-        if self.is_choice[w as usize] {
-            cost[q]
-        } else {
-            cost[q] + sums[self.forced_edge(w)]
-        }
-    }
-
-    /// The vertex a forced vertex's edge leads to.
-    fn forced_next(&self, to: &[u32], f: u32) -> u32 {
-        to[self.forced_edge(f)]
+    /// Where the sums of the chain behind vertex `w` are kept: at its
+    /// edge's CSR position when it is forced; at the sentinel position
+    /// `ne` when it is a choice vertex, whose chain is empty. The sentinel
+    /// holds −0.0, which leaves every sum it is added to bit-identical.
+    fn link(&self, w: u32) -> usize {
+        (self.forced_edge[w as usize] as usize).min(self.end.len() - 1)
     }
 
     /// The first vertex two forced paths to the same choice vertex share,
-    /// starting at `a` and at `b` (either may be that choice vertex).
+    /// starting at `a` and at `b` (either may be that choice vertex): the
+    /// longer path is advanced by the difference in length, then both in
+    /// step until they meet.
     fn merge(&self, to: &[u32], mut a: u32, mut b: u32) -> u32 {
-        let depth = |v: u32| self.depth[v as usize];
-        while depth(a) > depth(b) {
-            a = self.forced_next(to, a);
+        let step = |v: u32| to[self.forced_edge[v as usize] as usize];
+        let length = |mut v: u32| {
+            let mut len = 0;
+            while self.forced_edge[v as usize] != NONE {
+                v = step(v);
+                len += 1;
+            }
+            len
+        };
+        let (la, lb) = (length(a), length(b));
+        for _ in lb..la {
+            a = step(a);
         }
-        while depth(b) > depth(a) {
-            b = self.forced_next(to, b);
+        for _ in la..lb {
+            b = step(b);
         }
         while a != b {
-            a = self.forced_next(to, a);
-            b = self.forced_next(to, b);
+            a = step(a);
+            b = step(b);
         }
         a
     }
@@ -524,10 +520,9 @@ impl ChoiceIndex {
     /// when it is a choice vertex, its one in-component edge when it is
     /// forced (a forced vertex keeps no policy).
     fn next(&self, policy: &[u32], v: u32) -> usize {
-        if self.is_choice[v as usize] {
-            policy[v as usize] as usize
-        } else {
-            self.forced_edge(v)
+        match self.forced_edge[v as usize] {
+            NONE => policy[v as usize] as usize,
+            q => q as usize,
         }
     }
 
@@ -594,13 +589,13 @@ pub struct Workspace {
     // Tarjan scratch.
     index: Vec<u32>,
     lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
     vstack: Vec<u32>,
     frames: Vec<(u32, u32)>,
     cols: Columns,
     /// The current batch lane's edge costs in CSR order.
     lane_cost: Vec<f64>,
-    /// The current solve's chain cost sums, by CSR position.
+    /// The current solve's chain cost sums, by CSR position, and the
+    /// sentinel of [`ChoiceIndex::link`].
     chain_cost: Vec<f64>,
     /// A copy of `cols` after each lane of the last batch.
     #[cfg(test)]
@@ -630,8 +625,11 @@ impl Workspace {
 
     /// Computes the SCC decomposition of `g` into the workspace buffers and
     /// returns a borrowed view (no per-call allocation after warm-up).
+    /// Builds no choice index: only the Howard solves read one.
     pub fn scc(&mut self, g: &RatioGraph) -> SccView<'_> {
-        self.condense(g);
+        self.rebuild_csr(g);
+        let _span = repwf_obs::span!(Tarjan);
+        self.tarjan(g);
         SccView { comp_offsets: &self.comp_offsets, comp_vertices: &self.comp_vertices }
     }
 
@@ -646,24 +644,29 @@ impl Workspace {
         repwf_obs::counter_add(repwf_obs::CounterId::CsrBuilds, 1);
     }
 
-    /// CSR build + Tarjan condensation into the workspace buffers.
-    fn condense(&mut self, g: &RatioGraph) {
-        self.rebuild_csr(g);
-        let _span = repwf_obs::span!(Tarjan);
+    /// Tarjan's condensation of the CSR into the workspace buffers.
+    fn tarjan(&mut self, g: &RatioGraph) {
         tarjan_flat(
             g,
             &self.csr,
             &mut self.index,
             &mut self.lowlink,
-            &mut self.on_stack,
             &mut self.vstack,
             &mut self.frames,
             &mut self.comp,
             &mut self.comp_offsets,
             &mut self.comp_vertices,
         );
-        self.choice.build(&self.csr, &self.comp, &self.comp_offsets, &self.comp_vertices);
         repwf_obs::counter_add(repwf_obs::CounterId::TarjanRuns, 1);
+    }
+
+    /// CSR build, Tarjan condensation and its choice index: the
+    /// structural phase of every Howard solve.
+    fn condense(&mut self, g: &RatioGraph) {
+        self.rebuild_csr(g);
+        let _span = repwf_obs::span!(Tarjan);
+        self.tarjan(g);
+        self.choice.build(&self.csr, &self.comp, &self.comp_offsets, &self.comp_vertices);
     }
 
     /// Howard's policy iteration with cold-started (deterministic) policy
@@ -863,7 +866,9 @@ impl Workspace {
             || {
                 let mut cols = Columns::default();
                 cols.reset(n, false);
-                (cols, vec![0.0; ne])
+                let mut chain_cost = vec![0.0; ne + 1];
+                chain_cost[ne] = -0.0;
+                (cols, chain_cost)
             },
             |(cols, chain_cost), i| {
                 let c = cyclic[i] as usize;
@@ -948,7 +953,9 @@ impl Workspace {
             ..
         } = self;
         let max_iters = max_iters(csr.offsets().len() - 1, csr.targets().len());
-        chain_cost.resize(csr.targets().len(), 0.0);
+        let ne = csr.targets().len();
+        chain_cost.resize(ne + 1, 0.0);
+        chain_cost[ne] = -0.0;
         let (cost, mut plans, iters) = match (batched, warm_ok) {
             (true, _) => (&lane_cost[..], Some(plans), HowardItersBatched),
             (false, true) => (csr.costs(), None, HowardItersWarm),
@@ -984,14 +991,15 @@ impl Workspace {
 /// Iterative Tarjan into flat component arrays (no recursion, no
 /// per-component `Vec`, safe for graphs with hundreds of thousands of
 /// vertices). Component ids are in reverse topological order of the
-/// condensation.
+/// condensation. A frame holds a vertex and the CSR position of its next
+/// edge to scan; a visited vertex without a component yet is exactly one
+/// on the vertex stack.
 #[allow(clippy::too_many_arguments)]
 fn tarjan_flat(
     g: &RatioGraph,
     csr: &Csr,
     index: &mut Vec<u32>,
     lowlink: &mut Vec<u32>,
-    on_stack: &mut Vec<bool>,
     vstack: &mut Vec<u32>,
     frames: &mut Vec<(u32, u32)>,
     comp: &mut Vec<u32>,
@@ -1004,8 +1012,6 @@ fn tarjan_flat(
     index.resize(n, UNSET);
     lowlink.clear();
     lowlink.resize(n, 0);
-    on_stack.clear();
-    on_stack.resize(n, false);
     vstack.clear();
     frames.clear();
     comp.clear();
@@ -1014,55 +1020,58 @@ fn tarjan_flat(
     comp_offsets.push(0);
     comp_vertices.clear();
 
-    let targets = csr.targets();
+    let (offsets, targets) = (csr.offsets(), csr.targets());
     let mut next_index = 0u32;
+    let mut visit = |v: u32, index: &mut [u32], lowlink: &mut [u32], vstack: &mut Vec<u32>| {
+        index[v as usize] = next_index;
+        lowlink[v as usize] = next_index;
+        next_index += 1;
+        vstack.push(v);
+        (v, offsets[v as usize])
+    };
     for root in 0..n as u32 {
         if index[root as usize] != UNSET {
             continue;
         }
-        frames.push((root, 0));
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        vstack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+        frames.push(visit(root, index, lowlink, vstack));
+        while let Some(&(v, mut pos)) = frames.last() {
             let vi = v as usize;
-            let outs = &targets[csr.range(v)];
-            if (*pos as usize) < outs.len() {
-                let w = outs[*pos as usize];
-                *pos += 1;
+            // Scan `v`'s edges up to the first unvisited target.
+            let mut child = None;
+            while pos < offsets[vi + 1] {
+                let w = targets[pos as usize];
+                pos += 1;
                 let wi = w as usize;
                 if index[wi] == UNSET {
-                    index[wi] = next_index;
-                    lowlink[wi] = next_index;
-                    next_index += 1;
-                    vstack.push(w);
-                    on_stack[wi] = true;
-                    frames.push((w, 0));
-                } else if on_stack[wi] {
+                    child = Some(w);
+                    break;
+                }
+                if comp[wi] == UNSET {
                     lowlink[vi] = lowlink[vi].min(index[wi]);
                 }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let pi = parent as usize;
-                    lowlink[pi] = lowlink[pi].min(lowlink[vi]);
-                }
-                if lowlink[vi] == index[vi] {
-                    let cid = (comp_offsets.len() - 1) as u32;
-                    loop {
-                        let w = vstack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp[w as usize] = cid;
-                        comp_vertices.push(w);
-                        if w == v {
-                            break;
-                        }
+            }
+            if let Some(w) = child {
+                let top = frames.len() - 1;
+                frames[top].1 = pos;
+                frames.push(visit(w, index, lowlink, vstack));
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                let pi = parent as usize;
+                lowlink[pi] = lowlink[pi].min(lowlink[vi]);
+            }
+            if lowlink[vi] == index[vi] {
+                let cid = (comp_offsets.len() - 1) as u32;
+                loop {
+                    let w = vstack.pop().expect("tarjan stack underflow");
+                    comp[w as usize] = cid;
+                    comp_vertices.push(w);
+                    if w == v {
+                        break;
                     }
-                    comp_offsets.push(comp_vertices.len() as u32);
                 }
+                comp_offsets.push(comp_vertices.len() as u32);
             }
         }
     }
@@ -1072,10 +1081,9 @@ fn tarjan_flat(
 /// the one policy-iteration kernel of this crate, run on the component's
 /// contracted choice graph (see the module docs). `cost` holds the edge
 /// costs in CSR order and `cols.policy` CSR positions. Each solve first
-/// sums the chain costs into `chain_cost` by CSR position (skipped when
-/// the component has no forced vertex: every chain is then its first
-/// edge); policy evaluation and both improvement phases then visit the
-/// choice vertices only, reading chain sums and ends, and the witness is
+/// sums the chain costs into `chain_cost` by CSR position; policy
+/// evaluation and both improvement phases then visit the choice vertices
+/// only, reading chain sums and ends, and the witness is
 /// extracted on the expanded graph.
 ///
 /// With `plans`, each policy evaluation first probes the store: a cached
@@ -1098,17 +1106,17 @@ fn howard_component(
 ) -> Result<CycleSolution, RatioGraphError> {
     let to = csr.targets();
     let choices = index.choices(c);
-    let forced = choices.len() < members.len();
 
-    // One sweep over the choice vertices' in-component edges (and, with
-    // forced vertices, the chains behind them) folds the improvement
-    // tolerance, sets the initial policy and sums each chain's costs.
+    // One sweep over the component's forced edges, then one over its
+    // choice vertices' in-component edges, folds the improvement
+    // tolerance, sums each chain's costs (successors first) and sets the
+    // initial policy.
     //
     // The tolerance is scaled to THIS component's costs: a huge-cost
     // component elsewhere in the graph must not inflate eps here and
     // suppress genuine improvements (per-SCC scale, as in the historical
     // per-subgraph implementation). Every in-component edge is a choice
-    // vertex's or lies on one of its chains, so the fold sees them all.
+    // vertex's or a forced vertex's, so the fold sees them all.
     //
     // Policy: one in-component out-edge per choice vertex. Cold start
     // picks the max-cost edge (last one on ties, mirroring the historical
@@ -1118,9 +1126,9 @@ fn howard_component(
     // same edge as in the prior solve).
     let mut scale = 1.0f64;
     for &f in index.forced(c) {
-        let q = index.forced_edge(f);
+        let q = index.forced_edge[f as usize] as usize;
         scale = scale.max(cost[q].abs());
-        chain_cost[q] = index.chain_sum(to, q, cost, chain_cost);
+        chain_cost[q] = cost[q] + chain_cost[index.link(to[q])];
     }
     for &vu in choices {
         let v = vu as usize;
@@ -1135,9 +1143,7 @@ fn howard_component(
                 best_cost = c;
                 best_p = p;
             }
-            if forced {
-                chain_cost[p as usize] = index.chain_sum(to, p as usize, cost, chain_cost);
-            }
+            chain_cost[p as usize] = cost[p as usize] + chain_cost[index.link(to[p as usize])];
         }
         if !keep {
             cols.policy[v] = best_p;
@@ -1145,8 +1151,8 @@ fn howard_component(
     }
     let eps = scale * 1e-12;
     let (end, tokens) = (index.ends(), index.chain_tokens());
-    let ccost: &[f64] = if forced { chain_cost } else { cost };
-    let graph = ChoiceGraph { csr, index, cost, chain_cost: ccost, forced };
+    let chain_cost = &chain_cost[..];
+    let graph = ChoiceGraph { csr, index, cost, chain_cost };
 
     for iter in 0..max_iters {
         let uniform = match plans.as_deref_mut() {
@@ -1190,7 +1196,7 @@ fn howard_component(
         for &vu in choices {
             let v = vu as usize;
             let cur = policy[v] as usize;
-            let cur_val = ccost[cur] - lambda[v] * tokens[cur] + potential[end[cur] as usize];
+            let cur_val = chain_cost[cur] - lambda[v] * tokens[cur] + potential[end[cur] as usize];
             let mut best_p = policy[v];
             let mut best_val = cur_val;
             for &p in index.edges(vu) {
@@ -1199,7 +1205,7 @@ fn howard_component(
                 if !uniform && lambda[w] < lambda[v] - eps {
                     continue;
                 }
-                let val = ccost[pi] - lambda[v] * tokens[pi] + potential[w];
+                let val = chain_cost[pi] - lambda[v] * tokens[pi] + potential[w];
                 if val > best_val + eps {
                     best_val = val;
                     best_p = p;
@@ -1229,9 +1235,6 @@ pub(crate) struct ChoiceGraph<'a> {
     pub(crate) cost: &'a [f64],
     /// Chain cost sums by CSR position.
     pub(crate) chain_cost: &'a [f64],
-    /// Whether the component has forced vertices; without any, every
-    /// chain is one edge and the choice graph is the expanded one.
-    pub(crate) forced: bool,
 }
 
 impl ChoiceGraph<'_> {
@@ -1243,9 +1246,6 @@ impl ChoiceGraph<'_> {
     /// feeder's own forced path when `path[0]` is on the cycle, and it
     /// meets the cycle where it merges with the chain into `path[pos]`.
     pub(crate) fn root(&self, policy: &[u32], path: &[u32], pos: usize) -> u32 {
-        if !self.forced {
-            return path[pos];
-        }
         let (to, index) = (self.csr.targets(), self.index);
         let into_cycle = to[policy[path[path.len() - 1] as usize] as usize];
         let feeder = index.feeder[path[0] as usize];
@@ -1276,25 +1276,18 @@ impl ChoiceGraph<'_> {
     ) -> f64 {
         let (to, tok, index) = (self.csr.targets(), self.csr.token_counts(), self.index);
         let (mut c, mut part_c, mut part_t) = (0.0, 0.0, 0.0);
-        if self.forced {
-            let mut v = root;
-            loop {
-                if index.is_choice[v as usize] {
-                    (part_c, part_t) = (0.0, 0.0);
-                }
-                let p = index.next(policy, v);
-                c += self.cost[p];
-                part_c += self.cost[p];
-                part_t += f64::from(tok[p]);
-                v = to[p];
-                if v == root {
-                    break;
-                }
+        let mut v = root;
+        loop {
+            if index.forced_edge[v as usize] == NONE {
+                (part_c, part_t) = (0.0, 0.0);
             }
-        } else {
-            // The expanded circuit is the cycle itself, from `root`.
-            for &v in cycle {
-                c += self.cost[policy[v.into() as usize] as usize];
+            let p = index.next(policy, v);
+            c += self.cost[p];
+            part_c += self.cost[p];
+            part_t += f64::from(tok[p]);
+            v = to[p];
+            if v == root {
+                break;
             }
         }
         let lam = c / t;
@@ -1462,7 +1455,7 @@ fn extract_witness(
     let Columns { policy, lambda, state, path: walk, .. } = cols;
     let (policy, lambda, state) = (&policy[..], &mut lambda[..], &mut state[..]);
     for &f in index.forced(c) {
-        lambda[f as usize] = lambda[index.end[index.forced_edge(f)] as usize];
+        lambda[f as usize] = lambda[index.end[index.forced_edge[f as usize] as usize] as usize];
     }
     let mut start = members[0];
     for &v in &members[1..] {
