@@ -71,24 +71,25 @@
 //!
 //! Right after Tarjan, the condensation step of a Howard solve records
 //! the **choice index**: every vertex's in-component out-edges as CSR
-//! positions, the choice vertices per component, each forced vertex's
-//! edge, and the end and token sum of the chain each edge starts (a plain
-//! [`Workspace::scc`] builds none). It is part of the condensation, so it
-//! lives exactly as long as the structure token does: structure hits —
-//! patched solves, pattern slots, batch chunks — reuse it, and the
+//! positions, each forced vertex's edge, the choice vertices per
+//! component, and the end and token sum of the chain each edge starts (a
+//! plain [`Workspace::scc`] builds none). It is part of the condensation,
+//! so it lives exactly as long as the structure token does: structure
+//! hits — patched solves, pattern slots, batch chunks — reuse it, and the
 //! `csr_builds` / `tarjan_runs` counters keep their meaning. Costs belong
 //! to a solve, so each solve sums the chain costs once, from the CSR's
-//! cost mirror or from the batch lane's plane. Policy evaluation, both improvement phases and the plan store see only choice
-//! vertices. Policies stay CSR positions, so warm starts and plan keys
-//! keep their meaning.
+//! cost mirror or from the batch lane's plane. Policy evaluation, both
+//! improvement phases and the plan store see only choice vertices.
+//! Policies stay CSR positions, so warm starts and plan keys keep their
+//! meaning.
 //!
 //! **What stays as on the expanded graph.** Evaluation roots every policy
 //! cycle where a walk of *every* member in member order would: at the
 //! vertex where the first member of the cycle's basin enters the cycle
 //! (which may be a forced vertex). The index lists the choice vertices in
 //! that walk order, each with its *feeder*, the first member that reaches
-//! it through forced vertices only, and finds the entry where two forced
-//! paths merge. A cycle's λ is its expanded circuit's cost sum from that
+//! it through forced vertices only; evaluation finds the entry where the
+//! feeder's forced path merges with the chain into the cycle. A cycle's λ is its expanded circuit's cost sum from that
 //! root, in circuit order, over its token sum: the bits of a solver that
 //! walks every member. Forced members take the λ of their chain's end.
 //! So every λ, every λ-uniform flag, every phase-1 comparison, the
@@ -108,10 +109,12 @@
 //! eps` read λs and decide exactly alike. The same policies thus give the
 //! same witness, bit for bit. The pins hold this: every `ci/` reference,
 //! `table2 --full`, the campaign documents and counters, and the witness
-//! digests of `tests/witness_digest.rs` are unchanged; over 46 000 strict
-//! ratio graphs of ten families, only 20 draws of a family whose times are
-//! all equal (4 stages on 16 processors, comp and comm 1) ran a different
-//! number of rounds, with the same ratio bits and witnesses.
+//! digests of `tests/witness_digest.rs` are those of the uncontracted
+//! kernel. Where nearly every circuit ties, the path can change: on a
+//! family whose times are all equal (4 stages on 16 processors, comp and
+//! comm 1), 26 of the draws with seeds 1 to 3 000 run a different number
+//! of rounds, with the same ratio bits and witnesses; that family's digest
+//! pins the round counts too.
 //!
 //! Policy evaluation also reports whether every policy cycle it found has
 //! the bit-identical λ; in such a **λ-uniform** round the phase-1 sweep
@@ -533,18 +536,25 @@ impl ChoiceIndex {
     }
 }
 
+/// A walk's mark of a vertex it has not reached.
+const UNSEEN: u32 = 0;
+/// A walk's mark of a settled vertex; a vertex on the current walk holds
+/// its position on it plus one instead.
+const SETTLED: u32 = u32::MAX;
+/// The witness walk's mark (see [`extract_witness`]).
+const ON_WITNESS: u32 = u32::MAX - 1;
+
 /// Howard's per-vertex columns over global vertex ids, and the walk
-/// scratch of policy evaluation and witness extraction (`path` holds a
-/// walk of at most `n` vertices). `policy[v]` of a choice vertex is a CSR
-/// *position* (an index into the SoA arrays of the CSR), always inside
-/// `csr.range(v)`.
+/// scratch of policy evaluation and witness extraction (`mark` holds the
+/// walks' marks, `path` a walk of at most `n` vertices). `policy[v]` of a
+/// choice vertex is a CSR *position* (an index into the SoA arrays of the
+/// CSR), always inside `csr.range(v)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Columns {
     pub(crate) policy: Vec<u32>,
     pub(crate) lambda: Vec<f64>,
     pub(crate) potential: Vec<f64>,
-    state: Vec<u8>,
-    walk_pos: Vec<u32>,
+    mark: Vec<u32>,
     path: Vec<u32>,
 }
 
@@ -560,10 +570,8 @@ impl Columns {
         self.lambda.resize(n, f64::NEG_INFINITY);
         self.potential.clear();
         self.potential.resize(n, 0.0);
-        self.state.clear();
-        self.state.resize(n, 0);
-        self.walk_pos.clear();
-        self.walk_pos.resize(n, 0);
+        self.mark.clear();
+        self.mark.resize(n, UNSEEN);
         self.path.clear();
         self.path.resize(n, 0);
     }
@@ -1330,34 +1338,32 @@ pub(crate) fn evaluate_policy(
 ) -> Option<bool> {
     let (to, tok) = (graph.index.ends(), graph.index.chain_tokens());
     let cost = graph.chain_cost;
-    let Columns { policy, lambda, potential, state, walk_pos, path } = cols;
+    let Columns { policy, lambda, potential, mark, path } = cols;
     // Slices, not the `Vec` fields (see `howard_component`).
     let (policy, lambda, potential) = (&policy[..], &mut lambda[..], &mut potential[..]);
-    let (state, walk_pos, walk) = (&mut state[..], &mut walk_pos[..], &mut path[..]);
+    let (mark, walk) = (&mut mark[..], &mut path[..]);
     let mut first_lam: Option<u64> = None;
     let mut uniform = true;
-    // 0 = unvisited, 1 = on current walk, 2 = finished.
     for &v in choices {
-        state[v as usize] = 0;
+        mark[v as usize] = UNSEEN;
     }
     for &start in choices {
-        if state[start as usize] != 0 {
+        if mark[start as usize] != UNSEEN {
             continue;
         }
         let mut len = 0;
         let mut u = start;
-        while state[u as usize] == 0 {
-            state[u as usize] = 1;
-            walk_pos[u as usize] = len as u32;
+        while mark[u as usize] == UNSEEN {
             walk[len] = u;
             len += 1;
+            mark[u as usize] = len as u32;
             u = to[policy[u as usize] as usize];
         }
         let path = &walk[..len];
 
-        let settle_from = if state[u as usize] == 1 {
+        let settle_from = if mark[u as usize] != SETTLED {
             // New policy cycle: path[pos..] are its vertices in order.
-            let pos = walk_pos[u as usize] as usize;
+            let pos = mark[u as usize] as usize - 1;
             let cycle = &path[pos..];
             let t: f64 = cycle.iter().map(|&v| tok[policy[v as usize] as usize]).sum();
             if t == 0.0 {
@@ -1370,7 +1376,7 @@ pub(crate) fn evaluate_policy(
             let lam = graph.settle_cycle(policy, cycle, root, t, lambda, potential);
             uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
             for &v in cycle {
-                state[v as usize] = 2;
+                mark[v as usize] = SETTLED;
             }
             pos
         } else {
@@ -1378,13 +1384,17 @@ pub(crate) fn evaluate_policy(
             path.len()
         };
 
-        // Settle the tail of the walk (path[..settle_from]) backwards.
-        for i in (0..settle_from).rev() {
-            let v = path[i] as usize;
-            let p = policy[v] as usize;
-            lambda[v] = lambda[to[p] as usize];
-            potential[v] = cost[p] - lambda[v] * tok[p] + potential[to[p] as usize];
-            state[v] = 2;
+        // Settle the tail of the walk (path[..settle_from]) backwards. Its
+        // last vertex leads to `u`, and each other one to the vertex
+        // settled just before it, so their λ and potential are carried
+        // (`pot += C − λ·T` is `(C − λ·T) + pot`: IEEE addition commutes).
+        let (lam, mut pot) = (lambda[u as usize], potential[u as usize]);
+        for &v in path[..settle_from].iter().rev() {
+            let p = policy[v as usize] as usize;
+            pot += cost[p] - lam * tok[p];
+            lambda[v as usize] = lam;
+            potential[v as usize] = pot;
+            mark[v as usize] = SETTLED;
         }
         if let Some(rec) = rec.as_deref_mut().filter(|_| settle_from > 0) {
             rec.push_segment(&path[..settle_from]);
@@ -1404,32 +1414,31 @@ fn zero_token_cycle(
     cols: &mut Columns,
 ) -> RatioGraphError {
     let (to, tok) = (csr.targets(), csr.token_counts());
-    let Columns { policy, state, walk_pos, path: walk, .. } = cols;
+    let Columns { policy, mark, path: walk, .. } = cols;
     for &v in members {
-        state[v as usize] = 0;
+        mark[v as usize] = UNSEEN;
     }
     for &start in members {
-        if state[start as usize] != 0 {
+        if mark[start as usize] != UNSEEN {
             continue;
         }
         let mut len = 0;
         let mut u = start;
-        while state[u as usize] == 0 {
-            state[u as usize] = 1;
-            walk_pos[u as usize] = len as u32;
+        while mark[u as usize] == UNSEEN {
             walk[len] = u;
             len += 1;
+            mark[u as usize] = len as u32;
             u = to[index.next(policy, u)];
         }
         let path = &walk[..len];
-        if state[u as usize] == 1 {
-            let cycle = &path[walk_pos[u as usize] as usize..];
+        if mark[u as usize] != SETTLED {
+            let cycle = &path[mark[u as usize] as usize - 1..];
             if cycle.iter().all(|&v| tok[index.next(policy, v)] == 0) {
                 return RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() };
             }
         }
         for &v in path.iter() {
-            state[v as usize] = 2;
+            mark[v as usize] = SETTLED;
         }
     }
     unreachable!("the evaluation found a policy circuit without tokens")
@@ -1439,9 +1448,9 @@ fn zero_token_cycle(
 /// graph: follow the policy from the member with maximal λ (the later one
 /// on ties) until a vertex repeats, and sum the circuit from that vertex.
 /// A forced member takes the λ of its chain's end, written here. No
-/// member may hold the mark 3 on entry (a replayed evaluation leaves
-/// `state` as it was); the vertices this walk marks are noted in `path`
-/// and unmarked again on exit.
+/// member may hold the mark `ON_WITNESS` on entry (a replayed evaluation
+/// leaves `mark` as it was); the vertices this walk marks are noted in
+/// `path` and marked `SETTLED` again on exit.
 fn extract_witness(
     csr: &Csr,
     index: &ChoiceIndex,
@@ -1452,8 +1461,8 @@ fn extract_witness(
 ) -> CycleSolution {
     let to = csr.targets();
     let tok = csr.token_counts();
-    let Columns { policy, lambda, state, path: walk, .. } = cols;
-    let (policy, lambda, state) = (&policy[..], &mut lambda[..], &mut state[..]);
+    let Columns { policy, lambda, mark, path: walk, .. } = cols;
+    let (policy, lambda, mark) = (&policy[..], &mut lambda[..], &mut mark[..]);
     for &f in index.forced(c) {
         lambda[f as usize] = lambda[index.end[index.forced_edge[f as usize] as usize] as usize];
     }
@@ -1465,15 +1474,15 @@ fn extract_witness(
     }
     let mut u = start;
     let mut len = 0;
-    while state[u as usize] != 3 {
-        state[u as usize] = 3;
+    while mark[u as usize] != ON_WITNESS {
+        mark[u as usize] = ON_WITNESS;
         walk[len] = u;
         len += 1;
         u = to[index.next(policy, u)];
     }
     let path = &walk[..len];
     for &v in path {
-        state[v as usize] = 2;
+        mark[v as usize] = SETTLED;
     }
     // `u` is the first vertex the walk met twice: the cycle is the walk
     // from `u` on, in policy order.
