@@ -496,6 +496,9 @@ impl ChoiceIndex {
     /// longer path is advanced by the difference in length, then both in
     /// step until they meet.
     fn merge(&self, to: &[u32], mut a: u32, mut b: u32) -> u32 {
+        if a == b {
+            return a;
+        }
         let step = |v: u32| to[self.forced_edge[v as usize] as usize];
         let length = |mut v: u32| {
             let mut len = 0;
@@ -1283,16 +1286,11 @@ impl ChoiceGraph<'_> {
         potential: &mut [f64],
     ) -> f64 {
         let (to, tok, index) = (self.csr.targets(), self.csr.token_counts(), self.index);
-        let (mut c, mut part_c, mut part_t) = (0.0, 0.0, 0.0);
+        let mut c = 0.0;
         let mut v = root;
         loop {
-            if index.forced_edge[v as usize] == NONE {
-                (part_c, part_t) = (0.0, 0.0);
-            }
             let p = index.next(policy, v);
             c += self.cost[p];
-            part_c += self.cost[p];
-            part_t += f64::from(tok[p]);
             v = to[p];
             if v == root {
                 break;
@@ -1305,7 +1303,20 @@ impl ChoiceGraph<'_> {
         let first = if root as usize == vertex(0) { 0 } else { k - 1 };
         let u = vertex(first);
         lambda[u] = lam;
-        potential[u] = if first == 0 { 0.0 } else { part_c - lam * part_t };
+        potential[u] = if first == 0 {
+            0.0
+        } else {
+            // The sums of the edges from `u` to the forced root.
+            let (mut part_c, mut part_t) = (0.0, 0.0);
+            let mut v = u as u32;
+            while v != root {
+                let p = index.next(policy, v);
+                part_c += self.cost[p];
+                part_t += f64::from(tok[p]);
+                v = to[p];
+            }
+            part_c - lam * part_t
+        };
         // The other vertices, back along the cycle from the one before `u`.
         let rest = if first == 0 { 1..k } else { 0..k - 1 };
         for i in rest.rev() {
