@@ -327,8 +327,8 @@ impl Lease {
 }
 
 fn read_lease_text(path: &Path) -> Result<Option<(LeaseInfo, SystemTime)>, DistError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(path, e)),
     };
@@ -340,10 +340,11 @@ fn read_lease_text(path: &Path) -> Result<Option<(LeaseInfo, SystemTime)>, DistE
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(path, e)),
     };
-    // A lease caught mid-rewrite parses as corrupt; treat it as a live
-    // claim of unknown shape (age 0) rather than failing the scan — the
-    // next heartbeat makes it readable again.
-    let parsed = parse(text.trim()).ok();
+    // A lease caught mid-rewrite parses as corrupt (a cut inside a
+    // non-ASCII owner is not even UTF-8); treat it as a live claim of
+    // unknown shape (age 0) rather than failing the scan — the next
+    // heartbeat makes it readable again.
+    let parsed = std::str::from_utf8(&bytes).ok().and_then(|text| parse(text.trim()).ok());
     let info = match parsed {
         Some(doc) => {
             // Progress fields are optional (plain heartbeats and leases

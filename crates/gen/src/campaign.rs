@@ -22,8 +22,7 @@
 //!   ([`run_one_workflow_with`]): over-cap seeds (simulator fallback),
 //!   path-count overflows, every overlap-model seed (the polynomial
 //!   algorithm has no TPN to share) and one-seed chunks. Batching a
-//!   single lane shares nothing, and only the engine sends graphs of
-//!   ≥ 200 000 vertices to the per-SCC parallel solve.
+//!   single lane shares nothing.
 //! * **Work stealing.** Chunks and solo seeds are the tasks of the
 //!   [`repwf_par`] executor. Each worker owns one [`PeriodEngine`] and one
 //!   [`ShapeBatchSolver`]; they cache allocations and structure, never
@@ -229,9 +228,8 @@ impl Default for CampaignAccum {
 pub const GAP_REL_TOL: f64 = 1e-7;
 
 /// Default TPN size cap (max transitions) of campaign runs. Raised from
-/// the historical `400_000` once the per-SCC parallel solver and the
-/// shape-batched path made strict TPNs of this size solve exactly in
-/// reasonable time — instance families that used to fall back to the
+/// the historical `400_000` once strict TPNs of this size solved exactly
+/// in reasonable time — instance families that used to fall back to the
 /// discrete-event simulator now report [`Resolution::Exact`].
 pub const DEFAULT_CAMPAIGN_CAP: usize = 2_000_000;
 

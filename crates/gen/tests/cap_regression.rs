@@ -1,9 +1,12 @@
 //! Regression for the raised default campaign cap: a strict-model
 //! instance family whose TPN lands just **over** the historical
 //! `400_000`-transition cap used to fall back to the discrete-event
-//! simulator; with [`DEFAULT_CAMPAIGN_CAP`] and the per-SCC parallel
-//! solver it resolves exactly, and the exact period is bit-for-bit the
-//! one a cap-lifted unbatched solve reports.
+//! simulator; with [`DEFAULT_CAMPAIGN_CAP`] it resolves exactly through
+//! the sequential Howard solve, and the exact period is bit-for-bit the
+//! one a cap-lifted unbatched solve reports. The draw's strict ratio graph
+//! is one strongly connected component, so no per-component fan-out could
+//! help it; `tests/invariants.rs` pins that (this crate does not depend on
+//! `maxplus`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,8 +50,7 @@ fn raised_default_cap_flips_former_simulator_fallbacks_to_exact() {
     let old = run_one(&cfg, CommModel::Strict, seed, OLD_CAP);
     assert_eq!(old.resolution, Resolution::Simulated, "seed {seed}");
 
-    // Under the new default it resolves exactly (the TPN exceeds the
-    // parallel-solve vertex threshold, so this runs the per-SCC path).
+    // Under the new default it resolves exactly.
     let new = run_one(&cfg, CommModel::Strict, seed, DEFAULT_CAMPAIGN_CAP);
     assert_eq!(new.resolution, Resolution::Exact, "seed {seed}");
     assert_eq!(new.num_paths, old.num_paths, "same draw, same path count");

@@ -20,8 +20,8 @@
 //! a caller-owned [`Workspace`], which makes repeated solves
 //! allocation-free and enables warm-started iteration
 //! ([`Workspace::max_cycle_ratio_cached`]); shape batches
-//! ([`crate::batch`]) run the same kernel lane after lane, replaying cached
-//! policy-evaluation plans. The kernel iterates on the **contracted
+//! ([`crate::batch`]) run the same kernel lane after lane. The kernel
+//! iterates on the **contracted
 //! choice graph**: a *forced* vertex (one in-component out-edge) can never
 //! change policy, so each chain of forced vertices between two *choice
 //! vertices* (two or more such edges) becomes one edge carrying the

@@ -17,12 +17,11 @@
 //!   all cycle algorithms.
 //! * [`workspace`] — reusable [`workspace::Workspace`] arenas (CSR
 //!   adjacency, iterative Tarjan SCCs, Howard scratch) making repeated
-//!   solves allocation-free, with warm-started policy iteration, per-SCC
-//!   parallel solves on the `repwf-par` pool, and the crate's one Howard
-//!   kernel.
+//!   solves allocation-free, with warm-started policy iteration and the
+//!   crate's one Howard kernel.
 //! * [`batch`] — shape-batched Howard: one CSR build + condensation
 //!   amortized over k same-structure instances given as cost planes,
-//!   solved lane after lane with cached policy-evaluation plans.
+//!   solved lane after lane by that kernel.
 //! * [`howard`] — Howard's policy iteration for the maximum cycle ratio
 //!   (primary algorithm; exact, returns a witness cycle).
 //! * [`lawler`] — Lawler's parametric binary search (cross-check oracle).

@@ -23,12 +23,12 @@
 //! warm start may settle on the other member of the tie and report its bit
 //! pattern.
 //!
-//! **One kernel.** Every Howard solve of this crate — cold, warm, cached,
-//! per-SCC parallel and each lane of a shape batch ([`crate::batch`]) —
-//! runs the same per-component kernel, which reads edge costs from a
-//! CSR-order `&[f64]`: the CSR's cost mirror for a solo solve, the lane's
-//! copied cost plane for a batch. Only batched solves give it a plan
-//! store, whose replays write the bits a walk writes.
+//! **One kernel.** Every Howard solve of this crate — cold, warm, cached
+//! and each lane of a shape batch ([`crate::batch`]) — runs the same
+//! per-component kernel, which reads edge costs from the CSR's cost
+//! mirror: refreshed from the graph for a solo solve, copied from the
+//! lane's cost plane for a batch. Components are solved one after another
+//! in condensation order.
 //!
 //! Every solve works per strongly connected component directly on the
 //! global vertex ids, slicing the shared CSR and filtering edges by
@@ -78,9 +78,8 @@
 //! hits — patched solves, pattern slots, batch chunks — reuse it, and the
 //! `csr_builds` / `tarjan_runs` counters keep their meaning. Costs belong
 //! to a solve, so each solve sums the chain costs once, from the CSR's
-//! cost mirror or from the batch lane's plane. Policy evaluation, both
-//! improvement phases and the plan store see only choice vertices.
-//! Policies stay CSR positions, so warm starts and plan keys keep their
+//! cost mirror. Policy evaluation and both improvement phases see only
+//! choice vertices. Policies stay CSR positions, so warm starts keep their
 //! meaning.
 //!
 //! **What stays as on the expanded graph.** Evaluation roots every policy
@@ -133,7 +132,7 @@
 //!   change nothing and fall through to phase 2. Phase 2's filter compares
 //!   it with itself minus eps and never fires.
 
-use crate::batch::{validate_plane, CostPlanes, PlanRecord, PlanStore};
+use crate::batch::{validate_plane, CostPlanes};
 use crate::graph::{CycleSolution, RatioGraph, RatioGraphError};
 use crate::howard::RatioResult;
 
@@ -288,7 +287,7 @@ const NONE: u32 = u32::MAX;
 /// long as the condensation and is reused by every structure hit (see
 /// the module docs).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ChoiceIndex {
+struct ChoiceIndex {
     /// `edges[offsets[v]..offsets[v + 1]]` are the CSR positions of `v`'s
     /// out-edges whose target lies in `v`'s component, in CSR order.
     offsets: Vec<u32>,
@@ -459,22 +458,22 @@ impl ChoiceIndex {
     }
 
     /// CSR positions of `v`'s in-component out-edges.
-    pub(crate) fn edges(&self, v: u32) -> &[u32] {
+    fn edges(&self, v: u32) -> &[u32] {
         &self.edges[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 
     /// The choice vertices of component `c`.
-    pub(crate) fn choices(&self, c: usize) -> &[u32] {
+    fn choices(&self, c: usize) -> &[u32] {
         &self.choices[self.choice_offsets[c] as usize..self.choice_offsets[c + 1] as usize]
     }
 
     /// Chain ends by CSR position (see the field docs).
-    pub(crate) fn ends(&self) -> &[u32] {
+    fn ends(&self) -> &[u32] {
         &self.end
     }
 
     /// Chain token sums by CSR position.
-    pub(crate) fn chain_tokens(&self) -> &[f64] {
+    fn chain_tokens(&self) -> &[f64] {
         &self.tokens
     }
 
@@ -534,7 +533,7 @@ impl ChoiceIndex {
 
     /// True iff the component with these members contains a circuit: it
     /// has two or more members, or its one member has a self-loop.
-    pub(crate) fn is_cyclic(&self, members: &[u32]) -> bool {
+    fn is_cyclic(&self, members: &[u32]) -> bool {
         members.len() > 1 || !self.edges(members[0]).is_empty()
     }
 }
@@ -553,10 +552,10 @@ const ON_WITNESS: u32 = u32::MAX - 1;
 /// choice vertex is a CSR *position* (an index into the SoA arrays of the
 /// CSR), always inside `csr.range(v)`.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Columns {
-    pub(crate) policy: Vec<u32>,
-    pub(crate) lambda: Vec<f64>,
-    pub(crate) potential: Vec<f64>,
+struct Columns {
+    policy: Vec<u32>,
+    lambda: Vec<f64>,
+    potential: Vec<f64>,
     mark: Vec<u32>,
     path: Vec<u32>,
 }
@@ -583,7 +582,7 @@ impl Columns {
 /// Owned scratch state of Howard's solver.
 ///
 /// Create once, then call [`Workspace::max_cycle_ratio`] (or the cached /
-/// batched / parallel variants) as many times as needed; buffers grow to
+/// batched variants) as many times as needed; buffers grow to
 /// the largest graph seen and are reused afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
@@ -594,17 +593,12 @@ pub struct Workspace {
     comp_vertices: Vec<u32>,
     /// In-component edges and choice vertices of the condensation above.
     choice: ChoiceIndex,
-    /// Batched policy-evaluation plans over the CSR above (see
-    /// [`crate::batch`]); every CSR rebuild forgets them.
-    plans: PlanStore,
     // Tarjan scratch.
     index: Vec<u32>,
     lowlink: Vec<u32>,
     vstack: Vec<u32>,
     frames: Vec<(u32, u32)>,
     cols: Columns,
-    /// The current batch lane's edge costs in CSR order.
-    lane_cost: Vec<f64>,
     /// The current solve's chain cost sums, by CSR position, and the
     /// sentinel of [`ChoiceIndex::link`].
     chain_cost: Vec<f64>,
@@ -651,7 +645,6 @@ impl Workspace {
         let _span = repwf_obs::span!(CsrBuild);
         self.struct_sig = None;
         self.csr.build(g);
-        self.plans.clear();
         repwf_obs::counter_add(repwf_obs::CounterId::CsrBuilds, 1);
     }
 
@@ -781,23 +774,23 @@ impl Workspace {
             return valid.into_iter().map(|r| r.map(|()| None)).collect();
         }
 
-        // The structure cache works as in `howard`, except that a hit
-        // does not refresh the CSR cost mirror: each lane reads its own
-        // costs from `lane_cost`.
+        // The structure cache works as in `howard`, except that each lane
+        // copies its own plane into the CSR cost mirror. A later cached
+        // hit refreshes the mirror from its graph.
         let structure_ok = self.struct_sig == Some((structure, n, ne));
         self.warm_sig = None;
         self.struct_sig = None;
         if !structure_ok {
             self.condense(g);
         }
-        self.plans.begin_batch(n, ne);
         self.cols.reset(n, false);
         let mut results = Vec::with_capacity(k);
         for (q, v) in valid.into_iter().enumerate() {
             results.push(v.and_then(|()| {
                 let plane = planes.plane(q);
-                self.lane_cost.clear();
-                self.lane_cost.extend(self.csr.edge_indices().iter().map(|&ei| plane[ei as usize]));
+                for (cost, &ei) in self.csr.cost.iter_mut().zip(&self.csr.eidx) {
+                    *cost = plane[ei as usize];
+                }
                 self.solve_components(true, false)
             }));
             #[cfg(test)]
@@ -807,12 +800,6 @@ impl Workspace {
             self.struct_sig = Some((structure, n, ne));
         }
         results
-    }
-
-    /// The plan store of the current condensation.
-    #[cfg(test)]
-    pub(crate) fn plan_store(&mut self) -> &mut PlanStore {
-        &mut self.plans
     }
 
     /// The policy, λ and potential columns lane `q` of the last batch
@@ -827,86 +814,6 @@ impl Workspace {
     #[cfg(test)]
     pub(crate) fn columns(&self) -> (&[u32], &[f64], &[f64]) {
         (&self.cols.policy, &self.cols.lambda, &self.cols.potential)
-    }
-
-    /// Howard's policy iteration with **per-SCC parallelism**: after one
-    /// (sequential) CSR build + Tarjan condensation, the cyclic components
-    /// are solved as independent tasks on the [`repwf_par`] work-stealing
-    /// pool — each worker runs the ordinary cold `howard_component` on
-    /// its own full-size columns over the shared read-only CSR, with no
-    /// plan store — and the per-component witnesses are folded **in
-    /// condensation order** on the calling thread.
-    ///
-    /// Results are bit-for-bit those of [`Workspace::max_cycle_ratio`] at
-    /// any `threads` (including the first-error-in-component-order
-    /// semantics on failing inputs): component solves touch only member
-    /// vertices, so the sequential solve's shared scratch never couples
-    /// components, and the fold below replays its exact comparison
-    /// sequence. Warm starts and the structure cache are disabled (both
-    /// signatures cleared): the converged policies live in worker-local
-    /// scratch, not in this workspace.
-    ///
-    /// This is the solve path for huge condensation-limited graphs — the
-    /// over-cap strict-model TPNs that previously fell back to simulation.
-    pub fn max_cycle_ratio_par(&mut self, g: &RatioGraph, threads: usize) -> RatioResult {
-        g.validate()?;
-        let n = g.num_vertices();
-        let ne = g.num_edges();
-        self.warm_sig = None;
-        self.condense(g); // also clears struct_sig (rebuild_csr)
-        let max_iters = max_iters(n, ne);
-
-        let csr = &self.csr;
-        let choice = &self.choice;
-        let comp_offsets = &self.comp_offsets[..];
-        let comp_vertices = &self.comp_vertices[..];
-        let members_of = |c: usize| -> &[u32] {
-            &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize]
-        };
-        let cyclic: Vec<u32> = (0..comp_offsets.len() - 1)
-            .filter(|&c| choice.is_cyclic(members_of(c)))
-            .map(|c| c as u32)
-            .collect();
-
-        // Per-worker columns and chain sums: full-size arrays over global
-        // vertex ids and CSR positions, exactly what `howard_component`
-        // expects.
-        let results = repwf_par::par_map_init(
-            threads,
-            cyclic.len(),
-            || {
-                let mut cols = Columns::default();
-                cols.reset(n, false);
-                let mut chain_cost = vec![0.0; ne + 1];
-                chain_cost[ne] = -0.0;
-                (cols, chain_cost)
-            },
-            |(cols, chain_cost), i| {
-                let c = cyclic[i] as usize;
-                howard_component(
-                    csr,
-                    choice,
-                    csr.costs(),
-                    c,
-                    members_of(c),
-                    None,
-                    false,
-                    repwf_obs::CounterId::HowardItersCold,
-                    cols,
-                    chain_cost,
-                    max_iters,
-                )
-            },
-        );
-
-        let mut best: Option<CycleSolution> = None;
-        for r in results {
-            let sol = r?;
-            if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
-                best = Some(sol);
-            }
-        }
-        Ok(best)
     }
 
     fn howard(&mut self, g: &RatioGraph, warm: bool, structure: Option<u64>) -> RatioResult {
@@ -947,30 +854,19 @@ impl Workspace {
 
     /// Runs `howard_component` on every cyclic component of the current
     /// condensation and folds the witnesses in condensation order; the
-    /// first failing component's error wins. A batch lane reads
-    /// `lane_cost`, probes the plan store and counts its rounds as
-    /// batched; a solo solve reads the CSR's cost mirror, with no store.
+    /// first failing component's error wins. A batch lane counts its
+    /// rounds as batched.
     fn solve_components(&mut self, batched: bool, warm_ok: bool) -> RatioResult {
         use repwf_obs::CounterId::{HowardItersBatched, HowardItersCold, HowardItersWarm};
-        let Workspace {
-            csr,
-            comp_offsets,
-            comp_vertices,
-            choice,
-            plans,
-            cols,
-            lane_cost,
-            chain_cost,
-            ..
-        } = self;
+        let Workspace { csr, comp_offsets, comp_vertices, choice, cols, chain_cost, .. } = self;
         let max_iters = max_iters(csr.offsets().len() - 1, csr.targets().len());
         let ne = csr.targets().len();
         chain_cost.resize(ne + 1, 0.0);
         chain_cost[ne] = -0.0;
-        let (cost, mut plans, iters) = match (batched, warm_ok) {
-            (true, _) => (&lane_cost[..], Some(plans), HowardItersBatched),
-            (false, true) => (csr.costs(), None, HowardItersWarm),
-            (false, false) => (csr.costs(), None, HowardItersCold),
+        let iters = match (batched, warm_ok) {
+            (true, _) => HowardItersBatched,
+            (false, true) => HowardItersWarm,
+            (false, false) => HowardItersCold,
         };
         let mut best: Option<CycleSolution> = None;
         for c in 0..comp_offsets.len() - 1 {
@@ -979,17 +875,7 @@ impl Workspace {
                 continue;
             }
             let sol = howard_component(
-                csr,
-                choice,
-                cost,
-                c,
-                members,
-                plans.as_deref_mut(),
-                warm_ok,
-                iters,
-                cols,
-                chain_cost,
-                max_iters,
+                csr, choice, c, members, warm_ok, iters, cols, chain_cost, max_iters,
             )?;
             if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
                 best = Some(sol);
@@ -1090,32 +976,26 @@ fn tarjan_flat(
 
 /// Howard's iteration on component `c`, operating on global vertex ids:
 /// the one policy-iteration kernel of this crate, run on the component's
-/// contracted choice graph (see the module docs). `cost` holds the edge
-/// costs in CSR order and `cols.policy` CSR positions. Each solve first
-/// sums the chain costs into `chain_cost` by CSR position; policy
-/// evaluation and both improvement phases then visit the choice vertices
-/// only, reading chain sums and ends, and the witness is
-/// extracted on the expanded graph.
-///
-/// With `plans`, each policy evaluation first probes the store: a cached
-/// plan is replayed, any other policy is walked and its plan recorded
-/// (see [`crate::batch`]). On convergence the rounds run are added to the
-/// `iters` counter.
+/// contracted choice graph (see the module docs). It reads edge costs
+/// from the CSR's cost mirror, and `cols.policy` holds CSR positions.
+/// Each solve first sums the chain costs into `chain_cost` by CSR
+/// position; policy evaluation and both improvement phases then visit the
+/// choice vertices only, reading chain sums and ends, and the witness is
+/// extracted on the expanded graph. On convergence the rounds run are
+/// added to the `iters` counter.
 #[allow(clippy::too_many_arguments)]
 fn howard_component(
     csr: &Csr,
     index: &ChoiceIndex,
-    cost: &[f64],
     c: usize,
     members: &[u32],
-    mut plans: Option<&mut PlanStore>,
     warm_ok: bool,
     iters: repwf_obs::CounterId,
     cols: &mut Columns,
     chain_cost: &mut [f64],
     max_iters: usize,
 ) -> Result<CycleSolution, RatioGraphError> {
-    let to = csr.targets();
+    let (to, cost) = (csr.targets(), csr.costs());
     let choices = index.choices(c);
 
     // One sweep over the component's forced edges, then one over its
@@ -1163,14 +1043,10 @@ fn howard_component(
     let eps = scale * 1e-12;
     let (end, tokens) = (index.ends(), index.chain_tokens());
     let chain_cost = &chain_cost[..];
-    let graph = ChoiceGraph { csr, index, cost, chain_cost };
+    let graph = ChoiceGraph { csr, index, chain_cost };
 
     for iter in 0..max_iters {
-        let uniform = match plans.as_deref_mut() {
-            Some(store) => store.evaluate(&graph, c, choices, cols),
-            None => evaluate_policy(&graph, choices, cols, None),
-        };
-        let Some(uniform) = uniform else {
+        let Some(uniform) = evaluate_policy(&graph, choices, cols) else {
             return Err(zero_token_cycle(csr, index, members, cols));
         };
         // Slices, not the `Vec` fields: a store through one field could
@@ -1229,23 +1105,21 @@ fn howard_component(
         }
         if !changed {
             repwf_obs::counter_add(iters, iter as u64 + 1);
-            return Ok(extract_witness(csr, index, cost, c, members, cols));
+            return Ok(extract_witness(csr, index, c, members, cols));
         }
     }
     Err(RatioGraphError::NoConvergence)
 }
 
 /// One component's contracted choice graph under the costs of one solve:
-/// the raw edge costs, and the chain cost sums that policy evaluation and
-/// the improvement phases read.
+/// the CSR (whose cost mirror holds the raw edge costs), and the chain
+/// cost sums that policy evaluation and the improvement phases read.
 #[derive(Clone, Copy)]
-pub(crate) struct ChoiceGraph<'a> {
-    pub(crate) csr: &'a Csr,
-    pub(crate) index: &'a ChoiceIndex,
-    /// Edge costs in CSR order.
-    pub(crate) cost: &'a [f64],
+struct ChoiceGraph<'a> {
+    csr: &'a Csr,
+    index: &'a ChoiceIndex,
     /// Chain cost sums by CSR position.
-    pub(crate) chain_cost: &'a [f64],
+    chain_cost: &'a [f64],
 }
 
 impl ChoiceGraph<'_> {
@@ -1256,7 +1130,7 @@ impl ChoiceGraph<'_> {
     /// enters through the last chain before the cycle, or through the
     /// feeder's own forced path when `path[0]` is on the cycle, and it
     /// meets the cycle where it merges with the chain into `path[pos]`.
-    pub(crate) fn root(&self, policy: &[u32], path: &[u32], pos: usize) -> u32 {
+    fn root(&self, policy: &[u32], path: &[u32], pos: usize) -> u32 {
         let (to, index) = (self.csr.targets(), self.index);
         let into_cycle = to[policy[path[path.len() - 1] as usize] as usize];
         let feeder = index.feeder[path[0] as usize];
@@ -1276,21 +1150,22 @@ impl ChoiceGraph<'_> {
     /// 0; the choice vertex before it takes the cost and token sums of the
     /// edges from it to the root, and the others follow back along the
     /// cycle by `x[v] = C − λ·T + x[end]`.
-    pub(crate) fn settle_cycle<V: Copy + Into<u32>>(
+    fn settle_cycle(
         &self,
         policy: &[u32],
-        cycle: &[V],
+        cycle: &[u32],
         root: u32,
         t: f64,
         lambda: &mut [f64],
         potential: &mut [f64],
     ) -> f64 {
-        let (to, tok, index) = (self.csr.targets(), self.csr.token_counts(), self.index);
+        let (to, tok, cost) = (self.csr.targets(), self.csr.token_counts(), self.csr.costs());
+        let index = self.index;
         let mut c = 0.0;
         let mut v = root;
         loop {
             let p = index.next(policy, v);
-            c += self.cost[p];
+            c += cost[p];
             v = to[p];
             if v == root {
                 break;
@@ -1299,7 +1174,7 @@ impl ChoiceGraph<'_> {
         let lam = c / t;
         let (end, tokens) = (index.ends(), index.chain_tokens());
         let k = cycle.len();
-        let vertex = |i: usize| cycle[i].into() as usize;
+        let vertex = |i: usize| cycle[i] as usize;
         let first = if root as usize == vertex(0) { 0 } else { k - 1 };
         let u = vertex(first);
         lambda[u] = lam;
@@ -1311,7 +1186,7 @@ impl ChoiceGraph<'_> {
             let mut v = u as u32;
             while v != root {
                 let p = index.next(policy, v);
-                part_c += self.cost[p];
+                part_c += cost[p];
                 part_t += f64::from(tok[p]);
                 v = to[p];
             }
@@ -1338,15 +1213,8 @@ impl ChoiceGraph<'_> {
 /// basin and rooted where a walk of every member roots it (see
 /// [`ChoiceGraph::settle_cycle`]). Returns whether every policy cycle has
 /// the bit-identical λ (then every choice vertex's λ is that value), or
-/// `None` when a policy cycle carries no token. With `rec`, it also
-/// records the walk's plan (see [`crate::batch`]); the caller keeps a
-/// plan only when the walk succeeds.
-pub(crate) fn evaluate_policy(
-    graph: &ChoiceGraph,
-    choices: &[u32],
-    cols: &mut Columns,
-    mut rec: Option<&mut PlanRecord>,
-) -> Option<bool> {
+/// `None` when a policy cycle carries no token.
+fn evaluate_policy(graph: &ChoiceGraph, choices: &[u32], cols: &mut Columns) -> Option<bool> {
     let (to, tok) = (graph.index.ends(), graph.index.chain_tokens());
     let cost = graph.chain_cost;
     let Columns { policy, lambda, potential, mark, path } = cols;
@@ -1381,9 +1249,6 @@ pub(crate) fn evaluate_policy(
                 return None;
             }
             let root = graph.root(policy, path, pos);
-            if let Some(rec) = rec.as_deref_mut() {
-                rec.push_cycle(cycle, t, root);
-            }
             let lam = graph.settle_cycle(policy, cycle, root, t, lambda, potential);
             uniform &= *first_lam.get_or_insert(lam.to_bits()) == lam.to_bits();
             for &v in cycle {
@@ -1406,9 +1271,6 @@ pub(crate) fn evaluate_policy(
             lambda[v as usize] = lam;
             potential[v as usize] = pot;
             mark[v as usize] = SETTLED;
-        }
-        if let Some(rec) = rec.as_deref_mut().filter(|_| settle_from > 0) {
-            rec.push_segment(&path[..settle_from]);
         }
     }
     Some(uniform)
@@ -1459,19 +1321,16 @@ fn zero_token_cycle(
 /// graph: follow the policy from the member with maximal λ (the later one
 /// on ties) until a vertex repeats, and sum the circuit from that vertex.
 /// A forced member takes the λ of its chain's end, written here. No
-/// member may hold the mark `ON_WITNESS` on entry (a replayed evaluation
-/// leaves `mark` as it was); the vertices this walk marks are noted in
-/// `path` and marked `SETTLED` again on exit.
+/// member may hold the mark `ON_WITNESS` on entry; the vertices this walk
+/// marks are noted in `path` and marked `SETTLED` again on exit.
 fn extract_witness(
     csr: &Csr,
     index: &ChoiceIndex,
-    cost: &[f64],
     c: usize,
     members: &[u32],
     cols: &mut Columns,
 ) -> CycleSolution {
-    let to = csr.targets();
-    let tok = csr.token_counts();
+    let (to, tok, cost) = (csr.targets(), csr.token_counts(), csr.costs());
     let Columns { policy, lambda, mark, path: walk, .. } = cols;
     let (policy, lambda, mark) = (&policy[..], &mut lambda[..], &mut mark[..]);
     for &f in index.forced(c) {
@@ -1763,76 +1622,5 @@ mod tests {
         assert!(c[CsrBuilds] > 0);
         let (_, c) = counted(|| ws.max_cycle_ratio_cached(&g, 4, false).unwrap());
         assert_eq!(c[CsrBuilds], 1, "cache must not survive a foreign rebuild");
-    }
-
-    /// Multiple SCCs of varying size plus acyclic glue, so the parallel
-    /// solver actually has independent component tasks to distribute.
-    fn multi_scc() -> RatioGraph {
-        let mut g = RatioGraph::new(11);
-        g.add_edge(0, 1, 2.0, 1);
-        g.add_edge(1, 2, 7.5, 0);
-        g.add_edge(2, 0, 1.25, 1);
-        g.add_edge(1, 0, 3.0, 1);
-        g.add_edge(3, 3, 9.0, 2);
-        g.add_edge(4, 5, 4.0, 1);
-        g.add_edge(5, 6, 6.0, 0);
-        g.add_edge(6, 7, 0.5, 1);
-        g.add_edge(7, 4, 8.0, 1);
-        g.add_edge(6, 4, 2.5, 2);
-        g.add_edge(2, 4, 1.0, 0);
-        g.add_edge(3, 5, 5.0, 1);
-        g.add_edge(8, 9, 1.0, 0);
-        g.add_edge(9, 10, 2.0, 1);
-        g
-    }
-
-    #[test]
-    fn parallel_solve_matches_sequential_bitwise_at_every_thread_count() {
-        for g in [diamond(), multi_scc()] {
-            let seq = Workspace::new().max_cycle_ratio(&g).unwrap().unwrap();
-            for threads in [1, 2, 4] {
-                let mut ws = Workspace::new();
-                let par = ws.max_cycle_ratio_par(&g, threads).unwrap().unwrap();
-                assert_eq!(par.ratio.to_bits(), seq.ratio.to_bits(), "threads={threads}");
-                assert_eq!(par.cost.to_bits(), seq.cost.to_bits(), "threads={threads}");
-                assert_eq!(par.tokens, seq.tokens, "threads={threads}");
-                assert_eq!(par.cycle, seq.cycle, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_solve_matches_sequential_on_errors_and_acyclic() {
-        // Two deadlocked components: the error must be the sequential
-        // solver's (first failing component in condensation order).
-        let mut g = RatioGraph::new(4);
-        g.add_edge(0, 1, 1.0, 0);
-        g.add_edge(1, 0, 2.0, 0);
-        g.add_edge(2, 3, 3.0, 0);
-        g.add_edge(3, 2, 4.0, 0);
-        let seq = Workspace::new().max_cycle_ratio(&g).unwrap_err();
-        for threads in [1, 2, 4] {
-            let par = Workspace::new().max_cycle_ratio_par(&g, threads).unwrap_err();
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        // Acyclic graph: Ok(None) everywhere.
-        let mut dag = RatioGraph::new(3);
-        dag.add_edge(0, 1, 1.0, 1);
-        dag.add_edge(1, 2, 2.0, 1);
-        for threads in [1, 2, 4] {
-            assert_eq!(Workspace::new().max_cycle_ratio_par(&dag, threads).unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn parallel_solve_leaves_caches_cold_for_next_cached_solve() {
-        // A parallel solve must not poison the warm/structure caches: a
-        // following cached solve with a fresh token rebuilds and matches.
-        let g = multi_scc();
-        let mut ws = Workspace::new();
-        ws.max_cycle_ratio_par(&g, 2).unwrap();
-        let cached = ws.max_cycle_ratio_cached(&g, 77, false).unwrap().unwrap();
-        let cold = Workspace::new().max_cycle_ratio(&g).unwrap().unwrap();
-        assert_eq!(cached.ratio.to_bits(), cold.ratio.to_bits());
     }
 }

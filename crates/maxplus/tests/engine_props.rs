@@ -1,6 +1,6 @@
 //! Property tests of the zero-allocation engine: on random `RatioGraph`s,
-//! every Howard path — cold, workspace-reused, structure-cached, warm,
-//! per-SCC parallel and shape-batched — must agree **bit for bit**, and
+//! every Howard path — cold, workspace-reused, structure-cached, warm and
+//! shape-batched — must agree **bit for bit**, and
 //! Howard / Karp / Lawler must cross-validate.
 //!
 //! "Bit for bit" is not approximate agreement: every solver recomputes its
@@ -125,12 +125,6 @@ proptest! {
             });
             prop_assert_eq!((c[CsrBuilds], c[TarjanRuns]), (1, 1));
             assert_bitwise(&hit, &cold, &format!("cached hit, warm={warm}"))?;
-        }
-        // Per-SCC parallel solves.
-        for threads in [1, 2] {
-            let par = Workspace::new().max_cycle_ratio_par(&g, threads);
-            let par = par.expect("live").expect("cyclic");
-            assert_bitwise(&par, &cold, &format!("par, threads={threads}"))?;
         }
         // Shape-batched lanes: the warm-up costs and this graph's.
         let mut planes = CostPlanes::new();

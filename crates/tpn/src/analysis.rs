@@ -203,18 +203,12 @@ pub fn period_patched_with(
     solve(scratch, warm)
 }
 
-/// Nets with at least this many transitions route cold solves through the
-/// per-SCC parallel solver ([`maxplus::Workspace::max_cycle_ratio_par`]):
-/// independent condensation components solve on the `repwf-par` pool and
-/// merge in condensation order, so the result is bit-identical to the
-/// sequential path at any thread count. Below the threshold (or with a
-/// warm start requested) the thread fan-out costs more than the solve.
-pub const PAR_SOLVE_MIN_VERTICES: usize = 200_000;
-
+/// Every solve, whatever the net's size, runs the workspace's cached
+/// sequential Howard. A strict TPN of a replicated chain is one strongly
+/// connected component (pinned in `tests/invariants.rs` on a draw of
+/// over 400 000 transitions), so a per-component fan-out would have
+/// nothing to share out.
 fn solve(scratch: &mut PeriodScratch, warm: bool) -> Result<Option<PeriodSolution>, AnalysisError> {
-    if !warm && scratch.graph.num_vertices() >= PAR_SOLVE_MIN_VERTICES {
-        return convert(scratch.ws.max_cycle_ratio_par(&scratch.graph, repwf_par::max_threads()));
-    }
     // Always present the structure generation as the workspace's token:
     // the rebuild solve records it, and every patched solve until the next
     // rebuild hits the cached CSR + condensation (the workspace drops the

@@ -1,12 +1,17 @@
 //! Property tests of the structural invariants:
-//! the `M_ct` lower bound, the one-to-one fast path, time-scaling, and
-//! round-robin monotonicity facts.
+//! the `M_ct` lower bound, the one-to-one fast path, time-scaling,
+//! round-robin monotonicity facts, and the one strongly connected
+//! component of a large strict TPN.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use repwf_core::model::{CommModel, Instance, Mapping, Pipeline, Platform};
+use repwf_core::paths::num_paths;
 use repwf_core::period::{compute_period, Method};
+use repwf_core::tpn_build::{build_tpn, BuildOptions};
+use repwf_gen::campaign::DEFAULT_CAMPAIGN_CAP;
+use repwf_gen::sampler::sample_replica_counts;
 use repwf_gen::{sample_instance, GenConfig, Range};
 
 fn cfg_strategy() -> impl Strategy<Value = (GenConfig, u64)> {
@@ -180,4 +185,33 @@ fn mapping_tpn_structural_bounds() {
             }
         }
     }
+}
+
+/// A strict TPN of a replicated chain is one strongly connected component,
+/// so the period solve has nothing to share out per component and runs
+/// sequentially at every size. Pinned on the draw of
+/// `crates/gen/tests/cap_regression.rs`: the first seed of 2 stages on 733
+/// processors whose strict TPN lands just over 400 000 transitions.
+#[test]
+fn strict_tpn_of_the_cap_regression_draw_is_one_component() {
+    let cfg = GenConfig {
+        stages: 2,
+        procs: 733,
+        comp: Range::new(5.0, 15.0),
+        comm: Range::new(5.0, 15.0),
+    };
+    let transitions = |seed: u64| {
+        let replicas = sample_replica_counts(&cfg, &mut StdRng::seed_from_u64(seed));
+        num_paths(&replicas).unwrap() * 3
+    };
+    let seed = (0..500u64)
+        .find(|&s| (400_001..=DEFAULT_CAMPAIGN_CAP as u128).contains(&transitions(s)))
+        .expect("some balanced draw lands just over the old cap");
+    let inst = sample_instance(&cfg, &mut StdRng::seed_from_u64(seed));
+    let opts = BuildOptions { labels: false, max_transitions: DEFAULT_CAMPAIGN_CAP };
+    let built = build_tpn(&inst, CommModel::Strict, &opts).unwrap();
+    let graph = tpn::analysis::ratio_graph(&built.net);
+    assert!(graph.num_vertices() > 400_000, "seed {seed}");
+    let mut ws = maxplus::Workspace::new();
+    assert_eq!(ws.scc(&graph).num_components(), 1, "seed {seed}");
 }
