@@ -15,7 +15,7 @@
 //! repwf merge     <shard.ndjson>... [--csv F] [--json] [--allow-partial]
 //! repwf dist      status --dir D [--lease-timeout S] [--json]
 //! repwf trace     report FILE.ndjson [--min-coverage F] [--json]
-//! repwf bench     [--quick] [--out F] [--threads K] [--check BASELINE] [--json]
+//! repwf bench     [--out F] [--check BASELINE]
 //! repwf table2    [--scale F | --full] [--threads K] [--seed S] [--csv F] [--json]
 //!                 [--trace F] [--metrics]
 //! repwf gantt     <a-strict|a-overlap|b-overlap> [--periods K] [--svg F]
@@ -56,7 +56,8 @@ COMMANDS:
   trace      summarize an NDJSON telemetry trace (trace report FILE;
              traces come from --trace on period/map/campaign/table2)
   table2     reproduce the paper's Table 2 experiment families
-  bench      run the tracked benchmark suite (emits BENCH_period.json)
+  bench      count the work of the tracked kernels (emits BENCH_period.json;
+             --check fails on any count that differs from a baseline)
   gantt      render the paper's Gantt figures (ASCII / SVG)
   dot        emit a TPN figure as Graphviz DOT
   help       show this message

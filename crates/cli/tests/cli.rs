@@ -250,7 +250,7 @@ fn bench_refuses_to_check_against_its_own_output() {
     ];
     for extra in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_repwf"))
-            .args(["bench", "--quick", "--threads", "1"])
+            .arg("bench")
             .args(extra)
             .current_dir(&dir)
             .output()
@@ -311,137 +311,171 @@ fn campaign_json_metrics_go_to_stderr_not_into_the_document() {
     assert!(err.contains("batched_lanes"), "{err}");
 }
 
+/// The committed `BENCH_period.json` the `bench` gate checks against.
+fn committed_bench_baseline() -> (String, String) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_period.json");
+    (path.to_string(), std::fs::read_to_string(path).expect("committed baseline"))
+}
+
+/// `doc` with the first `"key": N` count replaced by `with(N)`; returns
+/// the new document and `N`.
+fn edit_count(doc: &str, key: &str, with: impl Fn(u64) -> String) -> (String, u64) {
+    let tag = format!("\"{key}\": ");
+    let at = doc.find(&tag).unwrap_or_else(|| panic!("no {key} in:\n{doc}")) + tag.len();
+    let len = doc[at..].find([',', '\n']).expect("count terminator");
+    let n: u64 = doc[at..at + len].parse().expect("a count");
+    (format!("{}{}{}", &doc[..at], with(n), &doc[at + len..]), n)
+}
+
 #[test]
 fn bench_emits_parseable_report_and_check_passes_against_self() {
     let dir = std::env::temp_dir().join(format!("repwf-bench-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_period.json");
+    let out = dir.join("BENCH_new.json");
     let out_s = out.to_str().unwrap();
+    let (committed, doc) = committed_bench_baseline();
 
-    // `--threads` must be plumbed into the campaign kernel AND recorded in
-    // the report, so a multi-core box can record a real
-    // `campaign_parallel_speedup` baseline that `--check` can compare
-    // settings against.
-    let (_, err, ok) = repwf(&["bench", "--quick", "--threads", "2", "--out", out_s]);
-    assert!(ok, "{err}");
-    let doc = std::fs::read_to_string(&out).expect("report written");
-    assert!(doc.contains("\"schema\": \"repwf-bench/v1\""), "{doc}");
-    assert!(doc.contains("\"threads\": 2"), "--threads not recorded:\n{doc}");
-    assert!(doc.contains("\"cores\": "), "core count not recorded:\n{doc}");
-    for name in [
-        "period_full_tpn_cold",
-        "period_full_tpn_engine",
-        "period_full_tpn_warm",
-        "tpn_build_chain",
-        "tpn_build_dag",
-        "dag_build_parity",
-        "campaign_oracle_1t",
-        "campaign_strict_1t",
-        "campaign_strict_nt",
-        "anneal_strict",
-        "neighbor_eval_cold",
-        "neighbor_eval_incremental",
-        "solve_patched",
-        "solve_rebuild",
-        "campaign_shard_merge",
-        "engine_reuse_speedup",
-        "warm_start_speedup",
-        "campaign_parallel_speedup",
-        "campaign_batched_speedup",
-        "neighbor_eval_speedup",
-        "patched_solve_speedup",
-        "shard_merge_efficiency",
-    ] {
-        assert!(doc.contains(name), "missing {name} in:\n{doc}");
-    }
-
-    // A fresh run checked against the report we just wrote must pass (the
-    // machine did not change under us; tolerance absorbs the noise).
-    let out2 = dir.join("BENCH_again.json");
-    let (_, err, ok) = repwf(&[
-        "bench",
-        "--quick",
-        "--out",
-        out2.to_str().unwrap(),
-        "--check",
-        out_s,
-        "--tolerance",
-        "0.9",
-    ]);
+    // The committed counts are exact: this build reproduces every one.
+    let (_, err, ok) = repwf(&["bench", "--out", out_s, "--check", &committed]);
     assert!(ok, "{err}");
     assert!(err.contains("check against"), "{err}");
 
-    // A doctored baseline with an unreachable index must fail the check.
-    let doctored = doc.replace(
-        "\"name\": \"warm_start_speedup\",",
-        "\"name\": \"warm_start_speedup\", \"ignored\": 1,",
+    // One count off by one, a kernel deleted, a count the build does not
+    // produce: each fails and names the pair with both values.
+    let (bumped, fsyncs) = edit_count(&doc, "fsyncs", |n| (n + 1).to_string());
+    let start = doc.find("    \"tpn_build_dag\": {").expect("dag kernel");
+    let end = start + doc[start..].find("},\n").expect("kernel end") + 3;
+    let deleted = format!("{}{}", &doc[..start], &doc[end..]);
+    let extra = doc.replacen(
+        "\"period_full_tpn_cold\": {",
+        "\"period_full_tpn_cold\": {\n      \"bogus_count\": 3,",
+        1,
     );
-    let inflated = dir.join("BENCH_inflated.json");
-    // Rewrite the warm_start_speedup value to an absurd 10000x.
-    let mut lines: Vec<String> = doctored.lines().map(String::from).collect();
-    for i in 0..lines.len() {
-        if lines[i].contains("warm_start_speedup") {
-            lines[i + 1] = "      \"value\": 10000.0".to_string();
+    for (label, text, line) in [
+        (
+            "bumped",
+            bumped,
+            format!("campaign_shard_merge.fsyncs: baseline {}, current {fsyncs}", fsyncs + 1),
+        ),
+        ("deleted", deleted, "tpn_build_dag.transitions: baseline absent, current ".to_string()),
+        ("extra", extra, "period_full_tpn_cold.bogus_count: baseline 3, current absent".into()),
+    ] {
+        let baseline = dir.join(format!("BENCH_{label}.json"));
+        std::fs::write(&baseline, text).unwrap();
+        let (_, err, code) =
+            repwf_env(&["bench", "--out", out_s, "--check", baseline.to_str().unwrap()], &[]);
+        assert_eq!(code, Some(2), "{label}: {err}");
+        assert!(err.contains(&line), "{label}: no `{line}` in:\n{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Baselines the writer could not have produced exit 2 with a diagnosis
+/// before any kernel runs, never with a panic.
+#[test]
+fn bench_refuses_hostile_baselines_with_a_diagnosis() {
+    let dir = std::env::temp_dir().join(format!("repwf-bench-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("BENCH_new.json");
+    let (_, doc) = committed_bench_baseline();
+    let count = |with: &str| edit_count(&doc, "fsyncs", |_| with.to_string()).0;
+    let cases = [
+        ("truncated", doc[..doc.len() / 2].to_string(), "does not parse"),
+        (
+            "fraction",
+            count("1.5"),
+            "campaign_shard_merge.fsyncs is 1.5, not a non-negative integer",
+        ),
+        ("negative", count("-3"), "campaign_shard_merge.fsyncs is -3, not a non-negative integer"),
+        ("huge", count("18446744073709551616"), "is 18446744073709551616, above u64::MAX"),
+        (
+            "duplicate",
+            doc.replace("\"tpn_build_dag\"", "\"tpn_build_chain\""),
+            "kernel tpn_build_chain appears twice",
+        ),
+        ("v1", doc.replace("repwf-bench/v2", "repwf-bench/v1"), "schema is repwf-bench/v1"),
+    ];
+    for (label, text, diagnosis) in cases {
+        let baseline = dir.join(format!("BENCH_{label}.json"));
+        std::fs::write(&baseline, text).unwrap();
+        let (_, err, code) = repwf_env(
+            &["bench", "--out", out.to_str().unwrap(), "--check", baseline.to_str().unwrap()],
+            &[],
+        );
+        assert_eq!(code, Some(2), "{label}: {err}");
+        assert!(err.contains(diagnosis), "{label}: no `{diagnosis}` in:\n{err}");
+        assert!(!err.contains("panicked"), "{label}: {err}");
+        assert!(!out.exists(), "{label}: kernels ran before the baseline was refused");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Degenerate but valid instances keep their period and `M_ct` bits under
+/// both models and both `auto` and `full-tpn`: zero-work stages, a
+/// zero-size file, one processor, and all-zero times (period 0, no
+/// throughput). A used link at bandwidth 0 and a replication lcm beyond
+/// `u128` exit 2 with a diagnosis.
+#[test]
+fn degenerate_instances_pin_period_and_mct_bits() {
+    let dir = std::env::temp_dir().join(format!("repwf-degenerate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("instance.txt");
+    let file_s = file.to_str().unwrap();
+    let cases: [(&str, f64, f64); 4] = [
+        ("stages 0 5 0\nfiles 1 2\nspeeds 2 2 2\nmap 0 0\nmap 1 1\nmap 2 2\n", 2.5, 5.5),
+        ("stages 2 4\nfiles 0\nspeeds 1 1\nmap 0 0\nmap 1 1\n", 4.0, 4.0),
+        ("stages 3\nspeeds 2\nmap 0 0\n", 1.5, 1.5),
+        ("stages 0 0\nfiles 0\nspeeds 1 1\nmap 0 0\nmap 1 1\n", 0.0, 0.0),
+    ];
+    for (body, overlap, strict) in cases {
+        std::fs::write(&file, format!("workflow v1\n{body}")).unwrap();
+        for (model, want) in [("overlap", overlap), ("strict", strict)] {
+            for method in ["auto", "full-tpn"] {
+                let args = ["period", "--file", file_s, "--model", model, "--method", method];
+                let (doc, err, ok) = repwf(&[&args[..], &["--json"]].concat());
+                assert!(ok, "{body:?} {model} {method}: {err}");
+                for key in ["period", "mct"] {
+                    let got = json_num(&doc, key);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{body:?} {model} {method} {key}");
+                }
+                let no_throughput = doc.contains("\"throughput\": null");
+                assert_eq!(no_throughput, want == 0.0, "{body:?} {model} {method}: {doc}");
+            }
         }
     }
-    std::fs::write(&inflated, lines.join("\n")).unwrap();
-    let (_, err, ok) = repwf(&[
-        "bench",
-        "--quick",
-        "--out",
-        out2.to_str().unwrap(),
-        "--check",
-        inflated.to_str().unwrap(),
-    ]);
-    assert!(!ok, "doctored baseline must fail the check");
-    assert!(err.contains("regression"), "{err}");
-    // The failure message must name each regressed index WITH its
-    // baseline and current values — a failing gate is diagnosable from
-    // the message alone.
-    assert!(err.contains("warm_start_speedup: current "), "{err}");
-    assert!(err.contains("vs baseline 10000.000x"), "{err}");
 
-    // Thread-scaling indices are skipped (with a notice) when the
-    // baseline's threads/cores differ from the current run: an absurd
-    // baseline `campaign_parallel_speedup` must NOT fail a run with a
-    // different --threads value — the comparison would be
-    // apples-to-oranges — but every other index is still gated.
-    let mut lines: Vec<String> = doc.lines().map(String::from).collect();
-    for i in 0..lines.len() {
-        if lines[i].contains("campaign_parallel_speedup") {
-            lines[i + 1] = "      \"value\": 10000.0".to_string();
+    let dead_link =
+        "workflow v1\nstages 1 1\nfiles 1\nspeeds 1 1\nbandwidth 0 1 0\nmap 0 0\nmap 1 1\n";
+    std::fs::write(&file, dead_link).unwrap();
+    let (_, err, code) = repwf_env(&["period", "--file", file_s], &[]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("invalid bandwidth 0"), "{err}");
+
+    // 27 stages replicated on the primes 2..=103: 1 264 processors whose
+    // replication lcm (the TPN's row count) does not fit in u128.
+    let primes: Vec<usize> = (2..104).filter(|&p| (2..p).all(|d| p % d != 0)).collect();
+    assert_eq!((primes.len(), primes.iter().sum::<usize>()), (27, 1264));
+    let mut text = format!(
+        "workflow v1\nstages {}\nfiles {}\nspeeds {}\n",
+        vec!["1"; 27].join(" "),
+        vec!["1"; 26].join(" "),
+        vec!["1"; 1264].join(" ")
+    );
+    let mut first = 0;
+    for (stage, &p) in primes.iter().enumerate() {
+        let procs: Vec<String> = (first..first + p).map(|u| u.to_string()).collect();
+        text += &format!("map {stage} {}\n", procs.join(" "));
+        first += p;
+    }
+    std::fs::write(&file, text).unwrap();
+    for model in ["overlap", "strict"] {
+        for method in ["auto", "polynomial", "full-tpn"] {
+            let args = ["period", "--file", file_s, "--model", model, "--method", method];
+            let (_, err, code) = repwf_env(&args, &[]);
+            assert_eq!(code, Some(2), "{model} {method}: {err}");
+            assert!(err.contains("lcm of replication factors overflows u128"), "{err}");
         }
     }
-    let scaled = dir.join("BENCH_scaled.json");
-    std::fs::write(&scaled, lines.join("\n")).unwrap();
-    let (_, err, ok) = repwf(&[
-        "bench",
-        "--quick",
-        "--threads",
-        "1",
-        "--out",
-        out2.to_str().unwrap(),
-        "--check",
-        scaled.to_str().unwrap(),
-        "--tolerance",
-        "0.9",
-    ]);
-    assert!(ok, "thread-scaling index must be skipped across thread counts: {err}");
-    // The skip notice must name EVERY skipped index and say why — which
-    // settings diverged and how to regenerate a comparable baseline.
-    for name in ["campaign_parallel_speedup", "shard_merge_efficiency"] {
-        let notice = err
-            .lines()
-            .find(|l| l.contains(&format!("skipping thread-scaling index {name}")))
-            .unwrap_or_else(|| panic!("no skip notice for {name} in stderr:\n{err}"));
-        assert!(notice.contains("threads=2"), "{notice}");
-        assert!(notice.contains("threads=1"), "{notice}");
-        assert!(notice.contains("--threads 1"), "regeneration hint missing: {notice}");
-    }
-    // The batched-campaign index is NOT thread-scaling: it must be gated
-    // (not skipped) even across --threads settings.
-    assert!(!err.contains("skipping thread-scaling index campaign_batched_speedup"), "{err}");
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 

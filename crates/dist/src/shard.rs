@@ -477,6 +477,7 @@ impl ShardWriter {
             // write would land past EOF and zero-fill the cut, leaving a
             // footer stranded behind an unparseable NUL run.
             self.file.seek(std::io::SeekFrom::Start(keep_len)).map_err(|e| self.io(e))?;
+            repwf_obs::counter_add(repwf_obs::CounterId::Fsyncs, 1);
             self.file.sync_data().map_err(|e| self.io(e))?;
             self.flushed = keep;
         }
@@ -493,10 +494,12 @@ impl ShardWriter {
     /// completion marker is written elsewhere.
     pub(crate) fn finish(&mut self, short: bool, checksum_xor: u64) -> Result<(), DistError> {
         self.flush()?;
+        repwf_obs::counter_add(repwf_obs::CounterId::Fsyncs, 1);
         self.file.sync_data().map_err(|e| self.io(e))?;
         let footer_sum = Checksum::from_state(self.checksum.state() ^ checksum_xor);
         let line = footer_line(self.written, short, &footer_sum);
         self.file.write_all(line.as_bytes()).map_err(|e| self.io(e))?;
+        repwf_obs::counter_add(repwf_obs::CounterId::Fsyncs, 1);
         self.file.sync_data().map_err(|e| self.io(e))?;
         Ok(())
     }
@@ -636,6 +639,7 @@ pub(crate) fn open_checkpoint(
                 // Truncate the torn tail; fsync so the cut is durable
                 // before new records land past it.
                 file.set_len(scanned.valid_len as u64).map_err(io)?;
+                repwf_obs::counter_add(repwf_obs::CounterId::Fsyncs, 1);
                 file.sync_data().map_err(io)?;
             }
             let mut file = file;

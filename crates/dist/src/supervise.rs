@@ -287,6 +287,7 @@ fn write_done(dir: &Path, offset: usize, declared: usize, covered: usize) -> Res
     let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
     file.write_all(format!("{{\"covered\":{covered}}}\n").as_bytes())
         .map_err(|e| io_err(&tmp, e))?;
+    repwf_obs::counter_add(repwf_obs::CounterId::Fsyncs, 1);
     file.sync_data().map_err(|e| io_err(&tmp, e))?;
     drop(file);
     std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
@@ -343,6 +344,7 @@ fn pin_campaign(dir: &Path, spec: &CampaignSpec, units: usize) -> Result<usize, 
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
         file.write_all(body.as_bytes()).map_err(|e| io_err(&tmp, e))?;
+        repwf_obs::counter_add(repwf_obs::CounterId::Fsyncs, 1);
         file.sync_data().map_err(|e| io_err(&tmp, e))?;
     }
     let link = std::fs::hard_link(&tmp, &path);

@@ -226,8 +226,8 @@ pub struct ExactResult {
 /// disjoint, and processors may remain unused. `None` on `u128` overflow.
 ///
 /// `f(0, a) = 1`, `f(k, a) = Σ_{m=1}^{a-(k-1)} P(a, m) · f(k-1, a-m)`
-/// with `P(a, m)` the falling factorial — the denominator of the bench
-/// suite's `exact_prune_ratio` index.
+/// with `P(a, m)` the falling factorial — the `space` that `repwf bench`
+/// pins next to the search counters.
 pub fn search_space_size(stages: usize, procs: usize) -> Option<u128> {
     let mut f = vec![vec![0u128; procs + 1]; stages + 1];
     for cell in &mut f[0] {

@@ -66,9 +66,11 @@ pub enum CounterId {
     LeaseSplits,
     /// Unit retries after a failed attempt.
     LeaseRetries,
+    /// `sync_data` calls on shard, marker and pin files.
+    Fsyncs,
 }
 
-pub const NUM_COUNTERS: usize = 24;
+pub const NUM_COUNTERS: usize = 25;
 
 impl CounterId {
     pub const ALL: [CounterId; NUM_COUNTERS] = [
@@ -96,6 +98,7 @@ impl CounterId {
         CounterId::LeaseTakeovers,
         CounterId::LeaseSplits,
         CounterId::LeaseRetries,
+        CounterId::Fsyncs,
     ];
 
     #[inline]
@@ -129,6 +132,7 @@ impl CounterId {
             CounterId::LeaseTakeovers => "lease_takeovers",
             CounterId::LeaseSplits => "lease_splits",
             CounterId::LeaseRetries => "lease_retries",
+            CounterId::Fsyncs => "fsyncs",
         }
     }
 }
